@@ -123,29 +123,30 @@ def accuracy_table(
 
 
 def beat_baseline_share(
+    comparisons: Sequence[AccuracyComparison],
     panel: ForecastPanel,
-    base: BaselineSeries,
-    actuals: ActualSeries,
     thresholds: Sequence[float] = (0.10, 0.25, 0.50),
     sample: tuple[Quarter, Quarter] | None = None,
 ) -> dict[float, float | None]:
     """Share of qualifying forecasters with strictly lower RMSE than the baseline.
 
-    Ties count as not beating.  None when no forecaster qualifies.
+    ``comparisons`` is one release's ``accuracy_table``; participation is
+    measured in ``panel`` over ``sample`` (default: the release's first to
+    last quarter).  Ties count as not beating.  None when no forecaster
+    qualifies.
     """
-    release = base.release
-    quarters = panel.quarters(release)
+    if not comparisons:
+        return {thr: None for thr in thresholds}
+    release = comparisons[0].release
     if sample is None:
-        if not quarters:
-            return {thr: None for thr in thresholds}
+        quarters = panel.quarters(release)
         sample = (quarters[0], quarters[-1])
-    comparisons = {c.economist_id: c for c in accuracy_table(panel, base, actuals)}
     out: dict[float, float | None] = {}
     for threshold in thresholds:
         qualifying = [
             c
-            for econ, c in comparisons.items()
-            if passes_threshold(participation_share(panel, econ, release, sample), threshold)
+            for c in comparisons
+            if passes_threshold(participation_share(panel, c.economist_id, release, sample), threshold)
         ]
         if not qualifying:
             out[threshold] = None

@@ -8,7 +8,7 @@ constant extrapolation at the edges).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -179,8 +179,9 @@ def recursive_ar_forecast(
         out: dict[Quarter, float] = {}
         for target in ordered:
             history = _contiguous_values(series, start, target.predecessor())
-            max_lag = min(spec.max_lag, history.size - 3)
-            p = select_lag(history, max_lag=max(max_lag, 0), criterion=spec.criterion) if max_lag >= 0 else 0
+            # Cap the candidate orders so that whichever is chosen has its presample.
+            max_lag = min(spec.max_lag, history.size - MIN_PRESAMPLE)
+            p = select_lag(history, max_lag=max_lag, criterion=spec.criterion) if max_lag >= 0 else 0
             if history.size < p + MIN_PRESAMPLE:
                 raise EstimationError(
                     f"only {history.size} observations before target {target}; need {p + MIN_PRESAMPLE}"

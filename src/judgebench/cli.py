@@ -11,28 +11,34 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+import warnings
+from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 from . import __version__
-from .accuracy import accuracy_table, beat_baseline_share
-from .armodel import ARSpec, fill_missing, recursive_ar_forecast, select_lag
+from .accuracy import AccuracyComparison, accuracy_table, beat_baseline_share
+from .armodel import MIN_PRESAMPLE, ARSpec, fill_missing, recursive_ar_forecast
 from .descriptive import armse, quarter_stats
-from .errors import EstimationError, JudgebenchError
+from .errors import JudgebenchError
 from .judgment import (
     DEFAULT_GRID,
     DEFAULT_THRESHOLDS,
+    BaselineSeries,
+    JudgmentPanel,
     baseline,
     baseline_hit_stats,
     extract_judgments,
     negative_share_histogram,
+    passes_threshold,
     sign_shares,
 )
-from .linreg import newey_west_auto_lag, test_battery_aggregate, test_battery_individual
+from .linreg import test_battery_aggregate, test_battery_individual
 from .panel import (
+    ActualSeries,
     ForecastPanel,
+    SpfNowcasts,
     clean_panel,
     joint_coverage,
     load_actuals,
@@ -46,6 +52,7 @@ from .syngen import SynthConfig, recovery_experiment, simulate_world
 
 RELEASES = (ReleaseKind.FIRST, ReleaseKind.SECOND, ReleaseKind.THIRD)
 RELEASE_LABEL = {ReleaseKind.FIRST: "first", ReleaseKind.SECOND: "second", ReleaseKind.THIRD: "third"}
+BASELINE_METHODS = ("median", "mean")
 
 
 @dataclass
@@ -88,9 +95,6 @@ class RunConfig:
         blob = json.dumps(self.semantic_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def hac_lag_for(self, nobs: int) -> int:
-        return newey_west_auto_lag(nobs) if self.hac_lag == "auto" else int(self.hac_lag)
-
     def synth_config(self) -> SynthConfig:
         return SynthConfig(
             n_forecasters=self.n_forecasters,
@@ -108,9 +112,7 @@ class RunConfig:
 
 
 class CliError(Exception):
-    def __init__(self, message: str, exit_code: int = 2):
-        super().__init__(message)
-        self.exit_code = exit_code
+    """A usage error: bad arguments, config keys or input paths (exit status 2)."""
 
 
 def _fmt(value) -> str:
@@ -136,14 +138,6 @@ def write_csv(path: Path, header: list[str], rows: list[list], comment: str | No
             writer.writerow([_fmt(cell) for cell in row])
 
 
-def _workers() -> int:
-    raw = os.environ.get("JUDGEBENCH_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
-
-
 def _require_input(path: str | None, what: str) -> Path:
     if path is None:
         raise CliError(f"error: missing-argument name=--{what}")
@@ -153,69 +147,89 @@ def _require_input(path: str | None, what: str) -> Path:
     return p
 
 
-def _restrict_panel(panel: ForecastPanel, cfg: RunConfig) -> ForecastPanel:
-    if cfg.sample_from is None and cfg.sample_to is None:
-        return panel
-    lo = parse_quarter(cfg.sample_from) if cfg.sample_from else None
-    hi = parse_quarter(cfg.sample_to) if cfg.sample_to else None
-    return ForecastPanel(
-        r
-        for r in panel.records
-        if (lo is None or lo <= r.quarter) and (hi is None or r.quarter <= hi)
-    )
+class Study:
+    """One run's inputs and everything derived from them, each computed once.
 
+    Inputs load on first use, so a command reads only the files it needs.
+    Derived values are memoized, so the report stages share one cleaned
+    panel, one baseline per (release, method) and one set of judgments.
+    """
 
-def _load_panel(cfg: RunConfig) -> tuple[ForecastPanel, list[list]]:
-    path = _require_input(cfg.forecasts, "forecasts")
-    raw = load_forecasts(path)
-    cleaned, log = clean_panel(raw)
-    cleaned = _restrict_panel(cleaned, cfg)
-    log_rows = [
-        [e.action.value, e.record.economist_id, e.record.firm_id, str(e.record.quarter),
-         e.record.release.value, e.record.value]
-        for e in log.entries
-    ]
-    return cleaned, log_rows
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self._baselines: dict[tuple[ReleaseKind, str], BaselineSeries] = {}
 
+    @cached_property
+    def panel(self) -> ForecastPanel:
+        """The cleaned forecasts, restricted to the --from/--to sample."""
+        cleaned, _ = clean_panel(load_forecasts(_require_input(self.cfg.forecasts, "forecasts")))
+        lo = parse_quarter(self.cfg.sample_from) if self.cfg.sample_from else None
+        hi = parse_quarter(self.cfg.sample_to) if self.cfg.sample_to else None
+        if lo is None and hi is None:
+            return cleaned
+        return ForecastPanel(
+            r for r in cleaned.records if (lo is None or lo <= r.quarter) and (hi is None or r.quarter <= hi)
+        )
 
-def _load_actuals(cfg: RunConfig) -> dict[ReleaseKind, "ActualSeries"]:
-    path = _require_input(cfg.actuals, "actuals")
-    return {rel: load_actuals(path, rel) for rel in RELEASES}
+    @cached_property
+    def actuals(self) -> dict[ReleaseKind, ActualSeries]:
+        path = _require_input(self.cfg.actuals, "actuals")
+        return {rel: load_actuals(path, rel) for rel in RELEASES}
 
+    @cached_property
+    def spf(self) -> SpfNowcasts:
+        return load_spf(_require_input(self.cfg.spf, "spf"))
 
-def _ar_forecasts(cfg: RunConfig, actuals) -> dict[ReleaseKind, dict[Quarter, float]]:
-    """Recursive AR forecasts for every quarter with enough presample."""
-    out = {}
-    for rel, series in actuals.items():
-        series = fill_missing(series)
-        if cfg.ar_lag == "auto":
-            spec = ARSpec(p=1, reselect=True)
-            min_p = 0
-        else:
-            spec = ARSpec(p=int(cfg.ar_lag))
-            min_p = spec.p
-        first_target = series.first.shifted(min_p + 10)
-        targets = [q for q in series.quarters() if q >= first_target]
-        out[rel] = recursive_ar_forecast(series, targets, spec) if targets else {}
-    return out
+    def baseline(self, rel: ReleaseKind, method: str | None = None) -> BaselineSeries:
+        """One release's baseline; the method defaults to the run's."""
+        key = (rel, method or self.cfg.baseline_method)
+        if key not in self._baselines:
+            self._baselines[key] = baseline(self.panel, *key)
+        return self._baselines[key]
+
+    @cached_property
+    def judgments(self) -> dict[ReleaseKind, JudgmentPanel]:
+        """Each release's judgments against the run's baseline."""
+        return {rel: extract_judgments(self.panel, self.baseline(rel), grid=self.cfg.grid) for rel in RELEASES}
+
+    @cached_property
+    def all_judgments(self) -> JudgmentPanel:
+        """Every release's judgments in one panel, for the cross-release regressions."""
+        entries = {key: entry for jp in self.judgments.values() for key, entry in jp.entries.items()}
+        return JudgmentPanel(entries=entries, grid=self.cfg.grid)
+
+    @cached_property
+    def ar_forecasts(self) -> dict[ReleaseKind, dict[Quarter, float]]:
+        """Recursive AR forecasts of each release for every quarter with enough presample."""
+        spec = ARSpec(p=1, reselect=True) if self.cfg.ar_lag == "auto" else ARSpec(p=int(self.cfg.ar_lag))
+        presample = MIN_PRESAMPLE + (0 if spec.reselect else spec.p)
+        out = {}
+        for rel, series in self.actuals.items():
+            series = fill_missing(series)
+            first_target = series.first.shifted(presample)
+            targets = [q for q in series.quarters() if q >= first_target]
+            out[rel] = recursive_ar_forecast(series, targets, spec) if targets else {}
+        return out
+
+    @cached_property
+    def comparisons(self) -> dict[ReleaseKind, list[AccuracyComparison]]:
+        """Each release's per-forecaster accuracy against the run's baseline."""
+        return {rel: accuracy_table(self.panel, self.baseline(rel), self.actuals[rel]) for rel in RELEASES}
 
 
 # ---------------------------------------------------------------------------
-# Command implementations.  Each returns the list of files written.
+# Command implementations.  Each writes tables from a Study and returns the
+# list of files written.
 # ---------------------------------------------------------------------------
 
 
-def cmd_describe(cfg: RunConfig, out: Path) -> list[Path]:
-    panel, _ = _load_panel(cfg)
-    actuals = _load_actuals(cfg)
+def cmd_describe(study: Study, out: Path) -> list[Path]:
     stat_rows = []
     table1_rows = []
-    import warnings
-
     for rel in RELEASES:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            stats = quarter_stats(panel, actuals[rel], rel)
+            stats = quarter_stats(study.panel, study.actuals[rel], rel)
         for s in stats:
             stat_rows.append(
                 [RELEASE_LABEL[rel], str(s.quarter), s.n, s.rmse, s.std_dev, s.skewness, s.excess_kurtosis]
@@ -255,27 +269,24 @@ def cmd_describe(cfg: RunConfig, out: Path) -> list[Path]:
     return files
 
 
-def cmd_table2(cfg: RunConfig, out: Path, panel: ForecastPanel | None = None) -> list[Path]:
-    if panel is None:
-        panel, _ = _load_panel(cfg)
+def cmd_table2(study: Study, out: Path) -> list[Path]:
+    panel, thresholds = study.panel, study.cfg.thresholds
     rows = []
     for rel in RELEASES:
         records = panel.records_for_release(rel)
         econs = panel.economists(rel)
         quarters = panel.quarters(rel)
-        counts = {thr: 0 for thr in cfg.thresholds}
+        counts = {thr: 0 for thr in thresholds}
         if quarters:
             sample = (quarters[0], quarters[-1])
             for econ in econs:
                 share = participation_share(panel, econ, rel, sample)
-                for thr in cfg.thresholds:
-                    from .judgment import passes_threshold
-
+                for thr in thresholds:
                     if passes_threshold(share, thr):
                         counts[thr] += 1
         rows.append(["total_predictions", RELEASE_LABEL[rel], len(records)])
         rows.append(["n_economists", RELEASE_LABEL[rel], len(econs)])
-        for thr in cfg.thresholds:
+        for thr in thresholds:
             rows.append([f"n_economists_ge_{int(round(thr * 100))}pct", RELEASE_LABEL[rel], counts[thr]])
     cov = joint_coverage(panel)
     rows.append(["joint_cells_releases_1_2", "", cov.pair_12])
@@ -289,16 +300,15 @@ def cmd_table2(cfg: RunConfig, out: Path, panel: ForecastPanel | None = None) ->
     return [p]
 
 
-def cmd_judgment(cfg: RunConfig, out: Path) -> list[Path]:
-    panel, _ = _load_panel(cfg)
-    actuals = _load_actuals(cfg)
+def cmd_judgment(study: Study, out: Path) -> list[Path]:
+    cfg, panel = study.cfg, study.panel
     files = []
     baseline_rows, judgment_rows, table3_rows, hist_rows, hit_rows = [], [], [], [], []
     for rel in RELEASES:
-        base = baseline(panel, rel, cfg.baseline_method)
+        base = study.baseline(rel)
         for q in base.quarters():
             baseline_rows.append([RELEASE_LABEL[rel], str(q), base.values[q]])
-        jp = extract_judgments(panel, base, grid=cfg.grid)
+        jp = study.judgments[rel]
         for (econ, q, _), entry in sorted(jp.entries.items()):
             judgment_rows.append([econ, str(q), RELEASE_LABEL[rel], entry.value, entry.neutral])
         shares = sign_shares(jp, panel, rel, cfg.thresholds)
@@ -312,7 +322,7 @@ def cmd_judgment(cfg: RunConfig, out: Path) -> list[Path]:
             for label, count in hist.items():
                 hist_rows.append([RELEASE_LABEL[rel], thr, label, count])
         try:
-            hits = baseline_hit_stats(base, actuals[rel], grid=cfg.grid)
+            hits = baseline_hit_stats(base, study.actuals[rel], grid=cfg.grid)
             hit_rows.append([RELEASE_LABEL[rel], hits.correct, hits.overprediction, hits.underprediction])
         except ValueError:
             hit_rows.append([RELEASE_LABEL[rel], None, None, None])
@@ -338,13 +348,11 @@ def cmd_judgment(cfg: RunConfig, out: Path) -> list[Path]:
     return files
 
 
-def cmd_efficiency(cfg: RunConfig, out: Path) -> list[Path]:
-    panel, _ = _load_panel(cfg)
-    actuals = _load_actuals(cfg)
-    spf = load_spf(_require_input(cfg.spf, "spf"))
-    ar = _ar_forecasts(cfg, actuals)
+def cmd_efficiency(study: Study, out: Path) -> list[Path]:
+    cfg = study.cfg
     hac_lag = None if cfg.hac_lag == "auto" else int(cfg.hac_lag)
-    report = test_battery_aggregate(panel, actuals, spf, ar, hac_lag=hac_lag)
+    baselines = {(rel, method): study.baseline(rel, method) for rel in RELEASES for method in BASELINE_METHODS}
+    report = test_battery_aggregate(baselines, study.actuals, study.spf, study.ar_forecasts, hac_lag=hac_lag)
     table4_rows = []
     for (rel, method), cell in sorted(report.items()):
         table4_rows.append(
@@ -352,7 +360,8 @@ def cmd_efficiency(cfg: RunConfig, out: Path) -> list[Path]:
              "; ".join(cell.errors)]
         )
     battery = test_battery_individual(
-        panel, actuals, spf, ar, thresholds=cfg.thresholds, alpha=cfg.alpha, hac_lag=hac_lag
+        study.panel, study.actuals, study.spf, study.ar_forecasts,
+        thresholds=cfg.thresholds, alpha=cfg.alpha, hac_lag=hac_lag,
     )
     table5_rows = [
         [RELEASE_LABEL[row.release], row.threshold, row.n_qualifying,
@@ -384,19 +393,18 @@ def cmd_efficiency(cfg: RunConfig, out: Path) -> list[Path]:
     return files
 
 
-def cmd_accuracy(cfg: RunConfig, out: Path) -> list[Path]:
-    panel, _ = _load_panel(cfg)
-    actuals = _load_actuals(cfg)
+def cmd_accuracy(study: Study, out: Path) -> list[Path]:
+    thresholds = study.cfg.thresholds
     comp_rows, beat_rows = [], []
     for rel in RELEASES:
-        base = baseline(panel, rel, cfg.baseline_method)
-        for c in accuracy_table(panel, base, actuals[rel]):
+        comparisons = study.comparisons[rel]
+        for c in comparisons:
             comp_rows.append(
                 [c.economist_id, RELEASE_LABEL[rel], c.n_common, c.rmse_self, c.rmse_baseline,
                  c.dm_statistic, c.hln_statistic, c.p_value_hln, c.note]
             )
-        shares = beat_baseline_share(panel, base, actuals[rel], cfg.thresholds)
-        for thr in cfg.thresholds:
+        shares = beat_baseline_share(comparisons, study.panel, thresholds)
+        for thr in thresholds:
             beat_rows.append([RELEASE_LABEL[rel], thr, shares[thr]])
     files = []
     p = out / "accuracy_comparisons.csv"
@@ -410,17 +418,8 @@ def cmd_accuracy(cfg: RunConfig, out: Path) -> list[Path]:
     return files
 
 
-def cmd_persistence(cfg: RunConfig, out: Path) -> list[Path]:
-    panel, _ = _load_panel(cfg)
-    jp_entries = {}
-    for rel in RELEASES:
-        base = baseline(panel, rel, cfg.baseline_method)
-        jp_rel = extract_judgments(panel, base, grid=cfg.grid)
-        jp_entries.update(jp_rel.entries)
-    from .judgment import JudgmentPanel
-
-    jp = JudgmentPanel(entries=jp_entries, grid=cfg.grid)
-    report = persistence_battery(jp)
+def cmd_persistence(study: Study, out: Path) -> list[Path]:
+    report = persistence_battery(study.all_judgments)
     files = []
     table_names = {
         ReleaseKind.FIRST: "table6_persistence_first.csv",
@@ -459,20 +458,19 @@ def cmd_persistence(cfg: RunConfig, out: Path) -> list[Path]:
     return files
 
 
-def cmd_ar_forecast(cfg: RunConfig, out: Path) -> list[Path]:
-    actuals = _load_actuals(cfg)
+def cmd_ar_forecast(study: Study, out: Path) -> list[Path]:
     rows = []
     for rel in RELEASES:
-        forecasts = _ar_forecasts(cfg, {rel: actuals[rel]})[rel]
-        p_used = cfg.ar_lag if cfg.ar_lag != "auto" else "auto"
+        forecasts = study.ar_forecasts[rel]
         for q in sorted(forecasts):
-            rows.append([str(q), RELEASE_LABEL[rel], forecasts[q], p_used])
+            rows.append([str(q), RELEASE_LABEL[rel], forecasts[q], study.cfg.ar_lag])
     p = out / "ar_forecasts.csv"
     write_csv(p, ["quarter", "release", "forecast", "p_used"], rows)
     return [p]
 
 
-def cmd_simulate(cfg: RunConfig, out: Path) -> list[Path]:
+def cmd_simulate(study: Study, out: Path) -> list[Path]:
+    cfg = study.cfg
     world = simulate_world(cfg.synth_config(), seed=cfg.seed)
     files = []
     actual_rows = []
@@ -513,10 +511,9 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> list[Path]:
     return files
 
 
-def cmd_recovery(cfg: RunConfig, out: Path) -> list[Path]:
-    summary = recovery_experiment(
-        cfg.synth_config(), cfg.replications, base_seed=cfg.seed, workers=_workers()
-    )
+def cmd_recovery(study: Study, out: Path) -> list[Path]:
+    cfg = study.cfg
+    summary = recovery_experiment(cfg.synth_config(), cfg.replications, base_seed=cfg.seed)
     rows = [[cfg.replications, summary.n_completed, summary.n_failed,
              summary.mean_beta, summary.sd_beta, summary.ci_coverage, cfg.rho_own]]
     p = out / "recovery_summary.csv"
@@ -525,9 +522,14 @@ def cmd_recovery(cfg: RunConfig, out: Path) -> list[Path]:
     return [p]
 
 
-def cmd_report(cfg: RunConfig, out: Path) -> list[Path]:
+def cmd_report(study: Study, out: Path) -> list[Path]:
+    # Read every input before the first stage, so a bad file ends the run
+    # with one error instead of a diagnostics row from each stage.
+    study.panel, study.actuals, study.spf
     files = []
     diagnostics = []
+    # Looked up at call time, so a tracer that rebinds the module's cmd_*
+    # attributes times each stage.
     for name, fn in [
         ("describe", cmd_describe),
         ("table2", cmd_table2),
@@ -537,22 +539,22 @@ def cmd_report(cfg: RunConfig, out: Path) -> list[Path]:
         ("persistence", cmd_persistence),
     ]:
         try:
-            files.extend(fn(cfg, out))
+            files.extend(fn(study, out))
         except (JudgebenchError, ValueError) as exc:
             diagnostics.append([name, str(exc)])
     if diagnostics:
         p = out / "diagnostics.csv"
         write_csv(p, ["stage", "error"], diagnostics)
         files.append(p)
+    cfg = study.cfg
     manifest = {
         "artifact": "judgebench",
         "version": __version__,
         "config": cfg.semantic_dict(),
         "config_hash": cfg.config_hash(),
         "inputs": {
-            name: _file_digest(getattr(cfg, name))
+            name: hashlib.sha256(Path(getattr(cfg, name)).read_bytes()).hexdigest()
             for name in ("actuals", "forecasts", "spf")
-            if getattr(cfg, name)
         },
         "outputs": sorted(p.name for p in files),
     }
@@ -563,13 +565,6 @@ def cmd_report(cfg: RunConfig, out: Path) -> list[Path]:
         fh.write("\n")
     files.append(p)
     return files
-
-
-def _file_digest(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        return "missing"
-    return hashlib.sha256(p.read_bytes()).hexdigest()
 
 
 COMMANDS = {
@@ -646,10 +641,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = config_from_args(args)
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
-        files = COMMANDS[args.command](cfg, out)
+        files = COMMANDS[args.command](Study(cfg), out)
     except CliError as exc:
         print(str(exc), file=sys.stderr)
-        return exc.exit_code
+        return 2
     except JudgebenchError as exc:
         print(f"error: {type(exc).__name__.lower()} detail={exc}", file=sys.stderr)
         return 1

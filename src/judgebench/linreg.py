@@ -16,7 +16,7 @@ import scipy.linalg
 import scipy.stats
 
 from .errors import EstimationError, RankDeficiencyError
-from .judgment import BaselineSeries, baseline
+from .judgment import BaselineSeries, passes_threshold
 from .panel import ActualSeries, ForecastPanel, SpfNowcasts, participation_share
 from .quarters import Quarter, ReleaseKind
 
@@ -126,12 +126,12 @@ def wald_joint_test(
     if np.linalg.matrix_rank(R) < q:
         raise EstimationError("restriction matrix is not of full row rank")
     diff = R @ fit.coefficients - r_vec
-    df_den_early = fit.nobs - fit.nparams
+    df_den = fit.nobs - fit.nparams
     # Restrictions satisfied at rounding level (e.g. a perfect fit with a
     # degenerate covariance): the discrepancy is zero by construction.
     scale = max(float(np.abs(R @ fit.coefficients).max()), float(np.abs(r_vec).max()), 1.0)
     if float(np.abs(diff).max()) <= 1e-10 * scale:
-        return JointTestResult(0.0, q, df_den_early, 1.0)
+        return JointTestResult(0.0, q, df_den, 1.0)
     middle = R @ cov.matrix @ R.T
     try:
         solved = np.linalg.solve(middle, diff)
@@ -139,7 +139,6 @@ def wald_joint_test(
         raise EstimationError("R V R' is singular") from exc
     wald = float(diff @ solved)
     statistic = max(wald, 0.0) / q
-    df_den = fit.nobs - fit.nparams
     p_value = float(scipy.stats.f.sf(statistic, q, df_den))
     return JointTestResult(statistic, q, df_den, p_value)
 
@@ -220,45 +219,41 @@ def prediction_rmse(prediction: Mapping[Quarter, float], actuals: ActualSeries) 
 
 
 def test_battery_aggregate(
-    panel: ForecastPanel,
+    baselines: Mapping[tuple[ReleaseKind, str], BaselineSeries],
     actuals: Mapping[ReleaseKind, ActualSeries],
     spf: SpfNowcasts,
     ar_forecasts: Mapping[ReleaseKind, Mapping[Quarter, float]],
-    methods: Sequence[str] = ("median", "mean"),
     hac_lag: int | None = None,
 ) -> dict[tuple[ReleaseKind, str], AggregateCell]:
-    """Unbiasedness/efficiency p-values and RMSE per release and baseline method.
+    """Unbiasedness/efficiency p-values and RMSE per (release, baseline method).
 
-    HAC covariances throughout; the information set pairs the method-matched
-    SPF nowcast with the recursive AR forecast.  Failures are recorded per
-    cell and leave the other cells intact.
+    One cell per entry of ``baselines``.  HAC covariances throughout; the
+    information set pairs the method-matched SPF nowcast with the recursive
+    AR forecast.  Failures are recorded per cell and leave the other cells
+    intact.
     """
     report: dict[tuple[ReleaseKind, str], AggregateCell] = {}
-    for release in sorted(actuals):
-        for method in methods:
-            errors: list[str] = []
-            unb_p = eff_p = rmse = None
-            base = baseline(panel, release, method)
-            try:
-                rmse = prediction_rmse(base.values, actuals[release])
-            except EstimationError as exc:
-                errors.append(f"rmse: {exc}")
-            try:
-                reg = efficiency_regression(actuals[release], base.values)
-                lag = newey_west_auto_lag(reg.fit.nobs) if hac_lag is None else hac_lag
-                unb_p = unbiasedness_test(reg, hac_covariance(reg.fit, reg.design, lag)).p_value
-            except EstimationError as exc:
-                errors.append(f"unbiasedness: {exc}")
-            try:
-                extra = [("spf", spf.for_method(method)), ("ar", ar_forecasts[release])]
-                reg = efficiency_regression(actuals[release], base.values, extra)
-                lag = newey_west_auto_lag(reg.fit.nobs) if hac_lag is None else hac_lag
-                eff_p = efficiency_test(reg, hac_covariance(reg.fit, reg.design, lag)).p_value
-            except EstimationError as exc:
-                errors.append(f"efficiency: {exc}")
-            report[(release, method)] = AggregateCell(
-                release, method, unb_p, eff_p, rmse, tuple(errors)
-            )
+    for (release, method), base in baselines.items():
+        errors: list[str] = []
+        unb_p = eff_p = rmse = None
+        try:
+            rmse = prediction_rmse(base.values, actuals[release])
+        except EstimationError as exc:
+            errors.append(f"rmse: {exc}")
+        try:
+            reg = efficiency_regression(actuals[release], base.values)
+            lag = newey_west_auto_lag(reg.fit.nobs) if hac_lag is None else hac_lag
+            unb_p = unbiasedness_test(reg, hac_covariance(reg.fit, reg.design, lag)).p_value
+        except EstimationError as exc:
+            errors.append(f"unbiasedness: {exc}")
+        try:
+            extra = [("spf", spf.for_method(method)), ("ar", ar_forecasts[release])]
+            reg = efficiency_regression(actuals[release], base.values, extra)
+            lag = newey_west_auto_lag(reg.fit.nobs) if hac_lag is None else hac_lag
+            eff_p = efficiency_test(reg, hac_covariance(reg.fit, reg.design, lag)).p_value
+        except EstimationError as exc:
+            errors.append(f"efficiency: {exc}")
+        report[(release, method)] = AggregateCell(release, method, unb_p, eff_p, rmse, tuple(errors))
     return report
 
 
@@ -299,7 +294,6 @@ def _forecaster_tests(
     series: Mapping[Quarter, float],
     actuals: ActualSeries,
     extra: Sequence[tuple[str, Mapping[Quarter, float]]],
-    alpha: float,
     covariance: str,
     hac_lag: int | None,
 ) -> ForecasterTestDetail:
@@ -355,8 +349,6 @@ def test_battery_individual(
     among those with enough observations; the rest are reported as excluded.
     HC1 covariance by default, HAC optional.
     """
-    from .judgment import passes_threshold  # local import to avoid cycle at module load
-
     battery = IndividualBattery()
     for release in sorted(actuals):
         quarters = panel.quarters(release)
@@ -370,7 +362,7 @@ def test_battery_individual(
             participation[econ] = participation_share(panel, econ, release, sample)
             details[econ] = _forecaster_tests(
                 econ, release, panel.series_for(econ, release), actuals[release],
-                extra, alpha, covariance, hac_lag,
+                extra, covariance, hac_lag,
             )
         battery.details.extend(details[e] for e in sorted(details))
         for threshold in thresholds:

@@ -7,14 +7,14 @@ both deterministically and logs every dropped record.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import statistics
+import sys
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import IngestionError
 from .quarters import Quarter, ReleaseKind, parse_quarter, quarter_range
@@ -152,7 +152,6 @@ class ForecastPanel:
 
 class CleaningAction(str, Enum):
     DROPPED_DUPLICATE = "dropped-duplicate"
-    REASSIGNED_FIRM = "reassigned-firm"
     DROPPED_UNATTRIBUTED = "dropped-unattributed"
 
 
@@ -167,38 +166,56 @@ class CleaningLog:
     entries: list[CleaningLogEntry] = field(default_factory=list)
 
     def dropped_count(self) -> int:
-        return sum(
-            1
-            for e in self.entries
-            if e.action in (CleaningAction.DROPPED_DUPLICATE, CleaningAction.DROPPED_UNATTRIBUTED)
-        )
+        return len(self.entries)  # every cleaning action drops a record
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def _open_source(source) -> IO[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8"))
-    return source
+def _parse_rows(source, header: Sequence[str], what: str, parse_row: Callable) -> Iterator[tuple[str, object]]:
+    """Yield ``(where, parse_row(row))`` for each data row of a CSV source.
+
+    ``where`` names the file and line.  A wrong header, a row with too few or
+    too many fields, or a field ``parse_row`` rejects with ValueError raises
+    IngestionError naming both.
+    """
+    is_path = isinstance(source, (str, Path))
+    name = str(source) if is_path else getattr(source, "name", what)
+    fh = open(source, "r", encoding="utf-8", newline="") if is_path else source
+    try:
+        reader = csv.DictReader(fh)
+        got = reader.fieldnames
+        if got is None or list(got) != list(header):
+            raise IngestionError(f"{name}: expected header {','.join(header)}, got {got}")
+        for row in reader:
+            where = f"{name} line {reader.line_num}"
+            try:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(header)} fields")
+                parsed = parse_row(row)
+            except ValueError as exc:
+                raise IngestionError(f"{where}: {exc}") from exc
+            yield where, parsed
+    finally:
+        if is_path:
+            fh.close()
 
 
-def _check_header(reader: csv.DictReader, expected: Sequence[str], what: str) -> None:
-    got = reader.fieldnames
-    if got is None or list(got) != list(expected):
-        raise IngestionError(f"{what}: expected header {','.join(expected)}, got {got}")
-
-
-def _parse_value(token: str, where: str) -> float:
+def _parse_value(token: str) -> float:
     try:
         value = float(token)
-    except ValueError as exc:
-        raise IngestionError(f"non-numeric value {token!r} at {where}") from exc
+    except ValueError:
+        raise ValueError(f"non-numeric value {token!r}") from None
     if not math.isfinite(value):
-        raise IngestionError(f"non-finite value {token!r} at {where}")
+        raise ValueError(f"non-finite value {token!r}")
     return value
+
+
+def _parse_date(token: str) -> date | None:
+    try:
+        return date.fromisoformat(token.strip()) if token.strip() else None
+    except ValueError:
+        raise ValueError(f"invalid report_date {token!r}") from None
 
 
 def load_actuals(source, release: ReleaseKind) -> ActualSeries:
@@ -207,47 +224,43 @@ def load_actuals(source, release: ReleaseKind) -> ActualSeries:
     Rows for other releases are ignored; a duplicate (quarter, release) row
     anywhere in the file is an error.
     """
-    fh = _open_source(source)
-    reader = csv.DictReader(fh)
-    _check_header(reader, ACTUALS_HEADER, "actuals")
+
+    def parse_row(row):
+        return parse_quarter(row["quarter"]), ReleaseKind.from_token(row["release"]), _parse_value(row["value"])
+
     seen: set[tuple[Quarter, ReleaseKind]] = set()
     values: dict[Quarter, float] = {}
-    for i, row in enumerate(reader, start=2):
-        quarter = parse_quarter(row["quarter"])
-        row_release = ReleaseKind.from_token(row["release"])
-        key = (quarter, row_release)
-        if key in seen:
-            raise IngestionError(f"duplicate actuals row for {quarter} release {row_release.value} (line {i})")
-        seen.add(key)
-        value = _parse_value(row["value"], f"actuals line {i}")
+    for where, (quarter, row_release, value) in _parse_rows(source, ACTUALS_HEADER, "actuals", parse_row):
+        if (quarter, row_release) in seen:
+            raise IngestionError(f"{where}: duplicate actuals row for {quarter} release {row_release.value}")
+        seen.add((quarter, row_release))
         if row_release == release:
             values[quarter] = value
     return ActualSeries(release=release, values=values)
 
 
 def load_forecasts(source) -> ForecastPanel:
-    """Read the forecasts CSV into a raw (uncleaned) panel."""
-    fh = _open_source(source)
-    reader = csv.DictReader(fh)
-    _check_header(reader, FORECASTS_HEADER, "forecasts")
-    records = []
-    for i, row in enumerate(reader, start=2):
-        quarter = parse_quarter(row["quarter"])
-        release = ReleaseKind.from_token(row["release"])
-        value = _parse_value(row["value"], f"forecasts line {i}")
-        raw_date = (row["report_date"] or "").strip()
-        report_date = date.fromisoformat(raw_date) if raw_date else None
-        records.append(
-            ForecastRecord(
-                economist_id=(row["economist_id"] or "").strip(),
-                firm_id=(row["firm_id"] or "").strip(),
-                quarter=quarter,
-                release=release,
-                value=value,
-                report_date=report_date,
-            )
+    """Read the forecasts CSV into a raw (uncleaned) panel.
+
+    Records share one object per distinct quarter and id, which keeps the
+    panel's memory proportional to its values rather than its tokens.
+    """
+    quarters: dict[str, Quarter] = {}
+
+    def parse_row(row):
+        token = row["quarter"]
+        if token not in quarters:
+            quarters[token] = parse_quarter(token)
+        return ForecastRecord(
+            economist_id=sys.intern(row["economist_id"].strip()),
+            firm_id=sys.intern(row["firm_id"].strip()),
+            quarter=quarters[token],
+            release=ReleaseKind.from_token(row["release"]),
+            value=_parse_value(row["value"]),
+            report_date=_parse_date(row["report_date"]),
         )
-    return ForecastPanel(records)
+
+    return ForecastPanel(rec for _, rec in _parse_rows(source, FORECASTS_HEADER, "forecasts", parse_row))
 
 
 @dataclass(frozen=True)
@@ -267,17 +280,17 @@ class SpfNowcasts:
 
 def load_spf(source) -> SpfNowcasts:
     """Read the SPF CSV (header quarter,median,mean)."""
-    fh = _open_source(source)
-    reader = csv.DictReader(fh)
-    _check_header(reader, SPF_HEADER, "spf")
+
+    def parse_row(row):
+        return parse_quarter(row["quarter"]), _parse_value(row["median"]), _parse_value(row["mean"])
+
     median: dict[Quarter, float] = {}
     mean: dict[Quarter, float] = {}
-    for i, row in enumerate(reader, start=2):
-        quarter = parse_quarter(row["quarter"])
+    for where, (quarter, med, avg) in _parse_rows(source, SPF_HEADER, "spf", parse_row):
         if quarter in median:
-            raise IngestionError(f"duplicate spf row for {quarter} (line {i})")
-        median[quarter] = _parse_value(row["median"], f"spf line {i}")
-        mean[quarter] = _parse_value(row["mean"], f"spf line {i}")
+            raise IngestionError(f"{where}: duplicate spf row for {quarter}")
+        median[quarter] = med
+        mean[quarter] = avg
     return SpfNowcasts(median=median, mean=mean)
 
 

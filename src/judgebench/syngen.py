@@ -9,14 +9,14 @@ forecasters does not change the actual series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 import scipy.stats
 
 from .errors import EstimationError
-from .judgment import JudgmentPanel, baseline, extract_judgments, grid_round
+from .judgment import JudgmentPanel, baseline, extract_judgments
 from .panel import ActualSeries, ForecastPanel, ForecastRecord, SpfNowcasts
 from .panelreg import build_persistence_dataset, fe_estimate
 from .quarters import Quarter, ReleaseKind
@@ -201,15 +201,13 @@ def recovery_experiment(
     config: SynthConfig,
     replications: int,
     base_seed: int | None = None,
-    workers: int = 1,
 ) -> RecoverySummary:
     """Monte-Carlo check of the fixed-effects persistence estimator.
 
     Each replication simulates a world, extracts judgments against the
     empirical median baseline, estimates the own-lag FE specification for the
     first release, and checks whether the 95% clustered CI covers rho_own.
-    Replications use seeds base_seed + index, so results are deterministic
-    regardless of the worker count.
+    Replications use seeds base_seed + index, so results are deterministic.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -217,31 +215,12 @@ def recovery_experiment(
     summary = RecoverySummary(config=config, replications=replications)
     covered = 0
 
-    results: list = [None] * replications
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_one_replication, config, base_seed + rep)
-                for rep in range(replications)
-            ]
-            for rep, future in enumerate(futures):
-                try:
-                    results[rep] = future.result()
-                except EstimationError as exc:
-                    results[rep] = exc
-    else:
-        for rep in range(replications):
-            try:
-                results[rep] = _one_replication(config, base_seed + rep)
-            except EstimationError as exc:
-                results[rep] = exc
-
-    for rep, result in enumerate(results):
-        if isinstance(result, EstimationError):
+    for rep in range(replications):
+        try:
+            result = _one_replication(config, base_seed + rep)
+        except EstimationError as exc:
             summary.n_failed += 1
-            summary.failures.append(f"replication {rep}: {result}")
+            summary.failures.append(f"replication {rep}: {exc}")
             continue
         summary.betas.append(result.beta)
         crit = float(scipy.stats.t.ppf(0.975, df=result.n_forecasters - 1))

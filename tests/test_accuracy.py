@@ -4,6 +4,7 @@ import pytest
 import scipy.stats
 
 from judgebench.accuracy import (
+    accuracy_table,
     beat_baseline_share,
     dm_test,
     hln_correction,
@@ -107,10 +108,10 @@ class TestBeatBaselineShare:
 
     def test_everyone_matches_baseline_counts_as_not_beating(self):
         panel, base, actuals = self._setup({"E1": 0.5, "E2": 0.5})
-        shares = beat_baseline_share(panel, base, actuals, thresholds=(0.5,))
+        shares = beat_baseline_share(accuracy_table(panel, base, actuals), panel, thresholds=(0.5,))
         assert shares[0.5] == 0.0
 
     def test_one_of_four_strictly_better(self):
         panel, base, actuals = self._setup({"E1": 0.2, "E2": 0.5, "E3": 0.9, "E4": 0.5})
-        shares = beat_baseline_share(panel, base, actuals, thresholds=(0.5,))
+        shares = beat_baseline_share(accuracy_table(panel, base, actuals), panel, thresholds=(0.5,))
         assert shares[0.5] == 0.25

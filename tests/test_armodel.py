@@ -121,3 +121,14 @@ class TestRecursiveArForecast:
         targets = [Quarter(1990, 1).shifted(i) for i in (50, 55)]
         forecasts = recursive_ar_forecast(s, targets, ARSpec(reselect=True, max_lag=3, criterion="SIC"))
         assert set(forecasts) == set(targets)
+
+    def test_reselection_keeps_presample_for_earliest_target(self):
+        # A persistent AR(1): the criterion prefers p > 0 whenever it may pick it.
+        rng = np.random.default_rng(36)
+        values = [0.0]
+        for _ in range(39):
+            values.append(0.9 * values[-1] + rng.normal())
+        s = series(values)
+        targets = [Quarter(1990, 1).shifted(i) for i in range(10, 40)]
+        forecasts = recursive_ar_forecast(s, targets, ARSpec(reselect=True))
+        assert set(forecasts) == set(targets)

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -103,6 +104,24 @@ class TestReport:
                 assert a[name] == b[name], name
 
 
+    def test_bad_forecasts_file_exits_1_with_one_error_line(self, world_dir, tmp_path, capsys):
+        bad = tmp_path / "forecasts.csv"
+        lines = (world_dir / "forecasts.csv").read_text().splitlines()
+        lines[5] = "2000Q2,1,E0000,F0000,3.1,2020-13-45"
+        bad.write_text("\n".join(lines) + "\n")
+        flags = world_flags(world_dir)
+        flags[flags.index("--forecasts") + 1] = str(bad)
+        out = tmp_path / "report"
+        code = main(["report", *flags, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ingestionerror")
+        assert f"{bad} line 6" in err[0]
+        assert not (out / "diagnostics.csv").exists()
+        assert not (out / "manifest.json").exists()
+
+
 class TestConfigHash:
     def test_output_directory_not_semantic(self):
         assert RunConfig(out="a").config_hash() == RunConfig(out="b").config_hash()
@@ -157,6 +176,14 @@ class TestSubcommands:
         assert main(["efficiency", *world_flags(world_dir), "--out", str(out)]) == 0
         assert (out / "table4_aggregate_tests.csv").exists()
         assert (out / "individual_detail.csv").exists()
+
+    def test_efficiency_with_ar_lag_auto(self, world_dir, tmp_path):
+        out = tmp_path / "e_auto"
+        assert main(["efficiency", *world_flags(world_dir), "--ar-lag", "auto", "--out", str(out)]) == 0
+        with open(out / "table4_aggregate_tests.csv", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert len(rows) == 6
+        assert all(row["errors"] == "" for row in rows)
 
     def test_accuracy(self, world_dir, tmp_path):
         out = tmp_path / "a"

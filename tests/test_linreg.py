@@ -6,6 +6,7 @@ import scipy.integrate
 import scipy.stats
 
 from judgebench.errors import EstimationError, RankDeficiencyError
+from judgebench.judgment import baseline
 from judgebench.linreg import (
     efficiency_regression,
     efficiency_test,
@@ -287,7 +288,8 @@ class TestBatteries:
 
     def test_aggregate_perfect_baseline(self):
         panel, actuals, spf, ar = self._world()
-        cells = battery_aggregate(panel, actuals, spf, ar)
+        baselines = {(rel, m): baseline(panel, rel, m) for rel in actuals for m in ("median", "mean")}
+        cells = battery_aggregate(baselines, actuals, spf, ar)
         cell = cells[(R1, "median")]
         assert cell.rmse == pytest.approx(0.0, abs=1e-12)
         assert cell.unbiasedness_p == pytest.approx(1.0, abs=1e-9)

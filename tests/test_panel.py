@@ -70,6 +70,27 @@ class TestLoadForecasts:
         with pytest.raises(IngestionError):
             load_forecasts(io.StringIO(csv))
 
+    HEADER = "quarter,release,economist_id,firm_id,value,report_date\n"
+
+    def test_bad_report_date_names_file_and_line(self, tmp_path):
+        path = tmp_path / "forecasts.csv"
+        path.write_text(self.HEADER + "2000Q1,1,E1,F1,1.5,\n2000Q2,1,E1,F1,1.5,2020-13-45\n")
+        with pytest.raises(IngestionError, match="report_date") as info:
+            load_forecasts(path)
+        assert f"{path} line 3" in str(info.value)
+
+    @pytest.mark.parametrize("row", ["2000Q2,1,E1", "2000Q2,1,E1,F1,1.5,,extra"])
+    def test_wrong_field_count_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "forecasts.csv"
+        path.write_text(self.HEADER + "2000Q1,1,E1,F1,1.5,\n" + row + "\n")
+        with pytest.raises(IngestionError, match="expected 6 fields") as info:
+            load_forecasts(path)
+        assert f"{path} line 3" in str(info.value)
+
+    def test_bad_quarter_names_line(self):
+        with pytest.raises(IngestionError, match="line 2"):
+            load_forecasts(io.StringIO(self.HEADER + "2000Q5,1,E1,F1,1.5,\n"))
+
 
 class TestLoadSpf:
     def test_basic(self):

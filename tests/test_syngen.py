@@ -131,13 +131,13 @@ class TestJudgmentExtraction:
 
 
 class TestRecoveryExperiment:
-    def test_summary_counts_and_determinism_across_workers(self):
+    def test_summary_counts_and_determinism_across_runs(self):
         config = SynthConfig(n_forecasters=20, n_quarters=30, rho_own=0.2, judgment_sd=0.2)
-        serial = recovery_experiment(config, replications=4, base_seed=500, workers=1)
-        parallel = recovery_experiment(config, replications=4, base_seed=500, workers=2)
-        assert serial.n_completed == 4
-        assert serial.betas == parallel.betas
-        assert serial.ci_coverage == parallel.ci_coverage
+        first = recovery_experiment(config, replications=4, base_seed=500)
+        second = recovery_experiment(config, replications=4, base_seed=500)
+        assert first.n_completed == 4
+        assert first.betas == second.betas
+        assert first.ci_coverage == second.ci_coverage
 
     def test_requires_replications(self):
         with pytest.raises(ValueError):
