@@ -1,12 +1,14 @@
-"""Regenerate the golden report that ``tests/test_golden.py`` compares against.
+"""Regenerate the golden files that ``tests/test_golden.py`` compares against.
 
     PYTHONPATH=src python3 tests/golden/make_golden.py
 
 Simulates a 12 x 48 world (participation 0.8-1.0, a fifth of the judgments
 neutral), appends hand-written rows that exercise the cleaning rules and a
-forecast quarter with no published actual, and writes ``inputs/`` and the full
-``report/`` directory next to this file.  The report is run from this
-directory with relative input paths, because the manifest records them.
+forecast quarter with no published actual, and writes ``inputs/`` and one
+full report directory per entry of ``REPORTS`` next to this file: ``report/``
+with the defaults, and ``report_mean/`` with a ``--from/--to`` sample, the
+mean baseline and thresholds that split the economists.  Reports are run from
+this directory with relative input paths, because the manifest records them.
 
 Only regenerate when a change alters the report on purpose, and say so.
 """
@@ -40,10 +42,17 @@ HAND_ROWS = [
     "2012Q1,1,E0002,F0002,1.1,",
     "2012Q1,1,E0003,F0003,1.0,",
 ]
-REPORT = [
-    "report", "--actuals", "inputs/actuals.csv", "--forecasts", "inputs/forecasts.csv",
-    "--spf", "inputs/spf.csv", "--out", "report",
-]
+INPUTS = ["--actuals", "inputs/actuals.csv", "--forecasts", "inputs/forecasts.csv", "--spf", "inputs/spf.csv"]
+# Report directory name -> the flags of its run beyond the inputs.
+REPORTS = {
+    "report": [],
+    "report_mean": ["--from", "2002Q1", "--to", "2010Q4", "--baseline", "mean",
+                    "--thresholds", "0.1,0.85,0.95"],
+}
+
+
+def report_args(name: str, out: str) -> list[str]:
+    return ["report", *INPUTS, *REPORTS[name], "--out", out]
 
 
 def make_inputs(inputs: Path) -> None:
@@ -60,9 +69,13 @@ def make_inputs(inputs: Path) -> None:
 def run() -> int:
     os.chdir(HERE)
     shutil.rmtree(HERE / "inputs", ignore_errors=True)
-    shutil.rmtree(HERE / "report", ignore_errors=True)
     make_inputs(HERE / "inputs")
-    return main(REPORT)
+    for name in REPORTS:
+        shutil.rmtree(HERE / name, ignore_errors=True)
+        code = main(report_args(name, name))
+        if code != 0:
+            return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,26 +1,50 @@
-"""The full ``report`` directory for a fixed input must not change by a byte.
+"""Fixed inputs must give the same files, byte for byte.
 
-The inputs and the expected report live in ``tests/golden/`` and come from
+The inputs and the expected reports live in ``tests/golden/`` and come from
 ``tests/golden/make_golden.py``.  The world has participation below 1,
 neutral judgments, dated and undated duplicate keys, a firm-only row and a
-forecast quarter with no published actual.
+forecast quarter with no published actual.  The second report restricts the
+sample with ``--from/--to``, uses the mean baseline and thresholds that only
+some economists pass.
 """
+import sys
 from pathlib import Path
 
 from judgebench.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+sys.path.insert(0, str(GOLDEN))
+
+import make_golden  # noqa: E402
+
+
+def _check_report(name: str, tmp_path: Path, monkeypatch) -> None:
+    # The manifest records the input paths, so run with the same relative ones.
+    monkeypatch.chdir(GOLDEN)
+    out = tmp_path / name
+    assert main(make_golden.report_args(name, str(out))) == 0
+    expected = {p.name: p.read_bytes() for p in (GOLDEN / name).iterdir()}
+    got = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(got) == sorted(expected)
+    for file_name in sorted(expected):
+        assert got[file_name] == expected[file_name], file_name
 
 
 def test_report_matches_golden_byte_for_byte(tmp_path, monkeypatch):
-    # The manifest records the input paths, so run with the same relative ones.
-    monkeypatch.chdir(GOLDEN)
-    out = tmp_path / "report"
-    code = main(["report", "--actuals", "inputs/actuals.csv", "--forecasts", "inputs/forecasts.csv",
-                 "--spf", "inputs/spf.csv", "--out", str(out)])
-    assert code == 0
-    expected = {p.name: p.read_bytes() for p in (GOLDEN / "report").iterdir()}
-    got = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert sorted(got) == sorted(expected)
-    for name in sorted(expected):
-        assert got[name] == expected[name], name
+    _check_report("report", tmp_path, monkeypatch)
+
+
+def test_mean_window_report_matches_golden_byte_for_byte(tmp_path, monkeypatch):
+    _check_report("report_mean", tmp_path, monkeypatch)
+
+
+def test_simulate_reproduces_golden_inputs(tmp_path):
+    out = tmp_path / "world"
+    assert main([*make_golden.SIMULATE, "--out", str(out)]) == 0
+    inputs = GOLDEN / "inputs"
+    for name in ("actuals.csv", "spf.csv"):
+        assert (out / name).read_bytes() == (inputs / name).read_bytes(), name
+    hand = "".join(row + "\n" for row in make_golden.HAND_ROWS).encode()
+    expected = (inputs / "forecasts.csv").read_bytes()
+    assert expected.endswith(hand)
+    assert (out / "forecasts.csv").read_bytes() == expected[: len(expected) - len(hand)]
