@@ -11,7 +11,6 @@ from .panel import (
     ActualSeries,
     CleaningLog,
     ForecastPanel,
-    ForecastRecord,
     SpfNowcasts,
     clean_panel,
     joint_coverage,
@@ -55,7 +54,7 @@ from .accuracy import (
 )
 from .panelreg import (
     PanelFitResult,
-    PanelObservation,
+    PersistenceData,
     build_persistence_dataset,
     cluster_se,
     clustered_covariance,

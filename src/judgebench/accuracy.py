@@ -15,7 +15,7 @@ import scipy.stats
 
 from .errors import EstimationError
 from .judgment import BaselineSeries, passes_threshold
-from .panel import ActualSeries, ForecastPanel, participation_share
+from .panel import ActualSeries, ForecastPanel
 from .quarters import Quarter, ReleaseKind
 
 
@@ -32,20 +32,32 @@ class AccuracyComparison:
     note: str = ""
 
 
+def _paired_errors(
+    forecasts: Mapping[Quarter, float],
+    baseline_values: Mapping[Quarter, float],
+    actuals: ActualSeries,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forecaster and baseline errors over exactly their common quarters, in quarter order."""
+    common = sorted(q for q in forecasts if q in baseline_values and q in actuals.values)
+    if not common:
+        raise EstimationError("no common quarters for accuracy comparison")
+    e_self = np.array([forecasts[q] - actuals.values[q] for q in common])
+    e_base = np.array([baseline_values[q] - actuals.values[q] for q in common])
+    return e_self, e_base
+
+
+def _rmse(errors: np.ndarray) -> float:
+    return math.sqrt(float(np.mean(errors**2)))
+
+
 def paired_rmse(
     forecasts: Mapping[Quarter, float],
     baseline_values: Mapping[Quarter, float],
     actuals: ActualSeries,
 ) -> tuple[float, float, int]:
     """RMSEs of forecaster and baseline over exactly their common quarters."""
-    common = sorted(q for q in forecasts if q in baseline_values and q in actuals.values)
-    if not common:
-        raise EstimationError("no common quarters for accuracy comparison")
-    e_self = np.array([forecasts[q] - actuals.values[q] for q in common])
-    e_base = np.array([baseline_values[q] - actuals.values[q] for q in common])
-    rmse_self = math.sqrt(float(np.mean(e_self**2)))
-    rmse_base = math.sqrt(float(np.mean(e_base**2)))
-    return rmse_self, rmse_base, len(common)
+    e_self, e_base = _paired_errors(forecasts, baseline_values, actuals)
+    return _rmse(e_self), _rmse(e_base), e_self.size
 
 
 def dm_test(d: Sequence[float], h: int = 1) -> float:
@@ -88,20 +100,17 @@ def compare_forecaster(
     h: int = 1,
 ) -> AccuracyComparison:
     """Full accuracy comparison of one forecaster against the baseline."""
-    rmse_self, rmse_base, n_common = paired_rmse(forecasts, base.values, actuals)
-    common = sorted(q for q in forecasts if q in base.values and q in actuals.values)
-    e_self = np.array([forecasts[q] - actuals.values[q] for q in common])
-    e_base = np.array([base.values[q] - actuals.values[q] for q in common])
+    e_self, e_base = _paired_errors(forecasts, base.values, actuals)
     d = e_self**2 - e_base**2
     dm = hln = p = None
     note = ""
     try:
         dm = dm_test(d, h=h)
-        hln, p = hln_correction(dm, n_common, h=h)
+        hln, p = hln_correction(dm, e_self.size, h=h)
     except EstimationError as exc:
         note = str(exc)
     return AccuracyComparison(
-        economist_id, base.release, n_common, rmse_self, rmse_base, dm, hln, p, note
+        economist_id, base.release, e_self.size, _rmse(e_self), _rmse(e_base), dm, hln, p, note
     )
 
 
@@ -113,10 +122,9 @@ def accuracy_table(
 ) -> list[AccuracyComparison]:
     """Per-economist accuracy comparisons, in economist-id order."""
     out = []
-    for econ in panel.economists(base.release):
-        series = panel.series_for(econ, base.release)
+    for code, series in panel.for_release(base.release).economist_series():
         try:
-            out.append(compare_forecaster(econ, series, base, actuals, h=h))
+            out.append(compare_forecaster(panel.economist_ids[code], series, base, actuals, h=h))
         except EstimationError:
             continue  # no overlap with the actuals at all
     return out
@@ -125,29 +133,19 @@ def accuracy_table(
 def beat_baseline_share(
     comparisons: Sequence[AccuracyComparison],
     panel: ForecastPanel,
+    participation: np.ndarray,
     thresholds: Sequence[float] = (0.10, 0.25, 0.50),
-    sample: tuple[Quarter, Quarter] | None = None,
 ) -> dict[float, float | None]:
     """Share of qualifying forecasters with strictly lower RMSE than the baseline.
 
-    ``comparisons`` is one release's ``accuracy_table``; participation is
-    measured in ``panel`` over ``sample`` (default: the release's first to
-    last quarter).  Ties count as not beating.  None when no forecaster
-    qualifies.
+    ``comparisons`` is one release's ``accuracy_table`` and ``participation``
+    that release's ``participation_share``, indexed by the economist codes of
+    ``panel``.  Ties count as not beating.  None when no forecaster qualifies.
     """
-    if not comparisons:
-        return {thr: None for thr in thresholds}
-    release = comparisons[0].release
-    if sample is None:
-        quarters = panel.quarters(release)
-        sample = (quarters[0], quarters[-1])
+    share = dict(zip(panel.economist_ids, participation.tolist()))
     out: dict[float, float | None] = {}
     for threshold in thresholds:
-        qualifying = [
-            c
-            for c in comparisons
-            if passes_threshold(participation_share(panel, c.economist_id, release, sample), threshold)
-        ]
+        qualifying = [c for c in comparisons if passes_threshold(share[c.economist_id], threshold)]
         if not qualifying:
             out[threshold] = None
             continue

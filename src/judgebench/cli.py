@@ -17,6 +17,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .accuracy import AccuracyComparison, accuracy_table, beat_baseline_share
 from .armodel import MIN_PRESAMPLE, ARSpec, fill_missing, recursive_ar_forecast
@@ -138,6 +140,12 @@ def write_csv(path: Path, header: list[str], rows: list[list], comment: str | No
             writer.writerow([_fmt(cell) for cell in row])
 
 
+def _quarter_labels(indexes: np.ndarray) -> list[str]:
+    """``YYYYQn`` for each quarter index."""
+    label = {i: str(Quarter.from_index(i)) for i in np.unique(indexes).tolist()}
+    return [label[i] for i in indexes.tolist()]
+
+
 def _require_input(path: str | None, what: str) -> Path:
     if path is None:
         raise CliError(f"error: missing-argument name=--{what}")
@@ -163,18 +171,18 @@ class Study:
     def panel(self) -> ForecastPanel:
         """The cleaned forecasts, restricted to the --from/--to sample."""
         cleaned, _ = clean_panel(load_forecasts(_require_input(self.cfg.forecasts, "forecasts")))
-        lo = parse_quarter(self.cfg.sample_from) if self.cfg.sample_from else None
-        hi = parse_quarter(self.cfg.sample_to) if self.cfg.sample_to else None
-        if lo is None and hi is None:
+        if not (self.cfg.sample_from or self.cfg.sample_to):
             return cleaned
-        return ForecastPanel(
-            r for r in cleaned.records if (lo is None or lo <= r.quarter) and (hi is None or r.quarter <= hi)
-        )
+        inside = np.ones(len(cleaned), dtype=bool)
+        if self.cfg.sample_from:
+            inside &= cleaned.quarter >= parse_quarter(self.cfg.sample_from).index
+        if self.cfg.sample_to:
+            inside &= cleaned.quarter <= parse_quarter(self.cfg.sample_to).index
+        return cleaned.take(inside)
 
     @cached_property
     def actuals(self) -> dict[ReleaseKind, ActualSeries]:
-        path = _require_input(self.cfg.actuals, "actuals")
-        return {rel: load_actuals(path, rel) for rel in RELEASES}
+        return load_actuals(_require_input(self.cfg.actuals, "actuals"))
 
     @cached_property
     def spf(self) -> SpfNowcasts:
@@ -193,10 +201,9 @@ class Study:
         return {rel: extract_judgments(self.panel, self.baseline(rel), grid=self.cfg.grid) for rel in RELEASES}
 
     @cached_property
-    def all_judgments(self) -> JudgmentPanel:
-        """Every release's judgments in one panel, for the cross-release regressions."""
-        entries = {key: entry for jp in self.judgments.values() for key, entry in jp.entries.items()}
-        return JudgmentPanel(entries=entries, grid=self.cfg.grid)
+    def participation(self) -> dict[ReleaseKind, np.ndarray]:
+        """Each release's participation share per economist code of the panel."""
+        return {rel: participation_share(self.panel, rel) for rel in RELEASES}
 
     @cached_property
     def ar_forecasts(self) -> dict[ReleaseKind, dict[Quarter, float]]:
@@ -273,21 +280,14 @@ def cmd_table2(study: Study, out: Path) -> list[Path]:
     panel, thresholds = study.panel, study.cfg.thresholds
     rows = []
     for rel in RELEASES:
-        records = panel.records_for_release(rel)
-        econs = panel.economists(rel)
-        quarters = panel.quarters(rel)
-        counts = {thr: 0 for thr in thresholds}
-        if quarters:
-            sample = (quarters[0], quarters[-1])
-            for econ in econs:
-                share = participation_share(panel, econ, rel, sample)
-                for thr in thresholds:
-                    if passes_threshold(share, thr):
-                        counts[thr] += 1
-        rows.append(["total_predictions", RELEASE_LABEL[rel], len(records)])
-        rows.append(["n_economists", RELEASE_LABEL[rel], len(econs)])
+        in_release = panel.release == rel
+        present = np.bincount(panel.economist[in_release], minlength=len(panel.economist_ids)) > 0
+        share = study.participation[rel]
+        rows.append(["total_predictions", RELEASE_LABEL[rel], int(np.count_nonzero(in_release))])
+        rows.append(["n_economists", RELEASE_LABEL[rel], int(np.count_nonzero(present))])
         for thr in thresholds:
-            rows.append([f"n_economists_ge_{int(round(thr * 100))}pct", RELEASE_LABEL[rel], counts[thr]])
+            count = int(np.count_nonzero(present & passes_threshold(share, thr)))
+            rows.append([f"n_economists_ge_{int(round(thr * 100))}pct", RELEASE_LABEL[rel], count])
     cov = joint_coverage(panel)
     rows.append(["joint_cells_releases_1_2", "", cov.pair_12])
     rows.append(["joint_cells_releases_1_3", "", cov.pair_13])
@@ -301,24 +301,28 @@ def cmd_table2(study: Study, out: Path) -> list[Path]:
 
 
 def cmd_judgment(study: Study, out: Path) -> list[Path]:
-    cfg, panel = study.cfg, study.panel
+    cfg = study.cfg
     files = []
     baseline_rows, judgment_rows, table3_rows, hist_rows, hit_rows = [], [], [], [], []
     for rel in RELEASES:
         base = study.baseline(rel)
         for q in base.quarters():
             baseline_rows.append([RELEASE_LABEL[rel], str(q), base.values[q]])
-        jp = study.judgments[rel]
-        for (econ, q, _), entry in sorted(jp.entries.items()):
-            judgment_rows.append([econ, str(q), RELEASE_LABEL[rel], entry.value, entry.neutral])
-        shares = sign_shares(jp, panel, rel, cfg.thresholds)
+        jp, participation = study.judgments[rel], study.participation[rel]
+        order = np.lexsort((jp.panel.quarter, jp.panel.economist))
+        for econ, q, value, neutral in zip(
+            jp.panel.economist[order].tolist(), _quarter_labels(jp.panel.quarter[order]),
+            jp.value[order].tolist(), jp.neutral[order].tolist(),
+        ):
+            judgment_rows.append([jp.panel.economist_ids[econ], q, RELEASE_LABEL[rel], value, neutral])
+        shares = sign_shares(jp, participation, cfg.thresholds)
         for thr in cfg.thresholds:
             s = shares[thr]
             table3_rows.append(
                 [RELEASE_LABEL[rel], thr, s.n_economists, s.mean_negative, s.sd_negative,
                  s.mean_positive, s.sd_positive, s.mean_neutral, s.sd_neutral]
             )
-            hist = negative_share_histogram(jp, panel, rel, thr)
+            hist = negative_share_histogram(jp, participation, thr)
             for label, count in hist.items():
                 hist_rows.append([RELEASE_LABEL[rel], thr, label, count])
         try:
@@ -360,8 +364,8 @@ def cmd_efficiency(study: Study, out: Path) -> list[Path]:
              "; ".join(cell.errors)]
         )
     battery = test_battery_individual(
-        study.panel, study.actuals, study.spf, study.ar_forecasts,
-        thresholds=cfg.thresholds, alpha=cfg.alpha, hac_lag=hac_lag,
+        study.panel, study.actuals, study.spf, study.ar_forecasts, study.participation,
+        thresholds=cfg.thresholds, alpha=cfg.alpha,
     )
     table5_rows = [
         [RELEASE_LABEL[row.release], row.threshold, row.n_qualifying,
@@ -403,7 +407,7 @@ def cmd_accuracy(study: Study, out: Path) -> list[Path]:
                 [c.economist_id, RELEASE_LABEL[rel], c.n_common, c.rmse_self, c.rmse_baseline,
                  c.dm_statistic, c.hln_statistic, c.p_value_hln, c.note]
             )
-        shares = beat_baseline_share(comparisons, study.panel, thresholds)
+        shares = beat_baseline_share(comparisons, study.panel, study.participation[rel], thresholds)
         for thr in thresholds:
             beat_rows.append([RELEASE_LABEL[rel], thr, shares[thr]])
     files = []
@@ -419,7 +423,7 @@ def cmd_accuracy(study: Study, out: Path) -> list[Path]:
 
 
 def cmd_persistence(study: Study, out: Path) -> list[Path]:
-    report = persistence_battery(study.all_judgments)
+    report = persistence_battery(study.judgments)
     files = []
     table_names = {
         ReleaseKind.FIRST: "table6_persistence_first.csv",
@@ -481,9 +485,13 @@ def cmd_simulate(study: Study, out: Path) -> list[Path]:
     p = out / "actuals.csv"
     write_csv(p, ["quarter", "release", "value"], actual_rows)
     files.append(p)
+    panel = world.panel
     forecast_rows = [
-        [str(r.quarter), r.release.value, r.economist_id, r.firm_id, r.value, ""]
-        for r in world.panel.records
+        [q, rel, panel.economist_ids[econ], panel.firm_ids[firm], value, ""]
+        for q, rel, econ, firm, value in zip(
+            _quarter_labels(panel.quarter), panel.release.tolist(), panel.economist.tolist(),
+            panel.firm.tolist(), panel.value.tolist(),
+        )
     ]
     p = out / "forecasts.csv"
     write_csv(p, ["quarter", "release", "economist_id", "firm_id", "value", "report_date"],

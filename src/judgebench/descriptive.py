@@ -53,16 +53,17 @@ def quarter_stats(
     Quarters with forecasts but no published actual are excluded with a warning.
     """
     out: list[QuarterStats] = []
-    for quarter in panel.quarters(release):
-        values = panel.values_for_quarter(quarter, release)
+    quarters, cells = panel.for_release(release).quarter_cells()
+    for index, values in zip(quarters.tolist(), cells):
+        quarter = Quarter.from_index(index)
         if quarter not in actuals.values:
             warnings.warn(f"no actual for {quarter} (release {release.value}); quarter excluded")
             continue
         actual = actuals.values[quarter]
-        errors = np.asarray(values, dtype=float) - actual
+        errors = values - actual
         rmse = math.sqrt(float(np.mean(errors**2)))
         std, skew, kurt = cross_section_moments(values)
-        out.append(QuarterStats(quarter, len(values), rmse, std, skew, kurt))
+        out.append(QuarterStats(quarter, values.size, rmse, std, skew, kurt))
     return out
 
 

@@ -8,30 +8,33 @@ both are rounded to the reporting grid (default 0.1 percentage points).
 from __future__ import annotations
 
 import math
-import statistics
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .panel import ActualSeries, ForecastPanel, participation_share
+from .panel import ActualSeries, ForecastPanel, cell_medians
 from .quarters import Quarter, ReleaseKind
 
 DEFAULT_GRID = 0.1
 DEFAULT_THRESHOLDS = (0.10, 0.25, 0.50)
 HISTOGRAM_BINS = ("<=20%", "20-40%", "40-60%", "60-80%", ">80%")
+HISTOGRAM_EDGES = (0.2, 0.4, 0.6, 0.8)  # upper bound of each bin but the last, inclusive
 
 
-def grid_round(value: float, grid: float) -> float:
-    """Round to the nearest multiple of the reporting grid (no-op for grid 0)."""
+def grid_round(value, grid: float):
+    """Round to the nearest multiple of the reporting grid, halves to even (no-op for grid 0).
+
+    Works on a float or elementwise on an array.
+    """
     if grid <= 0:
         return value
-    return round(value / grid) * grid
+    return np.round(np.divide(value, grid)) * grid
 
 
-def passes_threshold(share: float, threshold: float) -> bool:
-    """Participation rule: strictly above for the 10% cut, at-least otherwise."""
+def passes_threshold(share, threshold: float):
+    """Participation rule: strictly above for the 10% cut, at-least otherwise (elementwise on arrays)."""
     if abs(threshold - 0.10) < 1e-12:
         return share > threshold
     return share >= threshold - 1e-12
@@ -50,84 +53,77 @@ class BaselineSeries:
         return sorted(self.values)
 
 
-@dataclass(frozen=True, slots=True)
-class JudgmentEntry:
-    value: float
-    neutral: bool
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class JudgmentPanel:
-    """Judgments keyed by (economist, quarter, release)."""
+    """One release's judgments, aligned with the rows of that release's forecasts.
 
-    entries: dict[tuple[str, Quarter, ReleaseKind], JudgmentEntry]
+    ``value[i]`` is row i of ``panel`` minus its quarter's baseline, and
+    ``neutral[i]`` says whether the two coincide on the reporting grid.
+    """
+
+    release: ReleaseKind
+    panel: ForecastPanel
+    value: np.ndarray
+    neutral: np.ndarray
     grid: float = DEFAULT_GRID
 
-    def releases(self) -> list[ReleaseKind]:
-        return sorted({k[2] for k in self.entries})
-
-    def economists(self, release: ReleaseKind | None = None) -> list[str]:
-        return sorted({k[0] for k in self.entries if release is None or k[2] == release})
-
-    def series_for(self, economist_id: str, release: ReleaseKind) -> dict[Quarter, JudgmentEntry]:
-        return {
-            q: entry
-            for (econ, q, rel), entry in self.entries.items()
-            if econ == economist_id and rel == release
-        }
-
-    def get(self, economist_id: str, quarter: Quarter, release: ReleaseKind) -> JudgmentEntry | None:
-        return self.entries.get((economist_id, quarter, release))
+    def __len__(self) -> int:
+        return self.value.size
 
 
 def baseline(panel: ForecastPanel, release: ReleaseKind, method: str = "median") -> BaselineSeries:
-    """Per-quarter median or mean of all forecasts (the forecaster's own included)."""
+    """Per-quarter median or mean of all forecasts (the forecaster's own included).
+
+    The mean is exactly rounded (``math.fsum``), so it does not depend on row order.
+    """
     if method not in ("median", "mean"):
         raise ValueError(f"unknown baseline method {method!r}")
-    values: dict[Quarter, float] = {}
-    for quarter in panel.quarters(release):
-        xs = panel.values_for_quarter(quarter, release)
-        if not xs:
-            continue
-        values[quarter] = statistics.median(xs) if method == "median" else statistics.fmean(xs)
-    return BaselineSeries(release=release, method=method, values=values)
+    rows = panel.for_release(release)
+    if method == "median":
+        quarters, values = cell_medians(rows.quarter, rows.value)
+        values = values.tolist()
+    else:
+        quarters, cells = rows.quarter_cells()
+        values = [math.fsum(cell) / cell.size for cell in cells]
+    return BaselineSeries(
+        release=release,
+        method=method,
+        values={Quarter.from_index(q): v for q, v in zip(quarters.tolist(), values)},
+    )
 
 
 def extract_judgments(
     panel: ForecastPanel, base: BaselineSeries, grid: float = DEFAULT_GRID
 ) -> JudgmentPanel:
-    """Judgment = forecast - baseline for every record of the baseline's release."""
-    entries: dict[tuple[str, Quarter, ReleaseKind], JudgmentEntry] = {}
-    rounded_base = {q: grid_round(v, grid) for q, v in base.values.items()}
-    for rec in panel.records_for_release(base.release):
-        if rec.quarter not in base.values:
-            raise ValueError(f"baseline does not cover {rec.quarter}")
-        b = base.values[rec.quarter]
-        value = rec.value
-        neutral = grid_round(value, grid) == rounded_base[rec.quarter]
-        entries[(rec.economist_id, rec.quarter, rec.release)] = JudgmentEntry(value - b, neutral)
-    return JudgmentPanel(entries=entries, grid=grid)
+    """Judgment = forecast - baseline for every row of the baseline's release."""
+    rows = panel.for_release(base.release)
+    covered = sorted(base.values)
+    index = np.array([q.index for q in covered], dtype=np.int64)
+    levels = np.array([base.values[q] for q in covered], dtype=float)
+    found = np.isin(rows.quarter, index)
+    if not found.all():
+        raise ValueError(f"baseline does not cover {Quarter.from_index(int(rows.quarter[~found][0]))}")
+    at = np.searchsorted(index, rows.quarter)
+    return JudgmentPanel(
+        release=base.release,
+        panel=rows,
+        value=rows.value - levels[at],
+        neutral=grid_round(rows.value, grid) == grid_round(levels, grid)[at],
+        grid=grid,
+    )
 
 
-def _default_sample(panel: ForecastPanel, release: ReleaseKind) -> tuple[Quarter, Quarter]:
-    quarters = panel.quarters(release)
-    if not quarters:
-        raise ValueError(f"panel has no forecasts for release {release.value}")
-    return quarters[0], quarters[-1]
-
-
-def economist_sign_shares(
-    jp: JudgmentPanel, economist_id: str, release: ReleaseKind
-) -> tuple[float, float, float] | None:
-    """This economist's (negative, positive, neutral) judgment shares."""
-    series = jp.series_for(economist_id, release)
-    if not series:
-        return None
-    n = len(series)
-    neu = sum(1 for e in series.values() if e.neutral)
-    neg = sum(1 for e in series.values() if not e.neutral and e.value < 0)
-    pos = n - neu - neg
-    return neg / n, pos / n, neu / n
+def _sign_counts(jp: JudgmentPanel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per economist code: judgments, neutral judgments and negative non-neutral judgments."""
+    if not len(jp):
+        raise ValueError(f"panel has no forecasts for release {jp.release.value}")
+    econ, size = jp.panel.economist, len(jp.panel.economist_ids)
+    negative = ~jp.neutral & (jp.value < 0)
+    return (
+        np.bincount(econ, minlength=size),
+        np.bincount(econ[jp.neutral], minlength=size),
+        np.bincount(econ[negative], minlength=size),
+    )
 
 
 @dataclass(frozen=True)
@@ -144,72 +140,42 @@ class SignShareStats:
 
 def sign_shares(
     jp: JudgmentPanel,
-    panel: ForecastPanel,
-    release: ReleaseKind,
+    participation: np.ndarray,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
-    sample: tuple[Quarter, Quarter] | None = None,
 ) -> dict[float, SignShareStats]:
-    """Cross-economist mean and population sd of sign shares per threshold."""
-    if sample is None:
-        sample = _default_sample(panel, release)
+    """Cross-economist mean and population sd of sign shares per threshold.
+
+    ``participation`` is the release's ``participation_share``, indexed by
+    the economist codes of ``jp.panel``.
+    """
+    n, neutral, negative = _sign_counts(jp)
     out: dict[float, SignShareStats] = {}
     for threshold in thresholds:
-        rows = []
-        for econ in jp.economists(release):
-            share = participation_share(panel, econ, release, sample)
-            if not passes_threshold(share, threshold):
-                continue
-            shares = economist_sign_shares(jp, econ, release)
-            if shares is not None:
-                rows.append(shares)
-        if not rows:
-            warnings.warn(f"no economist passes threshold {threshold} for release {release.value}")
+        chosen = (n > 0) & passes_threshold(participation, threshold)
+        if not chosen.any():
+            warnings.warn(f"no economist passes threshold {threshold} for release {jp.release.value}")
             out[threshold] = SignShareStats(threshold, 0, *(math.nan,) * 6)
             continue
-        arr = np.asarray(rows)
+        k, neu, neg = n[chosen], neutral[chosen], negative[chosen]
+        arr = np.column_stack([neg / k, (k - neu - neg) / k, neu / k])  # one row per economist
         means = arr.mean(axis=0)
         sds = arr.std(axis=0)  # population sd across economists
         out[threshold] = SignShareStats(
-            threshold, len(rows), means[0], sds[0], means[1], sds[1], means[2], sds[2]
+            threshold, int(k.size), means[0], sds[0], means[1], sds[1], means[2], sds[2]
         )
     return out
 
 
-def negative_share_histogram(
-    jp: JudgmentPanel,
-    panel: ForecastPanel,
-    release: ReleaseKind,
-    threshold: float,
-    sample: tuple[Quarter, Quarter] | None = None,
-) -> dict[str, int]:
+def negative_share_histogram(jp: JudgmentPanel, participation: np.ndarray, threshold: float) -> dict[str, int]:
     """Bin qualifying economists by the negative share of their non-neutral judgments.
 
     Economists with only neutral judgments are excluded from every bin.
     """
-    if sample is None:
-        sample = _default_sample(panel, release)
-    counts = {label: 0 for label in HISTOGRAM_BINS}
-    for econ in jp.economists(release):
-        share = participation_share(panel, econ, release, sample)
-        if not passes_threshold(share, threshold):
-            continue
-        series = jp.series_for(econ, release)
-        non_neutral = [e for e in series.values() if not e.neutral]
-        if not non_neutral:
-            continue
-        frac = sum(1 for e in non_neutral if e.value < 0) / len(non_neutral)
-        if frac <= 0.2:
-            label = "<=20%"
-        elif frac <= 0.4:
-            label = "20-40%"
-        elif frac <= 0.6:
-            label = "40-60%"
-        elif frac <= 0.8:
-            label = "60-80%"
-        else:
-            label = ">80%"
-        counts[label] += 1
-    return counts
+    n, neutral, negative = _sign_counts(jp)
+    non_neutral = n - neutral
+    chosen = (non_neutral > 0) & passes_threshold(participation, threshold)
+    bins = np.searchsorted(HISTOGRAM_EDGES, negative[chosen] / non_neutral[chosen], side="left")
+    return dict(zip(HISTOGRAM_BINS, np.bincount(bins, minlength=len(HISTOGRAM_BINS)).tolist()))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import scipy.stats
 
 from .errors import EstimationError, RankDeficiencyError
 from .judgment import BaselineSeries, passes_threshold
-from .panel import ActualSeries, ForecastPanel, SpfNowcasts, participation_share
+from .panel import ActualSeries, ForecastPanel, SpfNowcasts
 from .quarters import Quarter, ReleaseKind
 
 MIN_OBS_UNBIASEDNESS = 10
@@ -294,15 +294,7 @@ def _forecaster_tests(
     series: Mapping[Quarter, float],
     actuals: ActualSeries,
     extra: Sequence[tuple[str, Mapping[Quarter, float]]],
-    covariance: str,
-    hac_lag: int | None,
 ) -> ForecasterTestDetail:
-    def cov_for(reg: EfficiencyRegression) -> CovarianceEstimate:
-        if covariance == "hac":
-            lag = newey_west_auto_lag(reg.fit.nobs) if hac_lag is None else hac_lag
-            return hac_covariance(reg.fit, reg.design, lag)
-        return hc_covariance(reg.fit, reg.design)
-
     nobs = sum(1 for q in series if q in actuals.values)
     alpha_hat = beta_hat = p_unb = p_eff = None
     notes = []
@@ -311,7 +303,7 @@ def _forecaster_tests(
             reg = efficiency_regression(actuals, series)
             alpha_hat = float(reg.fit.coefficients[0])
             beta_hat = float(reg.fit.coefficients[1])
-            p_unb = unbiasedness_test(reg, cov_for(reg)).p_value
+            p_unb = unbiasedness_test(reg, hc_covariance(reg.fit, reg.design)).p_value
         except EstimationError as exc:
             notes.append(f"unbiasedness: {exc}")
     else:
@@ -322,7 +314,7 @@ def _forecaster_tests(
     if eff_overlap >= MIN_OBS_EFFICIENCY:
         try:
             reg = efficiency_regression(actuals, series, extra)
-            p_eff = efficiency_test(reg, cov_for(reg)).p_value
+            p_eff = efficiency_test(reg, hc_covariance(reg.fit, reg.design)).p_value
         except EstimationError as exc:
             notes.append(f"efficiency: {exc}")
     else:
@@ -337,38 +329,35 @@ def test_battery_individual(
     actuals: Mapping[ReleaseKind, ActualSeries],
     spf: SpfNowcasts,
     ar_forecasts: Mapping[ReleaseKind, Mapping[Quarter, float]],
+    participation: Mapping[ReleaseKind, np.ndarray],
     thresholds: Sequence[float] = (0.10, 0.25, 0.50),
     alpha: float = 0.05,
-    covariance: str = "hc1",
-    hac_lag: int | None = None,
-    spf_method: str = "median",
 ) -> IndividualBattery:
     """Per-forecaster unbiasedness/efficiency tests and not-rejected shares.
 
     Shares count forecasters whose test does not reject at level ``alpha``
     among those with enough observations; the rest are reported as excluded.
-    HC1 covariance by default, HAC optional.
+    HC1 covariance throughout; the efficiency information set is the median
+    SPF nowcast and the release's AR forecast.  ``participation`` holds each
+    release's ``participation_share``, indexed by the economist codes of
+    ``panel``.
     """
     battery = IndividualBattery()
     for release in sorted(actuals):
-        quarters = panel.quarters(release)
-        if not quarters:
+        groups = list(panel.for_release(release).economist_series())
+        if not groups:
             continue
-        sample = (quarters[0], quarters[-1])
-        extra = [("spf", spf.for_method(spf_method)), ("ar", ar_forecasts[release])]
-        details: dict[str, ForecasterTestDetail] = {}
-        participation: dict[str, float] = {}
-        for econ in panel.economists(release):
-            participation[econ] = participation_share(panel, econ, release, sample)
-            details[econ] = _forecaster_tests(
-                econ, release, panel.series_for(econ, release), actuals[release],
-                extra, covariance, hac_lag,
-            )
-        battery.details.extend(details[e] for e in sorted(details))
+        extra = [("spf", spf.median), ("ar", ar_forecasts[release])]
+        details = [
+            _forecaster_tests(panel.economist_ids[code], release, series, actuals[release], extra)
+            for code, series in groups
+        ]
+        shares = participation[release][[code for code, _ in groups]]
+        battery.details.extend(details)
         for threshold in thresholds:
-            qualifying = [e for e in sorted(details) if passes_threshold(participation[e], threshold)]
-            unb = [details[e].p_unbiased for e in qualifying if details[e].p_unbiased is not None]
-            eff = [details[e].p_efficient for e in qualifying if details[e].p_efficient is not None]
+            qualifying = [d for d, ok in zip(details, passes_threshold(shares, threshold)) if ok]
+            unb = [d.p_unbiased for d in qualifying if d.p_unbiased is not None]
+            eff = [d.p_efficient for d in qualifying if d.p_efficient is not None]
             battery.shares.append(
                 IndividualShareRow(
                     release=release,

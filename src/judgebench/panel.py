@@ -1,23 +1,24 @@
 """Data model, ingestion, cleaning and participation accounting for the forecast panel.
 
-The raw panel may contain several forecasts for the same (economist, quarter,
-release) key and forecasts attributed only to a firm.  ``clean_panel`` resolves
-both deterministically and logs every dropped record.
+The panel is one set of aligned numpy columns with a row per forecast.  The
+raw panel may contain several forecasts for the same (economist, quarter,
+release) key and forecasts attributed only to a firm.  ``clean_panel``
+resolves both deterministically and logs every dropped row.
 """
 from __future__ import annotations
 
 import csv
 import math
-import statistics
-import sys
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import IngestionError
-from .quarters import Quarter, ReleaseKind, parse_quarter, quarter_range
+from .quarters import Quarter, ReleaseKind, parse_quarter
 
 ACTUALS_HEADER = ["quarter", "release", "value"]
 FORECASTS_HEADER = ["quarter", "release", "economist_id", "firm_id", "value", "report_date"]
@@ -54,100 +55,98 @@ class ActualSeries:
         return len(self.values)
 
 
-@dataclass(frozen=True, slots=True)
-class ForecastRecord:
-    """One point backcast reported by an economist."""
-
-    economist_id: str
-    firm_id: str
-    quarter: Quarter
-    release: ReleaseKind
-    value: float
-    report_date: date | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise IngestionError(f"non-finite forecast value for {self.economist_id} {self.quarter}")
+def factorize(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct ids in sorted order, and each element's code into them."""
+    table, codes = np.unique(np.asarray(ids, dtype=str), return_inverse=True)
+    return tuple(table.tolist()), codes.astype(np.int64)
 
 
+def cell_key(economist: np.ndarray, quarter: np.ndarray) -> np.ndarray:
+    """One int64 per (economist code, quarter index) pair, ordered like the pairs."""
+    return economist.astype(np.int64) * (1 << 32) + quarter
+
+
+def cell_medians(key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in ascending order and the median value of each.
+
+    An even count takes the midpoint of the two middle values, as
+    ``statistics.median`` does.
+    """
+    order = np.lexsort((value, key))
+    keys, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    ranked = value[order]
+    low, high = ranked[start + (count - 1) // 2], ranked[start + count // 2]
+    return keys, np.where(count % 2 == 1, low, (low + high) / 2)
+
+
+_COLUMNS = ("economist", "firm", "quarter", "release", "value", "report_date")
+
+
+@dataclass(frozen=True, eq=False)
 class ForecastPanel:
-    """Unbalanced panel of forecasts, indexed by (economist, quarter, release)."""
+    """Unbalanced panel of point backcasts as aligned columns, one row per forecast.
 
-    def __init__(self, records: Iterable[ForecastRecord]):
-        # Lookup indexes are built lazily: most call sites touch one or two of
-        # them, and large panels are rebuilt often during simulation studies.
-        self.records: tuple[ForecastRecord, ...] = tuple(records)
-        self._index_cache: dict[tuple[str, Quarter, ReleaseKind], list[ForecastRecord]] | None = None
-        self._by_release_cache: dict[ReleaseKind, list[ForecastRecord]] | None = None
-        self._by_quarter_cache: dict[tuple[Quarter, ReleaseKind], list[float]] | None = None
-        self._by_economist_cache: dict[tuple[str, ReleaseKind], dict[Quarter, float]] | None = None
+    ``economist`` and ``firm`` are codes into the sorted id tables
+    ``economist_ids`` and ``firm_ids``, so code order is id order.  A
+    selection (``take``) keeps its parent's tables, so every panel selected
+    from one panel shares its codes; a table may hold ids that no row uses.
+    ``quarter`` is ``Quarter.index``, ``release`` the release number and
+    ``report_date`` a date ordinal, -1 when undated.
+    """
 
-    @property
-    def _index(self) -> dict[tuple[str, Quarter, ReleaseKind], list[ForecastRecord]]:
-        if self._index_cache is None:
-            index: dict[tuple[str, Quarter, ReleaseKind], list[ForecastRecord]] = {}
-            for rec in self.records:
-                index.setdefault((rec.economist_id, rec.quarter, rec.release), []).append(rec)
-            self._index_cache = index
-        return self._index_cache
+    economist_ids: tuple[str, ...]
+    firm_ids: tuple[str, ...]
+    economist: np.ndarray
+    firm: np.ndarray
+    quarter: np.ndarray
+    release: np.ndarray
+    value: np.ndarray
+    report_date: np.ndarray
 
-    @property
-    def _by_release(self) -> dict[ReleaseKind, list[ForecastRecord]]:
-        if self._by_release_cache is None:
-            by_release: dict[ReleaseKind, list[ForecastRecord]] = {}
-            for rec in self.records:
-                by_release.setdefault(rec.release, []).append(rec)
-            self._by_release_cache = by_release
-        return self._by_release_cache
-
-    @property
-    def _by_quarter(self) -> dict[tuple[Quarter, ReleaseKind], list[float]]:
-        if self._by_quarter_cache is None:
-            by_quarter: dict[tuple[Quarter, ReleaseKind], list[float]] = {}
-            for rec in self.records:
-                by_quarter.setdefault((rec.quarter, rec.release), []).append(rec.value)
-            self._by_quarter_cache = by_quarter
-        return self._by_quarter_cache
-
-    @property
-    def _by_economist(self) -> dict[tuple[str, ReleaseKind], dict[Quarter, float]]:
-        if self._by_economist_cache is None:
-            by_economist: dict[tuple[str, ReleaseKind], dict[Quarter, float]] = {}
-            for rec in self.records:
-                by_economist.setdefault((rec.economist_id, rec.release), {})[rec.quarter] = rec.value
-            self._by_economist_cache = by_economist
-        return self._by_economist_cache
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple]) -> "ForecastPanel":
+        """Build from ``(economist_id, firm_id, quarter, release, value, report_date)`` rows."""
+        rows = list(rows)
+        econ, firm, quarter, release, value, dated = zip(*rows) if rows else ((),) * 6
+        economist_ids, economist = factorize(econ)
+        firm_ids, firm_codes = factorize(firm)
+        return cls(
+            economist_ids,
+            firm_ids,
+            economist,
+            firm_codes,
+            np.array([q.index for q in quarter], dtype=np.int64),
+            np.array(release, dtype=np.int64),
+            np.array(value, dtype=float),
+            np.array([-1 if d is None else d.toordinal() for d in dated], dtype=np.int64),
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.value.size
 
-    def get(self, economist_id: str, quarter: Quarter, release: ReleaseKind) -> ForecastRecord | None:
-        recs = self._index.get((economist_id, quarter, release))
-        if not recs:
-            return None
-        if len(recs) > 1:
-            raise IngestionError(f"panel not cleaned: duplicate key ({economist_id}, {quarter}, {release})")
-        return recs[0]
+    def take(self, rows: np.ndarray) -> "ForecastPanel":
+        """The rows a boolean mask or an array of positions selects, in that order."""
+        return ForecastPanel(self.economist_ids, self.firm_ids, *(getattr(self, c)[rows] for c in _COLUMNS))
 
-    def records_for_release(self, release: ReleaseKind) -> list[ForecastRecord]:
-        return list(self._by_release.get(release, ()))
+    def for_release(self, release: ReleaseKind) -> "ForecastPanel":
+        return self.take(self.release == release)
 
-    def quarters(self, release: ReleaseKind | None = None) -> list[Quarter]:
-        if release is None:
-            return sorted({q for q, _ in self._by_quarter})
-        return sorted({q for q, rel in self._by_quarter if rel == release})
+    def quarter_cells(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The distinct quarters in ascending order and each one's values in row order."""
+        order = np.argsort(self.quarter, kind="stable")
+        quarters, start = np.unique(self.quarter[order], return_index=True)
+        return quarters, np.split(self.value[order], start[1:]) if quarters.size else []
 
-    def economists(self, release: ReleaseKind | None = None) -> list[str]:
-        if release is None:
-            return sorted({e for e, _ in self._by_economist})
-        return sorted({e for e, rel in self._by_economist if rel == release})
-
-    def values_for_quarter(self, quarter: Quarter, release: ReleaseKind) -> list[float]:
-        return list(self._by_quarter.get((quarter, release), ()))
-
-    def series_for(self, economist_id: str, release: ReleaseKind) -> dict[Quarter, float]:
-        """This economist's forecasts for one release, keyed by quarter."""
-        return dict(self._by_economist.get((economist_id, release), {}))
+    def economist_series(self) -> Iterator[tuple[int, dict[Quarter, float]]]:
+        """Each economist's code and forecasts keyed by quarter, in economist-id order."""
+        order = np.lexsort((self.quarter, self.economist))
+        codes, start = np.unique(self.economist[order], return_index=True)
+        quarter_of = {i: Quarter.from_index(i) for i in np.unique(self.quarter).tolist()}
+        quarters = [quarter_of[i] for i in self.quarter[order].tolist()]
+        values = self.value[order].tolist()
+        bounds = [*start.tolist(), order.size]
+        for code, lo, hi in zip(codes.tolist(), bounds, bounds[1:]):
+            yield code, dict(zip(quarters[lo:hi], values[lo:hi]))
 
 
 class CleaningAction(str, Enum):
@@ -158,7 +157,7 @@ class CleaningAction(str, Enum):
 @dataclass(frozen=True)
 class CleaningLogEntry:
     action: CleaningAction
-    record: ForecastRecord
+    row: int  # position of the dropped row in the raw panel
 
 
 @dataclass
@@ -166,7 +165,7 @@ class CleaningLog:
     entries: list[CleaningLogEntry] = field(default_factory=list)
 
     def dropped_count(self) -> int:
-        return len(self.entries)  # every cleaning action drops a record
+        return len(self.entries)  # every cleaning action drops a row
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -218,49 +217,41 @@ def _parse_date(token: str) -> date | None:
         raise ValueError(f"invalid report_date {token!r}") from None
 
 
-def load_actuals(source, release: ReleaseKind) -> ActualSeries:
-    """Read the actuals CSV (header quarter,release,value) and keep one release.
+def load_actuals(source) -> dict[ReleaseKind, ActualSeries]:
+    """Read the actuals CSV (header quarter,release,value) into one series per release.
 
-    Rows for other releases are ignored; a duplicate (quarter, release) row
-    anywhere in the file is an error.
+    A duplicate (quarter, release) row is an error.
     """
 
     def parse_row(row):
         return parse_quarter(row["quarter"]), ReleaseKind.from_token(row["release"]), _parse_value(row["value"])
 
-    seen: set[tuple[Quarter, ReleaseKind]] = set()
-    values: dict[Quarter, float] = {}
-    for where, (quarter, row_release, value) in _parse_rows(source, ACTUALS_HEADER, "actuals", parse_row):
-        if (quarter, row_release) in seen:
-            raise IngestionError(f"{where}: duplicate actuals row for {quarter} release {row_release.value}")
-        seen.add((quarter, row_release))
-        if row_release == release:
-            values[quarter] = value
-    return ActualSeries(release=release, values=values)
+    values: dict[ReleaseKind, dict[Quarter, float]] = {release: {} for release in ReleaseKind}
+    for where, (quarter, release, value) in _parse_rows(source, ACTUALS_HEADER, "actuals", parse_row):
+        if quarter in values[release]:
+            raise IngestionError(f"{where}: duplicate actuals row for {quarter} release {release.value}")
+        values[release][quarter] = value
+    return {release: ActualSeries(release=release, values=series) for release, series in values.items()}
 
 
 def load_forecasts(source) -> ForecastPanel:
-    """Read the forecasts CSV into a raw (uncleaned) panel.
-
-    Records share one object per distinct quarter and id, which keeps the
-    panel's memory proportional to its values rather than its tokens.
-    """
+    """Read the forecasts CSV into a raw (uncleaned) panel, rows in file order."""
     quarters: dict[str, Quarter] = {}
 
     def parse_row(row):
         token = row["quarter"]
         if token not in quarters:
             quarters[token] = parse_quarter(token)
-        return ForecastRecord(
-            economist_id=sys.intern(row["economist_id"].strip()),
-            firm_id=sys.intern(row["firm_id"].strip()),
-            quarter=quarters[token],
-            release=ReleaseKind.from_token(row["release"]),
-            value=_parse_value(row["value"]),
-            report_date=_parse_date(row["report_date"]),
+        return (
+            row["economist_id"].strip(),
+            row["firm_id"].strip(),
+            quarters[token],
+            ReleaseKind.from_token(row["release"]),
+            _parse_value(row["value"]),
+            _parse_date(row["report_date"]),
         )
 
-    return ForecastPanel(rec for _, rec in _parse_rows(source, FORECASTS_HEADER, "forecasts", parse_row))
+    return ForecastPanel.from_rows(row for _, row in _parse_rows(source, FORECASTS_HEADER, "forecasts", parse_row))
 
 
 @dataclass(frozen=True)
@@ -295,65 +286,62 @@ def load_spf(source) -> SpfNowcasts:
 
 
 def clean_panel(raw: ForecastPanel) -> tuple[ForecastPanel, CleaningLog]:
-    """Deduplicate the panel and drop firm-only records, logging every drop.
+    """Deduplicate the panel and drop firm-only rows, logging every drop.
 
     Duplicate (economist, quarter, release) keys are resolved by keeping the
-    record with the latest report_date (undated records sort last), breaking
-    ties by smallest absolute deviation from the raw within-quarter median and
-    finally by input order.  Records without an economist id are dropped.
+    row with the latest report_date (undated rows sort last), breaking ties
+    by smallest absolute deviation from the raw (quarter, release) median and
+    finally by input order.  Rows without an economist id are dropped.  The
+    log lists the unattributed rows in input order, then each duplicated
+    key's losers, best first, keys in order of first appearance.
     """
     log = CleaningLog()
-    attributed: list[tuple[int, ForecastRecord]] = []
-    for pos, rec in enumerate(raw.records):
-        if not rec.economist_id:
-            log.entries.append(CleaningLogEntry(CleaningAction.DROPPED_UNATTRIBUTED, rec))
-        else:
-            attributed.append((pos, rec))
+    named = np.array([bool(e) for e in raw.economist_ids], dtype=bool)[raw.economist]
+    for row in np.flatnonzero(~named).tolist():
+        log.entries.append(CleaningLogEntry(CleaningAction.DROPPED_UNATTRIBUTED, row))
+    pos = np.flatnonzero(named)
+    if pos.size == 0:
+        return raw.take(pos), log
+    econ, quarter, release, value = raw.economist[pos], raw.quarter[pos], raw.release[pos], raw.value[pos]
 
-    # Raw within-quarter medians (per release) over attributed records.
-    by_quarter: dict[tuple[Quarter, ReleaseKind], list[float]] = {}
-    for _, rec in attributed:
-        by_quarter.setdefault((rec.quarter, rec.release), []).append(rec.value)
-    medians = {key: statistics.median(vals) for key, vals in by_quarter.items()}
+    # Raw (quarter, release) medians over the attributed rows.
+    cell = quarter * 4 + release
+    cells, medians = cell_medians(cell, value)
+    deviation = np.abs(value - medians[np.searchsorted(cells, cell)])
 
-    groups: dict[tuple[str, Quarter, ReleaseKind], list[tuple[int, ForecastRecord]]] = {}
-    for pos, rec in attributed:
-        groups.setdefault((rec.economist_id, rec.quarter, rec.release), []).append((pos, rec))
-
-    kept: list[tuple[int, ForecastRecord]] = []
-    for key, members in groups.items():
-        if len(members) == 1:
-            kept.append(members[0])
-            continue
-        median = medians[(key[1], key[2])]
-
-        def sort_key(item):
-            pos, rec = item
-            # Latest date first; None dates last; then closest to median; then input order.
-            date_rank = rec.report_date.toordinal() if rec.report_date is not None else -1
-            return (-date_rank, abs(rec.value - median), pos)
-
-        ordered = sorted(members, key=sort_key)
-        kept.append(ordered[0])
-        for _, rec in ordered[1:]:
-            log.entries.append(CleaningLogEntry(CleaningAction.DROPPED_DUPLICATE, rec))
-
-    kept.sort(key=lambda item: item[0])
-    return ForecastPanel(rec for _, rec in kept), log
+    order = np.lexsort((pos, deviation, -raw.report_date[pos], release, quarter, econ))
+    rows, econ, quarter, release = pos[order], econ[order], quarter[order], release[order]
+    best = np.ones(rows.size, dtype=bool)
+    best[1:] = (econ[1:] != econ[:-1]) | (quarter[1:] != quarter[:-1]) | (release[1:] != release[:-1])
+    first_seen = np.minimum.reduceat(rows, np.flatnonzero(best))[np.cumsum(best) - 1]
+    in_log_order = np.argsort(first_seen, kind="stable")
+    for row in rows[in_log_order][~best[in_log_order]].tolist():
+        log.entries.append(CleaningLogEntry(CleaningAction.DROPPED_DUPLICATE, row))
+    return raw.take(np.sort(rows[best])), log
 
 
 def participation_share(
     panel: ForecastPanel,
-    economist_id: str,
     release: ReleaseKind,
-    sample: tuple[Quarter, Quarter],
-) -> float:
-    """Fraction of sample quarters for which this economist has a record."""
-    first, last = sample
-    quarters = list(quarter_range(first, last))
-    covered = panel.series_for(economist_id, release)
-    hits = sum(1 for q in quarters if q in covered)
-    return hits / len(quarters)
+    sample: tuple[Quarter, Quarter] | None = None,
+) -> np.ndarray:
+    """Every economist's share of the sample quarters with a forecast for this release.
+
+    Indexed by economist code.  The sample defaults to the release's first to
+    last quarter in the panel; a release without forecasts gives all zeros.
+    The panel must be clean: one row per (economist, quarter, release).
+    """
+    rows = panel.release == release
+    if sample is None:
+        if not rows.any():
+            return np.zeros(len(panel.economist_ids))
+        first, last = panel.quarter[rows].min(), panel.quarter[rows].max()
+    else:
+        first, last = sample[0].index, sample[1].index
+        if last < first:
+            raise ValueError(f"empty quarter range: {sample[0]}..{sample[1]}")
+    rows &= (panel.quarter >= first) & (panel.quarter <= last)
+    return np.bincount(panel.economist[rows], minlength=len(panel.economist_ids)) / (last - first + 1)
 
 
 @dataclass(frozen=True)
@@ -368,17 +356,11 @@ class JointCoverage:
 
 def joint_coverage(panel: ForecastPanel) -> JointCoverage:
     """Count (economist, quarter) cells with forecasts for multiple releases."""
-    cells: dict[tuple[str, Quarter], set[int]] = {}
-    for rec in panel.records:
-        cells.setdefault((rec.economist_id, rec.quarter), set()).add(rec.release.value)
-    pair_12 = pair_13 = pair_23 = all_three = 0
-    for releases in cells.values():
-        if {1, 2} <= releases:
-            pair_12 += 1
-        if {1, 3} <= releases:
-            pair_13 += 1
-        if {2, 3} <= releases:
-            pair_23 += 1
-        if {1, 2, 3} <= releases:
-            all_three += 1
-    return JointCoverage(pair_12, pair_13, pair_23, all_three)
+    cells, cell = np.unique(cell_key(panel.economist, panel.quarter), return_inverse=True)
+    releases = np.zeros(cells.size, dtype=np.int64)  # one bit per release
+    np.bitwise_or.at(releases, cell, np.left_shift(1, panel.release - 1))
+
+    def count(bits: int) -> int:
+        return int(np.count_nonzero((releases & bits) == bits))
+
+    return JointCoverage(count(0b011), count(0b101), count(0b110), count(0b111))

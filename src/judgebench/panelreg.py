@@ -1,6 +1,6 @@
 """Judgment-persistence panel regressions.
 
-Builds own-lag and cross-release regression datasets from a judgment panel and
+Builds own-lag and cross-release regression datasets from the judgments and
 estimates pooled, entity fixed-effects, and entity-plus-time fixed-effects
 specifications on the unbalanced panel, with standard errors clustered on
 forecasters.  Two-way effects use entity demeaning plus explicit quarter
@@ -10,64 +10,76 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.stats
 
 from .errors import EstimationError
 from .judgment import JudgmentPanel
-from .quarters import Quarter, ReleaseKind
+from .panel import cell_key
+from .quarters import ReleaseKind
 
 SPECS = ("pooled", "fe", "fe_te")
 REGRESSOR_KINDS = ("own_lag", "prior_release")
 STAR_LEVELS = (0.10, 0.05, 0.01)
 
 
-@dataclass(frozen=True, slots=True)
-class PanelObservation:
-    economist_id: str
-    quarter: Quarter
-    response: float
-    regressor: float
-    regressor_kind: str
+@dataclass(frozen=True, eq=False)
+class PersistenceData:
+    """Aligned columns of one persistence regression, rows sorted by (economist, quarter)."""
+
+    economist: np.ndarray  # economist codes
+    quarter: np.ndarray    # quarter indexes of the responses
+    response: np.ndarray
+    regressor: np.ndarray
+    regressor_kind: str    # "own_lag", "prior_release" or "prior_release_lagged"
+
+    def __len__(self) -> int:
+        return self.response.size
+
+
+def _sorted_columns(jp: JudgmentPanel | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(economist, quarter, judgment) columns sorted by (economist, quarter); empty for None."""
+    if jp is None:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+    order = np.lexsort((jp.panel.quarter, jp.panel.economist))
+    return jp.panel.economist[order], jp.panel.quarter[order], jp.value[order]
 
 
 def build_persistence_dataset(
-    jp: JudgmentPanel, release: ReleaseKind, regressor_kind: str
-) -> list[PanelObservation]:
-    """Pair each judgment with its persistence regressor.
+    judgments: Mapping[ReleaseKind, JudgmentPanel], release: ReleaseKind, regressor_kind: str
+) -> PersistenceData:
+    """Pair each judgment of ``release`` with its persistence regressor.
 
-    own_lag: the same release's judgment in the immediately preceding quarter
-    (gaps drop the observation, they never chain).  prior_release: the previous
-    release's judgment in the same quarter; for the first release this becomes
-    the third release's judgment of the preceding quarter.
+    ``judgments`` holds each release's judgments, extracted from one panel so
+    that they share economist codes.  own_lag: the same release's judgment in
+    the immediately preceding quarter (gaps drop the observation, they never
+    chain).  prior_release: the previous release's judgment in the same
+    quarter; for the first release this becomes the third release's judgment
+    of the preceding quarter.
     """
     if regressor_kind not in REGRESSOR_KINDS:
         raise ValueError(f"unknown regressor kind {regressor_kind!r}")
-    out: list[PanelObservation] = []
-    keys = sorted(
-        (k for k in jp.entries if k[2] == release), key=lambda k: (k[0], k[1])
-    )
-    predecessors: dict[Quarter, Quarter] = {}
-    for econ, quarter, _ in keys:
-        response = jp.entries[(econ, quarter, release)].value
-        pred = predecessors.get(quarter)
-        if pred is None:
-            pred = predecessors[quarter] = quarter.predecessor()
-        if regressor_kind == "own_lag":
-            source = jp.get(econ, pred, release)
-            kind = "own_lag"
-        elif release == ReleaseKind.FIRST:
-            source = jp.get(econ, pred, ReleaseKind.THIRD)
-            kind = "prior_release_lagged"
+    target = judgments.get(release)
+    econ, quarter, response = _sorted_columns(target)
+    if regressor_kind == "own_lag":
+        kind = "own_lag"
+        lagged = np.flatnonzero((econ[1:] == econ[:-1]) & (quarter[1:] == quarter[:-1] + 1))
+        keep, regressor = lagged + 1, response[lagged]
+    else:
+        if release == ReleaseKind.FIRST:
+            source, shift, kind = ReleaseKind.THIRD, 1, "prior_release_lagged"
         else:
-            source = jp.get(econ, quarter, ReleaseKind(release.value - 1))
-            kind = "prior_release"
-        if source is None:
-            continue
-        out.append(PanelObservation(econ, quarter, response, source.value, kind))
-    return out
+            source, shift, kind = release.prior, 0, "prior_release"
+        prior = judgments.get(source)
+        if prior is not None and target is not None and prior.panel.economist_ids != target.panel.economist_ids:
+            raise ValueError("judgments of different releases must come from one panel")
+        s_econ, s_quarter, s_value = _sorted_columns(prior)
+        s_key, key = cell_key(s_econ, s_quarter + shift), cell_key(econ, quarter)
+        keep = np.flatnonzero(np.isin(key, s_key))
+        regressor = s_value[np.searchsorted(s_key, key[keep])]
+    return PersistenceData(econ[keep], quarter[keep], response[keep], regressor, kind)
 
 
 @dataclass(frozen=True)
@@ -130,7 +142,7 @@ def _solve_ols(X: np.ndarray, y: np.ndarray, context: str) -> np.ndarray:
     return coef
 
 
-def fe_estimate(data: Sequence[PanelObservation], spec: str) -> PanelFitResult:
+def fe_estimate(data: PersistenceData, spec: str) -> PanelFitResult:
     """Estimate the single-regressor persistence equation under one specification.
 
     pooled: OLS with intercept.  fe: within transformation by economist
@@ -139,12 +151,9 @@ def fe_estimate(data: Sequence[PanelObservation], spec: str) -> PanelFitResult:
     """
     if spec not in SPECS:
         raise ValueError(f"unknown spec {spec!r}")
-    if not data:
+    if not len(data):
         raise EstimationError("empty persistence dataset")
-    econs = np.array([obs.economist_id for obs in data])
-    y = np.array([obs.response for obs in data])
-    x = np.array([obs.regressor for obs in data])
-    quarters = np.array([obs.quarter.index for obs in data])
+    econs, y, x, quarters = data.economist, data.response, data.regressor, data.quarter
 
     singletons_dropped = 0
     if spec in ("fe", "fe_te"):
@@ -246,18 +255,19 @@ class PersistenceReport:
         return [c for c in self.cells if c.release == release]
 
 
-def persistence_battery(jp: JudgmentPanel) -> PersistenceReport:
+def persistence_battery(judgments: Mapping[ReleaseKind, JudgmentPanel]) -> PersistenceReport:
     """Six estimation cells per release: {own-lag, cross-release} x {pooled, FE, FE+TE}.
 
+    ``judgments`` holds each release's judgments, extracted from one panel.
     Per-cell failures are reported inline; the battery always completes.
     Significance is two-sided from a t distribution with G-1 degrees of
     freedom, G the number of forecasters.
     """
     report = PersistenceReport()
     for release in (ReleaseKind.FIRST, ReleaseKind.SECOND, ReleaseKind.THIRD):
-        n_responses = sum(1 for k in jp.entries if k[2] == release)
+        n_responses = len(judgments[release]) if release in judgments else 0
         for kind in REGRESSOR_KINDS:
-            data = build_persistence_dataset(jp, release, kind)
+            data = build_persistence_dataset(judgments, release, kind)
             report.broken_chains[(release, kind)] = n_responses - len(data)
             for spec in SPECS:
                 try:

@@ -17,7 +17,7 @@ import scipy.stats
 
 from .errors import EstimationError
 from .judgment import JudgmentPanel, baseline, extract_judgments
-from .panel import ActualSeries, ForecastPanel, ForecastRecord, SpfNowcasts
+from .panel import ActualSeries, ForecastPanel, SpfNowcasts, factorize
 from .panelreg import build_persistence_dataset, fe_estimate
 from .quarters import Quarter, ReleaseKind
 
@@ -134,23 +134,20 @@ def simulate_world(config: SynthConfig, seed: int | None = None) -> SynthWorld:
     forecasts = baselines.T[None, :, :] + judgments  # (N, T, 3)
     if config.grid > 0:
         forecasts = np.round(forecasts / config.grid) * config.grid
-    releases = (ReleaseKind.FIRST, ReleaseKind.SECOND, ReleaseKind.THIRD)
-    forecast_lists = forecasts.tolist()  # plain floats, avoiding a cast per record
-    records = []
-    append = records.append
-    for i in range(n):
-        firm = f"F{i % max(n // 2, 1):04d}"
-        econ = economists[i]
-        row = forecast_lists[i]
-        participates = mask[i].tolist()
-        for i_t in range(t):
-            if not participates[i_t]:
-                continue
-            quarter = quarters[i_t]
-            cell = row[i_t]
-            for k in range(3):
-                append(ForecastRecord(econ, firm, quarter, releases[k], cell[k]))
-    panel = ForecastPanel(records)
+    # One row per (economist, quarter, release) with participation, in that order.
+    who, when = np.nonzero(mask)
+    economist_ids, economist = factorize(economists)
+    firm_ids, firm = factorize([f"F{i % max(n // 2, 1):04d}" for i in range(n)])
+    panel = ForecastPanel(
+        economist_ids,
+        firm_ids,
+        np.repeat(economist[who], 3),
+        np.repeat(firm[who], 3),
+        np.repeat(config.start.index + when, 3),
+        np.tile(np.arange(1, 4, dtype=np.int64), who.size),
+        forecasts[who, when].ravel(),
+        np.full(3 * who.size, -1, dtype=np.int64),
+    )
 
     rng_spf = _rng(seed, 6)
     spf_median = actuals[0] + rng_spf.normal(0.0, 0.5, size=t)
@@ -192,8 +189,8 @@ class RecoverySummary:
 
 def _one_replication(config: SynthConfig, seed: int):
     world = simulate_world(config, seed=seed)
-    jp = extract_world_judgments(world, ReleaseKind.FIRST)
-    data = build_persistence_dataset(jp, ReleaseKind.FIRST, "own_lag")
+    judgments = {ReleaseKind.FIRST: extract_world_judgments(world, ReleaseKind.FIRST)}
+    data = build_persistence_dataset(judgments, ReleaseKind.FIRST, "own_lag")
     return fe_estimate(data, "fe")
 
 

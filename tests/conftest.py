@@ -3,8 +3,13 @@ from __future__ import annotations
 
 import sys
 from datetime import date
+from typing import Iterator, NamedTuple
 
-from judgebench.panel import ActualSeries, ForecastPanel, ForecastRecord
+import numpy as np
+
+from judgebench.judgment import JudgmentPanel
+from judgebench.panel import ActualSeries, ForecastPanel, factorize
+from judgebench.panelreg import PersistenceData
 from judgebench.quarters import Quarter, ReleaseKind
 
 
@@ -22,6 +27,17 @@ def q(year: int, quarter: int) -> Quarter:
     return Quarter(year, quarter)
 
 
+class Row(NamedTuple):
+    """One forecast, in the field order ``ForecastPanel.from_rows`` reads."""
+
+    economist_id: str
+    firm_id: str
+    quarter: Quarter
+    release: ReleaseKind
+    value: float
+    report_date: date | None = None
+
+
 def rec(
     econ: str,
     quarter: Quarter,
@@ -29,8 +45,42 @@ def rec(
     release: ReleaseKind = ReleaseKind.FIRST,
     firm: str = "F1",
     report_date: date | None = None,
-) -> ForecastRecord:
-    return ForecastRecord(econ, firm, quarter, release, value, report_date)
+) -> Row:
+    return Row(econ, firm, quarter, release, value, report_date)
+
+
+def rows_of(panel: ForecastPanel) -> Iterator[Row]:
+    """The panel's rows in order, decoded back to ids, quarters and dates."""
+    columns = (panel.economist, panel.firm, panel.quarter, panel.release, panel.value, panel.report_date)
+    for econ, firm, quarter, release, value, ordinal in zip(*(c.tolist() for c in columns)):
+        yield Row(
+            panel.economist_ids[econ], panel.firm_ids[firm], Quarter.from_index(quarter),
+            ReleaseKind(release), value, date.fromordinal(ordinal) if ordinal > 0 else None,
+        )
+
+
+def row_index(panel: ForecastPanel, econ: str, quarter: Quarter, release: ReleaseKind = ReleaseKind.FIRST) -> int:
+    """The position of the panel's one row for this key."""
+    (index,) = [
+        i for i, r in enumerate(rows_of(panel)) if (r.economist_id, r.quarter, r.release) == (econ, quarter, release)
+    ]
+    return index
+
+
+def record(panel: ForecastPanel, econ: str, quarter: Quarter, release: ReleaseKind = ReleaseKind.FIRST) -> Row:
+    """The panel's one row for this key."""
+    return list(rows_of(panel))[row_index(panel, econ, quarter, release)]
+
+
+class Judgment(NamedTuple):
+    value: float
+    neutral: bool
+
+
+def judgment(jp: JudgmentPanel, econ: str, quarter: Quarter) -> Judgment:
+    """The judgment of this economist and quarter in one release's judgment panel."""
+    index = row_index(jp.panel, econ, quarter, jp.release)
+    return Judgment(float(jp.value[index]), bool(jp.neutral[index]))
 
 
 def panel_from_values(
@@ -42,7 +92,28 @@ def panel_from_values(
     for quarter, values in values_by_quarter.items():
         for i, value in enumerate(values):
             records.append(rec(f"E{i}", quarter, value, release))
-    return ForecastPanel(records)
+    return ForecastPanel.from_rows(records)
+
+
+class Obs(NamedTuple):
+    """One persistence-regression observation."""
+
+    economist_id: str
+    quarter: Quarter
+    response: float
+    regressor: float
+
+
+def dataset(observations: list[Obs], regressor_kind: str = "own_lag") -> PersistenceData:
+    """The observations as the columns ``fe_estimate`` reads, in the given order."""
+    _, economist = factorize([o.economist_id for o in observations])
+    return PersistenceData(
+        economist,
+        np.array([o.quarter.index for o in observations], dtype=np.int64),
+        np.array([o.response for o in observations], dtype=float),
+        np.array([o.regressor for o in observations], dtype=float),
+        regressor_kind,
+    )
 
 
 def actuals_from(values: dict[Quarter, float], release: ReleaseKind = ReleaseKind.FIRST) -> ActualSeries:

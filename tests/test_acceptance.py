@@ -26,10 +26,12 @@ from judgebench.linreg import (
     newey_west_auto_lag,
     ols,
 )
-from judgebench.panel import ActualSeries, ForecastPanel, ForecastRecord
-from judgebench.panelreg import PanelObservation, fe_estimate
+from judgebench.panel import ActualSeries, ForecastPanel
+from judgebench.panelreg import fe_estimate
 from judgebench.quarters import Quarter, ReleaseKind
 from judgebench.syngen import SynthConfig, recovery_experiment, simulate_world
+
+from conftest import Obs, dataset, rows_of
 
 R1 = ReleaseKind.FIRST
 
@@ -59,8 +61,8 @@ def test_fixed_effects_matches_dummy_variable_ols():
             for t in range(n_t):
                 x = float(rng.normal())
                 y = 0.4 * x + effect + float(rng.normal(0, 0.5))
-                data.append(PanelObservation(f"E{i}", Quarter(2000, 1).shifted(t), y, x, "own_lag"))
-        fe = fe_estimate(data, "fe")
+                data.append(Obs(f"E{i}", Quarter(2000, 1).shifted(t), y, x))
+        fe = fe_estimate(dataset(data), "fe")
         econs = sorted({o.economist_id for o in data})
         X = np.zeros((len(data), 1 + len(econs)))
         y_vec = np.empty(len(data))
@@ -212,16 +214,16 @@ def test_judgment_error_identity_and_median_balance():
             actual = world.actuals[release]
             # j - e = actual - baseline: identical for every economist in (t,k).
             per_quarter: dict = {}
-            for (econ, quarter, rel), entry in jp.entries.items():
-                if rel != release:
-                    continue
-                record = world.panel.get(econ, quarter, release)
-                error = record.value - actual.values[quarter]
-                per_quarter.setdefault(quarter, []).append(entry.value - error)
+            for record, judgment in zip(rows_of(jp.panel), jp.value.tolist()):
+                error = record.value - actual.values[record.quarter]
+                per_quarter.setdefault(record.quarter, []).append(judgment - error)
             for quarter, diffs in per_quarter.items():
                 worst = max(worst, max(diffs) - min(diffs))
-            for quarter in world.panel.quarters(release):
-                values = world.panel.values_for_quarter(quarter, release)
+            values_by_quarter: dict = {}
+            for record in rows_of(world.panel):
+                if record.release == release:
+                    values_by_quarter.setdefault(record.quarter, []).append(record.value)
+            for quarter, values in values_by_quarter.items():
                 med = base.values[quarter]
                 n_t = len(values)
                 if sum(v < med for v in values) > n_t / 2 or sum(v > med for v in values) > n_t / 2:
@@ -241,8 +243,8 @@ def test_descriptive_moments_match_brute_force():
         values = rng.normal(1.0, 2.0, size=n)
         actual = float(rng.normal())
         quarter = Quarter(2000, 1)
-        panel = ForecastPanel(
-            [ForecastRecord(f"E{i}", "F", quarter, R1, float(v)) for i, v in enumerate(values)]
+        panel = ForecastPanel.from_rows(
+            [(f"E{i}", "F", quarter, R1, float(v), None) for i, v in enumerate(values)]
         )
         stats = quarter_stats(panel, ActualSeries(R1, {quarter: actual}), R1)[0]
         errors = values - actual
@@ -260,9 +262,9 @@ def test_descriptive_moments_match_brute_force():
         )
     # Aggregate of per-quarter RMSEs 1 and 3 is their plain mean.
     quarters = [Quarter(2000, 1), Quarter(2000, 2)]
-    panel = ForecastPanel(
-        [ForecastRecord(f"E{i}", "F", quarters[0], R1, v) for i, v in enumerate((1.0, -1.0))]
-        + [ForecastRecord(f"E{i}", "F", quarters[1], R1, v) for i, v in enumerate((3.0, -3.0))]
+    panel = ForecastPanel.from_rows(
+        [(f"E{i}", "F", quarters[0], R1, v, None) for i, v in enumerate((1.0, -1.0))]
+        + [(f"E{i}", "F", quarters[1], R1, v, None) for i, v in enumerate((3.0, -3.0))]
     )
     stats = quarter_stats(panel, ActualSeries(R1, {q: 0.0 for q in quarters}), R1)
     agg = armse(stats)

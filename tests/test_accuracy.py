@@ -12,7 +12,7 @@ from judgebench.accuracy import (
 )
 from judgebench.errors import EstimationError
 from judgebench.judgment import BaselineSeries
-from judgebench.panel import ForecastPanel
+from judgebench.panel import ForecastPanel, participation_share
 from judgebench.quarters import ReleaseKind
 
 from conftest import actuals_from, q, rec
@@ -102,16 +102,20 @@ class TestBeatBaselineShare:
         for name, offset in forecaster_offsets.items():
             for quarter in quarters:
                 records.append(rec(name, quarter, actual[quarter] + offset))
-        panel = ForecastPanel(records)
+        panel = ForecastPanel.from_rows(records)
         base = BaselineSeries(release=R1, method="median", values=base_values)
         return panel, base, actuals_from(actual)
 
     def test_everyone_matches_baseline_counts_as_not_beating(self):
         panel, base, actuals = self._setup({"E1": 0.5, "E2": 0.5})
-        shares = beat_baseline_share(accuracy_table(panel, base, actuals), panel, thresholds=(0.5,))
+        shares = beat_baseline_share(
+            accuracy_table(panel, base, actuals), panel, participation_share(panel, R1), thresholds=(0.5,)
+        )
         assert shares[0.5] == 0.0
 
     def test_one_of_four_strictly_better(self):
         panel, base, actuals = self._setup({"E1": 0.2, "E2": 0.5, "E3": 0.9, "E4": 0.5})
-        shares = beat_baseline_share(accuracy_table(panel, base, actuals), panel, thresholds=(0.5,))
+        shares = beat_baseline_share(
+            accuracy_table(panel, base, actuals), panel, participation_share(panel, R1), thresholds=(0.5,)
+        )
         assert shares[0.5] == 0.25

@@ -9,10 +9,10 @@ from judgebench.judgment import (
     passes_threshold,
     sign_shares,
 )
-from judgebench.panel import ForecastPanel
+from judgebench.panel import ForecastPanel, participation_share
 from judgebench.quarters import ReleaseKind
 
-from conftest import actuals_from, panel_from_values, q, rec
+from conftest import actuals_from, judgment, panel_from_values, q, rec
 
 R1 = ReleaseKind.FIRST
 
@@ -47,24 +47,24 @@ class TestExtractJudgments:
     def test_positive_judgment(self):
         panel = panel_from_values({q(2000, 1): [3.2, 3.0, 2.8]})
         jp = extract_judgments(panel, baseline(panel, R1))
-        entry = jp.entries[("E0", q(2000, 1), R1)]
+        entry = judgment(jp, "E0", q(2000, 1))
         assert entry.value == pytest.approx(0.2)
         assert not entry.neutral
 
     def test_equal_to_baseline_is_neutral(self):
         panel = panel_from_values({q(2000, 1): [3.0, 3.0, 3.0]})
         jp = extract_judgments(panel, baseline(panel, R1))
-        entry = jp.entries[("E0", q(2000, 1), R1)]
+        entry = judgment(jp, "E0", q(2000, 1))
         assert entry.value == 0.0
         assert entry.neutral
 
     def test_sub_grid_difference_is_neutral(self):
         # 3.04 and 3.01 both round to 3.0 on the 0.1 reporting grid.
-        panel = ForecastPanel(
+        panel = ForecastPanel.from_rows(
             [rec("E0", q(2000, 1), 3.04), rec("E1", q(2000, 1), 3.01), rec("E2", q(2000, 1), 2.98)]
         )
         jp = extract_judgments(panel, baseline(panel, R1))
-        entry = jp.entries[("E0", q(2000, 1), R1)]
+        entry = judgment(jp, "E0", q(2000, 1))
         assert entry.value == pytest.approx(0.03)
         assert entry.neutral
 
@@ -80,8 +80,9 @@ class TestExtractJudgments:
         shifted_panel = panel_from_values({q(2000, 1): [v + 5.0 for v in values]})
         jp1 = extract_judgments(base_panel, baseline(base_panel, R1))
         jp2 = extract_judgments(shifted_panel, baseline(shifted_panel, R1))
-        for key, entry in jp1.entries.items():
-            assert jp2.entries[key].value == pytest.approx(entry.value, abs=1e-12)
+        for econ in ("E0", "E1", "E2"):
+            entry = judgment(jp1, econ, q(2000, 1))
+            assert judgment(jp2, econ, q(2000, 1)).value == pytest.approx(entry.value, abs=1e-12)
 
 
 class TestSignShares:
@@ -95,9 +96,9 @@ class TestSignShares:
         # Anchor economists pin every quarter's median at 3.0.
         for quarter in quarters:
             records += [rec("A1", quarter, 3.0), rec("A2", quarter, 3.0)]
-        panel = ForecastPanel(records)
+        panel = ForecastPanel.from_rows(records)
         jp = extract_judgments(panel, baseline(panel, R1))
-        shares = sign_shares(jp, panel, R1, thresholds=(0.5,))
+        shares = sign_shares(jp, participation_share(panel, R1), thresholds=(0.5,))
         stats = shares[0.5]
         # E1 and the two always-neutral anchors all qualify at the 50% threshold.
         assert stats.n_economists == 3
@@ -109,16 +110,16 @@ class TestSignShares:
     def test_all_neutral(self):
         panel = panel_from_values({q(2000, 1): [3.0, 3.0]})
         jp = extract_judgments(panel, baseline(panel, R1))
-        stats = sign_shares(jp, panel, R1, thresholds=(0.5,))[0.5]
+        stats = sign_shares(jp, participation_share(panel, R1), thresholds=(0.5,))[0.5]
         assert (stats.mean_negative, stats.mean_positive, stats.mean_neutral) == (0.0, 0.0, 1.0)
 
     def test_cross_economist_dispersion(self):
         quarter = q(2000, 1)
-        panel = ForecastPanel(
+        panel = ForecastPanel.from_rows(
             [rec("E1", quarter, 2.0), rec("E2", quarter, 4.0), rec("A", quarter, 3.0)]
         )
         jp = extract_judgments(panel, baseline(panel, R1))
-        stats = sign_shares(jp, panel, R1, thresholds=(0.5,))[0.5]
+        stats = sign_shares(jp, participation_share(panel, R1), thresholds=(0.5,))[0.5]
         # Shares across the three economists: negative {1,0,0}, positive {0,1,0}.
         assert stats.mean_negative == pytest.approx(1 / 3)
         assert stats.mean_positive == pytest.approx(1 / 3)
@@ -138,22 +139,22 @@ class TestNegativeShareHistogram:
         records = [rec("E1", quarter, v) for quarter, v in zip(quarters, e1_values)]
         for quarter in quarters:
             records += [rec("A1", quarter, 3.0), rec("A2", quarter, 3.0)]
-        panel = ForecastPanel(records)
+        panel = ForecastPanel.from_rows(records)
         return extract_judgments(panel, baseline(panel, R1)), panel
 
     def test_half_negative_bins_to_middle(self):
         jp, panel = self._jp_panel([2.5, 2.6, 3.4, 3.5])
-        hist = negative_share_histogram(jp, panel, R1, threshold=0.5)
+        hist = negative_share_histogram(jp, participation_share(panel, R1), threshold=0.5)
         assert hist["40-60%"] == 1
 
     def test_all_negative_bins_to_top(self):
         jp, panel = self._jp_panel([2.5, 2.6, 2.7, 2.8])
-        hist = negative_share_histogram(jp, panel, R1, threshold=0.5)
+        hist = negative_share_histogram(jp, participation_share(panel, R1), threshold=0.5)
         assert hist[">80%"] == 1
 
     def test_neutral_only_economist_excluded(self):
         jp, panel = self._jp_panel([3.0, 3.0, 3.0, 3.0])
-        hist = negative_share_histogram(jp, panel, R1, threshold=0.5)
+        hist = negative_share_histogram(jp, participation_share(panel, R1), threshold=0.5)
         # E1 and both anchors are neutral-only: nothing is binned.
         assert sum(hist.values()) == 0
 

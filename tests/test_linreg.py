@@ -20,7 +20,7 @@ from judgebench.linreg import (
     unbiasedness_test,
     wald_joint_test,
 )
-from judgebench.panel import ActualSeries, SpfNowcasts
+from judgebench.panel import ActualSeries, SpfNowcasts, participation_share
 from judgebench.quarters import Quarter, ReleaseKind
 
 from conftest import actuals_from, panel_from_values, q
@@ -256,6 +256,10 @@ class TestEfficiencyRegression:
             efficiency_regression(actuals, pred)
 
 
+def _participation(panel):
+    return {rel: participation_share(panel, rel) for rel in ReleaseKind}
+
+
 class TestBatteries:
     def _world(self):
         rng = np.random.default_rng(14)
@@ -275,7 +279,7 @@ class TestBatteries:
                     panel_records.append(rec(f"E{i}", quarter, v, release))
         from judgebench.panel import ForecastPanel
 
-        panel = ForecastPanel(panel_records)
+        panel = ForecastPanel.from_rows(panel_records)
         spf = SpfNowcasts(
             median={quarter: v + float(rng.normal(0, 0.5)) for quarter, v in zip(quarters, y)},
             mean={quarter: v + float(rng.normal(0, 0.5)) for quarter, v in zip(quarters, y)},
@@ -296,7 +300,7 @@ class TestBatteries:
 
     def test_individual_all_forecasters_match_actual(self):
         panel, actuals, spf, ar = self._world()
-        battery = battery_individual(panel, actuals, spf, ar, thresholds=(0.5,))
+        battery = battery_individual(panel, actuals, spf, ar, _participation(panel), thresholds=(0.5,))
         for row in battery.shares:
             if row.n_tested_unbiased:
                 assert row.share_unbiased == 1.0
@@ -305,15 +309,15 @@ class TestBatteries:
 
     def test_individual_biased_forecaster_rejected(self):
         panel, actuals, spf, ar = self._world()
-        from conftest import rec
+        from conftest import rec, rows_of
         from judgebench.panel import ForecastPanel
 
         biased = [
             rec("EB", quarter, value + 1.0, R1)
             for quarter, value in actuals[R1].values.items()
         ]
-        panel2 = ForecastPanel(list(panel.records) + biased)
-        battery = battery_individual(panel2, actuals, spf, ar, thresholds=(0.5,))
+        panel2 = ForecastPanel.from_rows([*rows_of(panel), *biased])
+        battery = battery_individual(panel2, actuals, spf, ar, _participation(panel2), thresholds=(0.5,))
         detail = {d.economist_id: d for d in battery.details if d.release == R1}
         assert detail["EB"].p_unbiased is not None and detail["EB"].p_unbiased < 0.05
         assert detail["EB"].alpha_hat == pytest.approx(-1.0, abs=1e-8)

@@ -16,39 +16,39 @@ from judgebench.panel import (
 )
 from judgebench.quarters import Quarter, ReleaseKind
 
-from conftest import q, rec
+from conftest import q, rec, record, rows_of
 
 
 class TestLoadActuals:
     def test_two_rows(self):
         csv = "quarter,release,value\n2000Q1,1,1.0\n2000Q2,1,2.0\n"
-        series = load_actuals(io.StringIO(csv), ReleaseKind.FIRST)
+        series = load_actuals(io.StringIO(csv))[ReleaseKind.FIRST]
         assert len(series) == 2
         assert series.values[q(2000, 1)] == 1.0
 
     def test_other_releases_filtered(self):
         csv = "quarter,release,value\n2000Q1,1,1.0\n2000Q1,2,1.1\n"
-        series = load_actuals(io.StringIO(csv), ReleaseKind.FIRST)
+        series = load_actuals(io.StringIO(csv))[ReleaseKind.FIRST]
         assert len(series) == 1
 
     def test_duplicate_key_rejected(self):
         csv = "quarter,release,value\n2000Q1,1,1.0\n2000Q1,1,2.0\n"
         with pytest.raises(IngestionError, match="duplicate"):
-            load_actuals(io.StringIO(csv), ReleaseKind.FIRST)
+            load_actuals(io.StringIO(csv))[ReleaseKind.FIRST]
 
     def test_duplicate_in_filtered_release_still_rejected(self):
         csv = "quarter,release,value\n2000Q1,2,1.0\n2000Q1,2,2.0\n"
         with pytest.raises(IngestionError):
-            load_actuals(io.StringIO(csv), ReleaseKind.FIRST)
+            load_actuals(io.StringIO(csv))[ReleaseKind.FIRST]
 
     def test_non_numeric_value_rejected(self):
         csv = "quarter,release,value\n2000Q1,1,abc\n"
         with pytest.raises(IngestionError, match="non-numeric"):
-            load_actuals(io.StringIO(csv), ReleaseKind.FIRST)
+            load_actuals(io.StringIO(csv))[ReleaseKind.FIRST]
 
     def test_bad_header_rejected(self):
         with pytest.raises(IngestionError, match="header"):
-            load_actuals(io.StringIO("a,b,c\n"), ReleaseKind.FIRST)
+            load_actuals(io.StringIO("a,b,c\n"))
 
 
 class TestLoadForecasts:
@@ -60,10 +60,10 @@ class TestLoadForecasts:
         )
         panel = load_forecasts(io.StringIO(csv))
         assert len(panel) == 2
-        first = panel.get("E1", q(2000, 1), ReleaseKind.FIRST)
+        first = record(panel, "E1", q(2000, 1), ReleaseKind.FIRST)
         assert first.value == 1.5
         assert first.report_date == date(2000, 4, 10)
-        assert panel.get("E1", q(2000, 1), ReleaseKind.SECOND).report_date is None
+        assert record(panel, "E1", q(2000, 1), ReleaseKind.SECOND).report_date is None
 
     def test_non_finite_value_rejected(self):
         csv = "quarter,release,economist_id,firm_id,value,report_date\n2000Q1,1,E1,F1,inf,\n"
@@ -110,8 +110,8 @@ class TestCleanPanel:
         quarter = q(2000, 1)
         older = rec("E1", quarter, 1.0, report_date=date(2000, 4, 1))
         newer = rec("E1", quarter, 2.0, report_date=date(2000, 4, 5))
-        cleaned, log = clean_panel(ForecastPanel([older, newer]))
-        assert cleaned.get("E1", quarter, ReleaseKind.FIRST).value == 2.0
+        cleaned, log = clean_panel(ForecastPanel.from_rows([older, newer]))
+        assert record(cleaned, "E1", quarter, ReleaseKind.FIRST).value == 2.0
         assert len(log) == 1
         assert log.entries[0].action is CleaningAction.DROPPED_DUPLICATE
 
@@ -124,19 +124,19 @@ class TestCleanPanel:
             rec("E2", quarter, 2.1),
             rec("E3", quarter, 2.2),
         ]
-        cleaned, _ = clean_panel(ForecastPanel(records))
-        assert cleaned.get("E1", quarter, ReleaseKind.FIRST).value == 2.0
+        cleaned, _ = clean_panel(ForecastPanel.from_rows(records))
+        assert record(cleaned, "E1", quarter, ReleaseKind.FIRST).value == 2.0
 
     def test_final_tie_break_is_input_order(self):
         quarter = q(2000, 1)
         records = [rec("E1", quarter, 3.0), rec("E1", quarter, 1.0), rec("E1", quarter, 2.0)]
         # Median 2.0: record value 2.0 is closest, kept regardless of position.
-        cleaned, _ = clean_panel(ForecastPanel(records))
-        assert cleaned.get("E1", quarter, ReleaseKind.FIRST).value == 2.0
+        cleaned, _ = clean_panel(ForecastPanel.from_rows(records))
+        assert record(cleaned, "E1", quarter, ReleaseKind.FIRST).value == 2.0
 
     def test_unattributed_records_dropped_and_logged(self):
         records = [rec("", q(2000, 1), 1.0), rec("E1", q(2000, 1), 2.0)]
-        cleaned, log = clean_panel(ForecastPanel(records))
+        cleaned, log = clean_panel(ForecastPanel.from_rows(records))
         assert len(cleaned) == 1
         assert log.entries[0].action is CleaningAction.DROPPED_UNATTRIBUTED
 
@@ -146,10 +146,10 @@ class TestCleanPanel:
             rec("E1", q(2000, 1), 2.0, report_date=date(2000, 4, 5)),
             rec("E2", q(2000, 1), 3.0),
         ]
-        cleaned, _ = clean_panel(ForecastPanel(records))
+        cleaned, _ = clean_panel(ForecastPanel.from_rows(records))
         again, log = clean_panel(cleaned)
         assert len(log) == 0
-        assert [r.value for r in again.records] == [r.value for r in cleaned.records]
+        assert [r.value for r in rows_of(again)] == [r.value for r in rows_of(cleaned)]
 
     def test_no_value_invention_and_log_accounts_for_all_records(self):
         records = [
@@ -158,9 +158,9 @@ class TestCleanPanel:
             rec("", q(2000, 2), 5.0),
             rec("E2", q(2000, 2), 3.0),
         ]
-        raw = ForecastPanel(records)
+        raw = ForecastPanel.from_rows(records)
         cleaned, log = clean_panel(raw)
-        assert set(cleaned.records) <= set(raw.records)
+        assert set(rows_of(cleaned)) <= set(rows_of(raw))
         assert len(cleaned) + log.dropped_count() == len(raw)
 
 
@@ -168,48 +168,52 @@ class TestParticipationShare:
     def test_half_coverage(self):
         sample = (q(2000, 1), q(2022, 4))  # 92 quarters
         quarters = [q(2000, 1).shifted(i) for i in range(46)]
-        panel = ForecastPanel([rec("E1", quarter, 1.0) for quarter in quarters])
-        assert participation_share(panel, "E1", ReleaseKind.FIRST, sample) == 0.5
+        panel = ForecastPanel.from_rows([rec("E1", quarter, 1.0) for quarter in quarters])
+        assert participation_share(panel, ReleaseKind.FIRST, sample)[0] == 0.5
 
     def test_unknown_economist_is_zero(self):
-        panel = ForecastPanel([rec("E1", q(2000, 1), 1.0)])
-        assert participation_share(panel, "EX", ReleaseKind.FIRST, (q(2000, 1), q(2000, 4))) == 0.0
+        # EX forecasts only the second release, so it has no first-release record.
+        panel = ForecastPanel.from_rows(
+            [rec("E1", q(2000, 1), 1.0), rec("EX", q(2000, 1), 1.0, ReleaseKind.SECOND)]
+        )
+        shares = participation_share(panel, ReleaseKind.FIRST, (q(2000, 1), q(2000, 4)))
+        assert shares[panel.economist_ids.index("EX")] == 0.0
 
     def test_full_coverage(self):
         quarters = [q(2000, 1).shifted(i) for i in range(4)]
-        panel = ForecastPanel([rec("E1", quarter, 1.0) for quarter in quarters])
-        assert participation_share(panel, "E1", ReleaseKind.FIRST, (quarters[0], quarters[-1])) == 1.0
+        panel = ForecastPanel.from_rows([rec("E1", quarter, 1.0) for quarter in quarters])
+        assert participation_share(panel, ReleaseKind.FIRST, (quarters[0], quarters[-1]))[0] == 1.0
 
     def test_monotone_in_records(self):
         sample = (q(2000, 1), q(2000, 4))
-        small = ForecastPanel([rec("E1", q(2000, 1), 1.0)])
-        large = ForecastPanel([rec("E1", q(2000, 1), 1.0), rec("E1", q(2000, 2), 1.0)])
-        assert participation_share(small, "E1", ReleaseKind.FIRST, sample) <= participation_share(
-            large, "E1", ReleaseKind.FIRST, sample
-        )
+        small = ForecastPanel.from_rows([rec("E1", q(2000, 1), 1.0)])
+        large = ForecastPanel.from_rows([rec("E1", q(2000, 1), 1.0), rec("E1", q(2000, 2), 1.0)])
+        assert participation_share(small, ReleaseKind.FIRST, sample)[0] <= participation_share(
+            large, ReleaseKind.FIRST, sample
+        )[0]
 
 
 class TestJointCoverage:
     def test_single_pair(self):
-        panel = ForecastPanel(
+        panel = ForecastPanel.from_rows(
             [rec("E1", q(2000, 1), 1.0, ReleaseKind.FIRST), rec("E1", q(2000, 1), 1.1, ReleaseKind.SECOND)]
         )
         cov = joint_coverage(panel)
         assert (cov.pair_12, cov.pair_13, cov.pair_23, cov.all_three) == (1, 0, 0, 0)
 
     def test_all_three(self):
-        panel = ForecastPanel(
+        panel = ForecastPanel.from_rows(
             [rec("E1", q(2000, 1), 1.0, ReleaseKind(k)) for k in (1, 2, 3)]
         )
         cov = joint_coverage(panel)
         assert (cov.pair_12, cov.pair_13, cov.pair_23, cov.all_three) == (1, 1, 1, 1)
 
     def test_empty_panel(self):
-        cov = joint_coverage(ForecastPanel([]))
+        cov = joint_coverage(ForecastPanel.from_rows([]))
         assert (cov.pair_12, cov.pair_13, cov.pair_23, cov.all_three) == (0, 0, 0, 0)
 
     def test_triple_count_bounded_by_pairs(self):
-        panel = ForecastPanel(
+        panel = ForecastPanel.from_rows(
             [rec("E1", q(2000, 1), 1.0, ReleaseKind(k)) for k in (1, 2, 3)]
             + [rec("E2", q(2000, 1), 1.0, ReleaseKind.FIRST), rec("E2", q(2000, 1), 1.0, ReleaseKind.SECOND)]
         )

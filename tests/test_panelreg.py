@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from judgebench.errors import EstimationError
-from judgebench.judgment import JudgmentEntry, JudgmentPanel
+from judgebench.judgment import JudgmentPanel
+from judgebench.panel import ForecastPanel
 from judgebench.panelreg import (
-    PanelObservation,
     build_persistence_dataset,
     cluster_se,
     clustered_covariance,
@@ -14,14 +14,21 @@ from judgebench.panelreg import (
 )
 from judgebench.quarters import Quarter, ReleaseKind
 
-from conftest import q
+from conftest import Obs, dataset, q, rec
 
 R1, R2, R3 = ReleaseKind.FIRST, ReleaseKind.SECOND, ReleaseKind.THIRD
 
 
-def jp_from(entries: dict, grid: float = 0.1) -> JudgmentPanel:
-    wrapped = {key: JudgmentEntry(value=v, neutral=False) for key, v in entries.items()}
-    return JudgmentPanel(entries=wrapped, grid=grid)
+def jp_from(entries: dict, grid: float = 0.1) -> dict[ReleaseKind, JudgmentPanel]:
+    """Each release's judgments, keyed (economist, quarter, release) -> value, none neutral."""
+    panel = ForecastPanel.from_rows(
+        rec(econ, quarter, v, release) for (econ, quarter, release), v in entries.items()
+    )
+    out = {}
+    for release in sorted({key[2] for key in entries}):
+        rows = panel.for_release(release)
+        out[release] = JudgmentPanel(release, rows, rows.value, np.zeros(len(rows), dtype=bool), grid)
+    return out
 
 
 class TestBuildPersistenceDataset:
@@ -29,14 +36,13 @@ class TestBuildPersistenceDataset:
         jp = jp_from({("E1", q(2000, 1), R1): 0.5, ("E1", q(2000, 2), R1): 0.3})
         data = build_persistence_dataset(jp, R1, "own_lag")
         assert len(data) == 1
-        obs = data[0]
-        assert obs.response == 0.3
-        assert obs.regressor == 0.5
-        assert obs.quarter == q(2000, 2)
+        assert data.response[0] == 0.3
+        assert data.regressor[0] == 0.5
+        assert data.quarter[0] == q(2000, 2).index
 
     def test_calendar_gap_breaks_chain(self):
         jp = jp_from({("E1", q(2000, 1), R1): 0.5, ("E1", q(2000, 3), R1): 0.3})
-        assert build_persistence_dataset(jp, R1, "own_lag") == []
+        assert len(build_persistence_dataset(jp, R1, "own_lag")) == 0
 
     def test_prior_release_same_quarter(self):
         jp = jp_from(
@@ -48,18 +54,18 @@ class TestBuildPersistenceDataset:
         )
         data = build_persistence_dataset(jp, R2, "prior_release")
         assert len(data) == 1
-        assert (data[0].response, data[0].regressor) == (0.4, 0.2)
+        assert (data.response[0], data.regressor[0]) == (0.4, 0.2)
 
     def test_first_release_uses_lagged_third(self):
         jp = jp_from({("E1", q(2000, 1), R3): 0.7, ("E1", q(2000, 2), R1): 0.1})
         data = build_persistence_dataset(jp, R1, "prior_release")
         assert len(data) == 1
-        assert data[0].regressor == 0.7
-        assert data[0].regressor_kind == "prior_release_lagged"
+        assert data.regressor[0] == 0.7
+        assert data.regressor_kind == "prior_release_lagged"
 
 
 def obs(econ, quarter, y, x):
-    return PanelObservation(econ, quarter, y, x, "own_lag")
+    return Obs(econ, quarter, y, x)
 
 
 class TestFeEstimate:
@@ -68,7 +74,7 @@ class TestFeEstimate:
         for i, effect in enumerate((1.0, -2.0)):
             for t, x in enumerate((1.0, 3.0)):
                 data.append(obs(f"E{i}", q(2000, 1).shifted(t), 0.5 * x + effect, x))
-        result = fe_estimate(data, "fe")
+        result = fe_estimate(dataset(data), "fe")
         assert result.beta == pytest.approx(0.5, abs=1e-10)
 
     def test_fe_equals_entity_dummy_ols(self):
@@ -80,7 +86,7 @@ class TestFeEstimate:
                 x = rng.normal()
                 y = 0.3 * x + effect + rng.normal(0, 0.5)
                 data.append(obs(f"E{i}", q(2000, 1).shifted(t), y, x))
-        fe = fe_estimate(data, "fe")
+        fe = fe_estimate(dataset(data), "fe")
         econs = sorted({o.economist_id for o in data})
         X = np.zeros((len(data), 1 + len(econs)))
         y_vec = np.empty(len(data))
@@ -94,7 +100,7 @@ class TestFeEstimate:
     def test_pooled_includes_intercept(self):
         data = [obs("E1", q(2000, 1).shifted(t), 2.0 + 0.5 * t, float(t)) for t in range(6)]
         data += [obs("E2", q(2000, 1).shifted(t), 2.0 + 0.5 * t, float(t)) for t in range(6)]
-        result = fe_estimate(data, "pooled")
+        result = fe_estimate(dataset(data), "pooled")
         assert result.beta == pytest.approx(0.5, abs=1e-10)
 
     def test_singletons_dropped_under_fe(self):
@@ -105,14 +111,14 @@ class TestFeEstimate:
             obs("E3", q(2000, 1), 0.4, 0.2),
             obs("E3", q(2000, 2), 0.5, 0.1),
         ]
-        result = fe_estimate(data, "fe")
+        result = fe_estimate(dataset(data), "fe")
         assert result.singletons_dropped == 1
         assert result.n_forecasters == 2
 
     def test_all_singletons_rejected(self):
         data = [obs("E1", q(2000, 1), 1.0, 0.5), obs("E2", q(2000, 1), 2.0, 0.7)]
         with pytest.raises(EstimationError):
-            fe_estimate(data, "fe")
+            fe_estimate(dataset(data), "fe")
 
     def test_within_ignores_entity_constant_shifts(self):
         rng = np.random.default_rng(21)
@@ -120,12 +126,12 @@ class TestFeEstimate:
         for i in range(4):
             for t in range(5):
                 data.append(obs(f"E{i}", q(2000, 1).shifted(t), rng.normal(), rng.normal()))
-        base = fe_estimate(data, "fe")
+        base = fe_estimate(dataset(data), "fe")
         shifted = [
             obs(o.economist_id, o.quarter, o.response, o.regressor + 10.0 * int(o.economist_id[1]))
             for o in data
         ]
-        assert fe_estimate(shifted, "fe").beta == pytest.approx(base.beta, abs=1e-8)
+        assert fe_estimate(dataset(shifted), "fe").beta == pytest.approx(base.beta, abs=1e-8)
 
     def test_fe_te_ignores_quarter_constant_shifts(self):
         rng = np.random.default_rng(22)
@@ -133,12 +139,12 @@ class TestFeEstimate:
         for i in range(4):
             for t in range(6):
                 data.append(obs(f"E{i}", q(2000, 1).shifted(t), rng.normal(), rng.normal()))
-        base = fe_estimate(data, "fe_te")
+        base = fe_estimate(dataset(data), "fe_te")
         shifted = [
             obs(o.economist_id, o.quarter, o.response + 3.0 * o.quarter.index, o.regressor)
             for o in data
         ]
-        assert fe_estimate(shifted, "fe_te").beta == pytest.approx(base.beta, abs=1e-8)
+        assert fe_estimate(dataset(shifted), "fe_te").beta == pytest.approx(base.beta, abs=1e-8)
 
     def test_pooled_null_slope_within_three_se(self):
         rng = np.random.default_rng(23)
@@ -149,7 +155,7 @@ class TestFeEstimate:
             for i in range(10):
                 for t in range(8):
                     data.append(obs(f"E{i}", q(2000, 1).shifted(t), r.normal(), r.normal()))
-            result = fe_estimate(data, "pooled")
+            result = fe_estimate(dataset(data), "pooled")
             if abs(result.beta) < 3 * result.se_clustered:
                 hits += 1
         assert hits >= 95

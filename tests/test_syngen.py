@@ -10,6 +10,8 @@ from judgebench.syngen import (
     simulate_world,
 )
 
+from conftest import rows_of
+
 R1 = ReleaseKind.FIRST
 
 
@@ -33,10 +35,10 @@ class TestSimulateWorld:
         # Noise-free: actual is the constant 0.5 everywhere and every forecast matches it.
         for release in ReleaseKind:
             actual = world.actuals[release]
-            for record in world.panel.records_for_release(release):
+            for record in (r for r in rows_of(world.panel) if r.release == release):
                 assert record.value == pytest.approx(actual.values[record.quarter], abs=1e-12)
         jp = extract_world_judgments(world, R1)
-        assert all(entry.neutral for entry in jp.entries.values())
+        assert all(jp.neutral.tolist())
 
     def test_determinism(self):
         config = SynthConfig(n_forecasters=10, n_quarters=20)
@@ -44,7 +46,7 @@ class TestSimulateWorld:
         b = simulate_world(config, seed=99)
         assert np.array_equal(a.truth.actuals, b.truth.actuals)
         assert np.array_equal(a.truth.judgments, b.truth.judgments)
-        assert [r.value for r in a.panel.records] == [r.value for r in b.panel.records]
+        assert [r.value for r in rows_of(a.panel)] == [r.value for r in rows_of(b.panel)]
 
     def test_adding_forecasters_keeps_actual_series(self):
         small = simulate_world(SynthConfig(n_forecasters=5, n_quarters=20), seed=5)
@@ -62,7 +64,7 @@ class TestSimulateWorld:
         config = SynthConfig(n_forecasters=4, n_quarters=6, grid=0.1)
         world = simulate_world(config, seed=3)
         truth = world.truth
-        for record in world.panel.records_for_release(R1):
+        for record in (r for r in rows_of(world.panel) if r.release == R1):
             i = truth.economists.index(record.economist_id)
             t = truth.quarters.index(record.quarter)
             latent = truth.baselines[0, t] + truth.judgments[i, t, 0]
@@ -73,7 +75,7 @@ class TestSimulateWorld:
             n_forecasters=30, n_quarters=40, participation_low=0.4, participation_high=0.8
         )
         world = simulate_world(config, seed=13)
-        n_cells = len({(r.economist_id, r.quarter) for r in world.panel.records_for_release(R1)})
+        n_cells = len({(r.economist_id, r.quarter) for r in rows_of(world.panel) if r.release == R1})
         share = n_cells / (30 * 40)
         assert 0.3 < share < 0.9
 
@@ -100,13 +102,11 @@ class TestJudgmentExtraction:
         jp = extract_world_judgments(world, R1)
         truth = world.truth
         latent, extracted = [], []
-        for (econ, quarter, release), entry in jp.entries.items():
-            if release != R1:
-                continue
-            i = truth.economists.index(econ)
-            t = truth.quarters.index(quarter)
+        for row, value in zip(rows_of(jp.panel), jp.value.tolist()):
+            i = truth.economists.index(row.economist_id)
+            t = truth.quarters.index(row.quarter)
             latent.append(truth.judgments[i, t, 0])
-            extracted.append(entry.value)
+            extracted.append(value)
         corr = np.corrcoef(latent, extracted)[0, 1]
         assert corr > 0.9
 
@@ -115,12 +115,7 @@ class TestJudgmentExtraction:
             n_forecasters=60, n_quarters=50, rho_own=0.0, kappa=0.5, judgment_sd=0.3
         )
         world = simulate_world(config, seed=31)
-        from judgebench.judgment import JudgmentPanel
-
-        entries = {}
-        for release in (ReleaseKind.FIRST, ReleaseKind.SECOND):
-            entries.update(extract_world_judgments(world, release).entries)
-        jp = JudgmentPanel(entries=entries, grid=config.grid)
+        jp = {release: extract_world_judgments(world, release) for release in (R1, ReleaseKind.SECOND)}
         own = fe_estimate(build_persistence_dataset(jp, ReleaseKind.SECOND, "own_lag"), "fe")
         cross = fe_estimate(
             build_persistence_dataset(jp, ReleaseKind.SECOND, "prior_release"), "fe"
