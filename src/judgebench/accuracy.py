@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.stats
+from scipy.special import stdtr
 
 from .errors import EstimationError
 from .judgment import BaselineSeries, passes_threshold
@@ -88,7 +88,7 @@ def hln_correction(dm: float, nobs: int, h: int = 1) -> tuple[float, float]:
         raise EstimationError(f"need T > h, got T={nobs}, h={h}")
     factor = math.sqrt((nobs + 1 - 2 * h + h * (h - 1) / nobs) / nobs)
     statistic = dm * factor
-    p_value = 2.0 * float(scipy.stats.t.sf(abs(statistic), df=nobs - 1))
+    p_value = 2.0 * float(stdtr(nobs - 1, -abs(statistic)))
     return statistic, p_value
 
 

@@ -115,8 +115,6 @@ def extract_judgments(
 
 def _sign_counts(jp: JudgmentPanel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per economist code: judgments, neutral judgments and negative non-neutral judgments."""
-    if not len(jp):
-        raise ValueError(f"panel has no forecasts for release {jp.release.value}")
     econ, size = jp.panel.economist, len(jp.panel.economist_ids)
     negative = ~jp.neutral & (jp.value < 0)
     return (

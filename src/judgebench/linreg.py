@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
+from scipy.special import fdtrc
 
 from .errors import EstimationError, RankDeficiencyError
 from .judgment import BaselineSeries, passes_threshold
@@ -139,7 +139,7 @@ def wald_joint_test(
         raise EstimationError("R V R' is singular") from exc
     wald = float(diff @ solved)
     statistic = max(wald, 0.0) / q
-    p_value = float(scipy.stats.f.sf(statistic, q, df_den))
+    p_value = float(fdtrc(q, df_den, statistic))
     return JointTestResult(statistic, q, df_den, p_value)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.stats
+from scipy.special import stdtr
 
 from .errors import EstimationError
 from .judgment import JudgmentPanel
@@ -279,9 +279,7 @@ def persistence_battery(judgments: Mapping[ReleaseKind, JudgmentPanel]) -> Persi
                     continue
                 if result.se_clustered > 0:
                     t_stat = result.beta / result.se_clustered
-                    p = 2.0 * float(
-                        scipy.stats.t.sf(abs(t_stat), df=result.n_forecasters - 1)
-                    )
+                    p = 2.0 * float(stdtr(result.n_forecasters - 1, -abs(t_stat)))
                 else:
                     p = 0.0 if result.beta != 0 else 1.0
                 report.cells.append(

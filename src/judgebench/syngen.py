@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-import scipy.stats
+from scipy.special import stdtrit
 
 from .errors import EstimationError
 from .judgment import JudgmentPanel, baseline, extract_judgments
@@ -220,7 +220,7 @@ def recovery_experiment(
             summary.failures.append(f"replication {rep}: {exc}")
             continue
         summary.betas.append(result.beta)
-        crit = float(scipy.stats.t.ppf(0.975, df=result.n_forecasters - 1))
+        crit = float(stdtrit(result.n_forecasters - 1, 0.975))
         half = crit * result.se_clustered
         if result.beta - half <= config.rho_own <= result.beta + half:
             covered += 1

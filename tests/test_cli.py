@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import judgebench
 from judgebench.cli import RunConfig, main
 
 
@@ -120,6 +124,35 @@ class TestReport:
         assert f"{bad} line 6" in err[0]
         assert not (out / "diagnostics.csv").exists()
         assert not (out / "manifest.json").exists()
+
+    def test_release_without_forecasts_keeps_judgment_outputs(self, world_dir, tmp_path):
+        lines = (world_dir / "forecasts.csv").read_text().splitlines()
+        assert any(line.split(",")[1] == "3" for line in lines[1:])
+        no_third = tmp_path / "forecasts.csv"
+        no_third.write_text("\n".join(line for line in lines if line.split(",")[1] != "3") + "\n")
+        flags = world_flags(world_dir)
+        flags[flags.index("--forecasts") + 1] = str(no_third)
+        out = tmp_path / "report"
+        with pytest.warns(UserWarning, match="no economist passes threshold"):
+            assert main(["report", *flags, "--out", str(out)]) == 0
+        names = {p.name for p in out.iterdir()}
+        assert "diagnostics.csv" not in names
+        assert {"judgments.csv", "baseline_median.csv", "table3_sign_shares.csv",
+                "fig3_negative_histogram.csv", "baseline_hits.csv"} <= names
+        table3 = (out / "table3_sign_shares.csv").read_text().splitlines()
+        assert [line for line in table3 if line.startswith("third,")] == [
+            f"third,{thr},0,,,,,," for thr in ("0.1", "0.25", "0.5")
+        ]
+        histogram = (out / "fig3_negative_histogram.csv").read_text().splitlines()
+        third = [line.rsplit(",", 1)[1] for line in histogram if line.startswith("third,")]
+        assert third == ["0"] * 15
+
+
+def test_importing_the_cli_does_not_load_scipy_stats():
+    code = "import sys, judgebench.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(judgebench.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestConfigHash:

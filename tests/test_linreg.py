@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from scipy.special import stdtrit
 
+from judgebench.accuracy import hln_correction
 from judgebench.errors import EstimationError, RankDeficiencyError
 from judgebench.judgment import baseline
 from judgebench.linreg import (
+    CovarianceEstimate,
+    RegressionFit,
     efficiency_regression,
     efficiency_test,
     hac_covariance,
@@ -219,6 +223,40 @@ class TestWaldJointTest:
         R = np.array([[0.0, 1.0], [0.0, 2.0]])  # rank 1
         with pytest.raises(EstimationError):
             wald_joint_test(fit, V, R, np.zeros(2))
+
+
+EDGE_DF = (-2, 0, 1, 2, 5, 30, 1000, 10**6)
+EDGE_STAT = (0.0, 0.7, 1.96, 40.0, math.nan)
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestDistributionFunctions:
+    """The t and F tails and the t quantile equal scipy.stats bit for bit, edge cases included."""
+
+    @pytest.mark.parametrize("df", EDGE_DF)
+    @pytest.mark.parametrize("x", EDGE_STAT)
+    def test_hln_p_value(self, df, x):
+        nobs = df + 1
+        stat, p = hln_correction(x, nobs, h=min(1, nobs - 1))
+        assert _same(p, 2.0 * float(scipy.stats.t.sf(abs(stat), df=df)))
+
+    @pytest.mark.parametrize("df", EDGE_DF)
+    @pytest.mark.parametrize("x", EDGE_STAT)
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_wald_p_value(self, df, x, q):
+        # A negative variance clips the Wald form to 0, so x = 0 reaches the F tail too.
+        sign = -1.0 if x == 0.0 else 1.0
+        fit = RegressionFit(np.full(q, x or 1.0), np.zeros(0), df + q, q, 0.0, math.nan)
+        res = wald_joint_test(fit, CovarianceEstimate("HC1", sign * np.eye(q)), np.eye(q))
+        assert res.df_den == df
+        assert _same(res.p_value, float(scipy.stats.f.sf(res.statistic, q, df)))
+
+    @pytest.mark.parametrize("df", (*EDGE_DF, math.nan))
+    def test_t_quantile(self, df):
+        assert _same(float(stdtrit(df, 0.975)), float(scipy.stats.t.ppf(0.975, df=df)))
 
 
 def _series(values, start=Quarter(2000, 1)):
