@@ -3,8 +3,9 @@
 Builds own-lag and cross-release regression datasets from the judgments and
 estimates pooled, entity fixed-effects, and entity-plus-time fixed-effects
 specifications on the unbalanced panel, with standard errors clustered on
-forecasters.  Two-way effects use entity demeaning plus explicit quarter
-indicators, which is exact for unbalanced panels.
+forecasters.  Two-way effects partial the quarter effects out of the
+entity-demeaned data through a reduced system in those effects (Frisch-Waugh-
+Lovell), which is exact for unbalanced panels and forms no dummy matrix.
 """
 from __future__ import annotations
 
@@ -15,14 +16,16 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import stdtr
 
-from .errors import EstimationError
+from .errors import EstimationError, RankDeficiencyError
 from .judgment import JudgmentPanel
+from .linreg import ols
 from .panel import cell_key
 from .quarters import ReleaseKind
 
 SPECS = ("pooled", "fe", "fe_te")
 REGRESSOR_KINDS = ("own_lag", "prior_release")
 STAR_LEVELS = (0.10, 0.05, 0.01)
+EPS = np.finfo(float).eps  # a sum of squares at most nobs * EPS of its scale counts as zero
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,31 +126,41 @@ def cluster_se(
 
 
 def _demean_by(values: np.ndarray, inverse: np.ndarray, n_groups: int) -> np.ndarray:
-    """Subtract group means; values may be 1-d or 2-d (rows are observations)."""
-    counts = np.bincount(inverse, minlength=n_groups).astype(float)
-    if values.ndim == 1:
-        sums = np.bincount(inverse, weights=values, minlength=n_groups)
-        return values - (sums / counts)[inverse]
-    out = np.empty_like(values)
-    for j in range(values.shape[1]):
-        sums = np.bincount(inverse, weights=values[:, j], minlength=n_groups)
-        out[:, j] = values[:, j] - (sums / counts)[inverse]
-    return out
+    """Subtract group means."""
+    counts = np.bincount(inverse, minlength=n_groups)
+    sums = np.bincount(inverse, weights=values, minlength=n_groups)
+    return values - (sums / counts)[inverse]
 
 
-def _solve_ols(X: np.ndarray, y: np.ndarray, context: str) -> np.ndarray:
-    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < X.shape[1]:
-        raise EstimationError(f"{context}: design is rank deficient")
-    return coef
+def _partial_quarter_effects(within: np.ndarray, econ: np.ndarray, quarter: np.ndarray) -> np.ndarray:
+    """Remove quarter effects from columns already demeaned by economist.
+
+    ``econ`` and ``quarter`` are codes 0..G-1 and 0..T-1.  With C the G x T
+    counts, D the quarter dummies and M_E the economist demeaning, the quarter
+    effects of a column v solve (diag(n_t) - C' diag(1/n_g) C) gamma = D' M_E v
+    with the first quarter dropped, and the result is M_E v - M_E D gamma.
+    """
+    n_econ, n_quarters = econ.max() + 1, quarter.max() + 1
+    counts = np.bincount(econ * n_quarters + quarter, minlength=n_econ * n_quarters).reshape(n_econ, n_quarters)
+    shares = counts / counts.sum(axis=1, keepdims=True)
+    system = (np.diag(counts.sum(axis=0)) - counts.T @ shares)[1:, 1:]
+    rhs = np.column_stack([np.bincount(quarter, weights=v, minlength=n_quarters)[1:] for v in within.T])
+    eigval, eigvec = np.linalg.eigh(system)
+    # Singular exactly when the economist-quarter graph is disconnected.
+    if eigval.size and eigval[0] <= within.shape[0] * EPS * eigval[-1]:
+        raise EstimationError("fe_te: design is rank deficient")
+    gamma = np.zeros((n_quarters, within.shape[1]))
+    gamma[1:] = eigvec @ ((eigvec.T @ rhs) / eigval[:, None])
+    return within - gamma[quarter] + (shares @ gamma)[econ]
 
 
 def fe_estimate(data: PersistenceData, spec: str) -> PanelFitResult:
     """Estimate the single-regressor persistence equation under one specification.
 
     pooled: OLS with intercept.  fe: within transformation by economist
-    (singleton economists dropped).  fe_te: entity demeaning plus explicit
-    quarter indicators.  Standard errors are clustered on economists.
+    (singleton economists dropped).  fe_te: fe with the T quarter effects
+    partialled out (``_partial_quarter_effects``); its clustered SE still
+    counts K = 1 + (T-1).  Standard errors are clustered on economists.
     """
     if spec not in SPECS:
         raise ValueError(f"unknown spec {spec!r}")
@@ -157,10 +170,9 @@ def fe_estimate(data: PersistenceData, spec: str) -> PanelFitResult:
 
     singletons_dropped = 0
     if spec in ("fe", "fe_te"):
-        codes, inverse = np.unique(econs, return_inverse=True)
-        counts = np.bincount(inverse)
+        _, inverse, counts = np.unique(econs, return_inverse=True, return_counts=True)
         keep = counts[inverse] >= 2
-        singletons_dropped = int(codes.size - np.sum(counts >= 2))
+        singletons_dropped = int(np.sum(counts < 2))
         if not np.any(keep):
             raise EstimationError("no economist has 2 or more observations")
         econs, y, x, quarters = econs[keep], y[keep], x[keep], quarters[keep]
@@ -173,44 +185,46 @@ def fe_estimate(data: PersistenceData, spec: str) -> PanelFitResult:
 
     if spec == "pooled":
         X = np.column_stack([np.ones(nobs), x])
-        beta_col = 1
         y_reg = y
-    elif spec == "fe":
-        y_reg = _demean_by(y, inverse, n_clusters)
+    else:
         X = _demean_by(x, inverse, n_clusters)[:, None]
-        beta_col = 0
-    else:  # fe_te
-        uq = np.unique(quarters)
-        dummies = (quarters[:, None] == uq[None, 1:]).astype(float)  # drop first quarter
-        X = np.column_stack([x, dummies])
-        X = _demean_by(X, inverse, n_clusters)
         y_reg = _demean_by(y, inverse, n_clusters)
-        beta_col = 0
-
     nparams = X.shape[1]
+    if spec == "fe_te":
+        quarter_codes, quarter = np.unique(quarters, return_inverse=True)
+        nparams += quarter_codes.size - 1
     if nobs - nparams < 1:
         raise EstimationError(
             f"not enough residual degrees of freedom: {nobs} obs, {nparams} parameters"
         )
-    coef = _solve_ols(X, y_reg, spec)
-    fitted = X @ coef
-    residuals = y_reg - fitted
+
+    y_fit = y_reg
+    if spec == "fe_te":
+        y_fit, x_part = _partial_quarter_effects(np.column_stack([y_reg, X[:, 0]]), inverse, quarter).T
+        # By FWL the partialled regressor alone gives beta, the residuals and beta's sandwich row.
+        if x_part @ x_part <= nobs * EPS * (X[:, 0] @ X[:, 0]):
+            raise EstimationError(f"{spec}: design is rank deficient")
+        X = x_part[:, None]
+    try:
+        fit = ols(X, y_fit)
+    except RankDeficiencyError as exc:
+        raise EstimationError(f"{spec}: design is rank deficient") from exc
+    beta, residuals = float(fit.coefficients[-1]), fit.residuals
+    fitted = y_reg - residuals
 
     if np.allclose(residuals, 0.0):
         se = 0.0
     else:
-        se = cluster_se(X, residuals, inverse, column=beta_col)
+        # cluster_se counts only X's columns in K; the partialled quarter effects count too.
+        se = cluster_se(X, residuals, inverse, column=-1) * math.sqrt((nobs - X.shape[1]) / (nobs - nparams))
 
     # R^2 convention: ordinary for pooled, within for FE specs.
-    tss = float(np.sum((y_reg - y_reg.mean()) ** 2))
-    rss = float(residuals @ residuals)
     if spec == "pooled":
-        r_squared = 1.0 - rss / tss if tss > 0 else math.nan
+        r_squared = fit.r_squared
     else:
         sd_f, sd_y = np.std(fitted), np.std(y_reg)
         r_squared = float(np.corrcoef(fitted, y_reg)[0, 1] ** 2) if sd_f > 0 and sd_y > 0 else math.nan
 
-    beta = float(coef[beta_col])
     overall_fit = beta * x
     sd_o, sd_raw = np.std(overall_fit), np.std(y)
     r2_overall = float(np.corrcoef(overall_fit, y)[0, 1] ** 2) if sd_o > 0 and sd_raw > 0 else math.nan
