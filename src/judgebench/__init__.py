@@ -61,7 +61,7 @@ from .panelreg import (
     fe_estimate,
     persistence_battery,
 )
-from .armodel import ARSpec, fill_missing, recursive_ar_forecast, select_lag
+from .armodel import ARForecasts, ARSpec, fill_missing, recursive_ar_forecast, select_lag
 from .syngen import SynthConfig, SynthWorld, recovery_experiment, simulate_world
 
 __version__ = "0.1.0"

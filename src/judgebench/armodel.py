@@ -160,11 +160,19 @@ def select_lag(
     return best_p
 
 
+class ARForecasts(dict):
+    """One-step forecasts keyed by target quarter; ``p_used`` maps each target to the lag order fit for it."""
+
+    def __init__(self):
+        super().__init__()
+        self.p_used: dict[Quarter, int] = {}
+
+
 def recursive_ar_forecast(
     series: ActualSeries,
     targets: Sequence[Quarter],
     spec: ARSpec = ARSpec(),
-) -> dict[Quarter, float]:
+) -> ARForecasts:
     """One-step AR forecasts with an expanding estimation window per target.
 
     For each target the model is fit on observations from the estimation start
@@ -173,10 +181,10 @@ def recursive_ar_forecast(
     """
     start = spec.start or series.first
     ordered = sorted(targets)
+    out = ARForecasts()
     if not ordered:
-        return {}
+        return out
     if spec.reselect:
-        out: dict[Quarter, float] = {}
         for target in ordered:
             history = _contiguous_values(series, start, target.predecessor())
             # Cap the candidate orders so that whichever is chosen has its presample.
@@ -190,6 +198,7 @@ def recursive_ar_forecast(
             coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
             lags = history[-1 : -p - 1 : -1] if p > 0 else np.empty(0)
             out[target] = float(coef[0] + coef[1:] @ lags)
+            out.p_used[target] = p
         return out
 
     # Fixed order: grow one Gram matrix over the expanding window instead of
@@ -197,7 +206,6 @@ def recursive_ar_forecast(
     p = spec.p
     full = _contiguous_values(series, start, ordered[-1].predecessor())
     base_index = start.index
-    out = {}
     gram: np.ndarray | None = None
     moment: np.ndarray | None = None
     n_rows = 0
@@ -224,4 +232,5 @@ def recursive_ar_forecast(
             coef, _, _, _ = np.linalg.lstsq(gram, moment, rcond=None)
         lags = full[size - 1 : size - p - 1 : -1] if p > 0 else np.empty(0)
         out[target] = float(coef[0] + coef[1:] @ lags)
+        out.p_used[target] = p
     return out

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .accuracy import AccuracyComparison, accuracy_table, beat_baseline_share
-from .armodel import MIN_PRESAMPLE, ARSpec, fill_missing, recursive_ar_forecast
+from .armodel import MIN_PRESAMPLE, ARForecasts, ARSpec, fill_missing, recursive_ar_forecast
 from .descriptive import armse, quarter_stats
 from .errors import JudgebenchError
 from .judgment import (
@@ -206,7 +206,7 @@ class Study:
         return {rel: participation_share(self.panel, rel) for rel in RELEASES}
 
     @cached_property
-    def ar_forecasts(self) -> dict[ReleaseKind, dict[Quarter, float]]:
+    def ar_forecasts(self) -> dict[ReleaseKind, ARForecasts]:
         """Recursive AR forecasts of each release for every quarter with enough presample."""
         spec = ARSpec(p=1, reselect=True) if self.cfg.ar_lag == "auto" else ARSpec(p=int(self.cfg.ar_lag))
         presample = MIN_PRESAMPLE + (0 if spec.reselect else spec.p)
@@ -215,7 +215,7 @@ class Study:
             series = fill_missing(series)
             first_target = series.first.shifted(presample)
             targets = [q for q in series.quarters() if q >= first_target]
-            out[rel] = recursive_ar_forecast(series, targets, spec) if targets else {}
+            out[rel] = recursive_ar_forecast(series, targets, spec) if targets else ARForecasts()
         return out
 
     @cached_property
@@ -467,7 +467,7 @@ def cmd_ar_forecast(study: Study, out: Path) -> list[Path]:
     for rel in RELEASES:
         forecasts = study.ar_forecasts[rel]
         for q in sorted(forecasts):
-            rows.append([str(q), RELEASE_LABEL[rel], forecasts[q], study.cfg.ar_lag])
+            rows.append([str(q), RELEASE_LABEL[rel], forecasts[q], forecasts.p_used[q]])
     p = out / "ar_forecasts.csv"
     write_csv(p, ["quarter", "release", "forecast", "p_used"], rows)
     return [p]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import judgebench
+from judgebench.armodel import DEFAULT_MAX_LAG
 from judgebench.cli import RunConfig, main
 
 
@@ -235,6 +236,18 @@ class TestSubcommands:
         assert main(["ar-forecast", *world_flags(world_dir), "--out", str(out)]) == 0
         text = (out / "ar_forecasts.csv").read_text()
         assert text.startswith("quarter,release,forecast,p_used")
+
+    @pytest.mark.parametrize("ar_lag", ["auto", "2"])
+    def test_ar_forecast_writes_the_lag_used(self, world_dir, tmp_path, ar_lag):
+        out = tmp_path / "ar"
+        assert main(["ar-forecast", *world_flags(world_dir), "--ar-lag", ar_lag, "--out", str(out)]) == 0
+        with open(out / "ar_forecasts.csv", newline="") as fh:
+            lags = [row["p_used"] for row in csv.DictReader(line for line in fh if not line.startswith("#"))]
+        assert lags
+        if ar_lag == "auto":
+            assert all(lag.isdigit() and 0 <= int(lag) <= DEFAULT_MAX_LAG for lag in lags)
+        else:
+            assert set(lags) == {ar_lag}
 
     def test_recovery(self, tmp_path):
         out = tmp_path / "rec"
