@@ -210,7 +210,7 @@ def fe_estimate(data: PersistenceData, spec: str) -> PanelFitResult:
     except RankDeficiencyError as exc:
         raise EstimationError(f"{spec}: design is rank deficient") from exc
     beta, residuals = float(fit.coefficients[-1]), fit.residuals
-    fitted = y_reg - residuals
+    fitted = (y_reg - y_fit) + X @ fit.coefficients  # y_reg - residuals, free of cancellation
 
     if np.allclose(residuals, 0.0):
         se = 0.0
