@@ -6,9 +6,11 @@ Simulates a 12 x 48 world (participation 0.8-1.0, a fifth of the judgments
 neutral), appends hand-written rows that exercise the cleaning rules and a
 forecast quarter with no published actual, and writes ``inputs/`` and one
 full report directory per entry of ``REPORTS`` next to this file: ``report/``
-with the defaults, and ``report_mean/`` with a ``--from/--to`` sample, the
-mean baseline and thresholds that split the economists.  Reports are run from
-this directory with relative input paths, because the manifest records them.
+with the defaults, ``report_mean/`` with a ``--from/--to`` sample, the mean
+baseline and thresholds that split the economists, and ``report_gaps/`` on
+``inputs_gaps/``, the same inputs less the actuals and SPF rows in
+``GAP_ROWS``.  Reports are run from this directory with relative input paths,
+because the manifest records them.
 
 Only regenerate when a change alters the report on purpose, and say so.
 """
@@ -42,17 +44,30 @@ HAND_ROWS = [
     "2012Q1,1,E0002,F0002,1.1,",
     "2012Q1,1,E0003,F0003,1.0,",
 ]
-INPUTS = ["--actuals", "inputs/actuals.csv", "--forecasts", "inputs/forecasts.csv", "--spf", "inputs/spf.csv"]
-# Report directory name -> the flags of its run beyond the inputs.
+# Rows left out of ``inputs_gaps/``, each named by the start of its line.
+GAP_ROWS = {
+    "actuals.csv": [
+        "2005Q3,2,", "2005Q4,2,",  # an interior two-quarter run of the second release
+        "2000Q1,3,",               # the first third-release actual
+    ],
+    "spf.csv": [
+        "2007Q2,", "2007Q3,",      # an interior two-quarter run
+        "2011Q4,",                 # the last quarter
+    ],
+}
+# Report directory name -> its input directory and the flags of its run beyond the inputs.
 REPORTS = {
-    "report": [],
-    "report_mean": ["--from", "2002Q1", "--to", "2010Q4", "--baseline", "mean",
-                    "--thresholds", "0.1,0.85,0.95"],
+    "report": ("inputs", []),
+    "report_mean": ("inputs", ["--from", "2002Q1", "--to", "2010Q4", "--baseline", "mean",
+                               "--thresholds", "0.1,0.85,0.95"]),
+    "report_gaps": ("inputs_gaps", []),
 }
 
 
 def report_args(name: str, out: str) -> list[str]:
-    return ["report", *INPUTS, *REPORTS[name], "--out", out]
+    inputs, flags = REPORTS[name]
+    files = [arg for kind in ("actuals", "forecasts", "spf") for arg in (f"--{kind}", f"{inputs}/{kind}.csv")]
+    return ["report", *files, *flags, "--out", out]
 
 
 def make_inputs(inputs: Path) -> None:
@@ -66,10 +81,23 @@ def make_inputs(inputs: Path) -> None:
         fh.writelines(row + "\n" for row in HAND_ROWS)
 
 
+def make_gap_inputs(inputs: Path, gaps: Path) -> None:
+    gaps.mkdir(parents=True, exist_ok=True)
+    shutil.copyfile(inputs / "forecasts.csv", gaps / "forecasts.csv")
+    for name, starts in GAP_ROWS.items():
+        lines = (inputs / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith(tuple(starts))]
+        if len(kept) != len(lines) - len(starts):
+            raise SystemExit(f"{name}: each of {starts} must start exactly one line")
+        (gaps / name).write_text("".join(kept), encoding="utf-8")
+
+
 def run() -> int:
     os.chdir(HERE)
-    shutil.rmtree(HERE / "inputs", ignore_errors=True)
+    for inputs in ("inputs", "inputs_gaps"):
+        shutil.rmtree(HERE / inputs, ignore_errors=True)
     make_inputs(HERE / "inputs")
+    make_gap_inputs(HERE / "inputs", HERE / "inputs_gaps")
     for name in REPORTS:
         shutil.rmtree(HERE / name, ignore_errors=True)
         code = main(report_args(name, name))

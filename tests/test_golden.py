@@ -5,7 +5,8 @@ The inputs and the expected reports live in ``tests/golden/`` and come from
 neutral judgments, dated and undated duplicate keys, a firm-only row and a
 forecast quarter with no published actual.  The second report restricts the
 sample with ``--from/--to``, uses the mean baseline and thresholds that only
-some economists pass.
+some economists pass.  The third drops actuals and SPF rows, so some series
+have interior gaps and start or end early.
 """
 import sys
 from pathlib import Path
@@ -36,6 +37,10 @@ def test_report_matches_golden_byte_for_byte(tmp_path, monkeypatch):
 
 def test_mean_window_report_matches_golden_byte_for_byte(tmp_path, monkeypatch):
     _check_report("report_mean", tmp_path, monkeypatch)
+
+
+def test_gaps_report_matches_golden_byte_for_byte(tmp_path, monkeypatch):
+    _check_report("report_gaps", tmp_path, monkeypatch)
 
 
 def test_simulate_reproduces_golden_inputs(tmp_path):
