@@ -80,7 +80,7 @@ def baseline(panel: ForecastPanel, release: ReleaseKind, method: str = "median")
         raise ValueError(f"unknown baseline method {method!r}")
     rows = panel.for_release(release)
     if method == "median":
-        quarters, values = cell_medians(rows.quarter, rows.value)
+        quarters, values = cell_medians(rows.quarter, rows.value, rows.economist)
         values = values.tolist()
     else:
         quarters, cells = rows.quarter_cells()

@@ -66,13 +66,14 @@ def cell_key(economist: np.ndarray, quarter: np.ndarray) -> np.ndarray:
     return economist.astype(np.int64) * (1 << 32) + quarter
 
 
-def cell_medians(key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cell_medians(key: np.ndarray, value: np.ndarray, tie: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys in ascending order and the median value of each.
 
     An even count takes the midpoint of the two middle values, as
-    ``statistics.median`` does.
+    ``statistics.median`` does.  Equal values rank by ``tie``, if given, so
+    which of 0.0 and -0.0 is the median does not depend on row order.
     """
-    order = np.lexsort((value, key))
+    order = np.lexsort((value, key) if tie is None else (tie, value, key))
     keys, start, count = np.unique(key[order], return_index=True, return_counts=True)
     ranked = value[order]
     low, high = ranked[start + (count - 1) // 2], ranked[start + count // 2]
@@ -132,8 +133,11 @@ class ForecastPanel:
         return self.take(self.release == release)
 
     def quarter_cells(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The distinct quarters in ascending order and each one's values in row order."""
-        order = np.argsort(self.quarter, kind="stable")
+        """The distinct quarters in ascending order and each one's values in economist order.
+
+        The order does not depend on the row order, so neither do sums over a cell.
+        """
+        order = np.lexsort((self.economist, self.quarter))
         quarters, start = np.unique(self.quarter[order], return_index=True)
         return quarters, np.split(self.value[order], start[1:]) if quarters.size else []
 

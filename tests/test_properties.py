@@ -1,11 +1,16 @@
 """Invariants of the panel core, checked on generated panels (hypothesis)."""
+import json
+import shutil
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from judgebench.cli import main
 from judgebench.errors import EstimationError
 from judgebench.judgment import baseline, extract_judgments
 from judgebench.panel import ForecastPanel, clean_panel
@@ -84,6 +89,45 @@ def test_cleaning_and_baselines_invariant_to_row_order_with_distinct_dates(rows,
         for method in ("median", "mean"):
             expected = baseline(cleaned, release, method).values
             assert baseline(cleaned_shuffled, release, method).values == expected
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+def _report_files(work: Path, forecast_lines: list[str]) -> dict[str, bytes]:
+    """Every file of ``report`` on the golden actuals and SPF and these forecast lines.
+
+    Each call writes the same input paths, so the manifests differ at most in
+    the input digests.
+    """
+    inputs, out = work / "inputs", work / f"out{len(list(work.iterdir()))}"
+    (inputs / "forecasts.csv").write_text("".join(forecast_lines), encoding="utf-8")
+    args = [f"--{kind}={inputs / kind}.csv" for kind in ("actuals", "forecasts", "spf")]
+    assert main(["report", *args, "--out", str(out)]) == 0
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = json.loads(files["manifest.json"])
+    del manifest["inputs"]["forecasts"]
+    files["manifest.json"] = json.dumps(manifest, sort_keys=True).encode()
+    return files
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_report_invariant_to_forecast_row_order_with_distinct_dates(seed):
+    header, *rows = (GOLDEN_INPUTS / "forecasts.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    first_day = date(2020, 1, 1).toordinal()
+    dated = [f"{row[: row.rindex(',')]},{date.fromordinal(first_day + i)}\n" for i, row in enumerate(rows)]
+    shuffled = [dated[i] for i in np.random.default_rng(seed).permutation(len(dated))]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "inputs").mkdir()
+        for name in ("actuals.csv", "spf.csv"):
+            shutil.copyfile(GOLDEN_INPUTS / name, work / "inputs" / name)
+        expected = _report_files(work, [header, *dated])
+        got = _report_files(work, [header, *shuffled])
+    assert sorted(got) == sorted(expected)
+    for name in sorted(expected):
+        assert got[name] == expected[name], name
 
 
 @st.composite
