@@ -11,6 +11,7 @@ from .panel import (
     ActualSeries,
     CleaningLog,
     ForecastPanel,
+    QuarterSeries,
     SpfNowcasts,
     clean_panel,
     joint_coverage,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import stdtr
@@ -16,7 +16,7 @@ from scipy.special import stdtr
 from .errors import EstimationError
 from .judgment import BaselineSeries, passes_threshold
 from .panel import ActualSeries, ForecastPanel
-from .quarters import Quarter, ReleaseKind
+from .quarters import ReleaseKind
 
 
 @dataclass(frozen=True)
@@ -33,30 +33,22 @@ class AccuracyComparison:
 
 
 def _paired_errors(
-    forecasts: Mapping[Quarter, float],
-    baseline_values: Mapping[Quarter, float],
-    actuals: ActualSeries,
+    forecast: np.ndarray, baseline: np.ndarray, actual: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Forecaster and baseline errors over exactly their common quarters, in quarter order."""
-    common = sorted(q for q in forecasts if q in baseline_values and q in actuals.values)
-    if not common:
+    """Forecaster and baseline errors over the quarters where all three aligned arrays are present."""
+    common = ~np.isnan(forecast) & ~np.isnan(baseline) & ~np.isnan(actual)
+    if not common.any():
         raise EstimationError("no common quarters for accuracy comparison")
-    e_self = np.array([forecasts[q] - actuals.values[q] for q in common])
-    e_base = np.array([baseline_values[q] - actuals.values[q] for q in common])
-    return e_self, e_base
+    return forecast[common] - actual[common], baseline[common] - actual[common]
 
 
 def _rmse(errors: np.ndarray) -> float:
     return math.sqrt(float(np.mean(errors**2)))
 
 
-def paired_rmse(
-    forecasts: Mapping[Quarter, float],
-    baseline_values: Mapping[Quarter, float],
-    actuals: ActualSeries,
-) -> tuple[float, float, int]:
-    """RMSEs of forecaster and baseline over exactly their common quarters."""
-    e_self, e_base = _paired_errors(forecasts, baseline_values, actuals)
+def paired_rmse(forecast: np.ndarray, baseline: np.ndarray, actual: np.ndarray) -> tuple[float, float, int]:
+    """RMSEs of forecaster and baseline over exactly their common quarters (aligned arrays, NaN: absent)."""
+    e_self, e_base = _paired_errors(forecast, baseline, actual)
     return _rmse(e_self), _rmse(e_base), e_self.size
 
 
@@ -94,13 +86,14 @@ def hln_correction(dm: float, nobs: int, h: int = 1) -> tuple[float, float]:
 
 def compare_forecaster(
     economist_id: str,
-    forecasts: Mapping[Quarter, float],
-    base: BaselineSeries,
-    actuals: ActualSeries,
+    release: ReleaseKind,
+    forecast: np.ndarray,
+    baseline: np.ndarray,
+    actual: np.ndarray,
     h: int = 1,
 ) -> AccuracyComparison:
-    """Full accuracy comparison of one forecaster against the baseline."""
-    e_self, e_base = _paired_errors(forecasts, base.values, actuals)
+    """Full accuracy comparison of one forecaster against the baseline, on aligned arrays in quarter order."""
+    e_self, e_base = _paired_errors(forecast, baseline, actual)
     d = e_self**2 - e_base**2
     dm = hln = p = None
     note = ""
@@ -110,7 +103,7 @@ def compare_forecaster(
     except EstimationError as exc:
         note = str(exc)
     return AccuracyComparison(
-        economist_id, base.release, e_self.size, _rmse(e_self), _rmse(e_base), dm, hln, p, note
+        economist_id, release, e_self.size, _rmse(e_self), _rmse(e_base), dm, hln, p, note
     )
 
 
@@ -120,11 +113,19 @@ def accuracy_table(
     actuals: ActualSeries,
     h: int = 1,
 ) -> list[AccuracyComparison]:
-    """Per-economist accuracy comparisons, in economist-id order."""
+    """Per-economist accuracy comparisons, in economist-id order.
+
+    The panel must be clean: one row per (economist, quarter, release).
+    """
+    rows = panel.for_release(base.release)
+    order, codes, bounds = rows.economist_blocks()
+    quarter = rows.quarter[order]
+    columns = (rows.value[order], base.at(quarter), actuals.at(quarter))
     out = []
-    for code, series in panel.for_release(base.release).economist_series():
+    for code, lo, hi in zip(codes.tolist(), bounds.tolist(), bounds[1:].tolist()):
+        economist_id = panel.economist_ids[code]
         try:
-            out.append(compare_forecaster(panel.economist_ids[code], series, base, actuals, h=h))
+            out.append(compare_forecaster(economist_id, base.release, *(c[lo:hi] for c in columns), h=h))
         except EstimationError:
             continue  # no overlap with the actuals at all
     return out

@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EstimationError, IngestionError
-from .panel import ActualSeries
-from .quarters import Quarter, quarter_range
+from .panel import ActualSeries, QuarterSeries
+from .quarters import Quarter
 
 DEFAULT_MAX_GAP = 3
 DEFAULT_MAX_LAG = 8
@@ -48,62 +48,46 @@ def fill_missing(
 ) -> ActualSeries:
     """Fill gaps: linear interpolation inside the span, constant values at edges.
 
-    A run of more than ``max_gap`` consecutive interior missing quarters is an
-    error.  Filled quarters are flagged in the result's provenance metadata.
+    The result covers ``first`` through ``last``, by default the first and
+    last quarters the series has.  A run of more than ``max_gap`` consecutive
+    interior missing quarters is an error.  The indexes of the filled
+    quarters are added to the result's ``filled``.
     """
-    if not series.values:
+    present_at = series.quarters()
+    if not present_at.size:
         raise IngestionError("cannot fill an empty series")
-    first = first or series.first
-    last = last or series.last
-    quarters = list(quarter_range(first, last))
-    present = [q for q in quarters if q in series.values]
-    if not present:
+    lo = int(present_at[0]) if first is None else first.index
+    hi = int(present_at[-1]) if last is None else last.index
+    values = series.at(np.arange(lo, hi + 1))
+    present = ~np.isnan(values)
+    if not present.any():
         raise IngestionError("no observations inside the requested span")
-    values = dict(series.values)
-    filled: set[Quarter] = set(series.filled)
-
-    missing_run: list[Quarter] = []
-    prev_present: Quarter | None = None
-    for q in quarters:
-        if q in series.values:
-            if missing_run:
-                _fill_run(values, filled, missing_run, prev_present, q, series, max_gap)
-                missing_run = []
-            prev_present = q
-        else:
-            missing_run.append(q)
-    if missing_run:  # trailing edge
-        for q in missing_run:
-            values[q] = series.values[prev_present]
-            filled.add(q)
-    return ActualSeries(release=series.release, values=values, filled=frozenset(filled))
-
-
-def _fill_run(values, filled, run, prev_present, next_present, series, max_gap):
-    if prev_present is None:  # leading edge: constant extrapolation
-        for q in run:
-            values[q] = series.values[next_present]
-            filled.add(q)
-        return
-    if len(run) > max_gap:
-        raise IngestionError(
-            f"interior gap of {len(run)} quarters at {run[0]} exceeds the limit of {max_gap}"
-        )
-    left = series.values[prev_present]
-    right = series.values[next_present]
-    steps = len(run) + 1
-    for i, q in enumerate(run, start=1):
-        values[q] = left + (right - left) * i / steps
-        filled.add(q)
+    pos = np.arange(values.size)
+    prev = np.maximum.accumulate(np.where(present, pos, -1))  # the last present position so far
+    after = np.minimum.accumulate(np.where(present, pos, values.size)[::-1])[::-1]  # the next one
+    missing = ~present
+    interior = missing & (prev >= 0) & (after < values.size)
+    run = after - prev - 1
+    too_long = interior & (run > max_gap)
+    if too_long.any():
+        at = int(np.argmax(too_long))
+        where = Quarter.from_index(lo + at)
+        raise IngestionError(f"interior gap of {run[at]} quarters at {where} exceeds the limit of {max_gap}")
+    edge = missing & ~interior  # takes the nearest present value
+    values[edge] = values[np.where(prev < 0, after, prev)[edge]]
+    left, right = values[prev[interior]], values[after[interior]]
+    values[interior] = left + (right - left) * (pos - prev)[interior] / (run + 1)[interior]
+    filled = series.filled | frozenset((lo + np.flatnonzero(missing)).tolist())
+    return ActualSeries(start=lo, values=values, release=series.release, filled=filled)
 
 
-def _contiguous_values(series: ActualSeries, first: Quarter, last: Quarter) -> np.ndarray:
-    out = []
-    for q in quarter_range(first, last):
-        if q not in series.values:
-            raise EstimationError(f"series has a gap at {q}; fill missing values first")
-        out.append(series.values[q])
-    return np.asarray(out, dtype=float)
+def _contiguous_values(series: QuarterSeries, first: int, last: int) -> np.ndarray:
+    """The values of quarter indexes first..last, which must all be present."""
+    values = series.at(np.arange(first, last + 1))
+    if np.isnan(values).any():
+        gap = Quarter.from_index(first + int(np.argmax(np.isnan(values))))
+        raise EstimationError(f"series has a gap at {gap}; fill missing values first")
+    return values
 
 
 def _ar_design(values: np.ndarray, p: int, start_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +100,7 @@ def _ar_design(values: np.ndarray, p: int, start_index: int) -> tuple[np.ndarray
 
 
 def select_lag(
-    values: Sequence[float] | ActualSeries,
+    values: Sequence[float] | QuarterSeries,
     max_lag: int = DEFAULT_MAX_LAG,
     criterion: str = "AIC",
 ) -> int:
@@ -128,8 +112,8 @@ def select_lag(
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
-    if isinstance(values, ActualSeries):
-        values = _contiguous_values(values, values.first, values.last)
+    if isinstance(values, QuarterSeries):
+        values = _contiguous_values(values, values.start, values.start + values.values.size - 1)
     values = np.asarray(values, dtype=float)
     nobs = values.size
     if nobs <= max_lag + 2:
@@ -160,77 +144,66 @@ def select_lag(
     return best_p
 
 
-class ARForecasts(dict):
-    """One-step forecasts keyed by target quarter; ``p_used`` maps each target to the lag order fit for it."""
+@dataclass(frozen=True, eq=False)
+class ARForecasts(QuarterSeries):
+    """One-step forecasts by target quarter; ``p_used[i]`` is the lag order fit for ``values[i]`` (-1: none)."""
 
-    def __init__(self):
-        super().__init__()
-        self.p_used: dict[Quarter, int] = {}
+    p_used: np.ndarray
 
 
 def recursive_ar_forecast(
-    series: ActualSeries,
-    targets: Sequence[Quarter],
+    series: QuarterSeries,
+    targets: Sequence[int],
     spec: ARSpec = ARSpec(),
 ) -> ARForecasts:
     """One-step AR forecasts with an expanding estimation window per target.
 
-    For each target the model is fit on observations from the estimation start
-    through the quarter before the target; at least p + 10 observations must
-    precede the earliest target.
+    ``targets`` are quarter indexes.  For each target the model is fit on
+    observations from the estimation start through the quarter before the
+    target; at least p + 10 observations must precede the earliest target.
     """
-    start = spec.start or series.first
-    ordered = sorted(targets)
-    out = ARForecasts()
+    ordered = np.unique(np.asarray(targets, dtype=np.int64)).tolist()
+    first, size = (ordered[0], ordered[-1] + 1 - ordered[0]) if ordered else (0, 0)
+    out = ARForecasts(start=first, values=np.full(size, np.nan), p_used=np.full(size, -1, dtype=np.int64))
     if not ordered:
         return out
-    if spec.reselect:
-        for target in ordered:
-            history = _contiguous_values(series, start, target.predecessor())
-            # Cap the candidate orders so that whichever is chosen has its presample.
-            max_lag = min(spec.max_lag, history.size - MIN_PRESAMPLE)
-            p = select_lag(history, max_lag=max_lag, criterion=spec.criterion) if max_lag >= 0 else 0
-            if history.size < p + MIN_PRESAMPLE:
-                raise EstimationError(
-                    f"only {history.size} observations before target {target}; need {p + MIN_PRESAMPLE}"
-                )
-            X, y = _ar_design(history, p, p)
-            coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-            lags = history[-1 : -p - 1 : -1] if p > 0 else np.empty(0)
-            out[target] = float(coef[0] + coef[1:] @ lags)
-            out.p_used[target] = p
-        return out
-
-    # Fixed order: grow one Gram matrix over the expanding window instead of
-    # refitting from scratch at every target.
-    p = spec.p
-    full = _contiguous_values(series, start, ordered[-1].predecessor())
-    base_index = start.index
+    start = spec.start.index if spec.start else int(series.quarters()[0])
+    full = _contiguous_values(series, start, ordered[-1] - 1)
+    # A fixed order grows one Gram matrix over the expanding window instead
+    # of refitting from scratch at every target.
     gram: np.ndarray | None = None
     moment: np.ndarray | None = None
     n_rows = 0
     for target in ordered:
-        size = target.index - base_index  # observations strictly before the target
+        size = target - start  # observations strictly before the target
+        history = full[:size]
+        p = spec.p
+        if spec.reselect:
+            # Cap the candidate orders so that whichever is chosen has its presample.
+            max_lag = min(spec.max_lag, size - MIN_PRESAMPLE)
+            p = select_lag(history, max_lag=max_lag, criterion=spec.criterion) if max_lag >= 0 else 0
         if size < p + MIN_PRESAMPLE:
             raise EstimationError(
-                f"only {size} observations before target {target}; need {p + MIN_PRESAMPLE}"
+                f"only {size} observations before target {Quarter.from_index(target)}; need {p + MIN_PRESAMPLE}"
             )
-        if gram is None:
-            X, y = _ar_design(full[:size], p, p)
-            gram = X.T @ X
-            moment = X.T @ y
-            n_rows = size - p
+        if spec.reselect:
+            X, y = _ar_design(history, p, p)
+            coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
         else:
-            for t in range(p + n_rows, size):
-                row = np.concatenate(([1.0], full[t - 1 : t - p - 1 : -1])) if p > 0 else np.ones(1)
-                gram += np.outer(row, row)
-                moment += row * full[t]
+            if gram is None:
+                X, y = _ar_design(history, p, p)
+                gram, moment = X.T @ X, X.T @ y
+            else:
+                for t in range(p + n_rows, size):
+                    row = np.concatenate(([1.0], full[t - 1 : t - p - 1 : -1])) if p > 0 else np.ones(1)
+                    gram += np.outer(row, row)
+                    moment += row * full[t]
             n_rows = size - p
-        try:
-            coef = np.linalg.solve(gram, moment)
-        except np.linalg.LinAlgError:
-            coef, _, _, _ = np.linalg.lstsq(gram, moment, rcond=None)
-        lags = full[size - 1 : size - p - 1 : -1] if p > 0 else np.empty(0)
-        out[target] = float(coef[0] + coef[1:] @ lags)
-        out.p_used[target] = p
+            try:
+                coef = np.linalg.solve(gram, moment)
+            except np.linalg.LinAlgError:
+                coef, _, _, _ = np.linalg.lstsq(gram, moment, rcond=None)
+        lags = history[-1 : -p - 1 : -1] if p > 0 else np.empty(0)
+        out.values[target - first] = float(coef[0] + coef[1:] @ lags)
+        out.p_used[target - first] = p
     return out

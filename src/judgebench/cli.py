@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -38,6 +38,7 @@ from .judgment import (
 )
 from .linreg import test_battery_aggregate, test_battery_individual
 from .panel import (
+    FORECASTS_HEADER,
     ActualSeries,
     ForecastPanel,
     SpfNowcasts,
@@ -129,7 +130,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list], comment: str | None = None) -> None:
+def write_csv(path: Path, header: list[str], rows: list[list], comment: str | None = None) -> Path:
+    """Write one table and return its path."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if comment:
@@ -138,6 +140,7 @@ def write_csv(path: Path, header: list[str], rows: list[list], comment: str | No
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(cell) for cell in row])
+    return path
 
 
 def _quarter_labels(indexes: np.ndarray) -> list[str]:
@@ -213,9 +216,7 @@ class Study:
         out = {}
         for rel, series in self.actuals.items():
             series = fill_missing(series)
-            first_target = series.first.shifted(presample)
-            targets = [q for q in series.quarters() if q >= first_target]
-            out[rel] = recursive_ar_forecast(series, targets, spec) if targets else ARForecasts()
+            out[rel] = recursive_ar_forecast(series, series.quarter_index()[presample:], spec)
         return out
 
     @cached_property
@@ -258,22 +259,16 @@ def cmd_describe(study: Study, out: Path) -> list[Path]:
             [RELEASE_LABEL[rel], *agg(ns), armse(stats), min(rmses), max(rmses),
              *agg(stds), *agg(skews), *agg(kurts)]
         )
-    files = []
-    p = out / "quarter_stats.csv"
-    write_csv(p, ["release", "quarter", "n", "rmse", "std_dev", "skewness", "excess_kurtosis"], stat_rows,
-              comment="per-quarter cross-sectional statistics (kurtosis is excess: normal = 0)")
-    files.append(p)
-    p = out / "table1_descriptive.csv"
-    write_csv(
-        p,
-        ["release", "avg_n", "min_n", "max_n", "armse", "min_rmse", "max_rmse",
-         "avg_std", "min_std", "max_std", "avg_skew", "min_skew", "max_skew",
-         "avg_excess_kurt", "min_excess_kurt", "max_excess_kurt"],
-        table1_rows,
-        comment="table 1: descriptive statistics by release (averages with min/max across quarters)",
-    )
-    files.append(p)
-    return files
+    return [
+        write_csv(out / "quarter_stats.csv",
+                  ["release", "quarter", "n", "rmse", "std_dev", "skewness", "excess_kurtosis"], stat_rows,
+                  comment="per-quarter cross-sectional statistics (kurtosis is excess: normal = 0)"),
+        write_csv(out / "table1_descriptive.csv",
+                  ["release", "avg_n", "min_n", "max_n", "armse", "min_rmse", "max_rmse",
+                   "avg_std", "min_std", "max_std", "avg_skew", "min_skew", "max_skew",
+                   "avg_excess_kurt", "min_excess_kurt", "max_excess_kurt"], table1_rows,
+                  comment="table 1: descriptive statistics by release (averages with min/max across quarters)"),
+    ]
 
 
 def cmd_table2(study: Study, out: Path) -> list[Path]:
@@ -289,25 +284,20 @@ def cmd_table2(study: Study, out: Path) -> list[Path]:
             count = int(np.count_nonzero(present & passes_threshold(share, thr)))
             rows.append([f"n_economists_ge_{int(round(thr * 100))}pct", RELEASE_LABEL[rel], count])
     cov = joint_coverage(panel)
-    rows.append(["joint_cells_releases_1_2", "", cov.pair_12])
-    rows.append(["joint_cells_releases_1_3", "", cov.pair_13])
-    rows.append(["joint_cells_releases_2_3", "", cov.pair_23])
-    rows.append(["joint_cells_releases_1_2_3", "", cov.all_three])
-    p = out / "table2_participation.csv"
-    write_csv(p, ["metric", "release", "value"], rows,
-              comment="table 2: participation and joint-coverage counts "
-                      "(joint counts are economist-quarter cells)")
-    return [p]
+    for releases, count in zip(("1_2", "1_3", "2_3", "1_2_3"), astuple(cov)):
+        rows.append([f"joint_cells_releases_{releases}", "", count])
+    return [write_csv(out / "table2_participation.csv", ["metric", "release", "value"], rows,
+                      comment="table 2: participation and joint-coverage counts "
+                              "(joint counts are economist-quarter cells)")]
 
 
 def cmd_judgment(study: Study, out: Path) -> list[Path]:
     cfg = study.cfg
-    files = []
     baseline_rows, judgment_rows, table3_rows, hist_rows, hit_rows = [], [], [], [], []
     for rel in RELEASES:
         base = study.baseline(rel)
-        for q in base.quarters():
-            baseline_rows.append([RELEASE_LABEL[rel], str(q), base.values[q]])
+        for q, value in base.items():
+            baseline_rows.append([RELEASE_LABEL[rel], str(q), value])
         jp, participation = study.judgments[rel], study.participation[rel]
         order = np.lexsort((jp.panel.quarter, jp.panel.economist))
         for econ, q, value, neutral in zip(
@@ -330,26 +320,19 @@ def cmd_judgment(study: Study, out: Path) -> list[Path]:
             hit_rows.append([RELEASE_LABEL[rel], hits.correct, hits.overprediction, hits.underprediction])
         except ValueError:
             hit_rows.append([RELEASE_LABEL[rel], None, None, None])
-    p = out / f"baseline_{cfg.baseline_method}.csv"
-    write_csv(p, ["release", "quarter", "value"], baseline_rows)
-    files.append(p)
-    p = out / "judgments.csv"
-    write_csv(p, ["economist_id", "quarter", "release", "judgment", "neutral"], judgment_rows)
-    files.append(p)
-    p = out / "table3_sign_shares.csv"
-    write_csv(p, ["release", "threshold", "n_economists", "mean_negative", "sd_negative",
-                  "mean_positive", "sd_positive", "mean_neutral", "sd_neutral"], table3_rows,
-              comment="table 3: cross-economist sign shares of judgments by participation threshold")
-    files.append(p)
-    p = out / "fig3_negative_histogram.csv"
-    write_csv(p, ["release", "threshold", "bin", "count"], hist_rows,
-              comment="negative-judgment share histogram (non-neutral judgments only)")
-    files.append(p)
-    p = out / "baseline_hits.csv"
-    write_csv(p, ["release", "correct", "overprediction", "underprediction"], hit_rows,
-              comment="baseline vs actual on the reporting grid")
-    files.append(p)
-    return files
+    return [
+        write_csv(out / f"baseline_{cfg.baseline_method}.csv", ["release", "quarter", "value"], baseline_rows),
+        write_csv(out / "judgments.csv", ["economist_id", "quarter", "release", "judgment", "neutral"],
+                  judgment_rows),
+        write_csv(out / "table3_sign_shares.csv",
+                  ["release", "threshold", "n_economists", "mean_negative", "sd_negative",
+                   "mean_positive", "sd_positive", "mean_neutral", "sd_neutral"], table3_rows,
+                  comment="table 3: cross-economist sign shares of judgments by participation threshold"),
+        write_csv(out / "fig3_negative_histogram.csv", ["release", "threshold", "bin", "count"], hist_rows,
+                  comment="negative-judgment share histogram (non-neutral judgments only)"),
+        write_csv(out / "baseline_hits.csv", ["release", "correct", "overprediction", "underprediction"],
+                  hit_rows, comment="baseline vs actual on the reporting grid"),
+    ]
 
 
 def cmd_efficiency(study: Study, out: Path) -> list[Path]:
@@ -379,22 +362,19 @@ def cmd_efficiency(study: Study, out: Path) -> list[Path]:
          d.p_unbiased, d.p_efficient, d.note]
         for d in battery.details
     ]
-    files = []
-    p = out / "table4_aggregate_tests.csv"
-    write_csv(p, ["release", "method", "unbiasedness_p", "efficiency_p", "rmse", "errors"], table4_rows,
-              comment="table 4: baseline unbiasedness/efficiency p-values (HAC) and RMSE")
-    files.append(p)
-    p = out / "table5_individual_tests.csv"
-    write_csv(p, ["release", "threshold", "n_qualifying", "share_unbiased", "share_efficient",
-                  "n_tested_unbiased", "n_tested_efficient",
-                  "n_excluded_unbiased", "n_excluded_efficient"], table5_rows,
-              comment=f"table 5: share of forecasters not rejected at the {cfg.alpha:g} level")
-    files.append(p)
-    p = out / "individual_detail.csv"
-    write_csv(p, ["economist_id", "release", "n_obs", "alpha_hat", "beta_hat",
-                  "p_unbiased", "p_efficient", "note"], detail_rows)
-    files.append(p)
-    return files
+    return [
+        write_csv(out / "table4_aggregate_tests.csv",
+                  ["release", "method", "unbiasedness_p", "efficiency_p", "rmse", "errors"], table4_rows,
+                  comment="table 4: baseline unbiasedness/efficiency p-values (HAC) and RMSE"),
+        write_csv(out / "table5_individual_tests.csv",
+                  ["release", "threshold", "n_qualifying", "share_unbiased", "share_efficient",
+                   "n_tested_unbiased", "n_tested_efficient",
+                   "n_excluded_unbiased", "n_excluded_efficient"], table5_rows,
+                  comment=f"table 5: share of forecasters not rejected at the {cfg.alpha:g} level"),
+        write_csv(out / "individual_detail.csv",
+                  ["economist_id", "release", "n_obs", "alpha_hat", "beta_hat",
+                   "p_unbiased", "p_efficient", "note"], detail_rows),
+    ]
 
 
 def cmd_accuracy(study: Study, out: Path) -> list[Path]:
@@ -410,26 +390,18 @@ def cmd_accuracy(study: Study, out: Path) -> list[Path]:
         shares = beat_baseline_share(comparisons, study.panel, study.participation[rel], thresholds)
         for thr in thresholds:
             beat_rows.append([RELEASE_LABEL[rel], thr, shares[thr]])
-    files = []
-    p = out / "accuracy_comparisons.csv"
-    write_csv(p, ["economist_id", "release", "n_common", "rmse_self", "rmse_baseline",
-                  "dm_statistic", "hln_statistic", "p_value_hln", "note"], comp_rows,
-              comment="per-forecaster accuracy vs baseline over common quarters")
-    files.append(p)
-    p = out / "beat_shares.csv"
-    write_csv(p, ["release", "threshold", "share_beating_baseline"], beat_rows)
-    files.append(p)
-    return files
+    return [
+        write_csv(out / "accuracy_comparisons.csv",
+                  ["economist_id", "release", "n_common", "rmse_self", "rmse_baseline",
+                   "dm_statistic", "hln_statistic", "p_value_hln", "note"], comp_rows,
+                  comment="per-forecaster accuracy vs baseline over common quarters"),
+        write_csv(out / "beat_shares.csv", ["release", "threshold", "share_beating_baseline"], beat_rows),
+    ]
 
 
 def cmd_persistence(study: Study, out: Path) -> list[Path]:
     report = persistence_battery(study.judgments)
     files = []
-    table_names = {
-        ReleaseKind.FIRST: "table6_persistence_first.csv",
-        ReleaseKind.SECOND: "table7_persistence_second.csv",
-        ReleaseKind.THIRD: "table8_persistence_third.csv",
-    }
     column_order = [(kind, spec) for kind in REGRESSOR_KINDS for spec in SPECS]
     diag_rows = []
     for rel in RELEASES:
@@ -449,42 +421,31 @@ def cmd_persistence(study: Study, out: Path) -> list[Path]:
         for kind in REGRESSOR_KINDS:
             diag_rows.append([RELEASE_LABEL[rel], kind, "", "broken_lag_chains",
                               report.broken_chains[(rel, kind)]])
-        p = out / table_names[rel]
-        write_csv(p, ["column", "regressor", "spec", "beta", "se_clustered", "stars", "p_value",
-                      "n_obs", "n_forecasters", "r_squared_within", "r_squared_overall", "error"],
-                  rows,
-                  comment=f"table {5 + rel.value}: judgment persistence, {RELEASE_LABEL[rel]} release "
-                          "(clustered on forecasters; stars at 10/5/1%)")
-        files.append(p)
-    p = out / "persistence_diagnostics.csv"
-    write_csv(p, ["release", "regressor", "spec", "metric", "value"], diag_rows)
-    files.append(p)
-    return files
+        files.append(write_csv(
+            out / f"table{5 + rel.value}_persistence_{RELEASE_LABEL[rel]}.csv",
+            ["column", "regressor", "spec", "beta", "se_clustered", "stars", "p_value",
+             "n_obs", "n_forecasters", "r_squared_within", "r_squared_overall", "error"], rows,
+            comment=f"table {5 + rel.value}: judgment persistence, {RELEASE_LABEL[rel]} release "
+                    "(clustered on forecasters; stars at 10/5/1%)"))
+    return [*files, write_csv(out / "persistence_diagnostics.csv",
+                              ["release", "regressor", "spec", "metric", "value"], diag_rows)]
 
 
 def cmd_ar_forecast(study: Study, out: Path) -> list[Path]:
     rows = []
     for rel in RELEASES:
         forecasts = study.ar_forecasts[rel]
-        for q in sorted(forecasts):
-            rows.append([str(q), RELEASE_LABEL[rel], forecasts[q], forecasts.p_used[q]])
-    p = out / "ar_forecasts.csv"
-    write_csv(p, ["quarter", "release", "forecast", "p_used"], rows)
-    return [p]
+        p_used = forecasts.p_used[forecasts.quarters() - forecasts.start].tolist()
+        for (q, value), p in zip(forecasts.items(), p_used):
+            rows.append([str(q), RELEASE_LABEL[rel], value, p])
+    return [write_csv(out / "ar_forecasts.csv", ["quarter", "release", "forecast", "p_used"], rows)]
 
 
 def cmd_simulate(study: Study, out: Path) -> list[Path]:
     cfg = study.cfg
     world = simulate_world(cfg.synth_config(), seed=cfg.seed)
-    files = []
-    actual_rows = []
-    for rel in RELEASES:
-        series = world.actuals[rel]
-        for q in series.quarters():
-            actual_rows.append([str(q), rel.value, series.values[q]])
-    p = out / "actuals.csv"
-    write_csv(p, ["quarter", "release", "value"], actual_rows)
-    files.append(p)
+    actual_rows = [[str(q), rel.value, value] for rel in RELEASES for q, value in world.actuals[rel].items()]
+    files = [write_csv(out / "actuals.csv", ["quarter", "release", "value"], actual_rows)]
     panel = world.panel
     forecast_rows = [
         [q, rel, panel.economist_ids[econ], panel.firm_ids[firm], value, ""]
@@ -493,16 +454,10 @@ def cmd_simulate(study: Study, out: Path) -> list[Path]:
             panel.firm.tolist(), panel.value.tolist(),
         )
     ]
-    p = out / "forecasts.csv"
-    write_csv(p, ["quarter", "release", "economist_id", "firm_id", "value", "report_date"],
-              forecast_rows)
-    files.append(p)
-    spf_rows = [
-        [str(q), world.spf.median[q], world.spf.mean[q]] for q in sorted(world.spf.median)
-    ]
-    p = out / "spf.csv"
-    write_csv(p, ["quarter", "median", "mean"], spf_rows)
-    files.append(p)
+    files.append(write_csv(out / "forecasts.csv", FORECASTS_HEADER, forecast_rows))
+    spf_rows = [[str(q), median, mean]
+                for (q, median), (_, mean) in zip(world.spf.median.items(), world.spf.mean.items())]
+    files.append(write_csv(out / "spf.csv", ["quarter", "median", "mean"], spf_rows))
     truth_rows = []
     t = world.truth
     for k in range(3):
@@ -513,9 +468,8 @@ def cmd_simulate(study: Study, out: Path) -> list[Path]:
         for i_q, q in enumerate(t.quarters):
             for k in range(3):
                 truth_rows.append(["judgment", econ, str(q), k + 1, t.judgments[i, i_q, k]])
-    p = out / "truth.csv"
-    write_csv(p, ["kind", "economist_id", "quarter", "release", "value"], truth_rows)
-    files.append(p)
+    files.append(write_csv(out / "truth.csv", ["kind", "economist_id", "quarter", "release", "value"],
+                           truth_rows))
     return files
 
 
@@ -524,10 +478,8 @@ def cmd_recovery(study: Study, out: Path) -> list[Path]:
     summary = recovery_experiment(cfg.synth_config(), cfg.replications, base_seed=cfg.seed)
     rows = [[cfg.replications, summary.n_completed, summary.n_failed,
              summary.mean_beta, summary.sd_beta, summary.ci_coverage, cfg.rho_own]]
-    p = out / "recovery_summary.csv"
-    write_csv(p, ["replications", "n_completed", "n_failed", "mean_beta", "sd_beta",
-                  "ci_coverage_95", "rho_own_true"], rows)
-    return [p]
+    return [write_csv(out / "recovery_summary.csv", ["replications", "n_completed", "n_failed", "mean_beta",
+                                                     "sd_beta", "ci_coverage_95", "rho_own_true"], rows)]
 
 
 def cmd_report(study: Study, out: Path) -> list[Path]:
@@ -551,9 +503,7 @@ def cmd_report(study: Study, out: Path) -> list[Path]:
         except (JudgebenchError, ValueError) as exc:
             diagnostics.append([name, str(exc)])
     if diagnostics:
-        p = out / "diagnostics.csv"
-        write_csv(p, ["stage", "error"], diagnostics)
-        files.append(p)
+        files.append(write_csv(out / "diagnostics.csv", ["stage", "error"], diagnostics))
     cfg = study.cfg
     manifest = {
         "artifact": "judgebench",

@@ -54,12 +54,11 @@ def quarter_stats(
     """
     out: list[QuarterStats] = []
     quarters, cells = panel.for_release(release).quarter_cells()
-    for index, values in zip(quarters.tolist(), cells):
+    for index, actual, values in zip(quarters.tolist(), actuals.at(quarters).tolist(), cells):
         quarter = Quarter.from_index(index)
-        if quarter not in actuals.values:
+        if math.isnan(actual):
             warnings.warn(f"no actual for {quarter} (release {release.value}); quarter excluded")
             continue
-        actual = actuals.values[quarter]
         errors = values - actual
         rmse = math.sqrt(float(np.mean(errors**2)))
         std, skew, kurt = cross_section_moments(values)

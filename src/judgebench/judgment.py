@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .panel import ActualSeries, ForecastPanel, cell_medians
+from .panel import ActualSeries, ForecastPanel, QuarterSeries, cell_medians
 from .quarters import Quarter, ReleaseKind
 
 DEFAULT_GRID = 0.1
@@ -40,17 +40,10 @@ def passes_threshold(share, threshold: float):
     return share >= threshold - 1e-12
 
 
-@dataclass(frozen=True)
-class BaselineSeries:
+@dataclass(frozen=True, eq=False)
+class BaselineSeries(QuarterSeries):
     release: ReleaseKind
     method: str  # "median" or "mean"
-    values: Mapping[Quarter, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", dict(self.values))
-
-    def quarters(self) -> list[Quarter]:
-        return sorted(self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,15 +74,10 @@ def baseline(panel: ForecastPanel, release: ReleaseKind, method: str = "median")
     rows = panel.for_release(release)
     if method == "median":
         quarters, values = cell_medians(rows.quarter, rows.value, rows.economist)
-        values = values.tolist()
     else:
         quarters, cells = rows.quarter_cells()
         values = [math.fsum(cell) / cell.size for cell in cells]
-    return BaselineSeries(
-        release=release,
-        method=method,
-        values={Quarter.from_index(q): v for q, v in zip(quarters.tolist(), values)},
-    )
+    return BaselineSeries.from_points(quarters, values, release=release, method=method)
 
 
 def extract_judgments(
@@ -97,18 +85,15 @@ def extract_judgments(
 ) -> JudgmentPanel:
     """Judgment = forecast - baseline for every row of the baseline's release."""
     rows = panel.for_release(base.release)
-    covered = sorted(base.values)
-    index = np.array([q.index for q in covered], dtype=np.int64)
-    levels = np.array([base.values[q] for q in covered], dtype=float)
-    found = np.isin(rows.quarter, index)
-    if not found.all():
-        raise ValueError(f"baseline does not cover {Quarter.from_index(int(rows.quarter[~found][0]))}")
-    at = np.searchsorted(index, rows.quarter)
+    levels = base.at(rows.quarter)
+    missing = np.isnan(levels)
+    if missing.any():
+        raise ValueError(f"baseline does not cover {Quarter.from_index(int(rows.quarter[missing][0]))}")
     return JudgmentPanel(
         release=base.release,
         panel=rows,
-        value=rows.value - levels[at],
-        neutral=grid_round(rows.value, grid) == grid_round(levels, grid)[at],
+        value=rows.value - levels,
+        neutral=grid_round(rows.value, grid) == grid_round(levels, grid),
         grid=grid,
     )
 
@@ -190,18 +175,14 @@ def baseline_hit_stats(
 
     Equality is judged on the reporting grid.
     """
-    overlap = [q for q in base.values if q in actuals.values]
-    if not overlap:
+    actual = actuals.at(base.quarter_index())
+    both = ~np.isnan(base.values) & ~np.isnan(actual)
+    n = int(np.count_nonzero(both))
+    if not n:
         raise ValueError("baseline and actuals share no quarters")
-    correct = over = under = 0
-    for q in overlap:
-        b = grid_round(base.values[q], grid)
-        y = grid_round(actuals.values[q], grid)
-        if math.isclose(b, y, abs_tol=(grid or 1e-12) / 4):
-            correct += 1
-        elif b > y:
-            over += 1
-        else:
-            under += 1
-    n = len(overlap)
-    return BaselineHitStats(correct / n, over / n, under / n)
+    b, y = grid_round(base.values[both], grid), grid_round(actual[both], grid)
+    # math.isclose with its default relative tolerance, elementwise
+    correct = np.abs(b - y) <= np.maximum(1e-9 * np.maximum(np.abs(b), np.abs(y)), (grid or 1e-12) / 4)
+    over = b > y
+    counts = [int(np.count_nonzero(m)) for m in (correct, ~correct & over, ~correct & ~over)]
+    return BaselineHitStats(*(count / n for count in counts))

@@ -17,8 +17,8 @@ from scipy.special import fdtrc
 
 from .errors import EstimationError, RankDeficiencyError
 from .judgment import BaselineSeries, passes_threshold
-from .panel import ActualSeries, ForecastPanel, SpfNowcasts
-from .quarters import Quarter, ReleaseKind
+from .panel import ActualSeries, ForecastPanel, QuarterSeries, SpfNowcasts
+from .quarters import ReleaseKind
 
 MIN_OBS_UNBIASEDNESS = 10
 MIN_OBS_EFFICIENCY = 12
@@ -149,40 +149,29 @@ class EfficiencyRegression:
 
     fit: RegressionFit
     design: np.ndarray
-    quarters: list[Quarter]
-    regressor_names: list[str]  # intercept, prediction, then the extra columns
 
 
 def efficiency_regression(
-    actuals: ActualSeries,
-    prediction: Mapping[Quarter, float],
-    extra_regressors: Sequence[tuple[str, Mapping[Quarter, float]]] = (),
+    actual: np.ndarray,
+    prediction: np.ndarray,
+    extra_regressors: Sequence[np.ndarray] = (),
 ) -> EfficiencyRegression:
     """Regress (actual - prediction) on intercept, prediction, and extra columns.
 
-    The sample is the overlap of all inputs and must contain at least K+8
-    quarters, where K counts the regression parameters.
+    The inputs are aligned on one run of quarters in ascending order, NaN
+    where a quarter is absent.  The sample is the quarters where every input
+    is present, and must contain at least K+8 of them, where K counts the
+    regression parameters.
     """
     nparams = 2 + len(extra_regressors)
-    overlap = sorted(
-        q
-        for q in prediction
-        if q in actuals.values and all(q in series for _, series in extra_regressors)
-    )
+    sample = np.logical_and.reduce([~np.isnan(c) for c in (actual, prediction, *extra_regressors)])
+    nobs = int(np.count_nonzero(sample))
     required = nparams + 8
-    if len(overlap) < required:
-        raise EstimationError(
-            f"insufficient overlap: need {required} quarters, have {len(overlap)}"
-        )
-    pred = np.array([prediction[q] for q in overlap])
-    y = np.array([actuals.values[q] for q in overlap]) - pred
-    columns = [np.ones(len(overlap)), pred]
-    names = ["intercept", "prediction"]
-    for name, series in extra_regressors:
-        columns.append(np.array([series[q] for q in overlap]))
-        names.append(name)
-    X = np.column_stack(columns)
-    return EfficiencyRegression(ols(X, y), X, overlap, names)
+    if nobs < required:
+        raise EstimationError(f"insufficient overlap: need {required} quarters, have {nobs}")
+    pred = prediction[sample]
+    X = np.column_stack([np.ones(nobs), pred, *(x[sample] for x in extra_regressors)])
+    return EfficiencyRegression(ols(X, actual[sample] - pred), X)
 
 
 def _joint_zero_test(reg: EfficiencyRegression, cov: CovarianceEstimate, q: int) -> JointTestResult:
@@ -210,11 +199,12 @@ class AggregateCell:
     errors: tuple[str, ...] = ()
 
 
-def prediction_rmse(prediction: Mapping[Quarter, float], actuals: ActualSeries) -> float:
-    overlap = [q for q in prediction if q in actuals.values]
-    if not overlap:
+def prediction_rmse(prediction: np.ndarray, actual: np.ndarray) -> float:
+    """RMSE over the quarters where both aligned arrays are present."""
+    both = ~np.isnan(prediction) & ~np.isnan(actual)
+    if not both.any():
         raise EstimationError("prediction and actuals share no quarters")
-    errs = np.array([actuals.values[q] - prediction[q] for q in overlap])
+    errs = actual[both] - prediction[both]
     return math.sqrt(float(np.mean(errs**2)))
 
 
@@ -222,7 +212,7 @@ def test_battery_aggregate(
     baselines: Mapping[tuple[ReleaseKind, str], BaselineSeries],
     actuals: Mapping[ReleaseKind, ActualSeries],
     spf: SpfNowcasts,
-    ar_forecasts: Mapping[ReleaseKind, Mapping[Quarter, float]],
+    ar_forecasts: Mapping[ReleaseKind, QuarterSeries],
     hac_lag: int | None = None,
 ) -> dict[tuple[ReleaseKind, str], AggregateCell]:
     """Unbiasedness/efficiency p-values and RMSE per (release, baseline method).
@@ -234,21 +224,23 @@ def test_battery_aggregate(
     """
     report: dict[tuple[ReleaseKind, str], AggregateCell] = {}
     for (release, method), base in baselines.items():
+        quarters = base.quarter_index()
+        actual = actuals[release].at(quarters)
         errors: list[str] = []
         unb_p = eff_p = rmse = None
         try:
-            rmse = prediction_rmse(base.values, actuals[release])
+            rmse = prediction_rmse(base.values, actual)
         except EstimationError as exc:
             errors.append(f"rmse: {exc}")
         try:
-            reg = efficiency_regression(actuals[release], base.values)
+            reg = efficiency_regression(actual, base.values)
             lag = newey_west_auto_lag(reg.fit.nobs) if hac_lag is None else hac_lag
             unb_p = unbiasedness_test(reg, hac_covariance(reg.fit, reg.design, lag)).p_value
         except EstimationError as exc:
             errors.append(f"unbiasedness: {exc}")
         try:
-            extra = [("spf", spf.for_method(method)), ("ar", ar_forecasts[release])]
-            reg = efficiency_regression(actuals[release], base.values, extra)
+            extra = [spf.for_method(method).at(quarters), ar_forecasts[release].at(quarters)]
+            reg = efficiency_regression(actual, base.values, extra)
             lag = newey_west_auto_lag(reg.fit.nobs) if hac_lag is None else hac_lag
             eff_p = efficiency_test(reg, hac_covariance(reg.fit, reg.design, lag)).p_value
         except EstimationError as exc:
@@ -291,16 +283,18 @@ class IndividualBattery:
 def _forecaster_tests(
     economist_id: str,
     release: ReleaseKind,
-    series: Mapping[Quarter, float],
-    actuals: ActualSeries,
-    extra: Sequence[tuple[str, Mapping[Quarter, float]]],
+    actual: np.ndarray,
+    prediction: np.ndarray,
+    *extra: np.ndarray,
 ) -> ForecasterTestDetail:
-    nobs = sum(1 for q in series if q in actuals.values)
+    """One forecaster's tests; the arrays are aligned on the forecaster's quarters, ascending."""
+    has_actual = ~np.isnan(actual)
+    nobs = int(np.count_nonzero(has_actual))
     alpha_hat = beta_hat = p_unb = p_eff = None
     notes = []
     if nobs >= MIN_OBS_UNBIASEDNESS:
         try:
-            reg = efficiency_regression(actuals, series)
+            reg = efficiency_regression(actual, prediction)
             alpha_hat = float(reg.fit.coefficients[0])
             beta_hat = float(reg.fit.coefficients[1])
             p_unb = unbiasedness_test(reg, hc_covariance(reg.fit, reg.design)).p_value
@@ -308,12 +302,10 @@ def _forecaster_tests(
             notes.append(f"unbiasedness: {exc}")
     else:
         notes.append("unbiasedness: too few observations")
-    eff_overlap = sum(
-        1 for q in series if q in actuals.values and all(q in s for _, s in extra)
-    )
-    if eff_overlap >= MIN_OBS_EFFICIENCY:
+    eff_nobs = np.count_nonzero(np.logical_and.reduce([has_actual, *(~np.isnan(x) for x in extra)]))
+    if eff_nobs >= MIN_OBS_EFFICIENCY:
         try:
-            reg = efficiency_regression(actuals, series, extra)
+            reg = efficiency_regression(actual, prediction, extra)
             p_eff = efficiency_test(reg, hc_covariance(reg.fit, reg.design)).p_value
         except EstimationError as exc:
             notes.append(f"efficiency: {exc}")
@@ -328,7 +320,7 @@ def test_battery_individual(
     panel: ForecastPanel,
     actuals: Mapping[ReleaseKind, ActualSeries],
     spf: SpfNowcasts,
-    ar_forecasts: Mapping[ReleaseKind, Mapping[Quarter, float]],
+    ar_forecasts: Mapping[ReleaseKind, QuarterSeries],
     participation: Mapping[ReleaseKind, np.ndarray],
     thresholds: Sequence[float] = (0.10, 0.25, 0.50),
     alpha: float = 0.05,
@@ -340,19 +332,22 @@ def test_battery_individual(
     HC1 covariance throughout; the efficiency information set is the median
     SPF nowcast and the release's AR forecast.  ``participation`` holds each
     release's ``participation_share``, indexed by the economist codes of
-    ``panel``.
+    ``panel``, which must be clean: one row per (economist, quarter, release).
     """
     battery = IndividualBattery()
     for release in sorted(actuals):
-        groups = list(panel.for_release(release).economist_series())
-        if not groups:
+        rows = panel.for_release(release)
+        order, codes, bounds = rows.economist_blocks()
+        if not codes.size:
             continue
-        extra = [("spf", spf.median), ("ar", ar_forecasts[release])]
+        quarter = rows.quarter[order]
+        columns = (actuals[release].at(quarter), rows.value[order],
+                   spf.median.at(quarter), ar_forecasts[release].at(quarter))
         details = [
-            _forecaster_tests(panel.economist_ids[code], release, series, actuals[release], extra)
-            for code, series in groups
+            _forecaster_tests(panel.economist_ids[code], release, *(c[lo:hi] for c in columns))
+            for code, lo, hi in zip(codes.tolist(), bounds.tolist(), bounds[1:].tolist())
         ]
-        shares = participation[release][[code for code, _ in groups]]
+        shares = participation[release][codes]
         battery.details.extend(details)
         for threshold in thresholds:
             qualifying = [d for d, ok in zip(details, passes_threshold(shares, threshold)) if ok]

@@ -3,17 +3,23 @@
 The panel is one set of aligned numpy columns with a row per forecast.  The
 raw panel may contain several forecasts for the same (economist, quarter,
 release) key and forecasts attributed only to a firm.  ``clean_panel``
-resolves both deterministically and logs every dropped row.
+resolves both deterministically and logs every dropped row.  Time series
+(actuals, SPF nowcasts, baselines, AR forecasts) are ``QuarterSeries``: one
+float64 array over a contiguous span of quarters, NaN where a quarter is
+absent.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,36 +29,65 @@ from .quarters import Quarter, ReleaseKind, parse_quarter
 ACTUALS_HEADER = ["quarter", "release", "value"]
 FORECASTS_HEADER = ["quarter", "release", "economist_id", "firm_id", "value", "report_date"]
 SPF_HEADER = ["quarter", "median", "mean"]
+CHUNK_LINES = 2048  # forecast lines the columnar reader splits at a time
 
 
-@dataclass(frozen=True)
-class ActualSeries:
-    """Published values of one release vintage, keyed by quarter."""
+@dataclass(frozen=True, eq=False)
+class QuarterSeries:
+    """One value per quarter over a contiguous span, NaN where a quarter is absent.
+
+    ``values[i]`` belongs to the quarter whose ``Quarter.index`` is ``start + i``.
+    """
+
+    start: int
+    values: np.ndarray
+
+    @classmethod
+    def from_points(cls, quarters: Sequence[int], values: Sequence[float], **fields):
+        """The series with ``values[i]`` at quarter index ``quarters[i]`` and no other quarter."""
+        quarters = np.asarray(quarters, dtype=np.int64)
+        start = int(quarters.min()) if quarters.size else 0
+        data = np.full(int(quarters.max()) + 1 - start if quarters.size else 0, np.nan)
+        data[quarters - start] = values
+        return cls(start=start, values=data, **fields)
+
+    def at(self, quarters: np.ndarray) -> np.ndarray:
+        """The values at these quarter indexes, NaN where absent."""
+        pos = np.asarray(quarters, dtype=np.int64) - self.start
+        inside = (pos >= 0) & (pos < self.values.size)
+        out = np.full(pos.shape, np.nan)
+        out[inside] = self.values[pos[inside]]
+        return out
+
+    def quarter_index(self) -> np.ndarray:
+        """The quarter index of each element of ``values``."""
+        return self.start + np.arange(self.values.size)
+
+    def quarters(self) -> np.ndarray:
+        """The indexes of the present quarters, ascending."""
+        return self.start + np.flatnonzero(~np.isnan(self.values))
+
+    def items(self) -> Iterator[tuple[Quarter, float]]:
+        """Each present quarter and its value, in quarter order."""
+        present = self.quarters()
+        return zip(map(Quarter.from_index, present.tolist()), self.values[present - self.start].tolist())
+
+    def __getitem__(self, quarter: Quarter) -> float:
+        value = float(self.at(np.array([quarter.index]))[0])
+        if math.isnan(value):
+            raise KeyError(quarter)
+        return value
+
+    def __contains__(self, quarter: Quarter) -> bool:
+        return not math.isnan(self.at(np.array([quarter.index]))[0])
+
+
+@dataclass(frozen=True, eq=False)
+class ActualSeries(QuarterSeries):
+    """Published values of one release vintage."""
 
     release: ReleaseKind
-    values: Mapping[Quarter, float]
-    filled: frozenset = frozenset()  # quarters whose values were interpolated
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", dict(self.values))
-
-    @property
-    def first(self) -> Quarter:
-        return min(self.values)
-
-    @property
-    def last(self) -> Quarter:
-        return max(self.values)
-
-    @property
-    def span(self) -> tuple[Quarter, Quarter]:
-        return self.first, self.last
-
-    def quarters(self) -> list[Quarter]:
-        return sorted(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
+    filled: frozenset = frozenset()  # indexes of quarters whose values were interpolated
 
 
 def factorize(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -66,7 +101,9 @@ def cell_key(economist: np.ndarray, quarter: np.ndarray) -> np.ndarray:
     return economist.astype(np.int64) * (1 << 32) + quarter
 
 
-def cell_medians(key: np.ndarray, value: np.ndarray, tie: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def cell_medians(
+    key: np.ndarray, value: np.ndarray, tie: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys in ascending order and the median value of each.
 
     An even count takes the midpoint of the two middle values, as
@@ -132,6 +169,15 @@ class ForecastPanel:
     def for_release(self, release: ReleaseKind) -> "ForecastPanel":
         return self.take(self.release == release)
 
+    def economist_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows ordered by (economist, quarter), the distinct economist codes, and block bounds.
+
+        Economist ``codes[i]`` has the rows ``order[bounds[i]:bounds[i + 1]]``.
+        """
+        order = np.lexsort((self.quarter, self.economist))
+        codes, start = np.unique(self.economist[order], return_index=True)
+        return order, codes, np.append(start, order.size)
+
     def quarter_cells(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """The distinct quarters in ascending order and each one's values in economist order.
 
@@ -140,17 +186,6 @@ class ForecastPanel:
         order = np.lexsort((self.economist, self.quarter))
         quarters, start = np.unique(self.quarter[order], return_index=True)
         return quarters, np.split(self.value[order], start[1:]) if quarters.size else []
-
-    def economist_series(self) -> Iterator[tuple[int, dict[Quarter, float]]]:
-        """Each economist's code and forecasts keyed by quarter, in economist-id order."""
-        order = np.lexsort((self.quarter, self.economist))
-        codes, start = np.unique(self.economist[order], return_index=True)
-        quarter_of = {i: Quarter.from_index(i) for i in np.unique(self.quarter).tolist()}
-        quarters = [quarter_of[i] for i in self.quarter[order].tolist()]
-        values = self.value[order].tolist()
-        bounds = [*start.tolist(), order.size]
-        for code, lo, hi in zip(codes.tolist(), bounds, bounds[1:]):
-            yield code, dict(zip(quarters[lo:hi], values[lo:hi]))
 
 
 class CleaningAction(str, Enum):
@@ -230,26 +265,26 @@ def load_actuals(source) -> dict[ReleaseKind, ActualSeries]:
     def parse_row(row):
         return parse_quarter(row["quarter"]), ReleaseKind.from_token(row["release"]), _parse_value(row["value"])
 
-    values: dict[ReleaseKind, dict[Quarter, float]] = {release: {} for release in ReleaseKind}
+    points: dict[ReleaseKind, dict[int, float]] = {release: {} for release in ReleaseKind}
     for where, (quarter, release, value) in _parse_rows(source, ACTUALS_HEADER, "actuals", parse_row):
-        if quarter in values[release]:
+        if quarter.index in points[release]:
             raise IngestionError(f"{where}: duplicate actuals row for {quarter} release {release.value}")
-        values[release][quarter] = value
-    return {release: ActualSeries(release=release, values=series) for release, series in values.items()}
+        points[release][quarter.index] = value
+    return {
+        release: ActualSeries.from_points(list(series), list(series.values()), release=release)
+        for release, series in points.items()
+    }
 
 
-def load_forecasts(source) -> ForecastPanel:
-    """Read the forecasts CSV into a raw (uncleaned) panel, rows in file order."""
-    quarters: dict[str, Quarter] = {}
+def _forecast_rows(source) -> ForecastPanel:
+    """The forecasts CSV parsed row by row; errors name the file and line."""
+    quarter_of = functools.cache(parse_quarter)
 
     def parse_row(row):
-        token = row["quarter"]
-        if token not in quarters:
-            quarters[token] = parse_quarter(token)
         return (
             row["economist_id"].strip(),
             row["firm_id"].strip(),
-            quarters[token],
+            quarter_of(row["quarter"]),
             ReleaseKind.from_token(row["release"]),
             _parse_value(row["value"]),
             _parse_date(row["report_date"]),
@@ -258,14 +293,87 @@ def load_forecasts(source) -> ForecastPanel:
     return ForecastPanel.from_rows(row for _, row in _parse_rows(source, FORECASTS_HEADER, "forecasts", parse_row))
 
 
-@dataclass(frozen=True)
+class _Irregular(Exception):
+    """A forecasts file the columnar reader leaves to the row parser."""
+
+
+def _parse_distinct(tokens: list[str], parse: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """``parse`` of each distinct token, and each token's code into them."""
+    table, codes = np.unique(tokens, return_inverse=True)
+    try:
+        return np.array([parse(token) for token in table.tolist()]), codes
+    except ValueError:
+        raise _Irregular from None
+
+
+def _merge_ids(chunks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[tuple[str, ...], np.ndarray]:
+    """One sorted id table over every chunk's ``_parse_distinct``, and each row's code into it."""
+    table = np.unique(np.concatenate([ids for ids, _ in chunks]))
+    codes = np.concatenate([np.searchsorted(table, ids)[inverse] for ids, inverse in chunks])
+    return tuple(table.tolist()), codes.astype(np.int64)
+
+
+def _forecast_columns(fh) -> ForecastPanel:
+    """The forecasts CSV split column by column, ``CHUNK_LINES`` lines at a time.
+
+    Raises _Irregular on anything the plain split cannot read as the csv
+    module does, or that the row parser rejects: a wrong header, a quote, a
+    carriage return or NUL, a blank line, a wrong field count, or a token
+    that does not parse.
+    """
+    if fh.readline().removesuffix("\n") != ",".join(FORECASTS_HEADER):
+        raise _Irregular
+    parsers = tuple(map(functools.cache, (  # each distinct token is parsed once per file
+        lambda token: parse_quarter(token).index,
+        lambda token: ReleaseKind.from_token(token).value,
+        str.strip,
+        str.strip,
+        _parse_value,
+        lambda token: -1 if (day := _parse_date(token)) is None else day.toordinal(),
+    )))
+    columns = [[] for _ in parsers]
+    while lines := list(itertools.islice(fh, CHUNK_LINES)):
+        text = "".join(lines)
+        if '"' in text or "\r" in text or "\0" in text or {line.count(",") for line in lines} != {5}:
+            raise _Irregular
+        fields = text.removesuffix("\n").replace("\n", ",").split(",")
+        for k, (parse, chunks) in enumerate(zip(parsers, columns)):
+            chunks.append(_parse_distinct(fields[k::6], parse))
+    if not columns[0]:
+        return ForecastPanel.from_rows([])
+    quarter, release, econ, firm, value, dated = columns
+    economist_ids, economist = _merge_ids(econ)
+    firm_ids, firm_codes = _merge_ids(firm)
+    rest = (quarter, release, value, dated)
+    return ForecastPanel(economist_ids, firm_ids, economist, firm_codes,
+                         *(np.concatenate([table[codes] for table, codes in chunks]) for chunks in rest))
+
+
+def load_forecasts(source) -> ForecastPanel:
+    """Read the forecasts CSV into a raw (uncleaned) panel, rows in file order.
+
+    The file is split column by column, parsing each distinct token once.  A
+    file the split cannot take (see ``_forecast_columns``) is read again by
+    the row parser, whose errors name the file and line.
+    """
+    is_path = isinstance(source, (str, Path))
+    with open(source, "r", encoding="utf-8", newline="") if is_path else contextlib.nullcontext(source) as fh:
+        start = fh.tell()
+        try:
+            return _forecast_columns(fh)
+        except _Irregular:
+            fh.seek(start)
+            return _forecast_rows(fh)
+
+
+@dataclass(frozen=True, eq=False)
 class SpfNowcasts:
     """Median and mean SPF nowcast per target quarter."""
 
-    median: Mapping[Quarter, float]
-    mean: Mapping[Quarter, float]
+    median: QuarterSeries
+    mean: QuarterSeries
 
-    def for_method(self, method: str) -> Mapping[Quarter, float]:
+    def for_method(self, method: str) -> QuarterSeries:
         if method == "median":
             return self.median
         if method == "mean":
@@ -279,14 +387,13 @@ def load_spf(source) -> SpfNowcasts:
     def parse_row(row):
         return parse_quarter(row["quarter"]), _parse_value(row["median"]), _parse_value(row["mean"])
 
-    median: dict[Quarter, float] = {}
-    mean: dict[Quarter, float] = {}
+    points: dict[int, tuple[float, float]] = {}
     for where, (quarter, med, avg) in _parse_rows(source, SPF_HEADER, "spf", parse_row):
-        if quarter in median:
+        if quarter.index in points:
             raise IngestionError(f"{where}: duplicate spf row for {quarter}")
-        median[quarter] = med
-        mean[quarter] = avg
-    return SpfNowcasts(median=median, mean=mean)
+        points[quarter.index] = med, avg
+    quarters, (median, mean) = list(points), zip(*points.values()) if points else ((), ())
+    return SpfNowcasts(QuarterSeries.from_points(quarters, median), QuarterSeries.from_points(quarters, mean))
 
 
 def clean_panel(raw: ForecastPanel) -> tuple[ForecastPanel, CleaningLog]:

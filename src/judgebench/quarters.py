@@ -6,7 +6,7 @@ estimates (first, second, third) of the same quarter's growth rate.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator
 
@@ -43,15 +43,10 @@ class Quarter:
 
     year: int
     quarter: int
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.quarter not in (1, 2, 3, 4):
             raise QuarterParseError(f"quarter must be in 1..4, got {self.quarter}")
-        object.__setattr__(self, "_hash", hash((self.year, self.quarter)))
-
-    def __hash__(self) -> int:  # cached; quarters are hashed heavily as panel keys
-        return self._hash
 
     @property
     def index(self) -> int:

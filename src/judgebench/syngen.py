@@ -17,7 +17,7 @@ from scipy.special import stdtrit
 
 from .errors import EstimationError
 from .judgment import JudgmentPanel, baseline, extract_judgments
-from .panel import ActualSeries, ForecastPanel, SpfNowcasts, factorize
+from .panel import ActualSeries, ForecastPanel, QuarterSeries, SpfNowcasts, factorize
 from .panelreg import build_persistence_dataset, fe_estimate
 from .quarters import Quarter, ReleaseKind
 
@@ -152,16 +152,10 @@ def simulate_world(config: SynthConfig, seed: int | None = None) -> SynthWorld:
     rng_spf = _rng(seed, 6)
     spf_median = actuals[0] + rng_spf.normal(0.0, 0.5, size=t)
     spf_mean = spf_median + rng_spf.normal(0.0, 0.1, size=t)
-    spf = SpfNowcasts(
-        median={q: float(v) for q, v in zip(quarters, spf_median)},
-        mean={q: float(v) for q, v in zip(quarters, spf_mean)},
-    )
-
+    start = config.start.index
+    spf = SpfNowcasts(QuarterSeries(start, spf_median), QuarterSeries(start, spf_mean))
     actual_series = {
-        ReleaseKind(k + 1): ActualSeries(
-            release=ReleaseKind(k + 1),
-            values={q: float(v) for q, v in zip(quarters, actuals[k])},
-        )
+        ReleaseKind(k + 1): ActualSeries(start=start, values=actuals[k], release=ReleaseKind(k + 1))
         for k in range(3)
     }
     truth = SynthTruth(quarters, economists, actuals, baselines, judgments, rho_i)

@@ -8,7 +8,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from judgebench.judgment import JudgmentPanel
-from judgebench.panel import ActualSeries, ForecastPanel, factorize
+from judgebench.panel import ActualSeries, ForecastPanel, QuarterSeries, factorize
 from judgebench.panelreg import PersistenceData
 from judgebench.quarters import Quarter, ReleaseKind
 
@@ -116,5 +116,17 @@ def dataset(observations: list[Obs], regressor_kind: str = "own_lag") -> Persist
     )
 
 
+def series_from(values: dict[Quarter, float], cls: type = QuarterSeries, **fields) -> QuarterSeries:
+    """A ``cls`` series holding these quarters' values; ``fields`` are the subclass's own."""
+    return cls.from_points([quarter.index for quarter in values], list(values.values()), **fields)
+
+
 def actuals_from(values: dict[Quarter, float], release: ReleaseKind = ReleaseKind.FIRST) -> ActualSeries:
-    return ActualSeries(release=release, values=values)
+    return series_from(values, ActualSeries, release=release)
+
+
+def aligned(*series: dict[Quarter, float] | QuarterSeries) -> list[np.ndarray]:
+    """Each series as an array over the union of their quarters, ascending, NaN where absent."""
+    points = [dict(s.items()) if isinstance(s, QuarterSeries) else s for s in series]
+    union = sorted(set().union(*points))
+    return [np.array([p.get(quarter, np.nan) for quarter in union]) for p in points]

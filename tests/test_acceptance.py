@@ -26,12 +26,12 @@ from judgebench.linreg import (
     newey_west_auto_lag,
     ols,
 )
-from judgebench.panel import ActualSeries, ForecastPanel
+from judgebench.panel import ForecastPanel
 from judgebench.panelreg import fe_estimate
 from judgebench.quarters import Quarter, ReleaseKind
 from judgebench.syngen import SynthConfig, recovery_experiment, simulate_world
 
-from conftest import Obs, dataset, rows_of
+from conftest import Obs, actuals_from, aligned, dataset, rows_of
 
 R1 = ReleaseKind.FIRST
 
@@ -141,15 +141,16 @@ def _rational_world_p_value(seed: int) -> float:
         y[i] = c + phi * y[i - 1] + eps[i]
     start = Quarter(1970, 1)
     quarters = [start.shifted(i) for i in range(n)]
-    series = ActualSeries(R1, dict(zip(quarters, y)))
+    series = actuals_from(dict(zip(quarters, y)))
     targets = quarters[pre:]
     lag_mean = c + phi * y[pre - 1:-1]
     signal = eps[pre:] + noise[pre:]
     conditional = lag_mean + 0.5 * signal  # optimal weight for equal variances
     prediction = {t: float(np.round(v / grid) * grid) for t, v in zip(targets, conditional)}
     spf = {t: float(v + rng.normal(0, 1.0)) for t, v in zip(targets, lag_mean)}
-    ar = recursive_ar_forecast(series, targets, ARSpec(p=1))
-    reg = efficiency_regression(series, prediction, [("spf", spf), ("ar", ar)])
+    ar = recursive_ar_forecast(series, [t.index for t in targets], ARSpec(p=1))
+    actual, pred, spf_column, ar_column = aligned(series, prediction, spf, ar)
+    reg = efficiency_regression(actual, pred, [spf_column, ar_column])
     lag = newey_west_auto_lag(reg.fit.nobs)
     return efficiency_test(reg, hac_covariance(reg.fit, reg.design, lag)).p_value
 
@@ -215,7 +216,7 @@ def test_judgment_error_identity_and_median_balance():
             # j - e = actual - baseline: identical for every economist in (t,k).
             per_quarter: dict = {}
             for record, judgment in zip(rows_of(jp.panel), jp.value.tolist()):
-                error = record.value - actual.values[record.quarter]
+                error = record.value - actual[record.quarter]
                 per_quarter.setdefault(record.quarter, []).append(judgment - error)
             for quarter, diffs in per_quarter.items():
                 worst = max(worst, max(diffs) - min(diffs))
@@ -224,7 +225,7 @@ def test_judgment_error_identity_and_median_balance():
                 if record.release == release:
                     values_by_quarter.setdefault(record.quarter, []).append(record.value)
             for quarter, values in values_by_quarter.items():
-                med = base.values[quarter]
+                med = base[quarter]
                 n_t = len(values)
                 if sum(v < med for v in values) > n_t / 2 or sum(v > med for v in values) > n_t / 2:
                     balance_ok = False
@@ -246,7 +247,7 @@ def test_descriptive_moments_match_brute_force():
         panel = ForecastPanel.from_rows(
             [(f"E{i}", "F", quarter, R1, float(v), None) for i, v in enumerate(values)]
         )
-        stats = quarter_stats(panel, ActualSeries(R1, {quarter: actual}), R1)[0]
+        stats = quarter_stats(panel, actuals_from({quarter: actual}), R1)[0]
         errors = values - actual
         rmse = math.sqrt(float(np.mean(errors**2)))
         centered = values - values.mean()
@@ -266,7 +267,7 @@ def test_descriptive_moments_match_brute_force():
         [(f"E{i}", "F", quarters[0], R1, v, None) for i, v in enumerate((1.0, -1.0))]
         + [(f"E{i}", "F", quarters[1], R1, v, None) for i, v in enumerate((3.0, -3.0))]
     )
-    stats = quarter_stats(panel, ActualSeries(R1, {q: 0.0 for q in quarters}), R1)
+    stats = quarter_stats(panel, actuals_from({q: 0.0 for q in quarters}), R1)
     agg = armse(stats)
     ok = worst < 1e-12 and agg == 2.0
     verdict(7, "cross-section moments match brute force", ok,
@@ -281,21 +282,21 @@ def test_ar_forecasts_no_lookahead_and_recovery():
     values = list(rng.normal(size=50))
     start = Quarter(1990, 1)
     target = start.shifted(35)
-    base_series = ActualSeries(R1, {start.shifted(i): v for i, v in enumerate(values)})
-    base_forecast = recursive_ar_forecast(base_series, [target], ARSpec(p=1))[target]
+    base_series = actuals_from({start.shifted(i): v for i, v in enumerate(values)})
+    base_forecast = recursive_ar_forecast(base_series, [target.index], ARSpec(p=1))[target]
     perturbed = list(values)
     for i in range(35, 50):
         perturbed[i] += 500.0
-    pert_series = ActualSeries(R1, {start.shifted(i): v for i, v in enumerate(perturbed)})
-    lookahead_ok = recursive_ar_forecast(pert_series, [target], ARSpec(p=1))[target] == base_forecast
+    pert_series = actuals_from({start.shifted(i): v for i, v in enumerate(perturbed)})
+    lookahead_ok = recursive_ar_forecast(pert_series, [target.index], ARSpec(p=1))[target] == base_forecast
 
     # Noiseless AR(1): y_t = 2 + 0.5 y_{t-1}; forecasts equal the analytic recursion.
     y = [1.0]
     for _ in range(40):
         y.append(2.0 + 0.5 * y[-1])
-    series = ActualSeries(R1, {start.shifted(i): v for i, v in enumerate(y)})
+    series = actuals_from({start.shifted(i): v for i, v in enumerate(y)})
     targets = [start.shifted(i) for i in range(25, 41)]
-    forecasts = recursive_ar_forecast(series, targets, ARSpec(p=1))
+    forecasts = recursive_ar_forecast(series, [t.index for t in targets], ARSpec(p=1))
     recovery_err = max(abs(forecasts[start.shifted(i)] - y[i]) for i in range(25, 41))
 
     # Lag selection prefers the empty model on white noise.

@@ -15,7 +15,7 @@ from judgebench.judgment import BaselineSeries
 from judgebench.panel import ForecastPanel, participation_share
 from judgebench.quarters import ReleaseKind
 
-from conftest import actuals_from, q, rec
+from conftest import actuals_from, aligned, q, rec, series_from
 
 R1 = ReleaseKind.FIRST
 
@@ -24,7 +24,7 @@ class TestPairedRmse:
     def test_identical_series(self):
         quarters = {q(2000, 1): 1.0, q(2000, 2): 2.0}
         actuals = actuals_from({q(2000, 1): 1.5, q(2000, 2): 1.5})
-        self_rmse, base_rmse, n = paired_rmse(quarters, dict(quarters), actuals)
+        self_rmse, base_rmse, n = paired_rmse(*aligned(quarters, dict(quarters), actuals))
         assert self_rmse == base_rmse
         assert n == 2
 
@@ -32,26 +32,26 @@ class TestPairedRmse:
         actuals = actuals_from({q(2000, 1): 0.0, q(2000, 2): 0.0})
         forecaster = {q(2000, 1): 1.0, q(2000, 2): -1.0}
         base = {q(2000, 1): 0.0, q(2000, 2): 0.0}
-        assert paired_rmse(forecaster, base, actuals) == (1.0, 0.0, 2)
+        assert paired_rmse(*aligned(forecaster, base, actuals)) == (1.0, 0.0, 2)
 
     def test_extra_baseline_quarters_ignored(self):
         actuals = actuals_from({q(2000, 1): 0.0, q(2000, 2): 0.0, q(2000, 3): 0.0})
         forecaster = {q(2000, 1): 1.0}
         base = {q(2000, 1): 0.5, q(2000, 2): 9.0, q(2000, 3): 9.0}
-        self_rmse, base_rmse, n = paired_rmse(forecaster, base, actuals)
+        self_rmse, base_rmse, n = paired_rmse(*aligned(forecaster, base, actuals))
         assert (self_rmse, base_rmse, n) == (1.0, 0.5, 1)
 
     def test_empty_intersection_rejected(self):
         actuals = actuals_from({q(2000, 1): 0.0})
         with pytest.raises(EstimationError):
-            paired_rmse({q(2000, 1): 1.0}, {q(2005, 1): 1.0}, actuals)
+            paired_rmse(*aligned({q(2000, 1): 1.0}, {q(2005, 1): 1.0}, actuals))
 
     def test_quarter_order_irrelevant(self):
         actuals = actuals_from({q(2000, 1): 0.0, q(2000, 2): 1.0, q(2000, 3): 2.0})
         f = {q(2000, 1): 0.5, q(2000, 2): 1.5, q(2000, 3): 1.0}
         b = {q(2000, 3): 2.0, q(2000, 1): 0.0, q(2000, 2): 1.0}
-        a1 = paired_rmse(f, b, actuals)
-        a2 = paired_rmse(dict(reversed(list(f.items()))), b, actuals)
+        a1 = paired_rmse(*aligned(f, b, actuals))
+        a2 = paired_rmse(*aligned(dict(reversed(list(f.items()))), b, actuals))
         assert a1 == a2
 
 
@@ -103,7 +103,7 @@ class TestBeatBaselineShare:
             for quarter in quarters:
                 records.append(rec(name, quarter, actual[quarter] + offset))
         panel = ForecastPanel.from_rows(records)
-        base = BaselineSeries(release=R1, method="median", values=base_values)
+        base = series_from(base_values, BaselineSeries, release=R1, method="median")
         return panel, base, actuals_from(actual)
 
     def test_everyone_matches_baseline_counts_as_not_beating(self):

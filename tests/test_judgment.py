@@ -12,7 +12,7 @@ from judgebench.judgment import (
 from judgebench.panel import ForecastPanel, participation_share
 from judgebench.quarters import ReleaseKind
 
-from conftest import actuals_from, judgment, panel_from_values, q, rec
+from conftest import actuals_from, judgment, panel_from_values, q, rec, series_from
 
 R1 = ReleaseKind.FIRST
 
@@ -20,24 +20,24 @@ R1 = ReleaseKind.FIRST
 class TestBaseline:
     def test_median_odd_count(self):
         panel = panel_from_values({q(2000, 1): [2.0, 3.0, 4.0]})
-        assert baseline(panel, R1, "median").values[q(2000, 1)] == 3.0
+        assert baseline(panel, R1, "median")[q(2000, 1)] == 3.0
 
     def test_median_even_count_midpoint(self):
         panel = panel_from_values({q(2000, 1): [2.0, 4.0]})
-        assert baseline(panel, R1, "median").values[q(2000, 1)] == 3.0
+        assert baseline(panel, R1, "median")[q(2000, 1)] == 3.0
 
     def test_mean(self):
         panel = panel_from_values({q(2000, 1): [1.0, 2.0, 6.0]})
-        assert baseline(panel, R1, "mean").values[q(2000, 1)] == 3.0
+        assert baseline(panel, R1, "mean")[q(2000, 1)] == 3.0
 
     def test_empty_quarters_excluded(self):
         panel = panel_from_values({q(2000, 1): [1.0]})
         series = baseline(panel, R1, "median")
-        assert q(2000, 2) not in series.values
+        assert q(2000, 2) not in series
 
     def test_median_balance_invariant(self):
         panel = panel_from_values({q(2000, 1): [1.0, 2.0, 2.5, 7.0, 9.0]})
-        med = baseline(panel, R1, "median").values[q(2000, 1)]
+        med = baseline(panel, R1, "median")[q(2000, 1)]
         values = [1.0, 2.0, 2.5, 7.0, 9.0]
         assert sum(v < med for v in values) <= len(values) / 2
         assert sum(v > med for v in values) <= len(values) / 2
@@ -163,7 +163,7 @@ class TestBaselineHitStats:
     def _base(self, values):
         from judgebench.judgment import BaselineSeries
 
-        return BaselineSeries(release=R1, method="median", values=values)
+        return series_from(values, BaselineSeries, release=R1, method="median")
 
     def test_half_correct_half_over(self):
         base = self._base({q(2000, 1): 2.0, q(2000, 2): 3.0})

@@ -24,10 +24,10 @@ from judgebench.linreg import (
     unbiasedness_test,
     wald_joint_test,
 )
-from judgebench.panel import ActualSeries, SpfNowcasts, participation_share
+from judgebench.panel import SpfNowcasts, participation_share
 from judgebench.quarters import Quarter, ReleaseKind
 
-from conftest import actuals_from, panel_from_values, q
+from conftest import actuals_from, aligned, panel_from_values, q, series_from
 
 R1 = ReleaseKind.FIRST
 
@@ -260,7 +260,7 @@ class TestDistributionFunctions:
 
 
 def _series(values, start=Quarter(2000, 1)):
-    return ActualSeries(R1, {start.shifted(i): float(v) for i, v in enumerate(values)})
+    return actuals_from({start.shifted(i): float(v) for i, v in enumerate(values)})
 
 
 class TestEfficiencyRegression:
@@ -268,30 +268,31 @@ class TestEfficiencyRegression:
         rng = np.random.default_rng(11)
         y = rng.normal(size=20)
         actuals = _series(y)
-        pred = dict(actuals.values)
-        reg = efficiency_regression(actuals, pred)
+        pred = dict(actuals.items())
+        reg = efficiency_regression(*aligned(actuals, pred))
         assert reg.fit.coefficients == pytest.approx([0.0, 0.0], abs=1e-10)
 
     def test_constant_bias_loads_on_intercept(self):
         rng = np.random.default_rng(12)
         y = rng.normal(size=30)
         actuals = _series(y)
-        pred = {quarter: value - 0.7 for quarter, value in actuals.values.items()}
-        reg = efficiency_regression(actuals, pred)
+        pred = {quarter: value - 0.7 for quarter, value in actuals.items()}
+        reg = efficiency_regression(*aligned(actuals, pred))
         assert reg.fit.coefficients == pytest.approx([0.7, 0.0], abs=1e-8)
 
     def test_regressor_equal_to_prediction_rejected(self):
         rng = np.random.default_rng(13)
         actuals = _series(rng.normal(size=20))
-        pred = {quarter: value + rng.normal() for quarter, value in actuals.values.items()}
+        pred = {quarter: value + rng.normal() for quarter, value in actuals.items()}
+        actual, prediction, copy = aligned(actuals, pred, dict(pred))
         with pytest.raises(RankDeficiencyError):
-            efficiency_regression(actuals, pred, [("copy", dict(pred))])
+            efficiency_regression(actual, prediction, [copy])
 
     def test_insufficient_overlap_reports_counts(self):
         actuals = _series([1.0, 2.0, 3.0])
-        pred = dict(actuals.values)
+        pred = dict(actuals.items())
         with pytest.raises(EstimationError, match="3"):
-            efficiency_regression(actuals, pred)
+            efficiency_regression(*aligned(actuals, pred))
 
 
 def _participation(panel):
@@ -305,7 +306,7 @@ class TestBatteries:
         start = Quarter(2000, 1)
         y = rng.normal(1.0, 1.0, size=T)
         quarters = [start.shifted(i) for i in range(T)]
-        actuals = {k: ActualSeries(k, dict(zip(quarters, y))) for k in ReleaseKind}
+        actuals = {k: actuals_from(dict(zip(quarters, y)), k) for k in ReleaseKind}
         # Every forecaster reports the actual exactly: judgment-free rational panel.
         values = {quarter: [v, v, v] for quarter, v in zip(quarters, y)}
         panel_records = []
@@ -319,11 +320,11 @@ class TestBatteries:
 
         panel = ForecastPanel.from_rows(panel_records)
         spf = SpfNowcasts(
-            median={quarter: v + float(rng.normal(0, 0.5)) for quarter, v in zip(quarters, y)},
-            mean={quarter: v + float(rng.normal(0, 0.5)) for quarter, v in zip(quarters, y)},
+            median=series_from({quarter: v + float(rng.normal(0, 0.5)) for quarter, v in zip(quarters, y)}),
+            mean=series_from({quarter: v + float(rng.normal(0, 0.5)) for quarter, v in zip(quarters, y)}),
         )
         ar = {
-            k: {quarter: v + float(rng.normal(0, 0.5)) for quarter, v in zip(quarters, y)}
+            k: series_from({quarter: v + float(rng.normal(0, 0.5)) for quarter, v in zip(quarters, y)})
             for k in ReleaseKind
         }
         return panel, actuals, spf, ar
@@ -352,7 +353,7 @@ class TestBatteries:
 
         biased = [
             rec("EB", quarter, value + 1.0, R1)
-            for quarter, value in actuals[R1].values.items()
+            for quarter, value in actuals[R1].items()
         ]
         panel2 = ForecastPanel.from_rows([*rows_of(panel), *biased])
         battery = battery_individual(panel2, actuals, spf, ar, _participation(panel2), thresholds=(0.5,))
@@ -363,7 +364,7 @@ class TestBatteries:
     def test_prediction_rmse(self):
         actuals = _series([1.0, 2.0])
         pred = {q(2000, 1): 2.0, q(2000, 2): 2.0}
-        assert prediction_rmse(pred, actuals) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert prediction_rmse(*aligned(pred, actuals)) == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
 class TestRegressionTestWrappers:
@@ -371,9 +372,10 @@ class TestRegressionTestWrappers:
         rng = np.random.default_rng(15)
         y = rng.normal(size=30)
         actuals = _series(y)
-        pred = dict(actuals.values)
-        w = {quarter: float(rng.normal()) for quarter in actuals.values}
-        reg = efficiency_regression(actuals, pred, [("w", w)])
+        pred = dict(actuals.items())
+        w = {quarter: float(rng.normal()) for quarter in pred}
+        actual, prediction, extra = aligned(actuals, pred, w)
+        reg = efficiency_regression(actual, prediction, [extra])
         res_unbiased = unbiasedness_test(reg, hc_covariance(reg.fit, reg.design))
         res_efficient = efficiency_test(reg, hc_covariance(reg.fit, reg.design))
         assert res_unbiased.df_num == 2

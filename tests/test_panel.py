@@ -23,13 +23,13 @@ class TestLoadActuals:
     def test_two_rows(self):
         csv = "quarter,release,value\n2000Q1,1,1.0\n2000Q2,1,2.0\n"
         series = load_actuals(io.StringIO(csv))[ReleaseKind.FIRST]
-        assert len(series) == 2
-        assert series.values[q(2000, 1)] == 1.0
+        assert len(series.quarters()) == 2
+        assert series[q(2000, 1)] == 1.0
 
     def test_other_releases_filtered(self):
         csv = "quarter,release,value\n2000Q1,1,1.0\n2000Q1,2,1.1\n"
         series = load_actuals(io.StringIO(csv))[ReleaseKind.FIRST]
-        assert len(series) == 1
+        assert len(series.quarters()) == 1
 
     def test_duplicate_key_rejected(self):
         csv = "quarter,release,value\n2000Q1,1,1.0\n2000Q1,1,2.0\n"

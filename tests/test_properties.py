@@ -1,19 +1,22 @@
 """Invariants of the panel core, checked on generated panels (hypothesis)."""
+import io
 import json
 import shutil
 import tempfile
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from judgebench import panel as panel_module
 from judgebench.cli import main
-from judgebench.errors import EstimationError
+from judgebench.errors import EstimationError, IngestionError
 from judgebench.judgment import baseline, extract_judgments
-from judgebench.panel import ForecastPanel, clean_panel
+from judgebench.panel import ForecastPanel, clean_panel, load_forecasts
 from judgebench.panelreg import fe_estimate
 from judgebench.quarters import Quarter, ReleaseKind
 
@@ -87,8 +90,8 @@ def test_cleaning_and_baselines_invariant_to_row_order_with_distinct_dates(rows,
     assert len(log) == len(log_shuffled)
     for release in ReleaseKind:
         for method in ("median", "mean"):
-            expected = baseline(cleaned, release, method).values
-            assert baseline(cleaned_shuffled, release, method).values == expected
+            expected = dict(baseline(cleaned, release, method).items())
+            assert dict(baseline(cleaned_shuffled, release, method).items()) == expected
 
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -128,6 +131,86 @@ def test_report_invariant_to_forecast_row_order_with_distinct_dates(seed):
     assert sorted(got) == sorted(expected)
     for name in sorted(expected):
         assert got[name] == expected[name], name
+
+
+FORECASTS_HEADER = "quarter,release,economist_id,firm_id,value,report_date\n"
+forecast_lines = st.builds(
+    lambda *fields: ",".join(fields),
+    st.sampled_from(["2000Q1", "2000Q4", "1999Q3", " 2001Q2", "2002Q1 "]),
+    st.sampled_from(["1", "2", "3", " 2", "+3", "03"]),
+    st.sampled_from(["E1", " E1", "E2 ", "E10", "e1", ""]),  # padded ids, and firm-only rows
+    st.sampled_from(["F1", " F2", ""]),
+    st.one_of(st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+              st.sampled_from(["+1.5", "-2e-3", "1E2", " 0.25", "-0", "7", "1_000"])),
+    st.sampled_from(["", "2000-04-10", " 2001-01-31", "2000-04-10 "]),  # undated and dated
+)
+
+
+def _forecasts_file(lines: list[str], header: str = FORECASTS_HEADER, crlf_from: int | None = None) -> str:
+    """The lines as a forecasts CSV, with CRLF line ends from line ``crlf_from`` on."""
+    ends = ["\n" if crlf_from is None or i < crlf_from else "\r\n" for i in range(len(lines))]
+    return header + "".join(line + end for line, end in zip(lines, ends))
+
+
+def _panel_bytes(panel: ForecastPanel) -> tuple:
+    """Everything in a panel, with -0.0 told apart from 0.0."""
+    columns = (panel.economist, panel.firm, panel.quarter, panel.release, panel.value, panel.report_date)
+    return panel.economist_ids, panel.firm_ids, *((c.dtype.str, c.tobytes()) for c in columns)
+
+
+def _read(reader, path: Path) -> tuple:
+    try:
+        return "panel", _panel_bytes(reader(path))
+    except IngestionError as exc:
+        return "error", str(exc)
+
+
+@SETTINGS
+@given(lines=st.lists(forecast_lines, max_size=12), chunk=st.integers(1, 4), final_newline=st.booleans())
+def test_columnar_ingest_equals_row_parser_on_valid_files(lines, chunk, final_newline):
+    text = _forecasts_file(lines)
+    text = text if final_newline else text[:-1]
+    with mock.patch.object(panel_module, "CHUNK_LINES", chunk):
+        columnar = panel_module._forecast_columns(io.StringIO(text))
+    assert _panel_bytes(columnar) == _panel_bytes(panel_module._forecast_rows(io.StringIO(text)))
+
+
+def _with_line(line: str):
+    return lambda lines, at: _forecasts_file([*lines[:at], line, *lines[at:]])
+
+
+# Files the columnar reader must hand to the row parser: errors of every kind
+# the panel tests cover, and valid files only the csv module reads.
+IRREGULAR_FILES = {
+    "non-numeric value": _with_line("2000Q1,1,E1,F1,abc,"),
+    "non-finite value": _with_line("2000Q1,1,E1,F1,inf,"),
+    "nan value": _with_line("2000Q1,1,E1,F1,nan,"),
+    "bad report_date": _with_line("2000Q2,1,E1,F1,1.5,2020-13-45"),
+    "too few fields": _with_line("2000Q2,1,E1"),
+    "too many fields": _with_line("2000Q2,1,E1,F1,1.5,,extra"),
+    "bad quarter": _with_line("2000Q5,1,E1,F1,1.5,"),
+    "bad release": _with_line("2000Q1,4,E1,F1,1.5,"),
+    "whitespace line": _with_line(" "),
+    "bad header": lambda lines, at: _forecasts_file(lines, header=FORECASTS_HEADER.replace("value", "val")),
+    "quoted field": _with_line('2000Q1,1,"E1",F1,1.5,'),
+    "quoted comma": _with_line('2000Q1,1,"E,1",F1,1.5,'),
+    "blank line": _with_line(""),
+    "crlf line ends": lambda lines, at: _forecasts_file(lines, crlf_from=at),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(IRREGULAR_FILES))
+@pytest.mark.parametrize("late", [False, True], ids=["first-chunk", "later-chunk"])
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=st.lists(forecast_lines, min_size=4, max_size=8))
+def test_irregular_forecast_files_read_as_the_row_parser_reads_them(kind, late, lines):
+    text = IRREGULAR_FILES[kind](lines, len(lines) - 1 if late else 0)  # chunks of 3 lines: last is later
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(panel_module, "CHUNK_LINES", 3):
+        path = Path(tmp) / "forecasts.csv"
+        path.write_bytes(text.encode())
+        with open(path, encoding="utf-8", newline="") as fh, pytest.raises(panel_module._Irregular):
+            panel_module._forecast_columns(fh)
+        assert _read(load_forecasts, path) == _read(panel_module._forecast_rows, path)
 
 
 @st.composite

@@ -36,7 +36,7 @@ class TestSimulateWorld:
         for release in ReleaseKind:
             actual = world.actuals[release]
             for record in (r for r in rows_of(world.panel) if r.release == release):
-                assert record.value == pytest.approx(actual.values[record.quarter], abs=1e-12)
+                assert record.value == pytest.approx(actual[record.quarter], abs=1e-12)
         jp = extract_world_judgments(world, R1)
         assert all(jp.neutral.tolist())
 
