@@ -1,6 +1,7 @@
 """Invariants of the panel core, checked on generated panels (hypothesis)."""
 import io
 import json
+import math
 import shutil
 import tempfile
 from datetime import date
@@ -13,14 +14,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from judgebench import panel as panel_module
+from judgebench.armodel import fill_missing
 from judgebench.cli import main
 from judgebench.errors import EstimationError, IngestionError
-from judgebench.judgment import baseline, extract_judgments
+from judgebench.judgment import BaselineSeries, baseline, baseline_hit_stats, extract_judgments
 from judgebench.panel import ForecastPanel, clean_panel, load_forecasts
 from judgebench.panelreg import fe_estimate
 from judgebench.quarters import Quarter, ReleaseKind
 
-from conftest import Obs, dataset, rec, rows_of
+from conftest import Obs, actuals_from, dataset, rec, rows_of, series_from
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 START = Quarter(2000, 1)
@@ -131,6 +133,64 @@ def test_report_invariant_to_forecast_row_order_with_distinct_dates(seed):
     assert sorted(got) == sorted(expected)
     for name in sorted(expected):
         assert got[name] == expected[name], name
+
+
+def fill_by_loop(points: dict, first: Quarter, last: Quarter, max_gap: int) -> dict:
+    """Gap filling quarter by quarter: linear inside, constant at the edges (the reference)."""
+    present = sorted(points)
+    out = dict(points)
+    for q in map(Quarter.from_index, range(first.index, last.index + 1)):
+        if q in points:
+            continue
+        if q < present[0] or q > present[-1]:
+            out[q] = points[present[0] if q < present[0] else present[-1]]
+            continue
+        left, right = max(p for p in present if p < q), min(p for p in present if p > q)
+        if right.index - left.index - 1 > max_gap:
+            raise IngestionError("gap too long")
+        steps = right.index - left.index
+        out[q] = points[left] + (points[right] - points[left]) * (q.index - left.index) / steps
+    return out
+
+
+@SETTINGS
+@given(drawn=st.dictionaries(st.integers(3, 20), values, min_size=1), max_gap=st.integers(0, 4),
+       lead=st.integers(0, 3), trail=st.integers(0, 3))
+def test_fill_missing_equals_the_quarter_loop(drawn, max_gap, lead, trail):
+    points = {START.shifted(t): v for t, v in drawn.items()}
+    first, last = min(points).shifted(-lead), max(points).shifted(trail)
+    try:
+        expected = fill_by_loop(points, first, last, max_gap)
+    except IngestionError:
+        with pytest.raises(IngestionError, match="interior gap"):
+            fill_missing(actuals_from(points), first, last, max_gap=max_gap)
+        return
+    assert dict(fill_missing(actuals_from(points), first, last, max_gap=max_gap).items()) == expected
+
+
+grid_values = st.integers(-30, 30).map(lambda k: k / 20)  # on and between 0.1 grid points
+
+
+@SETTINGS
+@given(base=st.dictionaries(st.integers(0, 9), grid_values, min_size=1),
+       actual=st.dictionaries(st.integers(0, 9), grid_values, min_size=1),
+       grid=st.sampled_from([0.0, 0.1, 0.25]))
+def test_baseline_hit_stats_equal_the_isclose_loop(base, actual, grid):
+    common = sorted(set(base) & set(actual))
+    series = series_from({START.shifted(t): v for t, v in base.items()}, BaselineSeries,
+                         release=ReleaseKind.FIRST, method="median")
+    actuals = actuals_from({START.shifted(t): v for t, v in actual.items()})
+    if not common:
+        with pytest.raises(ValueError):
+            baseline_hit_stats(series, actuals, grid)
+        return
+    counts = [0, 0, 0]
+    for t in common:
+        b = float(np.round(base[t] / grid) * grid) if grid else base[t]
+        y = float(np.round(actual[t] / grid) * grid) if grid else actual[t]
+        counts[0 if math.isclose(b, y, abs_tol=(grid or 1e-12) / 4) else 1 if b > y else 2] += 1
+    hits = baseline_hit_stats(series, actuals, grid)
+    assert (hits.correct, hits.overprediction, hits.underprediction) == tuple(c / len(common) for c in counts)
 
 
 FORECASTS_HEADER = "quarter,release,economist_id,firm_id,value,report_date\n"
