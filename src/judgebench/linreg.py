@@ -1,9 +1,9 @@
 """Regression core and rationality test batteries.
 
-OLS via QR (never forming X'X for the solve), HC1 and Newey-West sandwich
-covariances, joint Wald/F tests, and the prediction-error regressions used to
-test unbiasedness (intercept and slope zero) and efficiency (additionally a
-zero coefficient block on the extra information set).
+OLS via QR of one design or a stack of them, HC1 and Newey-West sandwiches with
+the bread R^-1 R^-T from the QR, joint Wald/F tests, and the prediction-error
+regressions used to test unbiasedness (intercept and slope zero) and efficiency
+(additionally a zero coefficient block on the extra information set).
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 from scipy.special import fdtrc
 
 from .errors import EstimationError, RankDeficiencyError
@@ -26,12 +25,15 @@ MIN_OBS_EFFICIENCY = 12
 
 @dataclass(frozen=True)
 class RegressionFit:
+    """One least-squares fit, or a stack of them with a leading axis on every array."""
+
     coefficients: np.ndarray
     residuals: np.ndarray
-    nobs: int
+    nobs: int | np.ndarray
     nparams: int
-    rss: float
-    r_squared: float
+    rss: float | np.ndarray
+    r_squared: float | np.ndarray
+    r: np.ndarray | None = None  # R factor of the design's QR; None for a fit not made by ``ols``
 
 
 @dataclass(frozen=True)
@@ -53,44 +55,63 @@ def newey_west_auto_lag(nobs: int) -> int:
     return int(math.floor(4.0 * (nobs / 100.0) ** (2.0 / 9.0)))
 
 
-def ols(X: np.ndarray, y: np.ndarray) -> RegressionFit:
-    """Least squares via QR decomposition with an explicit rank check.
+def _dependent_column(r: np.ndarray, nobs: int | np.ndarray) -> np.ndarray:
+    """First design column linearly dependent on the earlier ones, per R factor; -1 where none is."""
+    low = np.abs(np.diagonal(r, axis1=-2, axis2=-1)) <= (
+        np.abs(r).max(axis=(-2, -1)) * np.maximum(nobs, r.shape[-1]) * np.finfo(float).eps)[..., None]
+    return np.where(low.any(axis=-1), low.argmax(axis=-1), -1)
 
-    Raises RankDeficiencyError naming the first column that is linearly
-    dependent on the preceding ones.
+
+def ols(X: np.ndarray, y: np.ndarray, mask: np.ndarray | None = None) -> RegressionFit:
+    """Least squares via QR of one design (T x K) or a stack of them (G x T x K), with a rank check.
+
+    ``mask``, shaped like ``y``, marks the sample rows; the rows outside it
+    must be zero in ``X`` and ``y``.  A rank-deficient design raises
+    RankDeficiencyError naming its first column linearly dependent on the
+    preceding ones; in a stack, that regression gets NaN coefficients instead.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    nobs, nparams = X.shape
-    if y.size != nobs:
-        raise EstimationError(f"design has {nobs} rows but response has {y.size}")
-    if nobs <= nparams:
-        raise EstimationError(f"need more observations ({nobs}) than parameters ({nparams})")
+    y = np.asarray(y, dtype=float)
+    rows, nparams = X.shape[-2:]
+    if y.size != X[..., 0].size:
+        raise EstimationError(f"design has {rows} rows but response has {y.size}")
+    y = y.reshape(X.shape[:-1])
+    mask = np.ones(y.shape, dtype=bool) if mask is None else mask
+    nobs = np.count_nonzero(mask, axis=-1)
+    if np.min(nobs) <= nparams:
+        raise EstimationError(f"need more observations ({np.min(nobs)}) than parameters ({nparams})")
     q_mat, r_mat = np.linalg.qr(X)
-    diag = np.abs(np.diag(r_mat))
-    tol = np.abs(r_mat).max() * max(nobs, nparams) * np.finfo(float).eps
-    for j, d in enumerate(diag):
-        if d <= tol:
-            raise RankDeficiencyError(j)
-    coef = scipy.linalg.solve_triangular(r_mat, q_mat.T @ y)
-    residuals = y - X @ coef
-    rss = float(residuals @ residuals)
-    tss = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 - rss / tss if tss > 0 else math.nan
-    return RegressionFit(coef, residuals, nobs, nparams, rss, r_squared)
+    dependent = _dependent_column(r_mat, nobs)
+    if X.ndim == 2 and dependent >= 0:
+        raise RankDeficiencyError(int(dependent))
+    # solve takes stacks, and on a triangular R it is back substitution; a deficient member solves against I.
+    full = (dependent < 0)[..., None]
+    qty = q_mat.swapaxes(-1, -2) @ y[..., None]
+    coef = np.where(full, np.linalg.solve(np.where(full[..., None], r_mat, np.eye(nparams)), qty)[..., 0], np.nan)
+    residuals = y - (X @ coef[..., None])[..., 0]
+    rss = np.vecdot(residuals, residuals)
+    tss = np.sum(np.where(mask, y - (np.sum(y, axis=-1) / nobs)[..., None], 0.0) ** 2, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_squared = np.where(tss > 0, 1.0 - rss / tss, math.nan)
+    if X.ndim == 2:
+        nobs, rss, r_squared = int(nobs), float(rss), float(r_squared)
+    return RegressionFit(coef, residuals, nobs, nparams, rss, r_squared, r_mat)
 
 
-def _bread(X: np.ndarray) -> np.ndarray:
-    return np.linalg.inv(X.T @ X)
+def inverse_gram(r: np.ndarray) -> np.ndarray:
+    """(X'X)^-1 as R^-1 R^-T from the R factor of X = QR; NaN for a stack member whose R is singular."""
+    singular = np.any(np.diagonal(r, axis1=-2, axis2=-1) == 0, axis=-1)
+    r_inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(r.shape[-1]), r))
+    r_inv[singular] = np.nan
+    return r_inv @ r_inv.swapaxes(-1, -2)
 
 
 def hc_covariance(fit: RegressionFit, X: np.ndarray) -> CovarianceEstimate:
-    """HC1: (T/(T-K)) (X'X)^-1 (sum u_t^2 x_t x_t') (X'X)^-1."""
+    """HC1: (T/(T-K)) (X'X)^-1 (sum u_t^2 x_t x_t') (X'X)^-1, for one fit or a stack."""
     X = np.asarray(X, dtype=float)
-    u = fit.residuals
-    bread = _bread(X)
-    meat = (X * (u**2)[:, None]).T @ X
-    factor = fit.nobs / (fit.nobs - fit.nparams)
+    bread = inverse_gram(fit.r)
+    meat = (X * (fit.residuals**2)[..., None]).swapaxes(-1, -2) @ X
+    factor = np.asarray(fit.nobs / (fit.nobs - fit.nparams))[..., None, None]
     return CovarianceEstimate("HC1", factor * bread @ meat @ bread)
 
 
@@ -108,7 +129,7 @@ def hac_covariance(fit: RegressionFit, X: np.ndarray, lag: int) -> CovarianceEst
         w = 1.0 - l / (lag + 1.0)
         gamma = scores[l:].T @ scores[:-l]
         meat += w * (gamma + gamma.T)
-    bread = _bread(X)
+    bread = inverse_gram(fit.r)
     factor = fit.nobs / (fit.nobs - fit.nparams)
     return CovarianceEstimate(f"HAC({lag})", factor * bread @ meat @ bread)
 
@@ -119,27 +140,33 @@ def wald_joint_test(
     R: np.ndarray,
     r: np.ndarray | float = 0.0,
 ) -> JointTestResult:
-    """F-form robust Wald test of R b = r against F(q, T-K)."""
+    """F-form robust Wald test of R b = r against F(q, T-K).
+
+    Over a stack of fits the results are arrays, and a singular R V R' gives a
+    NaN statistic and p-value where one fit raises EstimationError.
+    """
     R = np.atleast_2d(np.asarray(R, dtype=float))
     q = R.shape[0]
     r_vec = np.broadcast_to(np.asarray(r, dtype=float).ravel(), (q,)) if np.ndim(r) else np.full(q, float(r))
     if np.linalg.matrix_rank(R) < q:
         raise EstimationError("restriction matrix is not of full row rank")
-    diff = R @ fit.coefficients - r_vec
+    restricted = (R @ fit.coefficients[..., None])[..., 0]
+    diff = restricted - r_vec
     df_den = fit.nobs - fit.nparams
     # Restrictions satisfied at rounding level (e.g. a perfect fit with a
     # degenerate covariance): the discrepancy is zero by construction.
-    scale = max(float(np.abs(R @ fit.coefficients).max()), float(np.abs(r_vec).max()), 1.0)
-    if float(np.abs(diff).max()) <= 1e-10 * scale:
-        return JointTestResult(0.0, q, df_den, 1.0)
+    scale = np.maximum(np.maximum(np.abs(restricted).max(axis=-1), np.abs(r_vec).max()), 1.0)
+    satisfied = np.abs(diff).max(axis=-1) <= 1e-10 * scale
     middle = R @ cov.matrix @ R.T
-    try:
-        solved = np.linalg.solve(middle, diff)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError("R V R' is singular") from exc
-    wald = float(diff @ solved)
-    statistic = max(wald, 0.0) / q
-    p_value = float(fdtrc(q, df_den, statistic))
+    with np.errstate(invalid="ignore"):  # NaN for a rank-deficient member of a stack
+        degenerate = np.linalg.slogdet(middle)[0] == 0
+    singular = degenerate & ~satisfied
+    if np.ndim(singular) == 0 and singular:
+        raise EstimationError("R V R' is singular")
+    solved = np.linalg.solve(np.where(degenerate[..., None, None], np.eye(q), middle), diff[..., None])[..., 0]
+    wald = np.where(singular, math.nan, np.vecdot(diff, solved))
+    statistic = np.where(satisfied, 0.0, np.maximum(wald, 0.0) / q)[()]  # [()]: a 0-d result as a scalar
+    p_value = np.where(satisfied, 1.0, fdtrc(q, df_den, statistic))[()]
     return JointTestResult(statistic, q, df_den, p_value)
 
 
@@ -159,19 +186,23 @@ def efficiency_regression(
     """Regress (actual - prediction) on intercept, prediction, and extra columns.
 
     The inputs are aligned on one run of quarters in ascending order, NaN
-    where a quarter is absent.  The sample is the quarters where every input
-    is present, and must contain at least K+8 of them, where K counts the
-    regression parameters.
+    where a quarter is absent; 2-D inputs fit a stack, one run per row.  The
+    sample is the quarters where every input is present, moved to the front
+    of its row of the design (zero after it), and must contain at least K+8
+    quarters, where K counts the regression parameters.
     """
     nparams = 2 + len(extra_regressors)
-    sample = np.logical_and.reduce([~np.isnan(c) for c in (actual, prediction, *extra_regressors)])
-    nobs = int(np.count_nonzero(sample))
+    columns = (actual, prediction, *extra_regressors)
+    sample = np.logical_and.reduce([~np.isnan(c) for c in columns])
+    nobs = np.count_nonzero(sample, axis=-1)
     required = nparams + 8
-    if nobs < required:
-        raise EstimationError(f"insufficient overlap: need {required} quarters, have {nobs}")
-    pred = prediction[sample]
-    X = np.column_stack([np.ones(nobs), pred, *(x[sample] for x in extra_regressors)])
-    return EfficiencyRegression(ols(X, actual[sample] - pred), X)
+    if np.min(nobs) < required:
+        raise EstimationError(f"insufficient overlap: need {required} quarters, have {np.min(nobs)}")
+    order = np.argsort(~sample, axis=-1, kind="stable")[..., :np.max(nobs)]
+    mask = np.take_along_axis(sample, order, axis=-1)
+    actual, pred, *extra = (np.where(mask, np.take_along_axis(c, order, axis=-1), 0.0) for c in columns)
+    X = np.stack([mask.astype(float), pred, *extra], axis=-1)
+    return EfficiencyRegression(ols(X, actual - pred, mask), X)
 
 
 def _joint_zero_test(reg: EfficiencyRegression, cov: CovarianceEstimate, q: int) -> JointTestResult:
@@ -280,40 +311,25 @@ class IndividualBattery:
     details: list[ForecasterTestDetail] = field(default_factory=list)
 
 
-def _forecaster_tests(
-    economist_id: str,
-    release: ReleaseKind,
-    actual: np.ndarray,
-    prediction: np.ndarray,
-    *extra: np.ndarray,
-) -> ForecasterTestDetail:
-    """One forecaster's tests; the arrays are aligned on the forecaster's quarters, ascending."""
-    has_actual = ~np.isnan(actual)
-    nobs = int(np.count_nonzero(has_actual))
-    alpha_hat = beta_hat = p_unb = p_eff = None
-    notes = []
-    if nobs >= MIN_OBS_UNBIASEDNESS:
-        try:
-            reg = efficiency_regression(actual, prediction)
-            alpha_hat = float(reg.fit.coefficients[0])
-            beta_hat = float(reg.fit.coefficients[1])
-            p_unb = unbiasedness_test(reg, hc_covariance(reg.fit, reg.design)).p_value
-        except EstimationError as exc:
-            notes.append(f"unbiasedness: {exc}")
-    else:
-        notes.append("unbiasedness: too few observations")
-    eff_nobs = np.count_nonzero(np.logical_and.reduce([has_actual, *(~np.isnan(x) for x in extra)]))
-    if eff_nobs >= MIN_OBS_EFFICIENCY:
-        try:
-            reg = efficiency_regression(actual, prediction, extra)
-            p_eff = efficiency_test(reg, hc_covariance(reg.fit, reg.design)).p_value
-        except EstimationError as exc:
-            notes.append(f"efficiency: {exc}")
-    else:
-        notes.append("efficiency: too few observations")
-    return ForecasterTestDetail(
-        economist_id, release, nobs, alpha_hat, beta_hat, p_unb, p_eff, "; ".join(notes)
-    )
+def _stacked_zero_tests(name: str, eligible: np.ndarray, actual: np.ndarray, prediction: np.ndarray,
+                        *extra: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """HC1 tests that every coefficient is zero, fitting the eligible rows as one stack.
+
+    Returns each row's coefficients and p-value (NaN where there is none) and note.
+    """
+    coefficients = np.full((eligible.size, 2 + len(extra)), np.nan)
+    p_value = np.full(eligible.size, np.nan)
+    notes = [f"{name}: too few observations"] * eligible.size
+    if eligible.any():
+        reg = efficiency_regression(actual[eligible], prediction[eligible], [x[eligible] for x in extra])
+        fit = reg.fit
+        coefficients[eligible] = fit.coefficients
+        p_value[eligible] = _joint_zero_test(reg, hc_covariance(fit, reg.design), fit.nparams).p_value
+        for row, column, p in zip(np.flatnonzero(eligible).tolist(), _dependent_column(fit.r, fit.nobs).tolist(),
+                                  p_value[eligible].tolist()):
+            notes[row] = (f"{name}: {RankDeficiencyError(column)}" if column >= 0
+                          else f"{name}: R V R' is singular" if math.isnan(p) else "")
+    return coefficients, p_value, notes
 
 
 def test_battery_individual(
@@ -340,30 +356,33 @@ def test_battery_individual(
         order, codes, bounds = rows.economist_blocks()
         if not codes.size:
             continue
+        # One row per economist: its quarters in ascending order, then NaN padding.
+        sizes = np.diff(bounds)
+        block = np.repeat(np.arange(codes.size), sizes)
         quarter = rows.quarter[order]
-        columns = (actuals[release].at(quarter), rows.value[order],
-                   spf.median.at(quarter), ar_forecasts[release].at(quarter))
-        details = [
-            _forecaster_tests(panel.economist_ids[code], release, *(c[lo:hi] for c in columns))
-            for code, lo, hi in zip(codes.tolist(), bounds.tolist(), bounds[1:].tolist())
-        ]
+        actual, prediction, spf_median, ar = grid = np.full((4, codes.size, sizes.max()), np.nan)
+        grid[:, block, np.arange(order.size) - bounds[block]] = (
+            actuals[release].at(quarter), rows.value[order], spf.median.at(quarter), ar_forecasts[release].at(quarter))
+        has_actual = ~np.isnan(actual)
+        nobs = np.count_nonzero(has_actual, axis=1)
+        eff_nobs = np.count_nonzero(has_actual & ~np.isnan(spf_median) & ~np.isnan(ar), axis=1)
+        unb_coef, p_unb, unb_notes = _stacked_zero_tests(
+            "unbiasedness", nobs >= MIN_OBS_UNBIASEDNESS, actual, prediction)
+        _, p_eff, eff_notes = _stacked_zero_tests(
+            "efficiency", eff_nobs >= MIN_OBS_EFFICIENCY, actual, prediction, spf_median, ar)
+        values = np.column_stack([unb_coef, p_unb, p_eff]).tolist()  # alpha, beta, both p-values
+        for code, n, row, *notes in zip(codes.tolist(), nobs.tolist(), values, unb_notes, eff_notes):
+            battery.details.append(ForecasterTestDetail(
+                panel.economist_ids[code], release, n, *(None if math.isnan(v) else v for v in row),
+                "; ".join(filter(None, notes))))
         shares = participation[release][codes]
-        battery.details.extend(details)
         for threshold in thresholds:
-            qualifying = [d for d, ok in zip(details, passes_threshold(shares, threshold)) if ok]
-            unb = [d.p_unbiased for d in qualifying if d.p_unbiased is not None]
-            eff = [d.p_efficient for d in qualifying if d.p_efficient is not None]
-            battery.shares.append(
-                IndividualShareRow(
-                    release=release,
-                    threshold=threshold,
-                    n_qualifying=len(qualifying),
-                    n_tested_unbiased=len(unb),
-                    share_unbiased=(sum(1 for p in unb if p >= alpha) / len(unb)) if unb else None,
-                    n_tested_efficient=len(eff),
-                    share_efficient=(sum(1 for p in eff if p >= alpha) / len(eff)) if eff else None,
-                    n_excluded_unbiased=len(qualifying) - len(unb),
-                    n_excluded_efficient=len(qualifying) - len(eff),
-                )
-            )
+            qualifying = passes_threshold(shares, threshold)
+            n_qualifying = np.count_nonzero(qualifying)
+            (n_unb, share_unb), (n_eff, share_eff) = (
+                (p.size, np.count_nonzero(p >= alpha) / p.size if p.size else None)
+                for p in (p_unb[qualifying & ~np.isnan(p_unb)], p_eff[qualifying & ~np.isnan(p_eff)]))
+            battery.shares.append(IndividualShareRow(
+                release, threshold, n_qualifying, n_unb, share_unb, n_eff, share_eff,
+                n_qualifying - n_unb, n_qualifying - n_eff))
     return battery

@@ -214,14 +214,15 @@ def _parse_rows(source, header: Sequence[str], what: str, parse_row: Callable) -
     """Yield ``(where, parse_row(row))`` for each data row of a CSV source.
 
     ``where`` names the file and line.  A wrong header, a row with too few or
-    too many fields, or a field ``parse_row`` rejects with ValueError raises
+    too many fields, a line the csv module cannot read (such as a field over
+    its size limit), or a field ``parse_row`` rejects with ValueError raises
     IngestionError naming both.
     """
     is_path = isinstance(source, (str, Path))
     name = str(source) if is_path else getattr(source, "name", what)
     fh = open(source, "r", encoding="utf-8", newline="") if is_path else source
+    reader = csv.DictReader(fh)
     try:
-        reader = csv.DictReader(fh)
         got = reader.fieldnames
         if got is None or list(got) != list(header):
             raise IngestionError(f"{name}: expected header {','.join(header)}, got {got}")
@@ -234,6 +235,8 @@ def _parse_rows(source, header: Sequence[str], what: str, parse_row: Callable) -
             except ValueError as exc:
                 raise IngestionError(f"{where}: {exc}") from exc
             yield where, parsed
+    except csv.Error as exc:  # only the reader raises it; its own line count includes the failed line
+        raise IngestionError(f"{name} line {reader.reader.line_num}: {exc}") from exc
     finally:
         if is_path:
             fh.close()

@@ -18,7 +18,7 @@ from scipy.special import stdtr
 
 from .errors import EstimationError, RankDeficiencyError
 from .judgment import JudgmentPanel
-from .linreg import ols
+from .linreg import inverse_gram, ols
 from .panel import cell_key
 from .quarters import ReleaseKind
 
@@ -100,7 +100,7 @@ class PanelFitResult:
 def clustered_covariance(
     X: np.ndarray, residuals: np.ndarray, clusters: np.ndarray
 ) -> np.ndarray:
-    """Cluster-robust sandwich with factor G/(G-1) * (N-1)/(N-K)."""
+    """Cluster-robust sandwich with factor G/(G-1) * (N-1)/(N-K), the bread from X's QR R factor."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     residuals = np.asarray(residuals, dtype=float)
     codes, inverse = np.unique(clusters, return_inverse=True)
@@ -112,7 +112,7 @@ def clustered_covariance(
     cluster_scores = np.zeros((n_clusters, nparams))
     np.add.at(cluster_scores, inverse, scores)
     meat = cluster_scores.T @ cluster_scores
-    bread = np.linalg.inv(X.T @ X)
+    bread = inverse_gram(np.linalg.qr(X, mode="r"))
     factor = (n_clusters / (n_clusters - 1)) * ((nobs - 1) / (nobs - nparams))
     return factor * bread @ meat @ bread
 

@@ -126,6 +126,27 @@ class TestReport:
         assert not (out / "diagnostics.csv").exists()
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("which", ["actuals", "spf", "forecasts"])
+    def test_over_long_field_exits_1_with_one_error_line(self, world_dir, tmp_path, capsys, which):
+        # A field over the csv module's size limit (131,072 characters).  The
+        # forecasts file also holds a quote, which sends it to the row parser.
+        bad = tmp_path / f"{which}.csv"
+        lines = (world_dir / f"{which}.csv").read_text().splitlines()
+        if which == "forecasts":
+            fields = lines[2].split(",")
+            fields[2] = f'"{fields[2]}"'
+            lines[2] = ",".join(fields)
+        lines[4] = "x" * 200_000 + lines[4][lines[4].index(","):]
+        bad.write_text("\n".join(lines) + "\n")
+        flags = world_flags(world_dir)
+        flags[flags.index(f"--{which}") + 1] = str(bad)
+        code = main(["report", *flags, "--out", str(tmp_path / "report")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ingestionerror")
+        assert f"{bad} line 5: field larger than field limit" in err[0]
+
     def test_release_without_forecasts_keeps_judgment_outputs(self, world_dir, tmp_path):
         lines = (world_dir / "forecasts.csv").read_text().splitlines()
         assert any(line.split(",")[1] == "3" for line in lines[1:])
@@ -151,6 +172,13 @@ class TestReport:
 
 def test_importing_the_cli_does_not_load_scipy_stats():
     code = "import sys, judgebench.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(judgebench.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_does_not_load_scipy_linalg():
+    code = "import sys, judgebench.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
     env = {**os.environ, "PYTHONPATH": str(Path(judgebench.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"

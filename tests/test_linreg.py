@@ -70,6 +70,28 @@ class TestOls:
             expected = np.linalg.solve(X.T @ X, X.T @ y)
             assert ols(X, y).coefficients == pytest.approx(expected, abs=1e-8)
 
+    def test_stack_matches_single_fits(self):
+        # Three regressions of 12, 9 and 12 rows, padded with zero rows to 12;
+        # the third has a constant second column and is rank deficient.
+        rng = np.random.default_rng(16)
+        X = np.column_stack([np.ones(36), rng.normal(size=36)]).reshape(3, 12, 2)
+        X[2, :, 1] = 0.5
+        y = rng.normal(size=(3, 12))
+        mask = np.ones((3, 12), dtype=bool)
+        mask[1, 9:] = False
+        X[~mask], y[~mask] = 0.0, 0.0
+        stack = ols(X, y, mask)
+        assert stack.nobs.tolist() == [12, 9, 12]
+        for g, n in ((0, 12), (1, 9)):
+            single = ols(X[g, :n], y[g, :n])
+            assert stack.coefficients[g] == pytest.approx(single.coefficients, rel=1e-12)
+            assert stack.r_squared[g] == pytest.approx(single.r_squared, rel=1e-12)
+            V = hc_covariance(stack, X).matrix[g]
+            assert V == pytest.approx(hc_covariance(single, X[g, :n]).matrix, rel=1e-12)
+        assert np.isnan(stack.coefficients[2]).all()
+        with pytest.raises(RankDeficiencyError):
+            ols(X[2], y[2])
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         X = np.column_stack([np.ones(25), rng.normal(size=25)])
