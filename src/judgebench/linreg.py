@@ -365,11 +365,13 @@ def test_battery_individual(
             actuals[release].at(quarter), rows.value[order], spf.median.at(quarter), ar_forecasts[release].at(quarter))
         has_actual = ~np.isnan(actual)
         nobs = np.count_nonzero(has_actual, axis=1)
-        eff_nobs = np.count_nonzero(has_actual & ~np.isnan(spf_median) & ~np.isnan(ar), axis=1)
+        # Eligibility counts each regression's own sample, so no member of a stack is short of it.
+        sample = has_actual & ~np.isnan(prediction)
         unb_coef, p_unb, unb_notes = _stacked_zero_tests(
-            "unbiasedness", nobs >= MIN_OBS_UNBIASEDNESS, actual, prediction)
+            "unbiasedness", np.count_nonzero(sample, axis=1) >= MIN_OBS_UNBIASEDNESS, actual, prediction)
+        sample &= ~np.isnan(spf_median) & ~np.isnan(ar)
         _, p_eff, eff_notes = _stacked_zero_tests(
-            "efficiency", eff_nobs >= MIN_OBS_EFFICIENCY, actual, prediction, spf_median, ar)
+            "efficiency", np.count_nonzero(sample, axis=1) >= MIN_OBS_EFFICIENCY, actual, prediction, spf_median, ar)
         values = np.column_stack([unb_coef, p_unb, p_eff]).tolist()  # alpha, beta, both p-values
         for code, n, row, *notes in zip(codes.tolist(), nobs.tolist(), values, unb_notes, eff_notes):
             battery.details.append(ForecasterTestDetail(

@@ -195,3 +195,20 @@ def test_stacked_battery_matches_per_forecaster_loop(world):
     assert hand_made["singular"].note.startswith("unbiasedness: R V R' is singular")
     assert hand_made["singular"].p_unbiased is None
     assert math.isclose(hand_made["singular"].beta_hat, 1.0)
+
+
+def test_missing_predictions_count_against_the_sample_not_the_stack():
+    # A panel built in code may hold NaN forecasts.  Such a forecaster is too
+    # short for both regressions here, and the other forecaster is still tested.
+    quarters = [START.shifted(t) for t in range(16)]
+    rng = np.random.default_rng(17)
+    actual = rng.normal(1.0, 1.0, 16)
+    values = {"full": actual + rng.normal(0.0, 0.5, 16), "gappy": np.where(np.arange(16) % 2, np.nan, actual)}
+    panel = ForecastPanel.from_rows(rec(name, q, float(v), R1) for name, vs in values.items() for q, v in zip(quarters, vs))
+    spf, ar = (series_from(dict(zip(quarters, rng.normal(1.0, 1.0, 16)))) for _ in range(2))
+    battery = battery_individual(panel, {R1: actuals_from(dict(zip(quarters, actual)))}, SpfNowcasts(spf, spf),
+                                 {R1: ar}, {R1: participation_share(panel, R1)})
+    detail = {d.economist_id: d for d in battery.details}
+    assert detail["gappy"].nobs == 16
+    assert detail["gappy"].note == "unbiasedness: too few observations; efficiency: too few observations"
+    assert detail["full"].note == "" and detail["full"].p_efficient is not None
