@@ -98,31 +98,53 @@ class PanelFitResult:
 
 
 def clustered_covariance(
-    X: np.ndarray, residuals: np.ndarray, clusters: np.ndarray
+    X: np.ndarray, residuals: np.ndarray, clusters: np.ndarray, r: np.ndarray | None = None
 ) -> np.ndarray:
-    """Cluster-robust sandwich with factor G/(G-1) * (N-1)/(N-K), the bread from X's QR R factor."""
+    """Cluster-robust sandwich with factor G/(G-1) * (N-1)/(N-K), the bread from X's QR R factor.
+
+    ``clusters`` are codes 0..G-1, each of them used; ``r`` is the R factor
+    of X's QR, computed here if not given.  Scores that cancel within every
+    cluster leave only rounding noise in the meat, so a diagonal entry of the
+    meat within N * eps of the unclustered one (the sum of the squared
+    scores) counts as zero, with its row and column.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     residuals = np.asarray(residuals, dtype=float)
-    codes, inverse = np.unique(clusters, return_inverse=True)
-    n_clusters = codes.size
+    n_clusters = int(clusters.max()) + 1 if clusters.size else 0
     nobs, nparams = X.shape
     if n_clusters < 2:
         raise EstimationError("clustered covariance needs at least 2 clusters")
     scores = X * residuals[:, None]
-    cluster_scores = np.zeros((n_clusters, nparams))
-    np.add.at(cluster_scores, inverse, scores)
+    # bincount adds each cluster's scores in row order, as np.add.at does.
+    cluster_scores = np.column_stack([np.bincount(clusters, weights=s, minlength=n_clusters) for s in scores.T])
     meat = cluster_scores.T @ cluster_scores
-    bread = inverse_gram(np.linalg.qr(X, mode="r"))
+    noise = np.diagonal(meat) <= nobs * EPS * np.einsum("ij,ij->j", scores, scores)
+    meat[noise] = 0.0
+    meat[:, noise] = 0.0
+    bread = inverse_gram(np.linalg.qr(X, mode="r") if r is None else r)
     factor = (n_clusters / (n_clusters - 1)) * ((nobs - 1) / (nobs - nparams))
     return factor * bread @ meat @ bread
 
 
 def cluster_se(
-    X: np.ndarray, residuals: np.ndarray, clusters: np.ndarray, column: int = 0
+    X: np.ndarray, residuals: np.ndarray, clusters: np.ndarray, column: int = 0, r: np.ndarray | None = None
 ) -> float:
-    """Clustered standard error of one coefficient."""
-    cov = clustered_covariance(X, residuals, clusters)
+    """Clustered standard error of one coefficient (arguments as for ``clustered_covariance``)."""
+    cov = clustered_covariance(X, residuals, clusters, r)
     return math.sqrt(max(cov[column, column], 0.0))
+
+
+def _runs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's run number and each run's length, where a run is a stretch of equal codes.
+
+    Raises ValueError if a code comes back after another, since then its
+    rows would fall into two runs.
+    """
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))  # codes are non-negative
+    if starts.size and np.bincount(codes[starts]).max() > 1:
+        raise ValueError("persistence rows must be grouped by economist")
+    counts = np.diff(np.append(starts, codes.size))
+    return np.repeat(np.arange(counts.size), counts), counts
 
 
 def _demean_by(values: np.ndarray, inverse: np.ndarray, n_groups: int) -> np.ndarray:
@@ -160,7 +182,9 @@ def fe_estimate(data: PersistenceData, spec: str) -> PanelFitResult:
     pooled: OLS with intercept.  fe: within transformation by economist
     (singleton economists dropped).  fe_te: fe with the T quarter effects
     partialled out (``_partial_quarter_effects``); its clustered SE still
-    counts K = 1 + (T-1).  Standard errors are clustered on economists.
+    counts K = 1 + (T-1).  Standard errors are clustered on economists, each
+    a run of rows, since the rows are grouped by economist; an exact fit has
+    SE 0.
     """
     if spec not in SPECS:
         raise ValueError(f"unknown spec {spec!r}")
@@ -168,17 +192,17 @@ def fe_estimate(data: PersistenceData, spec: str) -> PanelFitResult:
         raise EstimationError("empty persistence dataset")
     econs, y, x, quarters = data.economist, data.response, data.regressor, data.quarter
 
+    # The rows are grouped by economist, so its runs are the clusters.
+    inverse, counts = _runs(econs)
     singletons_dropped = 0
     if spec in ("fe", "fe_te"):
-        _, inverse, counts = np.unique(econs, return_inverse=True, return_counts=True)
         keep = counts[inverse] >= 2
         singletons_dropped = int(np.sum(counts < 2))
         if not np.any(keep):
             raise EstimationError("no economist has 2 or more observations")
         econs, y, x, quarters = econs[keep], y[keep], x[keep], quarters[keep]
-
-    codes, inverse = np.unique(econs, return_inverse=True)
-    n_clusters = codes.size
+        inverse, counts = _runs(econs)
+    n_clusters = counts.size
     nobs = y.size
     if spec != "pooled" and n_clusters < 2:
         raise EstimationError("all observations come from a single economist")
@@ -212,11 +236,12 @@ def fe_estimate(data: PersistenceData, spec: str) -> PanelFitResult:
     beta, residuals = float(fit.coefficients[-1]), fit.residuals
     fitted = (y_reg - y_fit) + X @ fit.coefficients  # y_reg - residuals, free of cancellation
 
-    if np.allclose(residuals, 0.0):
+    if 1.0 - fit.r_squared <= nobs * EPS:  # an exact fit: the residuals are rounding noise
         se = 0.0
     else:
         # cluster_se counts only X's columns in K; the partialled quarter effects count too.
-        se = cluster_se(X, residuals, inverse, column=-1) * math.sqrt((nobs - X.shape[1]) / (nobs - nparams))
+        se = cluster_se(X, residuals, inverse, column=-1, r=fit.r)
+        se *= math.sqrt((nobs - X.shape[1]) / (nobs - nparams))
 
     # R^2 convention: ordinary for pooled, within for FE specs.
     if spec == "pooled":
@@ -275,7 +300,9 @@ def persistence_battery(judgments: Mapping[ReleaseKind, JudgmentPanel]) -> Persi
     ``judgments`` holds each release's judgments, extracted from one panel.
     Per-cell failures are reported inline; the battery always completes.
     Significance is two-sided from a t distribution with G-1 degrees of
-    freedom, G the number of forecasters.
+    freedom, G the number of forecasters.  A zero SE (an exact fit, or
+    cluster scores that cancel) gives p = 0, or 1 for beta = 0, and no
+    stars: there is no sampling variation to test against.
     """
     report = PersistenceReport()
     for release in (ReleaseKind.FIRST, ReleaseKind.SECOND, ReleaseKind.THIRD):
@@ -294,9 +321,8 @@ def persistence_battery(judgments: Mapping[ReleaseKind, JudgmentPanel]) -> Persi
                 if result.se_clustered > 0:
                     t_stat = result.beta / result.se_clustered
                     p = 2.0 * float(stdtr(result.n_forecasters - 1, -abs(t_stat)))
+                    stars = significance_stars(p)
                 else:
-                    p = 0.0 if result.beta != 0 else 1.0
-                report.cells.append(
-                    PersistenceCell(release, kind, spec, result, p, significance_stars(p))
-                )
+                    p, stars = (0.0 if result.beta != 0 else 1.0), ""
+                report.cells.append(PersistenceCell(release, kind, spec, result, p, stars))
     return report

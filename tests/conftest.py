@@ -105,7 +105,7 @@ class Obs(NamedTuple):
 
 
 def dataset(observations: list[Obs], regressor_kind: str = "own_lag") -> PersistenceData:
-    """The observations as the columns ``fe_estimate`` reads, in the given order."""
+    """The observations as the columns ``fe_estimate`` reads, in the given order (grouped by economist)."""
     _, economist = factorize([o.economist_id for o in observations])
     return PersistenceData(
         economist,

@@ -5,6 +5,7 @@ from judgebench.errors import EstimationError
 from judgebench.judgment import JudgmentPanel
 from judgebench.panel import ForecastPanel
 from judgebench.panelreg import (
+    SPECS,
     build_persistence_dataset,
     cluster_se,
     clustered_covariance,
@@ -159,6 +160,45 @@ class TestFeEstimate:
             if abs(result.beta) < 3 * result.se_clustered:
                 hits += 1
         assert hits >= 95
+
+
+def same_quarters_panel(seed: int = 0) -> list[Obs]:
+    """Two economists seen in the same quarters: after both effects are partialled out, each
+    economist's cluster score is exactly zero, so the FE+TE clustered SE is 0."""
+    rng = np.random.default_rng(seed)
+    data = []
+    for i in range(2):
+        for t in range(6):
+            x = rng.normal()
+            data.append(obs(f"E{i}", q(2000, 1).shifted(t), 3.2 * x + i + 0.1 * t + rng.normal(0, 0.5), x))
+    return data
+
+
+class TestZeroClusteredSe:
+    def test_cancelling_cluster_scores_give_zero_se(self):
+        result = fe_estimate(dataset(same_quarters_panel()), "fe_te")
+        assert result.beta == pytest.approx(3.5097335142626, abs=1e-9)
+        assert result.se_clustered == 0.0
+
+    def test_exact_fit_gives_zero_se(self):
+        data = [o._replace(response=3.2 * o.regressor + 1.0) for o in same_quarters_panel()]
+        for spec in SPECS:
+            result = fe_estimate(dataset(data), spec)
+            assert (result.beta, result.se_clustered) == (pytest.approx(3.2, abs=1e-12), 0.0)
+
+    def test_zero_se_cell_has_p_zero_and_no_stars(self):
+        entries = {(o.economist_id, o.quarter, release): o.response
+                   for o in same_quarters_panel() for release in (R1, R2, R3)}
+        report = persistence_battery(jp_from(entries))
+        cells = [c for c in report.cells if c.regressor_kind == "own_lag" and c.spec == "fe_te"]
+        assert len(cells) == 3
+        for cell in cells:
+            assert (cell.result.se_clustered, cell.p_value, cell.stars) == (0.0, 0.0, "")
+
+    def test_unsorted_rows_rejected(self):
+        data = same_quarters_panel()
+        with pytest.raises(ValueError, match="grouped by economist"):
+            fe_estimate(dataset(data[::2] + data[1::2]), "fe")
 
 
 class TestClusteredSe:
