@@ -16,6 +16,7 @@ import warnings
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .panel import (
     FORECASTS_HEADER,
     ActualSeries,
     ForecastPanel,
+    QuarterSeries,
     SpfNowcasts,
     clean_panel,
     joint_coverage,
@@ -130,23 +132,81 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list], comment: str | None = None) -> Path:
-    """Write one table and return its path."""
+class CodedColumn(NamedTuple):
+    """A table column given as its distinct cells and each row's code into them."""
+
+    table: Sequence
+    codes: np.ndarray
+
+
+def _cells(column) -> list[str]:
+    """One column's cells as text, each distinct cell formatted once by ``_fmt``.
+
+    A numeric numpy column is coded by bit pattern, so -0.0 and 0.0 stay apart.
+    """
+    if isinstance(column, np.ndarray) and column.dtype.kind == "b":
+        column = CodedColumn([False, True], column.view(np.uint8))
+    elif isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
+        distinct, codes = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+        column = CodedColumn(distinct.view(column.dtype).tolist(), codes)
+    if isinstance(column, CodedColumn):
+        return np.array([_fmt(cell) for cell in column.table], dtype=object)[column.codes].tolist()
+    return [_fmt(cell) for cell in column]
+
+
+def write_csv(path: Path, header: list[str], columns: list, comment: str | None = None) -> Path:
+    """Write one table from its columns and return its path.
+
+    ``columns`` holds one column per header field, all of one length: a
+    numpy array, a ``CodedColumn`` or a sequence of cells.  Every cell is
+    written by the rule of ``_fmt``: a float with 12 significant digits (-0
+    kept), NaN and None empty, a bool as 1 or 0, anything else by ``str``.
+    """
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
+    cells = [_cells(column) for column in columns]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        writer.writerows(zip(*cells, strict=True))
     return path
 
 
-def _quarter_labels(indexes: np.ndarray) -> list[str]:
-    """``YYYYQn`` for each quarter index."""
-    label = {i: str(Quarter.from_index(i)) for i in np.unique(indexes).tolist()}
-    return [label[i] for i in indexes.tolist()]
+def _add_row(columns: list[list], *cells) -> None:
+    """Append one row's cells to a small table's columns."""
+    for column, cell in zip(columns, cells, strict=True):
+        column.append(cell)
+
+
+def _record_columns(records: list, names: tuple[str, ...]) -> list[list]:
+    """One column per attribute name over the records."""
+    return [[getattr(record, name) for record in records] for name in names]
+
+
+def _quarter_labels(indexes: np.ndarray) -> CodedColumn:
+    """The ``YYYYQn`` label of each quarter index, as codes into the labels of their span."""
+    first, last = (int(indexes.min()), int(indexes.max())) if indexes.size else (0, -1)
+    return CodedColumn([str(Quarter.from_index(i)) for i in range(first, last + 1)], indexes - first)
+
+
+def _stack_series(series: list[QuarterSeries], *arrays: str) -> tuple:
+    """The present quarters of each series, one series after another.
+
+    Returns their labels, each series' count of them, and each named array
+    of the series (default: ``values``) at them.
+    """
+    present = [s.quarters() for s in series]
+    return (_quarter_labels(np.concatenate(present)), [q.size for q in present],
+            *(np.concatenate([getattr(s, name)[q - s.start] for s, q in zip(series, present)])
+              for name in arrays or ("values",)))
+
+
+def _release_labels(sizes: list[int]) -> CodedColumn:
+    """``sizes[i]`` rows labelled with release ``RELEASES[i]``."""
+    return CodedColumn([RELEASE_LABEL[rel] for rel in RELEASES], np.repeat(np.arange(len(RELEASES)), sizes))
 
 
 def _require_input(path: str | None, what: str) -> Path:
@@ -232,106 +292,100 @@ class Study:
 
 
 def cmd_describe(study: Study, out: Path) -> list[Path]:
-    stat_rows = []
-    table1_rows = []
-    for rel in RELEASES:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            stats = quarter_stats(study.panel, study.actuals[rel], rel)
-        for s in stats:
-            stat_rows.append(
-                [RELEASE_LABEL[rel], str(s.quarter), s.n, s.rmse, s.std_dev, s.skewness, s.excess_kurtosis]
-            )
-        if not stats:
-            continue
-        ns = [s.n for s in stats]
-        rmses = [s.rmse for s in stats]
-        stds = [s.std_dev for s in stats]
-        skews = [s.skewness for s in stats if s.skewness is not None]
-        kurts = [s.excess_kurtosis for s in stats if s.excess_kurtosis is not None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stats = {rel: quarter_stats(study.panel, study.actuals[rel], rel) for rel in RELEASES}
+    described = [rel for rel in RELEASES if stats[rel]]
 
-        def agg(xs):
-            if not xs:
-                return (None, None, None)
-            return (sum(xs) / len(xs), min(xs), max(xs))
+    def spread(name: str) -> tuple[list, list, list]:
+        """Average, min and max of one statistic over each described release's quarters; None if absent."""
+        columns = ([], [], [])
+        for rel in described:
+            xs = [x for x in (getattr(s, name) for s in stats[rel]) if x is not None]
+            for column, value in zip(columns, (sum(xs) / len(xs), min(xs), max(xs)) if xs else (None,) * 3):
+                column.append(value)
+        return columns
 
-        table1_rows.append(
-            [RELEASE_LABEL[rel], *agg(ns), armse(stats), min(rmses), max(rmses),
-             *agg(stds), *agg(skews), *agg(kurts)]
-        )
+    _, min_rmse, max_rmse = spread("rmse")
     return [
         write_csv(out / "quarter_stats.csv",
-                  ["release", "quarter", "n", "rmse", "std_dev", "skewness", "excess_kurtosis"], stat_rows,
+                  ["release", "quarter", "n", "rmse", "std_dev", "skewness", "excess_kurtosis"],
+                  [_release_labels([len(stats[rel]) for rel in RELEASES]),
+                   *_record_columns([s for rel in RELEASES for s in stats[rel]],
+                                    ("quarter", "n", "rmse", "std_dev", "skewness", "excess_kurtosis"))],
                   comment="per-quarter cross-sectional statistics (kurtosis is excess: normal = 0)"),
         write_csv(out / "table1_descriptive.csv",
                   ["release", "avg_n", "min_n", "max_n", "armse", "min_rmse", "max_rmse",
                    "avg_std", "min_std", "max_std", "avg_skew", "min_skew", "max_skew",
-                   "avg_excess_kurt", "min_excess_kurt", "max_excess_kurt"], table1_rows,
+                   "avg_excess_kurt", "min_excess_kurt", "max_excess_kurt"],
+                  [[RELEASE_LABEL[rel] for rel in described], *spread("n"),
+                   [armse(stats[rel]) for rel in described], min_rmse, max_rmse,
+                   *spread("std_dev"), *spread("skewness"), *spread("excess_kurtosis")],
                   comment="table 1: descriptive statistics by release (averages with min/max across quarters)"),
     ]
 
 
 def cmd_table2(study: Study, out: Path) -> list[Path]:
     panel, thresholds = study.panel, study.cfg.thresholds
-    rows = []
+    columns = [[], [], []]
     for rel in RELEASES:
         in_release = panel.release == rel
         present = np.bincount(panel.economist[in_release], minlength=len(panel.economist_ids)) > 0
         share = study.participation[rel]
-        rows.append(["total_predictions", RELEASE_LABEL[rel], int(np.count_nonzero(in_release))])
-        rows.append(["n_economists", RELEASE_LABEL[rel], int(np.count_nonzero(present))])
+        _add_row(columns, "total_predictions", RELEASE_LABEL[rel], int(np.count_nonzero(in_release)))
+        _add_row(columns, "n_economists", RELEASE_LABEL[rel], int(np.count_nonzero(present)))
         for thr in thresholds:
             count = int(np.count_nonzero(present & passes_threshold(share, thr)))
-            rows.append([f"n_economists_ge_{int(round(thr * 100))}pct", RELEASE_LABEL[rel], count])
+            _add_row(columns, f"n_economists_ge_{int(round(thr * 100))}pct", RELEASE_LABEL[rel], count)
     cov = joint_coverage(panel)
     for releases, count in zip(("1_2", "1_3", "2_3", "1_2_3"), astuple(cov)):
-        rows.append([f"joint_cells_releases_{releases}", "", count])
-    return [write_csv(out / "table2_participation.csv", ["metric", "release", "value"], rows,
+        _add_row(columns, f"joint_cells_releases_{releases}", "", count)
+    return [write_csv(out / "table2_participation.csv", ["metric", "release", "value"], columns,
                       comment="table 2: participation and joint-coverage counts "
                               "(joint counts are economist-quarter cells)")]
 
 
 def cmd_judgment(study: Study, out: Path) -> list[Path]:
     cfg = study.cfg
-    baseline_rows, judgment_rows, table3_rows, hist_rows, hit_rows = [], [], [], [], []
-    for rel in RELEASES:
-        base = study.baseline(rel)
-        for q, value in base.items():
-            baseline_rows.append([RELEASE_LABEL[rel], str(q), value])
-        jp, participation = study.judgments[rel], study.participation[rel]
-        order = np.lexsort((jp.panel.quarter, jp.panel.economist))
-        for econ, q, value, neutral in zip(
-            jp.panel.economist[order].tolist(), _quarter_labels(jp.panel.quarter[order]),
-            jp.value[order].tolist(), jp.neutral[order].tolist(),
-        ):
-            judgment_rows.append([jp.panel.economist_ids[econ], q, RELEASE_LABEL[rel], value, neutral])
+    bases = [study.baseline(rel) for rel in RELEASES]
+    judgments = [study.judgments[rel] for rel in RELEASES]
+    orders = [np.lexsort((jp.panel.quarter, jp.panel.economist)) for jp in judgments]
+    table3, hist, hits = [[] for _ in range(9)], [[], [], [], []], [[], [], [], []]
+    for rel, base, jp in zip(RELEASES, bases, judgments):
+        participation = study.participation[rel]
         shares = sign_shares(jp, participation, cfg.thresholds)
         for thr in cfg.thresholds:
             s = shares[thr]
-            table3_rows.append(
-                [RELEASE_LABEL[rel], thr, s.n_economists, s.mean_negative, s.sd_negative,
-                 s.mean_positive, s.sd_positive, s.mean_neutral, s.sd_neutral]
-            )
-            hist = negative_share_histogram(jp, participation, thr)
-            for label, count in hist.items():
-                hist_rows.append([RELEASE_LABEL[rel], thr, label, count])
+            _add_row(table3, RELEASE_LABEL[rel], thr, s.n_economists, s.mean_negative, s.sd_negative,
+                     s.mean_positive, s.sd_positive, s.mean_neutral, s.sd_neutral)
+            for label, count in negative_share_histogram(jp, participation, thr).items():
+                _add_row(hist, RELEASE_LABEL[rel], thr, label, count)
         try:
-            hits = baseline_hit_stats(base, study.actuals[rel], grid=cfg.grid)
-            hit_rows.append([RELEASE_LABEL[rel], hits.correct, hits.overprediction, hits.underprediction])
+            hit = baseline_hit_stats(base, study.actuals[rel], grid=cfg.grid)
+            _add_row(hits, RELEASE_LABEL[rel], hit.correct, hit.overprediction, hit.underprediction)
         except ValueError:
-            hit_rows.append([RELEASE_LABEL[rel], None, None, None])
+            _add_row(hits, RELEASE_LABEL[rel], None, None, None)
+
+    def sorted_judgments(column: Callable[[JudgmentPanel], np.ndarray]) -> np.ndarray:
+        return np.concatenate([column(jp)[order] for jp, order in zip(judgments, orders)])
+
+    base_quarters, base_sizes, base_values = _stack_series(bases)
     return [
-        write_csv(out / f"baseline_{cfg.baseline_method}.csv", ["release", "quarter", "value"], baseline_rows),
+        write_csv(out / f"baseline_{cfg.baseline_method}.csv", ["release", "quarter", "value"],
+                  [_release_labels(base_sizes), base_quarters, base_values]),
         write_csv(out / "judgments.csv", ["economist_id", "quarter", "release", "judgment", "neutral"],
-                  judgment_rows),
+                  [CodedColumn(study.panel.economist_ids, sorted_judgments(lambda jp: jp.panel.economist)),
+                   _quarter_labels(sorted_judgments(lambda jp: jp.panel.quarter)),
+                   _release_labels([order.size for order in orders]),
+                   sorted_judgments(lambda jp: jp.value), sorted_judgments(lambda jp: jp.neutral)]),
         write_csv(out / "table3_sign_shares.csv",
                   ["release", "threshold", "n_economists", "mean_negative", "sd_negative",
-                   "mean_positive", "sd_positive", "mean_neutral", "sd_neutral"], table3_rows,
+                   "mean_positive", "sd_positive", "mean_neutral", "sd_neutral"], table3,
                   comment="table 3: cross-economist sign shares of judgments by participation threshold"),
-        write_csv(out / "fig3_negative_histogram.csv", ["release", "threshold", "bin", "count"], hist_rows,
+        write_csv(out / "fig3_negative_histogram.csv", ["release", "threshold", "bin", "count"], hist,
                   comment="negative-judgment share histogram (non-neutral judgments only)"),
         write_csv(out / "baseline_hits.csv", ["release", "correct", "overprediction", "underprediction"],
-                  hit_rows, comment="baseline vs actual on the reporting grid"),
+                  hits, comment="baseline vs actual on the reporting grid"),
     ]
 
 
@@ -340,62 +394,53 @@ def cmd_efficiency(study: Study, out: Path) -> list[Path]:
     hac_lag = None if cfg.hac_lag == "auto" else int(cfg.hac_lag)
     baselines = {(rel, method): study.baseline(rel, method) for rel in RELEASES for method in BASELINE_METHODS}
     report = test_battery_aggregate(baselines, study.actuals, study.spf, study.ar_forecasts, hac_lag=hac_lag)
-    table4_rows = []
-    for (rel, method), cell in sorted(report.items()):
-        table4_rows.append(
-            [RELEASE_LABEL[rel], method, cell.unbiasedness_p, cell.efficiency_p, cell.rmse,
-             "; ".join(cell.errors)]
-        )
+    cells = [cell for _, cell in sorted(report.items())]
     battery = test_battery_individual(
         study.panel, study.actuals, study.spf, study.ar_forecasts, study.participation,
         thresholds=cfg.thresholds, alpha=cfg.alpha,
     )
-    table5_rows = [
-        [RELEASE_LABEL[row.release], row.threshold, row.n_qualifying,
-         row.share_unbiased, row.share_efficient,
-         row.n_tested_unbiased, row.n_tested_efficient,
-         row.n_excluded_unbiased, row.n_excluded_efficient]
-        for row in battery.shares
-    ]
-    detail_rows = [
-        [d.economist_id, RELEASE_LABEL[d.release], d.nobs, d.alpha_hat, d.beta_hat,
-         d.p_unbiased, d.p_efficient, d.note]
-        for d in battery.details
-    ]
     return [
         write_csv(out / "table4_aggregate_tests.csv",
-                  ["release", "method", "unbiasedness_p", "efficiency_p", "rmse", "errors"], table4_rows,
+                  ["release", "method", "unbiasedness_p", "efficiency_p", "rmse", "errors"],
+                  [[RELEASE_LABEL[cell.release] for cell in cells],
+                   *_record_columns(cells, ("method", "unbiasedness_p", "efficiency_p", "rmse")),
+                   ["; ".join(cell.errors) for cell in cells]],
                   comment="table 4: baseline unbiasedness/efficiency p-values (HAC) and RMSE"),
         write_csv(out / "table5_individual_tests.csv",
                   ["release", "threshold", "n_qualifying", "share_unbiased", "share_efficient",
                    "n_tested_unbiased", "n_tested_efficient",
-                   "n_excluded_unbiased", "n_excluded_efficient"], table5_rows,
+                   "n_excluded_unbiased", "n_excluded_efficient"],
+                  [[RELEASE_LABEL[row.release] for row in battery.shares],
+                   *_record_columns(battery.shares, (
+                       "threshold", "n_qualifying", "share_unbiased", "share_efficient", "n_tested_unbiased",
+                       "n_tested_efficient", "n_excluded_unbiased", "n_excluded_efficient"))],
                   comment=f"table 5: share of forecasters not rejected at the {cfg.alpha:g} level"),
         write_csv(out / "individual_detail.csv",
                   ["economist_id", "release", "n_obs", "alpha_hat", "beta_hat",
-                   "p_unbiased", "p_efficient", "note"], detail_rows),
+                   "p_unbiased", "p_efficient", "note"],
+                  [[d.economist_id for d in battery.details], [RELEASE_LABEL[d.release] for d in battery.details],
+                   *_record_columns(battery.details,
+                                    ("nobs", "alpha_hat", "beta_hat", "p_unbiased", "p_efficient", "note"))]),
     ]
 
 
 def cmd_accuracy(study: Study, out: Path) -> list[Path]:
     thresholds = study.cfg.thresholds
-    comp_rows, beat_rows = [], []
+    comparisons = [c for rel in RELEASES for c in study.comparisons[rel]]
+    beat = [[], [], []]
     for rel in RELEASES:
-        comparisons = study.comparisons[rel]
-        for c in comparisons:
-            comp_rows.append(
-                [c.economist_id, RELEASE_LABEL[rel], c.n_common, c.rmse_self, c.rmse_baseline,
-                 c.dm_statistic, c.hln_statistic, c.p_value_hln, c.note]
-            )
-        shares = beat_baseline_share(comparisons, study.panel, study.participation[rel], thresholds)
+        shares = beat_baseline_share(study.comparisons[rel], study.panel, study.participation[rel], thresholds)
         for thr in thresholds:
-            beat_rows.append([RELEASE_LABEL[rel], thr, shares[thr]])
+            _add_row(beat, RELEASE_LABEL[rel], thr, shares[thr])
     return [
         write_csv(out / "accuracy_comparisons.csv",
                   ["economist_id", "release", "n_common", "rmse_self", "rmse_baseline",
-                   "dm_statistic", "hln_statistic", "p_value_hln", "note"], comp_rows,
+                   "dm_statistic", "hln_statistic", "p_value_hln", "note"],
+                  [[c.economist_id for c in comparisons], [RELEASE_LABEL[c.release] for c in comparisons],
+                   *_record_columns(comparisons, ("n_common", "rmse_self", "rmse_baseline", "dm_statistic",
+                                                  "hln_statistic", "p_value_hln", "note"))],
                   comment="per-forecaster accuracy vs baseline over common quarters"),
-        write_csv(out / "beat_shares.csv", ["release", "threshold", "share_beating_baseline"], beat_rows),
+        write_csv(out / "beat_shares.csv", ["release", "threshold", "share_beating_baseline"], beat),
     ]
 
 
@@ -403,83 +448,87 @@ def cmd_persistence(study: Study, out: Path) -> list[Path]:
     report = persistence_battery(study.judgments)
     files = []
     column_order = [(kind, spec) for kind in REGRESSOR_KINDS for spec in SPECS]
-    diag_rows = []
+    diagnostics = [[], [], [], [], []]
     for rel in RELEASES:
-        rows = []
+        table = [[] for _ in range(12)]
         cells = {(c.regressor_kind, c.spec): c for c in report.for_release(rel)}
         for i, (kind, spec) in enumerate(column_order, start=1):
             cell = cells[(kind, spec)]
             if cell.result is None:
-                rows.append([i, kind, spec, None, None, "", None, None, None, None, None, cell.error])
+                _add_row(table, i, kind, spec, None, None, "", None, None, None, None, None, cell.error)
             else:
                 r = cell.result
-                rows.append([i, kind, spec, r.beta, r.se_clustered, cell.stars, cell.p_value,
-                             r.n_obs, r.n_forecasters, r.r_squared, r.r_squared_overall, ""])
+                _add_row(table, i, kind, spec, r.beta, r.se_clustered, cell.stars, cell.p_value,
+                         r.n_obs, r.n_forecasters, r.r_squared, r.r_squared_overall, "")
             if cell.result is not None and cell.result.singletons_dropped:
-                diag_rows.append([RELEASE_LABEL[rel], kind, spec,
-                                  "singletons_dropped", cell.result.singletons_dropped])
+                _add_row(diagnostics, RELEASE_LABEL[rel], kind, spec, "singletons_dropped",
+                         cell.result.singletons_dropped)
         for kind in REGRESSOR_KINDS:
-            diag_rows.append([RELEASE_LABEL[rel], kind, "", "broken_lag_chains",
-                              report.broken_chains[(rel, kind)]])
+            _add_row(diagnostics, RELEASE_LABEL[rel], kind, "", "broken_lag_chains",
+                     report.broken_chains[(rel, kind)])
         files.append(write_csv(
             out / f"table{5 + rel.value}_persistence_{RELEASE_LABEL[rel]}.csv",
             ["column", "regressor", "spec", "beta", "se_clustered", "stars", "p_value",
-             "n_obs", "n_forecasters", "r_squared_within", "r_squared_overall", "error"], rows,
+             "n_obs", "n_forecasters", "r_squared_within", "r_squared_overall", "error"], table,
             comment=f"table {5 + rel.value}: judgment persistence, {RELEASE_LABEL[rel]} release "
                     "(clustered on forecasters; stars at 10/5/1%)"))
     return [*files, write_csv(out / "persistence_diagnostics.csv",
-                              ["release", "regressor", "spec", "metric", "value"], diag_rows)]
+                              ["release", "regressor", "spec", "metric", "value"], diagnostics)]
 
 
 def cmd_ar_forecast(study: Study, out: Path) -> list[Path]:
-    rows = []
-    for rel in RELEASES:
-        forecasts = study.ar_forecasts[rel]
-        p_used = forecasts.p_used[forecasts.quarters() - forecasts.start].tolist()
-        for (q, value), p in zip(forecasts.items(), p_used):
-            rows.append([str(q), RELEASE_LABEL[rel], value, p])
-    return [write_csv(out / "ar_forecasts.csv", ["quarter", "release", "forecast", "p_used"], rows)]
+    quarters, sizes, values, p_used = _stack_series([study.ar_forecasts[rel] for rel in RELEASES], "values", "p_used")
+    return [write_csv(out / "ar_forecasts.csv", ["quarter", "release", "forecast", "p_used"],
+                      [quarters, _release_labels(sizes), values, p_used])]
 
 
 def cmd_simulate(study: Study, out: Path) -> list[Path]:
     cfg = study.cfg
     world = simulate_world(cfg.synth_config(), seed=cfg.seed)
-    actual_rows = [[str(q), rel.value, value] for rel in RELEASES for q, value in world.actuals[rel].items()]
-    files = [write_csv(out / "actuals.csv", ["quarter", "release", "value"], actual_rows)]
+    quarters, sizes, values = _stack_series([world.actuals[rel] for rel in RELEASES])
     panel = world.panel
-    forecast_rows = [
-        [q, rel, panel.economist_ids[econ], panel.firm_ids[firm], value, ""]
-        for q, rel, econ, firm, value in zip(
-            _quarter_labels(panel.quarter), panel.release.tolist(), panel.economist.tolist(),
-            panel.firm.tolist(), panel.value.tolist(),
-        )
+    spf = world.spf.median.quarters()
+    files = [
+        write_csv(out / "actuals.csv", ["quarter", "release", "value"],
+                  [quarters, np.repeat([rel.value for rel in RELEASES], sizes), values]),
+        write_csv(out / "forecasts.csv", FORECASTS_HEADER, [
+            _quarter_labels(panel.quarter), panel.release, CodedColumn(panel.economist_ids, panel.economist),
+            CodedColumn(panel.firm_ids, panel.firm), panel.value, CodedColumn([""], np.zeros(len(panel), int)),
+        ]),
+        write_csv(out / "spf.csv", ["quarter", "median", "mean"], [
+            _quarter_labels(spf), world.spf.median.at(spf), world.spf.mean.at(spf),
+        ]),
     ]
-    files.append(write_csv(out / "forecasts.csv", FORECASTS_HEADER, forecast_rows))
-    spf_rows = [[str(q), median, mean]
-                for (q, median), (_, mean) in zip(world.spf.median.items(), world.spf.mean.items())]
-    files.append(write_csv(out / "spf.csv", ["quarter", "median", "mean"], spf_rows))
-    truth_rows = []
+    # truth.csv: the baselines, release by release, then each economist's rho_own
+    # row and its judgments, quarter by quarter and release by release.
     t = world.truth
-    for k in range(3):
-        for i_q, q in enumerate(t.quarters):
-            truth_rows.append(["baseline", "", str(q), k + 1, t.baselines[k, i_q]])
-    for i, econ in enumerate(t.economists):
-        truth_rows.append(["rho_own", econ, "", "", t.rho_i[i]])
-        for i_q, q in enumerate(t.quarters):
-            for k in range(3):
-                truth_rows.append(["judgment", econ, str(q), k + 1, t.judgments[i, i_q, k]])
-    files.append(write_csv(out / "truth.csv", ["kind", "economist_id", "quarter", "release", "value"],
-                           truth_rows))
+    n_economists, quarter, release = len(t.economists), np.arange(1, len(t.quarters) + 1), np.arange(1, 4)
+    n_baselines = 3 * quarter.size
+
+    def codes(baseline_codes: np.ndarray, rho_code: int, judgment_codes: np.ndarray) -> np.ndarray:
+        """One column's codes: the baseline rows, then each economist's rho_own and judgment rows."""
+        return np.concatenate([baseline_codes, np.tile(np.concatenate([[rho_code], judgment_codes]), n_economists)])
+
+    files.append(write_csv(out / "truth.csv", ["kind", "economist_id", "quarter", "release", "value"], [
+        CodedColumn(["baseline", "rho_own", "judgment"], codes(np.zeros(n_baselines, int), 1, np.full(n_baselines, 2))),
+        CodedColumn(["", *t.economists], np.concatenate([
+            np.zeros(n_baselines, int), np.arange(1, n_economists + 1).repeat(1 + n_baselines)])),
+        CodedColumn(["", *map(str, t.quarters)], codes(np.tile(quarter, 3), 0, quarter.repeat(3))),
+        CodedColumn(["", 1, 2, 3], codes(release.repeat(quarter.size), 0, np.tile(release, quarter.size))),
+        np.concatenate([t.baselines.ravel(),
+                        np.column_stack([t.rho_i, t.judgments.reshape(n_economists, -1)]).ravel()]),
+    ]))
     return files
 
 
 def cmd_recovery(study: Study, out: Path) -> list[Path]:
     cfg = study.cfg
     summary = recovery_experiment(cfg.synth_config(), cfg.replications, base_seed=cfg.seed)
-    rows = [[cfg.replications, summary.n_completed, summary.n_failed,
-             summary.mean_beta, summary.sd_beta, summary.ci_coverage, cfg.rho_own]]
+    row = (cfg.replications, summary.n_completed, summary.n_failed,
+           summary.mean_beta, summary.sd_beta, summary.ci_coverage, cfg.rho_own)
     return [write_csv(out / "recovery_summary.csv", ["replications", "n_completed", "n_failed", "mean_beta",
-                                                     "sd_beta", "ci_coverage_95", "rho_own_true"], rows)]
+                                                     "sd_beta", "ci_coverage_95", "rho_own_true"],
+                      [[cell] for cell in row])]
 
 
 def cmd_report(study: Study, out: Path) -> list[Path]:
@@ -487,7 +536,7 @@ def cmd_report(study: Study, out: Path) -> list[Path]:
     # with one error instead of a diagnostics row from each stage.
     study.panel, study.actuals, study.spf
     files = []
-    diagnostics = []
+    diagnostics = [[], []]
     # Looked up at call time, so a tracer that rebinds the module's cmd_*
     # attributes times each stage.
     for name, fn in [
@@ -501,8 +550,8 @@ def cmd_report(study: Study, out: Path) -> list[Path]:
         try:
             files.extend(fn(study, out))
         except (JudgebenchError, ValueError) as exc:
-            diagnostics.append([name, str(exc)])
-    if diagnostics:
+            _add_row(diagnostics, name, str(exc))
+    if diagnostics[0]:
         files.append(write_csv(out / "diagnostics.csv", ["stage", "error"], diagnostics))
     cfg = study.cfg
     manifest = {

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .panel import ActualSeries, ForecastPanel
+from .panel import ActualSeries, ForecastPanel, block_sums
 from .quarters import Quarter, ReleaseKind
 
 
@@ -27,22 +27,33 @@ class QuarterStats:
     excess_kurtosis: float | None  # absent for n < 4 or degenerate cross-sections
 
 
+def _block_moments(values: np.ndarray, bounds: np.ndarray) -> list[tuple[float, float | None, float | None]]:
+    """``cross_section_moments`` of each block ``values[bounds[i]:bounds[i + 1]]``.
+
+    The deviations and their powers are taken over the whole array at once,
+    and each block's moments are its ``block_sums`` over its size, which are
+    the bits of ``np.mean`` over the block alone.
+    """
+    starts, ends = bounds[:-1], bounds[1:]
+    n = ends - starts
+    deviation = values - np.repeat(block_sums(values, starts, ends) / n, n)
+    moments = [(block_sums(deviation**k, starts, ends) / n).tolist() for k in (2, 3, 4)]
+    out = []
+    for size, m2, m3, m4 in zip(n.tolist(), *moments):
+        skew = kurt = None
+        if m2 > 0.0:
+            if size >= 3:
+                skew = m3 / m2**1.5
+            if size >= 4:
+                kurt = m4 / m2**2 - 3.0
+        out.append((math.sqrt(m2), skew, kurt))
+    return out
+
+
 def cross_section_moments(values: Sequence[float]) -> tuple[float, float | None, float | None]:
     """Population std dev, skewness (m3/m2^1.5) and excess kurtosis (m4/m2^2 - 3)."""
     x = np.asarray(values, dtype=float)
-    n = x.size
-    m = x.mean()
-    d = x - m
-    m2 = float(np.mean(d**2))
-    std = math.sqrt(m2)
-    skew = None
-    kurt = None
-    if m2 > 0.0:
-        if n >= 3:
-            skew = float(np.mean(d**3)) / m2**1.5
-        if n >= 4:
-            kurt = float(np.mean(d**4)) / m2**2 - 3.0
-    return std, skew, kurt
+    return _block_moments(x, np.array([0, x.size]))[0]
 
 
 def quarter_stats(
@@ -50,19 +61,27 @@ def quarter_stats(
 ) -> list[QuarterStats]:
     """Per-quarter cross-sectional RMSE and moments for one release.
 
-    Quarters with forecasts but no published actual are excluded with a warning.
+    Quarters with forecasts but no published actual are excluded with a
+    warning.  Each quarter's values are taken in economist order, so no sum
+    depends on the order of the panel's rows.
     """
+    rows = panel.for_release(release)
+    order = np.lexsort((rows.economist, rows.quarter))
+    quarter, values = rows.quarter[order], rows.value[order]
+    quarters, starts = np.unique(quarter, return_index=True)
+    bounds = np.append(starts, quarter.size)
+    sizes, actual = np.diff(bounds), actuals.at(quarters)
+    squared_error = (values - np.repeat(actual, sizes)) ** 2
+    rmse = np.sqrt(block_sums(squared_error, bounds[:-1], bounds[1:]) / sizes)
     out: list[QuarterStats] = []
-    quarters, cells = panel.for_release(release).quarter_cells()
-    for index, actual, values in zip(quarters.tolist(), actuals.at(quarters).tolist(), cells):
+    for index, n, error, missing, moments in zip(
+        quarters.tolist(), sizes.tolist(), rmse.tolist(), np.isnan(actual).tolist(), _block_moments(values, bounds)
+    ):
         quarter = Quarter.from_index(index)
-        if math.isnan(actual):
+        if missing:
             warnings.warn(f"no actual for {quarter} (release {release.value}); quarter excluded")
             continue
-        errors = values - actual
-        rmse = math.sqrt(float(np.mean(errors**2)))
-        std, skew, kurt = cross_section_moments(values)
-        out.append(QuarterStats(quarter, values.size, rmse, std, skew, kurt))
+        out.append(QuarterStats(quarter, n, error, *moments))
     return out
 
 

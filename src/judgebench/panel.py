@@ -10,6 +10,7 @@ absent.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import functools
@@ -115,6 +116,16 @@ def cell_medians(
     ranked = value[order]
     low, high = ranked[start + (count - 1) // 2], ranked[start + count // 2]
     return keys, np.where(count % 2 == 1, low, (low + high) / 2)
+
+
+def block_sums(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``np.add.reduce`` over each block ``values[starts[i]:ends[i]]``.
+
+    That is the sum ``np.mean`` takes, so a block sum over its size has the
+    bits of the block's ``np.mean``; ``np.add.reduceat`` sums in another
+    order.
+    """
+    return np.array([np.add.reduce(values[lo:hi]) for lo, hi in zip(starts.tolist(), ends.tolist())], dtype=float)
 
 
 _COLUMNS = ("economist", "firm", "quarter", "release", "value", "report_date")
@@ -300,56 +311,56 @@ class _Irregular(Exception):
     """A forecasts file the columnar reader leaves to the row parser."""
 
 
-def _parse_distinct(tokens: list[str], parse: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """``parse`` of each distinct token, and each token's code into them."""
-    table, codes = np.unique(tokens, return_inverse=True)
-    try:
-        return np.array([parse(token) for token in table.tolist()]), codes
-    except ValueError:
-        raise _Irregular from None
-
-
-def _merge_ids(chunks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[tuple[str, ...], np.ndarray]:
-    """One sorted id table over every chunk's ``_parse_distinct``, and each row's code into it."""
-    table = np.unique(np.concatenate([ids for ids, _ in chunks]))
-    codes = np.concatenate([np.searchsorted(table, ids)[inverse] for ids, inverse in chunks])
-    return tuple(table.tolist()), codes.astype(np.int64)
+def _sorted_ids(tokens: Iterable[str], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted table of the stripped tokens, and each code into ``tokens`` moved to a code into it."""
+    stripped = [token.strip() for token in tokens]
+    ids = sorted(set(stripped))
+    rank = {name: i for i, name in enumerate(ids)}
+    return tuple(ids), np.array([rank[name] for name in stripped], dtype=np.int64)[codes]
 
 
 def _forecast_columns(fh) -> ForecastPanel:
     """The forecasts CSV split column by column, ``CHUNK_LINES`` lines at a time.
 
-    Raises _Irregular on anything the plain split cannot read as the csv
-    module does, or that the row parser rejects: a wrong header, a quote, a
-    carriage return or NUL, a blank line, a wrong field count, or a token
-    that does not parse.
+    Each column maps every raw token to a code in order of first appearance,
+    one dict per column over the whole file, and each distinct token is
+    parsed once at the end.  Raises _Irregular on anything the plain split
+    cannot read as the csv module does, or that the row parser rejects: a
+    wrong header, a quote, a carriage return or NUL, a blank line, a wrong
+    field count, or a token that does not parse.
     """
     if fh.readline().removesuffix("\n") != ",".join(FORECASTS_HEADER):
         raise _Irregular
-    parsers = tuple(map(functools.cache, (  # each distinct token is parsed once per file
-        lambda token: parse_quarter(token).index,
-        lambda token: ReleaseKind.from_token(token).value,
-        str.strip,
-        str.strip,
-        _parse_value,
-        lambda token: -1 if (day := _parse_date(token)) is None else day.toordinal(),
-    )))
-    columns = [[] for _ in parsers]
+    width = len(FORECASTS_HEADER)
+    code_of = [collections.defaultdict() for _ in range(width)]
+    for tokens in code_of:
+        tokens.default_factory = tokens.__len__  # a new token's code is the number seen before it
+    chunks = [[] for _ in range(width)]
     while lines := list(itertools.islice(fh, CHUNK_LINES)):
         text = "".join(lines)
-        if '"' in text or "\r" in text or "\0" in text or {line.count(",") for line in lines} != {5}:
+        if '"' in text or "\r" in text or "\0" in text or set(map(str.count, lines, itertools.repeat(","))) != {5}:
             raise _Irregular
         fields = text.removesuffix("\n").replace("\n", ",").split(",")
-        for k, (parse, chunks) in enumerate(zip(parsers, columns)):
-            chunks.append(_parse_distinct(fields[k::6], parse))
-    if not columns[0]:
+        for k, (tokens, column) in enumerate(zip(code_of, chunks)):
+            column.append(np.fromiter(map(tokens.__getitem__, fields[k::width]), np.int64, len(lines)))
+    if not chunks[0]:
         return ForecastPanel.from_rows([])
-    quarter, release, econ, firm, value, dated = columns
-    economist_ids, economist = _merge_ids(econ)
-    firm_ids, firm_codes = _merge_ids(firm)
-    rest = (quarter, release, value, dated)
-    return ForecastPanel(economist_ids, firm_ids, economist, firm_codes,
-                         *(np.concatenate([table[codes] for table, codes in chunks]) for chunks in rest))
+    quarter, release, econ, firm, value, dated = (np.concatenate(column) for column in chunks)
+
+    def parsed(k: int, parse: Callable, dtype) -> np.ndarray:
+        """Column k's distinct tokens parsed, in code order (a dict iterates in insertion order)."""
+        return np.array([parse(token) for token in code_of[k]], dtype=dtype)
+
+    try:
+        quarter = parsed(0, lambda token: parse_quarter(token).index, np.int64)[quarter]
+        release = parsed(1, lambda token: ReleaseKind.from_token(token).value, np.int64)[release]
+        value = parsed(4, _parse_value, float)[value]
+        dated = parsed(5, lambda token: -1 if (day := _parse_date(token)) is None else day.toordinal(), np.int64)[dated]
+    except ValueError:
+        raise _Irregular from None
+    economist_ids, economist = _sorted_ids(code_of[2], econ)
+    firm_ids, firm_codes = _sorted_ids(code_of[3], firm)
+    return ForecastPanel(economist_ids, firm_ids, economist, firm_codes, quarter, release, value, dated)
 
 
 def load_forecasts(source) -> ForecastPanel:

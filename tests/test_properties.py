@@ -1,21 +1,26 @@
 """Invariants of the panel core, checked on generated panels (hypothesis)."""
+import csv
 import io
 import json
 import math
 import shutil
 import tempfile
+import warnings
 from datetime import date
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtr
 
 from judgebench import panel as panel_module
+from judgebench.accuracy import AccuracyComparison, accuracy_table
 from judgebench.armodel import fill_missing
-from judgebench.cli import main
+from judgebench.cli import CodedColumn, _fmt, main, write_csv
+from judgebench.descriptive import QuarterStats, quarter_stats
 from judgebench.errors import EstimationError, IngestionError
 from judgebench.judgment import BaselineSeries, baseline, baseline_hit_stats, extract_judgments
 from judgebench.panel import ForecastPanel, clean_panel, load_forecasts
@@ -350,3 +355,193 @@ def test_fe_te_equals_two_way_dummy_ols(drawn):
     assert result.se_clustered**2 == pytest.approx(se**2, rel=2e-9, abs=2e-9 * se_unclustered**2)
     assert result.r_squared == pytest.approx(r2, rel=1e-9, abs=1e-12)
     assert (result.n_obs, result.n_forecasters, result.singletons_dropped) == (n_obs, n_forecasters, singletons)
+
+
+def _row_writer(path: Path, header: list[str], rows: list[list], comment: str | None = None) -> None:
+    """The row-list writer the columnar ``write_csv`` replaced: ``_fmt`` on each cell of each row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(cell) for cell in row])
+
+
+edge_floats = st.one_of(
+    st.floats(allow_infinity=False),  # NaN included
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-310, 0.1, 1 / 3, 123456789012345.0]),
+)
+text_cells = st.one_of(
+    st.sampled_from(["", " ", "a,b", 'say "x"', "two\nlines", "cr\rlf", " padded ", "ünï", "-0", "1e5"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def tables(draw):
+    """Columns of one length in every form ``write_csv`` takes, and the same table as Python rows."""
+    n = draw(st.integers(0, 12))
+    columns, values = [], []
+    for kind in draw(st.lists(st.sampled_from(["float", "int", "bool", "cells", "coded"]), min_size=1, max_size=6)):
+        if kind == "float":
+            column = np.array(draw(st.lists(edge_floats, min_size=n, max_size=n)), dtype=float)
+            cells = column.tolist()
+        elif kind == "int":
+            column = np.array(draw(st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n)), dtype=np.int64)
+            cells = column.tolist()
+        elif kind == "bool":
+            column = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+            cells = column.tolist()
+        elif kind == "cells":
+            column = cells = draw(st.lists(st.one_of(st.none(), edge_floats, st.integers(), st.booleans(),
+                                                     text_cells, st.just(np.float64(-0.0)), st.just(np.int64(7))),
+                                           min_size=n, max_size=n))
+        else:
+            table = draw(st.lists(st.one_of(text_cells, edge_floats, st.none()), min_size=1, max_size=4))
+            codes = np.array(draw(st.lists(st.integers(0, len(table) - 1), min_size=n, max_size=n)), dtype=np.int64)
+            column, cells = CodedColumn(table, codes), [table[c] for c in codes.tolist()]
+        columns.append(column)
+        values.append(cells)
+    return columns, [list(row) for row in zip(*values)]
+
+
+@SETTINGS
+@given(table=tables(), comment=st.sampled_from([None, "", "a note, with a comma"]))
+@example(table=([np.array([0.0, -0.0, math.nan, -5e-324]), np.array([False, True, True, False]),
+                 CodedColumn(["-0", -0.0, None], np.array([1, 0, 2, 1]))],
+                [[0.0, False, -0.0], [-0.0, True, "-0"], [math.nan, True, None], [-5e-324, False, -0.0]]),
+         comment=None)
+def test_columnar_writer_equals_the_row_writer(table, comment):
+    columns, rows = table
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, expected = Path(tmp) / "got.csv", Path(tmp) / "expected.csv"
+        write_csv(got, header, columns, comment=comment)
+        _row_writer(expected, header, rows, comment=comment)
+        assert got.read_bytes() == expected.read_bytes()
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=st.lists(forecast_lines, min_size=1, max_size=12), extra=st.integers(0, 5))
+def test_columnar_ingest_equals_row_parser_across_chunks(lines, extra):
+    # Longer than one chunk, so the id dicts and the value dicts carry codes across chunks.
+    repeated = (lines * (panel_module.CHUNK_LINES // len(lines) + 2))[: panel_module.CHUNK_LINES + extra + 1]
+    text = _forecasts_file(repeated)
+    assert _panel_bytes(panel_module._forecast_columns(io.StringIO(text))) == _panel_bytes(
+        panel_module._forecast_rows(io.StringIO(text)))
+
+
+def test_padded_ids_strip_to_one_id_across_chunks():
+    lines = [f"2000Q{1 + i % 4},1,{pad}E1{pad},{pad}F1,{i % 7}," for i, pad in enumerate(["", " ", "  "] * 1400)]
+    panel = panel_module._forecast_columns(io.StringIO(_forecasts_file(lines)))
+    assert (panel.economist_ids, panel.firm_ids) == (("E1",), ("F1",))
+    assert _panel_bytes(panel) == _panel_bytes(panel_module._forecast_rows(io.StringIO(_forecasts_file(lines))))
+
+
+@pytest.mark.parametrize("kind", sorted(set(IRREGULAR_FILES) - {"bad header", "crlf line ends"}))
+def test_malformed_line_after_the_first_chunk_names_its_line(kind):
+    lines = [f"2000Q{1 + i % 4},{1 + i % 3},E{i % 9},F1,{i / 8}," for i in range(panel_module.CHUNK_LINES + 40)]
+    text = IRREGULAR_FILES[kind](lines, panel_module.CHUNK_LINES + 20)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "forecasts.csv"
+        path.write_bytes(text.encode())
+        got = _read(load_forecasts, path)
+        assert got == _read(panel_module._forecast_rows, path)
+    if got[0] == "error":  # the line after the header and the CHUNK_LINES + 20 lines before it
+        assert f"line {panel_module.CHUNK_LINES + 22}:" in got[1]
+
+
+def quarter_stats_by_loop(panel: ForecastPanel, actuals, release: ReleaseKind) -> list[QuarterStats]:
+    """Per-quarter statistics one quarter at a time, with np.mean on each cell (the reference)."""
+    out = []
+    quarters, cells = panel.for_release(release).quarter_cells()
+    for index, actual, x in zip(quarters.tolist(), actuals.at(quarters).tolist(), cells):
+        if math.isnan(actual):
+            continue
+        rmse = math.sqrt(float(np.mean((x - actual) ** 2)))
+        d = x - x.mean()
+        m2 = float(np.mean(d**2))
+        skew = float(np.mean(d**3)) / m2**1.5 if m2 > 0.0 and x.size >= 3 else None
+        kurt = float(np.mean(d**4)) / m2**2 - 3.0 if m2 > 0.0 and x.size >= 4 else None
+        out.append(QuarterStats(Quarter.from_index(index), x.size, rmse, math.sqrt(m2), skew, kurt))
+    return out
+
+
+stat_values = st.one_of(values, st.integers(-8, 8).map(lambda k: k / 4))  # grid values make exact ties
+
+
+@SETTINGS
+@given(cells=st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 5)), stat_values, min_size=1, max_size=40),
+       actual=st.dictionaries(st.integers(0, 5), stat_values))
+@example(cells={(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0, (3, 0): 1.0, (0, 1): 0.5, (0, 2): 0.25, (1, 2): 0.5,
+                (0, 3): 1.0, (1, 3): 2.0, (2, 3): 4.0, (0, 4): 2.0},
+         actual={0: 1.0, 1: 0.0, 2: 0.5, 3: 1.5})
+def test_quarter_stats_equal_the_quarter_loop(cells, actual):
+    # Quarters with 1 to 8 forecasts (n < 3 and n < 4 included), some with equal values, some with no actual.
+    panel = ForecastPanel.from_rows(rec(f"E{e}", START.shifted(t), v) for (e, t), v in cells.items())
+    actuals = actuals_from({START.shifted(t): v for t, v in actual.items()} or {START.shifted(9): 0.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert quarter_stats(panel, actuals, ReleaseKind.FIRST) == quarter_stats_by_loop(
+            panel, actuals, ReleaseKind.FIRST)
+
+
+def accuracy_by_loop(panel: ForecastPanel, base: BaselineSeries, actuals, h: int) -> list[AccuracyComparison]:
+    """Each forecaster's accuracy comparison on its own slice, with np.mean (the reference)."""
+    rows = panel.for_release(base.release)
+    order, codes, bounds = rows.economist_blocks()
+    quarter = rows.quarter[order]
+    forecast, baseline_values, actual = rows.value[order], base.at(quarter), actuals.at(quarter)
+    out = []
+    for code, lo, hi in zip(codes.tolist(), bounds.tolist(), bounds[1:].tolist()):
+        f, b, a = forecast[lo:hi], baseline_values[lo:hi], actual[lo:hi]
+        common = ~np.isnan(f) & ~np.isnan(b) & ~np.isnan(a)
+        if not common.any():
+            continue
+        e_self, e_base = f[common] - a[common], b[common] - a[common]
+        d, n = e_self**2 - e_base**2, int(common.sum())
+        dm = hln = p = None
+        note = ""
+        if n < 2:
+            note = f"need at least 2 loss differentials, got {n}"
+        elif h < 1 or h > n:
+            note = f"invalid horizon {h} for {n} observations"
+        else:
+            centered = d - d.mean()
+            variance = float(np.mean(centered**2))
+            for lag in range(1, h):
+                variance += 2.0 * float(np.mean(centered[lag:] * centered[:-lag]) * (n - lag) / n)
+            if variance <= 0.0:
+                note = "degenerate comparison: loss differential has zero variance"
+            else:
+                dm = float(d.mean() / math.sqrt(variance / n))
+                if n <= h:
+                    note = f"need T > h, got T={n}, h={h}"
+                else:
+                    hln = dm * math.sqrt((n + 1 - 2 * h + h * (h - 1) / n) / n)
+                    p = 2.0 * float(stdtr(n - 1, -abs(hln)))
+        out.append(AccuracyComparison(
+            panel.economist_ids[code], base.release, n, math.sqrt(float(np.mean(e_self**2))),
+            math.sqrt(float(np.mean(e_base**2))), dm, hln, p, note))
+    return out
+
+
+@SETTINGS
+@given(cells=st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 9)), stat_values, min_size=1, max_size=50),
+       base=st.dictionaries(st.integers(0, 9), stat_values, min_size=1),
+       actual=st.dictionaries(st.integers(0, 9), stat_values, min_size=1),
+       h=st.integers(1, 3))
+@example(cells={(0, 9): 1.0, (1, 0): 0.5, (2, 0): 0.0, (2, 1): 0.25, (2, 2): 0.5,
+                **{(3, t): 0.3 * t for t in range(5)}, **{(4, t): 1.0 for t in range(3)}},
+         base={0: 0.0, 1: 0.25, 2: 0.5, 3: 0.0, 4: 1.0}, actual={0: 0.5, 1: 0.5, 2: 0.5, 3: 0.25, 4: 0.75},
+         h=1)
+def test_accuracy_table_equals_the_forecaster_loop(cells, base, actual, h):
+    # Forecasters with no overlap, with one common quarter, with forecasts equal to the
+    # baseline (zero-variance differentials) and with fewer common quarters than h.
+    panel = ForecastPanel.from_rows(rec(f"E{e}", START.shifted(t), v) for (e, t), v in cells.items())
+    series = series_from({START.shifted(t): v for t, v in base.items()}, BaselineSeries,
+                         release=ReleaseKind.FIRST, method="median")
+    actuals = actuals_from({START.shifted(t): v for t, v in actual.items()})
+    assert accuracy_table(panel, series, actuals, h=h) == accuracy_by_loop(panel, series, actuals, h)
