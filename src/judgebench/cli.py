@@ -196,12 +196,11 @@ def _stack_series(series: list[QuarterSeries], *arrays: str) -> tuple:
     """The present quarters of each series, one series after another.
 
     Returns their labels, each series' count of them, and each named array
-    of the series (default: ``values``) at them.
+    of the series at them.
     """
     present = [s.quarters() for s in series]
     return (_quarter_labels(np.concatenate(present)), [q.size for q in present],
-            *(np.concatenate([getattr(s, name)[q - s.start] for s, q in zip(series, present)])
-              for name in arrays or ("values",)))
+            *(np.concatenate([getattr(s, name)[q - s.start] for s, q in zip(series, present)]) for name in arrays))
 
 
 def _release_labels(sizes: list[int]) -> CodedColumn:
@@ -369,7 +368,7 @@ def cmd_judgment(study: Study, out: Path) -> list[Path]:
     def sorted_judgments(column: Callable[[JudgmentPanel], np.ndarray]) -> np.ndarray:
         return np.concatenate([column(jp)[order] for jp, order in zip(judgments, orders)])
 
-    base_quarters, base_sizes, base_values = _stack_series(bases)
+    base_quarters, base_sizes, base_values = _stack_series(bases, "values")
     return [
         write_csv(out / f"baseline_{cfg.baseline_method}.csv", ["release", "quarter", "value"],
                   [_release_labels(base_sizes), base_quarters, base_values]),
@@ -485,7 +484,7 @@ def cmd_ar_forecast(study: Study, out: Path) -> list[Path]:
 def cmd_simulate(study: Study, out: Path) -> list[Path]:
     cfg = study.cfg
     world = simulate_world(cfg.synth_config(), seed=cfg.seed)
-    quarters, sizes, values = _stack_series([world.actuals[rel] for rel in RELEASES])
+    quarters, sizes, values = _stack_series([world.actuals[rel] for rel in RELEASES], "values")
     panel = world.panel
     spf = world.spf.median.quarters()
     files = [

@@ -61,15 +61,9 @@ def quarter_stats(
 ) -> list[QuarterStats]:
     """Per-quarter cross-sectional RMSE and moments for one release.
 
-    Quarters with forecasts but no published actual are excluded with a
-    warning.  Each quarter's values are taken in economist order, so no sum
-    depends on the order of the panel's rows.
+    Quarters with forecasts but no published actual are excluded with a warning.
     """
-    rows = panel.for_release(release)
-    order = np.lexsort((rows.economist, rows.quarter))
-    quarter, values = rows.quarter[order], rows.value[order]
-    quarters, starts = np.unique(quarter, return_index=True)
-    bounds = np.append(starts, quarter.size)
+    quarters, values, bounds = panel.for_release(release).quarter_cells()
     sizes, actual = np.diff(bounds), actuals.at(quarters)
     squared_error = (values - np.repeat(actual, sizes)) ** 2
     rmse = np.sqrt(block_sums(squared_error, bounds[:-1], bounds[1:]) / sizes)

@@ -75,8 +75,8 @@ def baseline(panel: ForecastPanel, release: ReleaseKind, method: str = "median")
     if method == "median":
         quarters, values = cell_medians(rows.quarter, rows.value, rows.economist)
     else:
-        quarters, cells = rows.quarter_cells()
-        values = [math.fsum(cell) / cell.size for cell in cells]
+        quarters, cells, bounds = rows.quarter_cells()
+        values = [math.fsum(cells[lo:hi]) / (hi - lo) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
     return BaselineSeries.from_points(quarters, values, release=release, method=method)
 
 

@@ -189,14 +189,15 @@ class ForecastPanel:
         codes, start = np.unique(self.economist[order], return_index=True)
         return order, codes, np.append(start, order.size)
 
-    def quarter_cells(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The distinct quarters in ascending order and each one's values in economist order.
+    def quarter_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct quarters in ascending order, the values ordered by (quarter, economist), and cell bounds.
 
+        Quarter ``quarters[i]`` has the values ``values[bounds[i]:bounds[i + 1]]``.
         The order does not depend on the row order, so neither do sums over a cell.
         """
         order = np.lexsort((self.economist, self.quarter))
         quarters, start = np.unique(self.quarter[order], return_index=True)
-        return quarters, np.split(self.value[order], start[1:]) if quarters.size else []
+        return quarters, self.value[order], np.append(start, order.size)
 
 
 class CleaningAction(str, Enum):

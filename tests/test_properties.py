@@ -456,8 +456,11 @@ def test_malformed_line_after_the_first_chunk_names_its_line(kind):
 def quarter_stats_by_loop(panel: ForecastPanel, actuals, release: ReleaseKind) -> list[QuarterStats]:
     """Per-quarter statistics one quarter at a time, with np.mean on each cell (the reference)."""
     out = []
-    quarters, cells = panel.for_release(release).quarter_cells()
-    for index, actual, x in zip(quarters.tolist(), actuals.at(quarters).tolist(), cells):
+    rows = panel.for_release(release)
+    order = np.lexsort((rows.economist, rows.quarter))  # each quarter in economist order
+    quarter, value = rows.quarter[order], rows.value[order]
+    for index in np.unique(quarter).tolist():
+        actual, x = float(actuals.at(np.array([index]))[0]), value[quarter == index]
         if math.isnan(actual):
             continue
         rmse = math.sqrt(float(np.mean((x - actual) ** 2)))
