@@ -15,7 +15,7 @@ from scipy.special import stdtr
 
 from .errors import EstimationError
 from .judgment import BaselineSeries, passes_threshold
-from .panel import ActualSeries, ForecastPanel, block_sums
+from .panel import ActualSeries, ForecastPanel
 from .quarters import ReleaseKind
 
 
@@ -32,49 +32,24 @@ class AccuracyComparison:
     note: str = ""
 
 
+def _paired_errors(
+    forecast: np.ndarray, baseline: np.ndarray, actual: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forecaster and baseline errors over the quarters where all three aligned arrays are present."""
+    common = ~np.isnan(forecast) & ~np.isnan(baseline) & ~np.isnan(actual)
+    if not common.any():
+        raise EstimationError("no common quarters for accuracy comparison")
+    return forecast[common] - actual[common], baseline[common] - actual[common]
+
+
+def _rmse(errors: np.ndarray) -> float:
+    return math.sqrt(float(np.mean(errors**2)))
+
+
 def paired_rmse(forecast: np.ndarray, baseline: np.ndarray, actual: np.ndarray) -> tuple[float, float, int]:
     """RMSEs of forecaster and baseline over exactly their common quarters (aligned arrays, NaN: absent)."""
-    c = compare_forecaster("", ReleaseKind.FIRST, forecast, baseline, actual)  # the id and release only label it
-    return c.rmse_self, c.rmse_baseline, c.n_common
-
-
-def _optional(values: np.ndarray) -> list[float | None]:
-    return [None if math.isnan(v) else v for v in values.tolist()]
-
-
-def _too_short_for_hln(nobs: int, h: int) -> str:
-    return f"need T > h, got T={nobs}, h={h}"
-
-
-def _dm_statistics(d: np.ndarray, bounds: np.ndarray, h: int) -> tuple[np.ndarray, list[str]]:
-    """Diebold-Mariano statistic of each block ``d[bounds[i]:bounds[i + 1]]``, and why a block has none.
-
-    A block without a statistic gets NaN and a note; the others get "".
-    Long-run variance uses population (1/T) autocovariances up to lag h-1.
-    """
-    starts, ends = bounds[:-1], bounds[1:]
-    nobs = ends - starts
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_bar = block_sums(d, starts, ends) / nobs
-        centered = d - np.repeat(d_bar, nobs)
-        variance = block_sums(centered**2, starts, ends) / nobs
-        for lag in range(1, h):
-            # The products of lag-apart pairs inside a block start where the block does.
-            pairs = block_sums(centered[lag:] * centered[:-lag], starts, np.maximum(ends - lag, starts))
-            variance += 2.0 * (pairs / (nobs - lag) * (nobs - lag) / nobs)
-        dm = d_bar / np.sqrt(variance / nobs)
-    notes = []
-    for n, v in zip(nobs.tolist(), variance.tolist()):
-        if n < 2:
-            notes.append(f"need at least 2 loss differentials, got {n}")
-        elif h < 1 or h > n:
-            notes.append(f"invalid horizon {h} for {n} observations")
-        elif v <= 0.0:
-            notes.append("degenerate comparison: loss differential has zero variance")
-        else:
-            notes.append("")
-    dm[[bool(note) for note in notes]] = np.nan
-    return dm, notes
+    e_self, e_base = _paired_errors(forecast, baseline, actual)
+    return _rmse(e_self), _rmse(e_base), e_self.size
 
 
 def dm_test(d: Sequence[float], h: int = 1) -> float:
@@ -84,61 +59,29 @@ def dm_test(d: Sequence[float], h: int = 1) -> float:
     for one-step comparisons this is the lag-0 autocovariance.
     """
     d = np.asarray(d, dtype=float)
-    dm, (note,) = _dm_statistics(d, np.array([0, d.size]), h)
-    if note:
-        raise EstimationError(note)
-    return float(dm[0])
+    nobs = d.size
+    if nobs < 2:
+        raise EstimationError(f"need at least 2 loss differentials, got {nobs}")
+    if h < 1 or h > nobs:
+        raise EstimationError(f"invalid horizon {h} for {nobs} observations")
+    d_bar = d.mean()
+    centered = d - d_bar
+    variance = float(np.mean(centered**2))
+    for lag in range(1, h):
+        variance += 2.0 * float(np.mean(centered[lag:] * centered[:-lag]) * (nobs - lag) / nobs)
+    if variance <= 0.0:
+        raise EstimationError("degenerate comparison: loss differential has zero variance")
+    return float(d_bar / math.sqrt(variance / nobs))
 
 
-def hln_correction(dm, nobs, h: int = 1) -> tuple:
-    """Harvey-Leybourne-Newbold corrected statistic and two-sided t(T-1) p-value.
-
-    Elementwise over arrays of statistics and sample sizes; every T must exceed h.
-    """
-    if np.any(np.asarray(nobs) <= h):
-        raise EstimationError(_too_short_for_hln(np.min(nobs), h))
-    factor = np.sqrt((nobs + 1 - 2 * h + h * (h - 1) / nobs) / nobs)
+def hln_correction(dm: float, nobs: int, h: int = 1) -> tuple[float, float]:
+    """Harvey-Leybourne-Newbold corrected statistic and two-sided t(T-1) p-value."""
+    if nobs <= h:
+        raise EstimationError(f"need T > h, got T={nobs}, h={h}")
+    factor = math.sqrt((nobs + 1 - 2 * h + h * (h - 1) / nobs) / nobs)
     statistic = dm * factor
-    return statistic, 2.0 * stdtr(nobs - 1, -np.abs(statistic))
-
-
-def _comparisons(
-    economist_ids: Sequence[str],
-    release: ReleaseKind,
-    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
-    bounds: np.ndarray,
-    h: int,
-) -> list[AccuracyComparison]:
-    """Accuracy of each block of rows ``bounds[i]:bounds[i + 1]`` of the aligned (forecast, baseline, actual).
-
-    A block is compared over its rows where all three are present; a block
-    with no such row is left out.  The errors and loss differentials are
-    taken over the whole arrays at once, and each block's means are its
-    ``block_sums`` over its size, which are the bits of ``np.mean`` over
-    the block alone.
-    """
-    forecast, baseline, actual = columns
-    common = ~np.isnan(forecast) & ~np.isnan(baseline) & ~np.isnan(actual)
-    bounds = np.append(0, np.cumsum(common))[bounds]  # the blocks' bounds among the common rows
-    e_self, e_base = forecast[common] - actual[common], baseline[common] - actual[common]
-    d = e_self**2 - e_base**2
-    starts, ends = bounds[:-1], bounds[1:]
-    nobs = ends - starts
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rmse_self, rmse_base = (np.sqrt(block_sums(e**2, starts, ends) / nobs) for e in (e_self, e_base))
-    dm, notes = _dm_statistics(d, bounds, h)
-    hln, p_value = np.full((2, dm.size), np.nan)
-    corrected = ~np.isnan(dm) & (nobs > h)
-    hln[corrected], p_value[corrected] = hln_correction(dm[corrected], nobs[corrected], h)
-    for i in np.flatnonzero(~np.isnan(dm) & ~corrected).tolist():
-        notes[i] = _too_short_for_hln(nobs[i], h)
-    return [
-        AccuracyComparison(economist_id, release, n, rmse_s, rmse_b, dm_i, hln_i, p_i, note)
-        for economist_id, n, rmse_s, rmse_b, dm_i, hln_i, p_i, note in zip(
-            economist_ids, nobs.tolist(), rmse_self.tolist(), rmse_base.tolist(),
-            *(_optional(a) for a in (dm, hln, p_value)), notes)
-        if n
-    ]
+    p_value = 2.0 * float(stdtr(nobs - 1, -abs(statistic)))
+    return statistic, p_value
 
 
 def compare_forecaster(
@@ -150,10 +93,18 @@ def compare_forecaster(
     h: int = 1,
 ) -> AccuracyComparison:
     """Full accuracy comparison of one forecaster against the baseline, on aligned arrays in quarter order."""
-    compared = _comparisons([economist_id], release, (forecast, baseline, actual), np.array([0, forecast.size]), h)
-    if not compared:
-        raise EstimationError("no common quarters for accuracy comparison")
-    return compared[0]
+    e_self, e_base = _paired_errors(forecast, baseline, actual)
+    d = e_self**2 - e_base**2
+    dm = hln = p = None
+    note = ""
+    try:
+        dm = dm_test(d, h=h)
+        hln, p = hln_correction(dm, e_self.size, h=h)
+    except EstimationError as exc:
+        note = str(exc)
+    return AccuracyComparison(
+        economist_id, release, e_self.size, _rmse(e_self), _rmse(e_base), dm, hln, p, note
+    )
 
 
 def accuracy_table(
@@ -164,15 +115,20 @@ def accuracy_table(
 ) -> list[AccuracyComparison]:
     """Per-economist accuracy comparisons, in economist-id order.
 
-    Economists with no quarter in common with the baseline and the actuals
-    are left out.  The panel must be clean: one row per (economist,
-    quarter, release).
+    The panel must be clean: one row per (economist, quarter, release).
     """
     rows = panel.for_release(base.release)
     order, codes, bounds = rows.economist_blocks()
     quarter = rows.quarter[order]
     columns = (rows.value[order], base.at(quarter), actuals.at(quarter))
-    return _comparisons([panel.economist_ids[code] for code in codes.tolist()], base.release, columns, bounds, h)
+    out = []
+    for code, lo, hi in zip(codes.tolist(), bounds.tolist(), bounds[1:].tolist()):
+        economist_id = panel.economist_ids[code]
+        try:
+            out.append(compare_forecaster(economist_id, base.release, *(c[lo:hi] for c in columns), h=h))
+        except EstimationError:
+            continue  # no overlap with the actuals at all
+    return out
 
 
 def beat_baseline_share(

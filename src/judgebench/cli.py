@@ -492,31 +492,23 @@ def cmd_simulate(study: Study, out: Path) -> list[Path]:
                   [quarters, np.repeat([rel.value for rel in RELEASES], sizes), values]),
         write_csv(out / "forecasts.csv", FORECASTS_HEADER, [
             _quarter_labels(panel.quarter), panel.release, CodedColumn(panel.economist_ids, panel.economist),
-            CodedColumn(panel.firm_ids, panel.firm), panel.value, CodedColumn([""], np.zeros(len(panel), int)),
+            CodedColumn(panel.firm_ids, panel.firm), panel.value, [""] * len(panel),
         ]),
         write_csv(out / "spf.csv", ["quarter", "median", "mean"], [
             _quarter_labels(spf), world.spf.median.at(spf), world.spf.mean.at(spf),
         ]),
     ]
-    # truth.csv: the baselines, release by release, then each economist's rho_own
-    # row and its judgments, quarter by quarter and release by release.
+    truth = [[], [], [], [], []]
     t = world.truth
-    n_economists, quarter, release = len(t.economists), np.arange(1, len(t.quarters) + 1), np.arange(1, 4)
-    n_baselines = 3 * quarter.size
-
-    def codes(baseline_codes: np.ndarray, rho_code: int, judgment_codes: np.ndarray) -> np.ndarray:
-        """One column's codes: the baseline rows, then each economist's rho_own and judgment rows."""
-        return np.concatenate([baseline_codes, np.tile(np.concatenate([[rho_code], judgment_codes]), n_economists)])
-
-    files.append(write_csv(out / "truth.csv", ["kind", "economist_id", "quarter", "release", "value"], [
-        CodedColumn(["baseline", "rho_own", "judgment"], codes(np.zeros(n_baselines, int), 1, np.full(n_baselines, 2))),
-        CodedColumn(["", *t.economists], np.concatenate([
-            np.zeros(n_baselines, int), np.arange(1, n_economists + 1).repeat(1 + n_baselines)])),
-        CodedColumn(["", *map(str, t.quarters)], codes(np.tile(quarter, 3), 0, quarter.repeat(3))),
-        CodedColumn(["", 1, 2, 3], codes(release.repeat(quarter.size), 0, np.tile(release, quarter.size))),
-        np.concatenate([t.baselines.ravel(),
-                        np.column_stack([t.rho_i, t.judgments.reshape(n_economists, -1)]).ravel()]),
-    ]))
+    for k in range(3):
+        for i_q, q in enumerate(t.quarters):
+            _add_row(truth, "baseline", "", str(q), k + 1, t.baselines[k, i_q])
+    for i, econ in enumerate(t.economists):
+        _add_row(truth, "rho_own", econ, "", "", t.rho_i[i])
+        for i_q, q in enumerate(t.quarters):
+            for k in range(3):
+                _add_row(truth, "judgment", econ, str(q), k + 1, t.judgments[i, i_q, k])
+    files.append(write_csv(out / "truth.csv", ["kind", "economist_id", "quarter", "release", "value"], truth))
     return files
 
 

@@ -101,11 +101,8 @@ def ols(X: np.ndarray, y: np.ndarray, mask: np.ndarray | None = None) -> Regress
 def inverse_gram(r: np.ndarray) -> np.ndarray:
     """(X'X)^-1 as R^-1 R^-T from the R factor of X = QR; NaN for a stack member whose R is singular."""
     singular = np.any(np.diagonal(r, axis1=-2, axis2=-1) == 0, axis=-1)
-    if r.ndim == 2:
-        r_inv = np.full(r.shape, np.nan) if singular else np.linalg.inv(r)
-    else:
-        r_inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(r.shape[-1]), r))
-        r_inv[singular] = np.nan
+    r_inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(r.shape[-1]), r))
+    r_inv[singular] = np.nan
     return r_inv @ r_inv.swapaxes(-1, -2)
 
 
@@ -161,22 +158,15 @@ def wald_joint_test(
     scale = np.maximum(np.maximum(np.abs(restricted).max(axis=-1), np.abs(r_vec).max()), 1.0)
     satisfied = np.abs(diff).max(axis=-1) <= 1e-10 * scale
     middle = R @ cov.matrix @ R.T
-    if diff.ndim == 1:  # one fit
-        if satisfied:
-            return JointTestResult(0.0, q, df_den, 1.0)
-        try:
-            solved = np.linalg.solve(middle, diff[:, None])[:, 0]
-        except np.linalg.LinAlgError:
-            raise EstimationError("R V R' is singular") from None
-        statistic = max(float(np.vecdot(diff, solved)), 0.0) / q
-        return JointTestResult(statistic, q, df_den, float(fdtrc(q, df_den, statistic)))
     with np.errstate(invalid="ignore"):  # NaN for a rank-deficient member of a stack
         degenerate = np.linalg.slogdet(middle)[0] == 0
     singular = degenerate & ~satisfied
+    if np.ndim(singular) == 0 and singular:
+        raise EstimationError("R V R' is singular")
     solved = np.linalg.solve(np.where(degenerate[..., None, None], np.eye(q), middle), diff[..., None])[..., 0]
     wald = np.where(singular, math.nan, np.vecdot(diff, solved))
-    statistic = np.where(satisfied, 0.0, np.maximum(wald, 0.0) / q)
-    p_value = np.where(satisfied, 1.0, fdtrc(q, df_den, statistic))
+    statistic = np.where(satisfied, 0.0, np.maximum(wald, 0.0) / q)[()]  # [()]: a 0-d result as a scalar
+    p_value = np.where(satisfied, 1.0, fdtrc(q, df_den, statistic))[()]
     return JointTestResult(statistic, q, df_den, p_value)
 
 

@@ -97,40 +97,39 @@ class PanelFitResult:
     singletons_dropped: int = 0
 
 
-def clustered_covariance(
-    X: np.ndarray, residuals: np.ndarray, clusters: np.ndarray, r: np.ndarray | None = None
-) -> np.ndarray:
+def clustered_covariance(X: np.ndarray, residuals: np.ndarray, clusters: np.ndarray) -> np.ndarray:
     """Cluster-robust sandwich with factor G/(G-1) * (N-1)/(N-K), the bread from X's QR R factor.
 
-    ``clusters`` are codes 0..G-1, each of them used; ``r`` is the R factor
-    of X's QR, computed here if not given.  Scores that cancel within every
-    cluster leave only rounding noise in the meat, so a diagonal entry of the
-    meat within N * eps of the unclustered one (the sum of the squared
-    scores) counts as zero, with its row and column.
+    ``clusters`` holds each row's cluster label, of any kind ``np.unique``
+    sorts.  Scores that cancel within every cluster leave only rounding noise
+    in the meat, so a diagonal entry of the meat within N * eps of the
+    unclustered one (the sum of the squared scores) counts as zero, with its
+    row and column.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     residuals = np.asarray(residuals, dtype=float)
-    n_clusters = int(clusters.max()) + 1 if clusters.size else 0
+    codes, inverse = np.unique(clusters, return_inverse=True)
+    n_clusters = codes.size
     nobs, nparams = X.shape
     if n_clusters < 2:
         raise EstimationError("clustered covariance needs at least 2 clusters")
     scores = X * residuals[:, None]
     # bincount adds each cluster's scores in row order, as np.add.at does.
-    cluster_scores = np.column_stack([np.bincount(clusters, weights=s, minlength=n_clusters) for s in scores.T])
+    cluster_scores = np.column_stack([np.bincount(inverse, weights=s, minlength=n_clusters) for s in scores.T])
     meat = cluster_scores.T @ cluster_scores
     noise = np.diagonal(meat) <= nobs * EPS * np.einsum("ij,ij->j", scores, scores)
     meat[noise] = 0.0
     meat[:, noise] = 0.0
-    bread = inverse_gram(np.linalg.qr(X, mode="r") if r is None else r)
+    bread = inverse_gram(np.linalg.qr(X, mode="r"))
     factor = (n_clusters / (n_clusters - 1)) * ((nobs - 1) / (nobs - nparams))
     return factor * bread @ meat @ bread
 
 
 def cluster_se(
-    X: np.ndarray, residuals: np.ndarray, clusters: np.ndarray, column: int = 0, r: np.ndarray | None = None
+    X: np.ndarray, residuals: np.ndarray, clusters: np.ndarray, column: int = 0
 ) -> float:
-    """Clustered standard error of one coefficient (arguments as for ``clustered_covariance``)."""
-    cov = clustered_covariance(X, residuals, clusters, r)
+    """Clustered standard error of one coefficient."""
+    cov = clustered_covariance(X, residuals, clusters)
     return math.sqrt(max(cov[column, column], 0.0))
 
 
@@ -240,7 +239,7 @@ def fe_estimate(data: PersistenceData, spec: str) -> PanelFitResult:
         se = 0.0
     else:
         # cluster_se counts only X's columns in K; the partialled quarter effects count too.
-        se = cluster_se(X, residuals, inverse, column=-1, r=fit.r)
+        se = cluster_se(X, residuals, inverse, column=-1)
         se *= math.sqrt((nobs - X.shape[1]) / (nobs - nparams))
 
     # R^2 convention: ordinary for pooled, within for FE specs.

@@ -228,6 +228,16 @@ class TestClusteredSe:
         with pytest.raises(EstimationError):
             clustered_covariance(X, np.array([1.0, -1.0, 1.0, -1.0]), np.zeros(4, dtype=int))
 
+    def test_labels_with_gaps_or_strings_equal_dense_codes(self):
+        rng = np.random.default_rng(26)
+        X = np.column_stack([np.ones(12), rng.normal(size=12)])
+        u = rng.normal(size=12)
+        dense = np.repeat([0, 1, 2], 4)
+        expected = clustered_covariance(X, u, dense)
+        for labels in (np.repeat([3, 7, 40], 4), [3, 3, 3, 3, 7, 7, 7, 7, 40, 40, 40, 40],
+                       np.repeat(["b", "a", "c"], 4)):
+            assert np.array_equal(clustered_covariance(X, u, labels), expected)
+
     def test_duplicating_clusters_scales_se_deterministically(self):
         rng = np.random.default_rng(25)
         N, K = 20, 1
