@@ -7,13 +7,13 @@ constant extrapolation at the edges).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EstimationError, IngestionError
+from .linreg import RegressionFit, ols
 from .panel import ActualSeries, QuarterSeries
 from .quarters import Quarter
 
@@ -25,10 +25,9 @@ MIN_PRESAMPLE = 10  # observations beyond the lag order required before a target
 
 @dataclass(frozen=True)
 class ARSpec:
-    """Autoregression settings: lag order, estimation start, optional per-target reselection."""
+    """Autoregression settings: lag order, optional per-target reselection."""
 
     p: int = 1
-    start: Quarter | None = None  # default: first observation of the series
     reselect: bool = False
     max_lag: int = DEFAULT_MAX_LAG
     criterion: str = "SIC"
@@ -90,13 +89,49 @@ def _contiguous_values(series: QuarterSeries, first: int, last: int) -> np.ndarr
     return values
 
 
-def _ar_design(values: np.ndarray, p: int, start_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Design and response for AR(p) with intercept over t = start_index..end."""
-    t_idx = np.arange(start_index, values.size)
-    columns = [np.ones(t_idx.size)]
-    for j in range(1, p + 1):
-        columns.append(values[t_idx - j])
-    return np.column_stack(columns), values[t_idx]
+def _ar_fit(values: np.ndarray, p: int, starts: np.ndarray, ends: np.ndarray) -> tuple[RegressionFit, np.ndarray]:
+    """AR(p) with intercept over many windows of ``values`` as one stack of ``ols`` fits.
+
+    Row i of the stack covers t = starts[i]..ends[i]-1 (starts[i] >= p); the
+    rows after its window are zero and counted out through the mask.  Returns
+    the fit and the stacked response.
+    """
+    t = starts[:, None] + np.arange(np.max(ends - starts))
+    mask = t < ends[:, None]
+    lagged = values[np.where(mask, t, p)[..., None] - np.arange(p + 1)]  # y_t, y_t-1, ..., y_t-p
+    lagged[~mask] = 0.0
+    y = lagged[..., 0]
+    return ols(np.concatenate([mask[..., None].astype(float), lagged[..., 1:]], axis=-1), y, mask), y
+
+
+def _select_orders(values: np.ndarray, max_lags: np.ndarray, ends: np.ndarray, criterion: str) -> np.ndarray:
+    """The information-criterion order of each series values[:ends[i]], among 0..max_lags[i].
+
+    Every candidate order of a series is fit on its common effective sample
+    t = max_lags[i]..ends[i]-1, one stack per order over all series.  A
+    rank-deficient order is not a candidate; ties break toward the smaller order.
+    """
+    if criterion not in CRITERIA:
+        raise ValueError(f"criterion must be one of {CRITERIA}")
+    t_eff = ends - max_lags
+    short = t_eff <= max_lags + 1  # some candidate would have no more observations than parameters
+    if short.any():
+        at = int(np.argmax(short))
+        raise EstimationError(f"series of length {ends[at]} too short for max_lag {max_lags[at]}")
+    best, best_crit = np.zeros(ends.size, dtype=np.int64), np.full(ends.size, np.inf)
+    for p in range(int(np.max(max_lags)) + 1):
+        rows = np.flatnonzero(max_lags >= p)
+        fit, y = _ar_fit(values, p, max_lags[rows], ends[rows])
+        # Rounding-level residuals on an exact fit count as zero, so the
+        # cross-order tie resolves to the smallest order achieving it.
+        rss = np.where(fit.rss <= 1e-24 * np.maximum(np.vecdot(y, y), 1e-300), 0.0, fit.rss)
+        n = t_eff[rows]
+        with np.errstate(divide="ignore"):
+            penalty = {"AIC": 2.0, "SIC": np.log(n), "HQ": 2.0 * np.log(np.log(n))}[criterion]
+            crit = np.log(rss / n) + (p + 1) * penalty / n  # NaN for a deficient fit
+        better = crit < best_crit[rows]
+        best[rows[better]], best_crit[rows[better]] = p, crit[better]
+    return best
 
 
 def select_lag(
@@ -107,41 +142,14 @@ def select_lag(
     """Information-criterion lag selection on a common effective sample.
 
     The first ``max_lag`` observations are held out as presample for every
-    candidate order, so all criteria are computed on the same sample.  Ties
-    break toward the smaller order.
+    candidate order, so all criteria are computed on the same sample, which
+    must hold more observations than the largest order has parameters.  A
+    rank-deficient order is not a candidate; ties break toward the smaller order.
     """
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}")
     if isinstance(values, QuarterSeries):
         values = _contiguous_values(values, values.start, values.start + values.values.size - 1)
     values = np.asarray(values, dtype=float)
-    nobs = values.size
-    if nobs <= max_lag + 2:
-        raise EstimationError(f"series of length {nobs} too short for max_lag {max_lag}")
-    t_eff = nobs - max_lag
-    best_p = 0
-    best_crit = math.inf
-    for p in range(0, max_lag + 1):
-        X, y = _ar_design(values, p, max_lag)
-        coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-        rss = float(np.sum((y - X @ coef) ** 2))
-        # Rounding-level residuals on an exact fit count as zero, so the
-        # cross-order tie resolves to the smallest order achieving it.
-        if rss <= 1e-24 * max(float(np.sum(y**2)), 1e-300):
-            rss = 0.0
-        sigma2 = rss / t_eff
-        m = p + 1
-        log_sigma2 = math.log(sigma2) if sigma2 > 0 else -math.inf
-        if criterion == "AIC":
-            crit = log_sigma2 + 2.0 * m / t_eff
-        elif criterion == "SIC":
-            crit = log_sigma2 + m * math.log(t_eff) / t_eff
-        else:  # HQ
-            crit = log_sigma2 + 2.0 * m * math.log(math.log(t_eff)) / t_eff
-        if crit < best_crit:
-            best_crit = crit
-            best_p = p
-    return best_p
+    return int(_select_orders(values, np.array([max_lag]), np.array([values.size]), criterion)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,51 +167,40 @@ def recursive_ar_forecast(
     """One-step AR forecasts with an expanding estimation window per target.
 
     ``targets`` are quarter indexes.  For each target the model is fit on
-    observations from the estimation start through the quarter before the
-    target; at least p + 10 observations must precede the earliest target.
+    observations from the first quarter of the series through the quarter
+    before the target; at least p + 10 observations must precede the earliest
+    target.  The targets that share an order are fit as one stack, and a
+    rank-deficient AR(p) fit falls back to AR(p-1), down to the mean at p = 0.
     """
-    ordered = np.unique(np.asarray(targets, dtype=np.int64)).tolist()
-    first, size = (ordered[0], ordered[-1] + 1 - ordered[0]) if ordered else (0, 0)
+    ordered = np.unique(np.asarray(targets, dtype=np.int64))
+    first, size = (int(ordered[0]), int(ordered[-1] + 1 - ordered[0])) if ordered.size else (0, 0)
     out = ARForecasts(start=first, values=np.full(size, np.nan), p_used=np.full(size, -1, dtype=np.int64))
-    if not ordered:
+    if not ordered.size:
         return out
-    start = spec.start.index if spec.start else int(series.quarters()[0])
-    full = _contiguous_values(series, start, ordered[-1] - 1)
-    # A fixed order grows one Gram matrix over the expanding window instead
-    # of refitting from scratch at every target.
-    gram: np.ndarray | None = None
-    moment: np.ndarray | None = None
-    n_rows = 0
-    for target in ordered:
-        size = target - start  # observations strictly before the target
-        history = full[:size]
-        p = spec.p
-        if spec.reselect:
-            # Cap the candidate orders so that whichever is chosen has its presample.
-            max_lag = min(spec.max_lag, size - MIN_PRESAMPLE)
-            p = select_lag(history, max_lag=max_lag, criterion=spec.criterion) if max_lag >= 0 else 0
-        if size < p + MIN_PRESAMPLE:
-            raise EstimationError(
-                f"only {size} observations before target {Quarter.from_index(target)}; need {p + MIN_PRESAMPLE}"
-            )
-        if spec.reselect:
-            X, y = _ar_design(history, p, p)
-            coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-        else:
-            if gram is None:
-                X, y = _ar_design(history, p, p)
-                gram, moment = X.T @ X, X.T @ y
-            else:
-                for t in range(p + n_rows, size):
-                    row = np.concatenate(([1.0], full[t - 1 : t - p - 1 : -1])) if p > 0 else np.ones(1)
-                    gram += np.outer(row, row)
-                    moment += row * full[t]
-            n_rows = size - p
-            try:
-                coef = np.linalg.solve(gram, moment)
-            except np.linalg.LinAlgError:
-                coef, _, _, _ = np.linalg.lstsq(gram, moment, rcond=None)
-        lags = history[-1 : -p - 1 : -1] if p > 0 else np.empty(0)
-        out.values[target - first] = float(coef[0] + coef[1:] @ lags)
-        out.p_used[target - first] = p
+    start = int(series.quarters()[0])
+    sizes = ordered - start  # observations strictly before each target
+    need = MIN_PRESAMPLE + (0 if spec.reselect else spec.p)
+    if sizes[0] < need:
+        raise EstimationError(
+            f"only {sizes[0]} observations before target {Quarter.from_index(first)}; need {need}")
+    full = _contiguous_values(series, start, int(ordered[-1]) - 1)
+    orders = np.full(sizes.size, spec.p)
+    if spec.reselect:
+        # Cap the candidate orders so that whichever is chosen has its presample
+        # and every candidate more observations than parameters.
+        caps = np.minimum(sizes - MIN_PRESAMPLE, (sizes - 2) // 2).clip(max=spec.max_lag)
+        orders = _select_orders(full, caps, sizes, spec.criterion)
+    # Deviations from the first value: a constant stretch fits zeros and forecasts its value exactly.
+    deviations = full - full[0]
+    for p in range(int(np.max(orders)), -1, -1):
+        rows = np.flatnonzero(orders == p)
+        if not rows.size:
+            continue
+        coef = _ar_fit(deviations, p, np.full(rows.size, p), sizes[rows])[0].coefficients
+        deficient = np.isnan(coef[:, 0])
+        orders[rows[deficient]] = p - 1
+        rows, coef = rows[~deficient], coef[~deficient]
+        x_next = np.concatenate([np.ones((rows.size, 1)), deviations[sizes[rows, None] - np.arange(1, p + 1)]], axis=1)
+        out.values[ordered[rows] - first] = full[0] + np.vecdot(coef, x_next)
+        out.p_used[ordered[rows] - first] = p
     return out

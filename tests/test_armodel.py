@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from judgebench.armodel import ARSpec, fill_missing, recursive_ar_forecast, select_lag
+from judgebench.armodel import MIN_PRESAMPLE, ARSpec, fill_missing, recursive_ar_forecast, select_lag
 from judgebench.errors import EstimationError, IngestionError
 from judgebench.quarters import Quarter, ReleaseKind
 
@@ -67,6 +69,98 @@ class TestSelectLag:
     def test_short_series_rejected(self):
         with pytest.raises(EstimationError):
             select_lag(series([1.0, 2.0, 3.0]), max_lag=4)
+
+    @pytest.mark.parametrize("length", [11, 14])
+    def test_series_too_short_for_every_candidate_rejected(self, length):
+        # Orders whose effective sample holds no more observations than parameters
+        # fit exactly, and an RSS of 0 would win the criterion.
+        noise = np.random.default_rng(37).normal(size=length)
+        with pytest.raises(EstimationError, match="too short"):
+            select_lag(noise, max_lag=8, criterion="SIC")
+
+    def test_shortest_series_for_max_lag_accepted(self):
+        noise = np.random.default_rng(38).normal(size=18)  # 10 effective observations, at most 9 parameters
+        assert 0 <= select_lag(noise, max_lag=8, criterion="SIC") <= 8
+
+    @pytest.mark.parametrize("criterion", ["AIC", "SIC", "HQ"])
+    @pytest.mark.parametrize("length,max_lag", [(30, 4), (50, 8), (70, 8)])
+    def test_matches_per_series_reference(self, criterion, length, max_lag):
+        values = ar_noise(39, length)
+        assert select_lag(values, max_lag=max_lag, criterion=criterion) == reference_order(values, max_lag, criterion)
+
+
+def ar_noise(seed, length, level=0.0):
+    """A seeded AR(2) series around ``level``."""
+    y = np.random.default_rng(seed).normal(size=length)
+    for t in range(2, length):
+        y[t] += 0.6 * y[t - 1] - 0.3 * y[t - 2]
+    return level + y
+
+
+def lstsq_ar(values, p, start, end):
+    """AR(p) with intercept over t = start..end-1, refit on its own by lstsq; returns coefficients and RSS."""
+    t = np.arange(start, end)
+    X = np.column_stack([np.ones(t.size)] + [values[t - j] for j in range(1, p + 1)])
+    coef, *_ = np.linalg.lstsq(X, values[t], rcond=None)
+    return coef, float(np.sum((values[t] - X @ coef) ** 2))
+
+
+def reference_order(values, max_lag, criterion):
+    """Information-criterion order on the common sample t = max_lag..end-1, ties to the smaller order."""
+    n = values.size - max_lag
+    penalty = {"AIC": 2.0, "SIC": math.log(n), "HQ": 2.0 * math.log(math.log(n))}[criterion]
+    crits = [math.log(lstsq_ar(values, p, max_lag, values.size)[1] / n) + (p + 1) * penalty / n
+             for p in range(max_lag + 1)]
+    return int(np.argmin(crits))
+
+
+def reference_forecast(values, size, p):
+    coef, _ = lstsq_ar(values, p, p, size)
+    return coef[0] + coef[1:] @ values[size - np.arange(1, p + 1)]
+
+
+SPECS = [ARSpec(p=p) for p in range(5)] + [ARSpec(reselect=True, criterion=c) for c in ("AIC", "SIC", "HQ")] + [
+    ARSpec(reselect=True, max_lag=12, criterion="SIC")]  # capped below 12 while fewer than 26 observations precede
+
+
+@pytest.mark.parametrize("level", [0.0, 100.0])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"select-{s.criterion}-{s.max_lag}" if s.reselect else f"p{s.p}")
+def test_stacked_forecasts_match_per_target_refits(spec, level):
+    values = ar_noise(40, 70, level)
+    sizes = np.arange(MIN_PRESAMPLE + (0 if spec.reselect else spec.p), values.size)
+    forecasts = recursive_ar_forecast(series(values), Quarter(1990, 1).index + sizes, spec)
+    orders = [reference_order(values[:n], min(spec.max_lag, n - MIN_PRESAMPLE, (n - 2) // 2), spec.criterion)
+              if spec.reselect else spec.p for n in sizes]
+    expected = [reference_forecast(values, n, p) for n, p in zip(sizes, orders)]
+    assert forecasts.p_used.tolist() == orders
+    if spec.reselect:
+        assert len(set(orders)) > 1  # the orders differ, so the targets span several stacks
+    np.testing.assert_allclose(forecasts.values, expected, rtol=1e-12, atol=1e-12 * np.abs(values).max())
+
+
+class TestRankFallback:
+    """A rank-deficient AR(p) fit falls back to AR(p-1), down to the mean."""
+
+    CONSTANT = 1.7
+
+    def values(self):
+        return np.concatenate([np.full(20, self.CONSTANT), ar_noise(41, 40, self.CONSTANT)])
+
+    def test_constant_stretch_and_later_targets_in_one_call(self):
+        values = self.values()
+        sizes = np.arange(12, values.size)
+        forecasts = recursive_ar_forecast(series(values), Quarter(1990, 1).index + sizes, ARSpec(p=2))
+        inside = sizes <= 20  # every observation before the target is the constant
+        assert (forecasts.values[inside] == self.CONSTANT).all()
+        # Size 21 sees one varying value, but only as a response; size 22 sees it as a first lag.
+        expected_p = np.where(sizes <= 21, 0, np.where(sizes == 22, 1, 2))
+        assert forecasts.p_used.tolist() == expected_p.tolist()
+        expected = [reference_forecast(values, n, p) for n, p in zip(sizes[~inside], expected_p[~inside])]
+        np.testing.assert_allclose(forecasts.values[~inside], expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("criterion", ["AIC", "SIC", "HQ"])
+    def test_selection_on_constant_prefix_is_zero(self, criterion):
+        assert select_lag(self.values()[:20], max_lag=4, criterion=criterion) == 0
 
 
 class TestRecursiveArForecast:

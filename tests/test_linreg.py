@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.special import stdtrit
 from judgebench.accuracy import hln_correction
 from judgebench.errors import EstimationError, RankDeficiencyError
 from judgebench.judgment import baseline
+import judgebench.linreg
 from judgebench.linreg import (
     CovarianceEstimate,
     RegressionFit,
@@ -30,6 +32,14 @@ from judgebench.quarters import Quarter, ReleaseKind
 from conftest import actuals_from, aligned, panel_from_values, q, series_from
 
 R1 = ReleaseKind.FIRST
+
+
+def test_ols_is_the_one_least_squares_routine():
+    """No module calls lstsq, and only linreg.py calls np.linalg.solve."""
+    for path in sorted(Path(judgebench.linreg.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "lstsq" not in text, path.name
+        assert path.name == "linreg.py" or "np.linalg.solve" not in text, path.name
 
 
 class TestOls:
