@@ -15,7 +15,7 @@ from scipy.special import stdtr
 
 from .errors import EstimationError
 from .judgment import BaselineSeries, passes_threshold
-from .panel import ActualSeries, ForecastPanel
+from .panel import ActualSeries, ForecastPanel, economist_runs
 from .quarters import ReleaseKind
 
 
@@ -118,9 +118,8 @@ def accuracy_table(
     The panel must be clean: one row per (economist, quarter, release).
     """
     rows = panel.for_release(base.release)
-    order, codes, bounds = rows.economist_blocks()
-    quarter = rows.quarter[order]
-    columns = (rows.value[order], base.at(quarter), actuals.at(quarter))
+    codes, bounds = economist_runs(rows.economist)
+    columns = (rows.value, base.at(rows.quarter), actuals.at(rows.quarter))
     out = []
     for code, lo, hi in zip(codes.tolist(), bounds.tolist(), bounds[1:].tolist()):
         economist_id = panel.economist_ids[code]

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -345,10 +345,9 @@ def cmd_table2(study: Study, out: Path) -> list[Path]:
 
 
 def cmd_judgment(study: Study, out: Path) -> list[Path]:
-    cfg = study.cfg
+    cfg, panel = study.cfg, study.panel
     bases = [study.baseline(rel) for rel in RELEASES]
     judgments = [study.judgments[rel] for rel in RELEASES]
-    orders = [np.lexsort((jp.panel.quarter, jp.panel.economist)) for jp in judgments]
     table3, hist, hits = [[] for _ in range(9)], [[], [], [], []], [[], [], [], []]
     for rel, base, jp in zip(RELEASES, bases, judgments):
         participation = study.participation[rel]
@@ -365,18 +364,15 @@ def cmd_judgment(study: Study, out: Path) -> list[Path]:
         except ValueError:
             _add_row(hits, RELEASE_LABEL[rel], None, None, None)
 
-    def sorted_judgments(column: Callable[[JudgmentPanel], np.ndarray]) -> np.ndarray:
-        return np.concatenate([column(jp)[order] for jp, order in zip(judgments, orders)])
-
     base_quarters, base_sizes, base_values = _stack_series(bases, "values")
     return [
         write_csv(out / f"baseline_{cfg.baseline_method}.csv", ["release", "quarter", "value"],
                   [_release_labels(base_sizes), base_quarters, base_values]),
         write_csv(out / "judgments.csv", ["economist_id", "quarter", "release", "judgment", "neutral"],
-                  [CodedColumn(study.panel.economist_ids, sorted_judgments(lambda jp: jp.panel.economist)),
-                   _quarter_labels(sorted_judgments(lambda jp: jp.panel.quarter)),
-                   _release_labels([order.size for order in orders]),
-                   sorted_judgments(lambda jp: jp.value), sorted_judgments(lambda jp: jp.neutral)]),
+                  # The panel is the three release slices in sequence, as the judgments are.
+                  [CodedColumn(panel.economist_ids, panel.economist), _quarter_labels(panel.quarter),
+                   _release_labels([len(jp) for jp in judgments]),
+                   np.concatenate([jp.value for jp in judgments]), np.concatenate([jp.neutral for jp in judgments])]),
         write_csv(out / "table3_sign_shares.csv",
                   ["release", "threshold", "n_economists", "mean_negative", "sd_negative",
                    "mean_positive", "sd_positive", "mean_neutral", "sd_neutral"], table3,
@@ -485,7 +481,8 @@ def cmd_simulate(study: Study, out: Path) -> list[Path]:
     cfg = study.cfg
     world = simulate_world(cfg.synth_config(), seed=cfg.seed)
     quarters, sizes, values = _stack_series([world.actuals[rel] for rel in RELEASES], "values")
-    panel = world.panel
+    # forecasts.csv lists the rows by (economist, quarter, release), as it always has.
+    panel = world.panel.take(np.lexsort((world.panel.release, world.panel.quarter, world.panel.economist)))
     spf = world.spf.median.quarters()
     files = [
         write_csv(out / "actuals.csv", ["quarter", "release", "value"],

@@ -40,12 +40,9 @@ def _block_moments(values: np.ndarray, bounds: np.ndarray) -> list[tuple[float, 
     moments = [(block_sums(deviation**k, starts, ends) / n).tolist() for k in (2, 3, 4)]
     out = []
     for size, m2, m3, m4 in zip(n.tolist(), *moments):
-        skew = kurt = None
-        if m2 > 0.0:
-            if size >= 3:
-                skew = m3 / m2**1.5
-            if size >= 4:
-                kurt = m4 / m2**2 - 3.0
+        spread = m2**2 > 0.0  # not degenerate: m2 > 0 and its powers do not underflow to 0
+        skew = m3 / m2**1.5 if spread and size >= 3 else None
+        kurt = m4 / m2**2 - 3.0 if spread and size >= 4 else None
         out.append((math.sqrt(m2), skew, kurt))
     return out
 

@@ -58,7 +58,6 @@ class JudgmentPanel:
     panel: ForecastPanel
     value: np.ndarray
     neutral: np.ndarray
-    grid: float = DEFAULT_GRID
 
     def __len__(self) -> int:
         return self.value.size
@@ -73,7 +72,7 @@ def baseline(panel: ForecastPanel, release: ReleaseKind, method: str = "median")
         raise ValueError(f"unknown baseline method {method!r}")
     rows = panel.for_release(release)
     if method == "median":
-        quarters, values = cell_medians(rows.quarter, rows.value, rows.economist)
+        quarters, values = cell_medians(rows.quarter, rows.value)
     else:
         quarters, cells, bounds = rows.quarter_cells()
         values = [math.fsum(cells[lo:hi]) / (hi - lo) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
@@ -94,7 +93,6 @@ def extract_judgments(
         panel=rows,
         value=rows.value - levels,
         neutral=grid_round(rows.value, grid) == grid_round(levels, grid),
-        grid=grid,
     )
 
 

@@ -16,7 +16,7 @@ from scipy.special import fdtrc
 
 from .errors import EstimationError, RankDeficiencyError
 from .judgment import BaselineSeries, passes_threshold
-from .panel import ActualSeries, ForecastPanel, QuarterSeries, SpfNowcasts
+from .panel import ActualSeries, ForecastPanel, QuarterSeries, SpfNowcasts, economist_runs
 from .quarters import ReleaseKind
 
 MIN_OBS_UNBIASEDNESS = 10
@@ -353,16 +353,16 @@ def test_battery_individual(
     battery = IndividualBattery()
     for release in sorted(actuals):
         rows = panel.for_release(release)
-        order, codes, bounds = rows.economist_blocks()
+        codes, bounds = economist_runs(rows.economist)
         if not codes.size:
             continue
         # One row per economist: its quarters in ascending order, then NaN padding.
         sizes = np.diff(bounds)
         block = np.repeat(np.arange(codes.size), sizes)
-        quarter = rows.quarter[order]
+        quarter = rows.quarter
         actual, prediction, spf_median, ar = grid = np.full((4, codes.size, sizes.max()), np.nan)
-        grid[:, block, np.arange(order.size) - bounds[block]] = (
-            actuals[release].at(quarter), rows.value[order], spf.median.at(quarter), ar_forecasts[release].at(quarter))
+        grid[:, block, np.arange(len(rows)) - bounds[block]] = (
+            actuals[release].at(quarter), rows.value, spf.median.at(quarter), ar_forecasts[release].at(quarter))
         has_actual = ~np.isnan(actual)
         nobs = np.count_nonzero(has_actual, axis=1)
         # Eligibility counts each regression's own sample, so no member of a stack is short of it.

@@ -102,16 +102,14 @@ def cell_key(economist: np.ndarray, quarter: np.ndarray) -> np.ndarray:
     return economist.astype(np.int64) * (1 << 32) + quarter
 
 
-def cell_medians(
-    key: np.ndarray, value: np.ndarray, tie: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def cell_medians(key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys in ascending order and the median value of each.
 
     An even count takes the midpoint of the two middle values, as
-    ``statistics.median`` does.  Equal values rank by ``tie``, if given, so
-    which of 0.0 and -0.0 is the median does not depend on row order.
+    ``statistics.median`` does.  Equal values keep their row order, so in a
+    canonical panel which of 0.0 and -0.0 is the median does not depend on row order.
     """
-    order = np.lexsort((value, key) if tie is None else (tie, value, key))
+    order = np.lexsort((value, key))
     keys, start, count = np.unique(key[order], return_index=True, return_counts=True)
     ranked = value[order]
     low, high = ranked[start + (count - 1) // 2], ranked[start + count // 2]
@@ -128,6 +126,17 @@ def block_sums(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.n
     return np.array([np.add.reduce(values[lo:hi]) for lo, hi in zip(starts.tolist(), ends.tolist())], dtype=float)
 
 
+def economist_runs(economist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The economist code of each run of equal codes, and the run bounds: run i is ``bounds[i]:bounds[i + 1]``.
+
+    Raises ValueError if a code comes back after another, since then its rows would fall into two runs.
+    """
+    starts = np.flatnonzero(np.diff(economist, prepend=-1))  # codes are non-negative
+    if starts.size and np.bincount(economist[starts]).max() > 1:
+        raise ValueError("rows must be grouped by economist")
+    return economist[starts], np.append(starts, economist.size)
+
+
 _COLUMNS = ("economist", "firm", "quarter", "release", "value", "report_date")
 
 
@@ -141,6 +150,9 @@ class ForecastPanel:
     from one panel shares its codes; a table may hold ids that no row uses.
     ``quarter`` is ``Quarter.index``, ``release`` the release number and
     ``report_date`` a date ordinal, -1 when undated.
+
+    The canonical row order is (release, economist, quarter), as ``from_rows`` and ``clean_panel``
+    return it: a release is a slice, its economists are runs, each in quarter order.
     """
 
     economist_ids: tuple[str, ...]
@@ -154,21 +166,9 @@ class ForecastPanel:
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> "ForecastPanel":
-        """Build from ``(economist_id, firm_id, quarter, release, value, report_date)`` rows."""
-        rows = list(rows)
-        econ, firm, quarter, release, value, dated = zip(*rows) if rows else ((),) * 6
-        economist_ids, economist = factorize(econ)
-        firm_ids, firm_codes = factorize(firm)
-        return cls(
-            economist_ids,
-            firm_ids,
-            economist,
-            firm_codes,
-            np.array([q.index for q in quarter], dtype=np.int64),
-            np.array(release, dtype=np.int64),
-            np.array(value, dtype=float),
-            np.array([-1 if d is None else d.toordinal() for d in dated], dtype=np.int64),
-        )
+        """Build from ``(economist_id, firm_id, quarter, release, value, report_date)`` rows, stably sorted."""
+        panel = _panel_of_rows(rows)
+        return panel.take(np.lexsort((panel.quarter, panel.economist, panel.release)))
 
     def __len__(self) -> int:
         return self.value.size
@@ -177,27 +177,46 @@ class ForecastPanel:
         """The rows a boolean mask or an array of positions selects, in that order."""
         return ForecastPanel(self.economist_ids, self.firm_ids, *(getattr(self, c)[rows] for c in _COLUMNS))
 
+    @functools.cached_property
+    def _canonical(self) -> bool:
+        """Whether the rows are in canonical order; computed once per panel."""
+        release, economist, quarter = (np.diff(c) for c in (self.release, self.economist, self.quarter))
+        return bool(np.all((release > 0) | (release == 0) & ((economist > 0) | (economist == 0) & (quarter >= 0))))
+
     def for_release(self, release: ReleaseKind) -> "ForecastPanel":
-        return self.take(self.release == release)
-
-    def economist_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows ordered by (economist, quarter), the distinct economist codes, and block bounds.
-
-        Economist ``codes[i]`` has the rows ``order[bounds[i]:bounds[i + 1]]``.
-        """
-        order = np.lexsort((self.quarter, self.economist))
-        codes, start = np.unique(self.economist[order], return_index=True)
-        return order, codes, np.append(start, order.size)
+        """This release's rows as views; raises ValueError unless the panel is in canonical order."""
+        if not self._canonical:
+            raise ValueError("panel rows are not in (release, economist, quarter) order")
+        lo, hi = np.searchsorted(self.release, [release, release + 1])
+        return ForecastPanel(self.economist_ids, self.firm_ids, *(getattr(self, c)[lo:hi] for c in _COLUMNS))
 
     def quarter_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct quarters in ascending order, the values ordered by (quarter, economist), and cell bounds.
+        """The distinct quarters in ascending order, the values ordered by quarter, and cell bounds.
 
-        Quarter ``quarters[i]`` has the values ``values[bounds[i]:bounds[i + 1]]``.
-        The order does not depend on the row order, so neither do sums over a cell.
+        Quarter ``quarters[i]`` has the values ``values[bounds[i]:bounds[i + 1]]``.  The sort is stable, so in
+        a release of a canonical panel each cell is in economist order and its sums do not depend on row order.
         """
-        order = np.lexsort((self.economist, self.quarter))
+        order = np.argsort(self.quarter, kind="stable")
         quarters, start = np.unique(self.quarter[order], return_index=True)
         return quarters, self.value[order], np.append(start, order.size)
+
+
+def _panel_of_rows(rows: Iterable[tuple]) -> ForecastPanel:
+    """The panel of ``from_rows`` with its rows in input order."""
+    rows = list(rows)
+    econ, firm, quarter, release, value, dated = zip(*rows) if rows else ((),) * 6
+    economist_ids, economist = factorize(econ)
+    firm_ids, firm_codes = factorize(firm)
+    return ForecastPanel(
+        economist_ids,
+        firm_ids,
+        economist,
+        firm_codes,
+        np.array([q.index for q in quarter], dtype=np.int64),
+        np.array(release, dtype=np.int64),
+        np.array(value, dtype=float),
+        np.array([-1 if d is None else d.toordinal() for d in dated], dtype=np.int64),
+    )
 
 
 class CleaningAction(str, Enum):
@@ -305,7 +324,7 @@ def _forecast_rows(source) -> ForecastPanel:
             _parse_date(row["report_date"]),
         )
 
-    return ForecastPanel.from_rows(row for _, row in _parse_rows(source, FORECASTS_HEADER, "forecasts", parse_row))
+    return _panel_of_rows(row for _, row in _parse_rows(source, FORECASTS_HEADER, "forecasts", parse_row))
 
 
 class _Irregular(Exception):
@@ -345,7 +364,7 @@ def _forecast_columns(fh) -> ForecastPanel:
         for k, (tokens, column) in enumerate(zip(code_of, chunks)):
             column.append(np.fromiter(map(tokens.__getitem__, fields[k::width]), np.int64, len(lines)))
     if not chunks[0]:
-        return ForecastPanel.from_rows([])
+        return _panel_of_rows([])
     quarter, release, econ, firm, value, dated = (np.concatenate(column) for column in chunks)
 
     def parsed(k: int, parse: Callable, dtype) -> np.ndarray:
@@ -435,7 +454,7 @@ def clean_panel(raw: ForecastPanel) -> tuple[ForecastPanel, CleaningLog]:
     cells, medians = cell_medians(cell, value)
     deviation = np.abs(value - medians[np.searchsorted(cells, cell)])
 
-    order = np.lexsort((pos, deviation, -raw.report_date[pos], release, quarter, econ))
+    order = np.lexsort((pos, deviation, -raw.report_date[pos], quarter, econ, release))
     rows, econ, quarter, release = pos[order], econ[order], quarter[order], release[order]
     best = np.ones(rows.size, dtype=bool)
     best[1:] = (econ[1:] != econ[:-1]) | (quarter[1:] != quarter[:-1]) | (release[1:] != release[:-1])
@@ -443,7 +462,7 @@ def clean_panel(raw: ForecastPanel) -> tuple[ForecastPanel, CleaningLog]:
     in_log_order = np.argsort(first_seen, kind="stable")
     for row in rows[in_log_order][~best[in_log_order]].tolist():
         log.entries.append(CleaningLogEntry(CleaningAction.DROPPED_DUPLICATE, row))
-    return raw.take(np.sort(rows[best])), log
+    return raw.take(rows[best]), log
 
 
 def participation_share(

@@ -19,7 +19,7 @@ from scipy.special import stdtr
 from .errors import EstimationError, RankDeficiencyError
 from .judgment import JudgmentPanel
 from .linreg import inverse_gram, ols
-from .panel import cell_key
+from .panel import cell_key, economist_runs
 from .quarters import ReleaseKind
 
 SPECS = ("pooled", "fe", "fe_te")
@@ -46,8 +46,8 @@ def _sorted_columns(jp: JudgmentPanel | None) -> tuple[np.ndarray, np.ndarray, n
     """(economist, quarter, judgment) columns sorted by (economist, quarter); empty for None."""
     if jp is None:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
-    order = np.lexsort((jp.panel.quarter, jp.panel.economist))
-    return jp.panel.economist[order], jp.panel.quarter[order], jp.value[order]
+    rows = jp.panel.for_release(jp.release)  # all of jp.panel; raises ValueError unless in canonical order
+    return rows.economist, rows.quarter, jp.value
 
 
 def build_persistence_dataset(
@@ -133,19 +133,6 @@ def cluster_se(
     return math.sqrt(max(cov[column, column], 0.0))
 
 
-def _runs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's run number and each run's length, where a run is a stretch of equal codes.
-
-    Raises ValueError if a code comes back after another, since then its
-    rows would fall into two runs.
-    """
-    starts = np.flatnonzero(np.diff(codes, prepend=-1))  # codes are non-negative
-    if starts.size and np.bincount(codes[starts]).max() > 1:
-        raise ValueError("persistence rows must be grouped by economist")
-    counts = np.diff(np.append(starts, codes.size))
-    return np.repeat(np.arange(counts.size), counts), counts
-
-
 def _demean_by(values: np.ndarray, inverse: np.ndarray, n_groups: int) -> np.ndarray:
     """Subtract group means."""
     counts = np.bincount(inverse, minlength=n_groups)
@@ -189,19 +176,20 @@ def fe_estimate(data: PersistenceData, spec: str) -> PanelFitResult:
         raise ValueError(f"unknown spec {spec!r}")
     if not len(data):
         raise EstimationError("empty persistence dataset")
-    econs, y, x, quarters = data.economist, data.response, data.regressor, data.quarter
+    y, x, quarters = data.response, data.regressor, data.quarter
 
     # The rows are grouped by economist, so its runs are the clusters.
-    inverse, counts = _runs(econs)
+    counts = np.diff(economist_runs(data.economist)[1])
     singletons_dropped = 0
     if spec in ("fe", "fe_te"):
-        keep = counts[inverse] >= 2
+        keep = np.repeat(counts >= 2, counts)
         singletons_dropped = int(np.sum(counts < 2))
         if not np.any(keep):
             raise EstimationError("no economist has 2 or more observations")
-        econs, y, x, quarters = econs[keep], y[keep], x[keep], quarters[keep]
-        inverse, counts = _runs(econs)
+        y, x, quarters = y[keep], x[keep], quarters[keep]
+        counts = counts[counts >= 2]
     n_clusters = counts.size
+    inverse = np.repeat(np.arange(n_clusters), counts)
     nobs = y.size
     if spec != "pooled" and n_clusters < 2:
         raise EstimationError("all observations come from a single economist")

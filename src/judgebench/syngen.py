@@ -134,18 +134,18 @@ def simulate_world(config: SynthConfig, seed: int | None = None) -> SynthWorld:
     forecasts = baselines.T[None, :, :] + judgments  # (N, T, 3)
     if config.grid > 0:
         forecasts = np.round(forecasts / config.grid) * config.grid
-    # One row per (economist, quarter, release) with participation, in that order.
+    # One row per (release, economist, quarter) with participation, in that (canonical) order.
     who, when = np.nonzero(mask)
     economist_ids, economist = factorize(economists)
     firm_ids, firm = factorize([f"F{i % max(n // 2, 1):04d}" for i in range(n)])
     panel = ForecastPanel(
         economist_ids,
         firm_ids,
-        np.repeat(economist[who], 3),
-        np.repeat(firm[who], 3),
-        np.repeat(config.start.index + when, 3),
-        np.tile(np.arange(1, 4, dtype=np.int64), who.size),
-        forecasts[who, when].ravel(),
+        np.tile(economist[who], 3),
+        np.tile(firm[who], 3),
+        np.tile(config.start.index + when, 3),
+        np.repeat(np.arange(1, 4, dtype=np.int64), who.size),
+        forecasts[who, when].T.ravel(),
         np.full(3 * who.size, -1, dtype=np.int64),
     )
 

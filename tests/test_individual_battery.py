@@ -68,12 +68,14 @@ def loop_forecaster_tests(economist_id, release, actual, prediction, *extra):
 def loop_battery(panel, actuals, spf, ar_forecasts, participation, thresholds=(0.10, 0.25, 0.50), alpha=0.05):
     battery = IndividualBattery()
     for release in sorted(actuals):
-        rows = panel.for_release(release)
-        order, codes, bounds = rows.economist_blocks()
+        rows = panel.release == release
+        order = np.flatnonzero(rows)[np.lexsort((panel.quarter[rows], panel.economist[rows]))]
+        codes, start = np.unique(panel.economist[order], return_index=True)
         if not codes.size:
             continue
-        quarter = rows.quarter[order]
-        columns = (actuals[release].at(quarter), rows.value[order],
+        bounds = np.append(start, order.size)
+        quarter = panel.quarter[order]
+        columns = (actuals[release].at(quarter), panel.value[order],
                    spf.median.at(quarter), ar_forecasts[release].at(quarter))
         details = [
             loop_forecaster_tests(panel.economist_ids[code], release, *(c[lo:hi] for c in columns))

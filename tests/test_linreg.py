@@ -42,6 +42,13 @@ def test_ols_is_the_one_least_squares_routine():
         assert path.name == "linreg.py" or "np.linalg.solve" not in text, path.name
 
 
+def test_analyses_read_the_canonical_order_without_sorting_rows():
+    """The analysis modules read release slices and economist runs off the canonical order; none runs a lexsort."""
+    root = Path(judgebench.linreg.__file__).parent
+    for name in ("accuracy.py", "linreg.py", "panelreg.py", "judgment.py", "descriptive.py"):
+        assert "lexsort" not in (root / name).read_text(encoding="utf-8"), name
+
+
 class TestOls:
     def test_exact_fit(self):
         x = np.arange(5.0)

@@ -1,9 +1,14 @@
 import io
 from datetime import date
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from judgebench.accuracy import accuracy_table
+from judgebench.descriptive import quarter_stats
 from judgebench.errors import IngestionError
+from judgebench.judgment import JudgmentPanel, baseline, extract_judgments
 from judgebench.panel import (
     CleaningAction,
     ForecastPanel,
@@ -14,9 +19,13 @@ from judgebench.panel import (
     load_spf,
     participation_share,
 )
+from judgebench.panelreg import build_persistence_dataset
 from judgebench.quarters import Quarter, ReleaseKind
 
-from conftest import q, rec, record, rows_of
+from conftest import actuals_from, q, rec, record, rows_of
+
+GOLDEN_FORECASTS = Path(__file__).resolve().parent / "golden" / "inputs" / "forecasts.csv"
+COLUMNS = ("economist", "firm", "quarter", "release", "value", "report_date")
 
 
 class TestLoadActuals:
@@ -162,6 +171,76 @@ class TestCleanPanel:
         cleaned, log = clean_panel(raw)
         assert set(rows_of(cleaned)) <= set(rows_of(raw))
         assert len(cleaned) + log.dropped_count() == len(raw)
+
+
+class TestCanonicalOrder:
+    """Panels are in (release, economist, quarter) order, and analyses reject any other."""
+
+    def test_clean_panel_of_shuffled_lines_is_the_same_canonical_panel(self):
+        header, *rows = GOLDEN_FORECASTS.read_text(encoding="utf-8").splitlines(keepends=True)
+        first_day = date(2020, 1, 1).toordinal()
+        dated = [f"{row[: row.rindex(',')]},{date.fromordinal(first_day + i)}\n" for i, row in enumerate(rows)]
+        shuffled = [dated[i] for i in np.random.default_rng(3).permutation(len(dated))]
+        cleaned = []
+        for lines in (dated, shuffled):
+            raw = load_forecasts(io.StringIO("".join([header, *lines])))
+            panel, log = clean_panel(raw)
+            # Each log entry names a raw row (file order) that carries the key it dropped.
+            kept = dict(zip(zip(panel.economist.tolist(), panel.quarter.tolist(), panel.release.tolist()),
+                            panel.report_date.tolist()))
+            actions = {entry.action for entry in log.entries}
+            assert actions == {CleaningAction.DROPPED_DUPLICATE, CleaningAction.DROPPED_UNATTRIBUTED}
+            for entry in log.entries:
+                key = (int(raw.economist[entry.row]), int(raw.quarter[entry.row]), int(raw.release[entry.row]))
+                if entry.action is CleaningAction.DROPPED_UNATTRIBUTED:
+                    assert raw.economist_ids[key[0]] == ""
+                else:
+                    assert kept[key] > raw.report_date[entry.row]
+            assert len(panel) + len(log) == len(raw)
+            cleaned.append(panel)
+        expected, got = cleaned
+        assert (got.economist_ids, got.firm_ids) == (expected.economist_ids, expected.firm_ids)
+        for column in COLUMNS:
+            assert np.array_equal(getattr(got, column), getattr(expected, column)), column
+        assert np.array_equal(np.lexsort((got.quarter, got.economist, got.release)), np.arange(len(got)))
+
+    def test_from_rows_sorts_stably_and_load_forecasts_keeps_file_order(self):
+        rows = [rec("E2", q(2000, 1), 1.0, ReleaseKind.SECOND), rec("E1", q(2000, 2), 2.0),
+                rec("E1", q(2000, 1), 3.0), rec("E1", q(2000, 1), 4.0), rec("E2", q(2000, 1), 5.0)]
+        assert [r.value for r in rows_of(ForecastPanel.from_rows(rows))] == [3.0, 4.0, 2.0, 5.0, 1.0]
+        csv = "quarter,release,economist_id,firm_id,value,report_date\n" + "".join(
+            f"{r.quarter},{r.release.value},{r.economist_id},{r.firm_id},{r.value}," + "\n" for r in rows)
+        assert [r.value for r in rows_of(load_forecasts(io.StringIO(csv)))] == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_for_release_returns_views(self):
+        panel = ForecastPanel.from_rows(rec(f"E{e}", q(2000, t), e + t / 10, ReleaseKind(k))
+                                        for e in range(3) for t in (1, 2) for k in (1, 2, 3))
+        rows = panel.for_release(ReleaseKind.SECOND)
+        for column in COLUMNS:
+            assert np.shares_memory(getattr(rows, column), getattr(panel, column)), column
+        assert rows.release.tolist() == [2] * 6
+        assert rows.value.tolist() == [0.1, 0.2, 1.1, 1.2, 2.1, 2.2]
+
+    @pytest.mark.parametrize("analysis", ["baseline", "extract_judgments", "quarter_stats", "accuracy_table",
+                                          "build_persistence_dataset"])
+    def test_panel_out_of_canonical_order_is_rejected(self, analysis):
+        ordered = ForecastPanel.from_rows(
+            [rec("E1", q(2000, 1), 1.0), rec("E1", q(2000, 2), 2.0), rec("E2", q(2000, 1), 3.0)])
+        base = baseline(ordered, ReleaseKind.FIRST)
+        actuals = actuals_from({q(2000, 1): 1.0, q(2000, 2): 2.0})
+        run = {
+            "baseline": lambda panel: baseline(panel, ReleaseKind.FIRST),
+            "extract_judgments": lambda panel: extract_judgments(panel, base),
+            "quarter_stats": lambda panel: quarter_stats(panel, actuals, ReleaseKind.FIRST),
+            "accuracy_table": lambda panel: accuracy_table(panel, base, actuals),
+            "build_persistence_dataset": lambda panel: build_persistence_dataset(
+                {ReleaseKind.FIRST: JudgmentPanel(ReleaseKind.FIRST, panel, panel.value, panel.value == 0.0)},
+                ReleaseKind.FIRST, "own_lag"),
+        }[analysis]
+        run(ordered)
+        for order in ([1, 0, 2], [0, 2, 1]):  # a quarter out of order, then an economist
+            with pytest.raises(ValueError, match="order"):
+                run(ordered.take(np.array(order)))
 
 
 class TestParticipationShare:

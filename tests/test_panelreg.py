@@ -20,7 +20,7 @@ from conftest import Obs, dataset, q, rec
 R1, R2, R3 = ReleaseKind.FIRST, ReleaseKind.SECOND, ReleaseKind.THIRD
 
 
-def jp_from(entries: dict, grid: float = 0.1) -> dict[ReleaseKind, JudgmentPanel]:
+def jp_from(entries: dict) -> dict[ReleaseKind, JudgmentPanel]:
     """Each release's judgments, keyed (economist, quarter, release) -> value, none neutral."""
     panel = ForecastPanel.from_rows(
         rec(econ, quarter, v, release) for (econ, quarter, release), v in entries.items()
@@ -28,7 +28,7 @@ def jp_from(entries: dict, grid: float = 0.1) -> dict[ReleaseKind, JudgmentPanel
     out = {}
     for release in sorted({key[2] for key in entries}):
         rows = panel.for_release(release)
-        out[release] = JudgmentPanel(release, rows, rows.value, np.zeros(len(rows), dtype=bool), grid)
+        out[release] = JudgmentPanel(release, rows, rows.value, np.zeros(len(rows), dtype=bool))
     return out
 
 

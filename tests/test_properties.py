@@ -456,9 +456,9 @@ def test_malformed_line_after_the_first_chunk_names_its_line(kind):
 def quarter_stats_by_loop(panel: ForecastPanel, actuals, release: ReleaseKind) -> list[QuarterStats]:
     """Per-quarter statistics one quarter at a time, with np.mean on each cell (the reference)."""
     out = []
-    rows = panel.for_release(release)
-    order = np.lexsort((rows.economist, rows.quarter))  # each quarter in economist order
-    quarter, value = rows.quarter[order], rows.value[order]
+    rows = panel.release == release
+    order = np.lexsort((panel.economist[rows], panel.quarter[rows]))  # each quarter in economist order
+    quarter, value = panel.quarter[rows][order], panel.value[rows][order]
     for index in np.unique(quarter).tolist():
         actual, x = float(actuals.at(np.array([index]))[0]), value[quarter == index]
         if math.isnan(actual):
@@ -466,8 +466,9 @@ def quarter_stats_by_loop(panel: ForecastPanel, actuals, release: ReleaseKind) -
         rmse = math.sqrt(float(np.mean((x - actual) ** 2)))
         d = x - x.mean()
         m2 = float(np.mean(d**2))
-        skew = float(np.mean(d**3)) / m2**1.5 if m2 > 0.0 and x.size >= 3 else None
-        kurt = float(np.mean(d**4)) / m2**2 - 3.0 if m2 > 0.0 and x.size >= 4 else None
+        degenerate = m2**2 == 0.0  # m2 is 0 or so small that its square underflows
+        skew = float(np.mean(d**3)) / m2**1.5 if not degenerate and x.size >= 3 else None
+        kurt = float(np.mean(d**4)) / m2**2 - 3.0 if not degenerate and x.size >= 4 else None
         out.append(QuarterStats(Quarter.from_index(index), x.size, rmse, math.sqrt(m2), skew, kurt))
     return out
 
@@ -481,6 +482,7 @@ stat_values = st.one_of(values, st.integers(-8, 8).map(lambda k: k / 4))  # grid
 @example(cells={(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0, (3, 0): 1.0, (0, 1): 0.5, (0, 2): 0.25, (1, 2): 0.5,
                 (0, 3): 1.0, (1, 3): 2.0, (2, 3): 4.0, (0, 4): 2.0},
          actual={0: 1.0, 1: 0.0, 2: 0.5, 3: 1.5})
+@example(cells={(0, 1): 1.1294690835806527e-145, (1, 1): 0.0, (2, 1): 0.0}, actual={1: 0.0})  # m2**1.5 underflows
 def test_quarter_stats_equal_the_quarter_loop(cells, actual):
     # Quarters with 1 to 8 forecasts (n < 3 and n < 4 included), some with equal values, some with no actual.
     panel = ForecastPanel.from_rows(rec(f"E{e}", START.shifted(t), v) for (e, t), v in cells.items())
@@ -493,10 +495,12 @@ def test_quarter_stats_equal_the_quarter_loop(cells, actual):
 
 def accuracy_by_loop(panel: ForecastPanel, base: BaselineSeries, actuals, h: int) -> list[AccuracyComparison]:
     """Each forecaster's accuracy comparison on its own slice, with np.mean (the reference)."""
-    rows = panel.for_release(base.release)
-    order, codes, bounds = rows.economist_blocks()
-    quarter = rows.quarter[order]
-    forecast, baseline_values, actual = rows.value[order], base.at(quarter), actuals.at(quarter)
+    rows = panel.release == base.release
+    order = np.flatnonzero(rows)[np.lexsort((panel.quarter[rows], panel.economist[rows]))]
+    codes, start = np.unique(panel.economist[order], return_index=True)
+    bounds = np.append(start, order.size)
+    quarter = panel.quarter[order]
+    forecast, baseline_values, actual = panel.value[order], base.at(quarter), actuals.at(quarter)
     out = []
     for code, lo, hi in zip(codes.tolist(), bounds.tolist(), bounds[1:].tolist()):
         f, b, a = forecast[lo:hi], baseline_values[lo:hi], actual[lo:hi]
