@@ -7,16 +7,16 @@ and beat-the-baseline shares per participation threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import EstimationError
 from .judgment import BaselineSeries, passes_threshold
 from .panel import ActualSeries, ForecastPanel, economist_runs
 from .quarters import ReleaseKind
+from .tails import t_sf
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,55 @@ def dm_test(d: Sequence[float], h: int = 1) -> float:
     return float(d_bar / math.sqrt(variance / nobs))
 
 
-def hln_correction(dm: float, nobs: int, h: int = 1) -> tuple[float, float]:
-    """Harvey-Leybourne-Newbold corrected statistic and two-sided t(T-1) p-value."""
+def _hln_statistic(dm: float, nobs: int, h: int) -> float:
     if nobs <= h:
         raise EstimationError(f"need T > h, got T={nobs}, h={h}")
-    factor = math.sqrt((nobs + 1 - 2 * h + h * (h - 1) / nobs) / nobs)
-    statistic = dm * factor
-    p_value = 2.0 * float(stdtr(nobs - 1, -abs(statistic)))
-    return statistic, p_value
+    return dm * math.sqrt((nobs + 1 - 2 * h + h * (h - 1) / nobs) / nobs)
+
+
+def hln_p_value(statistic, nobs):
+    """Two-sided t(T-1) p-values of HLN statistics; arrays broadcast."""
+    return 2.0 * t_sf(np.abs(statistic), np.asarray(nobs) - 1)
+
+
+def hln_correction(dm: float, nobs: int, h: int = 1) -> tuple[float, float]:
+    """Harvey-Leybourne-Newbold corrected statistic and two-sided t(T-1) p-value."""
+    statistic = _hln_statistic(dm, nobs, h)
+    return statistic, float(hln_p_value(statistic, nobs))
+
+
+def _comparison(
+    economist_id: str,
+    release: ReleaseKind,
+    forecast: np.ndarray,
+    baseline: np.ndarray,
+    actual: np.ndarray,
+    h: int,
+) -> AccuracyComparison:
+    """A forecaster's comparison with everything but the HLN p-value."""
+    e_self, e_base = _paired_errors(forecast, baseline, actual)
+    d = e_self**2 - e_base**2
+    dm = hln = None
+    note = ""
+    try:
+        dm = dm_test(d, h=h)
+        hln = _hln_statistic(dm, e_self.size, h)
+    except EstimationError as exc:
+        note = str(exc)
+    return AccuracyComparison(
+        economist_id, release, e_self.size, _rmse(e_self), _rmse(e_base), dm, hln, None, note
+    )
+
+
+def _with_p_values(comparisons: list[AccuracyComparison]) -> list[AccuracyComparison]:
+    """Fill in every HLN p-value with one tail evaluation."""
+    tested = [i for i, c in enumerate(comparisons) if c.hln_statistic is not None]
+    p_values = hln_p_value([comparisons[i].hln_statistic for i in tested],
+                           [comparisons[i].n_common for i in tested])
+    out = list(comparisons)
+    for i, p in zip(tested, p_values.tolist()):
+        out[i] = replace(out[i], p_value_hln=p)
+    return out
 
 
 def compare_forecaster(
@@ -93,18 +134,7 @@ def compare_forecaster(
     h: int = 1,
 ) -> AccuracyComparison:
     """Full accuracy comparison of one forecaster against the baseline, on aligned arrays in quarter order."""
-    e_self, e_base = _paired_errors(forecast, baseline, actual)
-    d = e_self**2 - e_base**2
-    dm = hln = p = None
-    note = ""
-    try:
-        dm = dm_test(d, h=h)
-        hln, p = hln_correction(dm, e_self.size, h=h)
-    except EstimationError as exc:
-        note = str(exc)
-    return AccuracyComparison(
-        economist_id, release, e_self.size, _rmse(e_self), _rmse(e_base), dm, hln, p, note
-    )
+    return _with_p_values([_comparison(economist_id, release, forecast, baseline, actual, h)])[0]
 
 
 def accuracy_table(
@@ -115,7 +145,8 @@ def accuracy_table(
 ) -> list[AccuracyComparison]:
     """Per-economist accuracy comparisons, in economist-id order.
 
-    The panel must be clean: one row per (economist, quarter, release).
+    The panel must be clean: one row per (economist, quarter, release).  The
+    statistics are taken per forecaster and the p-values in one tail call.
     """
     rows = panel.for_release(base.release)
     codes, bounds = economist_runs(rows.economist)
@@ -124,10 +155,10 @@ def accuracy_table(
     for code, lo, hi in zip(codes.tolist(), bounds.tolist(), bounds[1:].tolist()):
         economist_id = panel.economist_ids[code]
         try:
-            out.append(compare_forecaster(economist_id, base.release, *(c[lo:hi] for c in columns), h=h))
+            out.append(_comparison(economist_id, base.release, *(c[lo:hi] for c in columns), h))
         except EstimationError:
             continue  # no overlap with the actuals at all
-    return out
+    return _with_p_values(out)
 
 
 def beat_baseline_share(

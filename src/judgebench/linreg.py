@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import fdtrc
 
 from .errors import EstimationError, RankDeficiencyError
 from .judgment import BaselineSeries, passes_threshold
 from .panel import ActualSeries, ForecastPanel, QuarterSeries, SpfNowcasts, economist_runs
 from .quarters import ReleaseKind
+from .tails import f_sf
 
 MIN_OBS_UNBIASEDNESS = 10
 MIN_OBS_EFFICIENCY = 12
@@ -166,7 +166,7 @@ def wald_joint_test(
     solved = np.linalg.solve(np.where(degenerate[..., None, None], np.eye(q), middle), diff[..., None])[..., 0]
     wald = np.where(singular, math.nan, np.vecdot(diff, solved))
     statistic = np.where(satisfied, 0.0, np.maximum(wald, 0.0) / q)[()]  # [()]: a 0-d result as a scalar
-    p_value = np.where(satisfied, 1.0, fdtrc(q, df_den, statistic))[()]
+    p_value = np.where(satisfied, 1.0, f_sf(statistic, q, df_den))[()]
     return JointTestResult(statistic, q, df_den, p_value)
 
 

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import EstimationError, RankDeficiencyError
 from .judgment import JudgmentPanel
 from .linreg import inverse_gram, ols
 from .panel import cell_key, economist_runs
 from .quarters import ReleaseKind
+from .tails import t_sf
 
 SPECS = ("pooled", "fe", "fe_te")
 REGRESSOR_KINDS = ("own_lag", "prior_release")
@@ -292,6 +292,7 @@ def persistence_battery(judgments: Mapping[ReleaseKind, JudgmentPanel]) -> Persi
     stars: there is no sampling variation to test against.
     """
     report = PersistenceReport()
+    fits: list[tuple[ReleaseKind, str, str, PanelFitResult | str]] = []
     for release in (ReleaseKind.FIRST, ReleaseKind.SECOND, ReleaseKind.THIRD):
         n_responses = len(judgments[release]) if release in judgments else 0
         for kind in REGRESSOR_KINDS:
@@ -299,17 +300,18 @@ def persistence_battery(judgments: Mapping[ReleaseKind, JudgmentPanel]) -> Persi
             report.broken_chains[(release, kind)] = n_responses - len(data)
             for spec in SPECS:
                 try:
-                    result = fe_estimate(data, spec)
+                    fits.append((release, kind, spec, fe_estimate(data, spec)))
                 except EstimationError as exc:
-                    report.cells.append(
-                        PersistenceCell(release, kind, spec, None, None, "", str(exc))
-                    )
-                    continue
-                if result.se_clustered > 0:
-                    t_stat = result.beta / result.se_clustered
-                    p = 2.0 * float(stdtr(result.n_forecasters - 1, -abs(t_stat)))
-                    stars = significance_stars(p)
-                else:
-                    p, stars = (0.0 if result.beta != 0 else 1.0), ""
-                report.cells.append(PersistenceCell(release, kind, spec, result, p, stars))
+                    fits.append((release, kind, spec, str(exc)))
+    tested = [fit for *_, fit in fits if not isinstance(fit, str) and fit.se_clustered > 0]
+    t_stats = np.abs([fit.beta / fit.se_clustered for fit in tested])
+    p_values = iter((2.0 * t_sf(t_stats, [fit.n_forecasters - 1 for fit in tested])).tolist())
+    for release, kind, spec, fit in fits:
+        if isinstance(fit, str):
+            report.cells.append(PersistenceCell(release, kind, spec, None, None, "", fit))
+        elif fit.se_clustered > 0:
+            p = next(p_values)
+            report.cells.append(PersistenceCell(release, kind, spec, fit, p, significance_stars(p)))
+        else:
+            report.cells.append(PersistenceCell(release, kind, spec, fit, 0.0 if fit.beta != 0 else 1.0, ""))
     return report

@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import EstimationError
 from .judgment import JudgmentPanel, baseline, extract_judgments
 from .panel import ActualSeries, ForecastPanel, QuarterSeries, SpfNowcasts, factorize
 from .panelreg import build_persistence_dataset, fe_estimate
 from .quarters import Quarter, ReleaseKind
+from .tails import t_quantile
 
 
 @dataclass(frozen=True)
@@ -204,8 +204,8 @@ def recovery_experiment(
         raise ValueError("need at least one replication")
     base_seed = config.seed if base_seed is None else base_seed
     summary = RecoverySummary(config=config, replications=replications)
-    covered = 0
-
+    ses: list[float] = []
+    dfs: list[int] = []
     for rep in range(replications):
         try:
             result = _one_replication(config, base_seed + rep)
@@ -214,14 +214,14 @@ def recovery_experiment(
             summary.failures.append(f"replication {rep}: {exc}")
             continue
         summary.betas.append(result.beta)
-        crit = float(stdtrit(result.n_forecasters - 1, 0.975))
-        half = crit * result.se_clustered
-        if result.beta - half <= config.rho_own <= result.beta + half:
-            covered += 1
-        summary.n_completed += 1
+        ses.append(result.se_clustered)
+        dfs.append(result.n_forecasters - 1)
+    summary.n_completed = len(summary.betas)
     if summary.n_completed:
         betas = np.asarray(summary.betas)
+        half = t_quantile(0.975, dfs) * np.asarray(ses)
+        covered = (betas - half <= config.rho_own) & (config.rho_own <= betas + half)
         summary.mean_beta = float(betas.mean())
         summary.sd_beta = float(betas.std(ddof=1)) if betas.size > 1 else 0.0
-        summary.ci_coverage = covered / summary.n_completed
+        summary.ci_coverage = int(covered.sum()) / summary.n_completed
     return summary

@@ -23,6 +23,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def tail_bound(df: float) -> float:
+    """The stated relative error bound of the t and F tails: 1e-13 for df <= 1e4, 1e-12 up to 1e6."""
+    return 1e-13 if df <= 1e4 else 1e-12
+
+
+def within_tail_bound(value: float, reference: float, df: float) -> bool:
+    """``value`` within the relative bound of ``reference``; below 1e-300 the bound is taken of 1e-300."""
+    return abs(value - reference) <= tail_bound(df) * max(abs(reference), 1e-300)
+
+
 def q(year: int, quarter: int) -> Quarter:
     return Quarter(year, quarter)
 

@@ -170,6 +170,13 @@ class TestReport:
         assert third == ["0"] * 15
 
 
+def test_importing_the_cli_loads_no_scipy_module():
+    code = "import sys, judgebench.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(judgebench.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_importing_the_cli_does_not_load_scipy_stats():
     code = "import sys, judgebench.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
     env = {**os.environ, "PYTHONPATH": str(Path(judgebench.__file__).resolve().parents[1])}

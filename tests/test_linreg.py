@@ -1,11 +1,11 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
-from scipy.special import stdtrit
 
 from judgebench.accuracy import hln_correction
 from judgebench.errors import EstimationError, RankDeficiencyError
@@ -28,8 +28,9 @@ from judgebench.linreg import (
 )
 from judgebench.panel import SpfNowcasts, participation_share
 from judgebench.quarters import Quarter, ReleaseKind
+from judgebench.tails import t_quantile
 
-from conftest import actuals_from, aligned, panel_from_values, q, series_from
+from conftest import actuals_from, aligned, panel_from_values, q, series_from, within_tail_bound
 
 R1 = ReleaseKind.FIRST
 
@@ -40,6 +41,13 @@ def test_ols_is_the_one_least_squares_routine():
         text = path.read_text(encoding="utf-8")
         assert "lstsq" not in text, path.name
         assert path.name == "linreg.py" or "np.linalg.solve" not in text, path.name
+
+
+def test_no_module_imports_scipy():
+    """The t and F tails are the package's own; numpy is its only runtime dependency."""
+    for path in sorted(Path(judgebench.linreg.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"^\s*(import|from)\s+scipy\b", text, re.MULTILINE), path.name
 
 
 def test_analyses_read_the_canonical_order_without_sorting_rows():
@@ -273,14 +281,19 @@ def _same(a: float, b: float) -> bool:
 
 
 class TestDistributionFunctions:
-    """The t and F tails and the t quantile equal scipy.stats bit for bit, edge cases included."""
+    """The t and F tails and the t quantile agree with scipy.stats within the stated relative bound
+    (1e-13 for df <= 1e4, 1e-12 beyond); NaN edges and a zero statistic agree exactly."""
 
     @pytest.mark.parametrize("df", EDGE_DF)
     @pytest.mark.parametrize("x", EDGE_STAT)
     def test_hln_p_value(self, df, x):
         nobs = df + 1
         stat, p = hln_correction(x, nobs, h=min(1, nobs - 1))
-        assert _same(p, 2.0 * float(scipy.stats.t.sf(abs(stat), df=df)))
+        reference = 2.0 * float(scipy.stats.t.sf(abs(stat), df=df))
+        if x == 0.0 or math.isnan(reference):
+            assert _same(p, reference)
+        else:
+            assert within_tail_bound(p, reference, df)
 
     @pytest.mark.parametrize("df", EDGE_DF)
     @pytest.mark.parametrize("x", EDGE_STAT)
@@ -291,11 +304,19 @@ class TestDistributionFunctions:
         fit = RegressionFit(np.full(q, x or 1.0), np.zeros(0), df + q, q, 0.0, math.nan)
         res = wald_joint_test(fit, CovarianceEstimate("HC1", sign * np.eye(q)), np.eye(q))
         assert res.df_den == df
-        assert _same(res.p_value, float(scipy.stats.f.sf(res.statistic, q, df)))
+        reference = float(scipy.stats.f.sf(res.statistic, q, df))
+        if x == 0.0 or math.isnan(reference):
+            assert _same(res.p_value, reference)
+        else:
+            assert within_tail_bound(res.p_value, reference, df)
 
     @pytest.mark.parametrize("df", (*EDGE_DF, math.nan))
     def test_t_quantile(self, df):
-        assert _same(float(stdtrit(df, 0.975)), float(scipy.stats.t.ppf(0.975, df=df)))
+        reference = float(scipy.stats.t.ppf(0.975, df=df))
+        if math.isnan(reference):
+            assert math.isnan(t_quantile(0.975, df))
+        else:
+            assert within_tail_bound(float(t_quantile(0.975, df)), reference, df)
 
 
 def _series(values, start=Quarter(2000, 1)):

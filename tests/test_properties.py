@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import stdtr
 
 from judgebench import panel as panel_module
 from judgebench.accuracy import AccuracyComparison, accuracy_table
@@ -26,6 +25,7 @@ from judgebench.judgment import BaselineSeries, baseline, baseline_hit_stats, ex
 from judgebench.panel import ForecastPanel, clean_panel, load_forecasts
 from judgebench.panelreg import fe_estimate
 from judgebench.quarters import Quarter, ReleaseKind
+from judgebench.tails import t_sf
 
 from conftest import Obs, actuals_from, dataset, rec, rows_of, series_from
 
@@ -528,7 +528,7 @@ def accuracy_by_loop(panel: ForecastPanel, base: BaselineSeries, actuals, h: int
                     note = f"need T > h, got T={n}, h={h}"
                 else:
                     hln = dm * math.sqrt((n + 1 - 2 * h + h * (h - 1) / n) / n)
-                    p = 2.0 * float(stdtr(n - 1, -abs(hln)))
+                    p = 2.0 * float(t_sf(abs(hln), n - 1))  # one tail call per forecaster
         out.append(AccuracyComparison(
             panel.economist_ids[code], base.release, n, math.sqrt(float(np.mean(e_self**2))),
             math.sqrt(float(np.mean(e_base**2))), dm, hln, p, note))
@@ -547,6 +547,8 @@ def accuracy_by_loop(panel: ForecastPanel, base: BaselineSeries, actuals, h: int
 def test_accuracy_table_equals_the_forecaster_loop(cells, base, actual, h):
     # Forecasters with no overlap, with one common quarter, with forecasts equal to the
     # baseline (zero-variance differentials) and with fewer common quarters than h.
+    # accuracy_table takes the release's p-values in one tail call and the loop one per
+    # forecaster, so == also checks that batching changes no bit.
     panel = ForecastPanel.from_rows(rec(f"E{e}", START.shifted(t), v) for (e, t), v in cells.items())
     series = series_from({START.shifted(t): v for t, v in base.items()}, BaselineSeries,
                          release=ReleaseKind.FIRST, method="median")
