@@ -36,6 +36,7 @@ _SQRT_PI = math.sqrt(math.pi)
 _LN2_HI = 6.93147180369123816490e-01  # ln 2 to 32 bits, so k * _LN2_HI is exact
 _LN2_LO = 1.90821492927058770002e-10
 _SPLIT = 2.0**27 + 1.0
+_SHIFT = 20  # BGRAT needs a >= 15; smaller a are raised by this many terms of the recurrence
 
 
 def _two_sum(a, b):
@@ -69,8 +70,8 @@ def _log1p_ratio(u, s, d):
         m, k = np.frexp(v)
         low = m < math.sqrt(0.5)
         m = np.where(low, 2.0 * m, m)
-        k = np.where(low, k - 1, k).astype(float)
-        m_lo = np.ldexp(v_lo, -k.astype(int))
+        k = np.where(low, k - 1, k)
+        m_lo = np.ldexp(v_lo, -k)
         num, num_lo = _two_sum(m - 1.0, m_lo)
         den, den_lo = _two_sum(m, 1.0)
         s_hi = num / den
@@ -150,11 +151,11 @@ def _bpser_complement(a, y):
     return 1.0 - 2.0 * np.sqrt(y) * _gamma_half_ratio(a) / _SQRT_PI * (1.0 + 0.5 * total)
 
 
-def _bup(a, x, y, log_hi, log_lo, n):
-    """I_x(a, 1/2) - I_x(a + n, 1/2): n positive terms of the recurrence in a."""
+def _bup(a, x, y, log_hi, log_lo):
+    """I_x(a, 1/2) - I_x(a + _SHIFT, 1/2): _SHIFT positive terms of the recurrence in a."""
     term = _exp_neg(a, log_hi, log_lo) * np.sqrt(y) * _gamma_half_ratio(a) / (a * _SQRT_PI)
     total = term
-    for i in range(1, n):
+    for i in range(1, _SHIFT):
         term = term * x * (a + i - 0.5) / (a + i)
         total = total + term
     return total
@@ -255,8 +256,8 @@ def _ibeta_half(a, log_hi, log_lo):
         shift = ae < 15.0
         start = np.zeros_like(ae)
         if shift.any():
-            start[shift] = _bup(ae[shift], xe[shift], ye[shift], he[shift], le[shift], 20)
-        out[expansion] = start + _bgrat(np.where(shift, ae + 20.0, ae), he, le)
+            start[shift] = _bup(ae[shift], xe[shift], ye[shift], he[shift], le[shift])
+        out[expansion] = start + _bgrat(np.where(shift, ae + _SHIFT, ae), he, le)
     return out
 
 
@@ -301,14 +302,12 @@ def f_sf(f, dfn, dfd):
             total[odd] = _ibeta_half(a[odd], log_hi[odd], log_lo[odd])
         # I_x(a, q/2) - I_x(a, 1/2 or 0) = sum over j of x^a y^(j+o) Γ(a+j+o) / (Γ(a) Γ(j+o+1)), o = 1/2 or 0.
         offset = np.where(odd, 0.5, 0.0)
-        with np.errstate(invalid="ignore"):  # 0 * inf where y = 1 and the ratio overflows
-            first = np.where(odd, 2.0 * np.sqrt(y) * _gamma_half_ratio(a) / _SQRT_PI, 1.0)
-            term = _exp_neg(a, log_hi, log_lo) * np.where(y > 0, first, np.where(odd, 0.0, 1.0))
+        term = _exp_neg(a, log_hi, log_lo) * np.where(odd, 2.0 * np.sqrt(y) * _gamma_half_ratio(a) / _SQRT_PI, 1.0)
         count = np.floor(0.5 * q)
         for j in range(int(count.max())):
             total = np.where(j < count, total + term, total)
             term = term * y * (a + j + offset) / (j + 1.0 + offset)
-        out[valid] = np.where(f == 0, 1.0, np.where(np.isinf(f), 0.0, total))
+        out[valid] = total
     return _shaped(out, shape)
 
 
