@@ -31,13 +31,11 @@ from .judgment import (
     sign_shares,
 )
 from .linreg import (
-    CovarianceEstimate,
     JointTestResult,
     RegressionFit,
     efficiency_regression,
     efficiency_test,
     hac_covariance,
-    hc_covariance,
     newey_west_auto_lag,
     ols,
     test_battery_aggregate,

@@ -125,18 +125,6 @@ def _with_p_values(comparisons: list[AccuracyComparison]) -> list[AccuracyCompar
     return out
 
 
-def compare_forecaster(
-    economist_id: str,
-    release: ReleaseKind,
-    forecast: np.ndarray,
-    baseline: np.ndarray,
-    actual: np.ndarray,
-    h: int = 1,
-) -> AccuracyComparison:
-    """Full accuracy comparison of one forecaster against the baseline, on aligned arrays in quarter order."""
-    return _with_p_values([_comparison(economist_id, release, forecast, baseline, actual, h)])[0]
-
-
 def accuracy_table(
     panel: ForecastPanel,
     base: BaselineSeries,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .accuracy import AccuracyComparison, accuracy_table, beat_baseline_share
-from .armodel import MIN_PRESAMPLE, ARForecasts, ARSpec, fill_missing, recursive_ar_forecast
+from .armodel import DEFAULT_MAX_LAG, MIN_PRESAMPLE, ARForecasts, ARSpec, fill_missing, recursive_ar_forecast
 from .descriptive import armse, quarter_stats
 from .errors import JudgebenchError
 from .judgment import (
@@ -606,27 +606,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    """The run's configuration: defaults, then the config file, then the flags, each value checked."""
+    values = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(file_values) - known
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                values = json.load(fh)
+            if not isinstance(values, dict):
+                raise ValueError("not a JSON object")
+        except FileNotFoundError:
+            raise CliError(f"error: missing-input path={args.config}") from None
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8 JSON, or not an object
+            raise CliError(f"error: invalid-config path={args.config} detail={exc}") from None
+        unknown = set(values) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise CliError(f"error: unknown-config-keys keys={','.join(sorted(unknown))}")
-        if "thresholds" in file_values:
-            file_values["thresholds"] = tuple(file_values["thresholds"])
-        cfg = replace(cfg, **file_values)
-    overrides = {}
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    if "thresholds" in overrides and isinstance(overrides["thresholds"], str):
-        overrides["thresholds"] = tuple(float(t) for t in overrides["thresholds"].split(","))
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    values.update((f.name, getattr(args, f.name)) for f in fields(RunConfig) if getattr(args, f.name, None) is not None)
+    for key, most in (("hac_lag", math.inf), ("ar_lag", DEFAULT_MAX_LAG)):  # "auto" or an integer in 0..most
+        text = str(values.get(key, "auto"))
+        if text != "auto" and not (text.isascii() and text.isdigit() and int(text) <= most):
+            raise CliError(f"error: invalid-value name=--{key.replace('_', '-')} value={text}")
+    if "thresholds" in values:
+        cuts = values["thresholds"]
+        try:
+            values["thresholds"] = tuple(float(t) for t in (cuts.split(",") if isinstance(cuts, str) else cuts))
+        except (TypeError, ValueError):
+            raise CliError(f"error: invalid-value name=--thresholds value={cuts}") from None
+    return replace(RunConfig(), **values)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,9 +1,10 @@
 """Regression core and rationality test batteries.
 
-OLS via QR of one design or a stack of them, HC1 and Newey-West sandwiches with
-the bread R^-1 R^-T from the QR, joint Wald/F tests, and the prediction-error
-regressions used to test unbiasedness (intercept and slope zero) and efficiency
-(additionally a zero coefficient block on the extra information set).
+OLS via QR of one design or a stack of them, the Newey-West sandwich (lag 0
+is HC1) with the bread R^-1 R^-T from the QR, joint Wald/F tests, and the
+prediction-error regressions used to test unbiasedness (intercept and slope
+zero) and efficiency (additionally a zero coefficient block on the extra
+information set).  Both batteries fit their regressions as one stack per test.
 """
 from __future__ import annotations
 
@@ -34,12 +35,6 @@ class RegressionFit:
     rss: float | np.ndarray
     r_squared: float | np.ndarray
     r: np.ndarray | None = None  # R factor of the design's QR; None for a fit not made by ``ols``
-
-
-@dataclass(frozen=True)
-class CovarianceEstimate:
-    kind: str  # "HC1", "HAC(L)" or "clustered"
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,37 +101,32 @@ def inverse_gram(r: np.ndarray) -> np.ndarray:
     return r_inv @ r_inv.swapaxes(-1, -2)
 
 
-def hc_covariance(fit: RegressionFit, X: np.ndarray) -> CovarianceEstimate:
-    """HC1: (T/(T-K)) (X'X)^-1 (sum u_t^2 x_t x_t') (X'X)^-1, for one fit or a stack."""
-    X = np.asarray(X, dtype=float)
-    bread = inverse_gram(fit.r)
-    meat = (X * (fit.residuals**2)[..., None]).swapaxes(-1, -2) @ X
-    factor = np.asarray(fit.nobs / (fit.nobs - fit.nparams))[..., None, None]
-    return CovarianceEstimate("HC1", factor * bread @ meat @ bread)
+def hac_covariance(fit: RegressionFit, X: np.ndarray, lag: int | Sequence[int]) -> np.ndarray:
+    """Newey-West: (T/(T-K)) (X'X)^-1 S (X'X)^-1, S the Bartlett-weighted sum of score autocovariances.
 
-
-def hac_covariance(fit: RegressionFit, X: np.ndarray, lag: int) -> CovarianceEstimate:
-    """Newey-West with Bartlett weights w_l = 1 - l/(L+1), HC1-style small-sample factor."""
-    X = np.asarray(X, dtype=float)
-    if lag < 0:
-        raise EstimationError(f"lag must be non-negative, got {lag}")
-    if lag >= fit.nobs:
+    The scores are x_t u_t and the weights w_l = 1 - l/(L+1), so lag 0 is HC1.
+    Over a stack ``lag`` is one lag or one per member, and a member's weights
+    are 0 beyond its own lag; one fit raises EstimationError for a lag that is
+    not below its sample size, a stack leaves such members to the caller.
+    """
+    lag = np.asarray(lag)
+    if np.min(lag) < 0:
+        raise EstimationError(f"lag must be non-negative, got {np.min(lag)}")
+    if np.ndim(fit.nobs) == 0 and lag >= fit.nobs:
         raise EstimationError(f"lag {lag} must be smaller than the sample size {fit.nobs}")
-    u = fit.residuals
-    scores = X * u[:, None]
-    meat = scores.T @ scores
-    for l in range(1, lag + 1):
-        w = 1.0 - l / (lag + 1.0)
-        gamma = scores[l:].T @ scores[:-l]
-        meat += w * (gamma + gamma.T)
+    scores = np.asarray(X, dtype=float) * fit.residuals[..., None]
+    meat = scores.swapaxes(-1, -2) @ scores
+    for l in range(1, min(int(np.max(lag)), scores.shape[-2] - 1) + 1):
+        gamma = scores[..., l:, :].swapaxes(-1, -2) @ scores[..., :-l, :]
+        meat += np.maximum(1.0 - l / (lag + 1.0), 0.0)[..., None, None] * (gamma + gamma.swapaxes(-1, -2))
     bread = inverse_gram(fit.r)
-    factor = fit.nobs / (fit.nobs - fit.nparams)
-    return CovarianceEstimate(f"HAC({lag})", factor * bread @ meat @ bread)
+    factor = np.asarray(fit.nobs / (fit.nobs - fit.nparams))[..., None, None]
+    return factor * bread @ meat @ bread
 
 
 def wald_joint_test(
     fit: RegressionFit,
-    cov: CovarianceEstimate,
+    cov: np.ndarray,
     R: np.ndarray,
     r: np.ndarray | float = 0.0,
 ) -> JointTestResult:
@@ -157,7 +147,7 @@ def wald_joint_test(
     # degenerate covariance): the discrepancy is zero by construction.
     scale = np.maximum(np.maximum(np.abs(restricted).max(axis=-1), np.abs(r_vec).max()), 1.0)
     satisfied = np.abs(diff).max(axis=-1) <= 1e-10 * scale
-    middle = R @ cov.matrix @ R.T
+    middle = R @ cov @ R.T
     with np.errstate(invalid="ignore"):  # NaN for a rank-deficient member of a stack
         degenerate = np.linalg.slogdet(middle)[0] == 0
     singular = degenerate & ~satisfied
@@ -205,17 +195,17 @@ def efficiency_regression(
     return EfficiencyRegression(ols(X, actual - pred, mask), X)
 
 
-def _joint_zero_test(reg: EfficiencyRegression, cov: CovarianceEstimate, q: int) -> JointTestResult:
+def _joint_zero_test(reg: EfficiencyRegression, cov: np.ndarray, q: int) -> JointTestResult:
     R = np.eye(reg.fit.nparams)[:q]
     return wald_joint_test(reg.fit, cov, R, 0.0)
 
 
-def unbiasedness_test(reg: EfficiencyRegression, cov: CovarianceEstimate) -> JointTestResult:
+def unbiasedness_test(reg: EfficiencyRegression, cov: np.ndarray) -> JointTestResult:
     """H0: intercept = slope = 0 in the prediction-error regression."""
     return _joint_zero_test(reg, cov, 2)
 
 
-def efficiency_test(reg: EfficiencyRegression, cov: CovarianceEstimate) -> JointTestResult:
+def efficiency_test(reg: EfficiencyRegression, cov: np.ndarray) -> JointTestResult:
     """H0: every coefficient (including the information-set block) is zero."""
     return _joint_zero_test(reg, cov, reg.fit.nparams)
 
@@ -248,35 +238,40 @@ def test_battery_aggregate(
 ) -> dict[tuple[ReleaseKind, str], AggregateCell]:
     """Unbiasedness/efficiency p-values and RMSE per (release, baseline method).
 
-    One cell per entry of ``baselines``.  HAC covariances throughout; the
-    information set pairs the method-matched SPF nowcast with the recursive
-    AR forecast.  Failures are recorded per cell and leave the other cells
-    intact.
+    One cell per entry of ``baselines``, each a row of one grid over the
+    baselines' quarters, and one stacked fit per test as in the individual
+    battery.  HAC covariances throughout, with each row's lag taken from its
+    own sample unless ``hac_lag`` fixes it; the information set pairs the
+    method-matched SPF nowcast with the recursive AR forecast.  Failures are
+    recorded per cell and leave the other cells intact.
     """
+    if not baselines:
+        return {}
+    quarters = np.unique(np.concatenate([base.quarter_index() for base in baselines.values()]))
+    actual, prediction, spf_matched, ar = grid = np.full((4, len(baselines), quarters.size), np.nan)
+    for row, ((release, method), base) in enumerate(baselines.items()):
+        grid[:, row] = (actuals[release].at(quarters), base.at(quarters),
+                        spf.for_method(method).at(quarters), ar_forecasts[release].at(quarters))
+
+    def lags(nobs: np.ndarray) -> list[int]:
+        return [newey_west_auto_lag(n) if hac_lag is None else hac_lag for n in nobs.tolist()]
+
+    sample = ~np.isnan(actual) & ~np.isnan(prediction)
+    common = np.count_nonzero(sample, axis=1)
+    _, p_unb, unb_notes = _stacked_zero_tests(
+        "unbiasedness", common >= MIN_OBS_UNBIASEDNESS, lags(common), actual, prediction)
+    sample &= ~np.isnan(spf_matched) & ~np.isnan(ar)
+    nobs = np.count_nonzero(sample, axis=1)
+    _, p_eff, eff_notes = _stacked_zero_tests(
+        "efficiency", nobs >= MIN_OBS_EFFICIENCY, lags(nobs), actual, prediction, spf_matched, ar)
     report: dict[tuple[ReleaseKind, str], AggregateCell] = {}
-    for (release, method), base in baselines.items():
-        quarters = base.quarter_index()
-        actual = actuals[release].at(quarters)
-        errors: list[str] = []
-        unb_p = eff_p = rmse = None
-        try:
-            rmse = prediction_rmse(base.values, actual)
-        except EstimationError as exc:
-            errors.append(f"rmse: {exc}")
-        try:
-            reg = efficiency_regression(actual, base.values)
-            lag = newey_west_auto_lag(reg.fit.nobs) if hac_lag is None else hac_lag
-            unb_p = unbiasedness_test(reg, hac_covariance(reg.fit, reg.design, lag)).p_value
-        except EstimationError as exc:
-            errors.append(f"unbiasedness: {exc}")
-        try:
-            extra = [spf.for_method(method).at(quarters), ar_forecasts[release].at(quarters)]
-            reg = efficiency_regression(actual, base.values, extra)
-            lag = newey_west_auto_lag(reg.fit.nobs) if hac_lag is None else hac_lag
-            eff_p = efficiency_test(reg, hac_covariance(reg.fit, reg.design, lag)).p_value
-        except EstimationError as exc:
-            errors.append(f"efficiency: {exc}")
-        report[(release, method)] = AggregateCell(release, method, unb_p, eff_p, rmse, tuple(errors))
+    for row, ((release, method), n, *p, unb_note, eff_note) in enumerate(
+            zip(baselines, common.tolist(), p_unb.tolist(), p_eff.tolist(), unb_notes, eff_notes)):
+        rmse_note = "" if n else "rmse: prediction and actuals share no quarters"
+        report[(release, method)] = AggregateCell(
+            release, method, *(None if math.isnan(v) else v for v in p),
+            prediction_rmse(prediction[row], actual[row]) if n else None,
+            tuple(filter(None, (rmse_note, unb_note, eff_note))))
     return report
 
 
@@ -311,11 +306,12 @@ class IndividualBattery:
     details: list[ForecasterTestDetail] = field(default_factory=list)
 
 
-def _stacked_zero_tests(name: str, eligible: np.ndarray, actual: np.ndarray, prediction: np.ndarray,
-                        *extra: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """HC1 tests that every coefficient is zero, fitting the eligible rows as one stack.
+def _stacked_zero_tests(name: str, eligible: np.ndarray, lag: int | Sequence[int], actual: np.ndarray,
+                        prediction: np.ndarray, *extra: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Newey-West tests that every coefficient is zero, fitting the eligible rows as one stack.
 
-    Returns each row's coefficients and p-value (NaN where there is none) and note.
+    ``lag`` is one lag or one per row; lag 0 is HC1.  Returns each row's
+    coefficients and p-value (NaN where there is none) and note.
     """
     coefficients = np.full((eligible.size, 2 + len(extra)), np.nan)
     p_value = np.full(eligible.size, np.nan)
@@ -323,11 +319,14 @@ def _stacked_zero_tests(name: str, eligible: np.ndarray, actual: np.ndarray, pre
     if eligible.any():
         reg = efficiency_regression(actual[eligible], prediction[eligible], [x[eligible] for x in extra])
         fit = reg.fit
+        lag = np.broadcast_to(lag, eligible.shape)[eligible]
         coefficients[eligible] = fit.coefficients
-        p_value[eligible] = _joint_zero_test(reg, hc_covariance(fit, reg.design), fit.nparams).p_value
-        for row, column, p in zip(np.flatnonzero(eligible).tolist(), _dependent_column(fit.r, fit.nobs).tolist(),
-                                  p_value[eligible].tolist()):
+        tested = _joint_zero_test(reg, hac_covariance(fit, reg.design, lag), fit.nparams)
+        p_value[eligible] = np.where(lag < fit.nobs, tested.p_value, np.nan)
+        for row, column, l, n, p in zip(np.flatnonzero(eligible).tolist(), _dependent_column(fit.r, fit.nobs).tolist(),
+                                        lag.tolist(), fit.nobs.tolist(), p_value[eligible].tolist()):
             notes[row] = (f"{name}: {RankDeficiencyError(column)}" if column >= 0
+                          else f"{name}: lag {l} must be smaller than the sample size {n}" if l >= n
                           else f"{name}: R V R' is singular" if math.isnan(p) else "")
     return coefficients, p_value, notes
 
@@ -368,10 +367,10 @@ def test_battery_individual(
         # Eligibility counts each regression's own sample, so no member of a stack is short of it.
         sample = has_actual & ~np.isnan(prediction)
         unb_coef, p_unb, unb_notes = _stacked_zero_tests(
-            "unbiasedness", np.count_nonzero(sample, axis=1) >= MIN_OBS_UNBIASEDNESS, actual, prediction)
+            "unbiasedness", np.count_nonzero(sample, axis=1) >= MIN_OBS_UNBIASEDNESS, 0, actual, prediction)
         sample &= ~np.isnan(spf_median) & ~np.isnan(ar)
         _, p_eff, eff_notes = _stacked_zero_tests(
-            "efficiency", np.count_nonzero(sample, axis=1) >= MIN_OBS_EFFICIENCY, actual, prediction, spf_median, ar)
+            "efficiency", np.count_nonzero(sample, axis=1) >= MIN_OBS_EFFICIENCY, 0, actual, prediction, spf_median, ar)
         values = np.column_stack([unb_coef, p_unb, p_eff]).tolist()  # alpha, beta, both p-values
         for code, n, row, *notes in zip(codes.tolist(), nobs.tolist(), values, unb_notes, eff_notes):
             battery.details.append(ForecasterTestDetail(

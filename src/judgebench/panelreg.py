@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -253,12 +253,8 @@ def fe_estimate(data: PersistenceData, spec: str) -> PanelFitResult:
     )
 
 
-def significance_stars(p_value: float, levels: Sequence[float] = STAR_LEVELS) -> str:
-    stars = ""
-    for level in sorted(levels, reverse=True):
-        if p_value < level:
-            stars += "*"
-    return stars
+def significance_stars(p_value: float) -> str:
+    return "*" * sum(p_value < level for level in STAR_LEVELS)
 
 
 @dataclass(frozen=True)

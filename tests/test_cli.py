@@ -224,6 +224,32 @@ class TestConfigFile:
         assert code == 2
         assert "unknown-config-keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags, config", [
+        ("ar-forecast", ["--ar-lag", "x"], None),
+        ("ar-forecast", ["--ar-lag", str(DEFAULT_MAX_LAG + 1)], None),
+        ("efficiency", ["--hac-lag", "x"], None),
+        ("report", ["--hac-lag", "x"], None),
+        ("report", ["--hac-lag", "-2"], None),
+        ("report", ["--ar-lag", "9"], None),
+        ("report", ["--thresholds", "a,b"], None),
+        ("report", [], "{not json"),
+        ("report", [], "missing"),
+        ("report", [], json.dumps({"hac_lag": "1.5"})),
+        ("report", [], json.dumps({"ar_lag": -1})),
+        ("report", [], json.dumps({"thresholds": ["a"]})),
+    ])
+    def test_bad_value_exits_2_with_one_line(self, world_dir, tmp_path, capsys, command, flags, config):
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            if config != "missing":
+                cfg_path.write_text(config)
+            flags = [*flags, "--config", str(cfg_path)]
+        out = tmp_path / "out"
+        assert main([command, *world_flags(world_dir), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not out.exists()
+
     def test_thresholds_flag_parsing(self, world_dir, tmp_path):
         out = tmp_path / "thr"
         code = main(["judgment", *world_flags(world_dir),

@@ -12,12 +12,10 @@ from judgebench.errors import EstimationError, RankDeficiencyError
 from judgebench.judgment import baseline
 import judgebench.linreg
 from judgebench.linreg import (
-    CovarianceEstimate,
     RegressionFit,
     efficiency_regression,
     efficiency_test,
     hac_covariance,
-    hc_covariance,
     newey_west_auto_lag,
     ols,
     prediction_rmse,
@@ -111,8 +109,8 @@ class TestOls:
             single = ols(X[g, :n], y[g, :n])
             assert stack.coefficients[g] == pytest.approx(single.coefficients, rel=1e-12)
             assert stack.r_squared[g] == pytest.approx(single.r_squared, rel=1e-12)
-            V = hc_covariance(stack, X).matrix[g]
-            assert V == pytest.approx(hc_covariance(single, X[g, :n]).matrix, rel=1e-12)
+            V = hac_covariance(stack, X, 0)[g]
+            assert V == pytest.approx(hac_covariance(single, X[g, :n], 0), rel=1e-12)
         assert np.isnan(stack.coefficients[2]).all()
         with pytest.raises(RankDeficiencyError):
             ols(X[2], y[2])
@@ -125,8 +123,8 @@ class TestOls:
         a = ols(X, y)
         b = ols(X[perm], y[perm])
         assert a.coefficients == pytest.approx(b.coefficients, abs=1e-10)
-        va = hc_covariance(a, X).matrix
-        vb = hc_covariance(b, X[perm]).matrix
+        va = hac_covariance(a, X, 0)
+        vb = hac_covariance(b, X[perm], 0)
         assert va == pytest.approx(vb, abs=1e-10)
 
 
@@ -135,7 +133,7 @@ class TestHcCovariance:
         x = np.arange(8.0)
         X = np.column_stack([np.ones(8), x])
         fit = ols(X, 2 + 3 * x)
-        assert np.abs(hc_covariance(fit, X).matrix).max() < 1e-20
+        assert np.abs(hac_covariance(fit, X, 0)).max() < 1e-20
 
     def test_equal_magnitude_residuals_on_orthonormal_design(self):
         # Orthonormal columns and |u_t| = u constant: V = u^2 * T/(T-K) * I.
@@ -144,7 +142,7 @@ class TestHcCovariance:
         u = 0.5
         y = X @ [1.0, 2.0] + u * np.tile([1.0, 1.0, -1.0, -1.0], T // 4)
         fit = ols(X, y)
-        V = hc_covariance(fit, X).matrix
+        V = hac_covariance(fit, X, 0)
         expected = u**2 * T / (T - 2) * np.eye(2)
         assert V == pytest.approx(expected, abs=1e-10)
 
@@ -158,7 +156,7 @@ class TestHcCovariance:
             XtXi = np.linalg.inv(X.T @ X)
             meat = (X * u[:, None] ** 2).T @ X
             expected = 20 / (20 - 2) * XtXi @ meat @ XtXi
-            assert np.abs(hc_covariance(fit, X).matrix - expected).max() < 1e-10
+            assert np.abs(hac_covariance(fit, X, 0) - expected).max() < 1e-10
 
     def test_intercept_shift_leaves_covariance_unchanged(self):
         rng = np.random.default_rng(4)
@@ -167,17 +165,10 @@ class TestHcCovariance:
         fit1 = ols(X, y)
         fit2 = ols(X, y + 7.0)
         assert fit1.residuals == pytest.approx(fit2.residuals, abs=1e-10)
-        assert hc_covariance(fit1, X).matrix == pytest.approx(hc_covariance(fit2, X).matrix, abs=1e-10)
+        assert hac_covariance(fit1, X, 0) == pytest.approx(hac_covariance(fit2, X, 0), abs=1e-10)
 
 
 class TestHacCovariance:
-    def test_lag_zero_equals_hc(self):
-        rng = np.random.default_rng(5)
-        X = np.column_stack([np.ones(25), rng.normal(size=25)])
-        y = rng.normal(size=25)
-        fit = ols(X, y)
-        assert np.abs(hac_covariance(fit, X, 0).matrix - hc_covariance(fit, X).matrix).max() < 1e-12
-
     def test_matches_brute_force_double_sum(self):
         rng = np.random.default_rng(6)
         T, K, L = 30, 2, 3
@@ -195,7 +186,23 @@ class TestHacCovariance:
                 S += G if l == 0 else w * (G + G.T)
             XtXi = np.linalg.inv(X.T @ X)
             expected = T / (T - K) * XtXi @ S @ XtXi
-            assert np.abs(hac_covariance(fit, X, L).matrix - expected).max() < 1e-10
+            assert np.abs(hac_covariance(fit, X, L) - expected).max() < 1e-10
+
+    def test_stack_with_one_lag_per_member_matches_single_fits(self):
+        # Three regressions of 30, 22 and 30 rows, padded with zero rows to 30;
+        # the lags differ per member, and one lag for all broadcasts.
+        rng = np.random.default_rng(18)
+        X = np.column_stack([np.ones(90), rng.normal(size=90)]).reshape(3, 30, 2)
+        y = rng.normal(size=(3, 30))
+        mask = np.ones((3, 30), dtype=bool)
+        mask[1, 22:] = False
+        X[~mask], y[~mask] = 0.0, 0.0
+        stack = ols(X, y, mask)
+        for lags in ([3, 0, 6], [2, 2, 2], 2):
+            V = hac_covariance(stack, X, lags)
+            for g, (n, lag) in enumerate(zip((30, 22, 30), np.broadcast_to(lags, 3).tolist())):
+                single = ols(X[g, :n], y[g, :n])
+                assert V[g] == pytest.approx(hac_covariance(single, X[g, :n], lag), rel=1e-12)
 
     def test_lag_at_least_t_rejected(self):
         X = np.ones((5, 1))
@@ -210,10 +217,10 @@ class TestHacCovariance:
         X = np.column_stack([np.ones(30), np.cumsum(rng.normal(size=30))])
         y = np.cumsum(rng.normal(size=30))
         fit = ols(X, y)
-        ordered = hac_covariance(fit, X, 3).matrix
+        ordered = hac_covariance(fit, X, 3)
         perm = rng.permutation(30)
         fit_p = ols(X[perm], y[perm])
-        shuffled = hac_covariance(fit_p, X[perm], 3).matrix
+        shuffled = hac_covariance(fit_p, X[perm], 3)
         assert not np.allclose(ordered, shuffled, atol=1e-12)
 
     def test_auto_lag_rule(self):
@@ -228,7 +235,7 @@ class TestWaldJointTest:
         X = np.column_stack([np.ones(20), rng.normal(size=20)])
         fit = ols(X, rng.normal(size=20))
         R = np.array([[0.0, 1.0]])
-        res = wald_joint_test(fit, hc_covariance(fit, X), R, float(fit.coefficients[1]))
+        res = wald_joint_test(fit, hac_covariance(fit, X, 0), R, float(fit.coefficients[1]))
         assert res.statistic == pytest.approx(0.0, abs=1e-12)
         assert res.p_value == pytest.approx(1.0, abs=1e-12)
 
@@ -237,8 +244,8 @@ class TestWaldJointTest:
         X = np.column_stack([np.ones(30), rng.normal(size=30)])
         y = rng.normal(size=30)
         fit = ols(X, y)
-        V = hc_covariance(fit, X)
-        t_ratio = fit.coefficients[1] / math.sqrt(V.matrix[1, 1])
+        V = hac_covariance(fit, X, 0)
+        t_ratio = fit.coefficients[1] / math.sqrt(V[1, 1])
         res = wald_joint_test(fit, V, np.array([[0.0, 1.0]]), 0.0)
         assert res.statistic == pytest.approx(t_ratio**2, abs=1e-10)
 
@@ -255,7 +262,7 @@ class TestWaldJointTest:
         X = np.column_stack([np.ones(30), rng.normal(size=(30, 2))])
         y = rng.normal(size=30)
         fit = ols(X, y)
-        V = hc_covariance(fit, X)
+        V = hac_covariance(fit, X, 0)
         R = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         a = wald_joint_test(fit, V, R, 0.0)
         b = wald_joint_test(fit, V, 5.0 * R, np.zeros(2))
@@ -266,7 +273,7 @@ class TestWaldJointTest:
         rng = np.random.default_rng(10)
         X = np.column_stack([np.ones(30), rng.normal(size=30)])
         fit = ols(X, rng.normal(size=30))
-        V = hc_covariance(fit, X)
+        V = hac_covariance(fit, X, 0)
         R = np.array([[0.0, 1.0], [0.0, 2.0]])  # rank 1
         with pytest.raises(EstimationError):
             wald_joint_test(fit, V, R, np.zeros(2))
@@ -302,7 +309,7 @@ class TestDistributionFunctions:
         # A negative variance clips the Wald form to 0, so x = 0 reaches the F tail too.
         sign = -1.0 if x == 0.0 else 1.0
         fit = RegressionFit(np.full(q, x or 1.0), np.zeros(0), df + q, q, 0.0, math.nan)
-        res = wald_joint_test(fit, CovarianceEstimate("HC1", sign * np.eye(q)), np.eye(q))
+        res = wald_joint_test(fit, sign * np.eye(q), np.eye(q))
         assert res.df_den == df
         reference = float(scipy.stats.f.sf(res.statistic, q, df))
         if x == 0.0 or math.isnan(reference):
@@ -436,7 +443,7 @@ class TestRegressionTestWrappers:
         w = {quarter: float(rng.normal()) for quarter in pred}
         actual, prediction, extra = aligned(actuals, pred, w)
         reg = efficiency_regression(actual, prediction, [extra])
-        res_unbiased = unbiasedness_test(reg, hc_covariance(reg.fit, reg.design))
-        res_efficient = efficiency_test(reg, hc_covariance(reg.fit, reg.design))
+        res_unbiased = unbiasedness_test(reg, hac_covariance(reg.fit, reg.design, 0))
+        res_efficient = efficiency_test(reg, hac_covariance(reg.fit, reg.design, 0))
         assert res_unbiased.df_num == 2
         assert res_efficient.df_num == 3
