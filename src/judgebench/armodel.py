@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EstimationError, IngestionError
 from .linreg import RegressionFit, ols
-from .panel import ActualSeries, QuarterSeries
+from .panel import ActualSeries, QuarterSeries, distinct
 from .quarters import Quarter
 
 DEFAULT_MAX_GAP = 3
@@ -172,7 +172,7 @@ def recursive_ar_forecast(
     target.  The targets that share an order are fit as one stack, and a
     rank-deficient AR(p) fit falls back to AR(p-1), down to the mean at p = 0.
     """
-    ordered = np.unique(np.asarray(targets, dtype=np.int64))
+    ordered = distinct(np.asarray(targets, dtype=np.int64))
     first, size = (int(ordered[0]), int(ordered[-1] + 1 - ordered[0])) if ordered.size else (0, 0)
     out = ARForecasts(start=first, values=np.full(size, np.nan), p_used=np.full(size, -1, dtype=np.int64))
     if not ordered.size:

@@ -526,7 +526,8 @@ def cmd_report(study: Study, out: Path) -> list[Path]:
     files = []
     diagnostics = [[], []]
     # Looked up at call time, so a tracer that rebinds the module's cmd_*
-    # attributes times each stage.
+    # attributes times each stage.  A stage's error and each warning it
+    # raises become rows of diagnostics.csv, not lines on stderr.
     for name, fn in [
         ("describe", cmd_describe),
         ("table2", cmd_table2),
@@ -535,10 +536,14 @@ def cmd_report(study: Study, out: Path) -> list[Path]:
         ("accuracy", cmd_accuracy),
         ("persistence", cmd_persistence),
     ]:
-        try:
-            files.extend(fn(study, out))
-        except (JudgebenchError, ValueError) as exc:
-            _add_row(diagnostics, name, str(exc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                files.extend(fn(study, out))
+            except (JudgebenchError, ValueError) as exc:
+                _add_row(diagnostics, name, str(exc))
+        for warning in caught:
+            _add_row(diagnostics, name, str(warning.message))
     if diagnostics[0]:
         files.append(write_csv(out / "diagnostics.csv", ["stage", "error"], diagnostics))
     cfg = study.cfg
@@ -623,9 +628,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise CliError(f"error: unknown-config-keys keys={','.join(sorted(unknown))}")
     values.update((f.name, getattr(args, f.name)) for f in fields(RunConfig) if getattr(args, f.name, None) is not None)
     for key, most in (("hac_lag", math.inf), ("ar_lag", DEFAULT_MAX_LAG)):  # "auto" or an integer in 0..most
-        text = str(values.get(key, "auto"))
+        if key not in values:
+            continue
+        text = str(values[key])
         if text != "auto" and not (text.isascii() and text.isdigit() and int(text) <= most):
             raise CliError(f"error: invalid-value name=--{key.replace('_', '-')} value={text}")
+        values[key] = text if text == "auto" else str(int(text))  # one form per lag, so one config hash
     if "thresholds" in values:
         cuts = values["thresholds"]
         try:

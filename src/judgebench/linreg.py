@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EstimationError, RankDeficiencyError
 from .judgment import BaselineSeries, passes_threshold
-from .panel import ActualSeries, ForecastPanel, QuarterSeries, SpfNowcasts, economist_runs
+from .panel import ActualSeries, ForecastPanel, QuarterSeries, SpfNowcasts, distinct, economist_runs
 from .quarters import ReleaseKind
 from .tails import f_sf
 
@@ -247,7 +247,7 @@ def test_battery_aggregate(
     """
     if not baselines:
         return {}
-    quarters = np.unique(np.concatenate([base.quarter_index() for base in baselines.values()]))
+    quarters = distinct(np.concatenate([base.quarter_index() for base in baselines.values()]))
     actual, prediction, spf_matched, ar = grid = np.full((4, len(baselines), quarters.size), np.nan)
     for row, ((release, method), base) in enumerate(baselines.items()):
         grid[:, row] = (actuals[release].at(quarters), base.at(quarters),

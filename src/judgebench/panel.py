@@ -97,6 +97,18 @@ def factorize(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(table.tolist()), codes.astype(np.int64)
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values in ascending order, as ``np.unique`` without flags gives them.
+
+    In numpy 2.4 that ``np.unique`` (and ``np.isin``) imports ``numpy.ma``,
+    about 15 ms, to check for a masked array.
+    """
+    ordered = np.sort(values, axis=None)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
+
+
 def cell_key(economist: np.ndarray, quarter: np.ndarray) -> np.ndarray:
     """One int64 per (economist code, quarter index) pair, ordered like the pairs."""
     return economist.astype(np.int64) * (1 << 32) + quarter

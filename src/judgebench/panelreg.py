@@ -79,9 +79,11 @@ def build_persistence_dataset(
         if prior is not None and target is not None and prior.panel.economist_ids != target.panel.economist_ids:
             raise ValueError("judgments of different releases must come from one panel")
         s_econ, s_quarter, s_value = _sorted_columns(prior)
-        s_key, key = cell_key(s_econ, s_quarter + shift), cell_key(econ, quarter)
-        keep = np.flatnonzero(np.isin(key, s_key))
-        regressor = s_value[np.searchsorted(s_key, key[keep])]
+        s_key, key = cell_key(s_econ, s_quarter + shift), cell_key(econ, quarter)  # s_key ascends
+        at = np.searchsorted(s_key, key)
+        keep = np.flatnonzero(at < s_key.size)
+        keep = keep[s_key[at[keep]] == key[keep]]
+        regressor = s_value[at[keep]]
     return PersistenceData(econ[keep], quarter[keep], response[keep], regressor, kind)
 
 

@@ -4,13 +4,15 @@ Simulates an AR(1) actual process with noisy revisions, a latent common
 baseline, and forecaster judgments with controlled own-lag persistence and
 cross-release carryover, then packages everything as the standard panel data
 structures.  Separate sub-streams of one seed feed each purpose, so adding
-forecasters does not change the actual series.
+forecasters does not change the actual series.  One core simulates a block
+of seeds in one pass; the recovery experiment simulates its replications in
+blocks and reads only their first release.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,6 +22,8 @@ from .panel import ActualSeries, ForecastPanel, QuarterSeries, SpfNowcasts, fact
 from .panelreg import build_persistence_dataset, fe_estimate
 from .quarters import Quarter, ReleaseKind
 from .tails import t_quantile
+
+BLOCK_CELLS = 200_000  # simulated cells (replications x economists x quarters x 3) per recovery block
 
 
 @dataclass(frozen=True)
@@ -81,74 +85,117 @@ def _rng(seed: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng([seed, purpose])
 
 
+class _Ids(NamedTuple):
+    """The id tables of an N-forecaster world, the codes of forecaster i, and the forecasters in code order."""
+
+    economists: list[str]
+    economist_ids: tuple[str, ...]
+    economist: np.ndarray
+    firm_ids: tuple[str, ...]
+    firm: np.ndarray
+    by_code: np.ndarray
+
+
+def _ids(n: int) -> _Ids:
+    economists = [f"E{i:04d}" for i in range(n)]
+    economist_ids, economist = factorize(economists)
+    firm_ids, firm = factorize([f"F{i % max(n // 2, 1):04d}" for i in range(n)])
+    # Past 10,000 forecasters the ids no longer sort numerically, so code order is not i order.
+    return _Ids(economists, economist_ids, economist, firm_ids, firm, np.argsort(economist))
+
+
+class _Block(NamedTuple):
+    """One simulator pass over a block of seeds; member s of each array belongs to the s-th seed."""
+
+    actuals: np.ndarray    # (S, 3, T)
+    baselines: np.ndarray  # (S, 3, T) latent common baselines
+    rho_i: np.ndarray      # (S, N) per-forecaster own-lag persistence
+    judgments: np.ndarray  # (K, T, S, N) latent judgments of the first K releases
+    mask: np.ndarray       # (S, N, T) participation
+
+
+def _simulate_block(config: SynthConfig, seeds: Sequence[int], releases: int = 3) -> _Block:
+    """Simulate one world per seed, with the judgments of the first ``releases`` releases.
+
+    Each seed draws its own sub-streams, so a world does not depend on the
+    block it is simulated in.  The judgment recursion then runs once for the
+    block: each (release, quarter) step is one contiguous row over every
+    (seed, forecaster) pair, and each element goes through the operations of
+    a one-seed pass in the same order.  No release feeds an earlier one.
+    """
+    n, t, size = config.n_forecasters, config.n_quarters, len(seeds)
+    actuals, baselines = np.empty((size, 3, t)), np.empty((size, 3, t))
+    rho_i = np.full((size, n), config.rho_own)
+    judgments = np.empty((releases, t, size, n))
+    neutral = np.empty((releases, t, size, n), dtype=bool)
+    mask = np.empty((size, n, t), dtype=bool)
+    burn = 50
+    level = config.actual_intercept / (1.0 - config.actual_ar)
+    for s, seed in enumerate(seeds):
+        # Actual process with burn-in, then revision chains.
+        eps = _rng(seed, 0).normal(0.0, config.actual_sd, size=t + burn).tolist()
+        path = [level + eps[0]]
+        for e in eps[1:]:
+            path.append(config.actual_intercept + config.actual_ar * path[-1] + e)
+        actuals[s, 0] = path[burn:]
+        rng_rev = _rng(seed, 1)
+        actuals[s, 1] = actuals[s, 0] + rng_rev.normal(0.0, config.revision_sd, size=t)
+        actuals[s, 2] = actuals[s, 1] + rng_rev.normal(0.0, config.revision_sd, size=t)
+        baselines[s] = actuals[s] + _rng(seed, 2).normal(0.0, config.baseline_noise_sd, size=(3, t))
+
+        rng_judg = _rng(seed, 3)
+        if config.rho_own_sd > 0:
+            rho_i[s] = np.clip(rng_judg.normal(config.rho_own, config.rho_own_sd, size=n), -0.95, 0.95)
+        eta = rng_judg.normal(0.0, config.judgment_sd, size=(n, t, 3))
+        judgments[:, :, s] = eta[:, :, :releases].transpose(2, 1, 0)
+        draws = _rng(seed, 4).random(size=(n, t, 3))
+        neutral[:, :, s] = (draws[:, :, :releases] < config.p_neutral).transpose(2, 1, 0)
+
+        rng_part = _rng(seed, 5)
+        rates = rng_part.uniform(config.participation_low, config.participation_high, size=n)
+        mask[s] = rng_part.random(size=(n, t)) < rates[:, None]
+
+    # Judgments: own-lag recursion per release with cross-release carryover.
+    for k in range(releases):
+        for i_t in range(t):
+            j = judgments[k, i_t]  # eta until updated in place
+            if i_t > 0:
+                j += rho_i * judgments[k, i_t - 1]
+            if k > 0:
+                j += config.kappa * judgments[k - 1, i_t]
+            j[neutral[k, i_t]] = 0.0
+    return _Block(actuals, baselines, rho_i, judgments, mask)
+
+
+def _panel(config: SynthConfig, block: _Block, s: int, ids: _Ids) -> ForecastPanel:
+    """The forecasts of the block's s-th world for every release it simulated, in canonical order."""
+    releases, order = block.judgments.shape[0], ids.by_code
+    # One row per (release, economist, quarter) with participation, economists in code order.
+    mask = block.mask[s][order]
+    rows = mask.sum(axis=1)
+    latent = block.baselines[s, :releases, None] + block.judgments[:, :, s].transpose(0, 2, 1)[:, order]
+    forecasts = latent[:, mask]
+    if config.grid > 0:
+        forecasts = np.round(forecasts / config.grid) * config.grid
+    return ForecastPanel(
+        ids.economist_ids,
+        ids.firm_ids,
+        np.tile(np.repeat(ids.economist[order], rows), releases),
+        np.tile(np.repeat(ids.firm[order], rows), releases),
+        np.tile(np.broadcast_to(config.start.index + np.arange(config.n_quarters), mask.shape)[mask], releases),
+        np.repeat(np.arange(1, releases + 1, dtype=np.int64), forecasts.shape[1]),
+        forecasts.ravel(),
+        np.full(forecasts.size, -1, dtype=np.int64),
+    )
+
+
 def simulate_world(config: SynthConfig, seed: int | None = None) -> SynthWorld:
     """Deterministically generate a synthetic world from (config, seed)."""
     seed = config.seed if seed is None else seed
-    n, t = config.n_forecasters, config.n_quarters
-    quarters = [config.start.shifted(i) for i in range(t)]
-
-    # Actual process with burn-in, then revision chains.
-    rng_actual = _rng(seed, 0)
-    burn = 50
-    eps = rng_actual.normal(0.0, config.actual_sd, size=t + burn)
-    path = np.empty(t + burn)
-    level = config.actual_intercept / (1.0 - config.actual_ar)
-    path[0] = level + eps[0]
-    for i in range(1, t + burn):
-        path[i] = config.actual_intercept + config.actual_ar * path[i - 1] + eps[i]
-    actuals = np.empty((3, t))
-    actuals[0] = path[burn:]
-    rng_rev = _rng(seed, 1)
-    actuals[1] = actuals[0] + rng_rev.normal(0.0, config.revision_sd, size=t)
-    actuals[2] = actuals[1] + rng_rev.normal(0.0, config.revision_sd, size=t)
-
-    rng_base = _rng(seed, 2)
-    baselines = actuals + rng_base.normal(0.0, config.baseline_noise_sd, size=(3, t))
-
-    # Judgments: own-lag recursion per release with cross-release carryover.
-    rng_judg = _rng(seed, 3)
-    rho_i = np.full(n, config.rho_own)
-    if config.rho_own_sd > 0:
-        rho_i = np.clip(
-            rng_judg.normal(config.rho_own, config.rho_own_sd, size=n), -0.95, 0.95
-        )
-    eta = rng_judg.normal(0.0, config.judgment_sd, size=(n, t, 3))
-    rng_neutral = _rng(seed, 4)
-    neutral = rng_neutral.random(size=(n, t, 3)) < config.p_neutral
-    judgments = np.zeros((n, t, 3))
-    for i_t in range(t):
-        for k in range(3):
-            j = eta[:, i_t, k].copy()
-            if i_t > 0:
-                j += rho_i * judgments[:, i_t - 1, k]
-            if k > 0:
-                j += config.kappa * judgments[:, i_t, k - 1]
-            j[neutral[:, i_t, k]] = 0.0
-            judgments[:, i_t, k] = j
-
-    rng_part = _rng(seed, 5)
-    rates = rng_part.uniform(config.participation_low, config.participation_high, size=n)
-    mask = rng_part.random(size=(n, t)) < rates[:, None]
-
-    economists = [f"E{i:04d}" for i in range(n)]
-    forecasts = baselines.T[None, :, :] + judgments  # (N, T, 3)
-    if config.grid > 0:
-        forecasts = np.round(forecasts / config.grid) * config.grid
-    # One row per (release, economist, quarter) with participation, in that (canonical) order.
-    who, when = np.nonzero(mask)
-    economist_ids, economist = factorize(economists)
-    firm_ids, firm = factorize([f"F{i % max(n // 2, 1):04d}" for i in range(n)])
-    panel = ForecastPanel(
-        economist_ids,
-        firm_ids,
-        np.tile(economist[who], 3),
-        np.tile(firm[who], 3),
-        np.tile(config.start.index + when, 3),
-        np.repeat(np.arange(1, 4, dtype=np.int64), who.size),
-        forecasts[who, when].T.ravel(),
-        np.full(3 * who.size, -1, dtype=np.int64),
-    )
-
+    t = config.n_quarters
+    block = _simulate_block(config, [seed])
+    ids = _ids(config.n_forecasters)
+    actuals = block.actuals[0]
     rng_spf = _rng(seed, 6)
     spf_median = actuals[0] + rng_spf.normal(0.0, 0.5, size=t)
     spf_mean = spf_median + rng_spf.normal(0.0, 0.1, size=t)
@@ -158,8 +205,10 @@ def simulate_world(config: SynthConfig, seed: int | None = None) -> SynthWorld:
         ReleaseKind(k + 1): ActualSeries(start=start, values=actuals[k], release=ReleaseKind(k + 1))
         for k in range(3)
     }
-    truth = SynthTruth(quarters, economists, actuals, baselines, judgments, rho_i)
-    return SynthWorld(config, seed, actual_series, panel, spf, truth)
+    quarters = [config.start.shifted(i) for i in range(t)]
+    judgments = np.ascontiguousarray(block.judgments[:, :, 0].transpose(2, 1, 0))  # (N, T, 3)
+    truth = SynthTruth(quarters, ids.economists, actuals, block.baselines[0], judgments, block.rho_i[0])
+    return SynthWorld(config, seed, actual_series, _panel(config, block, 0, ids), spf, truth)
 
 
 def extract_world_judgments(world: SynthWorld, release: ReleaseKind, method: str = "median") -> JudgmentPanel:
@@ -181,13 +230,6 @@ class RecoverySummary:
     failures: list[str] = field(default_factory=list)
 
 
-def _one_replication(config: SynthConfig, seed: int):
-    world = simulate_world(config, seed=seed)
-    judgments = {ReleaseKind.FIRST: extract_world_judgments(world, ReleaseKind.FIRST)}
-    data = build_persistence_dataset(judgments, ReleaseKind.FIRST, "own_lag")
-    return fe_estimate(data, "fe")
-
-
 def recovery_experiment(
     config: SynthConfig,
     replications: int,
@@ -199,6 +241,8 @@ def recovery_experiment(
     empirical median baseline, estimates the own-lag FE specification for the
     first release, and checks whether the 95% clustered CI covers rho_own.
     Replications use seeds base_seed + index, so results are deterministic.
+    They are simulated in blocks of at most ``BLOCK_CELLS`` cells, first
+    release only, with the bits of one world at a time.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -206,16 +250,24 @@ def recovery_experiment(
     summary = RecoverySummary(config=config, replications=replications)
     ses: list[float] = []
     dfs: list[int] = []
-    for rep in range(replications):
-        try:
-            result = _one_replication(config, base_seed + rep)
-        except EstimationError as exc:
-            summary.n_failed += 1
-            summary.failures.append(f"replication {rep}: {exc}")
-            continue
-        summary.betas.append(result.beta)
-        ses.append(result.se_clustered)
-        dfs.append(result.n_forecasters - 1)
+    ids = _ids(config.n_forecasters)
+    size = max(1, BLOCK_CELLS // (config.n_forecasters * config.n_quarters * 3))
+    for first in range(0, replications, size):
+        reps = range(first, min(first + size, replications))
+        block = _simulate_block(config, [base_seed + rep for rep in reps], releases=1)
+        for s, rep in enumerate(reps):
+            panel = _panel(config, block, s, ids)
+            try:
+                judgments = {ReleaseKind.FIRST: extract_judgments(panel, baseline(panel, ReleaseKind.FIRST),
+                                                                  grid=config.grid)}
+                result = fe_estimate(build_persistence_dataset(judgments, ReleaseKind.FIRST, "own_lag"), "fe")
+            except EstimationError as exc:
+                summary.n_failed += 1
+                summary.failures.append(f"replication {rep}: {exc}")
+                continue
+            summary.betas.append(result.beta)
+            ses.append(result.se_clustered)
+            dfs.append(result.n_forecasters - 1)
     summary.n_completed = len(summary.betas)
     if summary.n_completed:
         betas = np.asarray(summary.betas)

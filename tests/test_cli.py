@@ -9,11 +9,16 @@ import pytest
 
 import judgebench
 from judgebench.armodel import DEFAULT_MAX_LAG
-from judgebench.cli import RunConfig, main
+from judgebench.cli import RunConfig, build_parser, config_from_args, main
 
 
 def read_bytes(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
+
+
+def src_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this judgebench."""
+    return {**os.environ, "PYTHONPATH": str(Path(judgebench.__file__).resolve().parents[1])}
 
 
 @pytest.fixture(scope="module")
@@ -155,10 +160,14 @@ class TestReport:
         flags = world_flags(world_dir)
         flags[flags.index("--forecasts") + 1] = str(no_third)
         out = tmp_path / "report"
-        with pytest.warns(UserWarning, match="no economist passes threshold"):
-            assert main(["report", *flags, "--out", str(out)]) == 0
+        # A fresh interpreter, so that stderr shows whatever warning escapes the report.
+        done = subprocess.run([sys.executable, "-m", "judgebench.cli", "report", *flags, "--out", str(out)],
+                              env=src_env(), capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (out / "diagnostics.csv").read_text().splitlines() == ["stage,error"] + [
+            f"judgment,no economist passes threshold {thr} for release 3" for thr in ("0.1", "0.25", "0.5")
+        ]
         names = {p.name for p in out.iterdir()}
-        assert "diagnostics.csv" not in names
         assert {"judgments.csv", "baseline_median.csv", "table3_sign_shares.csv",
                 "fig3_negative_histogram.csv", "baseline_hits.csv"} <= names
         table3 = (out / "table3_sign_shares.csv").read_text().splitlines()
@@ -170,28 +179,48 @@ class TestReport:
         assert third == ["0"] * 15
 
 
+def test_report_loads_no_numpy_ma_module(tmp_path):
+    # In numpy 2.4 np.unique without flags, and np.isin, import numpy.ma (about 15 ms).
+    golden = Path(__file__).parent / "golden" / "inputs"
+    code = (
+        "import sys; from judgebench.cli import main; "
+        f"main(['report', '--actuals', {str(golden / 'actuals.csv')!r}, '--forecasts', "
+        f"{str(golden / 'forecasts.csv')!r}, '--spf', {str(golden / 'spf.csv')!r}, '--out', {str(tmp_path)!r}]); "
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')), file=sys.stderr)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
+    assert (tmp_path / "manifest.json").exists()
+    assert done.stderr.strip() == "[]"
+
+
 def test_importing_the_cli_loads_no_scipy_module():
     code = "import sys, judgebench.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    env = {**os.environ, "PYTHONPATH": str(Path(judgebench.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 
 
 def test_importing_the_cli_does_not_load_scipy_stats():
     code = "import sys, judgebench.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    env = {**os.environ, "PYTHONPATH": str(Path(judgebench.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 
 
 def test_importing_the_cli_does_not_load_scipy_linalg():
     code = "import sys, judgebench.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
-    env = {**os.environ, "PYTHONPATH": str(Path(judgebench.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 
 
 class TestConfigHash:
+    def test_lag_from_config_file_and_flag_hash_alike(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hac_lag": 3, "ar_lag": 2}))
+        parser = build_parser()
+        from_file = config_from_args(parser.parse_args(["report", "--config", str(config)]))
+        from_flags = config_from_args(parser.parse_args(["report", "--hac-lag", "3", "--ar-lag", "02"]))
+        assert (from_file.hac_lag, from_file.ar_lag) == (from_flags.hac_lag, from_flags.ar_lag) == ("3", "2")
+        assert from_file.config_hash() == from_flags.config_hash()
+
     def test_output_directory_not_semantic(self):
         assert RunConfig(out="a").config_hash() == RunConfig(out="b").config_hash()
 

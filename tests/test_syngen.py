@@ -1,6 +1,21 @@
+"""The simulator and the recovery experiment.
+
+``loop_recovery`` is ``recovery_experiment`` as it ran before replications
+were simulated in blocks: one whole three-release world per replication,
+then the first release's judgments and the own-lag FE fit.  It serves as the
+reference the block pass must match bit for bit.
+"""
+from dataclasses import astuple
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import judgebench.syngen as syngen
+from judgebench.errors import EstimationError
+from judgebench.panel import _COLUMNS
 from judgebench.panelreg import build_persistence_dataset, fe_estimate
 from judgebench.quarters import Quarter, ReleaseKind
 from judgebench.syngen import (
@@ -9,6 +24,7 @@ from judgebench.syngen import (
     recovery_experiment,
     simulate_world,
 )
+from judgebench.tails import t_quantile
 
 from conftest import rows_of
 
@@ -137,3 +153,103 @@ class TestRecoveryExperiment:
     def test_requires_replications(self):
         with pytest.raises(ValueError):
             recovery_experiment(SynthConfig(), replications=0)
+
+
+def loop_recovery(config: SynthConfig, replications: int, base_seed: int):
+    """(betas, fits, failures, coverage), one simulate_world per replication."""
+    fits, failures = [], []
+    for rep in range(replications):
+        try:
+            world = simulate_world(config, seed=base_seed + rep)
+            judgments = {R1: extract_world_judgments(world, R1)}
+            fits.append(fe_estimate(build_persistence_dataset(judgments, R1, "own_lag"), "fe"))
+        except EstimationError as exc:
+            failures.append(f"replication {rep}: {exc}")
+    betas = [fit.beta for fit in fits]
+    coverage = None
+    if fits:
+        half = t_quantile(0.975, [fit.n_forecasters - 1 for fit in fits]) * np.array([fit.se_clustered for fit in fits])
+        covered = (np.array(betas) - half <= config.rho_own) & (config.rho_own <= np.array(betas) + half)
+        coverage = int(covered.sum()) / len(fits)
+    return betas, fits, failures, coverage
+
+
+def bits(values) -> list[str]:
+    """repr of each float, which tells every float apart (-0.0 and NaN included)."""
+    return [repr(float(v)) for v in values]
+
+
+BLOCK_CONFIGS = [
+    SynthConfig(n_forecasters=9, n_quarters=12, kappa=0.4, rho_own=0.3, rho_own_sd=0.2, p_neutral=0.3,
+                participation_low=0.4, participation_high=0.9),
+    SynthConfig(n_forecasters=7, n_quarters=10, kappa=-0.3, p_neutral=0.5, participation_low=0.2, grid=0.0),
+    SynthConfig(n_forecasters=6, n_quarters=8),
+]
+
+
+class TestBlockPass:
+    @pytest.mark.parametrize("config", BLOCK_CONFIGS)
+    @pytest.mark.parametrize("releases", [1, 3])
+    def test_block_panel_equals_each_worlds_panel(self, config, releases):
+        seeds = range(40, 45)
+        block = syngen._simulate_block(config, seeds, releases)
+        ids = syngen._ids(config.n_forecasters)
+        for s, seed in enumerate(seeds):
+            got = syngen._panel(config, block, s, ids)
+            world = simulate_world(config, seed).panel
+            want = world.for_release(R1) if releases == 1 else world
+            assert (got.economist_ids, got.firm_ids) == (want.economist_ids, want.firm_ids)
+            for name in _COLUMNS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_world_is_canonical_past_ten_thousand_forecasters(self):
+        # "E10000" sorts before "E1001", so forecaster order is not code order.
+        config = SynthConfig(n_forecasters=10_001, n_quarters=2, participation_low=0.5)
+        block, ids = syngen._simulate_block(config, [1], 1), syngen._ids(config.n_forecasters)
+        panel = syngen._panel(config, block, 0, ids)
+        assert panel.economist_ids[1000:1003] == ("E1000", "E10000", "E1001")
+        who, when = np.nonzero(block.mask[0])  # forecaster order
+        order = np.lexsort((when, ids.economist[who]))
+        latent = block.baselines[0, 0, when] + block.judgments[0, when, 0, who]
+        assert np.array_equal(panel.economist, ids.economist[who][order])
+        assert np.array_equal(panel.quarter, config.start.index + when[order])
+        assert np.array_equal(panel.value, (np.round(latent / config.grid) * config.grid)[order])
+        simulate_world(config, seed=1).panel.for_release(R1)  # raises unless canonical
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 8), t=st.integers(3, 10), replications=st.integers(1, 9),
+        block=st.integers(1, 5), spare=st.floats(0.0, 0.99), base_seed=st.integers(0, 10**6),
+        rho_own=st.sampled_from([-0.4, 0.0, 0.3]), rho_own_sd=st.sampled_from([0.0, 0.2]),
+        kappa=st.sampled_from([0.0, 0.4]), p_neutral=st.sampled_from([0.0, 0.3]),
+        participation=st.sampled_from([(1.0, 1.0), (0.5, 1.0), (0.1, 0.4)]), grid=st.sampled_from([0.0, 0.1]),
+    )
+    @example(n=2, t=3, replications=7, block=3, spare=0.0, base_seed=11, rho_own=0.1, rho_own_sd=0.0, kappa=0.0,
+             p_neutral=0.0, participation=(0.1, 0.4), grid=0.1)  # most replications fail
+    @example(n=5, t=6, replications=4, block=1, spare=0.0, base_seed=3, rho_own=0.1, rho_own_sd=0.2, kappa=0.4,
+             p_neutral=0.3, participation=(0.5, 1.0), grid=0.1)  # blocks of one
+    def test_blocks_match_the_per_replication_loop(self, n, t, replications, block, spare, base_seed, rho_own,
+                                                   rho_own_sd, kappa, p_neutral, participation, grid):
+        config = SynthConfig(n_forecasters=n, n_quarters=t, rho_own=rho_own, rho_own_sd=rho_own_sd, kappa=kappa,
+                             p_neutral=p_neutral, participation_low=participation[0],
+                             participation_high=participation[1], grid=grid)
+        cells = n * t * 3
+        fits = []
+
+        def recording(data, spec):
+            fits.append(fe_estimate(data, spec))
+            return fits[-1]
+
+        with mock.patch.object(syngen, "BLOCK_CELLS", block * cells + int(spare * cells)), \
+                mock.patch.object(syngen, "fe_estimate", recording):
+            summary = recovery_experiment(config, replications, base_seed=base_seed)
+        betas, loop_fits, failures, coverage = loop_recovery(config, replications, base_seed)
+        assert bits(summary.betas) == bits(betas)
+        assert [repr(astuple(fit)) for fit in fits] == [repr(astuple(fit)) for fit in loop_fits]
+        assert summary.failures == failures
+        assert (summary.n_completed, summary.n_failed) == (len(betas), len(failures))
+        if coverage is None:
+            assert summary.n_completed == 0
+        else:
+            assert summary.ci_coverage == coverage
