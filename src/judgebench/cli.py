@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -644,6 +645,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
+
+    Run from ``sys.argv`` (the console script, ``python -m``), the process
+    ends when this returns, so the run's objects are frozen out of the
+    interpreter's exit-time cyclic collection: a walk over every numpy object
+    that frees nothing.  ``os._exit`` would also skip atexit handlers.  A
+    caller that passes ``argv`` keeps its collector as it was.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -657,6 +666,9 @@ def main(argv: list[str] | None = None) -> int:
     except JudgebenchError as exc:
         print(f"error: {type(exc).__name__.lower()} detail={exc}", file=sys.stderr)
         return 1
+    finally:
+        if argv is None:
+            gc.freeze()
     for path in files:
         print(path)
     return 0

@@ -118,14 +118,22 @@ def cell_medians(key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.nda
     """The distinct keys in ascending order and the median value of each.
 
     An even count takes the midpoint of the two middle values, as
-    ``statistics.median`` does.  Equal values keep their row order, so in a
-    canonical panel which of 0.0 and -0.0 is the median does not depend on row order.
+    ``statistics.median`` does.  One stable sort groups the rows by key, and
+    each cell of two or more rows is then sorted in place, stably, so the
+    work and memory stay O(rows) however skewed the cells are.  Equal values
+    keep their row order, so in a canonical panel which of 0.0 and -0.0 is
+    the median does not depend on row order; NaN sorts last.
     """
-    order = np.lexsort((value, key))
-    keys, start, count = np.unique(key[order], return_index=True, return_counts=True)
-    ranked = value[order]
+    order = np.argsort(key, kind="stable")
+    grouped, ranked = key[order], value[order]
+    first = np.ones(grouped.size, dtype=bool)
+    first[1:] = grouped[1:] != grouped[:-1]
+    start = np.flatnonzero(first)
+    count = np.diff(np.append(start, grouped.size))
+    for lo, n in zip(start[count > 1].tolist(), count[count > 1].tolist()):
+        ranked[lo:lo + n].sort(kind="stable")
     low, high = ranked[start + (count - 1) // 2], ranked[start + count // 2]
-    return keys, np.where(count % 2 == 1, low, (low + high) / 2)
+    return grouped[start], np.where(count % 2 == 1, low, (low + high) / 2)
 
 
 def block_sums(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -200,7 +208,9 @@ class ForecastPanel:
         if not self._canonical:
             raise ValueError("panel rows are not in (release, economist, quarter) order")
         lo, hi = np.searchsorted(self.release, [release, release + 1])
-        return ForecastPanel(self.economist_ids, self.firm_ids, *(getattr(self, c)[lo:hi] for c in _COLUMNS))
+        rows = ForecastPanel(self.economist_ids, self.firm_ids, *(getattr(self, c)[lo:hi] for c in _COLUMNS))
+        rows.__dict__["_canonical"] = True  # a slice of a canonical panel is canonical
+        return rows
 
     def quarter_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The distinct quarters in ascending order, the values ordered by quarter, and cell bounds.
@@ -258,8 +268,8 @@ def _parse_rows(source, header: Sequence[str], what: str, parse_row: Callable) -
 
     ``where`` names the file and line.  A wrong header, a row with too few or
     too many fields, a line the csv module cannot read (such as a field over
-    its size limit), or a field ``parse_row`` rejects with ValueError raises
-    IngestionError naming both.
+    its size limit), a byte that is not UTF-8, or a field ``parse_row``
+    rejects with ValueError raises IngestionError naming both.
     """
     is_path = isinstance(source, (str, Path))
     name = str(source) if is_path else getattr(source, "name", what)
@@ -280,9 +290,26 @@ def _parse_rows(source, header: Sequence[str], what: str, parse_row: Callable) -
             yield where, parsed
     except csv.Error as exc:  # only the reader raises it; its own line count includes the failed line
         raise IngestionError(f"{name} line {reader.reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # raised while reading, a chunk ahead of the reader's lines
+        raise _not_utf8(name, Path(source).read_bytes() if is_path else None, exc) from None
     finally:
         if is_path:
             fh.close()
+
+
+def _not_utf8(name: str, data: bytes | None, exc: UnicodeDecodeError) -> IngestionError:
+    """The error for a file that is not UTF-8, naming the line of its first bad byte when ``data`` holds the file.
+
+    Lines end at CR LF, CR or LF, as the readers split them.
+    """
+    if data is not None:
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as bad:
+            head = data[:bad.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            return IngestionError(f"{name} line {line}: not UTF-8: {bad.reason} 0x{data[bad.start]:02x}")
+    return IngestionError(f"{name}: not UTF-8: {exc.reason}")
 
 
 def _parse_value(token: str) -> float:
@@ -359,7 +386,8 @@ def _forecast_columns(fh) -> ForecastPanel:
     parsed once at the end.  Raises _Irregular on anything the plain split
     cannot read as the csv module does, or that the row parser rejects: a
     wrong header, a quote, a carriage return or NUL, a blank line, a wrong
-    field count, or a token that does not parse.
+    field count, or a token that does not parse.  A byte that is not UTF-8
+    raises UnicodeDecodeError, which the caller leaves to the row parser too.
     """
     if fh.readline().removesuffix("\n") != ",".join(FORECASTS_HEADER):
         raise _Irregular
@@ -407,9 +435,9 @@ def load_forecasts(source) -> ForecastPanel:
         start = fh.tell()
         try:
             return _forecast_columns(fh)
-        except _Irregular:
+        except (_Irregular, UnicodeDecodeError):
             fh.seek(start)
-            return _forecast_rows(fh)
+    return _forecast_rows(source)  # a path is opened again, so a decode error can name its line
 
 
 @dataclass(frozen=True, eq=False)

@@ -109,20 +109,25 @@ def clustered_covariance(X: np.ndarray, residuals: np.ndarray, clusters: np.ndar
     row and column.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    residuals = np.asarray(residuals, dtype=float)
-    codes, inverse = np.unique(clusters, return_inverse=True)
-    n_clusters = codes.size
+    labels, codes = np.unique(clusters, return_inverse=True)
+    return _clustered_covariance(X, np.asarray(residuals, dtype=float), codes, labels.size, np.linalg.qr(X, mode="r"))
+
+
+def _clustered_covariance(
+    X: np.ndarray, residuals: np.ndarray, codes: np.ndarray, n_clusters: int, r: np.ndarray
+) -> np.ndarray:
+    """``clustered_covariance`` from dense cluster codes 0..G-1 and the R factor of X."""
     nobs, nparams = X.shape
     if n_clusters < 2:
         raise EstimationError("clustered covariance needs at least 2 clusters")
     scores = X * residuals[:, None]
     # bincount adds each cluster's scores in row order, as np.add.at does.
-    cluster_scores = np.column_stack([np.bincount(inverse, weights=s, minlength=n_clusters) for s in scores.T])
+    cluster_scores = np.column_stack([np.bincount(codes, weights=s, minlength=n_clusters) for s in scores.T])
     meat = cluster_scores.T @ cluster_scores
     noise = np.diagonal(meat) <= nobs * EPS * np.einsum("ij,ij->j", scores, scores)
     meat[noise] = 0.0
     meat[:, noise] = 0.0
-    bread = inverse_gram(np.linalg.qr(X, mode="r"))
+    bread = inverse_gram(r)
     factor = (n_clusters / (n_clusters - 1)) * ((nobs - 1) / (nobs - nparams))
     return factor * bread @ meat @ bread
 
@@ -135,10 +140,9 @@ def cluster_se(
     return math.sqrt(max(cov[column, column], 0.0))
 
 
-def _demean_by(values: np.ndarray, inverse: np.ndarray, n_groups: int) -> np.ndarray:
-    """Subtract group means."""
-    counts = np.bincount(inverse, minlength=n_groups)
-    sums = np.bincount(inverse, weights=values, minlength=n_groups)
+def _demean_by(values: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Subtract group means; ``counts`` holds each group's size."""
+    sums = np.bincount(inverse, weights=values, minlength=counts.size)
     return values - (sums / counts)[inverse]
 
 
@@ -200,8 +204,8 @@ def fe_estimate(data: PersistenceData, spec: str) -> PanelFitResult:
         X = np.column_stack([np.ones(nobs), x])
         y_reg = y
     else:
-        X = _demean_by(x, inverse, n_clusters)[:, None]
-        y_reg = _demean_by(y, inverse, n_clusters)
+        X = _demean_by(x, inverse, counts)[:, None]
+        y_reg = _demean_by(y, inverse, counts)
     nparams = X.shape[1]
     if spec == "fe_te":
         quarter_codes, quarter = np.unique(quarters, return_inverse=True)
@@ -228,9 +232,9 @@ def fe_estimate(data: PersistenceData, spec: str) -> PanelFitResult:
     if 1.0 - fit.r_squared <= nobs * EPS:  # an exact fit: the residuals are rounding noise
         se = 0.0
     else:
-        # cluster_se counts only X's columns in K; the partialled quarter effects count too.
-        se = cluster_se(X, residuals, inverse, column=-1)
-        se *= math.sqrt((nobs - X.shape[1]) / (nobs - nparams))
+        # The sandwich counts only X's columns in K; the partialled quarter effects count too.
+        cov = _clustered_covariance(X, residuals, inverse, n_clusters, fit.r)
+        se = math.sqrt(max(cov[-1, -1], 0.0)) * math.sqrt((nobs - X.shape[1]) / (nobs - nparams))
 
     # R^2 convention: ordinary for pooled, within for FE specs.
     if spec == "pooled":

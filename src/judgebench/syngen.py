@@ -127,7 +127,8 @@ def _simulate_block(config: SynthConfig, seeds: Sequence[int], releases: int = 3
     actuals, baselines = np.empty((size, 3, t)), np.empty((size, 3, t))
     rho_i = np.full((size, n), config.rho_own)
     judgments = np.empty((releases, t, size, n))
-    neutral = np.empty((releases, t, size, n), dtype=bool)
+    # Stream 4 feeds only the neutral mask, so a world without neutral judgments skips it.
+    neutral = np.empty((releases, t, size, n), dtype=bool) if config.p_neutral > 0 else None
     mask = np.empty((size, n, t), dtype=bool)
     burn = 50
     level = config.actual_intercept / (1.0 - config.actual_ar)
@@ -148,8 +149,9 @@ def _simulate_block(config: SynthConfig, seeds: Sequence[int], releases: int = 3
             rho_i[s] = np.clip(rng_judg.normal(config.rho_own, config.rho_own_sd, size=n), -0.95, 0.95)
         eta = rng_judg.normal(0.0, config.judgment_sd, size=(n, t, 3))
         judgments[:, :, s] = eta[:, :, :releases].transpose(2, 1, 0)
-        draws = _rng(seed, 4).random(size=(n, t, 3))
-        neutral[:, :, s] = (draws[:, :, :releases] < config.p_neutral).transpose(2, 1, 0)
+        if neutral is not None:
+            draws = _rng(seed, 4).random(size=(n, t, 3))
+            neutral[:, :, s] = (draws[:, :, :releases] < config.p_neutral).transpose(2, 1, 0)
 
         rng_part = _rng(seed, 5)
         rates = rng_part.uniform(config.participation_low, config.participation_high, size=n)
@@ -163,7 +165,8 @@ def _simulate_block(config: SynthConfig, seeds: Sequence[int], releases: int = 3
                 j += rho_i * judgments[k, i_t - 1]
             if k > 0:
                 j += config.kappa * judgments[k - 1, i_t]
-            j[neutral[k, i_t]] = 0.0
+            if neutral is not None:
+                j[neutral[k, i_t]] = 0.0
     return _Block(actuals, baselines, rho_i, judgments, mask)
 
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -209,6 +210,47 @@ def test_importing_the_cli_does_not_load_scipy_linalg():
     code = "import sys, judgebench.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
     done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+class TestExitPath:
+    """``main`` freezes the collector only when it runs from ``sys.argv``, as a process of its own."""
+
+    RECOVERY = ["recovery", "--replications", "2", "--n-forecasters", "8", "--n-quarters", "12", "--out", "rec"]
+
+    def test_in_process_main_leaves_the_collector_alone(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = gc.get_freeze_count()
+        assert main(self.RECOVERY) == 0
+        assert main(["describe", "--out", "o"]) == 2
+        assert gc.get_freeze_count() == before
+
+    def test_module_run_prints_what_main_prints(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.RECOVERY) == 0
+        printed = capsys.readouterr().out
+        expected = (tmp_path / "rec" / "recovery_summary.csv").read_bytes()
+        done = subprocess.run([sys.executable, "-m", "judgebench.cli", *self.RECOVERY], cwd=tmp_path, env=src_env(),
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, printed, "")
+        assert (tmp_path / "rec" / "recovery_summary.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("code, flags, start", [
+        (1, ["--forecasts", "bad.csv"], "error: ingestionerror detail=bad.csv line 1: not UTF-8"),
+        (2, ["--forecasts", "missing.csv"], "error: missing-input path=missing.csv"),
+    ])
+    def test_module_run_errors_are_one_line(self, tmp_path, code, flags, start):
+        (tmp_path / "bad.csv").write_bytes(b"\xffquarter\n")
+        done = subprocess.run([sys.executable, "-m", "judgebench.cli", "describe", "--actuals", "bad.csv", *flags,
+                               "--out", "o"], cwd=tmp_path, env=src_env(), capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (code, "")
+        assert done.stderr.startswith(start) and done.stderr.count("\n") == 1
+
+    def test_argv_run_freezes_the_collector(self, tmp_path):
+        code = ("import gc, sys; from judgebench.cli import main; "
+                "sys.argv = ['judgebench', 'describe', '--out', 'o']; "
+                "before = gc.get_freeze_count(); main(); print(before == 0 < gc.get_freeze_count())")
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=src_env(), capture_output=True, text=True)
+        assert done.stdout == "True\n"
 
 
 class TestConfigHash:

@@ -1,0 +1,128 @@
+"""Malformed input ends a run with one line naming the file, never with a traceback.
+
+A byte that is not UTF-8 is reported with the line that holds it, in each of
+the three inputs.  A seeded fuzz mutates the golden inputs: each mutated file
+either loads or raises IngestionError with one line that names it, and
+``report`` on it exits 1 with that line.
+"""
+import io
+import random
+import shutil
+from pathlib import Path
+
+import pytest
+
+from judgebench.cli import main
+from judgebench.errors import IngestionError
+from judgebench.panel import load_actuals, load_forecasts, load_spf
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+LOADERS = {"actuals": load_actuals, "forecasts": load_forecasts, "spf": load_spf}
+
+
+def copy_inputs(directory: Path) -> dict[str, Path]:
+    paths = {what: directory / f"{what}.csv" for what in LOADERS}
+    for what, path in paths.items():
+        shutil.copyfile(GOLDEN_INPUTS / path.name, path)
+    return paths
+
+
+def report(paths: dict[str, Path], out: Path) -> int:
+    return main(["report", "--actuals", str(paths["actuals"]), "--forecasts", str(paths["forecasts"]),
+                 "--spf", str(paths["spf"]), "--out", str(out)])
+
+
+@pytest.mark.parametrize("what", sorted(LOADERS))
+@pytest.mark.parametrize("where", ["end", "middle"])
+def test_a_byte_that_is_not_utf8_names_its_line(what, where, tmp_path, capsys):
+    paths = copy_inputs(tmp_path)
+    data = paths[what].read_bytes()
+    lines = data.splitlines(keepends=True)
+    if where == "end":  # after the final newline, so on a line of its own
+        line, data = len(lines) + 1, data + b"\xff"
+    else:
+        line = len(lines) // 2 + 1
+        before = b"".join(lines[:line - 1])
+        data = before + lines[line - 1][:3] + b"\xff" + data[len(before) + 3:]
+    paths[what].write_bytes(data)
+    assert report(paths, tmp_path / "out") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: ingestionerror detail={paths[what]} line {line}: "
+                            "not UTF-8: invalid start byte 0xff\n")
+
+
+def test_line_count_takes_crlf_and_cr_line_ends(tmp_path):
+    path = tmp_path / "spf.csv"
+    path.write_bytes(b"quarter,median,mean\r\n2000Q1,1,1\r2000Q2,1,1\r\n2000Q3,1,\xe9\r\n")
+    with pytest.raises(IngestionError, match=r"^\S+ line 4: not UTF-8: invalid continuation byte 0xe9$"):
+        load_spf(path)
+
+
+def test_a_truncated_character_at_the_end_names_its_line(tmp_path):
+    path = tmp_path / "actuals.csv"
+    path.write_bytes(b"quarter,release,value\n2000Q1,1,0.5\n\xc3")
+    with pytest.raises(IngestionError, match=r"line 3: not UTF-8: unexpected end of data 0xc3$"):
+        load_actuals(path)
+
+
+@pytest.mark.parametrize("what", sorted(LOADERS))
+def test_a_stream_that_is_not_utf8_raises_ingestion_error(what):
+    header = (GOLDEN_INPUTS / f"{what}.csv").read_bytes().splitlines()[0]
+    stream = io.TextIOWrapper(io.BytesIO(header + b"\n\xff\n"), encoding="utf-8", newline="")
+    with pytest.raises(IngestionError, match="not UTF-8"):
+        LOADERS[what](stream)
+
+
+@pytest.mark.parametrize("what", sorted(LOADERS))
+def test_a_byte_order_mark_fails_the_header_check(what, tmp_path, capsys):
+    # A BOM is not stripped: it becomes part of the first header name.
+    paths = copy_inputs(tmp_path)
+    paths[what].write_bytes(b"\xef\xbb\xbf" + paths[what].read_bytes())
+    assert report(paths, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: ingestionerror detail={paths[what]}: expected header")
+
+
+TOKENS = [b",", b"\n", b"\r\n", b"\r", b'"', b"nan", b"1e400", b"2001Q5", b"\xff", b"\x00", b"", b"-", b"2020-13-45"]
+
+
+def mutate(data: bytes, rng: random.Random) -> bytes:
+    """One to three edits: replace or insert a token, or delete or duplicate a line."""
+    for _ in range(rng.randint(1, 3)):
+        lines = data.splitlines(keepends=True)
+        kind, at = rng.randrange(4), rng.randrange(len(data) + 1)
+        if kind == 0:
+            data = data[:at] + rng.choice(TOKENS) + data[at + rng.randint(1, 4):]
+        elif kind == 1:
+            data = data[:at] + rng.choice(TOKENS) + data[at:]
+        elif lines:
+            i = rng.randrange(len(lines))
+            lines[i:i + 1] = [] if kind == 2 else [lines[i], lines[i]]
+            data = b"".join(lines)
+    return data
+
+
+def test_seeded_ingest_fuzz_never_escapes_as_a_traceback(tmp_path, capsys):
+    rng = random.Random(20261019)
+    paths = copy_inputs(tmp_path)
+    golden = {what: path.read_bytes() for what, path in paths.items()}
+    loaded = rejected = 0
+    for trial in range(300):
+        what = rng.choice(sorted(LOADERS))
+        paths[what].write_bytes(mutate(golden[what], rng))
+        try:
+            LOADERS[what](paths[what])
+        except IngestionError as exc:
+            message = str(exc)
+            assert message.startswith(str(paths[what])) and "\n" not in message, (trial, message)
+            rejected += 1
+            if rejected <= 60:  # report reads every input first, so it stops at this one
+                assert report(paths, tmp_path / "out") == 1, trial
+                captured = capsys.readouterr()
+                assert captured.err == f"error: ingestionerror detail={message}\n", trial
+        else:
+            loaded += 1
+        paths[what].write_bytes(golden[what])
+    assert loaded and rejected

@@ -554,3 +554,43 @@ def test_accuracy_table_equals_the_forecaster_loop(cells, base, actual, h):
                          release=ReleaseKind.FIRST, method="median")
     actuals = actuals_from({START.shifted(t): v for t, v in actual.items()})
     assert accuracy_table(panel, series, actuals, h=h) == accuracy_by_loop(panel, series, actuals, h)
+
+
+def cell_medians_by_lexsort(key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cell_medians`` as it was: one lexsort of (key, value), then the cells from ``np.unique``."""
+    order = np.lexsort((value, key))
+    keys, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    ranked = value[order]
+    low, high = ranked[start + (count - 1) // 2], ranked[start + count // 2]
+    return keys, np.where(count % 2 == 1, low, (low + high) / 2)
+
+
+INF, NAN = math.inf, math.nan
+HUGE_CELL = [(7, float(i % 5) - 2.0) for i in range(400)] + [(k, 0.5 * k) for k in range(100, 0, -1)]
+SIGNED_ZEROS = [(i % 2, (0.0, 1.0, -0.0, -1.0, -0.0, 0.0, 2.0, -2.0, 0.0)[i % 9]) for i in range(601)]
+
+
+@SETTINGS
+@given(rows=st.lists(st.tuples(st.one_of(st.integers(-3, 3), st.integers(-2**63, 2**63 - 1)),
+                               st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, INF, -INF, NAN]), st.floats())),
+                     max_size=80))
+@example(rows=[])
+@example(rows=[(5, 1.5)])
+@example(rows=[(1, 3.0), (1, 1.0), (1, 2.0), (1, 5.0), (2, 1.0), (2, 2.0)])
+@example(rows=[(0, 0.0), (0, -0.0), (1, -0.0), (1, 0.0), (2, 0.0), (2, -0.0), (2, 1.0)])
+@example(rows=[(0, INF), (0, -INF), (1, INF), (1, 1.0), (2, -INF), (2, -INF)])
+@example(rows=[(0, NAN), (0, 1.0), (0, 2.0), (1, NAN), (1, NAN), (2, 1.0), (2, NAN), (2, 0.0)])
+@example(rows=[(9, 1.0), (-4, 2.0), (3, 0.5), (9, -1.0), (-4, 0.0), (3, 3.0), (0, 7.0)])
+@example(rows=HUGE_CELL)
+@example(rows=SIGNED_ZEROS)
+def test_cell_medians_equal_the_lexsort_version_byte_for_byte(rows):
+    # Keys in any order, NaN (library callers may pass it), infinities, and 0.0 and -0.0
+    # in both row orders: the grouped-then-per-cell sort must pick the same bits.
+    key = np.array([k for k, _ in rows], dtype=np.int64)
+    value = np.array([v for _, v in rows], dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and overflowing midpoints
+        keys, medians = panel_module.cell_medians(key, value)
+        want_keys, want_medians = cell_medians_by_lexsort(key, value)
+    assert keys.dtype == want_keys.dtype and medians.dtype == want_medians.dtype
+    assert keys.tobytes() == want_keys.tobytes()
+    assert medians.tobytes() == want_medians.tobytes()
