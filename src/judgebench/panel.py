@@ -130,7 +130,8 @@ def cell_medians(key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.nda
     first[1:] = grouped[1:] != grouped[:-1]
     start = np.flatnonzero(first)
     count = np.diff(np.append(start, grouped.size))
-    for lo, n in zip(start[count > 1].tolist(), count[count > 1].tolist()):
+    several = count > 1
+    for lo, n in zip(start[several].tolist(), count[several].tolist()):
         ranked[lo:lo + n].sort(kind="stable")
     low, high = ranked[start + (count - 1) // 2], ranked[start + count // 2]
     return grouped[start], np.where(count % 2 == 1, low, (low + high) / 2)
