@@ -7,13 +7,16 @@ resolves both deterministically and logs every dropped row.  Time series
 (actuals, SPF nowcasts, baselines, AR forecasts) are ``QuarterSeries``: one
 float64 array over a contiguous span of quarters, NaN where a quarter is
 absent.
+
+The three input files go through one CSV reader, ``_read_csv``: the csv
+module's dialect, read once and a chunk of rows at a time, each distinct
+token parsed once, and the first bad row in file order named by its line.
 """
 from __future__ import annotations
 
-import collections
-import contextlib
 import csv
 import functools
+import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -30,7 +33,7 @@ from .quarters import Quarter, ReleaseKind, parse_quarter
 ACTUALS_HEADER = ["quarter", "release", "value"]
 FORECASTS_HEADER = ["quarter", "release", "economist_id", "firm_id", "value", "report_date"]
 SPF_HEADER = ["quarter", "median", "mean"]
-CHUNK_LINES = 2048  # forecast lines the columnar reader splits at a time
+CHUNK_LINES = 2048  # lines the CSV reader decodes, and rows it codes, at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +94,16 @@ class ActualSeries(QuarterSeries):
     filled: frozenset = frozenset()  # indexes of quarters whose values were interpolated
 
 
-def factorize(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The distinct ids in sorted order, and each element's code into them."""
-    table, codes = np.unique(np.asarray(ids, dtype=str), return_inverse=True)
-    return tuple(table.tolist()), codes.astype(np.int64)
+def factorize(ids: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct ids in sorted order, and each element's code into them.
+
+    Ids are compared as Python strings: a numpy ``str`` array would drop
+    trailing NULs and make ``'E1\\x00'`` the id ``'E1'``.
+    """
+    ids = list(ids)
+    table = sorted(set(ids))
+    code = {name: i for i, name in enumerate(table)}
+    return tuple(table), np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
@@ -188,7 +197,11 @@ class ForecastPanel:
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> "ForecastPanel":
         """Build from ``(economist_id, firm_id, quarter, release, value, report_date)`` rows, stably sorted."""
-        panel = _panel_of_rows(rows)
+        econ, firm, quarter, release, value, dated = list(zip(*rows)) or [()] * 6
+        (economist_ids, economist), (firm_ids, firm_codes) = factorize(econ), factorize(firm)
+        panel = cls(economist_ids, firm_ids, economist, firm_codes, np.array([q.index for q in quarter], dtype=np.int64),
+                    np.array(release, dtype=np.int64), np.array(value, dtype=float),
+                    np.array([-1 if d is None else d.toordinal() for d in dated], dtype=np.int64))
         return panel.take(np.lexsort((panel.quarter, panel.economist, panel.release)))
 
     def __len__(self) -> int:
@@ -224,24 +237,6 @@ class ForecastPanel:
         return quarters, self.value[order], np.append(start, order.size)
 
 
-def _panel_of_rows(rows: Iterable[tuple]) -> ForecastPanel:
-    """The panel of ``from_rows`` with its rows in input order."""
-    rows = list(rows)
-    econ, firm, quarter, release, value, dated = zip(*rows) if rows else ((),) * 6
-    economist_ids, economist = factorize(econ)
-    firm_ids, firm_codes = factorize(firm)
-    return ForecastPanel(
-        economist_ids,
-        firm_ids,
-        economist,
-        firm_codes,
-        np.array([q.index for q in quarter], dtype=np.int64),
-        np.array(release, dtype=np.int64),
-        np.array(value, dtype=float),
-        np.array([-1 if d is None else d.toordinal() for d in dated], dtype=np.int64),
-    )
-
-
 class CleaningAction(str, Enum):
     DROPPED_DUPLICATE = "dropped-duplicate"
     DROPPED_UNATTRIBUTED = "dropped-unattributed"
@@ -264,53 +259,138 @@ class CleaningLog:
         return len(self.entries)
 
 
-def _parse_rows(source, header: Sequence[str], what: str, parse_row: Callable) -> Iterator[tuple[str, object]]:
-    """Yield ``(where, parse_row(row))`` for each data row of a CSV source.
+class _Column(dict):
+    """One CSV field: each distinct token's code, in order of first appearance, and its parsed value.
 
-    ``where`` names the file and line.  A wrong header, a row with too few or
-    too many fields, a line the csv module cannot read (such as a field over
-    its size limit), a byte that is not UTF-8, or a field ``parse_row``
-    rejects with ValueError raises IngestionError naming both.
+    A token is parsed when first coded; ``errors`` maps the code of a token the parser rejects to its message.
     """
-    is_path = isinstance(source, (str, Path))
-    name = str(source) if is_path else getattr(source, "name", what)
-    fh = open(source, "r", encoding="utf-8", newline="") if is_path else source
-    reader = csv.DictReader(fh)
-    try:
-        got = reader.fieldnames
-        if got is None or list(got) != list(header):
-            raise IngestionError(f"{name}: expected header {','.join(header)}, got {got}")
-        for row in reader:
-            where = f"{name} line {reader.line_num}"
-            try:
-                if None in row or None in row.values():
-                    raise ValueError(f"expected {len(header)} fields")
-                parsed = parse_row(row)
-            except ValueError as exc:
-                raise IngestionError(f"{where}: {exc}") from exc
-            yield where, parsed
-    except csv.Error as exc:  # only the reader raises it; its own line count includes the failed line
-        raise IngestionError(f"{name} line {reader.reader.line_num}: {exc}") from exc
-    except UnicodeDecodeError as exc:  # raised while reading, a chunk ahead of the reader's lines
-        raise _not_utf8(name, Path(source).read_bytes() if is_path else None, exc) from None
-    finally:
-        if is_path:
-            fh.close()
 
+    def __init__(self, parse: Callable[[str], object]):
+        super().__init__()
+        self.parse, self.values, self.errors, self.chunks = parse, [], {}, [np.zeros(0, dtype=np.int64)]
 
-def _not_utf8(name: str, data: bytes | None, exc: UnicodeDecodeError) -> IngestionError:
-    """The error for a file that is not UTF-8, naming the line of its first bad byte when ``data`` holds the file.
-
-    Lines end at CR LF, CR or LF, as the readers split them.
-    """
-    if data is not None:
+    def __missing__(self, token: str) -> int:
+        code = self[token] = len(self.values)
         try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as bad:
-            head = data[:bad.start]
-            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            return IngestionError(f"{name} line {line}: not UTF-8: {bad.reason} 0x{data[bad.start]:02x}")
-    return IngestionError(f"{name}: not UTF-8: {exc.reason}")
+            self.values.append(self.parse(token))
+        except ValueError as exc:
+            self.errors[code] = str(exc)
+            self.values.append(None)
+        return code
+
+    def codes(self) -> np.ndarray:
+        return np.concatenate(self.chunks)
+
+    def gather(self, dtype) -> np.ndarray:
+        """Each row's parsed value."""
+        return np.array(self.values, dtype=dtype)[self.codes()]
+
+
+def _line_ends(text: str) -> int:
+    """The line ends in ``text``, counting CR LF, CR and LF as one each."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
+
+
+def _blocks(source, name: str) -> Iterator[Iterable[str]]:
+    """The lines of a CSV source, a block at a time, split at CR LF, CR and LF as ``newline=""`` splits them.
+
+    A path is read as bytes, ``CHUNK_LINES`` LF-ended lines at a time, and a byte that is not UTF-8 raises
+    IngestionError naming its line.  A text stream gives its own lines; there a decode error has no line.
+    """
+    if not isinstance(source, (str, Path)):
+        try:
+            while lines := list(itertools.islice(source, CHUNK_LINES)):
+                yield lines
+        except UnicodeDecodeError as exc:
+            raise IngestionError(f"{name}: not UTF-8: {exc.reason}") from None
+        return
+    with open(source, "rb") as fh:
+        done = 0  # line ends before this block
+        while data := b"".join(itertools.islice(fh, CHUNK_LINES)):  # a block ends at LF, so between characters
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                line = done + _line_ends(data[:bad.start].decode("utf-8")) + 1
+                raise IngestionError(f"{name} line {line}: not UTF-8: {bad.reason} 0x{data[bad.start]:02x}") from None
+            done += _line_ends(text)
+            yield io.StringIO(text, newline="")
+
+
+def _take(reader, n: int, name: str) -> tuple[list[list[str]], str | None]:
+    """Up to n more rows, and the error naming the line the csv module could not read, if it met one."""
+    rows = []
+    try:
+        rows.extend(itertools.islice(reader, n))  # the rows before a bad line stay
+    except csv.Error as exc:  # the reader's line count includes the failed line
+        return rows, f"{name} line {reader.line_num}: {exc}"
+    return rows, None
+
+
+def _row_codes(rows: list[list[str]], columns: list[_Column], seen: set, unique: int,
+               duplicate: Callable[..., str] | None) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """Each field's codes over the rows, one array per column, or the first bad row and its error.
+
+    Blank rows are skipped.  A row is checked for its field count, then its fields in column order, then its key
+    (its first ``unique`` values), which then joins ``seen``.
+    """
+    kept = []
+    for i, row in enumerate(rows):
+        if not row:
+            continue
+        if len(row) != len(columns):
+            return kept, (i, f"expected {len(columns)} fields")
+        codes = [column[token] for column, token in zip(columns, row)]
+        if error := next((column.errors[code] for column, code in zip(columns, codes) if code in column.errors), None):
+            return kept, (i, error)
+        key = tuple(column.values[code] for column, code in zip(columns[:unique], codes))
+        if unique and key in seen:
+            return kept, (i, duplicate(*key))
+        seen.add(key)
+        kept.append(codes)
+    return np.array(kept, dtype=np.int64).reshape(-1, len(columns)).T, None
+
+
+def _read_csv(source, what: str, header: Sequence[str], parsers: Sequence[Callable[[str], object]],
+              unique: int = 0, duplicate: Callable[..., str] | None = None) -> list[_Column]:
+    """Read a CSV source with this header into one ``_Column`` per field, ``parsers[k]`` parsing field k.
+
+    Rows are read with the csv module, ``CHUNK_LINES`` at a time.  No two rows may share the parsed values of the
+    first ``unique`` fields; ``duplicate(*values)`` words that error.  The first bad row in file order (see
+    ``_row_codes``) raises IngestionError naming the file and line; so do a wrong header and a line the csv module
+    cannot read, such as one with a field over its size limit.  A byte that is not UTF-8 anywhere in the source is
+    reported before any other fault.
+    """
+    name = str(source) if isinstance(source, (str, Path)) else getattr(source, "name", what)
+    columns, seen = [_Column(parse) for parse in parsers], set()
+    blocks = _blocks(source, name)
+    reader = csv.reader(itertools.chain.from_iterable(blocks))
+    rows, fault = _take(reader, 1, name)
+    if fault is None and rows != [list(header)]:
+        fault = f"{name}: expected header {','.join(header)}, got {rows[0] if rows else None}"
+    while fault is None:
+        lines = reader.line_num
+        rows, fault = _take(reader, CHUNK_LINES, name)  # a csv error comes after these rows
+        if not rows:
+            break
+        chunk = None
+        if not unique and set(map(len, rows)) == {len(columns)}:  # code each field at C speed
+            chunk = [np.fromiter(map(column.__getitem__, tokens), np.int64, len(rows))
+                     for column, tokens in zip(columns, zip(*rows))]
+        if chunk is None or any(column.errors for column in columns):  # every error is from this chunk
+            chunk, bad = _row_codes(rows, columns, seen, unique, duplicate)
+            if bad:
+                at, message = bad
+                # A row takes a line, and one more for each line end in a quoted field, unless the file ends there.
+                line = lines + at + 1 + sum(map(_line_ends, itertools.chain.from_iterable(rows[:at + 1])))
+                fault = f"{name} line {min(line, reader.line_num)}: {message}"
+                break
+        for column, codes in zip(columns, chunk):
+            column.chunks.append(codes)
+    if fault is not None:
+        for _ in blocks:  # a byte that is not UTF-8 anywhere in the source is reported first
+            pass
+        raise IngestionError(fault)
+    return columns
 
 
 def _parse_value(token: str) -> float:
@@ -330,115 +410,37 @@ def _parse_date(token: str) -> date | None:
         raise ValueError(f"invalid report_date {token!r}") from None
 
 
+def _quarter_index(token: str) -> int:
+    return parse_quarter(token).index
+
+
+def _release_number(token: str) -> int:
+    return ReleaseKind.from_token(token).value
+
+
 def load_actuals(source) -> dict[ReleaseKind, ActualSeries]:
     """Read the actuals CSV (header quarter,release,value) into one series per release.
 
     A duplicate (quarter, release) row is an error.
     """
-
-    def parse_row(row):
-        return parse_quarter(row["quarter"]), ReleaseKind.from_token(row["release"]), _parse_value(row["value"])
-
-    points: dict[ReleaseKind, dict[int, float]] = {release: {} for release in ReleaseKind}
-    for where, (quarter, release, value) in _parse_rows(source, ACTUALS_HEADER, "actuals", parse_row):
-        if quarter.index in points[release]:
-            raise IngestionError(f"{where}: duplicate actuals row for {quarter} release {release.value}")
-        points[release][quarter.index] = value
-    return {
-        release: ActualSeries.from_points(list(series), list(series.values()), release=release)
-        for release, series in points.items()
-    }
-
-
-def _forecast_rows(source) -> ForecastPanel:
-    """The forecasts CSV parsed row by row; errors name the file and line."""
-    quarter_of = functools.cache(parse_quarter)
-
-    def parse_row(row):
-        return (
-            row["economist_id"].strip(),
-            row["firm_id"].strip(),
-            quarter_of(row["quarter"]),
-            ReleaseKind.from_token(row["release"]),
-            _parse_value(row["value"]),
-            _parse_date(row["report_date"]),
-        )
-
-    return _panel_of_rows(row for _, row in _parse_rows(source, FORECASTS_HEADER, "forecasts", parse_row))
-
-
-class _Irregular(Exception):
-    """A forecasts file the columnar reader leaves to the row parser."""
-
-
-def _sorted_ids(tokens: Iterable[str], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted table of the stripped tokens, and each code into ``tokens`` moved to a code into it."""
-    stripped = [token.strip() for token in tokens]
-    ids = sorted(set(stripped))
-    rank = {name: i for i, name in enumerate(ids)}
-    return tuple(ids), np.array([rank[name] for name in stripped], dtype=np.int64)[codes]
-
-
-def _forecast_columns(fh) -> ForecastPanel:
-    """The forecasts CSV split column by column, ``CHUNK_LINES`` lines at a time.
-
-    Each column maps every raw token to a code in order of first appearance,
-    one dict per column over the whole file, and each distinct token is
-    parsed once at the end.  Raises _Irregular on anything the plain split
-    cannot read as the csv module does, or that the row parser rejects: a
-    wrong header, a quote, a carriage return or NUL, a blank line, a wrong
-    field count, or a token that does not parse.  A byte that is not UTF-8
-    raises UnicodeDecodeError, which the caller leaves to the row parser too.
-    """
-    if fh.readline().removesuffix("\n") != ",".join(FORECASTS_HEADER):
-        raise _Irregular
-    width = len(FORECASTS_HEADER)
-    code_of = [collections.defaultdict() for _ in range(width)]
-    for tokens in code_of:
-        tokens.default_factory = tokens.__len__  # a new token's code is the number seen before it
-    chunks = [[] for _ in range(width)]
-    while lines := list(itertools.islice(fh, CHUNK_LINES)):
-        text = "".join(lines)
-        if '"' in text or "\r" in text or "\0" in text or set(map(str.count, lines, itertools.repeat(","))) != {5}:
-            raise _Irregular
-        fields = text.removesuffix("\n").replace("\n", ",").split(",")
-        for k, (tokens, column) in enumerate(zip(code_of, chunks)):
-            column.append(np.fromiter(map(tokens.__getitem__, fields[k::width]), np.int64, len(lines)))
-    if not chunks[0]:
-        return _panel_of_rows([])
-    quarter, release, econ, firm, value, dated = (np.concatenate(column) for column in chunks)
-
-    def parsed(k: int, parse: Callable, dtype) -> np.ndarray:
-        """Column k's distinct tokens parsed, in code order (a dict iterates in insertion order)."""
-        return np.array([parse(token) for token in code_of[k]], dtype=dtype)
-
-    try:
-        quarter = parsed(0, lambda token: parse_quarter(token).index, np.int64)[quarter]
-        release = parsed(1, lambda token: ReleaseKind.from_token(token).value, np.int64)[release]
-        value = parsed(4, _parse_value, float)[value]
-        dated = parsed(5, lambda token: -1 if (day := _parse_date(token)) is None else day.toordinal(), np.int64)[dated]
-    except ValueError:
-        raise _Irregular from None
-    economist_ids, economist = _sorted_ids(code_of[2], econ)
-    firm_ids, firm_codes = _sorted_ids(code_of[3], firm)
-    return ForecastPanel(economist_ids, firm_ids, economist, firm_codes, quarter, release, value, dated)
+    quarter, release, value = _read_csv(
+        source, "actuals", ACTUALS_HEADER, (_quarter_index, _release_number, _parse_value), unique=2,
+        duplicate=lambda q, r: f"duplicate actuals row for {Quarter.from_index(q)} release {r}")
+    quarter, release, value = quarter.gather(np.int64), release.gather(np.int64), value.gather(float)
+    return {kind: ActualSeries.from_points(quarter[release == kind], value[release == kind], release=kind)
+            for kind in ReleaseKind}
 
 
 def load_forecasts(source) -> ForecastPanel:
-    """Read the forecasts CSV into a raw (uncleaned) panel, rows in file order.
-
-    The file is split column by column, parsing each distinct token once.  A
-    file the split cannot take (see ``_forecast_columns``) is read again by
-    the row parser, whose errors name the file and line.
-    """
-    is_path = isinstance(source, (str, Path))
-    with open(source, "r", encoding="utf-8", newline="") if is_path else contextlib.nullcontext(source) as fh:
-        start = fh.tell()
-        try:
-            return _forecast_columns(fh)
-        except (_Irregular, UnicodeDecodeError):
-            fh.seek(start)
-    return _forecast_rows(source)  # a path is opened again, so a decode error can name its line
+    """Read the forecasts CSV into a raw (uncleaned) panel, rows in file order, ids stripped of blanks."""
+    quarter, release, economist, firm, value, dated = _read_csv(
+        source, "forecasts", FORECASTS_HEADER,
+        (_quarter_index, _release_number, str.strip, str.strip, _parse_value,
+         lambda token: -1 if (day := _parse_date(token)) is None else day.toordinal()))
+    (economist_ids, economist_code), (firm_ids, firm_code) = factorize(economist.values), factorize(firm.values)
+    return ForecastPanel(economist_ids, firm_ids, economist_code[economist.codes()], firm_code[firm.codes()],
+                         quarter.gather(np.int64), release.gather(np.int64), value.gather(float),
+                         dated.gather(np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,18 +459,12 @@ class SpfNowcasts:
 
 
 def load_spf(source) -> SpfNowcasts:
-    """Read the SPF CSV (header quarter,median,mean)."""
-
-    def parse_row(row):
-        return parse_quarter(row["quarter"]), _parse_value(row["median"]), _parse_value(row["mean"])
-
-    points: dict[int, tuple[float, float]] = {}
-    for where, (quarter, med, avg) in _parse_rows(source, SPF_HEADER, "spf", parse_row):
-        if quarter.index in points:
-            raise IngestionError(f"{where}: duplicate spf row for {quarter}")
-        points[quarter.index] = med, avg
-    quarters, (median, mean) = list(points), zip(*points.values()) if points else ((), ())
-    return SpfNowcasts(QuarterSeries.from_points(quarters, median), QuarterSeries.from_points(quarters, mean))
+    """Read the SPF CSV (header quarter,median,mean).  A duplicate quarter is an error."""
+    quarter, median, mean = _read_csv(source, "spf", SPF_HEADER, (_quarter_index, _parse_value, _parse_value), unique=1,
+                                      duplicate=lambda q: f"duplicate spf row for {Quarter.from_index(q)}")
+    quarter = quarter.gather(np.int64)
+    return SpfNowcasts(QuarterSeries.from_points(quarter, median.gather(float)),
+                       QuarterSeries.from_points(quarter, mean.gather(float)))
 
 
 def clean_panel(raw: ForecastPanel) -> tuple[ForecastPanel, CleaningLog]:

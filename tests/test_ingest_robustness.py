@@ -2,19 +2,27 @@
 
 A byte that is not UTF-8 is reported with the line that holds it, in each of
 the three inputs.  A seeded fuzz mutates the golden inputs: each mutated file
-either loads or raises IngestionError with one line that names it, and
-``report`` on it exits 1 with that line.
+either loads or raises IngestionError with one line that names it, a UTF-8
+file gets the row parser's result, and ``report`` on it exits 1 with that
+line.  A source is read once, so a pipe reads as its file does.
 """
 import io
 import random
 import shutil
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import reference_reader as reference
+from judgebench import panel
 from judgebench.cli import main
 from judgebench.errors import IngestionError
 from judgebench.panel import load_actuals, load_forecasts, load_spf
+from reference_reader import outcome
+from test_cli import src_env
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 LOADERS = {"actuals": load_actuals, "forecasts": load_forecasts, "spf": load_spf}
@@ -75,6 +83,19 @@ def test_a_stream_that_is_not_utf8_raises_ingestion_error(what):
 
 
 @pytest.mark.parametrize("what", sorted(LOADERS))
+@pytest.mark.parametrize("chunk", [3, panel.CHUNK_LINES], ids=["later-block", "same-block"])
+def test_a_byte_that_is_not_utf8_is_reported_before_an_earlier_fault(what, chunk, tmp_path):
+    data = b"x" + (GOLDEN_INPUTS / f"{what}.csv").read_bytes() + b"\xff"  # a bad header, then a bad byte at the end
+    path = tmp_path / f"{what}.csv"
+    path.write_bytes(data)
+    with mock.patch.object(panel, "CHUNK_LINES", chunk):
+        with pytest.raises(IngestionError, match=rf"line {len(data.splitlines())}: not UTF-8: invalid start byte"):
+            LOADERS[what](path)
+        with pytest.raises(IngestionError, match="not UTF-8"):
+            LOADERS[what](io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+
+
+@pytest.mark.parametrize("what", sorted(LOADERS))
 def test_a_byte_order_mark_fails_the_header_check(what, tmp_path, capsys):
     # A BOM is not stripped: it becomes part of the first header name.
     paths = copy_inputs(tmp_path)
@@ -112,6 +133,13 @@ def test_seeded_ingest_fuzz_never_escapes_as_a_traceback(tmp_path, capsys):
     for trial in range(300):
         what = rng.choice(sorted(LOADERS))
         paths[what].write_bytes(mutate(golden[what], rng))
+        got = outcome(LOADERS[what], paths[what])
+        try:
+            paths[what].read_text(encoding="utf-8")
+        except UnicodeDecodeError:  # reported first, wherever another fault is
+            assert got[0] == "error" and "not UTF-8" in got[1], (trial, got)
+        else:
+            assert got == outcome(reference.LOADERS[what], paths[what]), trial
         try:
             LOADERS[what](paths[what])
         except IngestionError as exc:
@@ -126,3 +154,40 @@ def test_seeded_ingest_fuzz_never_escapes_as_a_traceback(tmp_path, capsys):
             loaded += 1
         paths[what].write_bytes(golden[what])
     assert loaded and rejected
+
+
+class _Pipe(io.RawIOBase):
+    """Bytes that can be read once, front to back, like a pipe: no tell, no seek."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = min(len(buffer), len(self.data))
+        buffer[:n], self.data = self.data[:n], self.data[n:]
+        return n
+
+
+def test_each_loader_reads_a_stream_that_cannot_seek_as_its_file():
+    for what, load in LOADERS.items():
+        path = GOLDEN_INPUTS / f"{what}.csv"
+        stream = io.TextIOWrapper(io.BufferedReader(_Pipe(path.read_bytes())), encoding="utf-8", newline="")
+        assert not stream.seekable()
+        assert outcome(load, stream) == outcome(load, path), what
+
+
+def test_judgment_reads_forecasts_from_a_pipe(tmp_path):
+    def judgment(forecasts: str, out: Path, **pipe) -> Path:
+        done = subprocess.run(
+            [sys.executable, "-m", "judgebench.cli", "judgment", "--forecasts", forecasts,
+             "--actuals", str(GOLDEN_INPUTS / "actuals.csv"), "--spf", str(GOLDEN_INPUTS / "spf.csv"),
+             "--out", str(out)], env=src_env(), capture_output=True, **pipe)
+        assert (done.returncode, done.stderr) == (0, b"")
+        return out / "judgments.csv"
+
+    forecasts = GOLDEN_INPUTS / "forecasts.csv"
+    piped = judgment("/dev/stdin", tmp_path / "piped", input=forecasts.read_bytes())
+    assert piped.read_bytes() == judgment(str(forecasts), tmp_path / "path").read_bytes()

@@ -27,7 +27,9 @@ from judgebench.panelreg import fe_estimate
 from judgebench.quarters import Quarter, ReleaseKind
 from judgebench.tails import t_sf
 
+import reference_reader as reference
 from conftest import Obs, actuals_from, dataset, rec, rows_of, series_from
+from reference_reader import outcome
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 START = Quarter(2000, 1)
@@ -198,84 +200,116 @@ def test_baseline_hit_stats_equal_the_isclose_loop(base, actual, grid):
     assert (hits.correct, hits.overprediction, hits.underprediction) == tuple(c / len(common) for c in counts)
 
 
-FORECASTS_HEADER = "quarter,release,economist_id,firm_id,value,report_date\n"
+value_tokens = st.one_of(st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+                         st.sampled_from(["+1.5", "-2e-3", "1E2", " 0.25", "-0", "7", "1_000"]))
 forecast_lines = st.builds(
     lambda *fields: ",".join(fields),
     st.sampled_from(["2000Q1", "2000Q4", "1999Q3", " 2001Q2", "2002Q1 "]),
     st.sampled_from(["1", "2", "3", " 2", "+3", "03"]),
     st.sampled_from(["E1", " E1", "E2 ", "E10", "e1", ""]),  # padded ids, and firm-only rows
     st.sampled_from(["F1", " F2", ""]),
-    st.one_of(st.floats(-1e6, 1e6, allow_nan=False).map(repr),
-              st.sampled_from(["+1.5", "-2e-3", "1E2", " 0.25", "-0", "7", "1_000"])),
+    value_tokens,
     st.sampled_from(["", "2000-04-10", " 2001-01-31", "2000-04-10 "]),  # undated and dated
 )
+# Quarters from 41, so a key now and then repeats; padded, so one quarter has several tokens.
+quarter_tokens = st.builds(lambda i, pad: f"{pad}{START.shifted(i)}", st.integers(0, 40), st.sampled_from(["", " "]))
+LINES = {
+    "actuals": st.builds(lambda *fields: ",".join(fields), quarter_tokens, st.sampled_from(["1", " 2", "+3"]),
+                         value_tokens),
+    "forecasts": forecast_lines,
+    "spf": st.builds(lambda *fields: ",".join(fields), quarter_tokens, value_tokens, value_tokens),
+}
+HEADERS = {"actuals": "quarter,release,value", "forecasts": "quarter,release,economist_id,firm_id,value,report_date",
+           "spf": "quarter,median,mean"}
+LOADERS = {"actuals": panel_module.load_actuals, "forecasts": load_forecasts, "spf": panel_module.load_spf}
+GOOD_ROWS = {"actuals": "2000Q1,1,1.5", "forecasts": "2000Q1,1,E1,F1,1.5,", "spf": "2000Q1,1.5,1.5"}
 
 
-def _forecasts_file(lines: list[str], header: str = FORECASTS_HEADER, crlf_from: int | None = None) -> str:
-    """The lines as a forecasts CSV, with CRLF line ends from line ``crlf_from`` on."""
+def _csv_file(what: str, lines: list[str], header: str | None = None, crlf_from: int | None = None) -> str:
+    """The lines under the header of ``what``, with CRLF line ends from line ``crlf_from`` on."""
     ends = ["\n" if crlf_from is None or i < crlf_from else "\r\n" for i in range(len(lines))]
-    return header + "".join(line + end for line, end in zip(lines, ends))
+    return (header or HEADERS[what]) + "\n" + "".join(line + end for line, end in zip(lines, ends))
 
 
-def _panel_bytes(panel: ForecastPanel) -> tuple:
-    """Everything in a panel, with -0.0 told apart from 0.0."""
-    columns = (panel.economist, panel.firm, panel.quarter, panel.release, panel.value, panel.report_date)
-    return panel.economist_ids, panel.firm_ids, *((c.dtype.str, c.tobytes()) for c in columns)
-
-
-def _read(reader, path: Path) -> tuple:
-    try:
-        return "panel", _panel_bytes(reader(path))
-    except IngestionError as exc:
-        return "error", str(exc)
+def _outcomes(what: str, text: str, chunk: int | None = None) -> tuple[tuple, tuple]:
+    """The reader's and the row parser's outcome on this text, as a stream and as a file, with the reader's chunk size."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(panel_module, "CHUNK_LINES",
+                                                                 chunk or panel_module.CHUNK_LINES):
+        path = Path(tmp) / f"{what}.csv"
+        path.write_bytes(text.encode())
+        got = outcome(LOADERS[what], path)
+        assert outcome(LOADERS[what], io.StringIO(text, newline="")) == outcome(reference.LOADERS[what], io.StringIO(
+            text, newline=""))
+        return got, outcome(reference.LOADERS[what], path)
 
 
 @SETTINGS
-@given(lines=st.lists(forecast_lines, max_size=12), chunk=st.integers(1, 4), final_newline=st.booleans())
-def test_columnar_ingest_equals_row_parser_on_valid_files(lines, chunk, final_newline):
-    text = _forecasts_file(lines)
-    text = text if final_newline else text[:-1]
-    with mock.patch.object(panel_module, "CHUNK_LINES", chunk):
-        columnar = panel_module._forecast_columns(io.StringIO(text))
-    assert _panel_bytes(columnar) == _panel_bytes(panel_module._forecast_rows(io.StringIO(text)))
+@pytest.mark.parametrize("what", sorted(LINES))
+@given(data=st.data(), chunk=st.integers(1, 4), final_newline=st.booleans())
+def test_reader_equals_row_parser_on_generated_files(what, data, chunk, final_newline):
+    text = _csv_file(what, data.draw(st.lists(LINES[what], max_size=12)))
+    got, expected = _outcomes(what, text if final_newline else text[:-1], chunk)
+    assert got == expected
 
 
-def _with_line(line: str):
-    return lambda lines, at: _forecasts_file([*lines[:at], line, *lines[at:]])
+def _edit(k: int, token: str):
+    """A line of the good row with field k replaced, inserted before line ``at``."""
+    def line(what: str) -> str:
+        fields = GOOD_ROWS[what].split(",")
+        fields[k if k >= 0 else len(fields) + k] = token
+        return ",".join(fields)
+    return _insert(line)
 
 
-# Files the columnar reader must hand to the row parser: errors of every kind
-# the panel tests cover, and valid files only the csv module reads.
+def _insert(line):
+    return lambda what, lines, at: _csv_file(what, [*lines[:at], line(what), *lines[at:]])
+
+
+def _value_at(what: str) -> int:
+    return HEADERS[what].split(",").index("median" if what == "spf" else "value")
+
+
+def _edit_value(token: str):
+    return lambda what, lines, at: _edit(_value_at(what), token)(what, lines, at)
+
+
+OVERLONG = "9" * (csv.field_size_limit() + 1)  # "field larger than field limit (131072)"
+
+# Files with one irregularity before line ``at``: errors of every kind, and valid files only the csv module reads.
 IRREGULAR_FILES = {
-    "non-numeric value": _with_line("2000Q1,1,E1,F1,abc,"),
-    "non-finite value": _with_line("2000Q1,1,E1,F1,inf,"),
-    "nan value": _with_line("2000Q1,1,E1,F1,nan,"),
-    "bad report_date": _with_line("2000Q2,1,E1,F1,1.5,2020-13-45"),
-    "too few fields": _with_line("2000Q2,1,E1"),
-    "too many fields": _with_line("2000Q2,1,E1,F1,1.5,,extra"),
-    "bad quarter": _with_line("2000Q5,1,E1,F1,1.5,"),
-    "bad release": _with_line("2000Q1,4,E1,F1,1.5,"),
-    "whitespace line": _with_line(" "),
-    "bad header": lambda lines, at: _forecasts_file(lines, header=FORECASTS_HEADER.replace("value", "val")),
-    "quoted field": _with_line('2000Q1,1,"E1",F1,1.5,'),
-    "quoted comma": _with_line('2000Q1,1,"E,1",F1,1.5,'),
-    "blank line": _with_line(""),
-    "crlf line ends": lambda lines, at: _forecasts_file(lines, crlf_from=at),
+    "non-numeric value": _edit_value("abc"),
+    "non-finite value": _edit_value("inf"),
+    "nan value": _edit_value("nan"),
+    "bad last field": _edit(-1, "2020-13-45"),  # a bad report_date in forecasts
+    "too few fields": _insert(lambda what: GOOD_ROWS[what].rsplit(",", 1)[0]),
+    "too many fields": _insert(lambda what: GOOD_ROWS[what] + ",extra"),
+    "bad quarter": _edit(0, "2000Q5"),
+    "second field 4": _edit(1, "4"),  # not a release; a valid spf median
+    "whitespace line": _insert(lambda what: " "),
+    "bad header": lambda what, lines, at: _csv_file(what, lines, header=HEADERS[what] + "x"),
+    "quoted field": _edit_value('"1.5"'),
+    "quoted comma": _edit_value('"1,5"'),
+    "quoted line end": _edit_value('"1\n5"'),
+    "unclosed quote": _edit_value('"1.5'),  # the field runs to the end of the file
+    "blank lines": _insert(lambda what: "\n"),
+    "crlf line ends": lambda what, lines, at: _csv_file(what, lines, crlf_from=at),
+    "duplicate key": lambda what, lines, at: _csv_file(what, [*lines[:at], lines[max(at - 1, 0)], *lines[at:]]),
+    "bad token before a csv error": lambda what, lines, at: _csv_file(
+        what, [*lines[:at], GOOD_ROWS[what].replace("1.5", "abc", 1), *lines[at:], OVERLONG]),
+    "overlong field": _edit_value(OVERLONG),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(IRREGULAR_FILES))
-@pytest.mark.parametrize("late", [False, True], ids=["first-chunk", "later-chunk"])
+@pytest.mark.parametrize("what", sorted(LINES))
+@pytest.mark.parametrize("at", [0, 3, -1], ids=["first-chunk", "chunk-boundary", "later-chunk"])
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(lines=st.lists(forecast_lines, min_size=4, max_size=8))
-def test_irregular_forecast_files_read_as_the_row_parser_reads_them(kind, late, lines):
-    text = IRREGULAR_FILES[kind](lines, len(lines) - 1 if late else 0)  # chunks of 3 lines: last is later
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(panel_module, "CHUNK_LINES", 3):
-        path = Path(tmp) / "forecasts.csv"
-        path.write_bytes(text.encode())
-        with open(path, encoding="utf-8", newline="") as fh, pytest.raises(panel_module._Irregular):
-            panel_module._forecast_columns(fh)
-        assert _read(load_forecasts, path) == _read(panel_module._forecast_rows, path)
+@given(data=st.data())
+def test_irregular_files_read_as_the_row_parser_reads_them(kind, what, at, data):
+    lines = data.draw(st.lists(LINES[what], min_size=4, max_size=8))
+    # Chunks of 3 rows: line 3 starts the second chunk, and the last line is in a later one.
+    got, expected = _outcomes(what, IRREGULAR_FILES[kind](what, lines, at % len(lines)), chunk=3)
+    assert got == expected
 
 
 @st.composite
@@ -428,29 +462,36 @@ def test_columnar_writer_equals_the_row_writer(table, comment):
 def test_columnar_ingest_equals_row_parser_across_chunks(lines, extra):
     # Longer than one chunk, so the id dicts and the value dicts carry codes across chunks.
     repeated = (lines * (panel_module.CHUNK_LINES // len(lines) + 2))[: panel_module.CHUNK_LINES + extra + 1]
-    text = _forecasts_file(repeated)
-    assert _panel_bytes(panel_module._forecast_columns(io.StringIO(text))) == _panel_bytes(
-        panel_module._forecast_rows(io.StringIO(text)))
+    got, expected = _outcomes("forecasts", _csv_file("forecasts", repeated))
+    assert got == expected
 
 
 def test_padded_ids_strip_to_one_id_across_chunks():
     lines = [f"2000Q{1 + i % 4},1,{pad}E1{pad},{pad}F1,{i % 7}," for i, pad in enumerate(["", " ", "  "] * 1400)]
-    panel = panel_module._forecast_columns(io.StringIO(_forecasts_file(lines)))
+    text = _csv_file("forecasts", lines)
+    panel = load_forecasts(io.StringIO(text))
     assert (panel.economist_ids, panel.firm_ids) == (("E1",), ("F1",))
-    assert _panel_bytes(panel) == _panel_bytes(panel_module._forecast_rows(io.StringIO(_forecasts_file(lines))))
+    assert _outcomes("forecasts", text)[0] == _outcomes("forecasts", text)[1]
+
+
+def test_an_id_keeps_its_trailing_nul():
+    panel = load_forecasts(io.StringIO(_csv_file("forecasts", ["2000Q1,1,E1\0,F1,1.5,", "2000Q1,1,E1,F1,2.5,"])))
+    assert panel.economist_ids == ("E1", "E1\0")
+    assert ForecastPanel.from_rows([("E1\0", "F1", START, 1, 1.5, None)]).economist_ids == ("E1\0",)
 
 
 @pytest.mark.parametrize("kind", sorted(set(IRREGULAR_FILES) - {"bad header", "crlf line ends"}))
-def test_malformed_line_after_the_first_chunk_names_its_line(kind):
-    lines = [f"2000Q{1 + i % 4},{1 + i % 3},E{i % 9},F1,{i / 8}," for i in range(panel_module.CHUNK_LINES + 40)]
-    text = IRREGULAR_FILES[kind](lines, panel_module.CHUNK_LINES + 20)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "forecasts.csv"
-        path.write_bytes(text.encode())
-        got = _read(load_forecasts, path)
-        assert got == _read(panel_module._forecast_rows, path)
-    if got[0] == "error":  # the line after the header and the CHUNK_LINES + 20 lines before it
-        assert f"line {panel_module.CHUNK_LINES + 22}:" in got[1]
+@pytest.mark.parametrize("what", sorted(LINES))
+def test_malformed_line_after_the_first_chunk_names_its_line(kind, what):
+    lines = [{"actuals": f"{START.shifted(i)},1,{i / 8}",
+              "forecasts": f"2000Q{1 + i % 4},{1 + i % 3},E{i % 9},F1,{i / 8},",
+              "spf": f"{START.shifted(i)},{i / 8},{i}"}[what] for i in range(panel_module.CHUNK_LINES + 40)]
+    got, expected = _outcomes(what, IRREGULAR_FILES[kind](what, lines, panel_module.CHUNK_LINES + 20))
+    assert got == expected
+    if got[0] == "error":  # a row is named by its last line
+        last = {"quoted line end": panel_module.CHUNK_LINES + 23, "unclosed quote": len(lines) + 2}
+        # otherwise the line after the header and the CHUNK_LINES + 20 lines before it
+        assert f"line {last.get(kind, panel_module.CHUNK_LINES + 22)}:" in got[1]
 
 
 def quarter_stats_by_loop(panel: ForecastPanel, actuals, release: ReleaseKind) -> list[QuarterStats]:
