@@ -9,8 +9,10 @@ float64 array over a contiguous span of quarters, NaN where a quarter is
 absent.
 
 The three input files go through one CSV reader, ``_read_csv``: the csv
-module's dialect, read once and a chunk of rows at a time, each distinct
-token parsed once, and the first bad row in file order named by its line.
+module's dialect (quotes, CRLF; blank lines skipped), a chunk of rows at a
+time, each distinct token parsed once.  The first bad row in file order is
+named by its line, but a byte that is not UTF-8 is reported before any other
+fault.  A source is read once, so a stream need not be seekable.
 """
 from __future__ import annotations
 
@@ -199,8 +201,9 @@ class ForecastPanel:
         """Build from ``(economist_id, firm_id, quarter, release, value, report_date)`` rows, stably sorted."""
         econ, firm, quarter, release, value, dated = list(zip(*rows)) or [()] * 6
         (economist_ids, economist), (firm_ids, firm_codes) = factorize(econ), factorize(firm)
-        panel = cls(economist_ids, firm_ids, economist, firm_codes, np.array([q.index for q in quarter], dtype=np.int64),
-                    np.array(release, dtype=np.int64), np.array(value, dtype=float),
+        panel = cls(economist_ids, firm_ids, economist, firm_codes,
+                    np.array([q.index for q in quarter], dtype=np.int64), np.array(release, dtype=np.int64),
+                    np.array(value, dtype=float),
                     np.array([-1 if d is None else d.toordinal() for d in dated], dtype=np.int64))
         return panel.take(np.lexsort((panel.quarter, panel.economist, panel.release)))
 

@@ -223,6 +223,7 @@ HEADERS = {"actuals": "quarter,release,value", "forecasts": "quarter,release,eco
            "spf": "quarter,median,mean"}
 LOADERS = {"actuals": panel_module.load_actuals, "forecasts": load_forecasts, "spf": panel_module.load_spf}
 GOOD_ROWS = {"actuals": "2000Q1,1,1.5", "forecasts": "2000Q1,1,E1,F1,1.5,", "spf": "2000Q1,1.5,1.5"}
+VALUE_AT = {"actuals": 2, "forecasts": 4, "spf": 1}
 
 
 def _csv_file(what: str, lines: list[str], header: str | None = None, crlf_from: int | None = None) -> str:
@@ -232,7 +233,7 @@ def _csv_file(what: str, lines: list[str], header: str | None = None, crlf_from:
 
 
 def _outcomes(what: str, text: str, chunk: int | None = None) -> tuple[tuple, tuple]:
-    """The reader's and the row parser's outcome on this text, as a stream and as a file, with the reader's chunk size."""
+    """The reader's and the row parser's outcome on this text as a file; as a stream, they must agree."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(panel_module, "CHUNK_LINES",
                                                                  chunk or panel_module.CHUNK_LINES):
         path = Path(tmp) / f"{what}.csv"
@@ -252,34 +253,27 @@ def test_reader_equals_row_parser_on_generated_files(what, data, chunk, final_ne
     assert got == expected
 
 
-def _edit(k: int, token: str):
-    """A line of the good row with field k replaced, inserted before line ``at``."""
-    def line(what: str) -> str:
-        fields = GOOD_ROWS[what].split(",")
-        fields[k if k >= 0 else len(fields) + k] = token
-        return ",".join(fields)
-    return _insert(line)
-
-
 def _insert(line):
+    """The file with ``line(what)`` inserted before line ``at``."""
     return lambda what, lines, at: _csv_file(what, [*lines[:at], line(what), *lines[at:]])
 
 
-def _value_at(what: str) -> int:
-    return HEADERS[what].split(",").index("median" if what == "spf" else "value")
-
-
-def _edit_value(token: str):
-    return lambda what, lines, at: _edit(_value_at(what), token)(what, lines, at)
+def _edit(k: int | str, token: str):
+    """The file with the good row inserted, its field k (or ``"value"``, spf's median) replaced by ``token``."""
+    def line(what: str) -> str:
+        fields = GOOD_ROWS[what].split(",")
+        fields[VALUE_AT[what] if k == "value" else k] = token
+        return ",".join(fields)
+    return _insert(line)
 
 
 OVERLONG = "9" * (csv.field_size_limit() + 1)  # "field larger than field limit (131072)"
 
 # Files with one irregularity before line ``at``: errors of every kind, and valid files only the csv module reads.
 IRREGULAR_FILES = {
-    "non-numeric value": _edit_value("abc"),
-    "non-finite value": _edit_value("inf"),
-    "nan value": _edit_value("nan"),
+    "non-numeric value": _edit("value", "abc"),
+    "non-finite value": _edit("value", "inf"),
+    "nan value": _edit("value", "nan"),
     "bad last field": _edit(-1, "2020-13-45"),  # a bad report_date in forecasts
     "too few fields": _insert(lambda what: GOOD_ROWS[what].rsplit(",", 1)[0]),
     "too many fields": _insert(lambda what: GOOD_ROWS[what] + ",extra"),
@@ -287,16 +281,16 @@ IRREGULAR_FILES = {
     "second field 4": _edit(1, "4"),  # not a release; a valid spf median
     "whitespace line": _insert(lambda what: " "),
     "bad header": lambda what, lines, at: _csv_file(what, lines, header=HEADERS[what] + "x"),
-    "quoted field": _edit_value('"1.5"'),
-    "quoted comma": _edit_value('"1,5"'),
-    "quoted line end": _edit_value('"1\n5"'),
-    "unclosed quote": _edit_value('"1.5'),  # the field runs to the end of the file
+    "quoted field": _edit("value", '"1.5"'),
+    "quoted comma": _edit("value", '"1,5"'),
+    "quoted line end": _edit("value", '"1\n5"'),
+    "unclosed quote": _edit("value", '"1.5'),  # the field runs to the end of the file
     "blank lines": _insert(lambda what: "\n"),
     "crlf line ends": lambda what, lines, at: _csv_file(what, lines, crlf_from=at),
     "duplicate key": lambda what, lines, at: _csv_file(what, [*lines[:at], lines[max(at - 1, 0)], *lines[at:]]),
     "bad token before a csv error": lambda what, lines, at: _csv_file(
         what, [*lines[:at], GOOD_ROWS[what].replace("1.5", "abc", 1), *lines[at:], OVERLONG]),
-    "overlong field": _edit_value(OVERLONG),
+    "overlong field": _edit("value", OVERLONG),
 }
 
 
@@ -482,16 +476,17 @@ def test_an_id_keeps_its_trailing_nul():
 
 @pytest.mark.parametrize("kind", sorted(set(IRREGULAR_FILES) - {"bad header", "crlf line ends"}))
 @pytest.mark.parametrize("what", sorted(LINES))
-def test_malformed_line_after_the_first_chunk_names_its_line(kind, what):
+@pytest.mark.parametrize("after", [0, 20], ids=["second-chunk-start", "in-second-chunk"])
+def test_malformed_line_after_the_first_chunk_names_its_line(kind, what, after):
     lines = [{"actuals": f"{START.shifted(i)},1,{i / 8}",
               "forecasts": f"2000Q{1 + i % 4},{1 + i % 3},E{i % 9},F1,{i / 8},",
               "spf": f"{START.shifted(i)},{i / 8},{i}"}[what] for i in range(panel_module.CHUNK_LINES + 40)]
-    got, expected = _outcomes(what, IRREGULAR_FILES[kind](what, lines, panel_module.CHUNK_LINES + 20))
+    at = panel_module.CHUNK_LINES + after  # the data row index of the inserted line
+    got, expected = _outcomes(what, IRREGULAR_FILES[kind](what, lines, at))
     assert got == expected
-    if got[0] == "error":  # a row is named by its last line
-        last = {"quoted line end": panel_module.CHUNK_LINES + 23, "unclosed quote": len(lines) + 2}
-        # otherwise the line after the header and the CHUNK_LINES + 20 lines before it
-        assert f"line {last.get(kind, panel_module.CHUNK_LINES + 22)}:" in got[1]
+    if got[0] == "error":  # a row is named by its last line: the header's and the ``at`` lines before it, plus one
+        last = {"quoted line end": at + 3, "unclosed quote": len(lines) + 2}
+        assert f"line {last.get(kind, at + 2)}:" in got[1]
 
 
 def quarter_stats_by_loop(panel: ForecastPanel, actuals, release: ReleaseKind) -> list[QuarterStats]:
