@@ -52,6 +52,15 @@ class TestAgainstHighPrecision:
                if not within_tail_bound(v, p, df)]
         assert bad == []
 
+    def test_t_quantile(self):
+        # A q row's statistic is the t > 0 with P(T > t) = p, so t_quantile(p, df) is its negative.
+        rows = [r for r in _reference_rows() if r[0] == "q"]
+        assert {df for _, _, df, _, _ in rows} == set(DENSE_DF) and len(rows) == 8 * len(DENSE_DF)
+        ours = t_quantile([p for *_, p in rows], [df for _, _, df, _, _ in rows])
+        bad = [(df, p, s, v) for (_, _, df, s, p), v in zip(rows, ours.tolist())
+               if not within_tail_bound(-v, s, df)]
+        assert bad == []
+
     def test_t_quantile_against_scipy(self):
         ours = t_quantile(0.975, DENSE_DF)
         reference = scipy.stats.t.ppf(0.975, DENSE_DF)
