@@ -7,8 +7,7 @@ and beat-the-baseline shares per participation threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,8 +18,7 @@ from .quarters import ReleaseKind
 from .tails import t_sf
 
 
-@dataclass(frozen=True)
-class AccuracyComparison:
+class AccuracyComparison(NamedTuple):
     economist_id: str
     release: ReleaseKind
     n_common: int
@@ -121,7 +119,7 @@ def _with_p_values(comparisons: list[AccuracyComparison]) -> list[AccuracyCompar
                            [comparisons[i].n_common for i in tested])
     out = list(comparisons)
     for i, p in zip(tested, p_values.tolist()):
-        out[i] = replace(out[i], p_value_hln=p)
+        out[i] = out[i]._replace(p_value_hln=p)
     return out
 
 

@@ -7,7 +7,6 @@ constant extrapolation at the edges).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,20 +22,15 @@ CRITERIA = ("AIC", "SIC", "HQ")
 MIN_PRESAMPLE = 10  # observations beyond the lag order required before a target
 
 
-@dataclass(frozen=True)
 class ARSpec:
     """Autoregression settings: lag order, optional per-target reselection."""
 
-    p: int = 1
-    reselect: bool = False
-    max_lag: int = DEFAULT_MAX_LAG
-    criterion: str = "SIC"
-
-    def __post_init__(self):
-        if self.p < 0 or self.p > self.max_lag:
-            raise ValueError(f"lag order must be in 0..{self.max_lag}, got {self.p}")
-        if self.criterion not in CRITERIA:
+    def __init__(self, p: int = 1, reselect: bool = False, max_lag: int = DEFAULT_MAX_LAG, criterion: str = "SIC"):
+        if p < 0 or p > max_lag:
+            raise ValueError(f"lag order must be in 0..{max_lag}, got {p}")
+        if criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
+        self.p, self.reselect, self.max_lag, self.criterion = p, reselect, max_lag, criterion
 
 
 def fill_missing(
@@ -152,11 +146,12 @@ def select_lag(
     return int(_select_orders(values, np.array([max_lag]), np.array([values.size]), criterion)[0])
 
 
-@dataclass(frozen=True, eq=False)
 class ARForecasts(QuarterSeries):
     """One-step forecasts by target quarter; ``p_used[i]`` is the lag order fit for ``values[i]`` (-1: none)."""
 
-    p_used: np.ndarray
+    def __init__(self, start: int, values: np.ndarray, p_used: np.ndarray):
+        super().__init__(start, values)
+        self.p_used = p_used
 
 
 def recursive_ar_forecast(

@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -61,9 +60,11 @@ RELEASE_LABEL = {ReleaseKind.FIRST: "first", ReleaseKind.SECOND: "second", Relea
 BASELINE_METHODS = ("median", "mean")
 
 
-@dataclass
 class RunConfig:
-    """Effective run configuration; flags override config-file values."""
+    """Effective run configuration; flags override config-file values.
+
+    Each keyword argument replaces the default of the attribute it names.
+    """
 
     actuals: str | None = None
     forecasts: str | None = None
@@ -90,10 +91,14 @@ class RunConfig:
     participation_low: float = 1.0
     participation_high: float = 1.0
 
+    def __init__(self, **settings):
+        if unknown := settings.keys() - RunConfig.__annotations__.keys():
+            raise TypeError(f"unknown settings: {', '.join(sorted(unknown))}")
+        vars(self).update(settings)
+
     def semantic_dict(self) -> dict:
         """Fields that affect results (output location excluded)."""
-        data = asdict(self)
-        data.pop("out")
+        data = {name: getattr(self, name) for name in RunConfig.__annotations__ if name != "out"}
         data["thresholds"] = list(self.thresholds)
         return data
 
@@ -221,7 +226,8 @@ def _require_input(path: str | None, what: str) -> Path:
 class Study:
     """One run's inputs and everything derived from them, each computed once.
 
-    Inputs load on first use, so a command reads only the files it needs.
+    Inputs load on first use, so a command reads only the files it needs,
+    and ``digests`` holds the SHA-256 of the bytes read from each input.
     Derived values are memoized, so the report stages share one cleaned
     panel, one baseline per (release, method) and one set of judgments.
     """
@@ -229,11 +235,18 @@ class Study:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self._baselines: dict[tuple[ReleaseKind, str], BaselineSeries] = {}
+        self.digests: dict[str, str] = {}
+
+    def _load(self, what: str, loader):
+        digest = hashlib.sha256()
+        loaded = loader(_require_input(getattr(self.cfg, what), what), digest)
+        self.digests[what] = digest.hexdigest()
+        return loaded
 
     @cached_property
     def panel(self) -> ForecastPanel:
         """The cleaned forecasts, restricted to the --from/--to sample."""
-        cleaned, _ = clean_panel(load_forecasts(_require_input(self.cfg.forecasts, "forecasts")))
+        cleaned, _ = clean_panel(self._load("forecasts", load_forecasts))
         if not (self.cfg.sample_from or self.cfg.sample_to):
             return cleaned
         inside = np.ones(len(cleaned), dtype=bool)
@@ -245,11 +258,11 @@ class Study:
 
     @cached_property
     def actuals(self) -> dict[ReleaseKind, ActualSeries]:
-        return load_actuals(_require_input(self.cfg.actuals, "actuals"))
+        return self._load("actuals", load_actuals)
 
     @cached_property
     def spf(self) -> SpfNowcasts:
-        return load_spf(_require_input(self.cfg.spf, "spf"))
+        return self._load("spf", load_spf)
 
     def baseline(self, rel: ReleaseKind, method: str | None = None) -> BaselineSeries:
         """One release's baseline; the method defaults to the run's."""
@@ -338,7 +351,7 @@ def cmd_table2(study: Study, out: Path) -> list[Path]:
             count = int(np.count_nonzero(present & passes_threshold(share, thr)))
             _add_row(columns, f"n_economists_ge_{int(round(thr * 100))}pct", RELEASE_LABEL[rel], count)
     cov = joint_coverage(panel)
-    for releases, count in zip(("1_2", "1_3", "2_3", "1_2_3"), astuple(cov)):
+    for releases, count in zip(("1_2", "1_3", "2_3", "1_2_3"), cov):
         _add_row(columns, f"joint_cells_releases_{releases}", "", count)
     return [write_csv(out / "table2_participation.csv", ["metric", "release", "value"], columns,
                       comment="table 2: participation and joint-coverage counts "
@@ -553,10 +566,7 @@ def cmd_report(study: Study, out: Path) -> list[Path]:
         "version": __version__,
         "config": cfg.semantic_dict(),
         "config_hash": cfg.config_hash(),
-        "inputs": {
-            name: hashlib.sha256(Path(getattr(cfg, name)).read_bytes()).hexdigest()
-            for name in ("actuals", "forecasts", "spf")
-        },
+        "inputs": study.digests,
         "outputs": sorted(p.name for p in files),
     }
     p = out / "manifest.json"
@@ -624,10 +634,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise CliError(f"error: missing-input path={args.config}") from None
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8 JSON, or not an object
             raise CliError(f"error: invalid-config path={args.config} detail={exc}") from None
-        unknown = set(values) - {f.name for f in fields(RunConfig)}
+        unknown = values.keys() - RunConfig.__annotations__.keys()
         if unknown:
             raise CliError(f"error: unknown-config-keys keys={','.join(sorted(unknown))}")
-    values.update((f.name, getattr(args, f.name)) for f in fields(RunConfig) if getattr(args, f.name, None) is not None)
+    values.update((k, v) for k, v in vars(args).items() if k in RunConfig.__annotations__ and v is not None)
     for key, most in (("hac_lag", math.inf), ("ar_lag", DEFAULT_MAX_LAG)):  # "auto" or an integer in 0..most
         if key not in values:
             continue
@@ -641,7 +651,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             values["thresholds"] = tuple(float(t) for t in (cuts.split(",") if isinstance(cuts, str) else cuts))
         except (TypeError, ValueError):
             raise CliError(f"error: invalid-value name=--thresholds value={cuts}") from None
-    return replace(RunConfig(), **values)
+    return RunConfig(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

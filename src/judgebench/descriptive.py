@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -17,8 +16,7 @@ from .panel import ActualSeries, ForecastPanel, block_sums
 from .quarters import Quarter, ReleaseKind
 
 
-@dataclass(frozen=True)
-class QuarterStats:
+class QuarterStats(NamedTuple):
     quarter: Quarter
     n: int
     rmse: float

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,13 +39,12 @@ def passes_threshold(share, threshold: float):
     return share >= threshold - 1e-12
 
 
-@dataclass(frozen=True, eq=False)
 class BaselineSeries(QuarterSeries):
-    release: ReleaseKind
-    method: str  # "median" or "mean"
+    def __init__(self, start: int, values: np.ndarray, release: ReleaseKind, method: str):
+        super().__init__(start, values)
+        self.release, self.method = release, method  # method: "median" or "mean"
 
 
-@dataclass(frozen=True, eq=False)
 class JudgmentPanel:
     """One release's judgments, aligned with the rows of that release's forecasts.
 
@@ -54,10 +52,8 @@ class JudgmentPanel:
     ``neutral[i]`` says whether the two coincide on the reporting grid.
     """
 
-    release: ReleaseKind
-    panel: ForecastPanel
-    value: np.ndarray
-    neutral: np.ndarray
+    def __init__(self, release: ReleaseKind, panel: ForecastPanel, value: np.ndarray, neutral: np.ndarray):
+        self.release, self.panel, self.value, self.neutral = release, panel, value, neutral
 
     def __len__(self) -> int:
         return self.value.size
@@ -107,8 +103,7 @@ def _sign_counts(jp: JudgmentPanel) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     )
 
 
-@dataclass(frozen=True)
-class SignShareStats:
+class SignShareStats(NamedTuple):
     threshold: float
     n_economists: int
     mean_negative: float
@@ -159,8 +154,7 @@ def negative_share_histogram(jp: JudgmentPanel, participation: np.ndarray, thres
     return dict(zip(HISTOGRAM_BINS, np.bincount(bins, minlength=len(HISTOGRAM_BINS)).tolist()))
 
 
-@dataclass(frozen=True)
-class BaselineHitStats:
+class BaselineHitStats(NamedTuple):
     correct: float
     overprediction: float
     underprediction: float

@@ -9,8 +9,7 @@ information set).  Both batteries fit their regressions as one stack per test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,25 +23,23 @@ MIN_OBS_UNBIASEDNESS = 10
 MIN_OBS_EFFICIENCY = 12
 
 
-@dataclass(frozen=True)
 class RegressionFit:
-    """One least-squares fit, or a stack of them with a leading axis on every array."""
+    """One least-squares fit, or a stack of them with a leading axis on every array.
 
-    coefficients: np.ndarray
-    residuals: np.ndarray
-    nobs: int | np.ndarray
-    nparams: int
-    rss: float | np.ndarray
-    r_squared: float | np.ndarray
-    r: np.ndarray | None = None  # R factor of the design's QR; None for a fit not made by ``ols``
+    ``r`` is the R factor of the design's QR; None for a fit not made by ``ols``.
+    """
+
+    def __init__(self, coefficients: np.ndarray, residuals: np.ndarray, nobs: int | np.ndarray, nparams: int,
+                 rss: float | np.ndarray, r_squared: float | np.ndarray, r: np.ndarray | None = None):
+        self.coefficients, self.residuals, self.nobs, self.nparams = coefficients, residuals, nobs, nparams
+        self.rss, self.r_squared, self.r = rss, r_squared, r
 
 
-@dataclass(frozen=True)
 class JointTestResult:
-    statistic: float  # F-form: Wald statistic divided by the restriction count
-    df_num: int
-    df_den: int
-    p_value: float
+    """A Wald test in F form: the Wald statistic divided by the restriction count ``df_num``; arrays over a stack."""
+
+    def __init__(self, statistic: float, df_num: int, df_den: int, p_value: float):
+        self.statistic, self.df_num, self.df_den, self.p_value = statistic, df_num, df_den, p_value
 
 
 def newey_west_auto_lag(nobs: int) -> int:
@@ -160,12 +157,11 @@ def wald_joint_test(
     return JointTestResult(statistic, q, df_den, p_value)
 
 
-@dataclass(frozen=True)
 class EfficiencyRegression:
     """A fitted prediction-error regression plus its design matrix."""
 
-    fit: RegressionFit
-    design: np.ndarray
+    def __init__(self, fit: RegressionFit, design: np.ndarray):
+        self.fit, self.design = fit, design
 
 
 def efficiency_regression(
@@ -210,8 +206,7 @@ def efficiency_test(reg: EfficiencyRegression, cov: np.ndarray) -> JointTestResu
     return _joint_zero_test(reg, cov, reg.fit.nparams)
 
 
-@dataclass(frozen=True)
-class AggregateCell:
+class AggregateCell(NamedTuple):
     release: ReleaseKind
     method: str
     unbiasedness_p: float | None
@@ -275,8 +270,7 @@ def test_battery_aggregate(
     return report
 
 
-@dataclass(frozen=True)
-class ForecasterTestDetail:
+class ForecasterTestDetail(NamedTuple):
     economist_id: str
     release: ReleaseKind
     nobs: int
@@ -287,8 +281,7 @@ class ForecasterTestDetail:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class IndividualShareRow:
+class IndividualShareRow(NamedTuple):
     release: ReleaseKind
     threshold: float
     n_qualifying: int
@@ -300,10 +293,10 @@ class IndividualShareRow:
     n_excluded_efficient: int
 
 
-@dataclass
 class IndividualBattery:
-    shares: list[IndividualShareRow] = field(default_factory=list)
-    details: list[ForecasterTestDetail] = field(default_factory=list)
+    def __init__(self):
+        self.shares: list[IndividualShareRow] = []
+        self.details: list[ForecasterTestDetail] = []
 
 
 def _stacked_zero_tests(name: str, eligible: np.ndarray, lag: int | Sequence[int], actual: np.ndarray,

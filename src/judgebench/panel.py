@@ -21,11 +21,10 @@ import functools
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,15 +37,14 @@ SPF_HEADER = ["quarter", "median", "mean"]
 CHUNK_LINES = 2048  # lines the CSV reader decodes, and rows it codes, at a time
 
 
-@dataclass(frozen=True, eq=False)
 class QuarterSeries:
     """One value per quarter over a contiguous span, NaN where a quarter is absent.
 
     ``values[i]`` belongs to the quarter whose ``Quarter.index`` is ``start + i``.
     """
 
-    start: int
-    values: np.ndarray
+    def __init__(self, start: int, values: np.ndarray):
+        self.start, self.values = start, values
 
     @classmethod
     def from_points(cls, quarters: Sequence[int], values: Sequence[float], **fields):
@@ -88,12 +86,12 @@ class QuarterSeries:
         return not math.isnan(self.at(np.array([quarter.index]))[0])
 
 
-@dataclass(frozen=True, eq=False)
 class ActualSeries(QuarterSeries):
-    """Published values of one release vintage."""
+    """Published values of one release vintage; ``filled`` indexes the quarters whose values were interpolated."""
 
-    release: ReleaseKind
-    filled: frozenset = frozenset()  # indexes of quarters whose values were interpolated
+    def __init__(self, start: int, values: np.ndarray, release: ReleaseKind, filled: frozenset = frozenset()):
+        super().__init__(start, values)
+        self.release, self.filled = release, filled
 
 
 def factorize(ids: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -172,7 +170,6 @@ def economist_runs(economist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _COLUMNS = ("economist", "firm", "quarter", "release", "value", "report_date")
 
 
-@dataclass(frozen=True, eq=False)
 class ForecastPanel:
     """Unbalanced panel of point backcasts as aligned columns, one row per forecast.
 
@@ -187,14 +184,11 @@ class ForecastPanel:
     return it: a release is a slice, its economists are runs, each in quarter order.
     """
 
-    economist_ids: tuple[str, ...]
-    firm_ids: tuple[str, ...]
-    economist: np.ndarray
-    firm: np.ndarray
-    quarter: np.ndarray
-    release: np.ndarray
-    value: np.ndarray
-    report_date: np.ndarray
+    def __init__(self, economist_ids: tuple[str, ...], firm_ids: tuple[str, ...], economist: np.ndarray,
+                 firm: np.ndarray, quarter: np.ndarray, release: np.ndarray, value: np.ndarray,
+                 report_date: np.ndarray):
+        self.economist_ids, self.firm_ids, self.economist, self.firm = economist_ids, firm_ids, economist, firm
+        self.quarter, self.release, self.value, self.report_date = quarter, release, value, report_date
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> "ForecastPanel":
@@ -245,15 +239,14 @@ class CleaningAction(str, Enum):
     DROPPED_UNATTRIBUTED = "dropped-unattributed"
 
 
-@dataclass(frozen=True)
-class CleaningLogEntry:
+class CleaningLogEntry(NamedTuple):
     action: CleaningAction
     row: int  # position of the dropped row in the raw panel
 
 
-@dataclass
 class CleaningLog:
-    entries: list[CleaningLogEntry] = field(default_factory=list)
+    def __init__(self):
+        self.entries: list[CleaningLogEntry] = []
 
     def dropped_count(self) -> int:
         return len(self.entries)  # every cleaning action drops a row
@@ -294,11 +287,12 @@ def _line_ends(text: str) -> int:
     return text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
-def _blocks(source, name: str) -> Iterator[Iterable[str]]:
+def _blocks(source, name: str, digest=None) -> Iterator[Iterable[str]]:
     """The lines of a CSV source, a block at a time, split at CR LF, CR and LF as ``newline=""`` splits them.
 
-    A path is read as bytes, ``CHUNK_LINES`` LF-ended lines at a time, and a byte that is not UTF-8 raises
-    IngestionError naming its line.  A text stream gives its own lines; there a decode error has no line.
+    A path is read as bytes, ``CHUNK_LINES`` LF-ended lines at a time, each block added to ``digest`` (a hashlib
+    object) if given, and a byte that is not UTF-8 raises IngestionError naming its line.  A text stream gives its
+    own lines; there a decode error has no line, and there are no bytes to digest.
     """
     if not isinstance(source, (str, Path)):
         try:
@@ -310,6 +304,8 @@ def _blocks(source, name: str) -> Iterator[Iterable[str]]:
     with open(source, "rb") as fh:
         done = 0  # line ends before this block
         while data := b"".join(itertools.islice(fh, CHUNK_LINES)):  # a block ends at LF, so between characters
+            if digest is not None:
+                digest.update(data)
             try:
                 text = data.decode("utf-8")
             except UnicodeDecodeError as bad:
@@ -354,18 +350,18 @@ def _row_codes(rows: list[list[str]], columns: list[_Column], seen: set, unique:
 
 
 def _read_csv(source, what: str, header: Sequence[str], parsers: Sequence[Callable[[str], object]],
-              unique: int = 0, duplicate: Callable[..., str] | None = None) -> list[_Column]:
+              unique: int = 0, duplicate: Callable[..., str] | None = None, digest=None) -> list[_Column]:
     """Read a CSV source with this header into one ``_Column`` per field, ``parsers[k]`` parsing field k.
 
     Rows are read with the csv module, ``CHUNK_LINES`` at a time.  No two rows may share the parsed values of the
     first ``unique`` fields; ``duplicate(*values)`` words that error.  The first bad row in file order (see
     ``_row_codes``) raises IngestionError naming the file and line; so do a wrong header and a line the csv module
     cannot read, such as one with a field over its size limit.  A byte that is not UTF-8 anywhere in the source is
-    reported before any other fault.
+    reported before any other fault.  A path source is read to its end once, and its bytes go to ``digest``.
     """
     name = str(source) if isinstance(source, (str, Path)) else getattr(source, "name", what)
     columns, seen = [_Column(parse) for parse in parsers], set()
-    blocks = _blocks(source, name)
+    blocks = _blocks(source, name, digest)
     reader = csv.reader(itertools.chain.from_iterable(blocks))
     rows, fault = _take(reader, 1, name)
     if fault is None and rows != [list(header)]:
@@ -421,37 +417,36 @@ def _release_number(token: str) -> int:
     return ReleaseKind.from_token(token).value
 
 
-def load_actuals(source) -> dict[ReleaseKind, ActualSeries]:
+def load_actuals(source, digest=None) -> dict[ReleaseKind, ActualSeries]:
     """Read the actuals CSV (header quarter,release,value) into one series per release.
 
-    A duplicate (quarter, release) row is an error.
+    A duplicate (quarter, release) row is an error.  Each loader adds the bytes of a path to ``digest`` as it reads.
     """
     quarter, release, value = _read_csv(
         source, "actuals", ACTUALS_HEADER, (_quarter_index, _release_number, _parse_value), unique=2,
-        duplicate=lambda q, r: f"duplicate actuals row for {Quarter.from_index(q)} release {r}")
+        duplicate=lambda q, r: f"duplicate actuals row for {Quarter.from_index(q)} release {r}", digest=digest)
     quarter, release, value = quarter.gather(np.int64), release.gather(np.int64), value.gather(float)
     return {kind: ActualSeries.from_points(quarter[release == kind], value[release == kind], release=kind)
             for kind in ReleaseKind}
 
 
-def load_forecasts(source) -> ForecastPanel:
+def load_forecasts(source, digest=None) -> ForecastPanel:
     """Read the forecasts CSV into a raw (uncleaned) panel, rows in file order, ids stripped of blanks."""
     quarter, release, economist, firm, value, dated = _read_csv(
         source, "forecasts", FORECASTS_HEADER,
         (_quarter_index, _release_number, str.strip, str.strip, _parse_value,
-         lambda token: -1 if (day := _parse_date(token)) is None else day.toordinal()))
+         lambda token: -1 if (day := _parse_date(token)) is None else day.toordinal()), digest=digest)
     (economist_ids, economist_code), (firm_ids, firm_code) = factorize(economist.values), factorize(firm.values)
     return ForecastPanel(economist_ids, firm_ids, economist_code[economist.codes()], firm_code[firm.codes()],
                          quarter.gather(np.int64), release.gather(np.int64), value.gather(float),
                          dated.gather(np.int64))
 
 
-@dataclass(frozen=True, eq=False)
 class SpfNowcasts:
     """Median and mean SPF nowcast per target quarter."""
 
-    median: QuarterSeries
-    mean: QuarterSeries
+    def __init__(self, median: QuarterSeries, mean: QuarterSeries):
+        self.median, self.mean = median, mean
 
     def for_method(self, method: str) -> QuarterSeries:
         if method == "median":
@@ -461,10 +456,11 @@ class SpfNowcasts:
         raise ValueError(f"unknown baseline method {method!r}")
 
 
-def load_spf(source) -> SpfNowcasts:
+def load_spf(source, digest=None) -> SpfNowcasts:
     """Read the SPF CSV (header quarter,median,mean).  A duplicate quarter is an error."""
-    quarter, median, mean = _read_csv(source, "spf", SPF_HEADER, (_quarter_index, _parse_value, _parse_value), unique=1,
-                                      duplicate=lambda q: f"duplicate spf row for {Quarter.from_index(q)}")
+    quarter, median, mean = _read_csv(
+        source, "spf", SPF_HEADER, (_quarter_index, _parse_value, _parse_value), unique=1,
+        duplicate=lambda q: f"duplicate spf row for {Quarter.from_index(q)}", digest=digest)
     quarter = quarter.gather(np.int64)
     return SpfNowcasts(QuarterSeries.from_points(quarter, median.gather(float)),
                        QuarterSeries.from_points(quarter, mean.gather(float)))
@@ -529,8 +525,7 @@ def participation_share(
     return np.bincount(panel.economist[rows], minlength=len(panel.economist_ids)) / (last - first + 1)
 
 
-@dataclass(frozen=True)
-class JointCoverage:
+class JointCoverage(NamedTuple):
     """Counts of (economist, quarter) cells covering release subsets."""
 
     pair_12: int

@@ -10,8 +10,7 @@ Lovell), which is exact for unbalanced panels and forms no dummy matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -28,15 +27,14 @@ STAR_LEVELS = (0.10, 0.05, 0.01)
 EPS = np.finfo(float).eps  # a sum of squares at most nobs * EPS of its scale counts as zero
 
 
-@dataclass(frozen=True, eq=False)
 class PersistenceData:
     """Aligned columns of one persistence regression, rows sorted by (economist, quarter)."""
 
-    economist: np.ndarray  # economist codes
-    quarter: np.ndarray    # quarter indexes of the responses
-    response: np.ndarray
-    regressor: np.ndarray
-    regressor_kind: str    # "own_lag", "prior_release" or "prior_release_lagged"
+    def __init__(self, economist: np.ndarray, quarter: np.ndarray, response: np.ndarray, regressor: np.ndarray,
+                 regressor_kind: str):
+        self.economist, self.quarter = economist, quarter  # economist codes, quarter indexes of the responses
+        self.response, self.regressor = response, regressor
+        self.regressor_kind = regressor_kind  # "own_lag", "prior_release" or "prior_release_lagged"
 
     def __len__(self) -> int:
         return self.response.size
@@ -87,8 +85,7 @@ def build_persistence_dataset(
     return PersistenceData(econ[keep], quarter[keep], response[keep], regressor, kind)
 
 
-@dataclass(frozen=True)
-class PanelFitResult:
+class PanelFitResult(NamedTuple):
     spec: str
     beta: float
     se_clustered: float
@@ -263,8 +260,7 @@ def significance_stars(p_value: float) -> str:
     return "*" * sum(p_value < level for level in STAR_LEVELS)
 
 
-@dataclass(frozen=True)
-class PersistenceCell:
+class PersistenceCell(NamedTuple):
     release: ReleaseKind
     regressor_kind: str
     spec: str
@@ -274,10 +270,10 @@ class PersistenceCell:
     error: str | None = None
 
 
-@dataclass
 class PersistenceReport:
-    cells: list[PersistenceCell] = field(default_factory=list)
-    broken_chains: dict[tuple[ReleaseKind, str], int] = field(default_factory=dict)
+    def __init__(self):
+        self.cells: list[PersistenceCell] = []
+        self.broken_chains: dict[tuple[ReleaseKind, str], int] = {}
 
     def for_release(self, release: ReleaseKind) -> list[PersistenceCell]:
         return [c for c in self.cells if c.release == release]

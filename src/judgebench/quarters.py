@@ -6,7 +6,6 @@ estimates (first, second, third) of the same quarter's growth rate.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator
 
@@ -37,16 +36,30 @@ class ReleaseKind(IntEnum):
             raise QuarterParseError(f"invalid release token: {token!r}") from exc
 
 
-@dataclass(frozen=True, order=True, slots=True)
 class Quarter:
-    """A calendar quarter; ordering is (year, quarter) lexicographic."""
+    """A calendar quarter; equality, hashing and ordering are by (year, quarter)."""
 
-    year: int
-    quarter: int
+    __slots__ = ("year", "quarter")
 
-    def __post_init__(self):
-        if self.quarter not in (1, 2, 3, 4):
-            raise QuarterParseError(f"quarter must be in 1..4, got {self.quarter}")
+    def __init__(self, year: int, quarter: int):
+        if quarter not in (1, 2, 3, 4):
+            raise QuarterParseError(f"quarter must be in 1..4, got {quarter}")
+        self.year, self.quarter = year, quarter
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Quarter) and self.index == other.index
+
+    def __lt__(self, other: "Quarter") -> bool:
+        return self.index < other.index
+
+    def __le__(self, other: "Quarter") -> bool:
+        return self.index <= other.index
+
+    def __hash__(self) -> int:
+        return hash(self.index)
+
+    def __repr__(self) -> str:
+        return f"Quarter({self.year}, {self.quarter})"
 
     @property
     def index(self) -> int:

@@ -11,7 +11,6 @@ blocks and reads only their first release.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -26,8 +25,9 @@ from .tails import t_quantile
 BLOCK_CELLS = 200_000  # simulated cells (replications x economists x quarters x 3) per recovery block
 
 
-@dataclass(frozen=True)
 class SynthConfig:
+    """The simulator's settings: each keyword argument replaces the default of the attribute it names."""
+
     n_forecasters: int = 50
     n_quarters: int = 92
     start: Quarter = Quarter(2000, 1)
@@ -49,7 +49,10 @@ class SynthConfig:
     participation_high: float = 1.0
     grid: float = 0.1
 
-    def __post_init__(self):
+    def __init__(self, **settings):
+        if unknown := settings.keys() - SynthConfig.__annotations__.keys():
+            raise TypeError(f"unknown settings: {', '.join(sorted(unknown))}")
+        vars(self).update(settings)
         if abs(self.rho_own) >= 1:
             raise ValueError("own-lag persistence must satisfy |rho| < 1")
         for name in ("actual_sd", "revision_sd", "baseline_noise_sd", "judgment_sd", "rho_own_sd"):
@@ -61,18 +64,16 @@ class SynthConfig:
             raise ValueError("participation range must satisfy 0 <= low <= high <= 1")
 
 
-@dataclass(frozen=True)
 class SynthTruth:
-    quarters: list[Quarter]
-    economists: list[str]
-    actuals: np.ndarray     # (3, T)
-    baselines: np.ndarray   # (3, T) latent common baselines
-    judgments: np.ndarray   # (N, T, 3) latent judgments
-    rho_i: np.ndarray       # (N,) per-forecaster own-lag persistence
+    """The latent truth of a world: actuals and common baselines (3, T), judgments (N, T, 3) and each rho_i (N,)."""
+
+    def __init__(self, quarters: list[Quarter], economists: list[str], actuals: np.ndarray, baselines: np.ndarray,
+                 judgments: np.ndarray, rho_i: np.ndarray):
+        self.quarters, self.economists, self.actuals, self.baselines = quarters, economists, actuals, baselines
+        self.judgments, self.rho_i = judgments, rho_i
 
 
-@dataclass(frozen=True)
-class SynthWorld:
+class SynthWorld(NamedTuple):
     config: SynthConfig
     seed: int
     actuals: Mapping[ReleaseKind, ActualSeries]
@@ -220,17 +221,14 @@ def extract_world_judgments(world: SynthWorld, release: ReleaseKind, method: str
     return extract_judgments(world.panel, base, grid=world.config.grid)
 
 
-@dataclass
 class RecoverySummary:
-    config: SynthConfig
-    replications: int
-    n_completed: int = 0
-    n_failed: int = 0
-    mean_beta: float = math.nan
-    sd_beta: float = math.nan
-    ci_coverage: float = math.nan
-    betas: list[float] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+    """The recovery experiment's counts and estimates, filled in as its replications run."""
+
+    def __init__(self, config: SynthConfig, replications: int):
+        self.config, self.replications, self.n_completed, self.n_failed = config, replications, 0, 0
+        self.mean_beta = self.sd_beta = self.ci_coverage = math.nan
+        self.betas: list[float] = []
+        self.failures: list[str] = []
 
 
 def recovery_experiment(

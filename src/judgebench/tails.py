@@ -27,7 +27,6 @@ statistic gives t_sf = 0.5 and f_sf = 1 exactly; an infinite one gives 0.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,6 +36,9 @@ _LN2_HI = 6.93147180369123816490e-01  # ln 2 to 32 bits, so k * _LN2_HI is exact
 _LN2_LO = 1.90821492927058770002e-10
 _SPLIT = 2.0**27 + 1.0
 _SHIFT = 20  # BGRAT needs a >= 15; smaller a are raised by this many terms of the recurrence
+# The normal quantile of a tail q is y + P(y)/Q(y), y = sqrt(-2 log q), to 1.5e-8 for q > 1e-20 (Odeh & Evans, AS 70).
+_NORMAL_P = [-4.53642210148e-5, -0.0204231210245, -0.342242088547, -1.0, -0.322232431088]
+_NORMAL_Q = [3.8560700634e-3, 0.10353775285, 0.531103462366, 0.588581570495, 0.099348462606]
 
 
 def _two_sum(a, b):
@@ -101,10 +103,10 @@ def _exp_neg(c, log_hi, log_lo):
     return np.exp(-e) * (1.0 - e_lo)
 
 
-# ln(Γ(a + 1/2)/Γ(a)) - ln(a)/2 ~ sum over even k of B_k (2^(1-k) - 2) / (k (k-1) a^(k-1)).
-_BERNOULLI = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42), 8: Fraction(-1, 30),
-              10: Fraction(5, 66), 12: Fraction(-691, 2730), 14: Fraction(7, 6)}
-_RATIO_SERIES = [float(b * (Fraction(2, 2**k) - 2) / (k * (k - 1))) for k, b in _BERNOULLI.items()]
+# ln(Γ(a + 1/2)/Γ(a)) - ln(a)/2 ~ sum over even k of B_k (2^(1-k) - 2) / (k (k-1) a^(k-1)), for k = 2, 4, ..., 14:
+# -1/8, 1/192, -1/640, 17/14336, -31/18432, 691/180224 and -5461/425984, each the nearest double.
+_RATIO_SERIES = [-0.125, 0.005208333333333333, -0.0015625, 0.0011858258928571428, -0.001681857638888889,
+                 0.0038341175426136365, -0.012819730318509616]
 
 
 def _gamma_half_ratio(a):
@@ -323,9 +325,12 @@ def t_quantile(p, df):
     """The t with P(T <= t) = ``p`` for Student's t with ``df`` degrees of freedom.
 
     Newton's method on log t_sf against log t, from the least of three upper
-    bounds of the root: the Cauchy quantile, and the t where the tail bounds
-    C t^-df and (1 + t²/df)^(-df/2) reach the tail probability.  Each element
-    stops once its step falls below 1e-10, or after 100 steps.
+    bounds of the root (the Cauchy quantile, and the t where the tail bounds
+    C t^-df and (1 + t²/df)^(-df/2) reach the tail probability) and, where
+    the normal quantile z of the tail has z² < df, the Cornish-Fisher root
+    to 1/df² (z from ``_NORMAL_P`` and ``_NORMAL_Q``).  Newton converges from
+    below too, usually in two or three steps.  Each element stops once its
+    step falls below 1e-10, or after 100 steps.
     """
     shape, (p, df) = _flat(p, df)
     valid = (df > 0) & np.isfinite(df) & (p >= 0) & (p <= 1)
@@ -339,7 +344,11 @@ def t_quantile(p, df):
             log_c = np.log(_gamma_half_ratio(0.5 * dv) / _SQRT_PI) + (0.5 * dv - 1.0) * np.log(dv)
             t = np.minimum(1.0 / np.tan(math.pi * q), np.exp((log_c - log_q) / dv))
             t = np.minimum(t, np.sqrt(dv * np.expm1(-2.0 * log_q / dv)))
-        active = np.isfinite(t)
+            active = np.isfinite(t)  # where every bound overflows, the root is taken to overflow
+            y = np.sqrt(-2.0 * log_q)
+            z = y + np.polyval(_NORMAL_P, y) / np.polyval(_NORMAL_Q, y)
+            cornish_fisher = z + (z * (z * z + 1.0) / 4.0 + z * ((5.0 * z * z + 16.0) * z * z + 3.0) / (96.0 * dv)) / dv
+            t = np.where(active & (z * z < dv), np.minimum(t, cornish_fisher), t)
         for _ in range(100):
             with np.errstate(divide="ignore", invalid="ignore"):
                 log_sf = np.log(t_sf(t, dv))

@@ -194,22 +194,21 @@ def test_report_loads_no_numpy_ma_module(tmp_path):
     assert done.stderr.strip() == "[]"
 
 
-def test_importing_the_cli_loads_no_scipy_module():
-    code = "import sys, judgebench.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+def test_importing_the_cli_loads_no_scipy_fractions_or_decimal_and_defines_no_dataclass():
+    # One fresh interpreter: the modules are listed before dataclasses is imported to test the classes.
+    code = (
+        "import json, sys, judgebench.cli\n"
+        "loaded = {name: sorted(m for m in sys.modules if m == name or m.startswith(name + '.'))\n"
+        "          for name in ('scipy', 'scipy.stats', 'scipy.linalg', 'fractions', 'decimal')}\n"
+        "import dataclasses\n"
+        "loaded['dataclasses'] = sorted(f'{m}.{k}' for m, module in list(sys.modules.items())\n"
+        "                               if m.startswith('judgebench') for k, v in vars(module).items()\n"
+        "                               if dataclasses.is_dataclass(v))\n"
+        "print(json.dumps(loaded))\n"
+    )
     done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
-
-
-def test_importing_the_cli_does_not_load_scipy_stats():
-    code = "import sys, judgebench.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
-
-
-def test_importing_the_cli_does_not_load_scipy_linalg():
-    code = "import sys, judgebench.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
-    done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    loaded = json.loads(done.stdout)
+    assert loaded == dict.fromkeys(("scipy", "scipy.stats", "scipy.linalg", "fractions", "decimal", "dataclasses"), [])
 
 
 class TestExitPath:

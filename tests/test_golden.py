@@ -8,10 +8,15 @@ sample with ``--from/--to``, uses the mean baseline and thresholds that only
 some economists pass.  The third drops actuals and SPF rows, so some series
 have interior gaps and start or end early.
 """
+import hashlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 from judgebench.cli import main
+
+from test_cli import src_env
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
@@ -41,6 +46,20 @@ def test_mean_window_report_matches_golden_byte_for_byte(tmp_path, monkeypatch):
 
 def test_gaps_report_matches_golden_byte_for_byte(tmp_path, monkeypatch):
     _check_report("report_gaps", tmp_path, monkeypatch)
+
+
+def test_piped_forecasts_are_hashed_from_the_bytes_read(tmp_path):
+    args = make_golden.report_args("report", str(tmp_path))
+    args[args.index("--forecasts") + 1] = "/dev/stdin"
+    forecasts = (GOLDEN / "inputs" / "forecasts.csv").read_bytes()
+    done = subprocess.run([sys.executable, "-m", "judgebench.cli", *args], cwd=GOLDEN, env=src_env(),
+                          input=forecasts, capture_output=True)
+    assert (done.returncode, done.stderr) == (0, b"")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["inputs"] == {**json.loads((GOLDEN / "report" / "manifest.json").read_text())["inputs"],
+                                  "forecasts": hashlib.sha256(forecasts).hexdigest()}
+    expected = {p.name: p.read_bytes() for p in (GOLDEN / "report").iterdir() if p.name != "manifest.json"}
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "manifest.json"} == expected
 
 
 def test_simulate_reproduces_golden_inputs(tmp_path):

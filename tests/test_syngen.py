@@ -5,7 +5,6 @@ were simulated in blocks: one whole three-release world per replication,
 then the first release's judgments and the own-lag FE fit.  It serves as the
 reference the block pass must match bit for bit.
 """
-from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -246,7 +245,7 @@ class TestBlockPass:
             summary = recovery_experiment(config, replications, base_seed=base_seed)
         betas, loop_fits, failures, coverage = loop_recovery(config, replications, base_seed)
         assert bits(summary.betas) == bits(betas)
-        assert [repr(astuple(fit)) for fit in fits] == [repr(astuple(fit)) for fit in loop_fits]
+        assert [repr(tuple(fit)) for fit in fits] == [repr(tuple(fit)) for fit in loop_fits]  # every field
         assert summary.failures == failures
         assert (summary.n_completed, summary.n_failed) == (len(betas), len(failures))
         if coverage is None:

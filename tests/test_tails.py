@@ -1,6 +1,7 @@
 """The in-repo t and F tails and the t quantile: accuracy, edge rules and batching."""
 import csv
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import scipy.stats
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from judgebench.tails import f_sf, t_quantile, t_sf
+from judgebench.tails import _RATIO_SERIES, f_sf, t_quantile, t_sf
 
 from conftest import within_tail_bound
 
@@ -65,6 +66,13 @@ class TestAgainstHighPrecision:
         ours = t_quantile(0.975, DENSE_DF)
         reference = scipy.stats.t.ppf(0.975, DENSE_DF)
         assert all(within_tail_bound(v, r, df) for v, r, df in zip(ours.tolist(), reference.tolist(), DENSE_DF))
+
+
+def test_ratio_series_literals_are_the_bernoulli_coefficients():
+    # B_k (2^(1-k) - 2) / (k (k-1)) for k = 2, 4, ..., 14, each as its nearest double.
+    bernoulli = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42), 8: Fraction(-1, 30),
+                 10: Fraction(5, 66), 12: Fraction(-691, 2730), 14: Fraction(7, 6)}
+    assert _RATIO_SERIES == [float(b * (Fraction(2, 2**k) - 2) / (k * (k - 1))) for k, b in bernoulli.items()]
 
 
 class TestEdges:
