@@ -3,6 +3,7 @@ import csv
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.stats
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import judgebench.tails as tails
 from judgebench.tails import _RATIO_SERIES, f_sf, t_quantile, t_sf
 
 from conftest import within_tail_bound
@@ -73,6 +75,13 @@ def test_ratio_series_literals_are_the_bernoulli_coefficients():
     bernoulli = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42), 8: Fraction(-1, 30),
                  10: Fraction(5, 66), 12: Fraction(-691, 2730), 14: Fraction(7, 6)}
     assert _RATIO_SERIES == [float(b * (Fraction(2, 2**k) - 2) / (k * (k - 1))) for k, b in bernoulli.items()]
+
+
+def test_quantile_start_leaves_two_newton_steps_at_the_recovery_df():
+    # Each step is one t_sf call; from the upper bounds alone this quantile takes six.
+    with mock.patch.object(tails, "t_sf", wraps=tails.t_sf) as sf:
+        t_quantile(0.975, [199] * 12)
+    assert sf.call_count == 2
 
 
 class TestEdges:
