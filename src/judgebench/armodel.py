@@ -19,13 +19,15 @@ from .quarters import Quarter
 DEFAULT_MAX_GAP = 3
 DEFAULT_MAX_LAG = 8
 CRITERIA = ("AIC", "SIC", "HQ")
+DEFAULT_CRITERION = "SIC"
 MIN_PRESAMPLE = 10  # observations beyond the lag order required before a target
 
 
 class ARSpec:
     """Autoregression settings: lag order, optional per-target reselection."""
 
-    def __init__(self, p: int = 1, reselect: bool = False, max_lag: int = DEFAULT_MAX_LAG, criterion: str = "SIC"):
+    def __init__(self, p: int = 1, reselect: bool = False, max_lag: int = DEFAULT_MAX_LAG,
+                 criterion: str = DEFAULT_CRITERION):
         if p < 0 or p > max_lag:
             raise ValueError(f"lag order must be in 0..{max_lag}, got {p}")
         if criterion not in CRITERIA:
@@ -131,7 +133,7 @@ def _select_orders(values: np.ndarray, max_lags: np.ndarray, ends: np.ndarray, c
 def select_lag(
     values: Sequence[float] | QuarterSeries,
     max_lag: int = DEFAULT_MAX_LAG,
-    criterion: str = "AIC",
+    criterion: str = DEFAULT_CRITERION,
 ) -> int:
     """Information-criterion lag selection on a common effective sample.
 

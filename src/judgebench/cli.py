@@ -53,7 +53,7 @@ from .panel import (
 )
 from .panelreg import REGRESSOR_KINDS, SPECS, persistence_battery
 from .quarters import Quarter, ReleaseKind, parse_quarter
-from .syngen import SynthConfig, recovery_experiment, simulate_world
+from .syngen import RecoverySummary, SynthConfig, recovery_experiment, simulate_world
 
 RELEASES = (ReleaseKind.FIRST, ReleaseKind.SECOND, ReleaseKind.THIRD)
 RELEASE_LABEL = {ReleaseKind.FIRST: "first", ReleaseKind.SECOND: "second", ReleaseKind.THIRD: "third"}
@@ -651,7 +651,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             values["thresholds"] = tuple(float(t) for t in (cuts.split(",") if isinstance(cuts, str) else cuts))
         except (TypeError, ValueError):
             raise CliError(f"error: invalid-value name=--thresholds value={cuts}") from None
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    try:  # the simulator's own checks of its settings and of the replication count
+        RecoverySummary(cfg.synth_config(), cfg.replications)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"error: invalid-value detail={exc}") from None
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -501,27 +501,17 @@ def clean_panel(raw: ForecastPanel) -> tuple[ForecastPanel, CleaningLog]:
     return raw.take(rows[best]), log
 
 
-def participation_share(
-    panel: ForecastPanel,
-    release: ReleaseKind,
-    sample: tuple[Quarter, Quarter] | None = None,
-) -> np.ndarray:
-    """Every economist's share of the sample quarters with a forecast for this release.
+def participation_share(panel: ForecastPanel, release: ReleaseKind) -> np.ndarray:
+    """Every economist's share of the release's quarters with a forecast for it.
 
-    Indexed by economist code.  The sample defaults to the release's first to
+    Indexed by economist code.  The release's quarters run from its first to
     last quarter in the panel; a release without forecasts gives all zeros.
     The panel must be clean: one row per (economist, quarter, release).
     """
     rows = panel.release == release
-    if sample is None:
-        if not rows.any():
-            return np.zeros(len(panel.economist_ids))
-        first, last = panel.quarter[rows].min(), panel.quarter[rows].max()
-    else:
-        first, last = sample[0].index, sample[1].index
-        if last < first:
-            raise ValueError(f"empty quarter range: {sample[0]}..{sample[1]}")
-    rows &= (panel.quarter >= first) & (panel.quarter <= last)
+    if not rows.any():
+        return np.zeros(len(panel.economist_ids))
+    first, last = panel.quarter[rows].min(), panel.quarter[rows].max()
     return np.bincount(panel.economist[rows], minlength=len(panel.economist_ids)) / (last - first + 1)
 
 

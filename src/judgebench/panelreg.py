@@ -279,15 +279,27 @@ class PersistenceReport:
         return [c for c in self.cells if c.release == release]
 
 
+def t_test_p_value(estimate, null, se, df):
+    """The two-sided p-value of the t test of ``estimate`` = ``null`` with ``df`` degrees of freedom.
+
+    Takes arrays (or scalars) and works element by element, so a batched call
+    gives the same bits as one call per element.  A zero SE (an exact fit, or
+    cluster scores that cancel) leaves no sampling variation to test against:
+    p = 1 where the estimate equals the null, and 0 elsewhere.
+    """
+    estimate, null, se = (np.asarray(x, dtype=float) for x in (estimate, null, se))
+    tested = se > 0
+    p = 2.0 * t_sf(np.abs(estimate - null) / np.where(tested, se, 1.0), df)
+    return np.where(tested, p, np.where(estimate == null, 1.0, 0.0))[()]
+
+
 def persistence_battery(judgments: Mapping[ReleaseKind, JudgmentPanel]) -> PersistenceReport:
     """Six estimation cells per release: {own-lag, cross-release} x {pooled, FE, FE+TE}.
 
     ``judgments`` holds each release's judgments, extracted from one panel.
     Per-cell failures are reported inline; the battery always completes.
-    Significance is two-sided from a t distribution with G-1 degrees of
-    freedom, G the number of forecasters.  A zero SE (an exact fit, or
-    cluster scores that cancel) gives p = 0, or 1 for beta = 0, and no
-    stars: there is no sampling variation to test against.
+    Significance is the two-sided ``t_test_p_value`` of beta = 0 with G-1
+    degrees of freedom, G the number of forecasters; a zero SE gets no stars.
     """
     report = PersistenceReport()
     fits: list[tuple[ReleaseKind, str, str, PanelFitResult | str]] = []
@@ -301,15 +313,14 @@ def persistence_battery(judgments: Mapping[ReleaseKind, JudgmentPanel]) -> Persi
                     fits.append((release, kind, spec, fe_estimate(data, spec)))
                 except EstimationError as exc:
                     fits.append((release, kind, spec, str(exc)))
-    tested = [fit for *_, fit in fits if not isinstance(fit, str) and fit.se_clustered > 0]
-    t_stats = np.abs([fit.beta / fit.se_clustered for fit in tested])
-    p_values = iter((2.0 * t_sf(t_stats, [fit.n_forecasters - 1 for fit in tested])).tolist())
+    fitted = [fit for *_, fit in fits if not isinstance(fit, str)]
+    p_values = iter(t_test_p_value([fit.beta for fit in fitted], 0.0, [fit.se_clustered for fit in fitted],
+                                   [fit.n_forecasters - 1 for fit in fitted]).tolist())
     for release, kind, spec, fit in fits:
         if isinstance(fit, str):
             report.cells.append(PersistenceCell(release, kind, spec, None, None, "", fit))
-        elif fit.se_clustered > 0:
-            p = next(p_values)
-            report.cells.append(PersistenceCell(release, kind, spec, fit, p, significance_stars(p)))
         else:
-            report.cells.append(PersistenceCell(release, kind, spec, fit, 0.0 if fit.beta != 0 else 1.0, ""))
+            p = next(p_values)
+            stars = significance_stars(p) if fit.se_clustered > 0 else ""
+            report.cells.append(PersistenceCell(release, kind, spec, fit, p, stars))
     return report

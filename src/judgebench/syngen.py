@@ -18,9 +18,8 @@ import numpy as np
 from .errors import EstimationError
 from .judgment import JudgmentPanel, baseline, extract_judgments
 from .panel import ActualSeries, ForecastPanel, QuarterSeries, SpfNowcasts, factorize
-from .panelreg import build_persistence_dataset, fe_estimate
+from .panelreg import build_persistence_dataset, fe_estimate, t_test_p_value
 from .quarters import Quarter, ReleaseKind
-from .tails import t_quantile
 
 BLOCK_CELLS = 200_000  # simulated cells (replications x economists x quarters x 3) per recovery block
 
@@ -225,6 +224,8 @@ class RecoverySummary:
     """The recovery experiment's counts and estimates, filled in as its replications run."""
 
     def __init__(self, config: SynthConfig, replications: int):
+        if replications < 1:
+            raise ValueError("need at least one replication")
         self.config, self.replications, self.n_completed, self.n_failed = config, replications, 0, 0
         self.mean_beta = self.sd_beta = self.ci_coverage = math.nan
         self.betas: list[float] = []
@@ -240,13 +241,12 @@ def recovery_experiment(
 
     Each replication simulates a world, extracts judgments against the
     empirical median baseline, estimates the own-lag FE specification for the
-    first release, and checks whether the 95% clustered CI covers rho_own.
+    first release, and checks whether the 95% clustered CI covers rho_own,
+    that is whether the two-sided t test of beta = rho_own has p >= 0.05.
     Replications use seeds base_seed + index, so results are deterministic.
     They are simulated in blocks of at most ``BLOCK_CELLS`` cells, first
     release only, with the bits of one world at a time.
     """
-    if replications < 1:
-        raise ValueError("need at least one replication")
     base_seed = config.seed if base_seed is None else base_seed
     summary = RecoverySummary(config=config, replications=replications)
     ses: list[float] = []
@@ -272,8 +272,7 @@ def recovery_experiment(
     summary.n_completed = len(summary.betas)
     if summary.n_completed:
         betas = np.asarray(summary.betas)
-        half = t_quantile(0.975, dfs) * np.asarray(ses)
-        covered = (betas - half <= config.rho_own) & (config.rho_own <= betas + half)
+        covered = t_test_p_value(betas, config.rho_own, ses, dfs) >= 0.05  # inside the 95% interval
         summary.mean_beta = float(betas.mean())
         summary.sd_beta = float(betas.std(ddof=1)) if betas.size > 1 else 0.0
         summary.ci_coverage = int(covered.sum()) / summary.n_completed

@@ -1,10 +1,11 @@
-"""Student t and F tail probabilities and the t quantile, in numpy.
+"""Student t and F tail probabilities, in numpy.
 
 Every p-value of the report comes from here: the HLN accuracy test and the
-persistence t tests read ``t_sf``, the Wald tests ``f_sf``, and the recovery
-experiment's confidence intervals ``t_quantile``.  All three take arrays (or
-scalars), broadcast them, and work element by element, so a batched call
-gives the same bits as one call per element.
+persistence t tests read ``t_sf``, and the Wald tests ``f_sf``.  The
+recovery experiment's interval check is the t test it inverts, so it reads
+``t_sf`` too.  Both take arrays (or scalars), broadcast them, and work
+element by element, so a batched call gives the same bits as one call per
+element.
 
 Both tails reduce to one regularized incomplete beta, I_x(a, 1/2) with
 a = df/2 and x = 1/(1 + w): for the t tail w = t²/df, and for the F tail
@@ -36,9 +37,6 @@ _LN2_HI = 6.93147180369123816490e-01  # ln 2 to 32 bits, so k * _LN2_HI is exact
 _LN2_LO = 1.90821492927058770002e-10
 _SPLIT = 2.0**27 + 1.0
 _SHIFT = 20  # BGRAT needs a >= 15; smaller a are raised by this many terms of the recurrence
-# The normal quantile of a tail q is y + P(y)/Q(y), y = sqrt(-2 log q), to 1.5e-8 for q > 1e-20 (Odeh & Evans, AS 70).
-_NORMAL_P = [-4.53642210148e-5, -0.0204231210245, -0.342242088547, -1.0, -0.322232431088]
-_NORMAL_Q = [3.8560700634e-3, 0.10353775285, 0.531103462366, 0.588581570495, 0.099348462606]
 
 
 def _two_sum(a, b):
@@ -311,54 +309,3 @@ def f_sf(f, dfn, dfd):
             term = term * y * (a + j + offset) / (j + 1.0 + offset)
         out[valid] = total
     return _shaped(out, shape)
-
-
-def _t_log_pdf(t, df):
-    """The log density of Student's t, over 1-d arrays with df > 0."""
-    size = np.abs(t)
-    log_hi, _ = _log1p_ratio(size, size, df)
-    a = 0.5 * df
-    return np.log(_gamma_half_ratio(a) / np.sqrt(df * math.pi)) - (a + 0.5) * log_hi
-
-
-def t_quantile(p, df):
-    """The t with P(T <= t) = ``p`` for Student's t with ``df`` degrees of freedom.
-
-    Newton's method on log t_sf against log t, from the least of three upper
-    bounds of the root (the Cauchy quantile, and the t where the tail bounds
-    C t^-df and (1 + t²/df)^(-df/2) reach the tail probability) and, where
-    the normal quantile z of the tail has z² < df, the Cornish-Fisher root
-    to 1/df² (z from ``_NORMAL_P`` and ``_NORMAL_Q``).  Newton converges from
-    below too, usually in two or three steps.  Each element stops once its
-    step falls below 1e-10, or after 100 steps.
-    """
-    shape, (p, df) = _flat(p, df)
-    valid = (df > 0) & np.isfinite(df) & (p >= 0) & (p <= 1)
-    out = np.full(p.shape, np.nan)
-    tail = np.minimum(p, 1.0 - p)
-    inner = valid & (tail > 0) & (tail < 0.5)
-    if inner.any():
-        q, dv = tail[inner], df[inner]
-        log_q = np.log(q)
-        with np.errstate(over="ignore", divide="ignore"):
-            log_c = np.log(_gamma_half_ratio(0.5 * dv) / _SQRT_PI) + (0.5 * dv - 1.0) * np.log(dv)
-            t = np.minimum(1.0 / np.tan(math.pi * q), np.exp((log_c - log_q) / dv))
-            t = np.minimum(t, np.sqrt(dv * np.expm1(-2.0 * log_q / dv)))
-            active = np.isfinite(t)  # where every bound overflows, the root is taken to overflow
-            y = np.sqrt(-2.0 * log_q)
-            z = y + np.polyval(_NORMAL_P, y) / np.polyval(_NORMAL_Q, y)
-            cornish_fisher = z + (z * (z * z + 1.0) / 4.0 + z * ((5.0 * z * z + 16.0) * z * z + 3.0) / (96.0 * dv)) / dv
-            t = np.where(active & (z * z < dv), np.minimum(t, cornish_fisher), t)
-        for _ in range(100):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_sf = np.log(t_sf(t, dv))
-                # The Newton step (log sf - log q) sf / (t pdf); where sf underflows, a step back.
-                step = np.where(log_sf > -np.inf, (log_sf - log_q) * np.exp(log_sf - np.log(t) - _t_log_pdf(t, dv)),
-                                -0.5)
-            t = np.where(active, t * np.exp(step), t)
-            active &= np.abs(step) > 1e-10
-            if not active.any():
-                break
-        out[inner] = t
-    out = np.where(valid & (tail == 0), np.inf, np.where(valid & (tail == 0.5), 0.0, out))
-    return _shaped(np.where(p < 0.5, -out, out), shape)

@@ -9,11 +9,7 @@ the tails where the exponent a log1p(t²/df) is large: ``t`` rows hold
 P(T > statistic) with ``df`` degrees of freedom, ``F`` rows P(F > statistic)
 with (``dfn``, ``df``).  Both are regularized incomplete betas, evaluated by
 ``mpmath.betainc`` at 40 significant digits, checked against a second
-evaluation at 60 digits, and written as the nearest double.  ``q`` rows go
-the other way: for each tail probability p in ``Q_TAILS`` and each df of the
-grid, ``statistic`` is the t > 0 with P(T > t) = p, the root of that tail
-found by bisection and then ``mpmath.findroot``, at 40 digits and checked
-at 60 as above.  ``scipy.stats``
+evaluation at 60 digits, and written as the nearest double.  ``scipy.stats``
 is not precise enough to serve here: it misses these values by up to 1.5e-11
 (F, dfn = 4, df = 1e6) and, for df <= 1e4, by up to 5.6e-13 (F, dfn = 3,
 p near 2e-245), outside the stated bounds of the tails at 77 of the rows.
@@ -34,7 +30,6 @@ T_STATS = ("0.05", "0.3", "0.7", "1", "1.5", "1.96", "2.5", "3", "5", "8", "12",
 F_STATS = ("0.01", "0.3", "1", "2", "4", "10", "30", "100", "400", "1600")
 DFNS = (1, 2, 3, 4)
 DEEP = 150
-Q_TAILS = ("0.4", "0.1", "0.025", "0.005", "1e-6", "1e-12", "1e-100", "1e-300")
 
 
 def deep_rows() -> list[tuple[str, int, int, str]]:
@@ -66,35 +61,6 @@ def checked(dfn: int, df: int, statistic: str, kind: str) -> float:
     return float(values[1])
 
 
-def quantile(df: int, p: str) -> mp.mpf:
-    """The t > 0 with P(T > t) = p, for df degrees of freedom."""
-    log_p = mp.log(mp.mpf(p))
-
-    def excess(u: mp.mpf) -> mp.mpf:  # log P(T > e^u) - log p, decreasing in u
-        t = mp.exp(u)
-        return mp.log(tail(1, df, t * t / df) / 2) - log_p
-
-    hi = mp.mpf(0)  # t = 1, 2, 4, ... until the tail falls below p, so no probe lies far beyond the root
-    while excess(hi) > 0:
-        hi += mp.log(2)
-    lo = hi - mp.log(2)
-    while hi - lo > mp.mpf("1e-3"):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
-    return mp.exp(mp.findroot(excess, (lo, hi), solver="anderson"))
-
-
-def checked_quantile(df: int, p: str) -> float:
-    values = []
-    for digits in (40, 60):
-        with mp.workdps(digits):
-            values.append(quantile(df, p))
-    with mp.workdps(60):
-        if abs(values[0] / values[1] - 1) > mp.mpf("1e-30"):
-            raise SystemExit(f"q df={df} p={p}: precision check failed")
-    return float(values[1])
-
-
 def main() -> None:
     rows = [("t", 1, df, s) for df in DFS for s in T_STATS]
     rows += [("F", dfn, df, s) for dfn in DFNS for df in DFS for s in F_STATS]
@@ -104,9 +70,6 @@ def main() -> None:
         writer.writerow(("kind", "dfn", "df", "statistic", "p"))
         for kind, dfn, df, statistic in rows:
             writer.writerow((kind, dfn, df, statistic, repr(checked(dfn, df, statistic, kind))))
-        for df in DFS:
-            for p in Q_TAILS:
-                writer.writerow(("q", 1, df, repr(checked_quantile(df, p)), p))
 
 
 if __name__ == "__main__":

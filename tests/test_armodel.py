@@ -66,6 +66,12 @@ class TestSelectLag:
         picks = [select_lag(series(y), max_lag=4, criterion=c) for c in ("AIC", "SIC", "HQ")]
         assert all(p >= 1 for p in picks)
 
+    def test_default_criterion_is_the_forecasts_sic(self):
+        values = ar_noise(4, 60)  # AIC picks 3 here, SIC 1
+        assert select_lag(values, max_lag=4, criterion="AIC") == 3
+        assert select_lag(values, max_lag=4) == select_lag(values, max_lag=4, criterion="SIC") == 1
+        assert ARSpec().criterion == "SIC"
+
     def test_short_series_rejected(self):
         with pytest.raises(EstimationError):
             select_lag(series([1.0, 2.0, 3.0]), max_lag=4)

@@ -307,6 +307,11 @@ class TestConfigFile:
         ("report", [], json.dumps({"hac_lag": "1.5"})),
         ("report", [], json.dumps({"ar_lag": -1})),
         ("report", [], json.dumps({"thresholds": ["a"]})),
+        ("recovery", ["--replications", "0"], None),
+        ("recovery", ["--rho-own", "1.5"], None),
+        ("recovery", ["--judgment-sd", "-1"], None),
+        ("simulate", ["--participation-low", "0.9", "--participation-high", "0.2"], None),
+        ("simulate", [], json.dumps({"rho_own": "0.5"})),
     ])
     def test_bad_value_exits_2_with_one_line(self, world_dir, tmp_path, capsys, command, flags, config):
         if config is not None:

@@ -244,32 +244,32 @@ class TestCanonicalOrder:
 
 
 class TestParticipationShare:
+    """The share's quarters are the release's first to last quarter in the panel; E2 fixes that span here."""
+
     def test_half_coverage(self):
-        sample = (q(2000, 1), q(2022, 4))  # 92 quarters
         quarters = [q(2000, 1).shifted(i) for i in range(46)]
-        panel = ForecastPanel.from_rows([rec("E1", quarter, 1.0) for quarter in quarters])
-        assert participation_share(panel, ReleaseKind.FIRST, sample)[0] == 0.5
+        span = [rec("E2", q(2000, 1), 1.0), rec("E2", q(2022, 4), 1.0)]  # 92 quarters
+        panel = ForecastPanel.from_rows([rec("E1", quarter, 1.0) for quarter in quarters] + span)
+        assert participation_share(panel, ReleaseKind.FIRST)[0] == 0.5
 
     def test_unknown_economist_is_zero(self):
         # EX forecasts only the second release, so it has no first-release record.
         panel = ForecastPanel.from_rows(
             [rec("E1", q(2000, 1), 1.0), rec("EX", q(2000, 1), 1.0, ReleaseKind.SECOND)]
         )
-        shares = participation_share(panel, ReleaseKind.FIRST, (q(2000, 1), q(2000, 4)))
+        shares = participation_share(panel, ReleaseKind.FIRST)
         assert shares[panel.economist_ids.index("EX")] == 0.0
 
     def test_full_coverage(self):
         quarters = [q(2000, 1).shifted(i) for i in range(4)]
         panel = ForecastPanel.from_rows([rec("E1", quarter, 1.0) for quarter in quarters])
-        assert participation_share(panel, ReleaseKind.FIRST, (quarters[0], quarters[-1]))[0] == 1.0
+        assert participation_share(panel, ReleaseKind.FIRST)[0] == 1.0
 
     def test_monotone_in_records(self):
-        sample = (q(2000, 1), q(2000, 4))
-        small = ForecastPanel.from_rows([rec("E1", q(2000, 1), 1.0)])
-        large = ForecastPanel.from_rows([rec("E1", q(2000, 1), 1.0), rec("E1", q(2000, 2), 1.0)])
-        assert participation_share(small, ReleaseKind.FIRST, sample)[0] <= participation_share(
-            large, ReleaseKind.FIRST, sample
-        )[0]
+        span = [rec("E2", q(2000, 1), 1.0), rec("E2", q(2000, 4), 1.0)]
+        small = ForecastPanel.from_rows([rec("E1", q(2000, 1), 1.0)] + span)
+        large = ForecastPanel.from_rows([rec("E1", q(2000, 1), 1.0), rec("E1", q(2000, 2), 1.0)] + span)
+        assert participation_share(small, ReleaseKind.FIRST)[0] < participation_share(large, ReleaseKind.FIRST)[0]
 
 
 class TestJointCoverage:

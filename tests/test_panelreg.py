@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from judgebench.errors import EstimationError
 from judgebench.judgment import JudgmentPanel
@@ -12,8 +14,10 @@ from judgebench.panelreg import (
     fe_estimate,
     persistence_battery,
     significance_stars,
+    t_test_p_value,
 )
 from judgebench.quarters import Quarter, ReleaseKind
+from judgebench.tails import t_sf
 
 from conftest import Obs, dataset, q, rec
 
@@ -299,3 +303,28 @@ class TestSignificanceStars:
         assert significance_stars(0.03) == "**"
         assert significance_stars(0.07) == "*"
         assert significance_stars(0.2) == ""
+
+
+values = st.floats(-10.0, 10.0)
+ses = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
+dfs = st.integers(1, 10**6)
+
+
+class TestTTestPValue:
+    def test_zero_se_gives_one_at_the_null_and_zero_elsewhere(self):
+        assert t_test_p_value(0.3, 0.3, 0.0, 5) == 1.0
+        assert t_test_p_value(0.3, 0.1, 0.0, 5) == 0.0
+        assert t_test_p_value([0.0, -0.2, 0.1], 0.0, 0.0, 7).tolist() == [1.0, 0.0, 0.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(values, values, ses, dfs), min_size=1, max_size=8))
+    def test_batched_call_equals_one_call_per_element(self, cells):
+        estimate, null, se, df = (np.array(column, dtype=float) for column in zip(*cells))
+        one_by_one = [t_test_p_value(*args) for args in zip(estimate, null, se, df)]
+        assert t_test_p_value(estimate, null, se, df).tobytes() == np.array(one_by_one).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(values, st.floats(1e-6, 10.0), dfs), min_size=1, max_size=8))
+    def test_null_zero_is_the_two_sided_tail_of_beta_over_se(self, cells):
+        beta, se, df = (np.array(column, dtype=float) for column in zip(*cells))
+        assert t_test_p_value(beta, 0.0, se, df).tobytes() == (2.0 * t_sf(np.abs(beta / se), df)).tobytes()

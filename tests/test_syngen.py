@@ -3,12 +3,15 @@
 ``loop_recovery`` is ``recovery_experiment`` as it ran before replications
 were simulated in blocks: one whole three-release world per replication,
 then the first release's judgments and the own-lag FE fit.  It serves as the
-reference the block pass must match bit for bit.
+reference the block pass must match bit for bit.  Its coverage is the
+interval form, beta -/+ t(0.975, G-1) SE around rho_own with the quantile
+from scipy, so the block pass's p-value form is checked against it.
 """
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +26,6 @@ from judgebench.syngen import (
     recovery_experiment,
     simulate_world,
 )
-from judgebench.tails import t_quantile
 
 from conftest import rows_of
 
@@ -167,7 +169,8 @@ def loop_recovery(config: SynthConfig, replications: int, base_seed: int):
     betas = [fit.beta for fit in fits]
     coverage = None
     if fits:
-        half = t_quantile(0.975, [fit.n_forecasters - 1 for fit in fits]) * np.array([fit.se_clustered for fit in fits])
+        half = scipy.stats.t.ppf(0.975, [fit.n_forecasters - 1 for fit in fits]) * np.array(
+            [fit.se_clustered for fit in fits])
         covered = (np.array(betas) - half <= config.rho_own) & (config.rho_own <= np.array(betas) + half)
         coverage = int(covered.sum()) / len(fits)
     return betas, fits, failures, coverage

@@ -1,18 +1,15 @@
-"""The in-repo t and F tails and the t quantile: accuracy, edge rules and batching."""
+"""The in-repo t and F tails: accuracy, edge rules and batching."""
 import csv
 import math
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import judgebench.tails as tails
-from judgebench.tails import _RATIO_SERIES, f_sf, t_quantile, t_sf
+from judgebench.tails import _RATIO_SERIES, f_sf, t_sf
 
 from conftest import within_tail_bound
 
@@ -55,33 +52,12 @@ class TestAgainstHighPrecision:
                if not within_tail_bound(v, p, df)]
         assert bad == []
 
-    def test_t_quantile(self):
-        # A q row's statistic is the t > 0 with P(T > t) = p, so t_quantile(p, df) is its negative.
-        rows = [r for r in _reference_rows() if r[0] == "q"]
-        assert {df for _, _, df, _, _ in rows} == set(DENSE_DF) and len(rows) == 8 * len(DENSE_DF)
-        ours = t_quantile([p for *_, p in rows], [df for _, _, df, _, _ in rows])
-        bad = [(df, p, s, v) for (_, _, df, s, p), v in zip(rows, ours.tolist())
-               if not within_tail_bound(-v, s, df)]
-        assert bad == []
-
-    def test_t_quantile_against_scipy(self):
-        ours = t_quantile(0.975, DENSE_DF)
-        reference = scipy.stats.t.ppf(0.975, DENSE_DF)
-        assert all(within_tail_bound(v, r, df) for v, r, df in zip(ours.tolist(), reference.tolist(), DENSE_DF))
-
 
 def test_ratio_series_literals_are_the_bernoulli_coefficients():
     # B_k (2^(1-k) - 2) / (k (k-1)) for k = 2, 4, ..., 14, each as its nearest double.
     bernoulli = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42), 8: Fraction(-1, 30),
                  10: Fraction(5, 66), 12: Fraction(-691, 2730), 14: Fraction(7, 6)}
     assert _RATIO_SERIES == [float(b * (Fraction(2, 2**k) - 2) / (k * (k - 1))) for k, b in bernoulli.items()]
-
-
-def test_quantile_start_leaves_two_newton_steps_at_the_recovery_df():
-    # Each step is one t_sf call; from the upper bounds alone this quantile takes six.
-    with mock.patch.object(tails, "t_sf", wraps=tails.t_sf) as sf:
-        t_quantile(0.975, [199] * 12)
-    assert sf.call_count == 2
 
 
 class TestEdges:
@@ -95,14 +71,6 @@ class TestEdges:
         assert np.isnan(bad).all()
         assert f_sf(0.0, 3, 7) == 1.0 and f_sf(math.inf, 3, 7) == 0.0
 
-    def test_quantile_edges(self):
-        assert np.isnan(t_quantile([0.975, 0.975, 1.5, math.nan], [0.0, math.nan, 5.0, 5.0])).all()
-        assert t_quantile(0.5, 3) == 0.0
-        assert t_quantile(1.0, 3) == math.inf and t_quantile(0.0, 3) == -math.inf
-        assert t_quantile(0.025, 9) == pytest.approx(-t_quantile(0.975, 9), rel=1e-13)
-        assert t_quantile(1e-300, 1) == pytest.approx(-1 / (math.pi * 1e-300), rel=1e-13)
-        assert t_quantile(1e-320, 1) == -math.inf
-
     def test_statistics_beyond_the_square_root_of_the_largest_double(self):
         # P(|T| > t) for one degree of freedom is about 2/(pi t), with no overflow on the way.
         assert t_sf(1e200, 1) == pytest.approx(1 / (math.pi * 1e200), rel=1e-12)
@@ -114,14 +82,13 @@ class TestEdges:
 
 
 @settings(SETTINGS, max_examples=60)
-@given(st.lists(st.tuples(statistics, dfs, st.integers(1, 4), st.floats(0.0, 1.0)), min_size=1, max_size=8))
+@given(st.lists(st.tuples(statistics, dfs, st.integers(1, 4)), min_size=1, max_size=8))
 def test_batched_call_equals_one_call_per_element(cells):
-    t, df, dfn, p = (np.array(column, dtype=float) for column in zip(*cells))
+    t, df, dfn = (np.array(column, dtype=float) for column in zip(*cells))
     f = t * t
     for batched, one_by_one in (
         (t_sf(t, df), [t_sf(a, b) for a, b in zip(t, df)]),
         (f_sf(f, dfn, df), [f_sf(a, b, c) for a, b, c in zip(f, dfn, df)]),
-        (t_quantile(p, df), [t_quantile(a, b) for a, b in zip(p, df)]),
     ):
         assert batched.tobytes() == np.array(one_by_one).tobytes()
 
@@ -137,9 +104,3 @@ def test_t_tail_is_symmetric(t, df):
 @given(statistics, dfs)
 def test_f_tail_with_one_restriction_is_the_two_sided_t_tail(t, df):
     assert within_tail_bound(float(f_sf(t * t, 1, df)), 2.0 * float(t_sf(abs(t), df)), df)
-
-
-@SETTINGS
-@given(dfs)
-def test_quantile_round_trip(df):
-    assert within_tail_bound(float(t_sf(t_quantile(0.975, df), df)), 0.025, df)
