@@ -25,6 +25,7 @@ from judgebench.linreg import (
     wald_joint_test,
 )
 from judgebench.panel import SpfNowcasts, participation_share
+from judgebench.panelreg import t_test_p_value
 from judgebench.quarters import Quarter, ReleaseKind
 
 from conftest import actuals_from, aligned, panel_from_values, q, series_from, within_tail_bound
@@ -288,7 +289,8 @@ def _same(a: float, b: float) -> bool:
 
 class TestDistributionFunctions:
     """The t and F tails agree with scipy.stats within the stated relative bound
-    (1e-13 for df <= 1e4, 1e-12 beyond); NaN edges and a zero statistic agree exactly."""
+    (1e-13 for df <= 1e4, 1e-12 beyond); NaN edges and a zero statistic agree exactly.
+    At the edge of the 95% t interval the two-sided t test gives p = 0.05 within the same bound."""
 
     @pytest.mark.parametrize("df", EDGE_DF)
     @pytest.mark.parametrize("x", EDGE_STAT)
@@ -315,6 +317,18 @@ class TestDistributionFunctions:
             assert _same(res.p_value, reference)
         else:
             assert within_tail_bound(res.p_value, reference, df)
+
+    @pytest.mark.parametrize("df", (*EDGE_DF, math.nan))
+    def test_t_test_p_value_at_the_95_percent_interval_edge(self, df):
+        # Recovery counts a replication as covered when p >= 0.05; that is the
+        # interval form only if p is 0.05 where the interval ends.
+        critical = float(scipy.stats.t.ppf(0.975, df=df))
+        rho, se = 0.5, 0.25
+        p = float(t_test_p_value(rho + critical * se, rho, se, df))
+        if math.isnan(critical):
+            assert math.isnan(p)
+        else:
+            assert within_tail_bound(p, 0.05, df)
 
 
 def _series(values, start=Quarter(2000, 1)):
