@@ -26,7 +26,6 @@ from .armodel import DEFAULT_MAX_LAG, MIN_PRESAMPLE, ARForecasts, ARSpec, fill_m
 from .descriptive import armse, quarter_stats
 from .errors import JudgebenchError
 from .judgment import (
-    DEFAULT_GRID,
     DEFAULT_THRESHOLDS,
     BaselineSeries,
     JudgmentPanel,
@@ -51,7 +50,7 @@ from .panel import (
     load_spf,
     participation_share,
 )
-from .panelreg import REGRESSOR_KINDS, SPECS, persistence_battery
+from .panelreg import REGRESSOR_KINDS, persistence_battery
 from .quarters import Quarter, ReleaseKind, parse_quarter
 from .syngen import RecoverySummary, SynthConfig, recovery_experiment, simulate_world
 
@@ -63,7 +62,9 @@ BASELINE_METHODS = ("median", "mean")
 class RunConfig:
     """Effective run configuration; flags override config-file values.
 
-    Each keyword argument replaces the default of the attribute it names.
+    Each annotated attribute declares one setting: its config key, its flag
+    and its default, whose type is the setting's type.  Each keyword argument
+    replaces the default of the attribute it names.
     """
 
     actuals: str | None = None
@@ -72,24 +73,24 @@ class RunConfig:
     sample_from: str | None = None
     sample_to: str | None = None
     baseline_method: str = "median"
-    grid: float = DEFAULT_GRID
+    grid: float = SynthConfig.grid
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     alpha: float = 0.05
     hac_lag: str = "auto"  # "auto" or an integer literal
     ar_lag: str = "1"      # "auto" or an integer literal
     out: str = "out"
-    seed: int = 12345
+    seed: int = SynthConfig.seed
     replications: int = 100
     # Synthetic-world knobs (simulate / recovery).
-    n_forecasters: int = 50
-    n_quarters: int = 92
-    rho_own: float = 0.1
-    rho_own_sd: float = 0.0
-    kappa: float = 0.0
-    judgment_sd: float = 0.2
-    p_neutral: float = 0.0
-    participation_low: float = 1.0
-    participation_high: float = 1.0
+    n_forecasters: int = SynthConfig.n_forecasters
+    n_quarters: int = SynthConfig.n_quarters
+    rho_own: float = SynthConfig.rho_own
+    rho_own_sd: float = SynthConfig.rho_own_sd
+    kappa: float = SynthConfig.kappa
+    judgment_sd: float = SynthConfig.judgment_sd
+    p_neutral: float = SynthConfig.p_neutral
+    participation_low: float = SynthConfig.participation_low
+    participation_high: float = SynthConfig.participation_high
 
     def __init__(self, **settings):
         if unknown := settings.keys() - RunConfig.__annotations__.keys():
@@ -98,28 +99,23 @@ class RunConfig:
 
     def semantic_dict(self) -> dict:
         """Fields that affect results (output location excluded)."""
-        data = {name: getattr(self, name) for name in RunConfig.__annotations__ if name != "out"}
-        data["thresholds"] = list(self.thresholds)
-        return data
+        return {name: getattr(self, name) for name in RunConfig.__annotations__ if name != "out"}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.semantic_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
     def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            n_forecasters=self.n_forecasters,
-            n_quarters=self.n_quarters,
-            seed=self.seed,
-            rho_own=self.rho_own,
-            rho_own_sd=self.rho_own_sd,
-            kappa=self.kappa,
-            judgment_sd=self.judgment_sd,
-            p_neutral=self.p_neutral,
-            participation_low=self.participation_low,
-            participation_high=self.participation_high,
-            grid=self.grid,
-        )
+        shared = SynthConfig.__annotations__.keys() & RunConfig.__annotations__.keys()
+        return SynthConfig(**{name: getattr(self, name) for name in shared})
+
+
+FLAGS = {name: "--" + name.replace("_", "-") for name in RunConfig.__annotations__} | {
+    "sample_from": "--from", "sample_to": "--to", "baseline_method": "--baseline"}
+CHOICES = {"baseline_method": BASELINE_METHODS}
+LAG_LIMITS = {"hac_lag": math.inf, "ar_lag": DEFAULT_MAX_LAG}  # "auto" or an integer in 0..limit, stored as digits
+# The types a setting takes, by its default's type; a float setting stores a float, so 1 hashes as --grid 1.
+TAKES = {int: (int,), float: (int, float), str: (str,), type(None): (str, type(None))}
 
 
 class CliError(Exception):
@@ -342,10 +338,9 @@ def cmd_table2(study: Study, out: Path) -> list[Path]:
     panel, thresholds = study.panel, study.cfg.thresholds
     columns = [[], [], []]
     for rel in RELEASES:
-        in_release = panel.release == rel
-        present = np.bincount(panel.economist[in_release], minlength=len(panel.economist_ids)) > 0
         share = study.participation[rel]
-        _add_row(columns, "total_predictions", RELEASE_LABEL[rel], int(np.count_nonzero(in_release)))
+        present = share > 0  # a share's denominator, the release's span, is at least 1
+        _add_row(columns, "total_predictions", RELEASE_LABEL[rel], int(np.count_nonzero(panel.release == rel)))
         _add_row(columns, "n_economists", RELEASE_LABEL[rel], int(np.count_nonzero(present)))
         for thr in thresholds:
             count = int(np.count_nonzero(present & passes_threshold(share, thr)))
@@ -456,13 +451,11 @@ def cmd_accuracy(study: Study, out: Path) -> list[Path]:
 def cmd_persistence(study: Study, out: Path) -> list[Path]:
     report = persistence_battery(study.judgments)
     files = []
-    column_order = [(kind, spec) for kind in REGRESSOR_KINDS for spec in SPECS]
     diagnostics = [[], [], [], [], []]
     for rel in RELEASES:
         table = [[] for _ in range(12)]
-        cells = {(c.regressor_kind, c.spec): c for c in report.for_release(rel)}
-        for i, (kind, spec) in enumerate(column_order, start=1):
-            cell = cells[(kind, spec)]
+        for i, cell in enumerate(report.for_release(rel), start=1):  # regressor by spec, as the tables list them
+            kind, spec = cell.regressor_kind, cell.spec
             if cell.result is None:
                 _add_row(table, i, kind, spec, None, None, "", None, None, None, None, None, cell.error)
             else:
@@ -595,30 +588,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="judgebench", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--actuals")
-    parser.add_argument("--forecasts")
-    parser.add_argument("--spf")
-    parser.add_argument("--from", dest="sample_from")
-    parser.add_argument("--to", dest="sample_to")
-    parser.add_argument("--baseline", dest="baseline_method", choices=["median", "mean"])
-    parser.add_argument("--grid", type=float)
-    parser.add_argument("--thresholds")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--hac-lag", dest="hac_lag")
-    parser.add_argument("--ar-lag", dest="ar_lag")
-    parser.add_argument("--out")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--replications", type=int)
-    parser.add_argument("--n-forecasters", dest="n_forecasters", type=int)
-    parser.add_argument("--n-quarters", dest="n_quarters", type=int)
-    parser.add_argument("--rho-own", dest="rho_own", type=float)
-    parser.add_argument("--rho-own-sd", dest="rho_own_sd", type=float)
-    parser.add_argument("--kappa", type=float)
-    parser.add_argument("--judgment-sd", dest="judgment_sd", type=float)
-    parser.add_argument("--p-neutral", dest="p_neutral", type=float)
-    parser.add_argument("--participation-low", dest="participation_low", type=float)
-    parser.add_argument("--participation-high", dest="participation_high", type=float)
+    for name in RunConfig.__annotations__:
+        kind = type(getattr(RunConfig, name))
+        parser.add_argument(FLAGS[name], dest=name, type=kind if kind in (int, float) else None,
+                            choices=CHOICES.get(name))
     return parser
+
+
+def _checked(name: str, value):
+    """A setting's value, from a flag or the config file, in the one form it is stored and hashed in."""
+    default = getattr(RunConfig, name)
+    try:
+        if name in LAG_LIMITS:
+            text = str(value)
+            if text == "auto" or (text.isascii() and text.isdigit() and int(text) <= LAG_LIMITS[name]):
+                return text if text == "auto" else str(int(text))
+        elif name == "thresholds":
+            return tuple(float(t) for t in (value.split(",") if isinstance(value, str) else value))
+        elif type(value) in TAKES[type(default)] and value in CHOICES.get(name, (value,)):
+            if name in ("sample_from", "sample_to") and value is not None:
+                parse_quarter(value)
+            return float(value) if type(default) is float else value
+    except (TypeError, ValueError):  # a QuarterParseError is a ValueError
+        pass
+    raise CliError(f"error: invalid-value name={FLAGS[name]} value={value}")
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -634,27 +627,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise CliError(f"error: missing-input path={args.config}") from None
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8 JSON, or not an object
             raise CliError(f"error: invalid-config path={args.config} detail={exc}") from None
-        unknown = values.keys() - RunConfig.__annotations__.keys()
-        if unknown:
+        if unknown := values.keys() - RunConfig.__annotations__.keys():
             raise CliError(f"error: unknown-config-keys keys={','.join(sorted(unknown))}")
     values.update((k, v) for k, v in vars(args).items() if k in RunConfig.__annotations__ and v is not None)
-    for key, most in (("hac_lag", math.inf), ("ar_lag", DEFAULT_MAX_LAG)):  # "auto" or an integer in 0..most
-        if key not in values:
-            continue
-        text = str(values[key])
-        if text != "auto" and not (text.isascii() and text.isdigit() and int(text) <= most):
-            raise CliError(f"error: invalid-value name=--{key.replace('_', '-')} value={text}")
-        values[key] = text if text == "auto" else str(int(text))  # one form per lag, so one config hash
-    if "thresholds" in values:
-        cuts = values["thresholds"]
-        try:
-            values["thresholds"] = tuple(float(t) for t in (cuts.split(",") if isinstance(cuts, str) else cuts))
-        except (TypeError, ValueError):
-            raise CliError(f"error: invalid-value name=--thresholds value={cuts}") from None
-    cfg = RunConfig(**values)
+    cfg = RunConfig(**{name: _checked(name, value) for name, value in values.items()})
     try:  # the simulator's own checks of its settings and of the replication count
         RecoverySummary(cfg.synth_config(), cfg.replications)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"error: invalid-value detail={exc}") from None
     return cfg
 

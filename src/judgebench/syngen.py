@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EstimationError
-from .judgment import JudgmentPanel, baseline, extract_judgments
+from .judgment import DEFAULT_GRID, JudgmentPanel, baseline, extract_judgments, grid_round
 from .panel import ActualSeries, ForecastPanel, QuarterSeries, SpfNowcasts, factorize
 from .panelreg import build_persistence_dataset, fe_estimate, t_test_p_value
 from .quarters import Quarter, ReleaseKind
@@ -46,12 +46,15 @@ class SynthConfig:
     p_neutral: float = 0.0
     participation_low: float = 1.0
     participation_high: float = 1.0
-    grid: float = 0.1
+    grid: float = DEFAULT_GRID
 
     def __init__(self, **settings):
         if unknown := settings.keys() - SynthConfig.__annotations__.keys():
             raise TypeError(f"unknown settings: {', '.join(sorted(unknown))}")
         vars(self).update(settings)
+        for name, least in (("n_forecasters", 1), ("n_quarters", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
         if abs(self.rho_own) >= 1:
             raise ValueError("own-lag persistence must satisfy |rho| < 1")
         for name in ("actual_sd", "revision_sd", "baseline_noise_sd", "judgment_sd", "rho_own_sd"):
@@ -177,9 +180,7 @@ def _panel(config: SynthConfig, block: _Block, s: int, ids: _Ids) -> ForecastPan
     mask = block.mask[s][order]
     rows = mask.sum(axis=1)
     latent = block.baselines[s, :releases, None] + block.judgments[:, :, s].transpose(0, 2, 1)[:, order]
-    forecasts = latent[:, mask]
-    if config.grid > 0:
-        forecasts = np.round(forecasts / config.grid) * config.grid
+    forecasts = grid_round(latent[:, mask], config.grid)
     return ForecastPanel(
         ids.economist_ids,
         ids.firm_ids,

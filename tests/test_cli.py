@@ -42,12 +42,10 @@ def world_dir(tmp_path_factory) -> Path:
     return out
 
 
-def world_flags(world_dir: Path) -> list[str]:
-    return [
-        "--actuals", str(world_dir / "actuals.csv"),
-        "--forecasts", str(world_dir / "forecasts.csv"),
-        "--spf", str(world_dir / "spf.csv"),
-    ]
+def world_flags(world_dir: Path, *skip: str) -> list[str]:
+    """The world's input flags, but none for the inputs named in ``skip``."""
+    return [flag for name in ("actuals", "forecasts", "spf") if name not in skip
+            for flag in (f"--{name}", str(world_dir / f"{name}.csv"))]
 
 
 class TestSimulate:
@@ -262,6 +260,15 @@ class TestConfigHash:
         assert (from_file.hac_lag, from_file.ar_lag) == (from_flags.hac_lag, from_flags.ar_lag) == ("3", "2")
         assert from_file.config_hash() == from_flags.config_hash()
 
+    def test_number_from_config_file_and_flag_hash_alike(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kappa": 0}))
+        parser = build_parser()
+        from_file = config_from_args(parser.parse_args(["simulate", "--config", str(config)]))
+        from_flag = config_from_args(parser.parse_args(["simulate", "--kappa", "0"]))
+        assert from_file.kappa == from_flag.kappa == 0.0 and type(from_file.kappa) is float
+        assert from_file.config_hash() == from_flag.config_hash()
+
     def test_output_directory_not_semantic(self):
         assert RunConfig(out="a").config_hash() == RunConfig(out="b").config_hash()
 
@@ -312,15 +319,46 @@ class TestConfigFile:
         ("recovery", ["--judgment-sd", "-1"], None),
         ("simulate", ["--participation-low", "0.9", "--participation-high", "0.2"], None),
         ("simulate", [], json.dumps({"rho_own": "0.5"})),
+        # A world without forecasters or quarters, or with a negative seed.
+        ("recovery", ["--n-forecasters", "0", "--replications", "1"], None),
+        ("simulate", ["--n-forecasters", "0"], None),
+        ("simulate", ["--n-quarters", "0"], None),
+        ("simulate", ["--seed", "-1"], None),
+        ("recovery", ["--seed", "-1"], None),
+        # A sample bound that is not a YYYYQn quarter.
+        ("report", ["--from", "2001Q5"], None),
+        ("report", ["--to", "2001"], None),
+        ("report", [], json.dumps({"sample_from": "2001Q5"})),
+        ("report", [], json.dumps({"sample_to": 2001})),
+        # A config-file value of another type than its flag's, or outside its flag's choices.
+        ("simulate", [], json.dumps({"n_forecasters": "12"})),
+        ("recovery", [], json.dumps({"n_forecasters": "12"})),
+        ("simulate", [], json.dumps({"n_quarters": 12.5})),
+        ("recovery", [], json.dumps({"n_quarters": 12.5})),
+        ("recovery", [], json.dumps({"replications": 2.5})),
+        ("recovery", [], json.dumps({"seed": "7"})),
+        ("simulate", [], json.dumps({"seed": 7.5})),
+        ("recovery", [], json.dumps({"seed": 7.5})),
+        ("simulate", [], json.dumps({"grid": "0.1"})),
+        ("recovery", [], json.dumps({"grid": "0.1"})),
+        ("report", [], json.dumps({"grid": "0.1"})),
+        ("report", [], json.dumps({"alpha": "x"})),
+        ("simulate", [], json.dumps({"kappa": "0.3"})),
+        ("report", [], json.dumps({"actuals": 5})),
+        ("simulate", [], json.dumps({"rho_own": False})),
+        ("report", [], json.dumps({"baseline_method": "mode"})),
     ])
     def test_bad_value_exits_2_with_one_line(self, world_dir, tmp_path, capsys, command, flags, config):
+        set_by_file = ()
         if config is not None:
             cfg_path = tmp_path / "cfg.json"
             if config != "missing":
                 cfg_path.write_text(config)
             flags = [*flags, "--config", str(cfg_path)]
+            set_by_file = json.loads(config) if config.startswith('{"') else ()
         out = tmp_path / "out"
-        assert main([command, *world_flags(world_dir), *flags, "--out", str(out)]) == 2
+        # A flag overrides the config file, so an input the file sets gets no flag.
+        assert main([command, *world_flags(world_dir, *set_by_file), *flags, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert not out.exists()
@@ -332,6 +370,28 @@ class TestConfigFile:
         assert code == 0
         text = (out / "table3_sign_shares.csv").read_text()
         assert "0.25" in text and "0.5" in text
+
+    def test_number_from_config_file_writes_the_report_of_its_flag(self, world_dir, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid": 1}))
+        from_file, from_flag = tmp_path / "file", tmp_path / "flag"
+        assert main(["report", *world_flags(world_dir), "--config", str(cfg_path), "--out", str(from_file)]) == 0
+        assert main(["report", *world_flags(world_dir), "--grid", "1", "--out", str(from_flag)]) == 0
+        assert read_bytes(from_file) == read_bytes(from_flag)
+
+
+class TestDeclaration:
+    """Each ``RunConfig`` attribute is the one declaration of a setting, its flag and its flag's type."""
+
+    def test_one_flag_per_setting_typed_by_its_default(self):
+        parser = build_parser()
+        settings = [action for action in parser._actions if action.dest not in ("help", "command", "config")]
+        assert [action.dest for action in settings] == list(RunConfig.__annotations__)
+        for action in settings:
+            default = getattr(RunConfig, action.dest)
+            if type(default) in (int, float):
+                parsed = getattr(parser.parse_args(["report", action.option_strings[0], "1"]), action.dest)
+                assert type(parsed) is type(default), action.dest
 
 
 class TestSubcommands:
