@@ -6,7 +6,7 @@ augmented predictions, and estimates judgment persistence with fixed-effects
 panel regressions.
 """
 
-from .quarters import Quarter, ReleaseKind, parse_quarter, quarter_range
+from .quarters import ReleaseKind, parse_quarter, quarter_label
 from .panel import (
     ActualSeries,
     CleaningLog,

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import EstimationError, IngestionError
 from .linreg import RegressionFit, ols
 from .panel import ActualSeries, QuarterSeries, distinct
-from .quarters import Quarter
+from .quarters import quarter_label
 
 DEFAULT_MAX_GAP = 3
 DEFAULT_MAX_LAG = 8
@@ -37,22 +37,22 @@ class ARSpec:
 
 def fill_missing(
     series: ActualSeries,
-    first: Quarter | None = None,
-    last: Quarter | None = None,
+    first: int | None = None,
+    last: int | None = None,
     max_gap: int = DEFAULT_MAX_GAP,
 ) -> ActualSeries:
     """Fill gaps: linear interpolation inside the span, constant values at edges.
 
-    The result covers ``first`` through ``last``, by default the first and
-    last quarters the series has.  A run of more than ``max_gap`` consecutive
-    interior missing quarters is an error.  The indexes of the filled
-    quarters are added to the result's ``filled``.
+    The result covers quarter indexes ``first`` through ``last``, by default
+    the first and last quarters the series has.  A run of more than
+    ``max_gap`` consecutive interior missing quarters is an error.  The
+    indexes of the filled quarters are added to the result's ``filled``.
     """
     present_at = series.quarters()
     if not present_at.size:
         raise IngestionError("cannot fill an empty series")
-    lo = int(present_at[0]) if first is None else first.index
-    hi = int(present_at[-1]) if last is None else last.index
+    lo = int(present_at[0]) if first is None else first
+    hi = int(present_at[-1]) if last is None else last
     values = series.at(np.arange(lo, hi + 1))
     present = ~np.isnan(values)
     if not present.any():
@@ -66,8 +66,8 @@ def fill_missing(
     too_long = interior & (run > max_gap)
     if too_long.any():
         at = int(np.argmax(too_long))
-        where = Quarter.from_index(lo + at)
-        raise IngestionError(f"interior gap of {run[at]} quarters at {where} exceeds the limit of {max_gap}")
+        raise IngestionError(
+            f"interior gap of {run[at]} quarters at {quarter_label(lo + at)} exceeds the limit of {max_gap}")
     edge = missing & ~interior  # takes the nearest present value
     values[edge] = values[np.where(prev < 0, after, prev)[edge]]
     left, right = values[prev[interior]], values[after[interior]]
@@ -80,7 +80,7 @@ def _contiguous_values(series: QuarterSeries, first: int, last: int) -> np.ndarr
     """The values of quarter indexes first..last, which must all be present."""
     values = series.at(np.arange(first, last + 1))
     if np.isnan(values).any():
-        gap = Quarter.from_index(first + int(np.argmax(np.isnan(values))))
+        gap = quarter_label(first + int(np.argmax(np.isnan(values))))
         raise EstimationError(f"series has a gap at {gap}; fill missing values first")
     return values
 
@@ -179,7 +179,7 @@ def recursive_ar_forecast(
     need = MIN_PRESAMPLE + (0 if spec.reselect else spec.p)
     if sizes[0] < need:
         raise EstimationError(
-            f"only {sizes[0]} observations before target {Quarter.from_index(first)}; need {need}")
+            f"only {sizes[0]} observations before target {quarter_label(first)}; need {need}")
     full = _contiguous_values(series, start, int(ordered[-1]) - 1)
     orders = np.full(sizes.size, spec.p)
     if spec.reselect:

@@ -51,7 +51,7 @@ from .panel import (
     participation_share,
 )
 from .panelreg import REGRESSOR_KINDS, persistence_battery
-from .quarters import Quarter, ReleaseKind, parse_quarter
+from .quarters import ReleaseKind, parse_quarter, quarter_label
 from .syngen import RecoverySummary, SynthConfig, recovery_experiment, simulate_world
 
 RELEASES = (ReleaseKind.FIRST, ReleaseKind.SECOND, ReleaseKind.THIRD)
@@ -116,6 +116,8 @@ CHOICES = {"baseline_method": BASELINE_METHODS}
 LAG_LIMITS = {"hac_lag": math.inf, "ar_lag": DEFAULT_MAX_LAG}  # "auto" or an integer in 0..limit, stored as digits
 # The types a setting takes, by its default's type; a float setting stores a float, so 1 hashes as --grid 1.
 TAKES = {int: (int,), float: (int, float), str: (str,), type(None): (str, type(None))}
+# Every real-valued setting must be finite, and these must also be in range (for thresholds, each one).
+IN_RANGE = {"alpha": lambda x: 0 < x < 1, "grid": lambda x: x >= 0, "thresholds": lambda x: 0 <= x <= 1}
 
 
 class CliError(Exception):
@@ -191,7 +193,7 @@ def _record_columns(records: list, names: tuple[str, ...]) -> list[list]:
 def _quarter_labels(indexes: np.ndarray) -> CodedColumn:
     """The ``YYYYQn`` label of each quarter index, as codes into the labels of their span."""
     first, last = (int(indexes.min()), int(indexes.max())) if indexes.size else (0, -1)
-    return CodedColumn([str(Quarter.from_index(i)) for i in range(first, last + 1)], indexes - first)
+    return CodedColumn([quarter_label(i) for i in range(first, last + 1)], indexes - first)
 
 
 def _stack_series(series: list[QuarterSeries], *arrays: str) -> tuple:
@@ -247,9 +249,9 @@ class Study:
             return cleaned
         inside = np.ones(len(cleaned), dtype=bool)
         if self.cfg.sample_from:
-            inside &= cleaned.quarter >= parse_quarter(self.cfg.sample_from).index
+            inside &= cleaned.quarter >= parse_quarter(self.cfg.sample_from)
         if self.cfg.sample_to:
-            inside &= cleaned.quarter <= parse_quarter(self.cfg.sample_to).index
+            inside &= cleaned.quarter <= parse_quarter(self.cfg.sample_to)
         return cleaned.take(inside)
 
     @cached_property
@@ -316,12 +318,13 @@ def cmd_describe(study: Study, out: Path) -> list[Path]:
         return columns
 
     _, min_rmse, max_rmse = spread("rmse")
+    per_quarter = [s for rel in RELEASES for s in stats[rel]]
     return [
         write_csv(out / "quarter_stats.csv",
                   ["release", "quarter", "n", "rmse", "std_dev", "skewness", "excess_kurtosis"],
                   [_release_labels([len(stats[rel]) for rel in RELEASES]),
-                   *_record_columns([s for rel in RELEASES for s in stats[rel]],
-                                    ("quarter", "n", "rmse", "std_dev", "skewness", "excess_kurtosis"))],
+                   _quarter_labels(np.array([s.quarter for s in per_quarter], dtype=np.int64)),
+                   *_record_columns(per_quarter, ("n", "rmse", "std_dev", "skewness", "excess_kurtosis"))],
                   comment="per-quarter cross-sectional statistics (kurtosis is excess: normal = 0)"),
         write_csv(out / "table1_descriptive.csv",
                   ["release", "avg_n", "min_n", "max_n", "armse", "min_rmse", "max_rmse",
@@ -504,14 +507,15 @@ def cmd_simulate(study: Study, out: Path) -> list[Path]:
     ]
     truth = [[], [], [], [], []]
     t = world.truth
+    labels = [quarter_label(q) for q in t.quarters.tolist()]
     for k in range(3):
-        for i_q, q in enumerate(t.quarters):
-            _add_row(truth, "baseline", "", str(q), k + 1, t.baselines[k, i_q])
+        for i_q, q in enumerate(labels):
+            _add_row(truth, "baseline", "", q, k + 1, t.baselines[k, i_q])
     for i, econ in enumerate(t.economists):
         _add_row(truth, "rho_own", econ, "", "", t.rho_i[i])
-        for i_q, q in enumerate(t.quarters):
+        for i_q, q in enumerate(labels):
             for k in range(3):
-                _add_row(truth, "judgment", econ, str(q), k + 1, t.judgments[i, i_q, k])
+                _add_row(truth, "judgment", econ, q, k + 1, t.judgments[i, i_q, k])
     files.append(write_csv(out / "truth.csv", ["kind", "economist_id", "quarter", "release", "value"], truth))
     return files
 
@@ -595,6 +599,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _real(name: str, value) -> float:
+    """A real-valued setting's value as a float; raises ValueError unless it is finite and in its range."""
+    if math.isfinite(x := float(value)) and IN_RANGE.get(name, math.isfinite)(x):
+        return x
+    raise ValueError(x)
+
+
 def _checked(name: str, value):
     """A setting's value, from a flag or the config file, in the one form it is stored and hashed in."""
     default = getattr(RunConfig, name)
@@ -604,14 +615,15 @@ def _checked(name: str, value):
             if text == "auto" or (text.isascii() and text.isdigit() and int(text) <= LAG_LIMITS[name]):
                 return text if text == "auto" else str(int(text))
         elif name == "thresholds":
-            return tuple(float(t) for t in (value.split(",") if isinstance(value, str) else value))
+            return tuple(_real(name, t) for t in (value.split(",") if isinstance(value, str) else value))
         elif type(value) in TAKES[type(default)] and value in CHOICES.get(name, (value,)):
             if name in ("sample_from", "sample_to") and value is not None:
                 parse_quarter(value)
-            return float(value) if type(default) is float else value
-    except (TypeError, ValueError):  # a QuarterParseError is a ValueError
+            return _real(name, value) if type(default) is float else value
+    except (TypeError, ValueError, OverflowError):  # a QuarterParseError is a ValueError
         pass
-    raise CliError(f"error: invalid-value name={FLAGS[name]} value={value}")
+    shown = str(value).replace("\r", "\\r").replace("\n", "\\n")  # one line, whatever the value holds
+    raise CliError(f"error: invalid-value name={FLAGS[name]} value={shown}")
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:

@@ -13,11 +13,11 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .panel import ActualSeries, ForecastPanel, block_sums
-from .quarters import Quarter, ReleaseKind
+from .quarters import ReleaseKind, quarter_label
 
 
 class QuarterStats(NamedTuple):
-    quarter: Quarter
+    quarter: int  # the quarter index
     n: int
     rmse: float
     std_dev: float
@@ -66,11 +66,10 @@ def quarter_stats(
     for index, n, error, missing, moments in zip(
         quarters.tolist(), sizes.tolist(), rmse.tolist(), np.isnan(actual).tolist(), _block_moments(values, bounds)
     ):
-        quarter = Quarter.from_index(index)
         if missing:
-            warnings.warn(f"no actual for {quarter} (release {release.value}); quarter excluded")
+            warnings.warn(f"no actual for {quarter_label(index)} (release {release.value}); quarter excluded")
             continue
-        out.append(QuarterStats(quarter, n, error, *moments))
+        out.append(QuarterStats(index, n, error, *moments))
     return out
 
 
@@ -83,7 +82,7 @@ def armse(stats: Sequence[QuarterStats]) -> float:
 
 def rmse_series(
     stats_by_release: Mapping[ReleaseKind, Sequence[QuarterStats]],
-) -> tuple[list[Quarter], dict[ReleaseKind, np.ndarray]]:
+) -> tuple[list[int], dict[ReleaseKind, np.ndarray]]:
     """Align per-quarter RMSEs across releases on the union of quarters.
 
     Quarters a release does not cover are NaN, never zero.

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .panel import ActualSeries, ForecastPanel, QuarterSeries, cell_medians
-from .quarters import Quarter, ReleaseKind
+from .quarters import ReleaseKind, quarter_label
 
 DEFAULT_GRID = 0.1
 DEFAULT_THRESHOLDS = (0.10, 0.25, 0.50)
@@ -83,7 +83,7 @@ def extract_judgments(
     levels = base.at(rows.quarter)
     missing = np.isnan(levels)
     if missing.any():
-        raise ValueError(f"baseline does not cover {Quarter.from_index(int(rows.quarter[missing][0]))}")
+        raise ValueError(f"baseline does not cover {quarter_label(int(rows.quarter[missing][0]))}")
     return JudgmentPanel(
         release=base.release,
         panel=rows,

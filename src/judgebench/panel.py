@@ -3,10 +3,11 @@
 The panel is one set of aligned numpy columns with a row per forecast.  The
 raw panel may contain several forecasts for the same (economist, quarter,
 release) key and forecasts attributed only to a firm.  ``clean_panel``
-resolves both deterministically and logs every dropped row.  Time series
-(actuals, SPF nowcasts, baselines, AR forecasts) are ``QuarterSeries``: one
-float64 array over a contiguous span of quarters, NaN where a quarter is
-absent.
+resolves both deterministically and logs every dropped row.  A quarter is
+its integer index (see ``judgebench.quarters``) in every column and series.
+Time series (actuals, SPF nowcasts, baselines, AR forecasts) are
+``QuarterSeries``: one float64 array over a contiguous span of quarter
+indexes, NaN where a quarter is absent.
 
 The three input files go through one CSV reader, ``_read_csv``: the csv
 module's dialect (quotes, CRLF; blank lines skipped), a chunk of rows at a
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import IngestionError
-from .quarters import Quarter, ReleaseKind, parse_quarter
+from .quarters import ReleaseKind, parse_quarter, quarter_label
 
 ACTUALS_HEADER = ["quarter", "release", "value"]
 FORECASTS_HEADER = ["quarter", "release", "economist_id", "firm_id", "value", "report_date"]
@@ -40,7 +41,7 @@ CHUNK_LINES = 2048  # lines the CSV reader decodes, and rows it codes, at a time
 class QuarterSeries:
     """One value per quarter over a contiguous span, NaN where a quarter is absent.
 
-    ``values[i]`` belongs to the quarter whose ``Quarter.index`` is ``start + i``.
+    ``values[i]`` belongs to the quarter whose index is ``start + i``.
     """
 
     def __init__(self, start: int, values: np.ndarray):
@@ -70,20 +71,6 @@ class QuarterSeries:
     def quarters(self) -> np.ndarray:
         """The indexes of the present quarters, ascending."""
         return self.start + np.flatnonzero(~np.isnan(self.values))
-
-    def items(self) -> Iterator[tuple[Quarter, float]]:
-        """Each present quarter and its value, in quarter order."""
-        present = self.quarters()
-        return zip(map(Quarter.from_index, present.tolist()), self.values[present - self.start].tolist())
-
-    def __getitem__(self, quarter: Quarter) -> float:
-        value = float(self.at(np.array([quarter.index]))[0])
-        if math.isnan(value):
-            raise KeyError(quarter)
-        return value
-
-    def __contains__(self, quarter: Quarter) -> bool:
-        return not math.isnan(self.at(np.array([quarter.index]))[0])
 
 
 class ActualSeries(QuarterSeries):
@@ -177,7 +164,7 @@ class ForecastPanel:
     ``economist_ids`` and ``firm_ids``, so code order is id order.  A
     selection (``take``) keeps its parent's tables, so every panel selected
     from one panel shares its codes; a table may hold ids that no row uses.
-    ``quarter`` is ``Quarter.index``, ``release`` the release number and
+    ``quarter`` is the quarter index, ``release`` the release number and
     ``report_date`` a date ordinal, -1 when undated.
 
     The canonical row order is (release, economist, quarter), as ``from_rows`` and ``clean_panel``
@@ -192,11 +179,11 @@ class ForecastPanel:
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> "ForecastPanel":
-        """Build from ``(economist_id, firm_id, quarter, release, value, report_date)`` rows, stably sorted."""
+        """Build from ``(economist_id, firm_id, quarter index, release, value, report_date)`` rows, stably sorted."""
         econ, firm, quarter, release, value, dated = list(zip(*rows)) or [()] * 6
         (economist_ids, economist), (firm_ids, firm_codes) = factorize(econ), factorize(firm)
         panel = cls(economist_ids, firm_ids, economist, firm_codes,
-                    np.array([q.index for q in quarter], dtype=np.int64), np.array(release, dtype=np.int64),
+                    np.array(quarter, dtype=np.int64), np.array(release, dtype=np.int64),
                     np.array(value, dtype=float),
                     np.array([-1 if d is None else d.toordinal() for d in dated], dtype=np.int64))
         return panel.take(np.lexsort((panel.quarter, panel.economist, panel.release)))
@@ -409,10 +396,6 @@ def _parse_date(token: str) -> date | None:
         raise ValueError(f"invalid report_date {token!r}") from None
 
 
-def _quarter_index(token: str) -> int:
-    return parse_quarter(token).index
-
-
 def _release_number(token: str) -> int:
     return ReleaseKind.from_token(token).value
 
@@ -423,8 +406,8 @@ def load_actuals(source, digest=None) -> dict[ReleaseKind, ActualSeries]:
     A duplicate (quarter, release) row is an error.  Each loader adds the bytes of a path to ``digest`` as it reads.
     """
     quarter, release, value = _read_csv(
-        source, "actuals", ACTUALS_HEADER, (_quarter_index, _release_number, _parse_value), unique=2,
-        duplicate=lambda q, r: f"duplicate actuals row for {Quarter.from_index(q)} release {r}", digest=digest)
+        source, "actuals", ACTUALS_HEADER, (parse_quarter, _release_number, _parse_value), unique=2,
+        duplicate=lambda q, r: f"duplicate actuals row for {quarter_label(q)} release {r}", digest=digest)
     quarter, release, value = quarter.gather(np.int64), release.gather(np.int64), value.gather(float)
     return {kind: ActualSeries.from_points(quarter[release == kind], value[release == kind], release=kind)
             for kind in ReleaseKind}
@@ -434,7 +417,7 @@ def load_forecasts(source, digest=None) -> ForecastPanel:
     """Read the forecasts CSV into a raw (uncleaned) panel, rows in file order, ids stripped of blanks."""
     quarter, release, economist, firm, value, dated = _read_csv(
         source, "forecasts", FORECASTS_HEADER,
-        (_quarter_index, _release_number, str.strip, str.strip, _parse_value,
+        (parse_quarter, _release_number, str.strip, str.strip, _parse_value,
          lambda token: -1 if (day := _parse_date(token)) is None else day.toordinal()), digest=digest)
     (economist_ids, economist_code), (firm_ids, firm_code) = factorize(economist.values), factorize(firm.values)
     return ForecastPanel(economist_ids, firm_ids, economist_code[economist.codes()], firm_code[firm.codes()],
@@ -459,8 +442,8 @@ class SpfNowcasts:
 def load_spf(source, digest=None) -> SpfNowcasts:
     """Read the SPF CSV (header quarter,median,mean).  A duplicate quarter is an error."""
     quarter, median, mean = _read_csv(
-        source, "spf", SPF_HEADER, (_quarter_index, _parse_value, _parse_value), unique=1,
-        duplicate=lambda q: f"duplicate spf row for {Quarter.from_index(q)}", digest=digest)
+        source, "spf", SPF_HEADER, (parse_quarter, _parse_value, _parse_value), unique=1,
+        duplicate=lambda q: f"duplicate spf row for {quarter_label(q)}", digest=digest)
     quarter = quarter.gather(np.int64)
     return SpfNowcasts(QuarterSeries.from_points(quarter, median.gather(float)),
                        QuarterSeries.from_points(quarter, mean.gather(float)))

@@ -19,7 +19,7 @@ from .errors import EstimationError
 from .judgment import DEFAULT_GRID, JudgmentPanel, baseline, extract_judgments, grid_round
 from .panel import ActualSeries, ForecastPanel, QuarterSeries, SpfNowcasts, factorize
 from .panelreg import build_persistence_dataset, fe_estimate, t_test_p_value
-from .quarters import Quarter, ReleaseKind
+from .quarters import ReleaseKind, parse_quarter
 
 BLOCK_CELLS = 200_000  # simulated cells (replications x economists x quarters x 3) per recovery block
 
@@ -29,7 +29,7 @@ class SynthConfig:
 
     n_forecasters: int = 50
     n_quarters: int = 92
-    start: Quarter = Quarter(2000, 1)
+    start: int = parse_quarter("2000Q1")  # the first quarter's index
     seed: int = 12345
     # Actual output growth: AR(1) with noisy release revisions.
     actual_intercept: float = 0.5
@@ -67,9 +67,9 @@ class SynthConfig:
 
 
 class SynthTruth:
-    """The latent truth of a world: actuals and common baselines (3, T), judgments (N, T, 3) and each rho_i (N,)."""
+    """A world's latent truth: quarter indexes (T,), actuals and common baselines (3, T), judgments (N, T, 3), rho_i."""
 
-    def __init__(self, quarters: list[Quarter], economists: list[str], actuals: np.ndarray, baselines: np.ndarray,
+    def __init__(self, quarters: np.ndarray, economists: list[str], actuals: np.ndarray, baselines: np.ndarray,
                  judgments: np.ndarray, rho_i: np.ndarray):
         self.quarters, self.economists, self.actuals, self.baselines = quarters, economists, actuals, baselines
         self.judgments, self.rho_i = judgments, rho_i
@@ -186,7 +186,7 @@ def _panel(config: SynthConfig, block: _Block, s: int, ids: _Ids) -> ForecastPan
         ids.firm_ids,
         np.tile(np.repeat(ids.economist[order], rows), releases),
         np.tile(np.repeat(ids.firm[order], rows), releases),
-        np.tile(np.broadcast_to(config.start.index + np.arange(config.n_quarters), mask.shape)[mask], releases),
+        np.tile(np.broadcast_to(config.start + np.arange(config.n_quarters), mask.shape)[mask], releases),
         np.repeat(np.arange(1, releases + 1, dtype=np.int64), forecasts.shape[1]),
         forecasts.ravel(),
         np.full(forecasts.size, -1, dtype=np.int64),
@@ -203,15 +203,14 @@ def simulate_world(config: SynthConfig, seed: int | None = None) -> SynthWorld:
     rng_spf = _rng(seed, 6)
     spf_median = actuals[0] + rng_spf.normal(0.0, 0.5, size=t)
     spf_mean = spf_median + rng_spf.normal(0.0, 0.1, size=t)
-    start = config.start.index
+    start = config.start
     spf = SpfNowcasts(QuarterSeries(start, spf_median), QuarterSeries(start, spf_mean))
     actual_series = {
         ReleaseKind(k + 1): ActualSeries(start=start, values=actuals[k], release=ReleaseKind(k + 1))
         for k in range(3)
     }
-    quarters = [config.start.shifted(i) for i in range(t)]
     judgments = np.ascontiguousarray(block.judgments[:, :, 0].transpose(2, 1, 0))  # (N, T, 3)
-    truth = SynthTruth(quarters, ids.economists, actuals, block.baselines[0], judgments, block.rho_i[0])
+    truth = SynthTruth(start + np.arange(t), ids.economists, actuals, block.baselines[0], judgments, block.rho_i[0])
     return SynthWorld(config, seed, actual_series, _panel(config, block, 0, ids), spf, truth)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from judgebench.judgment import JudgmentPanel
 from judgebench.panel import ActualSeries, ForecastPanel, QuarterSeries, factorize
 from judgebench.panelreg import PersistenceData
-from judgebench.quarters import Quarter, ReleaseKind
+from judgebench.quarters import ReleaseKind
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -33,8 +33,9 @@ def within_tail_bound(value: float, reference: float, df: float) -> bool:
     return abs(value - reference) <= tail_bound(df) * max(abs(reference), 1e-300)
 
 
-def q(year: int, quarter: int) -> Quarter:
-    return Quarter(year, quarter)
+def q(year: int, quarter: int) -> int:
+    """The index of this quarter of the year."""
+    return year * 4 + quarter - 1
 
 
 class Row(NamedTuple):
@@ -42,7 +43,7 @@ class Row(NamedTuple):
 
     economist_id: str
     firm_id: str
-    quarter: Quarter
+    quarter: int
     release: ReleaseKind
     value: float
     report_date: date | None = None
@@ -50,7 +51,7 @@ class Row(NamedTuple):
 
 def rec(
     econ: str,
-    quarter: Quarter,
+    quarter: int,
     value: float,
     release: ReleaseKind = ReleaseKind.FIRST,
     firm: str = "F1",
@@ -60,16 +61,16 @@ def rec(
 
 
 def rows_of(panel: ForecastPanel) -> Iterator[Row]:
-    """The panel's rows in order, decoded back to ids, quarters and dates."""
+    """The panel's rows in order, decoded back to ids and dates."""
     columns = (panel.economist, panel.firm, panel.quarter, panel.release, panel.value, panel.report_date)
     for econ, firm, quarter, release, value, ordinal in zip(*(c.tolist() for c in columns)):
         yield Row(
-            panel.economist_ids[econ], panel.firm_ids[firm], Quarter.from_index(quarter),
+            panel.economist_ids[econ], panel.firm_ids[firm], quarter,
             ReleaseKind(release), value, date.fromordinal(ordinal) if ordinal > 0 else None,
         )
 
 
-def row_index(panel: ForecastPanel, econ: str, quarter: Quarter, release: ReleaseKind = ReleaseKind.FIRST) -> int:
+def row_index(panel: ForecastPanel, econ: str, quarter: int, release: ReleaseKind = ReleaseKind.FIRST) -> int:
     """The position of the panel's one row for this key."""
     (index,) = [
         i for i, r in enumerate(rows_of(panel)) if (r.economist_id, r.quarter, r.release) == (econ, quarter, release)
@@ -77,7 +78,7 @@ def row_index(panel: ForecastPanel, econ: str, quarter: Quarter, release: Releas
     return index
 
 
-def record(panel: ForecastPanel, econ: str, quarter: Quarter, release: ReleaseKind = ReleaseKind.FIRST) -> Row:
+def record(panel: ForecastPanel, econ: str, quarter: int, release: ReleaseKind = ReleaseKind.FIRST) -> Row:
     """The panel's one row for this key."""
     return list(rows_of(panel))[row_index(panel, econ, quarter, release)]
 
@@ -87,14 +88,14 @@ class Judgment(NamedTuple):
     neutral: bool
 
 
-def judgment(jp: JudgmentPanel, econ: str, quarter: Quarter) -> Judgment:
+def judgment(jp: JudgmentPanel, econ: str, quarter: int) -> Judgment:
     """The judgment of this economist and quarter in one release's judgment panel."""
     index = row_index(jp.panel, econ, quarter, jp.release)
     return Judgment(float(jp.value[index]), bool(jp.neutral[index]))
 
 
 def panel_from_values(
-    values_by_quarter: dict[Quarter, list[float]],
+    values_by_quarter: dict[int, list[float]],
     release: ReleaseKind = ReleaseKind.FIRST,
 ) -> ForecastPanel:
     """One economist per cross-section slot, named E0, E1, ..."""
@@ -109,7 +110,7 @@ class Obs(NamedTuple):
     """One persistence-regression observation."""
 
     economist_id: str
-    quarter: Quarter
+    quarter: int
     response: float
     regressor: float
 
@@ -119,24 +120,30 @@ def dataset(observations: list[Obs], regressor_kind: str = "own_lag") -> Persist
     _, economist = factorize([o.economist_id for o in observations])
     return PersistenceData(
         economist,
-        np.array([o.quarter.index for o in observations], dtype=np.int64),
+        np.array([o.quarter for o in observations], dtype=np.int64),
         np.array([o.response for o in observations], dtype=float),
         np.array([o.regressor for o in observations], dtype=float),
         regressor_kind,
     )
 
 
-def series_from(values: dict[Quarter, float], cls: type = QuarterSeries, **fields) -> QuarterSeries:
+def series_from(values: dict[int, float], cls: type = QuarterSeries, **fields) -> QuarterSeries:
     """A ``cls`` series holding these quarters' values; ``fields`` are the subclass's own."""
-    return cls.from_points([quarter.index for quarter in values], list(values.values()), **fields)
+    return cls.from_points(list(values), list(values.values()), **fields)
 
 
-def actuals_from(values: dict[Quarter, float], release: ReleaseKind = ReleaseKind.FIRST) -> ActualSeries:
+def actuals_from(values: dict[int, float], release: ReleaseKind = ReleaseKind.FIRST) -> ActualSeries:
     return series_from(values, ActualSeries, release=release)
 
 
-def aligned(*series: dict[Quarter, float] | QuarterSeries) -> list[np.ndarray]:
+def present(series: QuarterSeries) -> dict[int, float]:
+    """Each present quarter of the series and its value, in quarter order."""
+    quarters = series.quarters()
+    return dict(zip(quarters.tolist(), series.at(quarters).tolist()))
+
+
+def aligned(*series: dict[int, float] | QuarterSeries) -> list[np.ndarray]:
     """Each series as an array over the union of their quarters, ascending, NaN where absent."""
-    points = [dict(s.items()) if isinstance(s, QuarterSeries) else s for s in series]
+    points = [present(s) if isinstance(s, QuarterSeries) else s for s in series]
     union = sorted(set().union(*points))
     return [np.array([p.get(quarter, np.nan) for quarter in union]) for p in points]

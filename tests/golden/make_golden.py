@@ -10,7 +10,9 @@ with the defaults, ``report_mean/`` with a ``--from/--to`` sample, the mean
 baseline and thresholds that split the economists, and ``report_gaps/`` on
 ``inputs_gaps/``, the same inputs less the actuals and SPF rows in
 ``GAP_ROWS``.  Reports are run from this directory with relative input paths,
-because the manifest records them.
+because the manifest records them.  Each entry of ``PINS`` keeps the one file
+of a further run that no report holds: the simulated world's ``truth.csv`` and
+the AR forecasts of both actuals files.
 
 Only regenerate when a change alters the report on purpose, and say so.
 """
@@ -63,6 +65,14 @@ REPORTS = {
     "report_gaps": ("inputs_gaps", []),
 }
 
+# Pin directory name -> the run, from this directory, and the one file of its output kept there.
+PINS = {
+    "simulate": (SIMULATE, "truth.csv"),
+    "ar_forecast": (["ar-forecast", "--actuals", "inputs/actuals.csv"], "ar_forecasts.csv"),
+    "ar_forecast_gaps": (["ar-forecast", "--actuals", "inputs_gaps/actuals.csv", "--ar-lag", "auto"],
+                         "ar_forecasts.csv"),
+}
+
 
 def report_args(name: str, out: str) -> list[str]:
     inputs, flags = REPORTS[name]
@@ -92,6 +102,16 @@ def make_gap_inputs(inputs: Path, gaps: Path) -> None:
         (gaps / name).write_text("".join(kept), encoding="utf-8")
 
 
+def make_pin(name: str) -> None:
+    args, kept = PINS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        if main([*args, "--out", tmp]) != 0:
+            raise SystemExit(f"{name} failed")
+        shutil.rmtree(HERE / name, ignore_errors=True)
+        (HERE / name).mkdir()
+        shutil.copyfile(Path(tmp) / kept, HERE / name / kept)
+
+
 def run() -> int:
     os.chdir(HERE)
     for inputs in ("inputs", "inputs_gaps"):
@@ -103,6 +123,8 @@ def run() -> int:
         code = main(report_args(name, name))
         if code != 0:
             return code
+    for name in PINS:
+        make_pin(name)
     return 0
 
 

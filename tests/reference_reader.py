@@ -25,7 +25,7 @@ from judgebench.panel import (
     _parse_value,
     factorize,
 )
-from judgebench.quarters import ReleaseKind, parse_quarter
+from judgebench.quarters import ReleaseKind, parse_quarter, quarter_label
 
 
 def parse_rows(source, header, what, parse_row):
@@ -60,9 +60,9 @@ def load_actuals(source) -> dict[ReleaseKind, ActualSeries]:
 
     points = {release: {} for release in ReleaseKind}
     for where, (quarter, release, value) in parse_rows(source, ACTUALS_HEADER, "actuals", parse_row):
-        if quarter.index in points[release]:
-            raise IngestionError(f"{where}: duplicate actuals row for {quarter} release {release.value}")
-        points[release][quarter.index] = value
+        if quarter in points[release]:
+            raise IngestionError(f"{where}: duplicate actuals row for {quarter_label(quarter)} release {release.value}")
+        points[release][quarter] = value
     return {release: ActualSeries.from_points(list(series), list(series.values()), release=release)
             for release, series in points.items()}
 
@@ -80,7 +80,7 @@ def load_forecasts(source) -> ForecastPanel:
     (economist_ids, economist), (firm_ids, firm_codes) = factorize(econ), factorize(firm)
     return ForecastPanel(
         economist_ids, firm_ids, economist, firm_codes,
-        np.array([q.index for q in quarter], dtype=np.int64),
+        np.array(quarter, dtype=np.int64),
         np.array(release, dtype=np.int64),
         np.array(value, dtype=float),
         np.array([-1 if d is None else d.toordinal() for d in dated], dtype=np.int64),
@@ -93,9 +93,9 @@ def load_spf(source) -> SpfNowcasts:
 
     points = {}
     for where, (quarter, med, avg) in parse_rows(source, SPF_HEADER, "spf", parse_row):
-        if quarter.index in points:
-            raise IngestionError(f"{where}: duplicate spf row for {quarter}")
-        points[quarter.index] = med, avg
+        if quarter in points:
+            raise IngestionError(f"{where}: duplicate spf row for {quarter_label(quarter)}")
+        points[quarter] = med, avg
     quarters, (median, mean) = list(points), zip(*points.values()) if points else ((), ())
     return SpfNowcasts(QuarterSeries.from_points(quarters, median), QuarterSeries.from_points(quarters, mean))
 

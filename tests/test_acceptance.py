@@ -27,10 +27,10 @@ from judgebench.linreg import (
 )
 from judgebench.panel import ForecastPanel
 from judgebench.panelreg import fe_estimate
-from judgebench.quarters import Quarter, ReleaseKind
+from judgebench.quarters import ReleaseKind
 from judgebench.syngen import SynthConfig, recovery_experiment, simulate_world
 
-from conftest import Obs, actuals_from, aligned, dataset, rows_of
+from conftest import Obs, actuals_from, aligned, dataset, present, q, rows_of
 
 R1 = ReleaseKind.FIRST
 
@@ -60,7 +60,7 @@ def test_fixed_effects_matches_dummy_variable_ols():
             for t in range(n_t):
                 x = float(rng.normal())
                 y = 0.4 * x + effect + float(rng.normal(0, 0.5))
-                data.append(Obs(f"E{i}", Quarter(2000, 1).shifted(t), y, x))
+                data.append(Obs(f"E{i}", q(2000, 1) + t, y, x))
         fe = fe_estimate(dataset(data), "fe")
         econs = sorted({o.economist_id for o in data})
         X = np.zeros((len(data), 1 + len(econs)))
@@ -142,8 +142,8 @@ def _rational_world_p_value(seed: int) -> float:
     y[0] = c / (1 - phi) + eps[0]
     for i in range(1, n):
         y[i] = c + phi * y[i - 1] + eps[i]
-    start = Quarter(1970, 1)
-    quarters = [start.shifted(i) for i in range(n)]
+    start = q(1970, 1)
+    quarters = [start + i for i in range(n)]
     series = actuals_from(dict(zip(quarters, y)))
     targets = quarters[pre:]
     lag_mean = c + phi * y[pre - 1:-1]
@@ -151,7 +151,7 @@ def _rational_world_p_value(seed: int) -> float:
     conditional = lag_mean + 0.5 * signal  # optimal weight for equal variances
     prediction = {t: float(np.round(v / grid) * grid) for t, v in zip(targets, conditional)}
     spf = {t: float(v + rng.normal(0, 1.0)) for t, v in zip(targets, lag_mean)}
-    ar = recursive_ar_forecast(series, [t.index for t in targets], ARSpec(p=1))
+    ar = recursive_ar_forecast(series, targets, ARSpec(p=1))
     actual, pred, spf_column, ar_column = aligned(series, prediction, spf, ar)
     reg = efficiency_regression(actual, pred, [spf_column, ar_column])
     lag = newey_west_auto_lag(reg.fit.nobs)
@@ -215,7 +215,7 @@ def test_judgment_error_identity_and_median_balance():
         for release in ReleaseKind:
             base = baseline(world.panel, release, "median")
             jp = extract_judgments(world.panel, base, grid=config.grid)
-            actual = world.actuals[release]
+            actual, medians = present(world.actuals[release]), present(base)  # a KeyError where one is absent
             # j - e = actual - baseline: identical for every economist in (t,k).
             per_quarter: dict = {}
             for record, judgment in zip(rows_of(jp.panel), jp.value.tolist()):
@@ -228,7 +228,7 @@ def test_judgment_error_identity_and_median_balance():
                 if record.release == release:
                     values_by_quarter.setdefault(record.quarter, []).append(record.value)
             for quarter, values in values_by_quarter.items():
-                med = base[quarter]
+                med = medians[quarter]
                 n_t = len(values)
                 if sum(v < med for v in values) > n_t / 2 or sum(v > med for v in values) > n_t / 2:
                     balance_ok = False
@@ -246,7 +246,7 @@ def test_descriptive_moments_match_brute_force():
         n = int(rng.integers(4, 30))
         values = rng.normal(1.0, 2.0, size=n)
         actual = float(rng.normal())
-        quarter = Quarter(2000, 1)
+        quarter = q(2000, 1)
         panel = ForecastPanel.from_rows(
             [(f"E{i}", "F", quarter, R1, float(v), None) for i, v in enumerate(values)]
         )
@@ -265,7 +265,7 @@ def test_descriptive_moments_match_brute_force():
             abs(stats.excess_kurtosis - (m4 / m2**2 - 3.0)),
         )
     # Aggregate of per-quarter RMSEs 1 and 3 is their plain mean.
-    quarters = [Quarter(2000, 1), Quarter(2000, 2)]
+    quarters = [q(2000, 1), q(2000, 2)]
     panel = ForecastPanel.from_rows(
         [(f"E{i}", "F", quarters[0], R1, v, None) for i, v in enumerate((1.0, -1.0))]
         + [(f"E{i}", "F", quarters[1], R1, v, None) for i, v in enumerate((3.0, -3.0))]
@@ -283,24 +283,24 @@ def test_ar_forecasts_no_lookahead_and_recovery():
     # No lookahead: perturbing data at or after the target leaves it unchanged.
     rng = np.random.default_rng(108)
     values = list(rng.normal(size=50))
-    start = Quarter(1990, 1)
-    target = start.shifted(35)
-    base_series = actuals_from({start.shifted(i): v for i, v in enumerate(values)})
-    base_forecast = recursive_ar_forecast(base_series, [target.index], ARSpec(p=1))[target]
+    start = q(1990, 1)
+    target = start + 35
+    base_series = actuals_from({start + i: v for i, v in enumerate(values)})
+    base_forecast = recursive_ar_forecast(base_series, [target], ARSpec(p=1)).at(target)
     perturbed = list(values)
     for i in range(35, 50):
         perturbed[i] += 500.0
-    pert_series = actuals_from({start.shifted(i): v for i, v in enumerate(perturbed)})
-    lookahead_ok = recursive_ar_forecast(pert_series, [target.index], ARSpec(p=1))[target] == base_forecast
+    pert_series = actuals_from({start + i: v for i, v in enumerate(perturbed)})
+    lookahead_ok = recursive_ar_forecast(pert_series, [target], ARSpec(p=1)).at(target) == base_forecast
 
     # Noiseless AR(1): y_t = 2 + 0.5 y_{t-1}; forecasts equal the analytic recursion.
     y = [1.0]
     for _ in range(40):
         y.append(2.0 + 0.5 * y[-1])
-    series = actuals_from({start.shifted(i): v for i, v in enumerate(y)})
-    targets = [start.shifted(i) for i in range(25, 41)]
-    forecasts = recursive_ar_forecast(series, [t.index for t in targets], ARSpec(p=1))
-    recovery_err = max(abs(forecasts[start.shifted(i)] - y[i]) for i in range(25, 41))
+    series = actuals_from({start + i: v for i, v in enumerate(y)})
+    targets = [start + i for i in range(25, 41)]
+    forecasts = recursive_ar_forecast(series, targets, ARSpec(p=1))
+    recovery_err = float(np.max(np.abs(forecasts.at(targets) - y[25:41])))  # NaN, and a failure, where one is absent
 
     # Lag selection prefers the empty model on white noise.
     zero_picks = 0

@@ -95,7 +95,7 @@ class TestHlnCorrection:
 
 class TestBeatBaselineShare:
     def _setup(self, forecaster_offsets):
-        quarters = [q(2000, 1).shifted(i) for i in range(10)]
+        quarters = [q(2000, 1) + i for i in range(10)]
         actual = {quarter: float(i % 3) for i, quarter in enumerate(quarters)}
         base_values = {quarter: actual[quarter] + 0.5 for quarter in quarters}
         records = []

@@ -26,9 +26,11 @@ from judgebench.linreg import (
     unbiasedness_test,
 )
 from judgebench.panel import ActualSeries, QuarterSeries, SpfNowcasts
-from judgebench.quarters import Quarter, ReleaseKind
+from judgebench.quarters import ReleaseKind
 
-START = Quarter(2000, 1).index
+from conftest import q
+
+START = q(2000, 1)
 KEYS = [(release, method) for release in ReleaseKind for method in ("median", "mean")]
 KINDS = ("random", "constant", "disjoint", "exact")
 

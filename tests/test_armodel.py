@@ -5,33 +5,33 @@ import pytest
 
 from judgebench.armodel import MIN_PRESAMPLE, ARSpec, fill_missing, recursive_ar_forecast, select_lag
 from judgebench.errors import EstimationError, IngestionError
-from judgebench.quarters import Quarter, ReleaseKind
+from judgebench.quarters import ReleaseKind, quarter_label
 
-from conftest import actuals_from, q
+from conftest import actuals_from, present, q
 
 R1 = ReleaseKind.FIRST
 
 
-def series(values, start=Quarter(1990, 1)):
-    return actuals_from({start.shifted(i): float(v) for i, v in enumerate(values)})
+def series(values, start=q(1990, 1)):
+    return actuals_from({start + i: float(v) for i, v in enumerate(values)})
 
 
 class TestFillMissing:
     def test_linear_midpoint(self):
         s = actuals_from({q(2000, 1): 1.0, q(2000, 3): 3.0})
         filled = fill_missing(s)
-        assert filled[q(2000, 2)] == pytest.approx(2.0)
-        assert q(2000, 2).index in filled.filled
+        assert filled.at(q(2000, 2)) == pytest.approx(2.0)
+        assert q(2000, 2) in filled.filled
 
     def test_leading_edge_constant(self):
         s = actuals_from({q(2000, 2): 5.0, q(2000, 3): 6.0})
         filled = fill_missing(s, first=q(2000, 1))
-        assert filled[q(2000, 1)] == 5.0
+        assert filled.at(q(2000, 1)) == 5.0
 
     def test_trailing_edge_constant(self):
         s = actuals_from({q(2000, 1): 5.0, q(2000, 2): 6.0})
         filled = fill_missing(s, last=q(2000, 3))
-        assert filled[q(2000, 3)] == 6.0
+        assert filled.at(q(2000, 3)) == 6.0
 
     def test_long_interior_gap_rejected(self):
         s = actuals_from({q(2000, 1): 1.0, q(2001, 2): 3.0})  # 4 missing quarters
@@ -42,7 +42,7 @@ class TestFillMissing:
         s = actuals_from({q(2000, 1): 1.0, q(2000, 3): 3.0})
         once = fill_missing(s)
         twice = fill_missing(once)
-        assert dict(once.items()) == dict(twice.items())
+        assert present(once) == present(twice)
 
 
 class TestSelectLag:
@@ -134,7 +134,7 @@ SPECS = [ARSpec(p=p) for p in range(5)] + [ARSpec(reselect=True, criterion=c) fo
 def test_stacked_forecasts_match_per_target_refits(spec, level):
     values = ar_noise(40, 70, level)
     sizes = np.arange(MIN_PRESAMPLE + (0 if spec.reselect else spec.p), values.size)
-    forecasts = recursive_ar_forecast(series(values), Quarter(1990, 1).index + sizes, spec)
+    forecasts = recursive_ar_forecast(series(values), q(1990, 1) + sizes, spec)
     orders = [reference_order(values[:n], min(spec.max_lag, n - MIN_PRESAMPLE, (n - 2) // 2), spec.criterion)
               if spec.reselect else spec.p for n in sizes]
     expected = [reference_forecast(values, n, p) for n, p in zip(sizes, orders)]
@@ -155,7 +155,7 @@ class TestRankFallback:
     def test_constant_stretch_and_later_targets_in_one_call(self):
         values = self.values()
         sizes = np.arange(12, values.size)
-        forecasts = recursive_ar_forecast(series(values), Quarter(1990, 1).index + sizes, ARSpec(p=2))
+        forecasts = recursive_ar_forecast(series(values), q(1990, 1) + sizes, ARSpec(p=2))
         inside = sizes <= 20  # every observation before the target is the constant
         assert (forecasts.values[inside] == self.CONSTANT).all()
         # Size 21 sees one varying value, but only as a response; size 22 sees it as a first lag.
@@ -172,9 +172,9 @@ class TestRankFallback:
 class TestRecursiveArForecast:
     def test_constant_series(self):
         s = series([2.5] * 30)
-        targets = [Quarter(1990, 1).shifted(i) for i in range(20, 30)]
-        forecasts = recursive_ar_forecast(s, [t.index for t in targets], ARSpec(p=1))
-        for _, value in forecasts.items():
+        targets = [q(1990, 1) + i for i in range(20, 30)]
+        forecasts = recursive_ar_forecast(s, targets, ARSpec(p=1))
+        for value in present(forecasts).values():
             assert value == pytest.approx(2.5, abs=1e-8)
 
     def test_noiseless_ar1_matches_analytic_recursion(self):
@@ -182,47 +182,47 @@ class TestRecursiveArForecast:
         for _ in range(40):
             y.append(2.0 + 0.5 * y[-1])
         s = series(y)
-        targets = [Quarter(1990, 1).shifted(i) for i in range(25, 41)]
-        forecasts = recursive_ar_forecast(s, [t.index for t in targets], ARSpec(p=1))
+        targets = [q(1990, 1) + i for i in range(25, 41)]
+        forecasts = recursive_ar_forecast(s, targets, ARSpec(p=1))
         for i, target in enumerate(targets, start=25):
-            assert forecasts[target] == pytest.approx(y[i], abs=1e-9)
+            assert forecasts.at(target) == pytest.approx(y[i], abs=1e-9)
 
     def test_no_lookahead(self):
         rng = np.random.default_rng(33)
         values = list(rng.normal(size=40))
-        target = Quarter(1990, 1).shifted(30)
-        base = recursive_ar_forecast(series(values), [target.index], ARSpec(p=1))[target]
+        target = q(1990, 1) + 30
+        base = recursive_ar_forecast(series(values), [target], ARSpec(p=1)).at(target)
         perturbed = list(values)
         for i in range(30, 40):
             perturbed[i] += 100.0
-        after = recursive_ar_forecast(series(perturbed), [target.index], ARSpec(p=1))[target]
+        after = recursive_ar_forecast(series(perturbed), [target], ARSpec(p=1)).at(target)
         assert after == base
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(34)
         values = list(rng.normal(size=40))
-        targets = [Quarter(1990, 1).shifted(i) for i in (30, 35)]
-        base = recursive_ar_forecast(series(values), [t.index for t in targets], ARSpec(p=1))
+        targets = [q(1990, 1) + i for i in (30, 35)]
+        base = recursive_ar_forecast(series(values), targets, ARSpec(p=1))
         a, b = 2.0, -3.0
         mapped = recursive_ar_forecast(
-            series([a * v + b for v in values]), [t.index for t in targets], ARSpec(p=1)
+            series([a * v + b for v in values]), targets, ARSpec(p=1)
         )
         for target in targets:
-            assert mapped[target] == pytest.approx(a * base[target] + b, abs=1e-8)
+            assert mapped.at(target) == pytest.approx(a * base.at(target) + b, abs=1e-8)
 
     def test_insufficient_presample_names_target(self):
         s = series([1.0, 2.0, 1.5, 2.5, 1.8])
-        target = Quarter(1990, 1).shifted(4)
-        with pytest.raises(EstimationError, match=str(target)):
-            recursive_ar_forecast(s, [target.index], ARSpec(p=1))
+        target = q(1990, 1) + 4
+        with pytest.raises(EstimationError, match=quarter_label(target)):
+            recursive_ar_forecast(s, [target], ARSpec(p=1))
 
     def test_reselection_runs(self):
         rng = np.random.default_rng(35)
         s = series(rng.normal(size=60))
-        targets = [Quarter(1990, 1).shifted(i) for i in (50, 55)]
+        targets = [q(1990, 1) + i for i in (50, 55)]
         spec = ARSpec(reselect=True, max_lag=3, criterion="SIC")
-        forecasts = recursive_ar_forecast(s, [t.index for t in targets], spec)
-        assert {quarter for quarter, _ in forecasts.items()} == set(targets)
+        forecasts = recursive_ar_forecast(s, targets, spec)
+        assert set(present(forecasts)) == set(targets)
 
     def test_reselection_keeps_presample_for_earliest_target(self):
         # A persistent AR(1): the criterion prefers p > 0 whenever it may pick it.
@@ -231,6 +231,6 @@ class TestRecursiveArForecast:
         for _ in range(39):
             values.append(0.9 * values[-1] + rng.normal())
         s = series(values)
-        targets = [Quarter(1990, 1).shifted(i) for i in range(10, 40)]
-        forecasts = recursive_ar_forecast(s, [t.index for t in targets], ARSpec(reselect=True))
-        assert {quarter for quarter, _ in forecasts.items()} == set(targets)
+        targets = [q(1990, 1) + i for i in range(10, 40)]
+        forecasts = recursive_ar_forecast(s, targets, ARSpec(reselect=True))
+        assert set(present(forecasts)) == set(targets)

@@ -347,6 +347,23 @@ class TestConfigFile:
         ("report", [], json.dumps({"actuals": 5})),
         ("simulate", [], json.dumps({"rho_own": False})),
         ("report", [], json.dumps({"baseline_method": "mode"})),
+        # A real-valued setting that is not finite, or outside its range.
+        ("report", ["--alpha", "1.5"], None),
+        ("report", ["--alpha", "0"], None),
+        ("report", ["--alpha", "nan"], None),
+        ("report", [], json.dumps({"alpha": float("nan")})),
+        ("report", ["--grid", "-0.5"], None),
+        ("report", ["--grid", "nan"], None),
+        ("report", ["--grid", "inf"], None),
+        pytest.param("report", [], json.dumps({"grid": 10**400}), id="report-grid-overflows-a-float"),
+        ("report", ["--thresholds", "-0.2"], None),
+        ("report", ["--thresholds", "nan"], None),
+        ("report", ["--thresholds", "1.5"], None),
+        ("recovery", ["--rho-own", "nan"], None),
+        ("recovery", ["--judgment-sd", "nan"], None),
+        ("simulate", ["--kappa", "nan"], None),
+        # A value holding a line end is still echoed on one line.
+        ("report", [], json.dumps({"baseline_method": "a\nb"})),
     ])
     def test_bad_value_exits_2_with_one_line(self, world_dir, tmp_path, capsys, command, flags, config):
         set_by_file = ()

@@ -84,7 +84,7 @@ class TestQuarterStats:
 
 class TestArmse:
     def _stats_with_rmses(self, rmses):
-        quarters = [q(2000, 1).shifted(i) for i in range(len(rmses))]
+        quarters = [q(2000, 1) + i for i in range(len(rmses))]
         panel = panel_from_values(
             {quarter: [r, -r] for quarter, r in zip(quarters, rmses)}
         )

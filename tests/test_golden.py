@@ -6,13 +6,17 @@ neutral judgments, dated and undated duplicate keys, a firm-only row and a
 forecast quarter with no published actual.  The second report restricts the
 sample with ``--from/--to``, uses the mean baseline and thresholds that only
 some economists pass.  The third drops actuals and SPF rows, so some series
-have interior gaps and start or end early.
+have interior gaps and start or end early.  The pins hold the simulated
+world's truth and the AR forecasts of both actuals files, which no report
+writes.
 """
 import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from judgebench.cli import main
 
@@ -72,3 +76,11 @@ def test_simulate_reproduces_golden_inputs(tmp_path):
     expected = (inputs / "forecasts.csv").read_bytes()
     assert expected.endswith(hand)
     assert (out / "forecasts.csv").read_bytes() == expected[: len(expected) - len(hand)]
+
+
+@pytest.mark.parametrize("name", sorted(make_golden.PINS))
+def test_pinned_output_matches_golden_byte_for_byte(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    args, kept = make_golden.PINS[name]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / kept).read_bytes() == (GOLDEN / name / kept).read_bytes()

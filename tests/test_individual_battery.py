@@ -25,11 +25,11 @@ from judgebench.linreg import (
     unbiasedness_test,
 )
 from judgebench.panel import ForecastPanel, SpfNowcasts, participation_share
-from judgebench.quarters import Quarter, ReleaseKind
+from judgebench.quarters import ReleaseKind
 
-from conftest import actuals_from, rec, series_from
+from conftest import actuals_from, q, rec, series_from
 
-START = Quarter(2000, 1)
+START = q(2000, 1)
 BLOCK = 32  # quarters after the random span, where the hand-made forecasters report
 MAX_SPAN = 30  # random forecasters report within this many quarters, so none is wider than BLOCK
 R1 = ReleaseKind.FIRST
@@ -124,7 +124,7 @@ def worlds(draw):
     gap_share = draw(st.sampled_from([0.0, 0.1, 0.3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    quarters = [START.shifted(t) for t in range(span + BLOCK)]
+    quarters = [START + t for t in range(span + BLOCK)]
     random_part, block = quarters[:span], quarters[span:]
     block_prediction = np.tile([1.0, -1.0], BLOCK // 2)
 
@@ -202,7 +202,7 @@ def test_stacked_battery_matches_per_forecaster_loop(world):
 def test_missing_predictions_count_against_the_sample_not_the_stack():
     # A panel built in code may hold NaN forecasts.  Such a forecaster is too
     # short for both regressions here, and the other forecaster is still tested.
-    quarters = [START.shifted(t) for t in range(16)]
+    quarters = [START + t for t in range(16)]
     rng = np.random.default_rng(17)
     actual = rng.normal(1.0, 1.0, 16)
     values = {"full": actual + rng.normal(0.0, 0.5, 16), "gappy": np.where(np.arange(16) % 2, np.nan, actual)}

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from judgebench.judgment import (
@@ -20,24 +21,24 @@ R1 = ReleaseKind.FIRST
 class TestBaseline:
     def test_median_odd_count(self):
         panel = panel_from_values({q(2000, 1): [2.0, 3.0, 4.0]})
-        assert baseline(panel, R1, "median")[q(2000, 1)] == 3.0
+        assert baseline(panel, R1, "median").at(q(2000, 1)) == 3.0
 
     def test_median_even_count_midpoint(self):
         panel = panel_from_values({q(2000, 1): [2.0, 4.0]})
-        assert baseline(panel, R1, "median")[q(2000, 1)] == 3.0
+        assert baseline(panel, R1, "median").at(q(2000, 1)) == 3.0
 
     def test_mean(self):
         panel = panel_from_values({q(2000, 1): [1.0, 2.0, 6.0]})
-        assert baseline(panel, R1, "mean")[q(2000, 1)] == 3.0
+        assert baseline(panel, R1, "mean").at(q(2000, 1)) == 3.0
 
     def test_empty_quarters_excluded(self):
         panel = panel_from_values({q(2000, 1): [1.0]})
         series = baseline(panel, R1, "median")
-        assert q(2000, 2) not in series
+        assert np.isnan(series.at(q(2000, 2)))
 
     def test_median_balance_invariant(self):
         panel = panel_from_values({q(2000, 1): [1.0, 2.0, 2.5, 7.0, 9.0]})
-        med = baseline(panel, R1, "median")[q(2000, 1)]
+        med = baseline(panel, R1, "median").at(q(2000, 1))
         values = [1.0, 2.0, 2.5, 7.0, 9.0]
         assert sum(v < med for v in values) <= len(values) / 2
         assert sum(v > med for v in values) <= len(values) / 2
@@ -87,7 +88,7 @@ class TestExtractJudgments:
 
 class TestSignShares:
     def test_single_economist_mixed_signs(self):
-        quarters = [q(2000, 1).shifted(i) for i in range(3)]
+        quarters = [q(2000, 1) + i for i in range(3)]
         records = [
             rec("E1", quarters[0], 2.8),  # below the anchored median
             rec("E1", quarters[1], 3.2),  # above
@@ -135,7 +136,7 @@ class TestSignShares:
 
 class TestNegativeShareHistogram:
     def _jp_panel(self, e1_values):
-        quarters = [q(2000, 1).shifted(i) for i in range(len(e1_values))]
+        quarters = [q(2000, 1) + i for i in range(len(e1_values))]
         records = [rec("E1", quarter, v) for quarter, v in zip(quarters, e1_values)]
         for quarter in quarters:
             records += [rec("A1", quarter, 3.0), rec("A2", quarter, 3.0)]

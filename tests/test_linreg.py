@@ -26,9 +26,9 @@ from judgebench.linreg import (
 )
 from judgebench.panel import SpfNowcasts, participation_share
 from judgebench.panelreg import t_test_p_value
-from judgebench.quarters import Quarter, ReleaseKind
+from judgebench.quarters import ReleaseKind
 
-from conftest import actuals_from, aligned, panel_from_values, q, series_from, within_tail_bound
+from conftest import actuals_from, aligned, panel_from_values, present, q, series_from, within_tail_bound
 
 R1 = ReleaseKind.FIRST
 
@@ -331,8 +331,8 @@ class TestDistributionFunctions:
             assert within_tail_bound(p, 0.05, df)
 
 
-def _series(values, start=Quarter(2000, 1)):
-    return actuals_from({start.shifted(i): float(v) for i, v in enumerate(values)})
+def _series(values, start=q(2000, 1)):
+    return actuals_from({start + i: float(v) for i, v in enumerate(values)})
 
 
 class TestEfficiencyRegression:
@@ -340,7 +340,7 @@ class TestEfficiencyRegression:
         rng = np.random.default_rng(11)
         y = rng.normal(size=20)
         actuals = _series(y)
-        pred = dict(actuals.items())
+        pred = present(actuals)
         reg = efficiency_regression(*aligned(actuals, pred))
         assert reg.fit.coefficients == pytest.approx([0.0, 0.0], abs=1e-10)
 
@@ -348,21 +348,21 @@ class TestEfficiencyRegression:
         rng = np.random.default_rng(12)
         y = rng.normal(size=30)
         actuals = _series(y)
-        pred = {quarter: value - 0.7 for quarter, value in actuals.items()}
+        pred = {quarter: value - 0.7 for quarter, value in present(actuals).items()}
         reg = efficiency_regression(*aligned(actuals, pred))
         assert reg.fit.coefficients == pytest.approx([0.7, 0.0], abs=1e-8)
 
     def test_regressor_equal_to_prediction_rejected(self):
         rng = np.random.default_rng(13)
         actuals = _series(rng.normal(size=20))
-        pred = {quarter: value + rng.normal() for quarter, value in actuals.items()}
+        pred = {quarter: value + rng.normal() for quarter, value in present(actuals).items()}
         actual, prediction, copy = aligned(actuals, pred, dict(pred))
         with pytest.raises(RankDeficiencyError):
             efficiency_regression(actual, prediction, [copy])
 
     def test_insufficient_overlap_reports_counts(self):
         actuals = _series([1.0, 2.0, 3.0])
-        pred = dict(actuals.items())
+        pred = present(actuals)
         with pytest.raises(EstimationError, match="3"):
             efficiency_regression(*aligned(actuals, pred))
 
@@ -375,9 +375,9 @@ class TestBatteries:
     def _world(self):
         rng = np.random.default_rng(14)
         T = 40
-        start = Quarter(2000, 1)
+        start = q(2000, 1)
         y = rng.normal(1.0, 1.0, size=T)
-        quarters = [start.shifted(i) for i in range(T)]
+        quarters = [start + i for i in range(T)]
         actuals = {k: actuals_from(dict(zip(quarters, y)), k) for k in ReleaseKind}
         # Every forecaster reports the actual exactly: judgment-free rational panel.
         values = {quarter: [v, v, v] for quarter, v in zip(quarters, y)}
@@ -425,7 +425,7 @@ class TestBatteries:
 
         biased = [
             rec("EB", quarter, value + 1.0, R1)
-            for quarter, value in actuals[R1].items()
+            for quarter, value in present(actuals[R1]).items()
         ]
         panel2 = ForecastPanel.from_rows([*rows_of(panel), *biased])
         battery = battery_individual(panel2, actuals, spf, ar, _participation(panel2), thresholds=(0.5,))
@@ -444,7 +444,7 @@ class TestRegressionTestWrappers:
         rng = np.random.default_rng(15)
         y = rng.normal(size=30)
         actuals = _series(y)
-        pred = dict(actuals.items())
+        pred = present(actuals)
         w = {quarter: float(rng.normal()) for quarter in pred}
         actual, prediction, extra = aligned(actuals, pred, w)
         reg = efficiency_regression(actual, prediction, [extra])

@@ -20,7 +20,7 @@ from judgebench.panel import (
     participation_share,
 )
 from judgebench.panelreg import build_persistence_dataset
-from judgebench.quarters import Quarter, ReleaseKind
+from judgebench.quarters import ReleaseKind, quarter_label
 
 from conftest import actuals_from, q, rec, record, rows_of
 
@@ -33,7 +33,7 @@ class TestLoadActuals:
         csv = "quarter,release,value\n2000Q1,1,1.0\n2000Q2,1,2.0\n"
         series = load_actuals(io.StringIO(csv))[ReleaseKind.FIRST]
         assert len(series.quarters()) == 2
-        assert series[q(2000, 1)] == 1.0
+        assert series.at(q(2000, 1)) == 1.0
 
     def test_other_releases_filtered(self):
         csv = "quarter,release,value\n2000Q1,1,1.0\n2000Q1,2,1.1\n"
@@ -105,8 +105,8 @@ class TestLoadSpf:
     def test_basic(self):
         csv = "quarter,median,mean\n2000Q1,1.0,1.1\n"
         spf = load_spf(io.StringIO(csv))
-        assert spf.median[q(2000, 1)] == 1.0
-        assert spf.for_method("mean")[q(2000, 1)] == 1.1
+        assert spf.median.at(q(2000, 1)) == 1.0
+        assert spf.for_method("mean").at(q(2000, 1)) == 1.1
 
     def test_duplicate_quarter_rejected(self):
         csv = "quarter,median,mean\n2000Q1,1.0,1.1\n2000Q1,2.0,2.1\n"
@@ -209,7 +209,7 @@ class TestCanonicalOrder:
                 rec("E1", q(2000, 1), 3.0), rec("E1", q(2000, 1), 4.0), rec("E2", q(2000, 1), 5.0)]
         assert [r.value for r in rows_of(ForecastPanel.from_rows(rows))] == [3.0, 4.0, 2.0, 5.0, 1.0]
         csv = "quarter,release,economist_id,firm_id,value,report_date\n" + "".join(
-            f"{r.quarter},{r.release.value},{r.economist_id},{r.firm_id},{r.value}," + "\n" for r in rows)
+            f"{quarter_label(r.quarter)},{r.release.value},{r.economist_id},{r.firm_id},{r.value},\n" for r in rows)
         assert [r.value for r in rows_of(load_forecasts(io.StringIO(csv)))] == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_for_release_returns_views(self):
@@ -247,7 +247,7 @@ class TestParticipationShare:
     """The share's quarters are the release's first to last quarter in the panel; E2 fixes that span here."""
 
     def test_half_coverage(self):
-        quarters = [q(2000, 1).shifted(i) for i in range(46)]
+        quarters = [q(2000, 1) + i for i in range(46)]
         span = [rec("E2", q(2000, 1), 1.0), rec("E2", q(2022, 4), 1.0)]  # 92 quarters
         panel = ForecastPanel.from_rows([rec("E1", quarter, 1.0) for quarter in quarters] + span)
         assert participation_share(panel, ReleaseKind.FIRST)[0] == 0.5
@@ -261,7 +261,7 @@ class TestParticipationShare:
         assert shares[panel.economist_ids.index("EX")] == 0.0
 
     def test_full_coverage(self):
-        quarters = [q(2000, 1).shifted(i) for i in range(4)]
+        quarters = [q(2000, 1) + i for i in range(4)]
         panel = ForecastPanel.from_rows([rec("E1", quarter, 1.0) for quarter in quarters])
         assert participation_share(panel, ReleaseKind.FIRST)[0] == 1.0
 

@@ -16,7 +16,7 @@ from judgebench.panelreg import (
     significance_stars,
     t_test_p_value,
 )
-from judgebench.quarters import Quarter, ReleaseKind
+from judgebench.quarters import ReleaseKind
 from judgebench.tails import t_sf
 
 from conftest import Obs, dataset, q, rec
@@ -43,7 +43,7 @@ class TestBuildPersistenceDataset:
         assert len(data) == 1
         assert data.response[0] == 0.3
         assert data.regressor[0] == 0.5
-        assert data.quarter[0] == q(2000, 2).index
+        assert data.quarter[0] == q(2000, 2)
 
     def test_calendar_gap_breaks_chain(self):
         jp = jp_from({("E1", q(2000, 1), R1): 0.5, ("E1", q(2000, 3), R1): 0.3})
@@ -78,7 +78,7 @@ class TestFeEstimate:
         data = []
         for i, effect in enumerate((1.0, -2.0)):
             for t, x in enumerate((1.0, 3.0)):
-                data.append(obs(f"E{i}", q(2000, 1).shifted(t), 0.5 * x + effect, x))
+                data.append(obs(f"E{i}", q(2000, 1) + t, 0.5 * x + effect, x))
         result = fe_estimate(dataset(data), "fe")
         assert result.beta == pytest.approx(0.5, abs=1e-10)
 
@@ -90,7 +90,7 @@ class TestFeEstimate:
             for t in range(rng.integers(2, 7)):
                 x = rng.normal()
                 y = 0.3 * x + effect + rng.normal(0, 0.5)
-                data.append(obs(f"E{i}", q(2000, 1).shifted(t), y, x))
+                data.append(obs(f"E{i}", q(2000, 1) + t, y, x))
         fe = fe_estimate(dataset(data), "fe")
         econs = sorted({o.economist_id for o in data})
         X = np.zeros((len(data), 1 + len(econs)))
@@ -103,8 +103,8 @@ class TestFeEstimate:
         assert abs(fe.beta - lsdv) < 1e-8
 
     def test_pooled_includes_intercept(self):
-        data = [obs("E1", q(2000, 1).shifted(t), 2.0 + 0.5 * t, float(t)) for t in range(6)]
-        data += [obs("E2", q(2000, 1).shifted(t), 2.0 + 0.5 * t, float(t)) for t in range(6)]
+        data = [obs("E1", q(2000, 1) + t, 2.0 + 0.5 * t, float(t)) for t in range(6)]
+        data += [obs("E2", q(2000, 1) + t, 2.0 + 0.5 * t, float(t)) for t in range(6)]
         result = fe_estimate(dataset(data), "pooled")
         assert result.beta == pytest.approx(0.5, abs=1e-10)
 
@@ -130,7 +130,7 @@ class TestFeEstimate:
         data = []
         for i in range(4):
             for t in range(5):
-                data.append(obs(f"E{i}", q(2000, 1).shifted(t), rng.normal(), rng.normal()))
+                data.append(obs(f"E{i}", q(2000, 1) + t, rng.normal(), rng.normal()))
         base = fe_estimate(dataset(data), "fe")
         shifted = [
             obs(o.economist_id, o.quarter, o.response, o.regressor + 10.0 * int(o.economist_id[1]))
@@ -143,10 +143,10 @@ class TestFeEstimate:
         data = []
         for i in range(4):
             for t in range(6):
-                data.append(obs(f"E{i}", q(2000, 1).shifted(t), rng.normal(), rng.normal()))
+                data.append(obs(f"E{i}", q(2000, 1) + t, rng.normal(), rng.normal()))
         base = fe_estimate(dataset(data), "fe_te")
         shifted = [
-            obs(o.economist_id, o.quarter, o.response + 3.0 * o.quarter.index, o.regressor)
+            obs(o.economist_id, o.quarter, o.response + 3.0 * o.quarter, o.regressor)
             for o in data
         ]
         assert fe_estimate(dataset(shifted), "fe_te").beta == pytest.approx(base.beta, abs=1e-8)
@@ -159,7 +159,7 @@ class TestFeEstimate:
             data = []
             for i in range(10):
                 for t in range(8):
-                    data.append(obs(f"E{i}", q(2000, 1).shifted(t), r.normal(), r.normal()))
+                    data.append(obs(f"E{i}", q(2000, 1) + t, r.normal(), r.normal()))
             result = fe_estimate(dataset(data), "pooled")
             if abs(result.beta) < 3 * result.se_clustered:
                 hits += 1
@@ -174,7 +174,7 @@ def same_quarters_panel(seed: int = 0) -> list[Obs]:
     for i in range(2):
         for t in range(6):
             x = rng.normal()
-            data.append(obs(f"E{i}", q(2000, 1).shifted(t), 3.2 * x + i + 0.1 * t + rng.normal(0, 0.5), x))
+            data.append(obs(f"E{i}", q(2000, 1) + t, 3.2 * x + i + 0.1 * t + rng.normal(0, 0.5), x))
     return data
 
 
@@ -270,7 +270,7 @@ class TestPersistenceBattery:
                 j = 0.0
                 for t in range(n_quarters):
                     j = rho * j + rng.normal(0, 0.2)
-                    entries[(f"E{i}", q(2000, 1).shifted(t), release)] = j
+                    entries[(f"E{i}", q(2000, 1) + t, release)] = j
         return jp_from(entries)
 
     def test_full_grid_of_cells(self):
@@ -280,7 +280,7 @@ class TestPersistenceBattery:
 
     def test_degenerate_judgments_error_per_cell_but_report_emitted(self):
         entries = {
-            (f"E{i}", q(2000, 1).shifted(t), release): 0.0
+            (f"E{i}", q(2000, 1) + t, release): 0.0
             for i in range(4)
             for t in range(6)
             for release in (R1, R2, R3)

@@ -24,15 +24,15 @@ from judgebench.errors import EstimationError, IngestionError
 from judgebench.judgment import BaselineSeries, baseline, baseline_hit_stats, extract_judgments
 from judgebench.panel import ForecastPanel, clean_panel, load_forecasts
 from judgebench.panelreg import fe_estimate
-from judgebench.quarters import Quarter, ReleaseKind
+from judgebench.quarters import ReleaseKind, quarter_label
 from judgebench.tails import t_sf
 
 import reference_reader as reference
-from conftest import Obs, actuals_from, dataset, rec, rows_of, series_from
+from conftest import Obs, actuals_from, dataset, present, q, rec, rows_of, series_from
 from reference_reader import outcome
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-START = Quarter(2000, 1)
+START = q(2000, 1)
 
 values = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
 keys = st.tuples(st.integers(0, 5), st.integers(0, 7), st.sampled_from(list(ReleaseKind)))
@@ -42,7 +42,7 @@ keys = st.tuples(st.integers(0, 5), st.integers(0, 7), st.sampled_from(list(Rele
 @given(cells=st.dictionaries(keys, values, min_size=1, max_size=60),
        shift=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
 def test_judgments_invariant_to_a_common_shift(cells, shift):
-    rows = [rec(f"E{e}", START.shifted(t), v, release) for (e, t, release), v in cells.items()]
+    rows = [rec(f"E{e}", START + t, v, release) for (e, t, release), v in cells.items()]
     panel = ForecastPanel.from_rows(rows)
     moved = ForecastPanel.from_rows(row._replace(value=row.value + shift) for row in rows)
     for release in {release for _, _, release in cells}:
@@ -71,7 +71,7 @@ def test_fe_beta_invariant_to_relabelling_economists(drawn):
         effect = rng.normal()
         for t in range(n):
             x = rng.normal()
-            data.append(Obs(f"E{i}", START.shifted(t), 0.3 * x + effect + rng.normal(0, 0.5), x))
+            data.append(Obs(f"E{i}", START + t, 0.3 * x + effect + rng.normal(0, 0.5), x))
     renamed = [o._replace(economist_id=f"R{relabel[int(o.economist_id[1:])]}") for o in data]
     for spec in ("fe", "fe_te"):
         try:
@@ -89,7 +89,7 @@ def test_fe_beta_invariant_to_relabelling_economists(drawn):
        data=st.data())
 def test_cleaning_and_baselines_invariant_to_row_order_with_distinct_dates(rows, data):
     dated = [
-        rec(econ, START.shifted(t), value, release, report_date=date.fromordinal(730000 + i))
+        rec(econ, START + t, value, release, report_date=date.fromordinal(730000 + i))
         for i, (econ, t, release, value) in enumerate(rows)
     ]
     shuffled = data.draw(st.permutations(dated))
@@ -99,8 +99,8 @@ def test_cleaning_and_baselines_invariant_to_row_order_with_distinct_dates(rows,
     assert len(log) == len(log_shuffled)
     for release in ReleaseKind:
         for method in ("median", "mean"):
-            expected = dict(baseline(cleaned, release, method).items())
-            assert dict(baseline(cleaned_shuffled, release, method).items()) == expected
+            expected = present(baseline(cleaned, release, method))
+            assert present(baseline(cleaned_shuffled, release, method)) == expected
 
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -142,21 +142,21 @@ def test_report_invariant_to_forecast_row_order_with_distinct_dates(seed):
         assert got[name] == expected[name], name
 
 
-def fill_by_loop(points: dict, first: Quarter, last: Quarter, max_gap: int) -> dict:
+def fill_by_loop(points: dict, first: int, last: int, max_gap: int) -> dict:
     """Gap filling quarter by quarter: linear inside, constant at the edges (the reference)."""
-    present = sorted(points)
+    known = sorted(points)
     out = dict(points)
-    for q in map(Quarter.from_index, range(first.index, last.index + 1)):
+    for q in range(first, last + 1):
         if q in points:
             continue
-        if q < present[0] or q > present[-1]:
-            out[q] = points[present[0] if q < present[0] else present[-1]]
+        if q < known[0] or q > known[-1]:
+            out[q] = points[known[0] if q < known[0] else known[-1]]
             continue
-        left, right = max(p for p in present if p < q), min(p for p in present if p > q)
-        if right.index - left.index - 1 > max_gap:
+        left, right = max(p for p in known if p < q), min(p for p in known if p > q)
+        if right - left - 1 > max_gap:
             raise IngestionError("gap too long")
-        steps = right.index - left.index
-        out[q] = points[left] + (points[right] - points[left]) * (q.index - left.index) / steps
+        steps = right - left
+        out[q] = points[left] + (points[right] - points[left]) * (q - left) / steps
     return out
 
 
@@ -164,15 +164,15 @@ def fill_by_loop(points: dict, first: Quarter, last: Quarter, max_gap: int) -> d
 @given(drawn=st.dictionaries(st.integers(3, 20), values, min_size=1), max_gap=st.integers(0, 4),
        lead=st.integers(0, 3), trail=st.integers(0, 3))
 def test_fill_missing_equals_the_quarter_loop(drawn, max_gap, lead, trail):
-    points = {START.shifted(t): v for t, v in drawn.items()}
-    first, last = min(points).shifted(-lead), max(points).shifted(trail)
+    points = {START + t: v for t, v in drawn.items()}
+    first, last = min(points) - lead, max(points) + trail
     try:
         expected = fill_by_loop(points, first, last, max_gap)
     except IngestionError:
         with pytest.raises(IngestionError, match="interior gap"):
             fill_missing(actuals_from(points), first, last, max_gap=max_gap)
         return
-    assert dict(fill_missing(actuals_from(points), first, last, max_gap=max_gap).items()) == expected
+    assert present(fill_missing(actuals_from(points), first, last, max_gap=max_gap)) == expected
 
 
 grid_values = st.integers(-30, 30).map(lambda k: k / 20)  # on and between 0.1 grid points
@@ -184,9 +184,9 @@ grid_values = st.integers(-30, 30).map(lambda k: k / 20)  # on and between 0.1 g
        grid=st.sampled_from([0.0, 0.1, 0.25]))
 def test_baseline_hit_stats_equal_the_isclose_loop(base, actual, grid):
     common = sorted(set(base) & set(actual))
-    series = series_from({START.shifted(t): v for t, v in base.items()}, BaselineSeries,
+    series = series_from({START + t: v for t, v in base.items()}, BaselineSeries,
                          release=ReleaseKind.FIRST, method="median")
-    actuals = actuals_from({START.shifted(t): v for t, v in actual.items()})
+    actuals = actuals_from({START + t: v for t, v in actual.items()})
     if not common:
         with pytest.raises(ValueError):
             baseline_hit_stats(series, actuals, grid)
@@ -212,7 +212,8 @@ forecast_lines = st.builds(
     st.sampled_from(["", "2000-04-10", " 2001-01-31", "2000-04-10 "]),  # undated and dated
 )
 # Quarters from 41, so a key now and then repeats; padded, so one quarter has several tokens.
-quarter_tokens = st.builds(lambda i, pad: f"{pad}{START.shifted(i)}", st.integers(0, 40), st.sampled_from(["", " "]))
+quarter_tokens = st.builds(lambda i, pad: pad + quarter_label(START + i), st.integers(0, 40),
+                           st.sampled_from(["", " "]))
 LINES = {
     "actuals": st.builds(lambda *fields: ",".join(fields), quarter_tokens, st.sampled_from(["1", " 2", "+3"]),
                          value_tokens),
@@ -367,7 +368,7 @@ def test_fe_te_equals_two_way_dummy_ols(drawn):
     data = []
     for i, t in cells:
         x = rng.normal()
-        data.append(Obs(f"E{i}", START.shifted(t), 0.3 * x + effects[i] + shocks[t] + rng.normal(0, 0.5), x))
+        data.append(Obs(f"E{i}", START + t, 0.3 * x + effects[i] + shocks[t] + rng.normal(0, 0.5), x))
     try:
         expected = two_way_dummy_ols(dataset(data))
     except EstimationError:
@@ -478,9 +479,9 @@ def test_an_id_keeps_its_trailing_nul():
 @pytest.mark.parametrize("what", sorted(LINES))
 @pytest.mark.parametrize("after", [0, 20], ids=["second-chunk-start", "in-second-chunk"])
 def test_malformed_line_after_the_first_chunk_names_its_line(kind, what, after):
-    lines = [{"actuals": f"{START.shifted(i)},1,{i / 8}",
+    lines = [{"actuals": f"{quarter_label(START + i)},1,{i / 8}",
               "forecasts": f"2000Q{1 + i % 4},{1 + i % 3},E{i % 9},F1,{i / 8},",
-              "spf": f"{START.shifted(i)},{i / 8},{i}"}[what] for i in range(panel_module.CHUNK_LINES + 40)]
+              "spf": f"{quarter_label(START + i)},{i / 8},{i}"}[what] for i in range(panel_module.CHUNK_LINES + 40)]
     at = panel_module.CHUNK_LINES + after  # the data row index of the inserted line
     got, expected = _outcomes(what, IRREGULAR_FILES[kind](what, lines, at))
     assert got == expected
@@ -505,7 +506,7 @@ def quarter_stats_by_loop(panel: ForecastPanel, actuals, release: ReleaseKind) -
         degenerate = m2**2 == 0.0  # m2 is 0 or so small that its square underflows
         skew = float(np.mean(d**3)) / m2**1.5 if not degenerate and x.size >= 3 else None
         kurt = float(np.mean(d**4)) / m2**2 - 3.0 if not degenerate and x.size >= 4 else None
-        out.append(QuarterStats(Quarter.from_index(index), x.size, rmse, math.sqrt(m2), skew, kurt))
+        out.append(QuarterStats(index, x.size, rmse, math.sqrt(m2), skew, kurt))
     return out
 
 
@@ -521,8 +522,8 @@ stat_values = st.one_of(values, st.integers(-8, 8).map(lambda k: k / 4))  # grid
 @example(cells={(0, 1): 1.1294690835806527e-145, (1, 1): 0.0, (2, 1): 0.0}, actual={1: 0.0})  # m2**1.5 underflows
 def test_quarter_stats_equal_the_quarter_loop(cells, actual):
     # Quarters with 1 to 8 forecasts (n < 3 and n < 4 included), some with equal values, some with no actual.
-    panel = ForecastPanel.from_rows(rec(f"E{e}", START.shifted(t), v) for (e, t), v in cells.items())
-    actuals = actuals_from({START.shifted(t): v for t, v in actual.items()} or {START.shifted(9): 0.0})
+    panel = ForecastPanel.from_rows(rec(f"E{e}", START + t, v) for (e, t), v in cells.items())
+    actuals = actuals_from({START + t: v for t, v in actual.items()} or {START + 9: 0.0})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert quarter_stats(panel, actuals, ReleaseKind.FIRST) == quarter_stats_by_loop(
@@ -585,10 +586,10 @@ def test_accuracy_table_equals_the_forecaster_loop(cells, base, actual, h):
     # baseline (zero-variance differentials) and with fewer common quarters than h.
     # accuracy_table takes the release's p-values in one tail call and the loop one per
     # forecaster, so == also checks that batching changes no bit.
-    panel = ForecastPanel.from_rows(rec(f"E{e}", START.shifted(t), v) for (e, t), v in cells.items())
-    series = series_from({START.shifted(t): v for t, v in base.items()}, BaselineSeries,
+    panel = ForecastPanel.from_rows(rec(f"E{e}", START + t, v) for (e, t), v in cells.items())
+    series = series_from({START + t: v for t, v in base.items()}, BaselineSeries,
                          release=ReleaseKind.FIRST, method="median")
-    actuals = actuals_from({START.shifted(t): v for t, v in actual.items()})
+    actuals = actuals_from({START + t: v for t, v in actual.items()})
     assert accuracy_table(panel, series, actuals, h=h) == accuracy_by_loop(panel, series, actuals, h)
 
 

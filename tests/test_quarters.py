@@ -1,15 +1,15 @@
 import pytest
 
 from judgebench.errors import QuarterParseError
-from judgebench.quarters import Quarter, ReleaseKind, parse_quarter, quarter_range
+from judgebench.quarters import ReleaseKind, parse_quarter, quarter_label
 
 
 class TestParseQuarter:
     def test_parses_standard_token(self):
-        assert parse_quarter("2000Q1") == Quarter(2000, 1)
+        assert parse_quarter("2000Q1") == 8000
 
     def test_parses_fourth_quarter(self):
-        assert parse_quarter("2022Q4") == Quarter(2022, 4)
+        assert parse_quarter("2022Q4") == 2022 * 4 + 3
 
     def test_rejects_out_of_range_quarter(self):
         with pytest.raises(QuarterParseError):
@@ -25,45 +25,19 @@ class TestParseQuarter:
                 parse_quarter(bad)
 
 
-class TestQuarterOrderAndArithmetic:
-    def test_total_order(self):
-        assert Quarter(1999, 4) < Quarter(2000, 1) < Quarter(2000, 2)
+class TestQuarterIndex:
+    def test_index_order_is_calendar_order_across_a_year(self):
+        tokens = ["1999Q3", "1999Q4", "2000Q1", "2000Q2"]
+        indexes = [parse_quarter(token) for token in tokens]
+        assert indexes == list(range(indexes[0], indexes[0] + 4))
 
-    def test_successor_wraps_year(self):
-        assert Quarter(2000, 4).successor() == Quarter(2001, 1)
+    def test_label_round_trips_across_years(self):
+        for index in range(parse_quarter("1998Q2"), parse_quarter("2003Q3") + 1):
+            assert parse_quarter(quarter_label(index)) == index
 
-    def test_successor_predecessor_identity(self):
-        for quarter in (Quarter(2000, 1), Quarter(2010, 4), Quarter(1999, 2)):
-            assert quarter.successor().predecessor() == quarter
-            assert quarter.predecessor().successor() == quarter
-
-    def test_shifted_matches_repeated_successor(self):
-        start = Quarter(2005, 3)
-        walked = start
-        for _ in range(7):
-            walked = walked.successor()
-        assert start.shifted(7) == walked
-
-    def test_invalid_quarter_rejected_at_construction(self):
-        with pytest.raises(QuarterParseError):
-            Quarter(2000, 5)
-
-    def test_str_roundtrip(self):
-        assert str(Quarter(2007, 2)) == "2007Q2"
-        assert parse_quarter(str(Quarter(2007, 2))) == Quarter(2007, 2)
-
-
-class TestQuarterRange:
-    def test_inclusive_range(self):
-        quarters = list(quarter_range(Quarter(2000, 3), Quarter(2001, 2)))
-        assert quarters == [Quarter(2000, 3), Quarter(2000, 4), Quarter(2001, 1), Quarter(2001, 2)]
-
-    def test_single_quarter_range(self):
-        assert list(quarter_range(Quarter(2000, 1), Quarter(2000, 1))) == [Quarter(2000, 1)]
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            list(quarter_range(Quarter(2001, 1), Quarter(2000, 1)))
+    def test_label_text(self):
+        assert quarter_label(parse_quarter("2007Q2")) == "2007Q2"
+        assert quarter_label(8003) == "2000Q4"
 
 
 class TestReleaseKind:

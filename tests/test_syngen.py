@@ -19,7 +19,7 @@ import judgebench.syngen as syngen
 from judgebench.errors import EstimationError
 from judgebench.panel import _COLUMNS
 from judgebench.panelreg import build_persistence_dataset, fe_estimate
-from judgebench.quarters import Quarter, ReleaseKind
+from judgebench.quarters import ReleaseKind
 from judgebench.syngen import (
     SynthConfig,
     extract_world_judgments,
@@ -53,7 +53,7 @@ class TestSimulateWorld:
         for release in ReleaseKind:
             actual = world.actuals[release]
             for record in (r for r in rows_of(world.panel) if r.release == release):
-                assert record.value == pytest.approx(actual[record.quarter], abs=1e-12)
+                assert record.value == pytest.approx(actual.at(record.quarter), abs=1e-12)
         jp = extract_world_judgments(world, R1)
         assert all(jp.neutral.tolist())
 
@@ -83,7 +83,7 @@ class TestSimulateWorld:
         truth = world.truth
         for record in (r for r in rows_of(world.panel) if r.release == R1):
             i = truth.economists.index(record.economist_id)
-            t = truth.quarters.index(record.quarter)
+            t = truth.quarters.tolist().index(record.quarter)
             latent = truth.baselines[0, t] + truth.judgments[i, t, 0]
             assert record.value == pytest.approx(round(latent / 0.1) * 0.1, abs=1e-9)
 
@@ -121,7 +121,7 @@ class TestJudgmentExtraction:
         latent, extracted = [], []
         for row, value in zip(rows_of(jp.panel), jp.value.tolist()):
             i = truth.economists.index(row.economist_id)
-            t = truth.quarters.index(row.quarter)
+            t = truth.quarters.tolist().index(row.quarter)
             latent.append(truth.judgments[i, t, 0])
             extracted.append(value)
         corr = np.corrcoef(latent, extracted)[0, 1]
@@ -215,7 +215,7 @@ class TestBlockPass:
         order = np.lexsort((when, ids.economist[who]))
         latent = block.baselines[0, 0, when] + block.judgments[0, when, 0, who]
         assert np.array_equal(panel.economist, ids.economist[who][order])
-        assert np.array_equal(panel.quarter, config.start.index + when[order])
+        assert np.array_equal(panel.quarter, config.start + when[order])
         assert np.array_equal(panel.value, (np.round(latent / config.grid) * config.grid)[order])
         simulate_world(config, seed=1).panel.for_release(R1)  # raises unless canonical
 
