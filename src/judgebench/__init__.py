@@ -20,7 +20,7 @@ from .panel import (
     load_spf,
     participation_share,
 )
-from .descriptive import QuarterStats, armse, quarter_stats, rmse_series
+from .descriptive import QuarterStats, armse, quarter_stats
 from .judgment import (
     BaselineSeries,
     JudgmentPanel,

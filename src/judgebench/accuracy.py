@@ -1,8 +1,8 @@
 """Baseline-relative accuracy comparisons.
 
-Paired RMSEs on common quarters, the Diebold-Mariano equal-accuracy statistic
-with squared-error loss, the Harvey-Leybourne-Newbold small-sample correction,
-and beat-the-baseline shares per participation threshold.
+Paired RMSEs on common quarters, the one-step Diebold-Mariano equal-accuracy
+statistic with squared-error loss, the Harvey-Leybourne-Newbold small-sample
+correction, and beat-the-baseline shares per participation threshold.
 """
 from __future__ import annotations
 
@@ -50,32 +50,24 @@ def paired_rmse(forecast: np.ndarray, baseline: np.ndarray, actual: np.ndarray) 
     return _rmse(e_self), _rmse(e_base), e_self.size
 
 
-def dm_test(d: Sequence[float], h: int = 1) -> float:
-    """Diebold-Mariano statistic for a loss-differential series.
+def dm_test(d: Sequence[float]) -> float:
+    """One-step Diebold-Mariano statistic for a loss-differential series.
 
-    Long-run variance uses population (1/T) autocovariances up to lag h-1;
-    for one-step comparisons this is the lag-0 autocovariance.
+    The long-run variance is the population (1/T) lag-0 autocovariance.
     """
     d = np.asarray(d, dtype=float)
     nobs = d.size
     if nobs < 2:
         raise EstimationError(f"need at least 2 loss differentials, got {nobs}")
-    if h < 1 or h > nobs:
-        raise EstimationError(f"invalid horizon {h} for {nobs} observations")
     d_bar = d.mean()
-    centered = d - d_bar
-    variance = float(np.mean(centered**2))
-    for lag in range(1, h):
-        variance += 2.0 * float(np.mean(centered[lag:] * centered[:-lag]) * (nobs - lag) / nobs)
+    variance = float(np.mean((d - d_bar) ** 2))
     if variance <= 0.0:
         raise EstimationError("degenerate comparison: loss differential has zero variance")
     return float(d_bar / math.sqrt(variance / nobs))
 
 
-def _hln_statistic(dm: float, nobs: int, h: int) -> float:
-    if nobs <= h:
-        raise EstimationError(f"need T > h, got T={nobs}, h={h}")
-    return dm * math.sqrt((nobs + 1 - 2 * h + h * (h - 1) / nobs) / nobs)
+def _hln_statistic(dm: float, nobs: int) -> float:
+    return dm * math.sqrt((nobs - 1) / nobs)
 
 
 def hln_p_value(statistic, nobs):
@@ -83,9 +75,9 @@ def hln_p_value(statistic, nobs):
     return 2.0 * t_sf(np.abs(statistic), np.asarray(nobs) - 1)
 
 
-def hln_correction(dm: float, nobs: int, h: int = 1) -> tuple[float, float]:
-    """Harvey-Leybourne-Newbold corrected statistic and two-sided t(T-1) p-value."""
-    statistic = _hln_statistic(dm, nobs, h)
+def hln_correction(dm: float, nobs: int) -> tuple[float, float]:
+    """One-step Harvey-Leybourne-Newbold corrected statistic and two-sided t(T-1) p-value."""
+    statistic = _hln_statistic(dm, nobs)
     return statistic, float(hln_p_value(statistic, nobs))
 
 
@@ -95,7 +87,6 @@ def _comparison(
     forecast: np.ndarray,
     baseline: np.ndarray,
     actual: np.ndarray,
-    h: int,
 ) -> AccuracyComparison:
     """A forecaster's comparison with everything but the HLN p-value."""
     e_self, e_base = _paired_errors(forecast, baseline, actual)
@@ -103,8 +94,8 @@ def _comparison(
     dm = hln = None
     note = ""
     try:
-        dm = dm_test(d, h=h)
-        hln = _hln_statistic(dm, e_self.size, h)
+        dm = dm_test(d)
+        hln = _hln_statistic(dm, e_self.size)
     except EstimationError as exc:
         note = str(exc)
     return AccuracyComparison(
@@ -123,12 +114,7 @@ def _with_p_values(comparisons: list[AccuracyComparison]) -> list[AccuracyCompar
     return out
 
 
-def accuracy_table(
-    panel: ForecastPanel,
-    base: BaselineSeries,
-    actuals: ActualSeries,
-    h: int = 1,
-) -> list[AccuracyComparison]:
+def accuracy_table(panel: ForecastPanel, base: BaselineSeries, actuals: ActualSeries) -> list[AccuracyComparison]:
     """Per-economist accuracy comparisons, in economist-id order.
 
     The panel must be clean: one row per (economist, quarter, release).  The
@@ -141,7 +127,7 @@ def accuracy_table(
     for code, lo, hi in zip(codes.tolist(), bounds.tolist(), bounds[1:].tolist()):
         economist_id = panel.economist_ids[code]
         try:
-            out.append(_comparison(economist_id, base.release, *(c[lo:hi] for c in columns), h))
+            out.append(_comparison(economist_id, base.release, *(c[lo:hi] for c in columns)))
         except EstimationError:
             continue  # no overlap with the actuals at all
     return _with_p_values(out)

@@ -2,8 +2,8 @@
 
 Each release series is forecast from its own history with an expanding
 estimation window, so forecasts never see data at or after their target.
-Missing values are filled beforehand (linear interpolation inside the span,
-constant extrapolation at the edges).
+Missing values are filled beforehand by linear interpolation across each gap
+inside the series' span.  Lag orders are chosen by SIC.
 """
 from __future__ import annotations
 
@@ -18,60 +18,42 @@ from .quarters import quarter_label
 
 DEFAULT_MAX_GAP = 3
 DEFAULT_MAX_LAG = 8
-CRITERIA = ("AIC", "SIC", "HQ")
-DEFAULT_CRITERION = "SIC"
 MIN_PRESAMPLE = 10  # observations beyond the lag order required before a target
 
 
 class ARSpec:
-    """Autoregression settings: lag order, optional per-target reselection."""
+    """Autoregression settings: lag order, optional per-target reselection up to ``DEFAULT_MAX_LAG``."""
 
-    def __init__(self, p: int = 1, reselect: bool = False, max_lag: int = DEFAULT_MAX_LAG,
-                 criterion: str = DEFAULT_CRITERION):
-        if p < 0 or p > max_lag:
-            raise ValueError(f"lag order must be in 0..{max_lag}, got {p}")
-        if criterion not in CRITERIA:
-            raise ValueError(f"criterion must be one of {CRITERIA}")
-        self.p, self.reselect, self.max_lag, self.criterion = p, reselect, max_lag, criterion
+    def __init__(self, p: int = 1, reselect: bool = False):
+        if p < 0 or p > DEFAULT_MAX_LAG:
+            raise ValueError(f"lag order must be in 0..{DEFAULT_MAX_LAG}, got {p}")
+        self.p, self.reselect = p, reselect
 
 
-def fill_missing(
-    series: ActualSeries,
-    first: int | None = None,
-    last: int | None = None,
-    max_gap: int = DEFAULT_MAX_GAP,
-) -> ActualSeries:
-    """Fill gaps: linear interpolation inside the span, constant values at edges.
+def fill_missing(series: ActualSeries) -> ActualSeries:
+    """Fill the gaps inside the series' span by linear interpolation.
 
-    The result covers quarter indexes ``first`` through ``last``, by default
-    the first and last quarters the series has.  A run of more than
-    ``max_gap`` consecutive interior missing quarters is an error.  The
-    indexes of the filled quarters are added to the result's ``filled``.
+    The result covers the first through the last quarter the series has.  A
+    run of more than ``DEFAULT_MAX_GAP`` consecutive missing quarters is an
+    error.  The indexes of the filled quarters are added to the result's ``filled``.
     """
     present_at = series.quarters()
     if not present_at.size:
         raise IngestionError("cannot fill an empty series")
-    lo = int(present_at[0]) if first is None else first
-    hi = int(present_at[-1]) if last is None else last
-    values = series.at(np.arange(lo, hi + 1))
-    present = ~np.isnan(values)
-    if not present.any():
-        raise IngestionError("no observations inside the requested span")
+    lo = int(present_at[0])
+    values = series.at(np.arange(lo, int(present_at[-1]) + 1))
+    missing = np.isnan(values)
     pos = np.arange(values.size)
-    prev = np.maximum.accumulate(np.where(present, pos, -1))  # the last present position so far
-    after = np.minimum.accumulate(np.where(present, pos, values.size)[::-1])[::-1]  # the next one
-    missing = ~present
-    interior = missing & (prev >= 0) & (after < values.size)
+    prev = np.maximum.accumulate(np.where(missing, -1, pos))  # the last present position so far
+    after = np.minimum.accumulate(np.where(missing, values.size, pos)[::-1])[::-1]  # the next one
     run = after - prev - 1
-    too_long = interior & (run > max_gap)
+    too_long = missing & (run > DEFAULT_MAX_GAP)
     if too_long.any():
         at = int(np.argmax(too_long))
         raise IngestionError(
-            f"interior gap of {run[at]} quarters at {quarter_label(lo + at)} exceeds the limit of {max_gap}")
-    edge = missing & ~interior  # takes the nearest present value
-    values[edge] = values[np.where(prev < 0, after, prev)[edge]]
-    left, right = values[prev[interior]], values[after[interior]]
-    values[interior] = left + (right - left) * (pos - prev)[interior] / (run + 1)[interior]
+            f"interior gap of {run[at]} quarters at {quarter_label(lo + at)} exceeds the limit of {DEFAULT_MAX_GAP}")
+    left, right = values[prev[missing]], values[after[missing]]
+    values[missing] = left + (right - left) * (pos - prev)[missing] / (run + 1)[missing]
     filled = series.filled | frozenset((lo + np.flatnonzero(missing)).tolist())
     return ActualSeries(start=lo, values=values, release=series.release, filled=filled)
 
@@ -100,15 +82,13 @@ def _ar_fit(values: np.ndarray, p: int, starts: np.ndarray, ends: np.ndarray) ->
     return ols(np.concatenate([mask[..., None].astype(float), lagged[..., 1:]], axis=-1), y, mask), y
 
 
-def _select_orders(values: np.ndarray, max_lags: np.ndarray, ends: np.ndarray, criterion: str) -> np.ndarray:
-    """The information-criterion order of each series values[:ends[i]], among 0..max_lags[i].
+def _select_orders(values: np.ndarray, max_lags: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The SIC order of each series values[:ends[i]], among 0..max_lags[i].
 
     Every candidate order of a series is fit on its common effective sample
     t = max_lags[i]..ends[i]-1, one stack per order over all series.  A
     rank-deficient order is not a candidate; ties break toward the smaller order.
     """
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}")
     t_eff = ends - max_lags
     short = t_eff <= max_lags + 1  # some candidate would have no more observations than parameters
     if short.any():
@@ -123,29 +103,24 @@ def _select_orders(values: np.ndarray, max_lags: np.ndarray, ends: np.ndarray, c
         rss = np.where(fit.rss <= 1e-24 * np.maximum(np.vecdot(y, y), 1e-300), 0.0, fit.rss)
         n = t_eff[rows]
         with np.errstate(divide="ignore"):
-            penalty = {"AIC": 2.0, "SIC": np.log(n), "HQ": 2.0 * np.log(np.log(n))}[criterion]
-            crit = np.log(rss / n) + (p + 1) * penalty / n  # NaN for a deficient fit
+            crit = np.log(rss / n) + (p + 1) * np.log(n) / n  # NaN for a deficient fit
         better = crit < best_crit[rows]
         best[rows[better]], best_crit[rows[better]] = p, crit[better]
     return best
 
 
-def select_lag(
-    values: Sequence[float] | QuarterSeries,
-    max_lag: int = DEFAULT_MAX_LAG,
-    criterion: str = DEFAULT_CRITERION,
-) -> int:
-    """Information-criterion lag selection on a common effective sample.
+def select_lag(values: Sequence[float] | QuarterSeries, max_lag: int = DEFAULT_MAX_LAG) -> int:
+    """SIC lag selection on a common effective sample.
 
     The first ``max_lag`` observations are held out as presample for every
-    candidate order, so all criteria are computed on the same sample, which
-    must hold more observations than the largest order has parameters.  A
-    rank-deficient order is not a candidate; ties break toward the smaller order.
+    candidate order, so every candidate's SIC is computed on the same sample,
+    which must hold more observations than the largest order has parameters.
+    A rank-deficient order is not a candidate; ties break toward the smaller order.
     """
     if isinstance(values, QuarterSeries):
         values = _contiguous_values(values, values.start, values.start + values.values.size - 1)
     values = np.asarray(values, dtype=float)
-    return int(_select_orders(values, np.array([max_lag]), np.array([values.size]), criterion)[0])
+    return int(_select_orders(values, np.array([max_lag]), np.array([values.size]))[0])
 
 
 class ARForecasts(QuarterSeries):
@@ -185,8 +160,8 @@ def recursive_ar_forecast(
     if spec.reselect:
         # Cap the candidate orders so that whichever is chosen has its presample
         # and every candidate more observations than parameters.
-        caps = np.minimum(sizes - MIN_PRESAMPLE, (sizes - 2) // 2).clip(max=spec.max_lag)
-        orders = _select_orders(full, caps, sizes, spec.criterion)
+        caps = np.minimum(sizes - MIN_PRESAMPLE, (sizes - 2) // 2).clip(max=DEFAULT_MAX_LAG)
+        orders = _select_orders(full, caps, sizes)
     # Deviations from the first value: a constant stretch fits zeros and forecasts its value exactly.
     deviations = full - full[0]
     for p in range(int(np.max(orders)), -1, -1):

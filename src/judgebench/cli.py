@@ -124,6 +124,11 @@ class CliError(Exception):
     """A usage error: bad arguments, config keys or input paths (exit status 2)."""
 
 
+def _one_line(text) -> str:
+    """``str(text)`` with CR and LF escaped, so an echoed value cannot break a message's line."""
+    return str(text).replace("\r", "\\r").replace("\n", "\\n")
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -489,7 +494,7 @@ def cmd_ar_forecast(study: Study, out: Path) -> list[Path]:
 
 def cmd_simulate(study: Study, out: Path) -> list[Path]:
     cfg = study.cfg
-    world = simulate_world(cfg.synth_config(), seed=cfg.seed)
+    world = simulate_world(cfg.synth_config())
     quarters, sizes, values = _stack_series([world.actuals[rel] for rel in RELEASES], "values")
     # forecasts.csv lists the rows by (economist, quarter, release), as it always has.
     panel = world.panel.take(np.lexsort((world.panel.release, world.panel.quarter, world.panel.economist)))
@@ -522,7 +527,7 @@ def cmd_simulate(study: Study, out: Path) -> list[Path]:
 
 def cmd_recovery(study: Study, out: Path) -> list[Path]:
     cfg = study.cfg
-    summary = recovery_experiment(cfg.synth_config(), cfg.replications, base_seed=cfg.seed)
+    summary = recovery_experiment(cfg.synth_config(), cfg.replications)
     row = (cfg.replications, summary.n_completed, summary.n_failed,
            summary.mean_beta, summary.sd_beta, summary.ci_coverage, cfg.rho_own)
     return [write_csv(out / "recovery_summary.csv", ["replications", "n_completed", "n_failed", "mean_beta",
@@ -614,16 +619,17 @@ def _checked(name: str, value):
             text = str(value)
             if text == "auto" or (text.isascii() and text.isdigit() and int(text) <= LAG_LIMITS[name]):
                 return text if text == "auto" else str(int(text))
-        elif name == "thresholds":
-            return tuple(_real(name, t) for t in (value.split(",") if isinstance(value, str) else value))
+        elif name == "thresholds":  # the flag's text, or a config-file list of numbers
+            items = value.split(",") if isinstance(value, str) else value
+            if isinstance(value, str) or all(type(t) in TAKES[float] for t in items):
+                return tuple(_real(name, t) for t in items)
         elif type(value) in TAKES[type(default)] and value in CHOICES.get(name, (value,)):
             if name in ("sample_from", "sample_to") and value is not None:
                 parse_quarter(value)
             return _real(name, value) if type(default) is float else value
     except (TypeError, ValueError, OverflowError):  # a QuarterParseError is a ValueError
         pass
-    shown = str(value).replace("\r", "\\r").replace("\n", "\\n")  # one line, whatever the value holds
-    raise CliError(f"error: invalid-value name={FLAGS[name]} value={shown}")
+    raise CliError(f"error: invalid-value name={FLAGS[name]} value={value}")
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -661,20 +667,24 @@ def main(argv: list[str] | None = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = config_from_args(args)
-        out = Path(cfg.out)
-        out.mkdir(parents=True, exist_ok=True)
-        files = COMMANDS[args.command](Study(cfg), out)
-    except CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except JudgebenchError as exc:
-        print(f"error: {type(exc).__name__.lower()} detail={exc}", file=sys.stderr)
-        return 1
-    finally:
-        if argv is None:
-            gc.freeze()
+    # Every message is one line on stderr, whatever the paths and values it echoes.  A
+    # warning that a filter turns into an error (-W, PYTHONWARNINGS) still raises.
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(_one_line(f"warning: {message}"), file=sys.stderr)
+        try:
+            cfg = config_from_args(args)
+            out = Path(cfg.out)
+            out.mkdir(parents=True, exist_ok=True)
+            files = COMMANDS[args.command](Study(cfg), out)
+        except CliError as exc:
+            print(_one_line(exc), file=sys.stderr)
+            return 2
+        except JudgebenchError as exc:
+            print(_one_line(f"error: {type(exc).__name__.lower()} detail={exc}"), file=sys.stderr)
+            return 1
+        finally:
+            if argv is None:
+                gc.freeze()
     for path in files:
         print(path)
     return 0

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,18 +78,3 @@ def armse(stats: Sequence[QuarterStats]) -> float:
     if not stats:
         raise ValueError("armse requires at least one quarter")
     return float(np.mean([s.rmse for s in stats]))
-
-
-def rmse_series(
-    stats_by_release: Mapping[ReleaseKind, Sequence[QuarterStats]],
-) -> tuple[list[int], dict[ReleaseKind, np.ndarray]]:
-    """Align per-quarter RMSEs across releases on the union of quarters.
-
-    Quarters a release does not cover are NaN, never zero.
-    """
-    union = sorted({s.quarter for stats in stats_by_release.values() for s in stats})
-    aligned: dict[ReleaseKind, np.ndarray] = {}
-    for release, stats in stats_by_release.items():
-        lookup = {s.quarter: s.rmse for s in stats}
-        aligned[release] = np.array([lookup.get(q, np.nan) for q in union])
-    return union, aligned

@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EstimationError
-from .judgment import DEFAULT_GRID, JudgmentPanel, baseline, extract_judgments, grid_round
+from .judgment import DEFAULT_GRID, baseline, extract_judgments, grid_round
 from .panel import ActualSeries, ForecastPanel, QuarterSeries, SpfNowcasts, factorize
 from .panelreg import build_persistence_dataset, fe_estimate, t_test_p_value
 from .quarters import ReleaseKind, parse_quarter
@@ -77,7 +77,6 @@ class SynthTruth:
 
 class SynthWorld(NamedTuple):
     config: SynthConfig
-    seed: int
     actuals: Mapping[ReleaseKind, ActualSeries]
     panel: ForecastPanel
     spf: SpfNowcasts
@@ -193,14 +192,13 @@ def _panel(config: SynthConfig, block: _Block, s: int, ids: _Ids) -> ForecastPan
     )
 
 
-def simulate_world(config: SynthConfig, seed: int | None = None) -> SynthWorld:
-    """Deterministically generate a synthetic world from (config, seed)."""
-    seed = config.seed if seed is None else seed
+def simulate_world(config: SynthConfig) -> SynthWorld:
+    """Deterministically generate a synthetic world from its config and the config's seed."""
     t = config.n_quarters
-    block = _simulate_block(config, [seed])
+    block = _simulate_block(config, [config.seed])
     ids = _ids(config.n_forecasters)
     actuals = block.actuals[0]
-    rng_spf = _rng(seed, 6)
+    rng_spf = _rng(config.seed, 6)
     spf_median = actuals[0] + rng_spf.normal(0.0, 0.5, size=t)
     spf_mean = spf_median + rng_spf.normal(0.0, 0.1, size=t)
     start = config.start
@@ -211,13 +209,7 @@ def simulate_world(config: SynthConfig, seed: int | None = None) -> SynthWorld:
     }
     judgments = np.ascontiguousarray(block.judgments[:, :, 0].transpose(2, 1, 0))  # (N, T, 3)
     truth = SynthTruth(start + np.arange(t), ids.economists, actuals, block.baselines[0], judgments, block.rho_i[0])
-    return SynthWorld(config, seed, actual_series, _panel(config, block, 0, ids), spf, truth)
-
-
-def extract_world_judgments(world: SynthWorld, release: ReleaseKind, method: str = "median") -> JudgmentPanel:
-    """Median-baseline judgment extraction on the simulated panel."""
-    base = baseline(world.panel, release, method)
-    return extract_judgments(world.panel, base, grid=world.config.grid)
+    return SynthWorld(config, actual_series, _panel(config, block, 0, ids), spf, truth)
 
 
 class RecoverySummary:
@@ -232,22 +224,17 @@ class RecoverySummary:
         self.failures: list[str] = []
 
 
-def recovery_experiment(
-    config: SynthConfig,
-    replications: int,
-    base_seed: int | None = None,
-) -> RecoverySummary:
+def recovery_experiment(config: SynthConfig, replications: int) -> RecoverySummary:
     """Monte-Carlo check of the fixed-effects persistence estimator.
 
     Each replication simulates a world, extracts judgments against the
     empirical median baseline, estimates the own-lag FE specification for the
     first release, and checks whether the 95% clustered CI covers rho_own,
     that is whether the two-sided t test of beta = rho_own has p >= 0.05.
-    Replications use seeds base_seed + index, so results are deterministic.
+    Replications use seeds config.seed + index, so results are deterministic.
     They are simulated in blocks of at most ``BLOCK_CELLS`` cells, first
     release only, with the bits of one world at a time.
     """
-    base_seed = config.seed if base_seed is None else base_seed
     summary = RecoverySummary(config=config, replications=replications)
     ses: list[float] = []
     dfs: list[int] = []
@@ -255,7 +242,7 @@ def recovery_experiment(
     size = max(1, BLOCK_CELLS // (config.n_forecasters * config.n_quarters * 3))
     for first in range(0, replications, size):
         reps = range(first, min(first + size, replications))
-        block = _simulate_block(config, [base_seed + rep for rep in reps], releases=1)
+        block = _simulate_block(config, [config.seed + rep for rep in reps], releases=1)
         for s, rep in enumerate(reps):
             panel = _panel(config, block, s, ids)
             try:

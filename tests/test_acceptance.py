@@ -114,11 +114,11 @@ def test_hac_covariance_matches_brute_force_double_sum():
 def test_dm_statistic_and_small_sample_correction():
     dm = dm_test([2.0, 0.0, 2.0, 0.0])
     factor_ok = False
-    stat, p = hln_correction(1.0, 4, h=1)
+    stat, p = hln_correction(1.0, 4)
     factor_ok = abs(stat - math.sqrt(3 / 4)) < 1e-12
     # Independent p-value: numerically integrate the t density with T-1 dof.
     T = 4
-    stat2, p2 = hln_correction(1.7, T, h=1)
+    stat2, p2 = hln_correction(1.7, T)
     tail, _ = scipy.integrate.quad(lambda s: scipy.stats.t.pdf(s, T - 1), abs(stat2), np.inf)
     p_quad = 2 * tail
     ok = dm == 2.0 and factor_ok and abs(p2 - p_quad) < 1e-6
@@ -179,14 +179,14 @@ def test_persistence_recovery_and_coverage():
     try:
         config = SynthConfig(
             n_forecasters=200, n_quarters=80, rho_own=0.10, rho_own_sd=0.2,
-            judgment_sd=0.2, seed=2024,
+            judgment_sd=0.2, seed=7000,
         )
-        summary = recovery_experiment(config, replications=100, base_seed=7000)
+        summary = recovery_experiment(config, replications=100)
         null_config = SynthConfig(
             n_forecasters=200, n_quarters=80, rho_own=0.0, rho_own_sd=0.2,
-            judgment_sd=0.2, seed=2024,
+            judgment_sd=0.2, seed=7000,
         )
-        null_summary = recovery_experiment(null_config, replications=100, base_seed=7000)
+        null_summary = recovery_experiment(null_config, replications=100)
     finally:
         gc.enable()
     elapsed = time.perf_counter() - start
@@ -209,9 +209,9 @@ def test_judgment_error_identity_and_median_balance():
     for seed in (1, 2, 3):
         config = SynthConfig(
             n_forecasters=25, n_quarters=40, judgment_sd=0.3,
-            participation_low=0.6, participation_high=1.0, p_neutral=0.1,
+            participation_low=0.6, participation_high=1.0, p_neutral=0.1, seed=seed,
         )
-        world = simulate_world(config, seed=seed)
+        world = simulate_world(config)
         for release in ReleaseKind:
             base = baseline(world.panel, release, "median")
             jp = extract_judgments(world.panel, base, grid=config.grid)
@@ -306,7 +306,7 @@ def test_ar_forecasts_no_lookahead_and_recovery():
     zero_picks = 0
     for seed in range(100):
         noise = np.random.default_rng(seed).normal(size=120)
-        if select_lag(list(noise), max_lag=4, criterion="SIC") == 0:
+        if select_lag(list(noise), max_lag=4) == 0:
             zero_picks += 1
 
     ok = lookahead_ok and recovery_err < 1e-9 and zero_picks >= 90

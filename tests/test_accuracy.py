@@ -74,20 +74,20 @@ class TestDmTest:
 
 class TestHlnCorrection:
     def test_factor_tends_to_one(self):
-        stat, _ = hln_correction(1.0, 10_000, h=1)
+        stat, _ = hln_correction(1.0, 10_000)
         assert stat == pytest.approx(1.0, abs=1e-3)
 
     def test_small_sample_factor(self):
-        stat, _ = hln_correction(1.0, 4, h=1)
+        stat, _ = hln_correction(1.0, 4)
         assert stat == pytest.approx(math.sqrt(3 / 4), abs=1e-12)
 
     def test_zero_statistic_p_one(self):
-        _, p = hln_correction(0.0, 10, h=1)
+        _, p = hln_correction(0.0, 10)
         assert p == pytest.approx(1.0, abs=1e-12)
 
     def test_factor_at_most_one_and_t_tail_heavier(self):
         for T in (2, 4, 8, 50):
-            stat, p = hln_correction(1.5, T, h=1)
+            stat, p = hln_correction(1.5, T)
             assert 0 < stat <= 1.5
             normal_p = 2 * scipy.stats.norm.sf(abs(stat))
             assert p >= normal_p

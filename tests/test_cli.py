@@ -4,13 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import judgebench
+from judgebench import cli
 from judgebench.armodel import DEFAULT_MAX_LAG
 from judgebench.cli import RunConfig, build_parser, config_from_args, main
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def read_bytes(directory: Path) -> dict[str, bytes]:
@@ -68,6 +73,27 @@ class TestMissingInputs:
         code = main(["describe", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "missing" in capsys.readouterr().err
+
+
+class TestWarnings:
+    def test_stage_warning_is_one_line(self, tmp_path):
+        # No economist takes part in every quarter of the golden world.
+        done = subprocess.run(
+            [sys.executable, "-m", "judgebench.cli", "judgment", "--actuals", str(GOLDEN_INPUTS / "actuals.csv"),
+             "--forecasts", str(GOLDEN_INPUTS / "forecasts.csv"), "--thresholds", "1.0", "--out", "o"],
+            cwd=tmp_path, env=src_env(), capture_output=True, text=True)
+        assert done.returncode == 0
+        assert done.stderr.splitlines() == [f"warning: no economist passes threshold 1.0 for release {k}"
+                                            for k in (1, 2, 3)]
+
+    def test_warning_filter_still_makes_an_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(cli.COMMANDS, "describe", lambda study, out: [np.log(np.zeros(1))])
+        assert main(["describe", "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == "warning: divide by zero encountered in log\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="divide by zero"):
+                main(["describe", "--out", str(tmp_path / "o")])
 
 
 class TestReport:
@@ -234,9 +260,16 @@ class TestExitPath:
     @pytest.mark.parametrize("code, flags, start", [
         (1, ["--forecasts", "bad.csv"], "error: ingestionerror detail=bad.csv line 1: not UTF-8"),
         (2, ["--forecasts", "missing.csv"], "error: missing-input path=missing.csv"),
+        # A line end in an echoed path is escaped.
+        (1, ["--forecasts", "bad\nname.csv"], "error: ingestionerror detail=bad\\nname.csv line 1: not UTF-8"),
+        (2, ["--forecasts", "missing\r\nb.csv"], "error: missing-input path=missing\\r\\nb.csv"),
+        (2, ["--config", "no\nsuch.json"], "error: missing-input path=no\\nsuch.json"),
+        (2, ["--config", "dir\nname"], "error: invalid-config path=dir\\nname detail="),
     ])
     def test_module_run_errors_are_one_line(self, tmp_path, code, flags, start):
-        (tmp_path / "bad.csv").write_bytes(b"\xffquarter\n")
+        for name in ("bad.csv", "bad\nname.csv"):
+            (tmp_path / name).write_bytes(b"\xffquarter\n")
+        (tmp_path / "dir\nname").mkdir()
         done = subprocess.run([sys.executable, "-m", "judgebench.cli", "describe", "--actuals", "bad.csv", *flags,
                                "--out", "o"], cwd=tmp_path, env=src_env(), capture_output=True, text=True)
         assert (done.returncode, done.stdout) == (code, "")
@@ -267,6 +300,15 @@ class TestConfigHash:
         from_file = config_from_args(parser.parse_args(["simulate", "--config", str(config)]))
         from_flag = config_from_args(parser.parse_args(["simulate", "--kappa", "0"]))
         assert from_file.kappa == from_flag.kappa == 0.0 and type(from_file.kappa) is float
+        assert from_file.config_hash() == from_flag.config_hash()
+
+    def test_thresholds_from_config_file_and_flag_hash_alike(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"thresholds": [0.1, 1]}))
+        parser = build_parser()
+        from_file = config_from_args(parser.parse_args(["judgment", "--config", str(config)]))
+        from_flag = config_from_args(parser.parse_args(["judgment", "--thresholds", "0.1,1"]))
+        assert from_file.thresholds == from_flag.thresholds == (0.1, 1.0)
         assert from_file.config_hash() == from_flag.config_hash()
 
     def test_output_directory_not_semantic(self):
@@ -364,6 +406,10 @@ class TestConfigFile:
         ("simulate", ["--kappa", "nan"], None),
         # A value holding a line end is still echoed on one line.
         ("report", [], json.dumps({"baseline_method": "a\nb"})),
+        # A config-file threshold must be a number, not a bool or a numeric string.
+        ("judgment", [], json.dumps({"thresholds": [True, 0.5]})),
+        ("judgment", [], json.dumps({"thresholds": ["0.5"]})),
+        ("judgment", [], json.dumps({"thresholds": 0.5})),
     ])
     def test_bad_value_exits_2_with_one_line(self, world_dir, tmp_path, capsys, command, flags, config):
         set_by_file = ()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from judgebench.descriptive import armse, cross_section_moments, quarter_stats, rmse_series
+from judgebench.descriptive import armse, cross_section_moments, quarter_stats
 from judgebench.quarters import ReleaseKind
 
 from conftest import actuals_from, panel_from_values, q
@@ -107,28 +107,3 @@ class TestArmse:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             armse([])
-
-
-class TestRmseSeries:
-    def test_alignment_with_missing_marker(self):
-        q1, q2 = q(2000, 1), q(2000, 2)
-        stats = {}
-        for release, quarters in ((ReleaseKind.FIRST, [q1, q2]), (ReleaseKind.SECOND, [q1])):
-            panel = panel_from_values({quarter: [1.0, -1.0] for quarter in quarters}, release)
-            actuals = actuals_from({quarter: 0.0 for quarter in quarters}, release)
-            stats[release] = quarter_stats(panel, actuals, release)
-        quarters, series = rmse_series(stats)
-        assert quarters == [q1, q2]
-        assert series[ReleaseKind.FIRST].tolist() == [1.0, 1.0]
-        assert series[ReleaseKind.SECOND][0] == 1.0
-        assert np.isnan(series[ReleaseKind.SECOND][1])
-
-    def test_identical_inputs_give_identical_series(self):
-        quarter = q(2000, 1)
-        stats = {}
-        for release in (ReleaseKind.FIRST, ReleaseKind.SECOND):
-            panel = panel_from_values({quarter: [1.0, 3.0]}, release)
-            actuals = actuals_from({quarter: 2.0}, release)
-            stats[release] = quarter_stats(panel, actuals, release)
-        _, series = rmse_series(stats)
-        assert series[ReleaseKind.FIRST].tolist() == series[ReleaseKind.SECOND].tolist()

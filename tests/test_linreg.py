@@ -296,7 +296,7 @@ class TestDistributionFunctions:
     @pytest.mark.parametrize("x", EDGE_STAT)
     def test_hln_p_value(self, df, x):
         nobs = df + 1
-        stat, p = hln_correction(x, nobs, h=min(1, nobs - 1))
+        stat, p = hln_correction(x, nobs)
         reference = 2.0 * float(scipy.stats.t.sf(abs(stat), df=df))
         if x == 0.0 or math.isnan(reference):
             assert _same(p, reference)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from judgebench import panel as panel_module
 from judgebench.accuracy import AccuracyComparison, accuracy_table
-from judgebench.armodel import fill_missing
+from judgebench.armodel import DEFAULT_MAX_GAP, fill_missing
 from judgebench.cli import CodedColumn, _fmt, main, write_csv
 from judgebench.descriptive import QuarterStats, quarter_stats
 from judgebench.errors import EstimationError, IngestionError
@@ -142,18 +142,15 @@ def test_report_invariant_to_forecast_row_order_with_distinct_dates(seed):
         assert got[name] == expected[name], name
 
 
-def fill_by_loop(points: dict, first: int, last: int, max_gap: int) -> dict:
-    """Gap filling quarter by quarter: linear inside, constant at the edges (the reference)."""
+def fill_by_loop(points: dict) -> dict:
+    """Gap filling quarter by quarter, linear across each gap inside the span (the reference)."""
     known = sorted(points)
     out = dict(points)
-    for q in range(first, last + 1):
+    for q in range(known[0], known[-1] + 1):
         if q in points:
             continue
-        if q < known[0] or q > known[-1]:
-            out[q] = points[known[0] if q < known[0] else known[-1]]
-            continue
         left, right = max(p for p in known if p < q), min(p for p in known if p > q)
-        if right - left - 1 > max_gap:
+        if right - left - 1 > DEFAULT_MAX_GAP:
             raise IngestionError("gap too long")
         steps = right - left
         out[q] = points[left] + (points[right] - points[left]) * (q - left) / steps
@@ -161,18 +158,16 @@ def fill_by_loop(points: dict, first: int, last: int, max_gap: int) -> dict:
 
 
 @SETTINGS
-@given(drawn=st.dictionaries(st.integers(3, 20), values, min_size=1), max_gap=st.integers(0, 4),
-       lead=st.integers(0, 3), trail=st.integers(0, 3))
-def test_fill_missing_equals_the_quarter_loop(drawn, max_gap, lead, trail):
+@given(drawn=st.dictionaries(st.integers(3, 20), values, min_size=1))
+def test_fill_missing_equals_the_quarter_loop(drawn):
     points = {START + t: v for t, v in drawn.items()}
-    first, last = min(points) - lead, max(points) + trail
     try:
-        expected = fill_by_loop(points, first, last, max_gap)
+        expected = fill_by_loop(points)
     except IngestionError:
         with pytest.raises(IngestionError, match="interior gap"):
-            fill_missing(actuals_from(points), first, last, max_gap=max_gap)
+            fill_missing(actuals_from(points))
         return
-    assert present(fill_missing(actuals_from(points), first, last, max_gap=max_gap)) == expected
+    assert present(fill_missing(actuals_from(points))) == expected
 
 
 grid_values = st.integers(-30, 30).map(lambda k: k / 20)  # on and between 0.1 grid points
@@ -530,7 +525,7 @@ def test_quarter_stats_equal_the_quarter_loop(cells, actual):
             panel, actuals, ReleaseKind.FIRST)
 
 
-def accuracy_by_loop(panel: ForecastPanel, base: BaselineSeries, actuals, h: int) -> list[AccuracyComparison]:
+def accuracy_by_loop(panel: ForecastPanel, base: BaselineSeries, actuals) -> list[AccuracyComparison]:
     """Each forecaster's accuracy comparison on its own slice, with np.mean (the reference)."""
     rows = panel.release == base.release
     order = np.flatnonzero(rows)[np.lexsort((panel.quarter[rows], panel.economist[rows]))]
@@ -550,22 +545,14 @@ def accuracy_by_loop(panel: ForecastPanel, base: BaselineSeries, actuals, h: int
         note = ""
         if n < 2:
             note = f"need at least 2 loss differentials, got {n}"
-        elif h < 1 or h > n:
-            note = f"invalid horizon {h} for {n} observations"
         else:
-            centered = d - d.mean()
-            variance = float(np.mean(centered**2))
-            for lag in range(1, h):
-                variance += 2.0 * float(np.mean(centered[lag:] * centered[:-lag]) * (n - lag) / n)
+            variance = float(np.mean((d - d.mean()) ** 2))
             if variance <= 0.0:
                 note = "degenerate comparison: loss differential has zero variance"
             else:
                 dm = float(d.mean() / math.sqrt(variance / n))
-                if n <= h:
-                    note = f"need T > h, got T={n}, h={h}"
-                else:
-                    hln = dm * math.sqrt((n + 1 - 2 * h + h * (h - 1) / n) / n)
-                    p = 2.0 * float(t_sf(abs(hln), n - 1))  # one tail call per forecaster
+                hln = dm * math.sqrt((n - 1) / n)
+                p = 2.0 * float(t_sf(abs(hln), n - 1))  # one tail call per forecaster
         out.append(AccuracyComparison(
             panel.economist_ids[code], base.release, n, math.sqrt(float(np.mean(e_self**2))),
             math.sqrt(float(np.mean(e_base**2))), dm, hln, p, note))
@@ -575,22 +562,20 @@ def accuracy_by_loop(panel: ForecastPanel, base: BaselineSeries, actuals, h: int
 @SETTINGS
 @given(cells=st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 9)), stat_values, min_size=1, max_size=50),
        base=st.dictionaries(st.integers(0, 9), stat_values, min_size=1),
-       actual=st.dictionaries(st.integers(0, 9), stat_values, min_size=1),
-       h=st.integers(1, 3))
+       actual=st.dictionaries(st.integers(0, 9), stat_values, min_size=1))
 @example(cells={(0, 9): 1.0, (1, 0): 0.5, (2, 0): 0.0, (2, 1): 0.25, (2, 2): 0.5,
                 **{(3, t): 0.3 * t for t in range(5)}, **{(4, t): 1.0 for t in range(3)}},
-         base={0: 0.0, 1: 0.25, 2: 0.5, 3: 0.0, 4: 1.0}, actual={0: 0.5, 1: 0.5, 2: 0.5, 3: 0.25, 4: 0.75},
-         h=1)
-def test_accuracy_table_equals_the_forecaster_loop(cells, base, actual, h):
-    # Forecasters with no overlap, with one common quarter, with forecasts equal to the
-    # baseline (zero-variance differentials) and with fewer common quarters than h.
+         base={0: 0.0, 1: 0.25, 2: 0.5, 3: 0.0, 4: 1.0}, actual={0: 0.5, 1: 0.5, 2: 0.5, 3: 0.25, 4: 0.75})
+def test_accuracy_table_equals_the_forecaster_loop(cells, base, actual):
+    # Forecasters with no overlap, with one common quarter and with forecasts equal to
+    # the baseline (zero-variance differentials).
     # accuracy_table takes the release's p-values in one tail call and the loop one per
     # forecaster, so == also checks that batching changes no bit.
     panel = ForecastPanel.from_rows(rec(f"E{e}", START + t, v) for (e, t), v in cells.items())
     series = series_from({START + t: v for t, v in base.items()}, BaselineSeries,
                          release=ReleaseKind.FIRST, method="median")
     actuals = actuals_from({START + t: v for t, v in actual.items()})
-    assert accuracy_table(panel, series, actuals, h=h) == accuracy_by_loop(panel, series, actuals, h)
+    assert accuracy_table(panel, series, actuals) == accuracy_by_loop(panel, series, actuals)
 
 
 def cell_medians_by_lexsort(key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

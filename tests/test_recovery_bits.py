@@ -15,15 +15,15 @@ from judgebench.cli import main
 from judgebench.errors import EstimationError
 from judgebench.syngen import SynthConfig, recovery_experiment
 
-# name: (config, replications, base seed)
+# name: (config, replications)
 CONFIGS = {
-    "plain": (SynthConfig(n_forecasters=12, n_quarters=16, rho_own=0.4), 3, 11),
-    "neutral": (SynthConfig(n_forecasters=12, n_quarters=16, rho_own=0.4, p_neutral=0.3), 3, 21),
+    "plain": (SynthConfig(n_forecasters=12, n_quarters=16, rho_own=0.4, seed=11), 3),
+    "neutral": (SynthConfig(n_forecasters=12, n_quarters=16, rho_own=0.4, p_neutral=0.3, seed=21), 3),
     "participation": (SynthConfig(n_forecasters=14, n_quarters=18, rho_own_sd=0.2, participation_low=0.4,
-                                  participation_high=0.9), 3, 31),
-    "grid0": (SynthConfig(n_forecasters=12, n_quarters=16, rho_own=-0.3, p_neutral=0.3, grid=0.0), 3, 41),
-    "bench_size": (SynthConfig(n_forecasters=200, n_quarters=80), 2, 51),
-    "failing": (SynthConfig(n_forecasters=4, n_quarters=8, participation_low=0.3, participation_high=0.6), 4, 300),
+                                  participation_high=0.9, seed=31), 3),
+    "grid0": (SynthConfig(n_forecasters=12, n_quarters=16, rho_own=-0.3, p_neutral=0.3, grid=0.0, seed=41), 3),
+    "bench_size": (SynthConfig(n_forecasters=200, n_quarters=80, seed=51), 2),
+    "failing": (SynthConfig(n_forecasters=4, n_quarters=8, participation_low=0.3, participation_high=0.6, seed=300), 4),
 }
 
 PINNED = {
@@ -65,7 +65,7 @@ SUMMARY_CSV = (
 )
 
 
-def fit_bits(config: SynthConfig, replications: int, base_seed: int) -> list:
+def fit_bits(config: SynthConfig, replications: int) -> list:
     """Each ``fe_estimate`` call of the experiment, in call order, as hex strings or its error message."""
     calls = []
     estimate = syngen.fe_estimate
@@ -80,7 +80,7 @@ def fit_bits(config: SynthConfig, replications: int, base_seed: int) -> list:
         return fit
 
     with mock.patch.object(syngen, "fe_estimate", recorded):
-        recovery_experiment(config, replications, base_seed=base_seed)
+        recovery_experiment(config, replications)
     return calls
 
 

@@ -17,19 +17,25 @@ from hypothesis import strategies as st
 
 import judgebench.syngen as syngen
 from judgebench.errors import EstimationError
+from judgebench.judgment import baseline, extract_judgments
 from judgebench.panel import _COLUMNS
 from judgebench.panelreg import build_persistence_dataset, fe_estimate
 from judgebench.quarters import ReleaseKind
-from judgebench.syngen import (
-    SynthConfig,
-    extract_world_judgments,
-    recovery_experiment,
-    simulate_world,
-)
+from judgebench.syngen import SynthConfig, recovery_experiment, simulate_world
 
 from conftest import rows_of
 
 R1 = ReleaseKind.FIRST
+
+
+def world_judgments(world, release):
+    """The world's judgments for one release against its median baseline."""
+    return extract_judgments(world.panel, baseline(world.panel, release), grid=world.config.grid)
+
+
+def reseeded(config: SynthConfig, seed: int) -> SynthConfig:
+    """The same settings with another seed."""
+    return SynthConfig(**{**vars(config), "seed": seed})
 
 
 class TestSimulateWorld:
@@ -54,32 +60,32 @@ class TestSimulateWorld:
             actual = world.actuals[release]
             for record in (r for r in rows_of(world.panel) if r.release == release):
                 assert record.value == pytest.approx(actual.at(record.quarter), abs=1e-12)
-        jp = extract_world_judgments(world, R1)
+        jp = world_judgments(world, R1)
         assert all(jp.neutral.tolist())
 
     def test_determinism(self):
-        config = SynthConfig(n_forecasters=10, n_quarters=20)
-        a = simulate_world(config, seed=99)
-        b = simulate_world(config, seed=99)
+        config = SynthConfig(n_forecasters=10, n_quarters=20, seed=99)
+        a = simulate_world(config)
+        b = simulate_world(config)
         assert np.array_equal(a.truth.actuals, b.truth.actuals)
         assert np.array_equal(a.truth.judgments, b.truth.judgments)
         assert [r.value for r in rows_of(a.panel)] == [r.value for r in rows_of(b.panel)]
 
     def test_adding_forecasters_keeps_actual_series(self):
-        small = simulate_world(SynthConfig(n_forecasters=5, n_quarters=20), seed=5)
-        large = simulate_world(SynthConfig(n_forecasters=50, n_quarters=20), seed=5)
+        small = simulate_world(SynthConfig(n_forecasters=5, n_quarters=20, seed=5))
+        large = simulate_world(SynthConfig(n_forecasters=50, n_quarters=20, seed=5))
         assert np.array_equal(small.truth.actuals, large.truth.actuals)
 
     def test_cross_sectional_mean_judgment_near_zero(self):
-        config = SynthConfig(n_forecasters=400, n_quarters=12, judgment_sd=0.2, rho_own=0.0)
-        world = simulate_world(config, seed=11)
+        config = SynthConfig(n_forecasters=400, n_quarters=12, judgment_sd=0.2, rho_own=0.0, seed=11)
+        world = simulate_world(config)
         sd_bound = 3 * config.judgment_sd / np.sqrt(config.n_forecasters)
         means = world.truth.judgments[:, :, 0].mean(axis=0)
         assert np.abs(means).max() < sd_bound * 1.5
 
     def test_forecast_equals_baseline_plus_judgment_grid_rounded(self):
-        config = SynthConfig(n_forecasters=4, n_quarters=6, grid=0.1)
-        world = simulate_world(config, seed=3)
+        config = SynthConfig(n_forecasters=4, n_quarters=6, grid=0.1, seed=3)
+        world = simulate_world(config)
         truth = world.truth
         for record in (r for r in rows_of(world.panel) if r.release == R1):
             i = truth.economists.index(record.economist_id)
@@ -89,9 +95,9 @@ class TestSimulateWorld:
 
     def test_participation_range_respected(self):
         config = SynthConfig(
-            n_forecasters=30, n_quarters=40, participation_low=0.4, participation_high=0.8
+            n_forecasters=30, n_quarters=40, participation_low=0.4, participation_high=0.8, seed=13
         )
-        world = simulate_world(config, seed=13)
+        world = simulate_world(config)
         n_cells = len({(r.economist_id, r.quarter) for r in rows_of(world.panel) if r.release == R1})
         share = n_cells / (30 * 40)
         assert 0.3 < share < 0.9
@@ -114,9 +120,10 @@ class TestJudgmentExtraction:
             baseline_noise_sd=0.05,
             p_neutral=0.0,
             grid=0.1,
+            seed=21,
         )
-        world = simulate_world(config, seed=21)
-        jp = extract_world_judgments(world, R1)
+        world = simulate_world(config)
+        jp = world_judgments(world, R1)
         truth = world.truth
         latent, extracted = [], []
         for row, value in zip(rows_of(jp.panel), jp.value.tolist()):
@@ -129,10 +136,10 @@ class TestJudgmentExtraction:
 
     def test_cross_release_carryover_identified(self):
         config = SynthConfig(
-            n_forecasters=60, n_quarters=50, rho_own=0.0, kappa=0.5, judgment_sd=0.3
+            n_forecasters=60, n_quarters=50, rho_own=0.0, kappa=0.5, judgment_sd=0.3, seed=31
         )
-        world = simulate_world(config, seed=31)
-        jp = {release: extract_world_judgments(world, release) for release in (R1, ReleaseKind.SECOND)}
+        world = simulate_world(config)
+        jp = {release: world_judgments(world, release) for release in (R1, ReleaseKind.SECOND)}
         own = fe_estimate(build_persistence_dataset(jp, ReleaseKind.SECOND, "own_lag"), "fe")
         cross = fe_estimate(
             build_persistence_dataset(jp, ReleaseKind.SECOND, "prior_release"), "fe"
@@ -144,9 +151,9 @@ class TestJudgmentExtraction:
 
 class TestRecoveryExperiment:
     def test_summary_counts_and_determinism_across_runs(self):
-        config = SynthConfig(n_forecasters=20, n_quarters=30, rho_own=0.2, judgment_sd=0.2)
-        first = recovery_experiment(config, replications=4, base_seed=500)
-        second = recovery_experiment(config, replications=4, base_seed=500)
+        config = SynthConfig(n_forecasters=20, n_quarters=30, rho_own=0.2, judgment_sd=0.2, seed=500)
+        first = recovery_experiment(config, replications=4)
+        second = recovery_experiment(config, replications=4)
         assert first.n_completed == 4
         assert first.betas == second.betas
         assert first.ci_coverage == second.ci_coverage
@@ -156,13 +163,13 @@ class TestRecoveryExperiment:
             recovery_experiment(SynthConfig(), replications=0)
 
 
-def loop_recovery(config: SynthConfig, replications: int, base_seed: int):
+def loop_recovery(config: SynthConfig, replications: int):
     """(betas, fits, failures, coverage), one simulate_world per replication."""
     fits, failures = [], []
     for rep in range(replications):
         try:
-            world = simulate_world(config, seed=base_seed + rep)
-            judgments = {R1: extract_world_judgments(world, R1)}
+            world = simulate_world(reseeded(config, config.seed + rep))
+            judgments = {R1: world_judgments(world, R1)}
             fits.append(fe_estimate(build_persistence_dataset(judgments, R1, "own_lag"), "fe"))
         except EstimationError as exc:
             failures.append(f"replication {rep}: {exc}")
@@ -198,7 +205,7 @@ class TestBlockPass:
         ids = syngen._ids(config.n_forecasters)
         for s, seed in enumerate(seeds):
             got = syngen._panel(config, block, s, ids)
-            world = simulate_world(config, seed).panel
+            world = simulate_world(reseeded(config, seed)).panel
             want = world.for_release(R1) if releases == 1 else world
             assert (got.economist_ids, got.firm_ids) == (want.economist_ids, want.firm_ids)
             for name in _COLUMNS:
@@ -207,7 +214,7 @@ class TestBlockPass:
 
     def test_world_is_canonical_past_ten_thousand_forecasters(self):
         # "E10000" sorts before "E1001", so forecaster order is not code order.
-        config = SynthConfig(n_forecasters=10_001, n_quarters=2, participation_low=0.5)
+        config = SynthConfig(n_forecasters=10_001, n_quarters=2, participation_low=0.5, seed=1)
         block, ids = syngen._simulate_block(config, [1], 1), syngen._ids(config.n_forecasters)
         panel = syngen._panel(config, block, 0, ids)
         assert panel.economist_ids[1000:1003] == ("E1000", "E10000", "E1001")
@@ -217,25 +224,25 @@ class TestBlockPass:
         assert np.array_equal(panel.economist, ids.economist[who][order])
         assert np.array_equal(panel.quarter, config.start + when[order])
         assert np.array_equal(panel.value, (np.round(latent / config.grid) * config.grid)[order])
-        simulate_world(config, seed=1).panel.for_release(R1)  # raises unless canonical
+        simulate_world(config).panel.for_release(R1)  # raises unless canonical
 
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(2, 8), t=st.integers(3, 10), replications=st.integers(1, 9),
-        block=st.integers(1, 5), spare=st.floats(0.0, 0.99), base_seed=st.integers(0, 10**6),
+        block=st.integers(1, 5), spare=st.floats(0.0, 0.99), seed=st.integers(0, 10**6),
         rho_own=st.sampled_from([-0.4, 0.0, 0.3]), rho_own_sd=st.sampled_from([0.0, 0.2]),
         kappa=st.sampled_from([0.0, 0.4]), p_neutral=st.sampled_from([0.0, 0.3]),
         participation=st.sampled_from([(1.0, 1.0), (0.5, 1.0), (0.1, 0.4)]), grid=st.sampled_from([0.0, 0.1]),
     )
-    @example(n=2, t=3, replications=7, block=3, spare=0.0, base_seed=11, rho_own=0.1, rho_own_sd=0.0, kappa=0.0,
+    @example(n=2, t=3, replications=7, block=3, spare=0.0, seed=11, rho_own=0.1, rho_own_sd=0.0, kappa=0.0,
              p_neutral=0.0, participation=(0.1, 0.4), grid=0.1)  # most replications fail
-    @example(n=5, t=6, replications=4, block=1, spare=0.0, base_seed=3, rho_own=0.1, rho_own_sd=0.2, kappa=0.4,
+    @example(n=5, t=6, replications=4, block=1, spare=0.0, seed=3, rho_own=0.1, rho_own_sd=0.2, kappa=0.4,
              p_neutral=0.3, participation=(0.5, 1.0), grid=0.1)  # blocks of one
-    def test_blocks_match_the_per_replication_loop(self, n, t, replications, block, spare, base_seed, rho_own,
+    def test_blocks_match_the_per_replication_loop(self, n, t, replications, block, spare, seed, rho_own,
                                                    rho_own_sd, kappa, p_neutral, participation, grid):
         config = SynthConfig(n_forecasters=n, n_quarters=t, rho_own=rho_own, rho_own_sd=rho_own_sd, kappa=kappa,
                              p_neutral=p_neutral, participation_low=participation[0],
-                             participation_high=participation[1], grid=grid)
+                             participation_high=participation[1], grid=grid, seed=seed)
         cells = n * t * 3
         fits = []
 
@@ -245,8 +252,8 @@ class TestBlockPass:
 
         with mock.patch.object(syngen, "BLOCK_CELLS", block * cells + int(spare * cells)), \
                 mock.patch.object(syngen, "fe_estimate", recording):
-            summary = recovery_experiment(config, replications, base_seed=base_seed)
-        betas, loop_fits, failures, coverage = loop_recovery(config, replications, base_seed)
+            summary = recovery_experiment(config, replications)
+        betas, loop_fits, failures, coverage = loop_recovery(config, replications)
         assert bits(summary.betas) == bits(betas)
         assert [repr(tuple(fit)) for fit in fits] == [repr(tuple(fit)) for fit in loop_fits]  # every field
         assert summary.failures == failures
