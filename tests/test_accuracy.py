@@ -71,6 +71,10 @@ class TestDmTest:
         d = [2.0, 0.0, 1.0, -0.5]
         assert dm_test([-x for x in d]) == pytest.approx(-dm_test(d), abs=1e-12)
 
+    def test_single_differential_rejected(self):
+        with pytest.raises(EstimationError, match="at least 2"):
+            dm_test([1.0])
+
 
 class TestHlnCorrection:
     def test_factor_tends_to_one(self):
@@ -84,6 +88,13 @@ class TestHlnCorrection:
     def test_zero_statistic_p_one(self):
         _, p = hln_correction(0.0, 10)
         assert p == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("nobs", [2, 3, 7, 40, 1001])
+    def test_one_step_factor_matches_the_general_horizon_formula(self, nobs):
+        # HLN's factor sqrt((T + 1 - 2h + h(h - 1)/T) / T) at h = 1, to the bit.
+        h, dm = 1, 1.7
+        stat, _ = hln_correction(dm, nobs)
+        assert stat == dm * math.sqrt((nobs + 1 - 2 * h + h * (h - 1) / nobs) / nobs)
 
     def test_factor_at_most_one_and_t_tail_heavier(self):
         for T in (2, 4, 8, 50):

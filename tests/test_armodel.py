@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from judgebench.armodel import DEFAULT_MAX_LAG, MIN_PRESAMPLE, ARSpec, fill_missing, recursive_ar_forecast, select_lag
+from judgebench.armodel import DEFAULT_MAX_GAP, DEFAULT_MAX_LAG, MIN_PRESAMPLE, ARSpec, fill_missing, recursive_ar_forecast, select_lag
 from judgebench.errors import EstimationError, IngestionError
 from judgebench.quarters import ReleaseKind, quarter_label
 
@@ -23,6 +23,21 @@ class TestFillMissing:
         assert filled.at(q(2000, 2)) == pytest.approx(2.0)
         assert q(2000, 2) in filled.filled
 
+    def test_gap_at_the_limit_filled(self):
+        s = actuals_from({q(2000, 1): 0.0, q(2000, 1) + DEFAULT_MAX_GAP + 1: float(DEFAULT_MAX_GAP + 1)})
+        filled = fill_missing(s)
+        gap = [q(2000, 1) + i for i in range(1, DEFAULT_MAX_GAP + 1)]
+        assert [filled.at(quarter) for quarter in gap] == pytest.approx([float(i) for i in range(1, DEFAULT_MAX_GAP + 1)])
+        assert set(gap) <= filled.filled
+
+    def test_covers_only_the_series_own_span(self):
+        s = actuals_from({q(2000, 2): 1.0, q(2000, 4): 3.0, q(2001, 1): 4.0})
+        assert list(present(fill_missing(s))) == [q(2000, 2), q(2000, 3), q(2000, 4), q(2001, 1)]
+
+    def test_empty_series_rejected(self):
+        with pytest.raises(IngestionError, match="empty"):
+            fill_missing(actuals_from({}))
+
     def test_long_interior_gap_rejected(self):
         s = actuals_from({q(2000, 1): 1.0, q(2001, 2): 3.0})  # 4 missing quarters
         with pytest.raises(IngestionError):
@@ -33,6 +48,16 @@ class TestFillMissing:
         once = fill_missing(s)
         twice = fill_missing(once)
         assert present(once) == present(twice)
+
+
+class TestARSpec:
+    @pytest.mark.parametrize("p", [-1, DEFAULT_MAX_LAG + 1])
+    def test_lag_order_outside_the_cap_rejected(self, p):
+        with pytest.raises(ValueError, match="lag order"):
+            ARSpec(p=p)
+
+    def test_lag_order_at_the_cap_accepted(self):
+        assert ARSpec(p=DEFAULT_MAX_LAG).p == DEFAULT_MAX_LAG
 
 
 class TestSelectLag:

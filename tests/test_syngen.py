@@ -71,6 +71,12 @@ class TestSimulateWorld:
         assert np.array_equal(a.truth.judgments, b.truth.judgments)
         assert [r.value for r in rows_of(a.panel)] == [r.value for r in rows_of(b.panel)]
 
+    def test_seed_comes_from_the_config(self):
+        config = SynthConfig(n_forecasters=10, n_quarters=20, seed=99)
+        other = simulate_world(reseeded(config, 100))
+        assert other.config.seed == 100
+        assert not np.array_equal(simulate_world(config).truth.actuals, other.truth.actuals)
+
     def test_adding_forecasters_keeps_actual_series(self):
         small = simulate_world(SynthConfig(n_forecasters=5, n_quarters=20, seed=5))
         large = simulate_world(SynthConfig(n_forecasters=50, n_quarters=20, seed=5))
@@ -157,6 +163,13 @@ class TestRecoveryExperiment:
         assert first.n_completed == 4
         assert first.betas == second.betas
         assert first.ci_coverage == second.ci_coverage
+
+    def test_replications_run_from_the_config_seed(self):
+        config = SynthConfig(n_forecasters=20, n_quarters=30, rho_own=0.2, judgment_sd=0.2, seed=500)
+        whole = recovery_experiment(config, replications=3)
+        tail = recovery_experiment(reseeded(config, config.seed + 1), replications=2)
+        assert whole.n_completed == 3
+        assert whole.betas[1:] == tail.betas
 
     def test_requires_replications(self):
         with pytest.raises(ValueError):
