@@ -34,13 +34,11 @@ from .linreg import (
     JointTestResult,
     RegressionFit,
     efficiency_regression,
-    efficiency_test,
     hac_covariance,
     newey_west_auto_lag,
     ols,
     test_battery_aggregate,
     test_battery_individual,
-    unbiasedness_test,
     wald_joint_test,
 )
 from .accuracy import (
@@ -55,7 +53,6 @@ from .panelreg import (
     PanelFitResult,
     PersistenceData,
     build_persistence_dataset,
-    cluster_se,
     clustered_covariance,
     fe_estimate,
     persistence_battery,

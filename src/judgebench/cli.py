@@ -52,7 +52,7 @@ from .panel import (
 )
 from .panelreg import REGRESSOR_KINDS, persistence_battery
 from .quarters import ReleaseKind, parse_quarter, quarter_label
-from .syngen import RecoverySummary, SynthConfig, recovery_experiment, simulate_world
+from .syngen import RecoverySummary, SynthConfig, _ids, recovery_experiment, simulate_world
 
 RELEASES = (ReleaseKind.FIRST, ReleaseKind.SECOND, ReleaseKind.THIRD)
 RELEASE_LABEL = {ReleaseKind.FIRST: "first", ReleaseKind.SECOND: "second", ReleaseKind.THIRD: "third"}
@@ -495,6 +495,7 @@ def cmd_ar_forecast(study: Study, out: Path) -> list[Path]:
 def cmd_simulate(study: Study, out: Path) -> list[Path]:
     cfg = study.cfg
     world = simulate_world(cfg.synth_config())
+    ids = _ids(world.config.n_forecasters)
     quarters, sizes, values = _stack_series([world.actuals[rel] for rel in RELEASES], "values")
     # forecasts.csv lists the rows by (economist, quarter, release), as it always has.
     panel = world.panel.take(np.lexsort((world.panel.release, world.panel.quarter, world.panel.economist)))
@@ -504,7 +505,7 @@ def cmd_simulate(study: Study, out: Path) -> list[Path]:
                   [quarters, np.repeat([rel.value for rel in RELEASES], sizes), values]),
         write_csv(out / "forecasts.csv", FORECASTS_HEADER, [
             _quarter_labels(panel.quarter), panel.release, CodedColumn(panel.economist_ids, panel.economist),
-            CodedColumn(panel.firm_ids, panel.firm), panel.value, [""] * len(panel),
+            CodedColumn(ids.firm_ids, ids.firm[ids.by_code][panel.economist]), panel.value, [""] * len(panel),
         ]),
         write_csv(out / "spf.csv", ["quarter", "median", "mean"], [
             _quarter_labels(spf), world.spf.median.at(spf), world.spf.mean.at(spf),
@@ -673,9 +674,7 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = lambda message, *_: print(_one_line(f"warning: {message}"), file=sys.stderr)
         try:
             cfg = config_from_args(args)
-            out = Path(cfg.out)
-            out.mkdir(parents=True, exist_ok=True)
-            files = COMMANDS[args.command](Study(cfg), out)
+            files = COMMANDS[args.command](Study(cfg), Path(cfg.out))
         except CliError as exc:
             print(_one_line(exc), file=sys.stderr)
             return 2

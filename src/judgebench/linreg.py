@@ -1,10 +1,11 @@
 """Regression core and rationality test batteries.
 
 OLS via QR of one design or a stack of them, the Newey-West sandwich (lag 0
-is HC1) with the bread R^-1 R^-T from the QR, joint Wald/F tests, and the
-prediction-error regressions used to test unbiasedness (intercept and slope
-zero) and efficiency (additionally a zero coefficient block on the extra
-information set).  Both batteries fit their regressions as one stack per test.
+is HC1) with the bread R^-1 R^-T from the QR, the F-form Wald test that every
+coefficient is zero, and the prediction-error regressions it tests for
+unbiasedness (intercept and slope) and efficiency (with a coefficient block on
+the extra information set).  Both batteries fit their regressions as one
+stack per test.
 """
 from __future__ import annotations
 
@@ -121,37 +122,24 @@ def hac_covariance(fit: RegressionFit, X: np.ndarray, lag: int | Sequence[int]) 
     return factor * bread @ meat @ bread
 
 
-def wald_joint_test(
-    fit: RegressionFit,
-    cov: np.ndarray,
-    R: np.ndarray,
-    r: np.ndarray | float = 0.0,
-) -> JointTestResult:
-    """F-form robust Wald test of R b = r against F(q, T-K).
+def wald_joint_test(fit: RegressionFit, cov: np.ndarray) -> JointTestResult:
+    """F-form robust Wald test that all K coefficients are zero, against F(K, T-K).
 
-    Over a stack of fits the results are arrays, and a singular R V R' gives a
-    NaN statistic and p-value where one fit raises EstimationError.
+    Coefficients within 1e-10 max(max|b|, 1) of zero (say, a perfect fit with
+    a degenerate covariance) give F = 0 and p = 1.  Over a stack of fits the
+    results are arrays, and a singular V gives a NaN statistic and p-value
+    where one fit raises EstimationError.
     """
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    q = R.shape[0]
-    r_vec = np.broadcast_to(np.asarray(r, dtype=float).ravel(), (q,)) if np.ndim(r) else np.full(q, float(r))
-    if np.linalg.matrix_rank(R) < q:
-        raise EstimationError("restriction matrix is not of full row rank")
-    restricted = (R @ fit.coefficients[..., None])[..., 0]
-    diff = restricted - r_vec
-    df_den = fit.nobs - fit.nparams
-    # Restrictions satisfied at rounding level (e.g. a perfect fit with a
-    # degenerate covariance): the discrepancy is zero by construction.
-    scale = np.maximum(np.maximum(np.abs(restricted).max(axis=-1), np.abs(r_vec).max()), 1.0)
-    satisfied = np.abs(diff).max(axis=-1) <= 1e-10 * scale
-    middle = R @ cov @ R.T
+    coef, q, df_den = fit.coefficients, fit.nparams, fit.nobs - fit.nparams
+    size = np.abs(coef).max(axis=-1)
+    satisfied = size <= 1e-10 * np.maximum(size, 1.0)
     with np.errstate(invalid="ignore"):  # NaN for a rank-deficient member of a stack
-        degenerate = np.linalg.slogdet(middle)[0] == 0
+        degenerate = np.linalg.slogdet(cov)[0] == 0
     singular = degenerate & ~satisfied
     if np.ndim(singular) == 0 and singular:
         raise EstimationError("R V R' is singular")
-    solved = np.linalg.solve(np.where(degenerate[..., None, None], np.eye(q), middle), diff[..., None])[..., 0]
-    wald = np.where(singular, math.nan, np.vecdot(diff, solved))
+    solved = np.linalg.solve(np.where(degenerate[..., None, None], np.eye(q), cov), coef[..., None])[..., 0]
+    wald = np.where(singular, math.nan, np.vecdot(coef, solved))
     statistic = np.where(satisfied, 0.0, np.maximum(wald, 0.0) / q)[()]  # [()]: a 0-d result as a scalar
     p_value = np.where(satisfied, 1.0, f_sf(statistic, q, df_den))[()]
     return JointTestResult(statistic, q, df_den, p_value)
@@ -189,21 +177,6 @@ def efficiency_regression(
     actual, pred, *extra = (np.where(mask, np.take_along_axis(c, order, axis=-1), 0.0) for c in columns)
     X = np.stack([mask.astype(float), pred, *extra], axis=-1)
     return EfficiencyRegression(ols(X, actual - pred, mask), X)
-
-
-def _joint_zero_test(reg: EfficiencyRegression, cov: np.ndarray, q: int) -> JointTestResult:
-    R = np.eye(reg.fit.nparams)[:q]
-    return wald_joint_test(reg.fit, cov, R, 0.0)
-
-
-def unbiasedness_test(reg: EfficiencyRegression, cov: np.ndarray) -> JointTestResult:
-    """H0: intercept = slope = 0 in the prediction-error regression."""
-    return _joint_zero_test(reg, cov, 2)
-
-
-def efficiency_test(reg: EfficiencyRegression, cov: np.ndarray) -> JointTestResult:
-    """H0: every coefficient (including the information-set block) is zero."""
-    return _joint_zero_test(reg, cov, reg.fit.nparams)
 
 
 class AggregateCell(NamedTuple):
@@ -314,7 +287,7 @@ def _stacked_zero_tests(name: str, eligible: np.ndarray, lag: int | Sequence[int
         fit = reg.fit
         lag = np.broadcast_to(lag, eligible.shape)[eligible]
         coefficients[eligible] = fit.coefficients
-        tested = _joint_zero_test(reg, hac_covariance(fit, reg.design, lag), fit.nparams)
+        tested = wald_joint_test(fit, hac_covariance(fit, reg.design, lag))
         p_value[eligible] = np.where(lag < fit.nobs, tested.p_value, np.nan)
         for row, column, l, n, p in zip(np.flatnonzero(eligible).tolist(), _dependent_column(fit.r, fit.nobs).tolist(),
                                         lag.tolist(), fit.nobs.tolist(), p_value[eligible].tolist()):

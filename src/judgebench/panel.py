@@ -154,16 +154,16 @@ def economist_runs(economist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return economist[starts], np.append(starts, economist.size)
 
 
-_COLUMNS = ("economist", "firm", "quarter", "release", "value", "report_date")
+_COLUMNS = ("economist", "quarter", "release", "value", "report_date")
 
 
 class ForecastPanel:
     """Unbalanced panel of point backcasts as aligned columns, one row per forecast.
 
-    ``economist`` and ``firm`` are codes into the sorted id tables
-    ``economist_ids`` and ``firm_ids``, so code order is id order.  A
-    selection (``take``) keeps its parent's tables, so every panel selected
-    from one panel shares its codes; a table may hold ids that no row uses.
+    ``economist`` holds codes into the sorted id table ``economist_ids``, so
+    code order is id order.  A selection (``take``) keeps its parent's table,
+    so every panel selected from one panel shares its codes; the table may
+    hold ids that no row uses.
     ``quarter`` is the quarter index, ``release`` the release number and
     ``report_date`` a date ordinal, -1 when undated.
 
@@ -171,20 +171,18 @@ class ForecastPanel:
     return it: a release is a slice, its economists are runs, each in quarter order.
     """
 
-    def __init__(self, economist_ids: tuple[str, ...], firm_ids: tuple[str, ...], economist: np.ndarray,
-                 firm: np.ndarray, quarter: np.ndarray, release: np.ndarray, value: np.ndarray,
-                 report_date: np.ndarray):
-        self.economist_ids, self.firm_ids, self.economist, self.firm = economist_ids, firm_ids, economist, firm
+    def __init__(self, economist_ids: tuple[str, ...], economist: np.ndarray, quarter: np.ndarray,
+                 release: np.ndarray, value: np.ndarray, report_date: np.ndarray):
+        self.economist_ids, self.economist = economist_ids, economist
         self.quarter, self.release, self.value, self.report_date = quarter, release, value, report_date
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> "ForecastPanel":
-        """Build from ``(economist_id, firm_id, quarter index, release, value, report_date)`` rows, stably sorted."""
-        econ, firm, quarter, release, value, dated = list(zip(*rows)) or [()] * 6
-        (economist_ids, economist), (firm_ids, firm_codes) = factorize(econ), factorize(firm)
-        panel = cls(economist_ids, firm_ids, economist, firm_codes,
-                    np.array(quarter, dtype=np.int64), np.array(release, dtype=np.int64),
-                    np.array(value, dtype=float),
+        """Build from ``(economist_id, quarter index, release, value, report_date)`` rows, stably sorted."""
+        econ, quarter, release, value, dated = list(zip(*rows)) or [()] * 5
+        economist_ids, economist = factorize(econ)
+        panel = cls(economist_ids, economist, np.array(quarter, dtype=np.int64),
+                    np.array(release, dtype=np.int64), np.array(value, dtype=float),
                     np.array([-1 if d is None else d.toordinal() for d in dated], dtype=np.int64))
         return panel.take(np.lexsort((panel.quarter, panel.economist, panel.release)))
 
@@ -193,7 +191,7 @@ class ForecastPanel:
 
     def take(self, rows: np.ndarray) -> "ForecastPanel":
         """The rows a boolean mask or an array of positions selects, in that order."""
-        return ForecastPanel(self.economist_ids, self.firm_ids, *(getattr(self, c)[rows] for c in _COLUMNS))
+        return ForecastPanel(self.economist_ids, *(getattr(self, c)[rows] for c in _COLUMNS))
 
     @functools.cached_property
     def _canonical(self) -> bool:
@@ -206,7 +204,7 @@ class ForecastPanel:
         if not self._canonical:
             raise ValueError("panel rows are not in (release, economist, quarter) order")
         lo, hi = np.searchsorted(self.release, [release, release + 1])
-        rows = ForecastPanel(self.economist_ids, self.firm_ids, *(getattr(self, c)[lo:hi] for c in _COLUMNS))
+        rows = ForecastPanel(self.economist_ids, *(getattr(self, c)[lo:hi] for c in _COLUMNS))
         rows.__dict__["_canonical"] = True  # a slice of a canonical panel is canonical
         return rows
 
@@ -414,15 +412,17 @@ def load_actuals(source, digest=None) -> dict[ReleaseKind, ActualSeries]:
 
 
 def load_forecasts(source, digest=None) -> ForecastPanel:
-    """Read the forecasts CSV into a raw (uncleaned) panel, rows in file order, ids stripped of blanks."""
-    quarter, release, economist, firm, value, dated = _read_csv(
+    """Read the forecasts CSV into a raw (uncleaned) panel, rows in file order, ids stripped of blanks.
+
+    Each row must have its ``firm_id`` field, but no analysis reads it, so the panel keeps no firm column.
+    """
+    quarter, release, economist, _, value, dated = _read_csv(
         source, "forecasts", FORECASTS_HEADER,
         (parse_quarter, _release_number, str.strip, str.strip, _parse_value,
          lambda token: -1 if (day := _parse_date(token)) is None else day.toordinal()), digest=digest)
-    (economist_ids, economist_code), (firm_ids, firm_code) = factorize(economist.values), factorize(firm.values)
-    return ForecastPanel(economist_ids, firm_ids, economist_code[economist.codes()], firm_code[firm.codes()],
-                         quarter.gather(np.int64), release.gather(np.int64), value.gather(float),
-                         dated.gather(np.int64))
+    economist_ids, economist_code = factorize(economist.values)
+    return ForecastPanel(economist_ids, economist_code[economist.codes()], quarter.gather(np.int64),
+                         release.gather(np.int64), value.gather(float), dated.gather(np.int64))
 
 
 class SpfNowcasts:

@@ -30,11 +30,9 @@ EPS = np.finfo(float).eps  # a sum of squares at most nobs * EPS of its scale co
 class PersistenceData:
     """Aligned columns of one persistence regression, rows sorted by (economist, quarter)."""
 
-    def __init__(self, economist: np.ndarray, quarter: np.ndarray, response: np.ndarray, regressor: np.ndarray,
-                 regressor_kind: str):
+    def __init__(self, economist: np.ndarray, quarter: np.ndarray, response: np.ndarray, regressor: np.ndarray):
         self.economist, self.quarter = economist, quarter  # economist codes, quarter indexes of the responses
         self.response, self.regressor = response, regressor
-        self.regressor_kind = regressor_kind  # "own_lag", "prior_release" or "prior_release_lagged"
 
     def __len__(self) -> int:
         return self.response.size
@@ -65,14 +63,10 @@ def build_persistence_dataset(
     target = judgments.get(release)
     econ, quarter, response = _sorted_columns(target)
     if regressor_kind == "own_lag":
-        kind = "own_lag"
         lagged = np.flatnonzero((econ[1:] == econ[:-1]) & (quarter[1:] == quarter[:-1] + 1))
         keep, regressor = lagged + 1, response[lagged]
     else:
-        if release == ReleaseKind.FIRST:
-            source, shift, kind = ReleaseKind.THIRD, 1, "prior_release_lagged"
-        else:
-            source, shift, kind = release.prior, 0, "prior_release"
+        source, shift = (ReleaseKind.THIRD, 1) if release == ReleaseKind.FIRST else (release.prior, 0)
         prior = judgments.get(source)
         if prior is not None and target is not None and prior.panel.economist_ids != target.panel.economist_ids:
             raise ValueError("judgments of different releases must come from one panel")
@@ -82,7 +76,7 @@ def build_persistence_dataset(
         keep = np.flatnonzero(at < s_key.size)
         keep = keep[s_key[at[keep]] == key[keep]]
         regressor = s_value[at[keep]]
-    return PersistenceData(econ[keep], quarter[keep], response[keep], regressor, kind)
+    return PersistenceData(econ[keep], quarter[keep], response[keep], regressor)
 
 
 class PanelFitResult(NamedTuple):
@@ -96,24 +90,17 @@ class PanelFitResult(NamedTuple):
     singletons_dropped: int = 0
 
 
-def clustered_covariance(X: np.ndarray, residuals: np.ndarray, clusters: np.ndarray) -> np.ndarray:
-    """Cluster-robust sandwich with factor G/(G-1) * (N-1)/(N-K), the bread from X's QR R factor.
-
-    ``clusters`` holds each row's cluster label, of any kind ``np.unique``
-    sorts.  Scores that cancel within every cluster leave only rounding noise
-    in the meat, so a diagonal entry of the meat within N * eps of the
-    unclustered one (the sum of the squared scores) counts as zero, with its
-    row and column.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    labels, codes = np.unique(clusters, return_inverse=True)
-    return _clustered_covariance(X, np.asarray(residuals, dtype=float), codes, labels.size, np.linalg.qr(X, mode="r"))
-
-
-def _clustered_covariance(
+def clustered_covariance(
     X: np.ndarray, residuals: np.ndarray, codes: np.ndarray, n_clusters: int, r: np.ndarray
 ) -> np.ndarray:
-    """``clustered_covariance`` from dense cluster codes 0..G-1 and the R factor of X."""
+    """Cluster-robust sandwich with factor G/(G-1) * (N-1)/(N-K), the bread from R, X's QR R factor.
+
+    ``codes`` holds each row's cluster, 0..G-1 with G = ``n_clusters``.
+    Scores that cancel within every cluster leave only rounding noise in the
+    meat, so a diagonal entry of the meat within N * eps of the unclustered
+    one (the sum of the squared scores) counts as zero, with its row and
+    column.
+    """
     nobs, nparams = X.shape
     if n_clusters < 2:
         raise EstimationError("clustered covariance needs at least 2 clusters")
@@ -127,14 +114,6 @@ def _clustered_covariance(
     bread = inverse_gram(r)
     factor = (n_clusters / (n_clusters - 1)) * ((nobs - 1) / (nobs - nparams))
     return factor * bread @ meat @ bread
-
-
-def cluster_se(
-    X: np.ndarray, residuals: np.ndarray, clusters: np.ndarray, column: int = 0
-) -> float:
-    """Clustered standard error of one coefficient."""
-    cov = clustered_covariance(X, residuals, clusters)
-    return math.sqrt(max(cov[column, column], 0.0))
 
 
 def _demean_by(values: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -230,7 +209,7 @@ def fe_estimate(data: PersistenceData, spec: str) -> PanelFitResult:
         se = 0.0
     else:
         # The sandwich counts only X's columns in K; the partialled quarter effects count too.
-        cov = _clustered_covariance(X, residuals, inverse, n_clusters, fit.r)
+        cov = clustered_covariance(X, residuals, inverse, n_clusters, fit.r)
         se = math.sqrt(max(cov[-1, -1], 0.0)) * math.sqrt((nobs - X.shape[1]) / (nobs - nparams))
 
     # R^2 convention: ordinary for pooled, within for FE specs.

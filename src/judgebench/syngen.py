@@ -88,7 +88,10 @@ def _rng(seed: int, purpose: int) -> np.random.Generator:
 
 
 class _Ids(NamedTuple):
-    """The id tables of an N-forecaster world, the codes of forecaster i, and the forecasters in code order."""
+    """The id tables of an N-forecaster world, the codes of forecaster i, and the forecasters in code order.
+
+    No panel keeps a firm column; the firm table is what ``simulate`` writes as ``firm_id``.
+    """
 
     economists: list[str]
     economist_ids: tuple[str, ...]
@@ -182,9 +185,7 @@ def _panel(config: SynthConfig, block: _Block, s: int, ids: _Ids) -> ForecastPan
     forecasts = grid_round(latent[:, mask], config.grid)
     return ForecastPanel(
         ids.economist_ids,
-        ids.firm_ids,
         np.tile(np.repeat(ids.economist[order], rows), releases),
-        np.tile(np.repeat(ids.firm[order], rows), releases),
         np.tile(np.broadcast_to(config.start + np.arange(config.n_quarters), mask.shape)[mask], releases),
         np.repeat(np.arange(1, releases + 1, dtype=np.int64), forecasts.shape[1]),
         forecasts.ravel(),

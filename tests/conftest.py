@@ -42,7 +42,6 @@ class Row(NamedTuple):
     """One forecast, in the field order ``ForecastPanel.from_rows`` reads."""
 
     economist_id: str
-    firm_id: str
     quarter: int
     release: ReleaseKind
     value: float
@@ -54,19 +53,18 @@ def rec(
     quarter: int,
     value: float,
     release: ReleaseKind = ReleaseKind.FIRST,
-    firm: str = "F1",
     report_date: date | None = None,
 ) -> Row:
-    return Row(econ, firm, quarter, release, value, report_date)
+    return Row(econ, quarter, release, value, report_date)
 
 
 def rows_of(panel: ForecastPanel) -> Iterator[Row]:
     """The panel's rows in order, decoded back to ids and dates."""
-    columns = (panel.economist, panel.firm, panel.quarter, panel.release, panel.value, panel.report_date)
-    for econ, firm, quarter, release, value, ordinal in zip(*(c.tolist() for c in columns)):
+    columns = (panel.economist, panel.quarter, panel.release, panel.value, panel.report_date)
+    for econ, quarter, release, value, ordinal in zip(*(c.tolist() for c in columns)):
         yield Row(
-            panel.economist_ids[econ], panel.firm_ids[firm], quarter,
-            ReleaseKind(release), value, date.fromordinal(ordinal) if ordinal > 0 else None,
+            panel.economist_ids[econ], quarter, ReleaseKind(release), value,
+            date.fromordinal(ordinal) if ordinal > 0 else None,
         )
 
 
@@ -115,7 +113,7 @@ class Obs(NamedTuple):
     regressor: float
 
 
-def dataset(observations: list[Obs], regressor_kind: str = "own_lag") -> PersistenceData:
+def dataset(observations: list[Obs]) -> PersistenceData:
     """The observations as the columns ``fe_estimate`` reads, in the given order (grouped by economist)."""
     _, economist = factorize([o.economist_id for o in observations])
     return PersistenceData(
@@ -123,7 +121,6 @@ def dataset(observations: list[Obs], regressor_kind: str = "own_lag") -> Persist
         np.array([o.quarter for o in observations], dtype=np.int64),
         np.array([o.response for o in observations], dtype=float),
         np.array([o.regressor for o in observations], dtype=float),
-        regressor_kind,
     )
 
 

@@ -72,14 +72,14 @@ def load_forecasts(source) -> ForecastPanel:
     quarter_of = functools.cache(parse_quarter)
 
     def parse_row(row):
-        return (row["economist_id"].strip(), row["firm_id"].strip(), quarter_of(row["quarter"]),
+        return (row["economist_id"].strip(), quarter_of(row["quarter"]),
                 ReleaseKind.from_token(row["release"]), _parse_value(row["value"]), _parse_date(row["report_date"]))
 
     rows = [row for _, row in parse_rows(source, FORECASTS_HEADER, "forecasts", parse_row)]
-    econ, firm, quarter, release, value, dated = zip(*rows) if rows else ((),) * 6
-    (economist_ids, economist), (firm_ids, firm_codes) = factorize(econ), factorize(firm)
+    econ, quarter, release, value, dated = zip(*rows) if rows else ((),) * 5
+    economist_ids, economist = factorize(econ)
     return ForecastPanel(
-        economist_ids, firm_ids, economist, firm_codes,
+        economist_ids, economist,
         np.array(quarter, dtype=np.int64),
         np.array(release, dtype=np.int64),
         np.array(value, dtype=float),
@@ -106,8 +106,8 @@ LOADERS = {"actuals": load_actuals, "forecasts": load_forecasts, "spf": load_spf
 def _bits(value) -> tuple:
     """A loaded panel, series or mapping of series as nested tuples of bytes, -0.0 told apart from 0.0."""
     if isinstance(value, ForecastPanel):
-        columns = (value.economist, value.firm, value.quarter, value.release, value.value, value.report_date)
-        return value.economist_ids, value.firm_ids, *((c.dtype.str, c.tobytes()) for c in columns)
+        columns = (value.economist, value.quarter, value.release, value.value, value.report_date)
+        return value.economist_ids, *((c.dtype.str, c.tobytes()) for c in columns)
     if isinstance(value, QuarterSeries):
         extra = (value.release, sorted(value.filled)) if isinstance(value, ActualSeries) else ()
         return value.start, value.values.dtype.str, value.values.tobytes(), *extra

@@ -20,10 +20,10 @@ from judgebench.descriptive import armse, quarter_stats
 from judgebench.judgment import baseline, extract_judgments
 from judgebench.linreg import (
     efficiency_regression,
-    efficiency_test,
     hac_covariance,
     newey_west_auto_lag,
     ols,
+    wald_joint_test,
 )
 from judgebench.panel import ForecastPanel
 from judgebench.panelreg import fe_estimate
@@ -155,7 +155,7 @@ def _rational_world_p_value(seed: int) -> float:
     actual, pred, spf_column, ar_column = aligned(series, prediction, spf, ar)
     reg = efficiency_regression(actual, pred, [spf_column, ar_column])
     lag = newey_west_auto_lag(reg.fit.nobs)
-    return efficiency_test(reg, hac_covariance(reg.fit, reg.design, lag)).p_value
+    return wald_joint_test(reg.fit, hac_covariance(reg.fit, reg.design, lag)).p_value
 
 
 def test_efficiency_test_size_on_rational_worlds():
@@ -248,7 +248,7 @@ def test_descriptive_moments_match_brute_force():
         actual = float(rng.normal())
         quarter = q(2000, 1)
         panel = ForecastPanel.from_rows(
-            [(f"E{i}", "F", quarter, R1, float(v), None) for i, v in enumerate(values)]
+            [(f"E{i}", quarter, R1, float(v), None) for i, v in enumerate(values)]
         )
         stats = quarter_stats(panel, actuals_from({quarter: actual}), R1)[0]
         errors = values - actual
@@ -267,8 +267,8 @@ def test_descriptive_moments_match_brute_force():
     # Aggregate of per-quarter RMSEs 1 and 3 is their plain mean.
     quarters = [q(2000, 1), q(2000, 2)]
     panel = ForecastPanel.from_rows(
-        [(f"E{i}", "F", quarters[0], R1, v, None) for i, v in enumerate((1.0, -1.0))]
-        + [(f"E{i}", "F", quarters[1], R1, v, None) for i, v in enumerate((3.0, -3.0))]
+        [(f"E{i}", quarters[0], R1, v, None) for i, v in enumerate((1.0, -1.0))]
+        + [(f"E{i}", quarters[1], R1, v, None) for i, v in enumerate((3.0, -3.0))]
     )
     stats = quarter_stats(panel, actuals_from({q: 0.0 for q in quarters}), R1)
     agg = armse(stats)

@@ -18,12 +18,11 @@ from judgebench.judgment import BaselineSeries
 from judgebench.linreg import (
     AggregateCell,
     efficiency_regression,
-    efficiency_test,
     hac_covariance,
     newey_west_auto_lag,
     prediction_rmse,
     test_battery_aggregate as battery_aggregate,
-    unbiasedness_test,
+    wald_joint_test,
 )
 from judgebench.panel import ActualSeries, QuarterSeries, SpfNowcasts
 from judgebench.quarters import ReleaseKind
@@ -49,14 +48,14 @@ def loop_aggregate(baselines, actuals, spf, ar_forecasts, hac_lag=None):
         try:
             reg = efficiency_regression(actual, base.values)
             lag = newey_west_auto_lag(reg.fit.nobs) if hac_lag is None else hac_lag
-            unb_p = unbiasedness_test(reg, hac_covariance(reg.fit, reg.design, lag)).p_value
+            unb_p = wald_joint_test(reg.fit, hac_covariance(reg.fit, reg.design, lag)).p_value
         except EstimationError as exc:
             errors.append(f"unbiasedness: {exc}")
         try:
             extra = [spf.for_method(method).at(quarters), ar_forecasts[release].at(quarters)]
             reg = efficiency_regression(actual, base.values, extra)
             lag = newey_west_auto_lag(reg.fit.nobs) if hac_lag is None else hac_lag
-            eff_p = efficiency_test(reg, hac_covariance(reg.fit, reg.design, lag)).p_value
+            eff_p = wald_joint_test(reg.fit, hac_covariance(reg.fit, reg.design, lag)).p_value
         except EstimationError as exc:
             errors.append(f"efficiency: {exc}")
         report[(release, method)] = AggregateCell(release, method, unb_p, eff_p, rmse, tuple(errors))

@@ -69,6 +69,22 @@ class TestMissingInputs:
         assert err.startswith("error: missing-input")
         assert str(missing) in err
 
+    def test_missing_input_leaves_no_out(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["ar-forecast", "--actuals", str(tmp_path / "nope.csv"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    def test_input_error_leaves_no_out(self, world_dir, tmp_path, capsys):
+        bad = tmp_path / "spf.csv"
+        bad.write_bytes((world_dir / "spf.csv").read_bytes() + b"2099Q1,\xff1.0,1.0\n")
+        flags = world_flags(world_dir, "spf")
+        out = tmp_path / "o"
+        assert main(["report", *flags, "--spf", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not UTF-8" in err
+        assert not out.exists()
+
     def test_missing_argument_exits_2(self, tmp_path, capsys):
         code = main(["describe", "--out", str(tmp_path / "o")])
         assert code == 2

@@ -10,8 +10,10 @@ have interior gaps and start or end early.  The pins hold the simulated
 world's truth and the AR forecasts of both actuals files, which no report
 writes.
 """
+import csv
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +66,27 @@ def test_piped_forecasts_are_hashed_from_the_bytes_read(tmp_path):
                                   "forecasts": hashlib.sha256(forecasts).hexdigest()}
     expected = {p.name: p.read_bytes() for p in (GOLDEN / "report").iterdir() if p.name != "manifest.json"}
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "manifest.json"} == expected
+
+
+@pytest.mark.parametrize("firm", ["blank", "another id"])
+def test_firm_ids_reach_no_report_output(firm, tmp_path, monkeypatch):
+    # The firm_id field must be present, but no analysis reads it.
+    monkeypatch.chdir(GOLDEN)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for name in ("actuals.csv", "spf.csv"):
+        shutil.copyfile(GOLDEN / "inputs" / name, inputs / name)
+    with open(GOLDEN / "inputs" / "forecasts.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    for i, row in enumerate(rows):
+        row[header.index("firm_id")] = "" if firm == "blank" else f"G{i}"
+    with open(inputs / "forecasts.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    args = make_golden.report_args("report", str(tmp_path / "out"))
+    args[args.index("--forecasts") + 1] = str(inputs / "forecasts.csv")
+    assert main(args) == 0
+    expected = {p.name: p.read_bytes() for p in (GOLDEN / "report").iterdir() if p.name != "manifest.json"}
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir() if p.name != "manifest.json"} == expected
 
 
 def test_simulate_reproduces_golden_inputs(tmp_path):

@@ -19,10 +19,9 @@ from judgebench.linreg import (
     IndividualBattery,
     IndividualShareRow,
     efficiency_regression,
-    efficiency_test,
     hac_covariance,
     test_battery_individual as battery_individual,
-    unbiasedness_test,
+    wald_joint_test,
 )
 from judgebench.panel import ForecastPanel, SpfNowcasts, participation_share
 from judgebench.quarters import ReleaseKind
@@ -46,7 +45,7 @@ def loop_forecaster_tests(economist_id, release, actual, prediction, *extra):
             reg = efficiency_regression(actual, prediction)
             alpha_hat = float(reg.fit.coefficients[0])
             beta_hat = float(reg.fit.coefficients[1])
-            p_unb = unbiasedness_test(reg, hac_covariance(reg.fit, reg.design, 0)).p_value
+            p_unb = wald_joint_test(reg.fit, hac_covariance(reg.fit, reg.design, 0)).p_value
         except EstimationError as exc:
             notes.append(f"unbiasedness: {exc}")
     else:
@@ -55,7 +54,7 @@ def loop_forecaster_tests(economist_id, release, actual, prediction, *extra):
     if eff_nobs >= MIN_OBS_EFFICIENCY:
         try:
             reg = efficiency_regression(actual, prediction, extra)
-            p_eff = efficiency_test(reg, hac_covariance(reg.fit, reg.design, 0)).p_value
+            p_eff = wald_joint_test(reg.fit, hac_covariance(reg.fit, reg.design, 0)).p_value
         except EstimationError as exc:
             notes.append(f"efficiency: {exc}")
     else:

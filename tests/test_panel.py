@@ -25,7 +25,7 @@ from judgebench.quarters import ReleaseKind, quarter_label
 from conftest import actuals_from, q, rec, record, rows_of
 
 GOLDEN_FORECASTS = Path(__file__).resolve().parent / "golden" / "inputs" / "forecasts.csv"
-COLUMNS = ("economist", "firm", "quarter", "release", "value", "report_date")
+COLUMNS = ("economist", "quarter", "release", "value", "report_date")
 
 
 class TestLoadActuals:
@@ -199,7 +199,7 @@ class TestCanonicalOrder:
             assert len(panel) + len(log) == len(raw)
             cleaned.append(panel)
         expected, got = cleaned
-        assert (got.economist_ids, got.firm_ids) == (expected.economist_ids, expected.firm_ids)
+        assert got.economist_ids == expected.economist_ids
         for column in COLUMNS:
             assert np.array_equal(getattr(got, column), getattr(expected, column)), column
         assert np.array_equal(np.lexsort((got.quarter, got.economist, got.release)), np.arange(len(got)))
@@ -209,7 +209,7 @@ class TestCanonicalOrder:
                 rec("E1", q(2000, 1), 3.0), rec("E1", q(2000, 1), 4.0), rec("E2", q(2000, 1), 5.0)]
         assert [r.value for r in rows_of(ForecastPanel.from_rows(rows))] == [3.0, 4.0, 2.0, 5.0, 1.0]
         csv = "quarter,release,economist_id,firm_id,value,report_date\n" + "".join(
-            f"{quarter_label(r.quarter)},{r.release.value},{r.economist_id},{r.firm_id},{r.value},\n" for r in rows)
+            f"{quarter_label(r.quarter)},{r.release.value},{r.economist_id},F1,{r.value},\n" for r in rows)
         assert [r.value for r in rows_of(load_forecasts(io.StringIO(csv)))] == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_for_release_returns_views(self):

@@ -9,7 +9,6 @@ from judgebench.panel import ForecastPanel
 from judgebench.panelreg import (
     SPECS,
     build_persistence_dataset,
-    cluster_se,
     clustered_covariance,
     fe_estimate,
     persistence_battery,
@@ -66,7 +65,6 @@ class TestBuildPersistenceDataset:
         data = build_persistence_dataset(jp, R1, "prior_release")
         assert len(data) == 1
         assert data.regressor[0] == 0.7
-        assert data.regressor_kind == "prior_release_lagged"
 
 
 def obs(econ, quarter, y, x):
@@ -205,6 +203,11 @@ class TestZeroClusteredSe:
             fe_estimate(dataset(data[::2] + data[1::2]), "fe")
 
 
+def _clustered(X, u, codes):
+    """The clustered sandwich of X's rows with dense cluster codes 0..G-1."""
+    return clustered_covariance(X, u, codes, int(codes.max()) + 1, np.linalg.qr(X, mode="r"))
+
+
 class TestClusteredSe:
     def test_singleton_clusters_match_hc_up_to_factor(self):
         rng = np.random.default_rng(24)
@@ -213,8 +216,7 @@ class TestClusteredSe:
         y = rng.normal(size=N)
         beta = np.linalg.solve(X.T @ X, X.T @ y)
         u = y - X @ beta
-        clusters = np.arange(N)
-        V = clustered_covariance(X, u, clusters)
+        V = _clustered(X, u, np.arange(N))
         XtXi = np.linalg.inv(X.T @ X)
         meat = (X * u[:, None] ** 2).T @ X
         factor = N / (N - 1) * (N - 1) / (N - K)
@@ -223,24 +225,12 @@ class TestClusteredSe:
 
     def test_zero_residuals_zero_se(self):
         X = np.arange(8.0).reshape(-1, 1)
-        u = np.zeros(8)
-        clusters = np.repeat([0, 1, 2, 3], 2)
-        assert cluster_se(X, u, clusters) == 0.0
+        assert _clustered(X, np.zeros(8), np.repeat([0, 1, 2, 3], 2))[0, 0] == 0.0
 
     def test_single_cluster_rejected(self):
         X = np.ones((4, 1))
         with pytest.raises(EstimationError):
-            clustered_covariance(X, np.array([1.0, -1.0, 1.0, -1.0]), np.zeros(4, dtype=int))
-
-    def test_labels_with_gaps_or_strings_equal_dense_codes(self):
-        rng = np.random.default_rng(26)
-        X = np.column_stack([np.ones(12), rng.normal(size=12)])
-        u = rng.normal(size=12)
-        dense = np.repeat([0, 1, 2], 4)
-        expected = clustered_covariance(X, u, dense)
-        for labels in (np.repeat([3, 7, 40], 4), [3, 3, 3, 3, 7, 7, 7, 7, 40, 40, 40, 40],
-                       np.repeat(["b", "a", "c"], 4)):
-            assert np.array_equal(clustered_covariance(X, u, labels), expected)
+            _clustered(X, np.array([1.0, -1.0, 1.0, -1.0]), np.zeros(4, dtype=int))
 
     def test_duplicating_clusters_scales_se_deterministically(self):
         rng = np.random.default_rng(25)
@@ -248,11 +238,11 @@ class TestClusteredSe:
         X = rng.normal(size=(N, K))
         u = rng.normal(size=N)
         clusters = np.repeat(np.arange(10), 2)
-        se1 = cluster_se(X, u, clusters)
+        se1 = np.sqrt(_clustered(X, u, clusters)[0, 0])
         X2 = np.vstack([X, X])
         u2 = np.concatenate([u, u])
         clusters2 = np.concatenate([clusters, clusters + 10])
-        se2 = cluster_se(X2, u2, clusters2)
+        se2 = np.sqrt(_clustered(X2, u2, clusters2)[0, 0])
         # Bread gains a factor 1/2 per axis, meat doubles, finite-sample factor changes.
         G, N2 = 10, N
         c1 = G / (G - 1) * (N2 - 1) / (N2 - K)

@@ -460,14 +460,14 @@ def test_padded_ids_strip_to_one_id_across_chunks():
     lines = [f"2000Q{1 + i % 4},1,{pad}E1{pad},{pad}F1,{i % 7}," for i, pad in enumerate(["", " ", "  "] * 1400)]
     text = _csv_file("forecasts", lines)
     panel = load_forecasts(io.StringIO(text))
-    assert (panel.economist_ids, panel.firm_ids) == (("E1",), ("F1",))
+    assert panel.economist_ids == ("E1",)
     assert _outcomes("forecasts", text)[0] == _outcomes("forecasts", text)[1]
 
 
 def test_an_id_keeps_its_trailing_nul():
     panel = load_forecasts(io.StringIO(_csv_file("forecasts", ["2000Q1,1,E1\0,F1,1.5,", "2000Q1,1,E1,F1,2.5,"])))
     assert panel.economist_ids == ("E1", "E1\0")
-    assert ForecastPanel.from_rows([("E1\0", "F1", START, 1, 1.5, None)]).economist_ids == ("E1\0",)
+    assert ForecastPanel.from_rows([("E1\0", START, 1, 1.5, None)]).economist_ids == ("E1\0",)
 
 
 @pytest.mark.parametrize("kind", sorted(set(IRREGULAR_FILES) - {"bad header", "crlf line ends"}))
