@@ -8,7 +8,6 @@ panel regressions.
 
 from .quarters import ReleaseKind, parse_quarter, quarter_label
 from .panel import (
-    ActualSeries,
     CleaningLog,
     ForecastPanel,
     QuarterSeries,
@@ -57,7 +56,7 @@ from .panelreg import (
     fe_estimate,
     persistence_battery,
 )
-from .armodel import ARForecasts, ARSpec, fill_missing, recursive_ar_forecast, select_lag
+from .armodel import ARForecasts, fill_missing, recursive_ar_forecast, select_lag
 from .syngen import SynthConfig, SynthWorld, recovery_experiment, simulate_world
 
 __version__ = "0.1.0"

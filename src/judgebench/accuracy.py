@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EstimationError
 from .judgment import BaselineSeries, passes_threshold
-from .panel import ActualSeries, ForecastPanel, economist_runs
+from .panel import ForecastPanel, QuarterSeries, economist_runs
 from .quarters import ReleaseKind
 from .tails import t_sf
 
@@ -114,7 +114,7 @@ def _with_p_values(comparisons: list[AccuracyComparison]) -> list[AccuracyCompar
     return out
 
 
-def accuracy_table(panel: ForecastPanel, base: BaselineSeries, actuals: ActualSeries) -> list[AccuracyComparison]:
+def accuracy_table(panel: ForecastPanel, base: BaselineSeries, actuals: QuarterSeries) -> list[AccuracyComparison]:
     """Per-economist accuracy comparisons, in economist-id order.
 
     The panel must be clean: one row per (economist, quarter, release).  The

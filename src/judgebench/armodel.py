@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EstimationError, IngestionError
 from .linreg import RegressionFit, ols
-from .panel import ActualSeries, QuarterSeries, distinct
+from .panel import QuarterSeries, distinct
 from .quarters import quarter_label
 
 DEFAULT_MAX_GAP = 3
@@ -21,21 +21,12 @@ DEFAULT_MAX_LAG = 8
 MIN_PRESAMPLE = 10  # observations beyond the lag order required before a target
 
 
-class ARSpec:
-    """Autoregression settings: lag order, optional per-target reselection up to ``DEFAULT_MAX_LAG``."""
-
-    def __init__(self, p: int = 1, reselect: bool = False):
-        if p < 0 or p > DEFAULT_MAX_LAG:
-            raise ValueError(f"lag order must be in 0..{DEFAULT_MAX_LAG}, got {p}")
-        self.p, self.reselect = p, reselect
-
-
-def fill_missing(series: ActualSeries) -> ActualSeries:
+def fill_missing(series: QuarterSeries) -> QuarterSeries:
     """Fill the gaps inside the series' span by linear interpolation.
 
     The result covers the first through the last quarter the series has.  A
     run of more than ``DEFAULT_MAX_GAP`` consecutive missing quarters is an
-    error.  The indexes of the filled quarters are added to the result's ``filled``.
+    error.
     """
     present_at = series.quarters()
     if not present_at.size:
@@ -54,8 +45,7 @@ def fill_missing(series: ActualSeries) -> ActualSeries:
             f"interior gap of {run[at]} quarters at {quarter_label(lo + at)} exceeds the limit of {DEFAULT_MAX_GAP}")
     left, right = values[prev[missing]], values[after[missing]]
     values[missing] = left + (right - left) * (pos - prev)[missing] / (run + 1)[missing]
-    filled = series.filled | frozenset((lo + np.flatnonzero(missing)).tolist())
-    return ActualSeries(start=lo, values=values, release=series.release, filled=filled)
+    return QuarterSeries(start=lo, values=values)
 
 
 def _contiguous_values(series: QuarterSeries, first: int, last: int) -> np.ndarray:
@@ -133,35 +123,44 @@ class ARForecasts(QuarterSeries):
 
 def recursive_ar_forecast(
     series: QuarterSeries,
-    targets: Sequence[int],
-    spec: ARSpec = ARSpec(),
+    targets: Sequence[int] | None = None,
+    lag: int | None = 1,
 ) -> ARForecasts:
     """One-step AR forecasts with an expanding estimation window per target.
 
-    ``targets`` are quarter indexes.  For each target the model is fit on
-    observations from the first quarter of the series through the quarter
-    before the target; at least p + 10 observations must precede the earliest
-    target.  The targets that share an order are fit as one stack, and a
+    ``lag`` is the AR order, in 0..``DEFAULT_MAX_LAG``, or None to choose each
+    target's order by SIC.  ``targets`` are quarter indexes.  For each target
+    the model is fit on observations from the first quarter of the series
+    through the quarter before the target; at least ``MIN_PRESAMPLE`` (plus
+    ``lag`` for a fixed order) observations must precede the earliest target.
+    Without ``targets``, every quarter of the series with that many before it
+    is a target.  The targets that share an order are fit as one stack, and a
     rank-deficient AR(p) fit falls back to AR(p-1), down to the mean at p = 0.
     """
+    if lag is not None and not 0 <= lag <= DEFAULT_MAX_LAG:
+        raise ValueError(f"lag order must be in 0..{DEFAULT_MAX_LAG}, got {lag}")
+    present = series.quarters()
+    need = MIN_PRESAMPLE + (lag or 0)
+    if targets is None:
+        targets = np.arange(present[0] + need, present[-1] + 1) if present.size else []
     ordered = distinct(np.asarray(targets, dtype=np.int64))
     first, size = (int(ordered[0]), int(ordered[-1] + 1 - ordered[0])) if ordered.size else (0, 0)
     out = ARForecasts(start=first, values=np.full(size, np.nan), p_used=np.full(size, -1, dtype=np.int64))
     if not ordered.size:
         return out
-    start = int(series.quarters()[0])
+    start = int(present[0])
     sizes = ordered - start  # observations strictly before each target
-    need = MIN_PRESAMPLE + (0 if spec.reselect else spec.p)
     if sizes[0] < need:
         raise EstimationError(
             f"only {sizes[0]} observations before target {quarter_label(first)}; need {need}")
     full = _contiguous_values(series, start, int(ordered[-1]) - 1)
-    orders = np.full(sizes.size, spec.p)
-    if spec.reselect:
+    if lag is None:
         # Cap the candidate orders so that whichever is chosen has its presample
         # and every candidate more observations than parameters.
         caps = np.minimum(sizes - MIN_PRESAMPLE, (sizes - 2) // 2).clip(max=DEFAULT_MAX_LAG)
         orders = _select_orders(full, caps, sizes)
+    else:
+        orders = np.full(sizes.size, lag)
     # Deviations from the first value: a constant stretch fits zeros and forecasts its value exactly.
     deviations = full - full[0]
     for p in range(int(np.max(orders)), -1, -1):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .accuracy import AccuracyComparison, accuracy_table, beat_baseline_share
-from .armodel import DEFAULT_MAX_LAG, MIN_PRESAMPLE, ARForecasts, ARSpec, fill_missing, recursive_ar_forecast
+from .armodel import DEFAULT_MAX_LAG, ARForecasts, fill_missing, recursive_ar_forecast
 from .descriptive import armse, quarter_stats
 from .errors import JudgebenchError
 from .judgment import (
@@ -39,7 +39,6 @@ from .judgment import (
 from .linreg import test_battery_aggregate, test_battery_individual
 from .panel import (
     FORECASTS_HEADER,
-    ActualSeries,
     ForecastPanel,
     QuarterSeries,
     SpfNowcasts,
@@ -260,7 +259,7 @@ class Study:
         return cleaned.take(inside)
 
     @cached_property
-    def actuals(self) -> dict[ReleaseKind, ActualSeries]:
+    def actuals(self) -> dict[ReleaseKind, QuarterSeries]:
         return self._load("actuals", load_actuals)
 
     @cached_property
@@ -287,13 +286,8 @@ class Study:
     @cached_property
     def ar_forecasts(self) -> dict[ReleaseKind, ARForecasts]:
         """Recursive AR forecasts of each release for every quarter with enough presample."""
-        spec = ARSpec(p=1, reselect=True) if self.cfg.ar_lag == "auto" else ARSpec(p=int(self.cfg.ar_lag))
-        presample = MIN_PRESAMPLE + (0 if spec.reselect else spec.p)
-        out = {}
-        for rel, series in self.actuals.items():
-            series = fill_missing(series)
-            out[rel] = recursive_ar_forecast(series, series.quarter_index()[presample:], spec)
-        return out
+        lag = None if self.cfg.ar_lag == "auto" else int(self.cfg.ar_lag)
+        return {rel: recursive_ar_forecast(fill_missing(series), lag=lag) for rel, series in self.actuals.items()}
 
     @cached_property
     def comparisons(self) -> dict[ReleaseKind, list[AccuracyComparison]]:
@@ -308,9 +302,7 @@ class Study:
 
 
 def cmd_describe(study: Study, out: Path) -> list[Path]:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        stats = {rel: quarter_stats(study.panel, study.actuals[rel], rel) for rel in RELEASES}
+    stats = {rel: quarter_stats(study.panel, study.actuals[rel], rel) for rel in RELEASES}
     described = [rel for rel in RELEASES if stats[rel]]
 
     def spread(name: str) -> tuple[list, list, list]:

@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .panel import ActualSeries, ForecastPanel, block_sums
+from .panel import ForecastPanel, QuarterSeries, block_sums
 from .quarters import ReleaseKind, quarter_label
 
 
@@ -52,7 +52,7 @@ def cross_section_moments(values: Sequence[float]) -> tuple[float, float | None,
 
 
 def quarter_stats(
-    panel: ForecastPanel, actuals: ActualSeries, release: ReleaseKind
+    panel: ForecastPanel, actuals: QuarterSeries, release: ReleaseKind
 ) -> list[QuarterStats]:
     """Per-quarter cross-sectional RMSE and moments for one release.
 

@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .panel import ActualSeries, ForecastPanel, QuarterSeries, cell_medians
+from .panel import ForecastPanel, QuarterSeries, cell_medians
 from .quarters import ReleaseKind, quarter_label
 
 DEFAULT_GRID = 0.1
@@ -40,9 +40,9 @@ def passes_threshold(share, threshold: float):
 
 
 class BaselineSeries(QuarterSeries):
-    def __init__(self, start: int, values: np.ndarray, release: ReleaseKind, method: str):
+    def __init__(self, start: int, values: np.ndarray, release: ReleaseKind):
         super().__init__(start, values)
-        self.release, self.method = release, method  # method: "median" or "mean"
+        self.release = release
 
 
 class JudgmentPanel:
@@ -72,7 +72,7 @@ def baseline(panel: ForecastPanel, release: ReleaseKind, method: str = "median")
     else:
         quarters, cells, bounds = rows.quarter_cells()
         values = [math.fsum(cells[lo:hi]) / (hi - lo) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-    return BaselineSeries.from_points(quarters, values, release=release, method=method)
+    return BaselineSeries.from_points(quarters, values, release=release)
 
 
 def extract_judgments(
@@ -161,7 +161,7 @@ class BaselineHitStats(NamedTuple):
 
 
 def baseline_hit_stats(
-    base: BaselineSeries, actuals: ActualSeries, grid: float = DEFAULT_GRID
+    base: BaselineSeries, actuals: QuarterSeries, grid: float = DEFAULT_GRID
 ) -> BaselineHitStats:
     """Shares of overlapping quarters where the baseline equals / exceeds / trails the actual.
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EstimationError, RankDeficiencyError
 from .judgment import BaselineSeries, passes_threshold
-from .panel import ActualSeries, ForecastPanel, QuarterSeries, SpfNowcasts, distinct, economist_runs
+from .panel import ForecastPanel, QuarterSeries, SpfNowcasts, distinct, economist_runs
 from .quarters import ReleaseKind
 from .tails import f_sf
 
@@ -137,7 +137,7 @@ def wald_joint_test(fit: RegressionFit, cov: np.ndarray) -> JointTestResult:
         degenerate = np.linalg.slogdet(cov)[0] == 0
     singular = degenerate & ~satisfied
     if np.ndim(singular) == 0 and singular:
-        raise EstimationError("R V R' is singular")
+        raise EstimationError("V is singular")
     solved = np.linalg.solve(np.where(degenerate[..., None, None], np.eye(q), cov), coef[..., None])[..., 0]
     wald = np.where(singular, math.nan, np.vecdot(coef, solved))
     statistic = np.where(satisfied, 0.0, np.maximum(wald, 0.0) / q)[()]  # [()]: a 0-d result as a scalar
@@ -199,7 +199,7 @@ def prediction_rmse(prediction: np.ndarray, actual: np.ndarray) -> float:
 
 def test_battery_aggregate(
     baselines: Mapping[tuple[ReleaseKind, str], BaselineSeries],
-    actuals: Mapping[ReleaseKind, ActualSeries],
+    actuals: Mapping[ReleaseKind, QuarterSeries],
     spf: SpfNowcasts,
     ar_forecasts: Mapping[ReleaseKind, QuarterSeries],
     hac_lag: int | None = None,
@@ -293,13 +293,13 @@ def _stacked_zero_tests(name: str, eligible: np.ndarray, lag: int | Sequence[int
                                         lag.tolist(), fit.nobs.tolist(), p_value[eligible].tolist()):
             notes[row] = (f"{name}: {RankDeficiencyError(column)}" if column >= 0
                           else f"{name}: lag {l} must be smaller than the sample size {n}" if l >= n
-                          else f"{name}: R V R' is singular" if math.isnan(p) else "")
+                          else f"{name}: V is singular" if math.isnan(p) else "")
     return coefficients, p_value, notes
 
 
 def test_battery_individual(
     panel: ForecastPanel,
-    actuals: Mapping[ReleaseKind, ActualSeries],
+    actuals: Mapping[ReleaseKind, QuarterSeries],
     spf: SpfNowcasts,
     ar_forecasts: Mapping[ReleaseKind, QuarterSeries],
     participation: Mapping[ReleaseKind, np.ndarray],

@@ -73,14 +73,6 @@ class QuarterSeries:
         return self.start + np.flatnonzero(~np.isnan(self.values))
 
 
-class ActualSeries(QuarterSeries):
-    """Published values of one release vintage; ``filled`` indexes the quarters whose values were interpolated."""
-
-    def __init__(self, start: int, values: np.ndarray, release: ReleaseKind, filled: frozenset = frozenset()):
-        super().__init__(start, values)
-        self.release, self.filled = release, filled
-
-
 def factorize(ids: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """The distinct ids in sorted order, and each element's code into them.
 
@@ -398,7 +390,7 @@ def _release_number(token: str) -> int:
     return ReleaseKind.from_token(token).value
 
 
-def load_actuals(source, digest=None) -> dict[ReleaseKind, ActualSeries]:
+def load_actuals(source, digest=None) -> dict[ReleaseKind, QuarterSeries]:
     """Read the actuals CSV (header quarter,release,value) into one series per release.
 
     A duplicate (quarter, release) row is an error.  Each loader adds the bytes of a path to ``digest`` as it reads.
@@ -407,8 +399,7 @@ def load_actuals(source, digest=None) -> dict[ReleaseKind, ActualSeries]:
         source, "actuals", ACTUALS_HEADER, (parse_quarter, _release_number, _parse_value), unique=2,
         duplicate=lambda q, r: f"duplicate actuals row for {quarter_label(q)} release {r}", digest=digest)
     quarter, release, value = quarter.gather(np.int64), release.gather(np.int64), value.gather(float)
-    return {kind: ActualSeries.from_points(quarter[release == kind], value[release == kind], release=kind)
-            for kind in ReleaseKind}
+    return {kind: QuarterSeries.from_points(quarter[release == kind], value[release == kind]) for kind in ReleaseKind}
 
 
 def load_forecasts(source, digest=None) -> ForecastPanel:

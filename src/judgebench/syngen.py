@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EstimationError
 from .judgment import DEFAULT_GRID, baseline, extract_judgments, grid_round
-from .panel import ActualSeries, ForecastPanel, QuarterSeries, SpfNowcasts, factorize
+from .panel import ForecastPanel, QuarterSeries, SpfNowcasts, factorize
 from .panelreg import build_persistence_dataset, fe_estimate, t_test_p_value
 from .quarters import ReleaseKind, parse_quarter
 
@@ -77,7 +77,7 @@ class SynthTruth:
 
 class SynthWorld(NamedTuple):
     config: SynthConfig
-    actuals: Mapping[ReleaseKind, ActualSeries]
+    actuals: Mapping[ReleaseKind, QuarterSeries]
     panel: ForecastPanel
     spf: SpfNowcasts
     truth: SynthTruth
@@ -204,10 +204,7 @@ def simulate_world(config: SynthConfig) -> SynthWorld:
     spf_mean = spf_median + rng_spf.normal(0.0, 0.1, size=t)
     start = config.start
     spf = SpfNowcasts(QuarterSeries(start, spf_median), QuarterSeries(start, spf_mean))
-    actual_series = {
-        ReleaseKind(k + 1): ActualSeries(start=start, values=actuals[k], release=ReleaseKind(k + 1))
-        for k in range(3)
-    }
+    actual_series = {ReleaseKind(k + 1): QuarterSeries(start, actuals[k]) for k in range(3)}
     judgments = np.ascontiguousarray(block.judgments[:, :, 0].transpose(2, 1, 0))  # (N, T, 3)
     truth = SynthTruth(start + np.arange(t), ids.economists, actuals, block.baselines[0], judgments, block.rho_i[0])
     return SynthWorld(config, actual_series, _panel(config, block, 0, ids), spf, truth)

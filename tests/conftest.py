@@ -8,7 +8,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from judgebench.judgment import JudgmentPanel
-from judgebench.panel import ActualSeries, ForecastPanel, QuarterSeries, factorize
+from judgebench.panel import ForecastPanel, QuarterSeries, factorize
 from judgebench.panelreg import PersistenceData
 from judgebench.quarters import ReleaseKind
 
@@ -127,10 +127,6 @@ def dataset(observations: list[Obs]) -> PersistenceData:
 def series_from(values: dict[int, float], cls: type = QuarterSeries, **fields) -> QuarterSeries:
     """A ``cls`` series holding these quarters' values; ``fields`` are the subclass's own."""
     return cls.from_points(list(values), list(values.values()), **fields)
-
-
-def actuals_from(values: dict[int, float], release: ReleaseKind = ReleaseKind.FIRST) -> ActualSeries:
-    return series_from(values, ActualSeries, release=release)
 
 
 def present(series: QuarterSeries) -> dict[int, float]:

@@ -17,7 +17,6 @@ from judgebench.panel import (
     ACTUALS_HEADER,
     FORECASTS_HEADER,
     SPF_HEADER,
-    ActualSeries,
     ForecastPanel,
     QuarterSeries,
     SpfNowcasts,
@@ -54,7 +53,7 @@ def parse_rows(source, header, what, parse_row):
             fh.close()
 
 
-def load_actuals(source) -> dict[ReleaseKind, ActualSeries]:
+def load_actuals(source) -> dict[ReleaseKind, QuarterSeries]:
     def parse_row(row):
         return parse_quarter(row["quarter"]), ReleaseKind.from_token(row["release"]), _parse_value(row["value"])
 
@@ -63,7 +62,7 @@ def load_actuals(source) -> dict[ReleaseKind, ActualSeries]:
         if quarter in points[release]:
             raise IngestionError(f"{where}: duplicate actuals row for {quarter_label(quarter)} release {release.value}")
         points[release][quarter] = value
-    return {release: ActualSeries.from_points(list(series), list(series.values()), release=release)
+    return {release: QuarterSeries.from_points(list(series), list(series.values()))
             for release, series in points.items()}
 
 
@@ -109,8 +108,7 @@ def _bits(value) -> tuple:
         columns = (value.economist, value.quarter, value.release, value.value, value.report_date)
         return value.economist_ids, *((c.dtype.str, c.tobytes()) for c in columns)
     if isinstance(value, QuarterSeries):
-        extra = (value.release, sorted(value.filled)) if isinstance(value, ActualSeries) else ()
-        return value.start, value.values.dtype.str, value.values.tobytes(), *extra
+        return value.start, value.values.dtype.str, value.values.tobytes()
     if isinstance(value, SpfNowcasts):
         return _bits(value.median), _bits(value.mean)
     return tuple((key, _bits(item)) for key, item in value.items())

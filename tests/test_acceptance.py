@@ -14,7 +14,7 @@ import scipy.integrate
 import scipy.stats
 
 from judgebench.accuracy import dm_test, hln_correction
-from judgebench.armodel import ARSpec, recursive_ar_forecast, select_lag
+from judgebench.armodel import recursive_ar_forecast, select_lag
 from judgebench.cli import main
 from judgebench.descriptive import armse, quarter_stats
 from judgebench.judgment import baseline, extract_judgments
@@ -30,7 +30,7 @@ from judgebench.panelreg import fe_estimate
 from judgebench.quarters import ReleaseKind
 from judgebench.syngen import SynthConfig, recovery_experiment, simulate_world
 
-from conftest import Obs, actuals_from, aligned, dataset, present, q, rows_of
+from conftest import Obs, aligned, dataset, present, q, rows_of, series_from
 
 R1 = ReleaseKind.FIRST
 
@@ -144,14 +144,14 @@ def _rational_world_p_value(seed: int) -> float:
         y[i] = c + phi * y[i - 1] + eps[i]
     start = q(1970, 1)
     quarters = [start + i for i in range(n)]
-    series = actuals_from(dict(zip(quarters, y)))
+    series = series_from(dict(zip(quarters, y)))
     targets = quarters[pre:]
     lag_mean = c + phi * y[pre - 1:-1]
     signal = eps[pre:] + noise[pre:]
     conditional = lag_mean + 0.5 * signal  # optimal weight for equal variances
     prediction = {t: float(np.round(v / grid) * grid) for t, v in zip(targets, conditional)}
     spf = {t: float(v + rng.normal(0, 1.0)) for t, v in zip(targets, lag_mean)}
-    ar = recursive_ar_forecast(series, targets, ARSpec(p=1))
+    ar = recursive_ar_forecast(series, targets, lag=1)
     actual, pred, spf_column, ar_column = aligned(series, prediction, spf, ar)
     reg = efficiency_regression(actual, pred, [spf_column, ar_column])
     lag = newey_west_auto_lag(reg.fit.nobs)
@@ -250,7 +250,7 @@ def test_descriptive_moments_match_brute_force():
         panel = ForecastPanel.from_rows(
             [(f"E{i}", quarter, R1, float(v), None) for i, v in enumerate(values)]
         )
-        stats = quarter_stats(panel, actuals_from({quarter: actual}), R1)[0]
+        stats = quarter_stats(panel, series_from({quarter: actual}), R1)[0]
         errors = values - actual
         rmse = math.sqrt(float(np.mean(errors**2)))
         centered = values - values.mean()
@@ -270,7 +270,7 @@ def test_descriptive_moments_match_brute_force():
         [(f"E{i}", quarters[0], R1, v, None) for i, v in enumerate((1.0, -1.0))]
         + [(f"E{i}", quarters[1], R1, v, None) for i, v in enumerate((3.0, -3.0))]
     )
-    stats = quarter_stats(panel, actuals_from({q: 0.0 for q in quarters}), R1)
+    stats = quarter_stats(panel, series_from({q: 0.0 for q in quarters}), R1)
     agg = armse(stats)
     ok = worst < 1e-12 and agg == 2.0
     verdict(7, "cross-section moments match brute force", ok,
@@ -285,21 +285,21 @@ def test_ar_forecasts_no_lookahead_and_recovery():
     values = list(rng.normal(size=50))
     start = q(1990, 1)
     target = start + 35
-    base_series = actuals_from({start + i: v for i, v in enumerate(values)})
-    base_forecast = recursive_ar_forecast(base_series, [target], ARSpec(p=1)).at(target)
+    base_series = series_from({start + i: v for i, v in enumerate(values)})
+    base_forecast = recursive_ar_forecast(base_series, [target], lag=1).at(target)
     perturbed = list(values)
     for i in range(35, 50):
         perturbed[i] += 500.0
-    pert_series = actuals_from({start + i: v for i, v in enumerate(perturbed)})
-    lookahead_ok = recursive_ar_forecast(pert_series, [target], ARSpec(p=1)).at(target) == base_forecast
+    pert_series = series_from({start + i: v for i, v in enumerate(perturbed)})
+    lookahead_ok = recursive_ar_forecast(pert_series, [target], lag=1).at(target) == base_forecast
 
     # Noiseless AR(1): y_t = 2 + 0.5 y_{t-1}; forecasts equal the analytic recursion.
     y = [1.0]
     for _ in range(40):
         y.append(2.0 + 0.5 * y[-1])
-    series = actuals_from({start + i: v for i, v in enumerate(y)})
+    series = series_from({start + i: v for i, v in enumerate(y)})
     targets = [start + i for i in range(25, 41)]
-    forecasts = recursive_ar_forecast(series, targets, ARSpec(p=1))
+    forecasts = recursive_ar_forecast(series, targets, lag=1)
     recovery_err = float(np.max(np.abs(forecasts.at(targets) - y[25:41])))  # NaN, and a failure, where one is absent
 
     # Lag selection prefers the empty model on white noise.

@@ -15,7 +15,7 @@ from judgebench.judgment import BaselineSeries
 from judgebench.panel import ForecastPanel, participation_share
 from judgebench.quarters import ReleaseKind
 
-from conftest import actuals_from, aligned, q, rec, series_from
+from conftest import aligned, q, rec, series_from
 
 R1 = ReleaseKind.FIRST
 
@@ -23,31 +23,31 @@ R1 = ReleaseKind.FIRST
 class TestPairedRmse:
     def test_identical_series(self):
         quarters = {q(2000, 1): 1.0, q(2000, 2): 2.0}
-        actuals = actuals_from({q(2000, 1): 1.5, q(2000, 2): 1.5})
+        actuals = series_from({q(2000, 1): 1.5, q(2000, 2): 1.5})
         self_rmse, base_rmse, n = paired_rmse(*aligned(quarters, dict(quarters), actuals))
         assert self_rmse == base_rmse
         assert n == 2
 
     def test_unit_errors_vs_perfect_baseline(self):
-        actuals = actuals_from({q(2000, 1): 0.0, q(2000, 2): 0.0})
+        actuals = series_from({q(2000, 1): 0.0, q(2000, 2): 0.0})
         forecaster = {q(2000, 1): 1.0, q(2000, 2): -1.0}
         base = {q(2000, 1): 0.0, q(2000, 2): 0.0}
         assert paired_rmse(*aligned(forecaster, base, actuals)) == (1.0, 0.0, 2)
 
     def test_extra_baseline_quarters_ignored(self):
-        actuals = actuals_from({q(2000, 1): 0.0, q(2000, 2): 0.0, q(2000, 3): 0.0})
+        actuals = series_from({q(2000, 1): 0.0, q(2000, 2): 0.0, q(2000, 3): 0.0})
         forecaster = {q(2000, 1): 1.0}
         base = {q(2000, 1): 0.5, q(2000, 2): 9.0, q(2000, 3): 9.0}
         self_rmse, base_rmse, n = paired_rmse(*aligned(forecaster, base, actuals))
         assert (self_rmse, base_rmse, n) == (1.0, 0.5, 1)
 
     def test_empty_intersection_rejected(self):
-        actuals = actuals_from({q(2000, 1): 0.0})
+        actuals = series_from({q(2000, 1): 0.0})
         with pytest.raises(EstimationError):
             paired_rmse(*aligned({q(2000, 1): 1.0}, {q(2005, 1): 1.0}, actuals))
 
     def test_quarter_order_irrelevant(self):
-        actuals = actuals_from({q(2000, 1): 0.0, q(2000, 2): 1.0, q(2000, 3): 2.0})
+        actuals = series_from({q(2000, 1): 0.0, q(2000, 2): 1.0, q(2000, 3): 2.0})
         f = {q(2000, 1): 0.5, q(2000, 2): 1.5, q(2000, 3): 1.0}
         b = {q(2000, 3): 2.0, q(2000, 1): 0.0, q(2000, 2): 1.0}
         a1 = paired_rmse(*aligned(f, b, actuals))
@@ -114,8 +114,8 @@ class TestBeatBaselineShare:
             for quarter in quarters:
                 records.append(rec(name, quarter, actual[quarter] + offset))
         panel = ForecastPanel.from_rows(records)
-        base = series_from(base_values, BaselineSeries, release=R1, method="median")
-        return panel, base, actuals_from(actual)
+        base = series_from(base_values, BaselineSeries, release=R1)
+        return panel, base, series_from(actual)
 
     def test_everyone_matches_baseline_counts_as_not_beating(self):
         panel, base, actuals = self._setup({"E1": 0.5, "E2": 0.5})

@@ -24,7 +24,7 @@ from judgebench.linreg import (
     test_battery_aggregate as battery_aggregate,
     wald_joint_test,
 )
-from judgebench.panel import ActualSeries, QuarterSeries, SpfNowcasts
+from judgebench.panel import QuarterSeries, SpfNowcasts
 from judgebench.quarters import ReleaseKind
 
 from conftest import q
@@ -88,7 +88,7 @@ def worlds(draw):
         return np.where(rng.random(values.size) < gap_share, np.nan, values)
 
     actual_values = {release: with_gaps(rng.normal(1.0, 1.0, span)) for release in ReleaseKind}
-    actuals = {release: ActualSeries(START, values, release) for release, values in actual_values.items()}
+    actuals = {release: QuarterSeries(START, values) for release, values in actual_values.items()}
     spf = SpfNowcasts(*(QuarterSeries(START, with_gaps(rng.normal(1.0, 1.0, span))) for _ in range(2)))
     ar = {release: QuarterSeries(START, with_gaps(rng.normal(1.0, 1.0, span))) for release in ReleaseKind}
 
@@ -104,7 +104,7 @@ def worlds(draw):
             "exact": actual_values[release],
         }[kind]
         start = {"disjoint": START + span + 1, "exact": START}.get(kind, START + lo)
-        baselines[(release, method)] = BaselineSeries(start, values, release, method)
+        baselines[(release, method)] = BaselineSeries(start, values, release)
     return baselines, actuals, spf, ar, hac_lag, keys[0]
 
 
@@ -133,13 +133,13 @@ def _fixed_world():
     """Six full cells on 30 quarters: an exact baseline, a constant one, and four noisy ones."""
     rng = np.random.default_rng(19)
     actual = {release: rng.normal(1.0, 1.0, 30) for release in ReleaseKind}
-    actuals = {release: ActualSeries(START, values, release) for release, values in actual.items()}
+    actuals = {release: QuarterSeries(START, values) for release, values in actual.items()}
     spf = SpfNowcasts(*(QuarterSeries(START, rng.normal(1.0, 1.0, 30)) for _ in range(2)))
     ar = {release: QuarterSeries(START, rng.normal(1.0, 1.0, 30)) for release in ReleaseKind}
     values = {key: actual[key[0]] + rng.normal(0.2, 0.5, 30) for key in KEYS}
     values[KEYS[0]] = actual[KEYS[0][0]]
     values[KEYS[1]] = np.full(30, 0.7)
-    baselines = {key: BaselineSeries(START, v, *key) for key, v in values.items()}
+    baselines = {key: BaselineSeries(START, v, key[0]) for key, v in values.items()}
     return baselines, actuals, spf, ar
 
 

@@ -3,61 +3,60 @@ import math
 import numpy as np
 import pytest
 
-from judgebench.armodel import DEFAULT_MAX_GAP, DEFAULT_MAX_LAG, MIN_PRESAMPLE, ARSpec, fill_missing, recursive_ar_forecast, select_lag
+from judgebench.armodel import DEFAULT_MAX_GAP, DEFAULT_MAX_LAG, MIN_PRESAMPLE, fill_missing, recursive_ar_forecast, select_lag
 from judgebench.errors import EstimationError, IngestionError
 from judgebench.quarters import ReleaseKind, quarter_label
 
-from conftest import actuals_from, present, q
+from conftest import present, q, series_from
 
 R1 = ReleaseKind.FIRST
 
 
 def series(values, start=q(1990, 1)):
-    return actuals_from({start + i: float(v) for i, v in enumerate(values)})
+    return series_from({start + i: float(v) for i, v in enumerate(values)})
 
 
 class TestFillMissing:
     def test_linear_midpoint(self):
-        s = actuals_from({q(2000, 1): 1.0, q(2000, 3): 3.0})
+        s = series_from({q(2000, 1): 1.0, q(2000, 3): 3.0})
         filled = fill_missing(s)
         assert filled.at(q(2000, 2)) == pytest.approx(2.0)
-        assert q(2000, 2) in filled.filled
 
     def test_gap_at_the_limit_filled(self):
-        s = actuals_from({q(2000, 1): 0.0, q(2000, 1) + DEFAULT_MAX_GAP + 1: float(DEFAULT_MAX_GAP + 1)})
+        s = series_from({q(2000, 1): 0.0, q(2000, 1) + DEFAULT_MAX_GAP + 1: float(DEFAULT_MAX_GAP + 1)})
         filled = fill_missing(s)
         gap = [q(2000, 1) + i for i in range(1, DEFAULT_MAX_GAP + 1)]
         assert [filled.at(quarter) for quarter in gap] == pytest.approx([float(i) for i in range(1, DEFAULT_MAX_GAP + 1)])
-        assert set(gap) <= filled.filled
 
     def test_covers_only_the_series_own_span(self):
-        s = actuals_from({q(2000, 2): 1.0, q(2000, 4): 3.0, q(2001, 1): 4.0})
+        s = series_from({q(2000, 2): 1.0, q(2000, 4): 3.0, q(2001, 1): 4.0})
         assert list(present(fill_missing(s))) == [q(2000, 2), q(2000, 3), q(2000, 4), q(2001, 1)]
 
     def test_empty_series_rejected(self):
         with pytest.raises(IngestionError, match="empty"):
-            fill_missing(actuals_from({}))
+            fill_missing(series_from({}))
 
     def test_long_interior_gap_rejected(self):
-        s = actuals_from({q(2000, 1): 1.0, q(2001, 2): 3.0})  # 4 missing quarters
+        s = series_from({q(2000, 1): 1.0, q(2001, 2): 3.0})  # 4 missing quarters
         with pytest.raises(IngestionError):
             fill_missing(s)
 
     def test_idempotent(self):
-        s = actuals_from({q(2000, 1): 1.0, q(2000, 3): 3.0})
+        s = series_from({q(2000, 1): 1.0, q(2000, 3): 3.0})
         once = fill_missing(s)
         twice = fill_missing(once)
         assert present(once) == present(twice)
 
 
-class TestARSpec:
-    @pytest.mark.parametrize("p", [-1, DEFAULT_MAX_LAG + 1])
-    def test_lag_order_outside_the_cap_rejected(self, p):
+class TestLagOrder:
+    @pytest.mark.parametrize("lag", [-1, DEFAULT_MAX_LAG + 1])
+    def test_lag_order_outside_the_cap_rejected(self, lag):
         with pytest.raises(ValueError, match="lag order"):
-            ARSpec(p=p)
+            recursive_ar_forecast(series(range(30)), lag=lag)
 
     def test_lag_order_at_the_cap_accepted(self):
-        assert ARSpec(p=DEFAULT_MAX_LAG).p == DEFAULT_MAX_LAG
+        forecasts = recursive_ar_forecast(series(ar_noise(42, 30)), lag=DEFAULT_MAX_LAG)
+        assert set(forecasts.p_used.tolist()) == {DEFAULT_MAX_LAG}
 
 
 class TestSelectLag:
@@ -131,20 +130,19 @@ def reference_forecast(values, size, p):
     return coef[0] + coef[1:] @ values[size - np.arange(1, p + 1)]
 
 
-SPECS = [ARSpec(p=p) for p in range(5)] + [ARSpec(reselect=True)]
-
-
 @pytest.mark.parametrize("level", [0.0, 100.0])
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: "select" if s.reselect else f"p{s.p}")
-def test_stacked_forecasts_match_per_target_refits(spec, level):
+@pytest.mark.parametrize("lag", [0, 1, 2, 3, 4, None], ids=lambda lag: "select" if lag is None else f"p{lag}")
+def test_stacked_forecasts_match_per_target_refits(lag, level):
     values = ar_noise(40, 70, level)
-    sizes = np.arange(MIN_PRESAMPLE + (0 if spec.reselect else spec.p), values.size)
-    forecasts = recursive_ar_forecast(series(values), q(1990, 1) + sizes, spec)
+    forecasts = recursive_ar_forecast(series(values), lag=lag)
+    # The default targets: every quarter with its presample before it, through the last.
+    sizes = np.arange(MIN_PRESAMPLE + (0 if lag is None else lag), values.size)
+    assert forecasts.quarter_index().tolist() == (q(1990, 1) + sizes).tolist()
     orders = [reference_order(values[:n], min(DEFAULT_MAX_LAG, n - MIN_PRESAMPLE, (n - 2) // 2))
-              if spec.reselect else spec.p for n in sizes]
+              if lag is None else lag for n in sizes]
     expected = [reference_forecast(values, n, p) for n, p in zip(sizes, orders)]
     assert forecasts.p_used.tolist() == orders
-    if spec.reselect:
+    if lag is None:
         assert len(set(orders)) > 1  # the orders differ, so the targets span several stacks
     np.testing.assert_allclose(forecasts.values, expected, rtol=1e-12, atol=1e-12 * np.abs(values).max())
 
@@ -160,7 +158,7 @@ class TestRankFallback:
     def test_constant_stretch_and_later_targets_in_one_call(self):
         values = self.values()
         sizes = np.arange(12, values.size)
-        forecasts = recursive_ar_forecast(series(values), q(1990, 1) + sizes, ARSpec(p=2))
+        forecasts = recursive_ar_forecast(series(values), q(1990, 1) + sizes, lag=2)
         inside = sizes <= 20  # every observation before the target is the constant
         assert (forecasts.values[inside] == self.CONSTANT).all()
         # Size 21 sees one varying value, but only as a response; size 22 sees it as a first lag.
@@ -177,7 +175,7 @@ class TestRecursiveArForecast:
     def test_constant_series(self):
         s = series([2.5] * 30)
         targets = [q(1990, 1) + i for i in range(20, 30)]
-        forecasts = recursive_ar_forecast(s, targets, ARSpec(p=1))
+        forecasts = recursive_ar_forecast(s, targets, lag=1)
         for value in present(forecasts).values():
             assert value == pytest.approx(2.5, abs=1e-8)
 
@@ -187,7 +185,7 @@ class TestRecursiveArForecast:
             y.append(2.0 + 0.5 * y[-1])
         s = series(y)
         targets = [q(1990, 1) + i for i in range(25, 41)]
-        forecasts = recursive_ar_forecast(s, targets, ARSpec(p=1))
+        forecasts = recursive_ar_forecast(s, targets, lag=1)
         for i, target in enumerate(targets, start=25):
             assert forecasts.at(target) == pytest.approx(y[i], abs=1e-9)
 
@@ -195,22 +193,20 @@ class TestRecursiveArForecast:
         rng = np.random.default_rng(33)
         values = list(rng.normal(size=40))
         target = q(1990, 1) + 30
-        base = recursive_ar_forecast(series(values), [target], ARSpec(p=1)).at(target)
+        base = recursive_ar_forecast(series(values), [target], lag=1).at(target)
         perturbed = list(values)
         for i in range(30, 40):
             perturbed[i] += 100.0
-        after = recursive_ar_forecast(series(perturbed), [target], ARSpec(p=1)).at(target)
+        after = recursive_ar_forecast(series(perturbed), [target], lag=1).at(target)
         assert after == base
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(34)
         values = list(rng.normal(size=40))
         targets = [q(1990, 1) + i for i in (30, 35)]
-        base = recursive_ar_forecast(series(values), targets, ARSpec(p=1))
+        base = recursive_ar_forecast(series(values), targets, lag=1)
         a, b = 2.0, -3.0
-        mapped = recursive_ar_forecast(
-            series([a * v + b for v in values]), targets, ARSpec(p=1)
-        )
+        mapped = recursive_ar_forecast(series([a * v + b for v in values]), targets, lag=1)
         for target in targets:
             assert mapped.at(target) == pytest.approx(a * base.at(target) + b, abs=1e-8)
 
@@ -218,14 +214,26 @@ class TestRecursiveArForecast:
         s = series([1.0, 2.0, 1.5, 2.5, 1.8])
         target = q(1990, 1) + 4
         with pytest.raises(EstimationError, match=quarter_label(target)):
-            recursive_ar_forecast(s, [target], ARSpec(p=1))
+            recursive_ar_forecast(s, [target], lag=1)
+
+    @pytest.mark.parametrize("lag", [0, 2, None])
+    def test_target_just_before_the_default_ones_rejected(self, lag):
+        s = series(ar_noise(43, 30))
+        first = int(recursive_ar_forecast(s, lag=lag).quarter_index()[0])
+        need = first - q(1990, 1)
+        with pytest.raises(EstimationError, match=f"only {need - 1} observations before target "
+                                                  f"{quarter_label(first - 1)}; need {need}"):
+            recursive_ar_forecast(s, [first - 1], lag=lag)
+
+    def test_series_without_presample_has_no_default_target(self):
+        forecasts = recursive_ar_forecast(series(ar_noise(44, MIN_PRESAMPLE + 1)), lag=1)
+        assert forecasts.values.size == 0 and forecasts.p_used.size == 0
 
     def test_reselection_runs(self):
         rng = np.random.default_rng(35)
         s = series(rng.normal(size=60))
         targets = [q(1990, 1) + i for i in (50, 55)]
-        spec = ARSpec(reselect=True)
-        forecasts = recursive_ar_forecast(s, targets, spec)
+        forecasts = recursive_ar_forecast(s, targets, lag=None)
         assert set(present(forecasts)) == set(targets)
 
     def test_reselection_keeps_presample_for_earliest_target(self):
@@ -236,5 +244,5 @@ class TestRecursiveArForecast:
             values.append(0.9 * values[-1] + rng.normal())
         s = series(values)
         targets = [q(1990, 1) + i for i in range(10, 40)]
-        forecasts = recursive_ar_forecast(s, targets, ARSpec(reselect=True))
+        forecasts = recursive_ar_forecast(s, targets, lag=None)
         assert set(present(forecasts)) == set(targets)

@@ -102,6 +102,18 @@ class TestWarnings:
         assert done.stderr.splitlines() == [f"warning: no economist passes threshold 1.0 for release {k}"
                                             for k in (1, 2, 3)]
 
+    def test_describe_shows_each_quarter_it_excludes(self, tmp_path):
+        # The gaps inputs lack these actuals, and 2012Q1 has forecasts but no actual at all.
+        inputs = GOLDEN_INPUTS.parent / "inputs_gaps"
+        done = subprocess.run(
+            [sys.executable, "-m", "judgebench.cli", "describe", "--actuals", str(inputs / "actuals.csv"),
+             "--forecasts", str(inputs / "forecasts.csv"), "--out", "o"],
+            cwd=tmp_path, env=src_env(), capture_output=True, text=True)
+        assert done.returncode == 0
+        assert done.stderr.splitlines() == [f"warning: no actual for {quarter} (release {k}); quarter excluded"
+                                            for quarter, k in [("2012Q1", 1), ("2005Q3", 2), ("2005Q4", 2),
+                                                               ("2000Q1", 3)]]
+
     def test_warning_filter_still_makes_an_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(cli.COMMANDS, "describe", lambda study, out: [np.log(np.zeros(1))])
         assert main(["describe", "--out", str(tmp_path / "o")]) == 0

@@ -6,13 +6,13 @@ import pytest
 from judgebench.descriptive import armse, cross_section_moments, quarter_stats
 from judgebench.quarters import ReleaseKind
 
-from conftest import actuals_from, panel_from_values, q
+from conftest import panel_from_values, q, series_from
 
 
 def stats_for(values, actual):
     quarter = q(2000, 1)
     panel = panel_from_values({quarter: values})
-    actuals = actuals_from({quarter: actual})
+    actuals = series_from({quarter: actual})
     result = quarter_stats(panel, actuals, ReleaseKind.FIRST)
     assert len(result) == 1
     return result[0]
@@ -60,7 +60,7 @@ class TestQuarterStats:
 
     def test_quarter_without_actual_excluded_with_warning(self):
         panel = panel_from_values({q(2000, 1): [1.0], q(2000, 2): [2.0]})
-        actuals = actuals_from({q(2000, 1): 1.0})
+        actuals = series_from({q(2000, 1): 1.0})
         with pytest.warns(UserWarning):
             result = quarter_stats(panel, actuals, ReleaseKind.FIRST)
         assert [s.quarter for s in result] == [q(2000, 1)]
@@ -88,7 +88,7 @@ class TestArmse:
         panel = panel_from_values(
             {quarter: [r, -r] for quarter, r in zip(quarters, rmses)}
         )
-        actuals = actuals_from({quarter: 0.0 for quarter in quarters})
+        actuals = series_from({quarter: 0.0 for quarter in quarters})
         stats = quarter_stats(panel, actuals, ReleaseKind.FIRST)
         for s, r in zip(stats, rmses):
             assert s.rmse == pytest.approx(r, abs=1e-12)

@@ -26,7 +26,7 @@ from judgebench.linreg import (
 from judgebench.panel import ForecastPanel, SpfNowcasts, participation_share
 from judgebench.quarters import ReleaseKind
 
-from conftest import actuals_from, q, rec, series_from
+from conftest import q, rec, series_from
 
 START = q(2000, 1)
 BLOCK = 32  # quarters after the random span, where the hand-made forecasters report
@@ -112,7 +112,7 @@ def worlds(draw):
     10-11 (unbiasedness only), a constant prediction and a zero one (a
     rank-deficient slope column, whose R factor has an exact zero), an exact prediction (the Wald test's rounding-level p = 1), and
     a prediction whose errors the regression fits exactly with a nonzero
-    slope (a zero covariance, so R V R' is singular).  That forecaster is the
+    slope (a zero covariance, so V is singular).  That forecaster is the
     widest of its stack, so it is fitted without padding and its exact zero
     residuals do not depend on the stacking.
     """
@@ -133,7 +133,7 @@ def worlds(draw):
 
     actual_values = {release: rng.normal(1.0, 1.0, span) for release in ReleaseKind}
     actuals = {
-        release: actuals_from({**with_gaps(values), **dict(zip(block, 2.0 * block_prediction))}, release)
+        release: series_from({**with_gaps(values), **dict(zip(block, 2.0 * block_prediction))})
         for release, values in actual_values.items()
     }
     spf_median = {**with_gaps(rng.normal(1.0, 1.0, span)), **dict(zip(block, rng.normal(1.0, 1.0, BLOCK)))}
@@ -193,7 +193,7 @@ def test_stacked_battery_matches_per_forecaster_loop(world):
             "efficiency: design column 1 is linearly dependent on earlier columns")
         assert hand_made[name].alpha_hat is None
     assert (hand_made["exact"].p_unbiased, hand_made["exact"].p_efficient) == (1.0, 1.0)
-    assert hand_made["singular"].note.startswith("unbiasedness: R V R' is singular")
+    assert hand_made["singular"].note.startswith("unbiasedness: V is singular")
     assert hand_made["singular"].p_unbiased is None
     assert math.isclose(hand_made["singular"].beta_hat, 1.0)
 
@@ -207,7 +207,7 @@ def test_missing_predictions_count_against_the_sample_not_the_stack():
     values = {"full": actual + rng.normal(0.0, 0.5, 16), "gappy": np.where(np.arange(16) % 2, np.nan, actual)}
     panel = ForecastPanel.from_rows(rec(name, q, float(v), R1) for name, vs in values.items() for q, v in zip(quarters, vs))
     spf, ar = (series_from(dict(zip(quarters, rng.normal(1.0, 1.0, 16)))) for _ in range(2))
-    battery = battery_individual(panel, {R1: actuals_from(dict(zip(quarters, actual)))}, SpfNowcasts(spf, spf),
+    battery = battery_individual(panel, {R1: series_from(dict(zip(quarters, actual)))}, SpfNowcasts(spf, spf),
                                  {R1: ar}, {R1: participation_share(panel, R1)})
     detail = {d.economist_id: d for d in battery.details}
     assert detail["gappy"].nobs == 16

@@ -4,7 +4,9 @@ A byte that is not UTF-8 is reported with the line that holds it, in each of
 the three inputs.  A seeded fuzz mutates the golden inputs: each mutated file
 either loads or raises IngestionError with one line that names it, a UTF-8
 file gets the row parser's result, and ``report`` on it exits 1 with that
-line.  A source is read once, so a pipe reads as its file does.
+line.  A hypothesis fuzz checks the same property of a load with the same
+mutations, so that a failing input shrinks.  A source is read once, so a
+pipe reads as its file does.
 """
 import io
 import random
@@ -15,6 +17,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import reference_reader as reference
 from judgebench import panel
@@ -125,6 +129,20 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
     return data
 
 
+def checked_outcome(what: str, path: Path, trial=None) -> tuple:
+    """The loader's outcome on one file: the row parser's on UTF-8, and any error one line that names the file."""
+    got = outcome(LOADERS[what], path)
+    try:
+        path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:  # reported first, wherever another fault is
+        assert got[0] == "error" and "not UTF-8" in got[1], (trial, got)
+    else:
+        assert got == outcome(reference.LOADERS[what], path), trial
+    if got[0] == "error":
+        assert got[1].startswith(str(path)) and "\n" not in got[1], (trial, got)
+    return got
+
+
 def test_seeded_ingest_fuzz_never_escapes_as_a_traceback(tmp_path, capsys):
     rng = random.Random(20261019)
     paths = copy_inputs(tmp_path)
@@ -133,16 +151,8 @@ def test_seeded_ingest_fuzz_never_escapes_as_a_traceback(tmp_path, capsys):
     for trial in range(300):
         what = rng.choice(sorted(LOADERS))
         paths[what].write_bytes(mutate(golden[what], rng))
-        got = outcome(LOADERS[what], paths[what])
-        try:
-            paths[what].read_text(encoding="utf-8")
-        except UnicodeDecodeError:  # reported first, wherever another fault is
-            assert got[0] == "error" and "not UTF-8" in got[1], (trial, got)
-        else:
-            assert got == outcome(reference.LOADERS[what], paths[what]), trial
-        kind, message = got
+        kind, message = checked_outcome(what, paths[what], trial)
         if kind == "error":
-            assert message.startswith(str(paths[what])) and "\n" not in message, (trial, message)
             rejected += 1
             if rejected <= 60:  # report reads every input first, so it stops at this one
                 assert report(paths, tmp_path / "out") == 1, trial
@@ -152,6 +162,19 @@ def test_seeded_ingest_fuzz_never_escapes_as_a_traceback(tmp_path, capsys):
             loaded += 1
         paths[what].write_bytes(golden[what])
     assert loaded and rejected
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(what=st.sampled_from(sorted(LOADERS)), rng=st.randoms(note_method_calls=True, use_true_random=False))
+def test_ingest_fuzz_shrinks_to_a_minimal_failing_file(what, rng, fuzz_dir):
+    path = fuzz_dir / f"{what}.csv"
+    path.write_bytes(mutate((GOLDEN_INPUTS / path.name).read_bytes(), rng))
+    checked_outcome(what, path)
 
 
 class _Pipe(io.RawIOBase):

@@ -13,7 +13,7 @@ from judgebench.judgment import (
 from judgebench.panel import ForecastPanel, participation_share
 from judgebench.quarters import ReleaseKind
 
-from conftest import actuals_from, judgment, panel_from_values, q, rec, series_from
+from conftest import judgment, panel_from_values, q, rec, series_from
 
 R1 = ReleaseKind.FIRST
 
@@ -164,33 +164,33 @@ class TestBaselineHitStats:
     def _base(self, values):
         from judgebench.judgment import BaselineSeries
 
-        return series_from(values, BaselineSeries, release=R1, method="median")
+        return series_from(values, BaselineSeries, release=R1)
 
     def test_half_correct_half_over(self):
         base = self._base({q(2000, 1): 2.0, q(2000, 2): 3.0})
-        actuals = actuals_from({q(2000, 1): 2.0, q(2000, 2): 2.5})
+        actuals = series_from({q(2000, 1): 2.0, q(2000, 2): 2.5})
         stats = baseline_hit_stats(base, actuals)
         assert (stats.correct, stats.overprediction, stats.underprediction) == (0.5, 0.5, 0.0)
 
     def test_identical_series(self):
         base = self._base({q(2000, 1): 2.0, q(2000, 2): 3.0})
-        actuals = actuals_from({q(2000, 1): 2.0, q(2000, 2): 3.0})
+        actuals = series_from({q(2000, 1): 2.0, q(2000, 2): 3.0})
         assert baseline_hit_stats(base, actuals).correct == 1.0
 
     def test_uniform_overprediction(self):
         base = self._base({q(2000, 1): 2.2, q(2000, 2): 3.2})
-        actuals = actuals_from({q(2000, 1): 2.0, q(2000, 2): 3.0})
+        actuals = series_from({q(2000, 1): 2.0, q(2000, 2): 3.0})
         assert baseline_hit_stats(base, actuals).overprediction == 1.0
 
     def test_no_overlap_rejected(self):
         base = self._base({q(2000, 1): 2.0})
-        actuals = actuals_from({q(2005, 1): 2.0})
+        actuals = series_from({q(2005, 1): 2.0})
         with pytest.raises(ValueError):
             baseline_hit_stats(base, actuals)
 
     def test_shares_sum_to_one(self):
         base = self._base({q(2000, 1): 2.0, q(2000, 2): 3.3, q(2000, 3): 1.1})
-        actuals = actuals_from({q(2000, 1): 2.0, q(2000, 2): 3.0, q(2000, 3): 1.5})
+        actuals = series_from({q(2000, 1): 2.0, q(2000, 2): 3.0, q(2000, 3): 1.5})
         stats = baseline_hit_stats(base, actuals)
         assert stats.correct + stats.overprediction + stats.underprediction == pytest.approx(1.0)
 
@@ -202,3 +202,19 @@ class TestGridRound:
 
     def test_zero_grid_is_identity(self):
         assert grid_round(3.04159, 0.0) == 3.04159
+
+    # x -> the grid units k of its rounded value k * 0.1.  The quotient x / 0.1 is
+    # rounded half to even as a float: 0.15 / 0.1 and 0.95 / 0.1 fall just below
+    # their halves, the others land on them.
+    HALF_GRID = {0.05: 0, 0.15: 1, 0.25: 2, 0.35: 3, 0.45: 4, 0.55: 6, 0.65: 6, 0.75: 8, 0.85: 8, 0.95: 9}
+
+    @pytest.mark.parametrize("x,units", HALF_GRID.items())
+    def test_half_grid_values_round_half_to_even_on_the_float_quotient(self, x, units):
+        assert grid_round(x, 0.1) == units * 0.1
+        assert grid_round(-x, 0.1) == -units * 0.1
+
+    def test_half_grid_median_is_neutral_with_the_forecast_it_rounds_to(self):
+        # The median of 0.2 and 0.3 is 0.25, which rounds to 0.2.
+        panel = panel_from_values({q(2000, 1): [0.2, 0.3]})
+        jp = extract_judgments(panel, baseline(panel, R1))
+        assert [judgment(jp, econ, q(2000, 1)).neutral for econ in ("E0", "E1")] == [True, False]

@@ -26,7 +26,7 @@ from judgebench.panel import SpfNowcasts, participation_share
 from judgebench.panelreg import t_test_p_value
 from judgebench.quarters import ReleaseKind
 
-from conftest import actuals_from, aligned, panel_from_values, present, q, series_from, within_tail_bound
+from conftest import aligned, panel_from_values, present, q, series_from, within_tail_bound
 
 R1 = ReleaseKind.FIRST
 
@@ -319,7 +319,7 @@ class TestDistributionFunctions:
 
 
 def _series(values, start=q(2000, 1)):
-    return actuals_from({start + i: float(v) for i, v in enumerate(values)})
+    return series_from({start + i: float(v) for i, v in enumerate(values)})
 
 
 class TestEfficiencyRegression:
@@ -365,7 +365,7 @@ class TestBatteries:
         start = q(2000, 1)
         y = rng.normal(1.0, 1.0, size=T)
         quarters = [start + i for i in range(T)]
-        actuals = {k: actuals_from(dict(zip(quarters, y)), k) for k in ReleaseKind}
+        actuals = {k: series_from(dict(zip(quarters, y))) for k in ReleaseKind}
         # Every forecaster reports the actual exactly: judgment-free rational panel.
         values = {quarter: [v, v, v] for quarter, v in zip(quarters, y)}
         panel_records = []

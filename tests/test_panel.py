@@ -22,7 +22,7 @@ from judgebench.panel import (
 from judgebench.panelreg import build_persistence_dataset
 from judgebench.quarters import ReleaseKind, quarter_label
 
-from conftest import actuals_from, q, rec, record, rows_of
+from conftest import q, rec, record, rows_of, series_from
 
 GOLDEN_FORECASTS = Path(__file__).resolve().parent / "golden" / "inputs" / "forecasts.csv"
 COLUMNS = ("economist", "quarter", "release", "value", "report_date")
@@ -227,7 +227,7 @@ class TestCanonicalOrder:
         ordered = ForecastPanel.from_rows(
             [rec("E1", q(2000, 1), 1.0), rec("E1", q(2000, 2), 2.0), rec("E2", q(2000, 1), 3.0)])
         base = baseline(ordered, ReleaseKind.FIRST)
-        actuals = actuals_from({q(2000, 1): 1.0, q(2000, 2): 2.0})
+        actuals = series_from({q(2000, 1): 1.0, q(2000, 2): 2.0})
         run = {
             "baseline": lambda panel: baseline(panel, ReleaseKind.FIRST),
             "extract_judgments": lambda panel: extract_judgments(panel, base),

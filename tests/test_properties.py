@@ -28,7 +28,7 @@ from judgebench.quarters import ReleaseKind, quarter_label
 from judgebench.tails import t_sf
 
 import reference_reader as reference
-from conftest import Obs, actuals_from, dataset, present, q, rec, rows_of, series_from
+from conftest import Obs, dataset, present, q, rec, rows_of, series_from
 from reference_reader import outcome
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -165,9 +165,9 @@ def test_fill_missing_equals_the_quarter_loop(drawn):
         expected = fill_by_loop(points)
     except IngestionError:
         with pytest.raises(IngestionError, match="interior gap"):
-            fill_missing(actuals_from(points))
+            fill_missing(series_from(points))
         return
-    assert present(fill_missing(actuals_from(points))) == expected
+    assert present(fill_missing(series_from(points))) == expected
 
 
 grid_values = st.integers(-30, 30).map(lambda k: k / 20)  # on and between 0.1 grid points
@@ -179,9 +179,8 @@ grid_values = st.integers(-30, 30).map(lambda k: k / 20)  # on and between 0.1 g
        grid=st.sampled_from([0.0, 0.1, 0.25]))
 def test_baseline_hit_stats_equal_the_isclose_loop(base, actual, grid):
     common = sorted(set(base) & set(actual))
-    series = series_from({START + t: v for t, v in base.items()}, BaselineSeries,
-                         release=ReleaseKind.FIRST, method="median")
-    actuals = actuals_from({START + t: v for t, v in actual.items()})
+    series = series_from({START + t: v for t, v in base.items()}, BaselineSeries, release=ReleaseKind.FIRST)
+    actuals = series_from({START + t: v for t, v in actual.items()})
     if not common:
         with pytest.raises(ValueError):
             baseline_hit_stats(series, actuals, grid)
@@ -518,7 +517,7 @@ stat_values = st.one_of(values, st.integers(-8, 8).map(lambda k: k / 4))  # grid
 def test_quarter_stats_equal_the_quarter_loop(cells, actual):
     # Quarters with 1 to 8 forecasts (n < 3 and n < 4 included), some with equal values, some with no actual.
     panel = ForecastPanel.from_rows(rec(f"E{e}", START + t, v) for (e, t), v in cells.items())
-    actuals = actuals_from({START + t: v for t, v in actual.items()} or {START + 9: 0.0})
+    actuals = series_from({START + t: v for t, v in actual.items()} or {START + 9: 0.0})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert quarter_stats(panel, actuals, ReleaseKind.FIRST) == quarter_stats_by_loop(
@@ -572,9 +571,8 @@ def test_accuracy_table_equals_the_forecaster_loop(cells, base, actual):
     # accuracy_table takes the release's p-values in one tail call and the loop one per
     # forecaster, so == also checks that batching changes no bit.
     panel = ForecastPanel.from_rows(rec(f"E{e}", START + t, v) for (e, t), v in cells.items())
-    series = series_from({START + t: v for t, v in base.items()}, BaselineSeries,
-                         release=ReleaseKind.FIRST, method="median")
-    actuals = actuals_from({START + t: v for t, v in actual.items()})
+    series = series_from({START + t: v for t, v in base.items()}, BaselineSeries, release=ReleaseKind.FIRST)
+    actuals = series_from({START + t: v for t, v in actual.items()})
     assert accuracy_table(panel, series, actuals) == accuracy_by_loop(panel, series, actuals)
 
 
