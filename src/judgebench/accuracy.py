@@ -2,7 +2,9 @@
 
 Paired RMSEs on common quarters, the one-step Diebold-Mariano equal-accuracy
 statistic with squared-error loss, the Harvey-Leybourne-Newbold small-sample
-correction, and beat-the-baseline shares per participation threshold.
+correction, and beat-the-baseline shares per participation threshold.  The
+HLN p-value is ``tails.t_test_p_value`` of the statistic against null 0 with
+SE 1 and T - 1 degrees of freedom.
 """
 from __future__ import annotations
 
@@ -11,11 +13,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .descriptive import rmse
 from .errors import EstimationError
 from .judgment import BaselineSeries, passes_threshold
 from .panel import ForecastPanel, QuarterSeries, economist_runs
 from .quarters import ReleaseKind
-from .tails import t_sf
+from .tails import t_test_p_value
 
 
 class AccuracyComparison(NamedTuple):
@@ -40,14 +43,10 @@ def _paired_errors(
     return forecast[common] - actual[common], baseline[common] - actual[common]
 
 
-def _rmse(errors: np.ndarray) -> float:
-    return math.sqrt(float(np.mean(errors**2)))
-
-
 def paired_rmse(forecast: np.ndarray, baseline: np.ndarray, actual: np.ndarray) -> tuple[float, float, int]:
     """RMSEs of forecaster and baseline over exactly their common quarters (aligned arrays, NaN: absent)."""
     e_self, e_base = _paired_errors(forecast, baseline, actual)
-    return _rmse(e_self), _rmse(e_base), e_self.size
+    return rmse(e_self), rmse(e_base), e_self.size
 
 
 def dm_test(d: Sequence[float]) -> float:
@@ -70,15 +69,10 @@ def _hln_statistic(dm: float, nobs: int) -> float:
     return dm * math.sqrt((nobs - 1) / nobs)
 
 
-def hln_p_value(statistic, nobs):
-    """Two-sided t(T-1) p-values of HLN statistics; arrays broadcast."""
-    return 2.0 * t_sf(np.abs(statistic), np.asarray(nobs) - 1)
-
-
 def hln_correction(dm: float, nobs: int) -> tuple[float, float]:
     """One-step Harvey-Leybourne-Newbold corrected statistic and two-sided t(T-1) p-value."""
     statistic = _hln_statistic(dm, nobs)
-    return statistic, float(hln_p_value(statistic, nobs))
+    return statistic, float(t_test_p_value(statistic, 0.0, 1.0, nobs - 1))
 
 
 def _comparison(
@@ -99,15 +93,15 @@ def _comparison(
     except EstimationError as exc:
         note = str(exc)
     return AccuracyComparison(
-        economist_id, release, e_self.size, _rmse(e_self), _rmse(e_base), dm, hln, None, note
+        economist_id, release, e_self.size, rmse(e_self), rmse(e_base), dm, hln, None, note
     )
 
 
 def _with_p_values(comparisons: list[AccuracyComparison]) -> list[AccuracyComparison]:
     """Fill in every HLN p-value with one tail evaluation."""
     tested = [i for i, c in enumerate(comparisons) if c.hln_statistic is not None]
-    p_values = hln_p_value([comparisons[i].hln_statistic for i in tested],
-                           [comparisons[i].n_common for i in tested])
+    p_values = t_test_p_value([comparisons[i].hln_statistic for i in tested], 0.0, 1.0,
+                              [comparisons[i].n_common - 1 for i in tested])
     out = list(comparisons)
     for i, p in zip(tested, p_values.tolist()):
         out[i] = out[i]._replace(p_value_hln=p)

@@ -148,6 +148,8 @@ def recursive_ar_forecast(
     out = ARForecasts(start=first, values=np.full(size, np.nan), p_used=np.full(size, -1, dtype=np.int64))
     if not ordered.size:
         return out
+    if not present.size:
+        raise EstimationError("series is empty: no quarter has a value")
     start = int(present[0])
     sizes = ordered - start  # observations strictly before each target
     if sizes[0] < need:

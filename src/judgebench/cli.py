@@ -105,8 +105,7 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
     def synth_config(self) -> SynthConfig:
-        shared = SynthConfig.__annotations__.keys() & RunConfig.__annotations__.keys()
-        return SynthConfig(**{name: getattr(self, name) for name in shared})
+        return SynthConfig(**{name: getattr(self, name) for name in SynthConfig.__annotations__})
 
 
 FLAGS = {name: "--" + name.replace("_", "-") for name in RunConfig.__annotations__} | {

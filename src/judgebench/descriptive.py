@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .panel import ForecastPanel, QuarterSeries, block_sums
+from .panel import ForecastPanel, QuarterSeries, block_sums, group_cells
 from .quarters import ReleaseKind, quarter_label
 
 
@@ -58,7 +58,8 @@ def quarter_stats(
 
     Quarters with forecasts but no published actual are excluded with a warning.
     """
-    quarters, values, bounds = panel.for_release(release).quarter_cells()
+    rows = panel.for_release(release)
+    quarters, values, bounds = group_cells(rows.quarter, rows.value)
     sizes, actual = np.diff(bounds), actuals.at(quarters)
     squared_error = (values - np.repeat(actual, sizes)) ** 2
     rmse = np.sqrt(block_sums(squared_error, bounds[:-1], bounds[1:]) / sizes)
@@ -71,6 +72,11 @@ def quarter_stats(
             continue
         out.append(QuarterStats(index, n, error, *moments))
     return out
+
+
+def rmse(errors: np.ndarray) -> float:
+    """Root mean square of the errors."""
+    return math.sqrt(float(np.mean(errors**2)))
 
 
 def armse(stats: Sequence[QuarterStats]) -> float:

@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .panel import ForecastPanel, QuarterSeries, cell_medians
+from .panel import ForecastPanel, QuarterSeries, cell_medians, group_cells
 from .quarters import ReleaseKind, quarter_label
 
 DEFAULT_GRID = 0.1
@@ -70,7 +70,7 @@ def baseline(panel: ForecastPanel, release: ReleaseKind, method: str = "median")
     if method == "median":
         quarters, values = cell_medians(rows.quarter, rows.value)
     else:
-        quarters, cells, bounds = rows.quarter_cells()
+        quarters, cells, bounds = group_cells(rows.quarter, rows.value)
         values = [math.fsum(cells[lo:hi]) / (hi - lo) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
     return BaselineSeries.from_points(quarters, values, release=release)
 

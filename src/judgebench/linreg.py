@@ -14,6 +14,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .descriptive import rmse
 from .errors import EstimationError, RankDeficiencyError
 from .judgment import BaselineSeries, passes_threshold
 from .panel import ForecastPanel, QuarterSeries, SpfNowcasts, distinct, economist_runs
@@ -193,8 +194,7 @@ def prediction_rmse(prediction: np.ndarray, actual: np.ndarray) -> float:
     both = ~np.isnan(prediction) & ~np.isnan(actual)
     if not both.any():
         raise EstimationError("prediction and actuals share no quarters")
-    errs = actual[both] - prediction[both]
-    return math.sqrt(float(np.mean(errs**2)))
+    return rmse(actual[both] - prediction[both])
 
 
 def test_battery_aggregate(

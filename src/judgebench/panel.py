@@ -22,6 +22,7 @@ import functools
 import io
 import itertools
 import math
+import re
 from datetime import date
 from enum import Enum
 from pathlib import Path
@@ -36,6 +37,7 @@ ACTUALS_HEADER = ["quarter", "release", "value"]
 FORECASTS_HEADER = ["quarter", "release", "economist_id", "firm_id", "value", "report_date"]
 SPF_HEADER = ["quarter", "median", "mean"]
 CHUNK_LINES = 2048  # lines the CSV reader decodes, and rows it codes, at a time
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class QuarterSeries:
@@ -102,27 +104,36 @@ def cell_key(economist: np.ndarray, quarter: np.ndarray) -> np.ndarray:
     return economist.astype(np.int64) * (1 << 32) + quarter
 
 
+def group_cells(key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct keys in ascending order, the values ordered by key, and the cell bounds.
+
+    Key ``keys[i]`` has the values ``values[bounds[i]:bounds[i + 1]]``, in row order, since the sort is stable.
+    """
+    order = np.argsort(key, kind="stable")
+    grouped = key[order]
+    first = np.ones(grouped.size, dtype=bool)
+    first[1:] = grouped[1:] != grouped[:-1]
+    start = np.flatnonzero(first)
+    return grouped[start], value[order], np.append(start, grouped.size)
+
+
 def cell_medians(key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys in ascending order and the median value of each.
 
     An even count takes the midpoint of the two middle values, as
-    ``statistics.median`` does.  One stable sort groups the rows by key, and
+    ``statistics.median`` does.  ``group_cells`` groups the rows by key, and
     each cell of two or more rows is then sorted in place, stably, so the
     work and memory stay O(rows) however skewed the cells are.  Equal values
     keep their row order, so in a canonical panel which of 0.0 and -0.0 is
     the median does not depend on row order; NaN sorts last.
     """
-    order = np.argsort(key, kind="stable")
-    grouped, ranked = key[order], value[order]
-    first = np.ones(grouped.size, dtype=bool)
-    first[1:] = grouped[1:] != grouped[:-1]
-    start = np.flatnonzero(first)
-    count = np.diff(np.append(start, grouped.size))
+    keys, ranked, bounds = group_cells(key, value)
+    start, count = bounds[:-1], np.diff(bounds)
     several = count > 1
     for lo, n in zip(start[several].tolist(), count[several].tolist()):
         ranked[lo:lo + n].sort(kind="stable")
     low, high = ranked[start + (count - 1) // 2], ranked[start + count // 2]
-    return grouped[start], np.where(count % 2 == 1, low, (low + high) / 2)
+    return keys, np.where(count % 2 == 1, low, (low + high) / 2)
 
 
 def block_sums(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -199,16 +210,6 @@ class ForecastPanel:
         rows = ForecastPanel(self.economist_ids, *(getattr(self, c)[lo:hi] for c in _COLUMNS))
         rows.__dict__["_canonical"] = True  # a slice of a canonical panel is canonical
         return rows
-
-    def quarter_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct quarters in ascending order, the values ordered by quarter, and cell bounds.
-
-        Quarter ``quarters[i]`` has the values ``values[bounds[i]:bounds[i + 1]]``.  The sort is stable, so in
-        a release of a canonical panel each cell is in economist order and its sums do not depend on row order.
-        """
-        order = np.argsort(self.quarter, kind="stable")
-        quarters, start = np.unique(self.quarter[order], return_index=True)
-        return quarters, self.value[order], np.append(start, order.size)
 
 
 class CleaningAction(str, Enum):
@@ -380,8 +381,12 @@ def _parse_value(token: str) -> float:
 
 
 def _parse_date(token: str) -> date | None:
+    """A ``YYYY-MM-DD`` date, None for a blank token; Python 3.11 would also read ``20050701``, but 3.10 not."""
+    text = token.strip()
     try:
-        return date.fromisoformat(token.strip()) if token.strip() else None
+        if text and not _ISO_DATE.fullmatch(text):
+            raise ValueError
+        return date.fromisoformat(text) if text else None
     except ValueError:
         raise ValueError(f"invalid report_date {token!r}") from None
 

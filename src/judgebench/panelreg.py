@@ -19,7 +19,7 @@ from .judgment import JudgmentPanel
 from .linreg import inverse_gram, ols
 from .panel import cell_key, economist_runs
 from .quarters import ReleaseKind
-from .tails import t_sf
+from .tails import t_test_p_value
 
 SPECS = ("pooled", "fe", "fe_te")
 REGRESSOR_KINDS = ("own_lag", "prior_release")
@@ -256,20 +256,6 @@ class PersistenceReport:
 
     def for_release(self, release: ReleaseKind) -> list[PersistenceCell]:
         return [c for c in self.cells if c.release == release]
-
-
-def t_test_p_value(estimate, null, se, df):
-    """The two-sided p-value of the t test of ``estimate`` = ``null`` with ``df`` degrees of freedom.
-
-    Takes arrays (or scalars) and works element by element, so a batched call
-    gives the same bits as one call per element.  A zero SE (an exact fit, or
-    cluster scores that cancel) leaves no sampling variation to test against:
-    p = 1 where the estimate equals the null, and 0 elsewhere.
-    """
-    estimate, null, se = (np.asarray(x, dtype=float) for x in (estimate, null, se))
-    tested = se > 0
-    p = 2.0 * t_sf(np.abs(estimate - null) / np.where(tested, se, 1.0), df)
-    return np.where(tested, p, np.where(estimate == null, 1.0, 0.0))[()]
 
 
 def persistence_battery(judgments: Mapping[ReleaseKind, JudgmentPanel]) -> PersistenceReport:

@@ -18,10 +18,14 @@ import numpy as np
 from .errors import EstimationError
 from .judgment import DEFAULT_GRID, baseline, extract_judgments, grid_round
 from .panel import ForecastPanel, QuarterSeries, SpfNowcasts, factorize
-from .panelreg import build_persistence_dataset, fe_estimate, t_test_p_value
+from .panelreg import build_persistence_dataset, fe_estimate
 from .quarters import ReleaseKind, parse_quarter
+from .tails import t_test_p_value
 
 BLOCK_CELLS = 200_000  # simulated cells (replications x economists x quarters x 3) per recovery block
+START = parse_quarter("2000Q1")  # the first quarter's index
+# Actual output growth, an AR(1) with noisy release revisions, and the latent common baseline = actual + noise.
+ACTUAL_INTERCEPT, ACTUAL_AR, ACTUAL_SD, REVISION_SD, BASELINE_NOISE_SD = 0.5, 0.3, 2.0, 0.3, 0.1
 
 
 class SynthConfig:
@@ -29,15 +33,7 @@ class SynthConfig:
 
     n_forecasters: int = 50
     n_quarters: int = 92
-    start: int = parse_quarter("2000Q1")  # the first quarter's index
     seed: int = 12345
-    # Actual output growth: AR(1) with noisy release revisions.
-    actual_intercept: float = 0.5
-    actual_ar: float = 0.3
-    actual_sd: float = 2.0
-    revision_sd: float = 0.3
-    # Latent common baseline = actual + common noise.
-    baseline_noise_sd: float = 0.1
     # Judgment law: j = rho_i * lag(j) + kappa * prior-release j + innovation.
     rho_own: float = 0.1
     rho_own_sd: float = 0.0  # persistence heterogeneity across forecasters
@@ -57,7 +53,7 @@ class SynthConfig:
                 raise ValueError(f"{name} must be at least {least}")
         if abs(self.rho_own) >= 1:
             raise ValueError("own-lag persistence must satisfy |rho| < 1")
-        for name in ("actual_sd", "revision_sd", "baseline_noise_sd", "judgment_sd", "rho_own_sd"):
+        for name in ("judgment_sd", "rho_own_sd"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if not 0 <= self.p_neutral <= 1:
@@ -136,18 +132,18 @@ def _simulate_block(config: SynthConfig, seeds: Sequence[int], releases: int = 3
     neutral = np.empty((releases, t, size, n), dtype=bool) if config.p_neutral > 0 else None
     mask = np.empty((size, n, t), dtype=bool)
     burn = 50
-    level = config.actual_intercept / (1.0 - config.actual_ar)
+    level = ACTUAL_INTERCEPT / (1.0 - ACTUAL_AR)
     for s, seed in enumerate(seeds):
         # Actual process with burn-in, then revision chains.
-        eps = _rng(seed, 0).normal(0.0, config.actual_sd, size=t + burn).tolist()
+        eps = _rng(seed, 0).normal(0.0, ACTUAL_SD, size=t + burn).tolist()
         path = [level + eps[0]]
         for e in eps[1:]:
-            path.append(config.actual_intercept + config.actual_ar * path[-1] + e)
+            path.append(ACTUAL_INTERCEPT + ACTUAL_AR * path[-1] + e)
         actuals[s, 0] = path[burn:]
         rng_rev = _rng(seed, 1)
-        actuals[s, 1] = actuals[s, 0] + rng_rev.normal(0.0, config.revision_sd, size=t)
-        actuals[s, 2] = actuals[s, 1] + rng_rev.normal(0.0, config.revision_sd, size=t)
-        baselines[s] = actuals[s] + _rng(seed, 2).normal(0.0, config.baseline_noise_sd, size=(3, t))
+        actuals[s, 1] = actuals[s, 0] + rng_rev.normal(0.0, REVISION_SD, size=t)
+        actuals[s, 2] = actuals[s, 1] + rng_rev.normal(0.0, REVISION_SD, size=t)
+        baselines[s] = actuals[s] + _rng(seed, 2).normal(0.0, BASELINE_NOISE_SD, size=(3, t))
 
         rng_judg = _rng(seed, 3)
         if config.rho_own_sd > 0:
@@ -186,7 +182,7 @@ def _panel(config: SynthConfig, block: _Block, s: int, ids: _Ids) -> ForecastPan
     return ForecastPanel(
         ids.economist_ids,
         np.tile(np.repeat(ids.economist[order], rows), releases),
-        np.tile(np.broadcast_to(config.start + np.arange(config.n_quarters), mask.shape)[mask], releases),
+        np.tile(np.broadcast_to(START + np.arange(config.n_quarters), mask.shape)[mask], releases),
         np.repeat(np.arange(1, releases + 1, dtype=np.int64), forecasts.shape[1]),
         forecasts.ravel(),
         np.full(forecasts.size, -1, dtype=np.int64),
@@ -202,11 +198,10 @@ def simulate_world(config: SynthConfig) -> SynthWorld:
     rng_spf = _rng(config.seed, 6)
     spf_median = actuals[0] + rng_spf.normal(0.0, 0.5, size=t)
     spf_mean = spf_median + rng_spf.normal(0.0, 0.1, size=t)
-    start = config.start
-    spf = SpfNowcasts(QuarterSeries(start, spf_median), QuarterSeries(start, spf_mean))
-    actual_series = {ReleaseKind(k + 1): QuarterSeries(start, actuals[k]) for k in range(3)}
+    spf = SpfNowcasts(QuarterSeries(START, spf_median), QuarterSeries(START, spf_mean))
+    actual_series = {ReleaseKind(k + 1): QuarterSeries(START, actuals[k]) for k in range(3)}
     judgments = np.ascontiguousarray(block.judgments[:, :, 0].transpose(2, 1, 0))  # (N, T, 3)
-    truth = SynthTruth(start + np.arange(t), ids.economists, actuals, block.baselines[0], judgments, block.rho_i[0])
+    truth = SynthTruth(START + np.arange(t), ids.economists, actuals, block.baselines[0], judgments, block.rho_i[0])
     return SynthWorld(config, actual_series, _panel(config, block, 0, ids), spf, truth)
 
 

@@ -1,11 +1,11 @@
 """Student t and F tail probabilities, in numpy.
 
-Every p-value of the report comes from here: the HLN accuracy test and the
-persistence t tests read ``t_sf``, and the Wald tests ``f_sf``.  The
-recovery experiment's interval check is the t test it inverts, so it reads
-``t_sf`` too.  Both take arrays (or scalars), broadcast them, and work
-element by element, so a batched call gives the same bits as one call per
-element.
+Every p-value of the report comes from here.  ``t_test_p_value`` is the one
+two-sided t test: the HLN test is its case with null 0 and SE 1, and the
+persistence cells and the recovery experiment's interval check test the FE
+slope.  The Wald tests read ``f_sf``.  All three take arrays (or scalars),
+broadcast them, and work element by element, so a batched call gives the
+same bits as one call per element.
 
 Both tails reduce to one regularized incomplete beta, I_x(a, 1/2) with
 a = df/2 and x = 1/(1 + w): for the t tail w = t²/df, and for the F tail
@@ -309,3 +309,14 @@ def f_sf(f, dfn, dfd):
             term = term * y * (a + j + offset) / (j + 1.0 + offset)
         out[valid] = total
     return _shaped(out, shape)
+
+
+def t_test_p_value(estimate, null, se, df):
+    """The two-sided p-value of the t test of ``estimate`` = ``null`` with ``df`` degrees of freedom.
+
+    A zero SE leaves no sampling variation to test against: p = 1 where the estimate equals the null, else 0.
+    """
+    estimate, null, se = (np.asarray(x, dtype=float) for x in (estimate, null, se))
+    tested = se > 0
+    p = 2.0 * t_sf(np.abs(estimate - null) / np.where(tested, se, 1.0), df)
+    return np.where(tested, p, np.where(estimate == null, 1.0, 0.0))[()]

@@ -5,6 +5,7 @@ import pytest
 
 from judgebench.armodel import DEFAULT_MAX_GAP, DEFAULT_MAX_LAG, MIN_PRESAMPLE, fill_missing, recursive_ar_forecast, select_lag
 from judgebench.errors import EstimationError, IngestionError
+from judgebench.panel import QuarterSeries
 from judgebench.quarters import ReleaseKind, quarter_label
 
 from conftest import present, q, series_from
@@ -224,6 +225,12 @@ class TestRecursiveArForecast:
         with pytest.raises(EstimationError, match=f"only {need - 1} observations before target "
                                                   f"{quarter_label(first - 1)}; need {need}"):
             recursive_ar_forecast(s, [first - 1], lag=lag)
+
+    @pytest.mark.parametrize("values", [[], [math.nan] * 20], ids=["empty", "all-nan"])
+    def test_explicit_target_on_a_series_without_values_rejected(self, values):
+        s = QuarterSeries(q(1990, 1), np.array(values, dtype=float))
+        with pytest.raises(EstimationError, match="series is empty"):
+            recursive_ar_forecast(s, [q(1995, 1)], lag=1)
 
     def test_series_without_presample_has_no_default_target(self):
         forecasts = recursive_ar_forecast(series(ar_noise(44, MIN_PRESAMPLE + 1)), lag=1)

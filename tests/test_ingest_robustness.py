@@ -110,6 +110,17 @@ def test_a_byte_order_mark_fails_the_header_check(what, tmp_path, capsys):
     assert err.startswith(f"error: ingestionerror detail={paths[what]}: expected header")
 
 
+@pytest.mark.parametrize("token", ["20050701", "2005-W27-5"])
+def test_a_report_date_not_in_yyyy_mm_dd_form_names_its_line(token, tmp_path):
+    # Python 3.11's date.fromisoformat reads both forms and 3.10's rejects both; ingest rejects them on either.
+    path = tmp_path / "forecasts.csv"
+    path.write_text("quarter,release,economist_id,firm_id,value,report_date\n"
+                    f"2005Q2,1,E1,F1,1.0,2005-07-01\n2005Q2,1,E2,F1,1.5,{token}\n", encoding="utf-8")
+    with pytest.raises(IngestionError) as caught:
+        load_forecasts(path)
+    assert str(caught.value) == f"{path} line 3: invalid report_date '{token}'"
+
+
 TOKENS = [b",", b"\n", b"\r\n", b"\r", b'"', b"nan", b"1e400", b"2001Q5", b"\xff", b"\x00", b"", b"-", b"2020-13-45"]
 
 

@@ -23,8 +23,8 @@ from judgebench.linreg import (
     wald_joint_test,
 )
 from judgebench.panel import SpfNowcasts, participation_share
-from judgebench.panelreg import t_test_p_value
 from judgebench.quarters import ReleaseKind
+from judgebench.tails import t_test_p_value
 
 from conftest import aligned, panel_from_values, present, q, series_from, within_tail_bound
 

@@ -13,10 +13,9 @@ from judgebench.panelreg import (
     fe_estimate,
     persistence_battery,
     significance_stars,
-    t_test_p_value,
 )
 from judgebench.quarters import ReleaseKind
-from judgebench.tails import t_sf
+from judgebench.tails import t_sf, t_test_p_value
 
 from conftest import Obs, dataset, q, rec
 

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import judgebench.syngen as syngen
+from judgebench.cli import RunConfig
 from judgebench.errors import EstimationError
 from judgebench.judgment import baseline, extract_judgments
 from judgebench.panel import _COLUMNS
@@ -39,29 +40,16 @@ def reseeded(config: SynthConfig, seed: int) -> SynthConfig:
 
 
 class TestSimulateWorld:
-    def test_degenerate_world_collapses_to_actual(self):
-        config = SynthConfig(
-            n_forecasters=5,
-            n_quarters=8,
-            actual_sd=0.0,
-            revision_sd=0.0,
-            baseline_noise_sd=0.0,
-            rho_own=0.0,
-            kappa=0.0,
-            judgment_sd=0.0,
-            p_neutral=1.0,
-            grid=0.1,
-            actual_intercept=0.5,
-            actual_ar=0.0,
-        )
+    def test_degenerate_world_collapses_to_baseline(self):
+        config = SynthConfig(n_forecasters=5, n_quarters=8, judgment_sd=0.0, p_neutral=1.0, grid=0.1)
         world = simulate_world(config)
-        # Noise-free: actual is the constant 0.5 everywhere and every forecast matches it.
+        # No judgment: every forecast is its quarter's latent baseline on the grid, and every judgment is neutral.
+        truth = world.truth
         for release in ReleaseKind:
-            actual = world.actuals[release]
             for record in (r for r in rows_of(world.panel) if r.release == release):
-                assert record.value == pytest.approx(actual.at(record.quarter), abs=1e-12)
-        jp = world_judgments(world, R1)
-        assert all(jp.neutral.tolist())
+                t = truth.quarters.tolist().index(record.quarter)
+                assert record.value == pytest.approx(round(truth.baselines[release - 1, t] / 0.1) * 0.1, abs=1e-12)
+            assert all(world_judgments(world, release).neutral.tolist())
 
     def test_determinism(self):
         config = SynthConfig(n_forecasters=10, n_quarters=20, seed=99)
@@ -108,6 +96,11 @@ class TestSimulateWorld:
         share = n_cells / (30 * 40)
         assert 0.3 < share < 0.9
 
+    def test_every_setting_is_a_run_setting(self):
+        # A setting no flag or config key reaches would be one only tests can set.
+        assert len(SynthConfig.__annotations__) == 11
+        assert SynthConfig.__annotations__.keys() <= RunConfig.__annotations__.keys()
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             SynthConfig(rho_own=1.5)
@@ -123,7 +116,6 @@ class TestJudgmentExtraction:
             n_forecasters=50,
             n_quarters=60,
             judgment_sd=0.4,
-            baseline_noise_sd=0.05,
             p_neutral=0.0,
             grid=0.1,
             seed=21,
@@ -235,7 +227,7 @@ class TestBlockPass:
         order = np.lexsort((when, ids.economist[who]))
         latent = block.baselines[0, 0, when] + block.judgments[0, when, 0, who]
         assert np.array_equal(panel.economist, ids.economist[who][order])
-        assert np.array_equal(panel.quarter, config.start + when[order])
+        assert np.array_equal(panel.quarter, syngen.START + when[order])
         assert np.array_equal(panel.value, (np.round(latent / config.grid) * config.grid)[order])
         simulate_world(config).panel.for_release(R1)  # raises unless canonical
 
