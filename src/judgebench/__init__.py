@@ -46,7 +46,6 @@ from .accuracy import (
     beat_baseline_share,
     dm_test,
     hln_correction,
-    paired_rmse,
 )
 from .panelreg import (
     PanelFitResult,

@@ -1,10 +1,10 @@
 """Baseline-relative accuracy comparisons.
 
-Paired RMSEs on common quarters, the one-step Diebold-Mariano equal-accuracy
+RMSEs on common quarters, the one-step Diebold-Mariano equal-accuracy
 statistic with squared-error loss, the Harvey-Leybourne-Newbold small-sample
 correction, and beat-the-baseline shares per participation threshold.  The
 HLN p-value is ``tails.t_test_p_value`` of the statistic against null 0 with
-SE 1 and T - 1 degrees of freedom.
+SE 1 and T - 1 degrees of freedom, all forecasters' in one ``hln_correction``.
 """
 from __future__ import annotations
 
@@ -43,12 +43,6 @@ def _paired_errors(
     return forecast[common] - actual[common], baseline[common] - actual[common]
 
 
-def paired_rmse(forecast: np.ndarray, baseline: np.ndarray, actual: np.ndarray) -> tuple[float, float, int]:
-    """RMSEs of forecaster and baseline over exactly their common quarters (aligned arrays, NaN: absent)."""
-    e_self, e_base = _paired_errors(forecast, baseline, actual)
-    return rmse(e_self), rmse(e_base), e_self.size
-
-
 def dm_test(d: Sequence[float]) -> float:
     """One-step Diebold-Mariano statistic for a loss-differential series.
 
@@ -65,14 +59,14 @@ def dm_test(d: Sequence[float]) -> float:
     return float(d_bar / math.sqrt(variance / nobs))
 
 
-def _hln_statistic(dm: float, nobs: int) -> float:
-    return dm * math.sqrt((nobs - 1) / nobs)
+def hln_correction(dm, nobs):
+    """One-step Harvey-Leybourne-Newbold corrected statistic and two-sided t(T-1) p-value.
 
-
-def hln_correction(dm: float, nobs: int) -> tuple[float, float]:
-    """One-step Harvey-Leybourne-Newbold corrected statistic and two-sided t(T-1) p-value."""
-    statistic = _hln_statistic(dm, nobs)
-    return statistic, float(t_test_p_value(statistic, 0.0, 1.0, nobs - 1))
+    ``dm`` and ``nobs`` are scalars or arrays of one shape; the results have that shape.
+    """
+    dm, nobs = np.asarray(dm, dtype=float), np.asarray(nobs)
+    statistic = (dm * np.sqrt((nobs - 1) / nobs))[()]
+    return statistic, t_test_p_value(statistic, 0.0, 1.0, nobs - 1)
 
 
 def _comparison(
@@ -82,29 +76,28 @@ def _comparison(
     baseline: np.ndarray,
     actual: np.ndarray,
 ) -> AccuracyComparison:
-    """A forecaster's comparison with everything but the HLN p-value."""
+    """A forecaster's comparison without its HLN statistic and p-value."""
     e_self, e_base = _paired_errors(forecast, baseline, actual)
     d = e_self**2 - e_base**2
-    dm = hln = None
+    dm = None
     note = ""
     try:
         dm = dm_test(d)
-        hln = _hln_statistic(dm, e_self.size)
     except EstimationError as exc:
         note = str(exc)
     return AccuracyComparison(
-        economist_id, release, e_self.size, rmse(e_self), rmse(e_base), dm, hln, None, note
+        economist_id, release, e_self.size, rmse(e_self), rmse(e_base), dm, None, None, note
     )
 
 
 def _with_p_values(comparisons: list[AccuracyComparison]) -> list[AccuracyComparison]:
-    """Fill in every HLN p-value with one tail evaluation."""
-    tested = [i for i, c in enumerate(comparisons) if c.hln_statistic is not None]
-    p_values = t_test_p_value([comparisons[i].hln_statistic for i in tested], 0.0, 1.0,
-                              [comparisons[i].n_common - 1 for i in tested])
+    """Fill in every HLN statistic and p-value with one ``hln_correction`` call."""
+    tested = [i for i, c in enumerate(comparisons) if c.dm_statistic is not None]
+    statistics, p_values = hln_correction(np.array([comparisons[i].dm_statistic for i in tested]),
+                                          np.array([comparisons[i].n_common for i in tested], dtype=np.int64))
     out = list(comparisons)
-    for i, p in zip(tested, p_values.tolist()):
-        out[i] = out[i]._replace(p_value_hln=p)
+    for i, hln, p in zip(tested, statistics.tolist(), p_values.tolist()):
+        out[i] = out[i]._replace(hln_statistic=hln, p_value_hln=p)
     return out
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EstimationError, IngestionError
 from .linreg import RegressionFit, ols
-from .panel import QuarterSeries, distinct
+from .panel import QuarterSeries
 from .quarters import quarter_label
 
 DEFAULT_MAX_GAP = 3
@@ -121,41 +121,29 @@ class ARForecasts(QuarterSeries):
         self.p_used = p_used
 
 
-def recursive_ar_forecast(
-    series: QuarterSeries,
-    targets: Sequence[int] | None = None,
-    lag: int | None = 1,
-) -> ARForecasts:
+def recursive_ar_forecast(series: QuarterSeries, lag: int | None = 1) -> ARForecasts:
     """One-step AR forecasts with an expanding estimation window per target.
 
     ``lag`` is the AR order, in 0..``DEFAULT_MAX_LAG``, or None to choose each
-    target's order by SIC.  ``targets`` are quarter indexes.  For each target
-    the model is fit on observations from the first quarter of the series
-    through the quarter before the target; at least ``MIN_PRESAMPLE`` (plus
-    ``lag`` for a fixed order) observations must precede the earliest target.
-    Without ``targets``, every quarter of the series with that many before it
-    is a target.  The targets that share an order are fit as one stack, and a
-    rank-deficient AR(p) fit falls back to AR(p-1), down to the mean at p = 0.
+    target's order by SIC.  The targets are every quarter of the series with
+    at least ``MIN_PRESAMPLE`` (plus ``lag`` for a fixed order) observations
+    before it, through the series' last quarter.  For each target the model
+    is fit on observations from the first quarter of the series through the
+    quarter before the target.  The targets that share an order are fit as
+    one stack, and a rank-deficient AR(p) fit falls back to AR(p-1), down to
+    the mean at p = 0.
     """
     if lag is not None and not 0 <= lag <= DEFAULT_MAX_LAG:
         raise ValueError(f"lag order must be in 0..{DEFAULT_MAX_LAG}, got {lag}")
     present = series.quarters()
     need = MIN_PRESAMPLE + (lag or 0)
-    if targets is None:
-        targets = np.arange(present[0] + need, present[-1] + 1) if present.size else []
-    ordered = distinct(np.asarray(targets, dtype=np.int64))
-    first, size = (int(ordered[0]), int(ordered[-1] + 1 - ordered[0])) if ordered.size else (0, 0)
-    out = ARForecasts(start=first, values=np.full(size, np.nan), p_used=np.full(size, -1, dtype=np.int64))
-    if not ordered.size:
+    start, end = (int(present[0]), int(present[-1]) + 1) if present.size else (0, 0)
+    sizes = np.arange(need, end - start)  # observations strictly before each target
+    out = ARForecasts(start=start + need, values=np.full(sizes.size, np.nan),
+                      p_used=np.full(sizes.size, -1, dtype=np.int64))
+    if not sizes.size:
         return out
-    if not present.size:
-        raise EstimationError("series is empty: no quarter has a value")
-    start = int(present[0])
-    sizes = ordered - start  # observations strictly before each target
-    if sizes[0] < need:
-        raise EstimationError(
-            f"only {sizes[0]} observations before target {quarter_label(first)}; need {need}")
-    full = _contiguous_values(series, start, int(ordered[-1]) - 1)
+    full = _contiguous_values(series, start, end - 2)
     if lag is None:
         # Cap the candidate orders so that whichever is chosen has its presample
         # and every candidate more observations than parameters.
@@ -174,6 +162,6 @@ def recursive_ar_forecast(
         orders[rows[deficient]] = p - 1
         rows, coef = rows[~deficient], coef[~deficient]
         x_next = np.concatenate([np.ones((rows.size, 1)), deviations[sizes[rows, None] - np.arange(1, p + 1)]], axis=1)
-        out.values[ordered[rows] - first] = full[0] + np.vecdot(coef, x_next)
-        out.p_used[ordered[rows] - first] = p
+        out.values[rows] = full[0] + np.vecdot(coef, x_next)
+        out.p_used[rows] = p
     return out

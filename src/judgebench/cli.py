@@ -224,6 +224,15 @@ def _require_input(path: str | None, what: str) -> Path:
     return p
 
 
+def _output_dir(path: str) -> Path:
+    """``--out`` as a path; a usage error where it, or the nearest of its parents that exists, is not a directory."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())  # a dangling link too
+    if not existing.is_dir():
+        raise CliError(f"error: out-not-a-directory path={existing}")
+    return out
+
+
 class Study:
     """One run's inputs and everything derived from them, each computed once.
 
@@ -240,7 +249,11 @@ class Study:
 
     def _load(self, what: str, loader):
         digest = hashlib.sha256()
-        loaded = loader(_require_input(getattr(self.cfg, what), what), digest)
+        path = _require_input(getattr(self.cfg, what), what)
+        try:
+            loaded = loader(path, digest)
+        except OSError as exc:  # a directory, or a file that cannot be read
+            raise CliError(f"error: unreadable-input path={path} detail={exc.strerror}") from None
         self.digests[what] = digest.hexdigest()
         return loaded
 
@@ -665,7 +678,7 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = lambda message, *_: print(_one_line(f"warning: {message}"), file=sys.stderr)
         try:
             cfg = config_from_args(args)
-            files = COMMANDS[args.command](Study(cfg), Path(cfg.out))
+            files = COMMANDS[args.command](Study(cfg), _output_dir(cfg.out))
         except CliError as exc:
             print(_one_line(exc), file=sys.stderr)
             return 2

@@ -26,11 +26,12 @@ class QuarterStats(NamedTuple):
 
 
 def _block_moments(values: np.ndarray, bounds: np.ndarray) -> list[tuple[float, float | None, float | None]]:
-    """``cross_section_moments`` of each block ``values[bounds[i]:bounds[i + 1]]``.
+    """Population std dev, skewness (m3/m2^1.5) and excess kurtosis (m4/m2^2 - 3) of each block.
 
-    The deviations and their powers are taken over the whole array at once,
-    and each block's moments are its ``block_sums`` over its size, which are
-    the bits of ``np.mean`` over the block alone.
+    Block i is ``values[bounds[i]:bounds[i + 1]]``.  The deviations and their
+    powers are taken over the whole array at once, and each block's moments
+    are its ``block_sums`` over its size, which are the bits of ``np.mean``
+    over the block alone.
     """
     starts, ends = bounds[:-1], bounds[1:]
     n = ends - starts
@@ -43,12 +44,6 @@ def _block_moments(values: np.ndarray, bounds: np.ndarray) -> list[tuple[float, 
         kurt = m4 / m2**2 - 3.0 if spread and size >= 4 else None
         out.append((math.sqrt(m2), skew, kurt))
     return out
-
-
-def cross_section_moments(values: Sequence[float]) -> tuple[float, float | None, float | None]:
-    """Population std dev, skewness (m3/m2^1.5) and excess kurtosis (m4/m2^2 - 3)."""
-    x = np.asarray(values, dtype=float)
-    return _block_moments(x, np.array([0, x.size]))[0]
 
 
 def quarter_stats(

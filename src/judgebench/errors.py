@@ -20,6 +20,6 @@ class EstimationError(JudgebenchError, ValueError):
 class RankDeficiencyError(EstimationError):
     """Design matrix has linearly dependent columns."""
 
-    def __init__(self, column: int, message: str | None = None):
+    def __init__(self, column: int):
         self.column = column
-        super().__init__(message or f"design column {column} is linearly dependent on earlier columns")
+        super().__init__(f"design column {column} is linearly dependent on earlier columns")

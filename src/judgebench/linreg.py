@@ -100,6 +100,11 @@ def inverse_gram(r: np.ndarray) -> np.ndarray:
     return r_inv @ r_inv.swapaxes(-1, -2)
 
 
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The x with a x = b for a nonsingular square ``a``, so that every linear solve lives in this module."""
+    return np.linalg.solve(a, b)
+
+
 def hac_covariance(fit: RegressionFit, X: np.ndarray, lag: int | Sequence[int]) -> np.ndarray:
     """Newey-West: (T/(T-K)) (X'X)^-1 S (X'X)^-1, S the Bartlett-weighted sum of score autocovariances.
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EstimationError, RankDeficiencyError
 from .judgment import JudgmentPanel
-from .linreg import inverse_gram, ols
+from .linreg import inverse_gram, ols, solve
 from .panel import cell_key, economist_runs
 from .quarters import ReleaseKind
 from .tails import t_test_p_value
@@ -129,18 +129,23 @@ def _partial_quarter_effects(within: np.ndarray, econ: np.ndarray, quarter: np.n
     counts, D the quarter dummies and M_E the economist demeaning, the quarter
     effects of a column v solve (diag(n_t) - C' diag(1/n_g) C) gamma = D' M_E v
     with the first quarter dropped, and the result is M_E v - M_E D gamma.
+    That system is nonsingular exactly when the economist-quarter graph is
+    connected (Abowd, Creecy and Kramarz 2002), which is checked first.
     """
     n_econ, n_quarters = econ.max() + 1, quarter.max() + 1
     counts = np.bincount(econ * n_quarters + quarter, minlength=n_econ * n_quarters).reshape(n_econ, n_quarters)
+    linked = counts > 0
+    reached = linked[0]  # the quarters reachable from economist 0
+    while not reached.all():
+        grown = linked[linked[:, reached].any(axis=1)].any(axis=0)
+        if np.array_equal(grown, reached):
+            raise EstimationError("fe_te: design is rank deficient")
+        reached = grown
     shares = counts / counts.sum(axis=1, keepdims=True)
     system = (np.diag(counts.sum(axis=0)) - counts.T @ shares)[1:, 1:]
     rhs = np.column_stack([np.bincount(quarter, weights=v, minlength=n_quarters)[1:] for v in within.T])
-    eigval, eigvec = np.linalg.eigh(system)
-    # Singular exactly when the economist-quarter graph is disconnected.
-    if eigval.size and eigval[0] <= within.shape[0] * EPS * eigval[-1]:
-        raise EstimationError("fe_te: design is rank deficient")
     gamma = np.zeros((n_quarters, within.shape[1]))
-    gamma[1:] = eigvec @ ((eigvec.T @ rhs) / eigval[:, None])
+    gamma[1:] = solve(system, rhs)
     return within - gamma[quarter] + (shares @ gamma)[econ]
 
 

@@ -151,7 +151,7 @@ def _rational_world_p_value(seed: int) -> float:
     conditional = lag_mean + 0.5 * signal  # optimal weight for equal variances
     prediction = {t: float(np.round(v / grid) * grid) for t, v in zip(targets, conditional)}
     spf = {t: float(v + rng.normal(0, 1.0)) for t, v in zip(targets, lag_mean)}
-    ar = recursive_ar_forecast(series, targets, lag=1)
+    ar = recursive_ar_forecast(series, lag=1)
     actual, pred, spf_column, ar_column = aligned(series, prediction, spf, ar)
     reg = efficiency_regression(actual, pred, [spf_column, ar_column])
     lag = newey_west_auto_lag(reg.fit.nobs)
@@ -286,12 +286,12 @@ def test_ar_forecasts_no_lookahead_and_recovery():
     start = q(1990, 1)
     target = start + 35
     base_series = series_from({start + i: v for i, v in enumerate(values)})
-    base_forecast = recursive_ar_forecast(base_series, [target], lag=1).at(target)
+    base_forecast = recursive_ar_forecast(base_series, lag=1).at(target)
     perturbed = list(values)
     for i in range(35, 50):
         perturbed[i] += 500.0
     pert_series = series_from({start + i: v for i, v in enumerate(perturbed)})
-    lookahead_ok = recursive_ar_forecast(pert_series, [target], lag=1).at(target) == base_forecast
+    lookahead_ok = recursive_ar_forecast(pert_series, lag=1).at(target) == base_forecast
 
     # Noiseless AR(1): y_t = 2 + 0.5 y_{t-1}; forecasts equal the analytic recursion.
     y = [1.0]
@@ -299,7 +299,7 @@ def test_ar_forecasts_no_lookahead_and_recovery():
         y.append(2.0 + 0.5 * y[-1])
     series = series_from({start + i: v for i, v in enumerate(y)})
     targets = [start + i for i in range(25, 41)]
-    forecasts = recursive_ar_forecast(series, targets, lag=1)
+    forecasts = recursive_ar_forecast(series, lag=1)
     recovery_err = float(np.max(np.abs(forecasts.at(targets) - y[25:41])))  # NaN, and a failure, where one is absent
 
     # Lag selection prefers the empty model on white noise.

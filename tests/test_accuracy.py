@@ -3,13 +3,7 @@ import math
 import pytest
 import scipy.stats
 
-from judgebench.accuracy import (
-    accuracy_table,
-    beat_baseline_share,
-    dm_test,
-    hln_correction,
-    paired_rmse,
-)
+from judgebench.accuracy import _comparison, accuracy_table, beat_baseline_share, dm_test, hln_correction
 from judgebench.errors import EstimationError
 from judgebench.judgment import BaselineSeries
 from judgebench.panel import ForecastPanel, participation_share
@@ -18,6 +12,12 @@ from judgebench.quarters import ReleaseKind
 from conftest import aligned, q, rec, series_from
 
 R1 = ReleaseKind.FIRST
+
+
+def paired_rmse(forecast, baseline, actual):
+    """The RMSEs of forecaster and baseline over their common quarters, and the count of them."""
+    comparison = _comparison("E1", R1, forecast, baseline, actual)
+    return comparison.rmse_self, comparison.rmse_baseline, comparison.n_common
 
 
 class TestPairedRmse:

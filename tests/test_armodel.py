@@ -136,7 +136,7 @@ def reference_forecast(values, size, p):
 def test_stacked_forecasts_match_per_target_refits(lag, level):
     values = ar_noise(40, 70, level)
     forecasts = recursive_ar_forecast(series(values), lag=lag)
-    # The default targets: every quarter with its presample before it, through the last.
+    # The targets: every quarter with its presample before it, through the last.
     sizes = np.arange(MIN_PRESAMPLE + (0 if lag is None else lag), values.size)
     assert forecasts.quarter_index().tolist() == (q(1990, 1) + sizes).tolist()
     orders = [reference_order(values[:n], min(DEFAULT_MAX_LAG, n - MIN_PRESAMPLE, (n - 2) // 2))
@@ -159,7 +159,7 @@ class TestRankFallback:
     def test_constant_stretch_and_later_targets_in_one_call(self):
         values = self.values()
         sizes = np.arange(12, values.size)
-        forecasts = recursive_ar_forecast(series(values), q(1990, 1) + sizes, lag=2)
+        forecasts = recursive_ar_forecast(series(values), lag=2)
         inside = sizes <= 20  # every observation before the target is the constant
         assert (forecasts.values[inside] == self.CONSTANT).all()
         # Size 21 sees one varying value, but only as a response; size 22 sees it as a first lag.
@@ -175,8 +175,7 @@ class TestRankFallback:
 class TestRecursiveArForecast:
     def test_constant_series(self):
         s = series([2.5] * 30)
-        targets = [q(1990, 1) + i for i in range(20, 30)]
-        forecasts = recursive_ar_forecast(s, targets, lag=1)
+        forecasts = recursive_ar_forecast(s, lag=1)
         for value in present(forecasts).values():
             assert value == pytest.approx(2.5, abs=1e-8)
 
@@ -186,7 +185,7 @@ class TestRecursiveArForecast:
             y.append(2.0 + 0.5 * y[-1])
         s = series(y)
         targets = [q(1990, 1) + i for i in range(25, 41)]
-        forecasts = recursive_ar_forecast(s, targets, lag=1)
+        forecasts = recursive_ar_forecast(s, lag=1)
         for i, target in enumerate(targets, start=25):
             assert forecasts.at(target) == pytest.approx(y[i], abs=1e-9)
 
@@ -194,53 +193,57 @@ class TestRecursiveArForecast:
         rng = np.random.default_rng(33)
         values = list(rng.normal(size=40))
         target = q(1990, 1) + 30
-        base = recursive_ar_forecast(series(values), [target], lag=1).at(target)
+        base = recursive_ar_forecast(series(values), lag=1).at(target)
         perturbed = list(values)
         for i in range(30, 40):
             perturbed[i] += 100.0
-        after = recursive_ar_forecast(series(perturbed), [target], lag=1).at(target)
+        after = recursive_ar_forecast(series(perturbed), lag=1).at(target)
         assert after == base
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(34)
         values = list(rng.normal(size=40))
         targets = [q(1990, 1) + i for i in (30, 35)]
-        base = recursive_ar_forecast(series(values), targets, lag=1)
+        base = recursive_ar_forecast(series(values), lag=1)
         a, b = 2.0, -3.0
-        mapped = recursive_ar_forecast(series([a * v + b for v in values]), targets, lag=1)
+        mapped = recursive_ar_forecast(series([a * v + b for v in values]), lag=1)
         for target in targets:
             assert mapped.at(target) == pytest.approx(a * base.at(target) + b, abs=1e-8)
-
-    def test_insufficient_presample_names_target(self):
-        s = series([1.0, 2.0, 1.5, 2.5, 1.8])
-        target = q(1990, 1) + 4
-        with pytest.raises(EstimationError, match=quarter_label(target)):
-            recursive_ar_forecast(s, [target], lag=1)
-
-    @pytest.mark.parametrize("lag", [0, 2, None])
-    def test_target_just_before_the_default_ones_rejected(self, lag):
-        s = series(ar_noise(43, 30))
-        first = int(recursive_ar_forecast(s, lag=lag).quarter_index()[0])
-        need = first - q(1990, 1)
-        with pytest.raises(EstimationError, match=f"only {need - 1} observations before target "
-                                                  f"{quarter_label(first - 1)}; need {need}"):
-            recursive_ar_forecast(s, [first - 1], lag=lag)
-
-    @pytest.mark.parametrize("values", [[], [math.nan] * 20], ids=["empty", "all-nan"])
-    def test_explicit_target_on_a_series_without_values_rejected(self, values):
-        s = QuarterSeries(q(1990, 1), np.array(values, dtype=float))
-        with pytest.raises(EstimationError, match="series is empty"):
-            recursive_ar_forecast(s, [q(1995, 1)], lag=1)
 
     def test_series_without_presample_has_no_default_target(self):
         forecasts = recursive_ar_forecast(series(ar_noise(44, MIN_PRESAMPLE + 1)), lag=1)
         assert forecasts.values.size == 0 and forecasts.p_used.size == 0
 
+    @pytest.mark.parametrize("lag", [0, 2, None])
+    def test_first_target_is_the_first_with_its_presample(self, lag):
+        forecasts = recursive_ar_forecast(series(ar_noise(43, 30)), lag=lag)
+        need = MIN_PRESAMPLE + (lag or 0)
+        assert forecasts.quarter_index().tolist() == list(range(q(1990, 1) + need, q(1990, 1) + 30))
+
+    @pytest.mark.parametrize("values", [[], [math.nan] * 20], ids=["empty", "all-nan"])
+    def test_series_without_values_has_no_forecasts(self, values):
+        forecasts = recursive_ar_forecast(QuarterSeries(q(1990, 1), np.array(values, dtype=float)), lag=1)
+        assert forecasts.values.size == 0 and forecasts.p_used.size == 0
+
+    def test_presample_counts_from_the_first_value(self):
+        values = ar_noise(45, 30)
+        leading = QuarterSeries(q(1990, 1), np.concatenate([np.full(5, np.nan), values]))
+        forecasts = recursive_ar_forecast(leading, lag=1)
+        expected = recursive_ar_forecast(series(values, start=q(1990, 1) + 5), lag=1)
+        assert forecasts.quarter_index().tolist() == expected.quarter_index().tolist()
+        assert forecasts.values.tolist() == expected.values.tolist()
+
+    def test_gap_before_a_target_names_the_quarter(self):
+        values = ar_noise(46, 30)
+        values[20] = np.nan
+        with pytest.raises(EstimationError, match=f"gap at {quarter_label(q(1990, 1) + 20)}"):
+            recursive_ar_forecast(QuarterSeries(q(1990, 1), values), lag=1)
+
     def test_reselection_runs(self):
         rng = np.random.default_rng(35)
         s = series(rng.normal(size=60))
-        targets = [q(1990, 1) + i for i in (50, 55)]
-        forecasts = recursive_ar_forecast(s, targets, lag=None)
+        targets = [q(1990, 1) + i for i in range(MIN_PRESAMPLE, 60)]
+        forecasts = recursive_ar_forecast(s, lag=None)
         assert set(present(forecasts)) == set(targets)
 
     def test_reselection_keeps_presample_for_earliest_target(self):
@@ -250,6 +253,6 @@ class TestRecursiveArForecast:
         for _ in range(39):
             values.append(0.9 * values[-1] + rng.normal())
         s = series(values)
-        targets = [q(1990, 1) + i for i in range(10, 40)]
-        forecasts = recursive_ar_forecast(s, targets, lag=None)
+        targets = [q(1990, 1) + i for i in range(MIN_PRESAMPLE, 40)]
+        forecasts = recursive_ar_forecast(s, lag=None)
         assert set(present(forecasts)) == set(targets)

@@ -293,15 +293,20 @@ class TestExitPath:
         (2, ["--forecasts", "missing\r\nb.csv"], "error: missing-input path=missing\\r\\nb.csv"),
         (2, ["--config", "no\nsuch.json"], "error: missing-input path=no\\nsuch.json"),
         (2, ["--config", "dir\nname"], "error: invalid-config path=dir\\nname detail="),
+        (2, ["--forecasts", "dir\nname"], "error: unreadable-input path=dir\\nname detail="),
+        (2, ["--out", "bad.csv"], "error: out-not-a-directory path=bad.csv"),
+        (2, ["--out", "dangling/o"], "error: out-not-a-directory path=dangling"),
     ])
     def test_module_run_errors_are_one_line(self, tmp_path, code, flags, start):
         for name in ("bad.csv", "bad\nname.csv"):
             (tmp_path / name).write_bytes(b"\xffquarter\n")
         (tmp_path / "dir\nname").mkdir()
-        done = subprocess.run([sys.executable, "-m", "judgebench.cli", "describe", "--actuals", "bad.csv", *flags,
-                               "--out", "o"], cwd=tmp_path, env=src_env(), capture_output=True, text=True)
+        (tmp_path / "dangling").symlink_to("no-such-directory")
+        done = subprocess.run([sys.executable, "-m", "judgebench.cli", "describe", "--actuals", "bad.csv",
+                               "--out", "o", *flags], cwd=tmp_path, env=src_env(), capture_output=True, text=True)
         assert (done.returncode, done.stdout) == (code, "")
         assert done.stderr.startswith(start) and done.stderr.count("\n") == 1
+        assert not (tmp_path / "o").exists() and (tmp_path / "bad.csv").read_bytes() == b"\xffquarter\n"
 
     def test_argv_run_freezes_the_collector(self, tmp_path):
         code = ("import gc, sys; from judgebench.cli import main; "

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from judgebench.descriptive import armse, cross_section_moments, quarter_stats
+from judgebench.descriptive import armse, quarter_stats
 from judgebench.quarters import ReleaseKind
 
 from conftest import panel_from_values, q, series_from
@@ -36,10 +36,10 @@ class TestQuarterStats:
     @pytest.mark.parametrize("tiny", [1e-160, 1e-100])
     def test_variance_whose_powers_underflow_is_degenerate(self, tiny):
         # m2 > 0, but m2**2 (and for 1e-160 also m2**1.5) underflows to 0.
-        std_dev, skewness, excess_kurtosis = cross_section_moments([tiny, 0.0, 0.0, 0.0])
-        assert std_dev > 0.0
-        assert skewness is None
-        assert excess_kurtosis is None
+        s = stats_for([tiny, 0.0, 0.0, 0.0], 0.0)
+        assert s.std_dev > 0.0
+        assert s.skewness is None
+        assert s.excess_kurtosis is None
 
     def test_asymmetric_cross_section_brute_force(self):
         # forecasts {0,0,0,4}, actual 1: errors {-1,-1,-1,3}, mean forecast 1,

@@ -39,6 +39,12 @@ def test_ols_is_the_one_least_squares_routine():
         assert path.name == "linreg.py" or "np.linalg.solve" not in text, path.name
 
 
+def test_no_module_calls_eigh():
+    """A linear system is solved, never eigendecomposed: FE+TE checks its rank on the economist-quarter graph."""
+    for path in sorted(Path(judgebench.linreg.__file__).parent.glob("*.py")):
+        assert not re.search(r"\beigh\b", path.read_text(encoding="utf-8")), path.name
+
+
 def test_no_module_imports_scipy():
     """The t and F tails are the package's own; numpy is its only runtime dependency."""
     for path in sorted(Path(judgebench.linreg.__file__).parent.glob("*.py")):

@@ -353,8 +353,15 @@ def two_way_dummy_ols(data):
     return coef[0], se, se_unclustered, r2, n, g, int(np.sum(counts < 2))
 
 
+# Two blocks of quarters, 0-3 and 4-7, that only economist 7's two observations join.
+BRIDGED_BLOCKS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3), (2, 0), (2, 3),
+                  (3, 4), (3, 5), (4, 5), (4, 6), (4, 7), (5, 4), (5, 7), (6, 6), (6, 7), (7, 3), (7, 4)]
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(two_way_panels())
+@example((BRIDGED_BLOCKS, 1))  # connected: it fits and matches the dummy OLS
+@example(([cell for cell in BRIDGED_BLOCKS if cell[0] != 7], 1))  # disconnected: rank deficient
 def test_fe_te_equals_two_way_dummy_ols(drawn):
     cells, seed = drawn
     rng = np.random.default_rng(seed)
