@@ -15,8 +15,8 @@ import numpy as np
 
 from .descriptive import rmse
 from .errors import EstimationError
-from .judgment import BaselineSeries, passes_threshold
-from .panel import ForecastPanel, QuarterSeries, economist_runs
+from .judgment import DEFAULT_THRESHOLDS, BaselineSeries, passes_threshold
+from .panel import ForecastPanel, QuarterSeries, block_sums, economist_runs
 from .quarters import ReleaseKind
 from .tails import t_test_p_value
 
@@ -33,30 +33,26 @@ class AccuracyComparison(NamedTuple):
     note: str = ""
 
 
-def _paired_errors(
-    forecast: np.ndarray, baseline: np.ndarray, actual: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forecaster and baseline errors over the quarters where all three aligned arrays are present."""
-    common = ~np.isnan(forecast) & ~np.isnan(baseline) & ~np.isnan(actual)
-    if not common.any():
-        raise EstimationError("no common quarters for accuracy comparison")
-    return forecast[common] - actual[common], baseline[common] - actual[common]
+def dm_test(d: Sequence[float], bounds: np.ndarray | None = None):
+    """One-step Diebold-Mariano statistic for a loss-differential series, or for each block of it.
 
-
-def dm_test(d: Sequence[float]) -> float:
-    """One-step Diebold-Mariano statistic for a loss-differential series.
-
-    The long-run variance is the population (1/T) lag-0 autocovariance.
+    Block i is ``d[bounds[i]:bounds[i + 1]]``, not empty.  The long-run variance is the population (1/T)
+    lag-0 autocovariance, and a block's mean and variance are ``block_sums`` over its size.  Fewer than
+    2 differentials or zero variance raise EstimationError for a single series and give NaN for a block.
     """
     d = np.asarray(d, dtype=float)
-    nobs = d.size
-    if nobs < 2:
-        raise EstimationError(f"need at least 2 loss differentials, got {nobs}")
-    d_bar = d.mean()
-    variance = float(np.mean((d - d_bar) ** 2))
-    if variance <= 0.0:
+    if bounds is None and d.size < 2:
+        raise EstimationError(f"need at least 2 loss differentials, got {d.size}")
+    blocks = np.array([0, d.size]) if bounds is None else bounds
+    n = np.diff(blocks)
+    mean = block_sums(d, blocks) / n
+    variance = block_sums((d - np.repeat(mean, n)) ** 2, blocks) / n
+    tested = (n >= 2) & ~(variance <= 0.0)
+    if bounds is None and not tested[0]:
         raise EstimationError("degenerate comparison: loss differential has zero variance")
-    return float(d_bar / math.sqrt(variance / nobs))
+    statistic = np.full(n.size, np.nan)
+    statistic[tested] = mean[tested] / np.sqrt(variance[tested] / n[tested])
+    return statistic if bounds is not None else float(statistic[0])
 
 
 def hln_correction(dm, nobs):
@@ -69,62 +65,45 @@ def hln_correction(dm, nobs):
     return statistic, t_test_p_value(statistic, 0.0, 1.0, nobs - 1)
 
 
-def _comparison(
-    economist_id: str,
-    release: ReleaseKind,
-    forecast: np.ndarray,
-    baseline: np.ndarray,
-    actual: np.ndarray,
-) -> AccuracyComparison:
-    """A forecaster's comparison without its HLN statistic and p-value."""
-    e_self, e_base = _paired_errors(forecast, baseline, actual)
-    d = e_self**2 - e_base**2
-    dm = None
-    note = ""
-    try:
-        dm = dm_test(d)
-    except EstimationError as exc:
-        note = str(exc)
-    return AccuracyComparison(
-        economist_id, release, e_self.size, rmse(e_self), rmse(e_base), dm, None, None, note
-    )
-
-
-def _with_p_values(comparisons: list[AccuracyComparison]) -> list[AccuracyComparison]:
-    """Fill in every HLN statistic and p-value with one ``hln_correction`` call."""
-    tested = [i for i, c in enumerate(comparisons) if c.dm_statistic is not None]
-    statistics, p_values = hln_correction(np.array([comparisons[i].dm_statistic for i in tested]),
-                                          np.array([comparisons[i].n_common for i in tested], dtype=np.int64))
-    out = list(comparisons)
-    for i, hln, p in zip(tested, statistics.tolist(), p_values.tolist()):
-        out[i] = out[i]._replace(hln_statistic=hln, p_value_hln=p)
-    return out
-
-
 def accuracy_table(panel: ForecastPanel, base: BaselineSeries, actuals: QuarterSeries) -> list[AccuracyComparison]:
-    """Per-economist accuracy comparisons, in economist-id order.
+    """Per-economist accuracy comparisons over common quarters, in economist-id order.
 
-    The panel must be clean: one row per (economist, quarter, release).  The
-    statistics are taken per forecaster and the p-values in one tail call.
+    The panel must be clean: one row per (economist, quarter, release).  A
+    forecaster with no quarter in common with the baseline and the actuals is
+    left out.  Each statistic is taken once over the release's common rows,
+    economist by economist as blocks, and the p-values in one tail call.
     """
     rows = panel.for_release(base.release)
     codes, bounds = economist_runs(rows.economist)
-    columns = (rows.value, base.at(rows.quarter), actuals.at(rows.quarter))
+    forecast, baseline_values, actual = rows.value, base.at(rows.quarter), actuals.at(rows.quarter)
+    common = ~np.isnan(forecast) & ~np.isnan(baseline_values) & ~np.isnan(actual)
+    kept = np.append(0, np.cumsum(common))[bounds]  # each run's bounds among the common rows
+    overlap = np.diff(kept) > 0
+    codes, bounds = codes[overlap], np.append(kept[:-1][overlap], kept[-1])
+    e_self, e_base = (forecast - actual)[common], (baseline_values - actual)[common]
+    n = np.diff(bounds)
+    dm = dm_test(e_self**2 - e_base**2, bounds)
+    hln, p_value = hln_correction(dm, n)  # NaN where dm is
     out = []
-    for code, lo, hi in zip(codes.tolist(), bounds.tolist(), bounds[1:].tolist()):
-        economist_id = panel.economist_ids[code]
-        try:
-            out.append(_comparison(economist_id, base.release, *(c[lo:hi] for c in columns)))
-        except EstimationError:
-            continue  # no overlap with the actuals at all
-    return _with_p_values(out)
+    for code, size, rmse_self, rmse_base, statistic, corrected, p in zip(
+        codes.tolist(), n.tolist(), rmse(e_self, bounds).tolist(), rmse(e_base, bounds).tolist(),
+        dm.tolist(), hln.tolist(), p_value.tolist(),
+    ):
+        note = ""
+        if math.isnan(statistic):  # fewer than 2 differentials, or zero variance
+            statistic = corrected = p = None
+            note = (f"need at least 2 loss differentials, got {size}" if size < 2
+                    else "degenerate comparison: loss differential has zero variance")
+        out.append(AccuracyComparison(panel.economist_ids[code], base.release, size, rmse_self, rmse_base,
+                                      statistic, corrected, p, note))
+    return out
 
 
 def beat_baseline_share(
     comparisons: Sequence[AccuracyComparison],
     panel: ForecastPanel,
     participation: np.ndarray,
-    thresholds: Sequence[float] = (0.10, 0.25, 0.50),
+    thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
 ) -> dict[float, float | None]:
     """Share of qualifying forecasters with strictly lower RMSE than the baseline.
 
@@ -135,10 +114,7 @@ def beat_baseline_share(
     share = dict(zip(panel.economist_ids, participation.tolist()))
     out: dict[float, float | None] = {}
     for threshold in thresholds:
-        qualifying = [c for c in comparisons if passes_threshold(share[c.economist_id], threshold)]
-        if not qualifying:
-            out[threshold] = None
-            continue
-        beating = sum(1 for c in qualifying if c.rmse_self < c.rmse_baseline)
-        out[threshold] = beating / len(qualifying)
+        qualifying = (c for c in comparisons if passes_threshold(share[c.economist_id], threshold))
+        beats = [c.rmse_self < c.rmse_baseline for c in qualifying]
+        out[threshold] = sum(beats) / len(beats) if beats else None
     return out

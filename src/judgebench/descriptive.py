@@ -28,15 +28,12 @@ class QuarterStats(NamedTuple):
 def _block_moments(values: np.ndarray, bounds: np.ndarray) -> list[tuple[float, float | None, float | None]]:
     """Population std dev, skewness (m3/m2^1.5) and excess kurtosis (m4/m2^2 - 3) of each block.
 
-    Block i is ``values[bounds[i]:bounds[i + 1]]``.  The deviations and their
-    powers are taken over the whole array at once, and each block's moments
-    are its ``block_sums`` over its size, which are the bits of ``np.mean``
-    over the block alone.
+    Block i is ``values[bounds[i]:bounds[i + 1]]``.  The deviations and their powers are taken over
+    the whole array at once, and each block's moments are their ``block_sums`` over its size.
     """
-    starts, ends = bounds[:-1], bounds[1:]
-    n = ends - starts
-    deviation = values - np.repeat(block_sums(values, starts, ends) / n, n)
-    moments = [(block_sums(deviation**k, starts, ends) / n).tolist() for k in (2, 3, 4)]
+    n = np.diff(bounds)
+    deviation = values - np.repeat(block_sums(values, bounds) / n, n)
+    moments = [(block_sums(deviation**k, bounds) / n).tolist() for k in (2, 3, 4)]
     out = []
     for size, m2, m3, m4 in zip(n.tolist(), *moments):
         spread = m2**2 > 0.0  # not degenerate: m2 > 0 and its powers do not underflow to 0
@@ -56,11 +53,10 @@ def quarter_stats(
     rows = panel.for_release(release)
     quarters, values, bounds = group_cells(rows.quarter, rows.value)
     sizes, actual = np.diff(bounds), actuals.at(quarters)
-    squared_error = (values - np.repeat(actual, sizes)) ** 2
-    rmse = np.sqrt(block_sums(squared_error, bounds[:-1], bounds[1:]) / sizes)
+    rmses = rmse(values - np.repeat(actual, sizes), bounds)
     out: list[QuarterStats] = []
     for index, n, error, missing, moments in zip(
-        quarters.tolist(), sizes.tolist(), rmse.tolist(), np.isnan(actual).tolist(), _block_moments(values, bounds)
+        quarters.tolist(), sizes.tolist(), rmses.tolist(), np.isnan(actual).tolist(), _block_moments(values, bounds)
     ):
         if missing:
             warnings.warn(f"no actual for {quarter_label(index)} (release {release.value}); quarter excluded")
@@ -69,9 +65,14 @@ def quarter_stats(
     return out
 
 
-def rmse(errors: np.ndarray) -> float:
-    """Root mean square of the errors."""
-    return math.sqrt(float(np.mean(errors**2)))
+def rmse(errors: np.ndarray, bounds: np.ndarray | None = None):
+    """Root mean square of the errors, or of each non-empty block ``errors[bounds[i]:bounds[i + 1]]``.
+
+    A block's mean square is its ``block_sums`` over its size.
+    """
+    if bounds is None:
+        return math.sqrt(float(np.mean(errors**2)))
+    return np.sqrt(block_sums(errors**2, bounds) / np.diff(bounds))
 
 
 def armse(stats: Sequence[QuarterStats]) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .descriptive import rmse
 from .errors import EstimationError, RankDeficiencyError
-from .judgment import BaselineSeries, passes_threshold
+from .judgment import DEFAULT_THRESHOLDS, BaselineSeries, passes_threshold
 from .panel import ForecastPanel, QuarterSeries, SpfNowcasts, distinct, economist_runs
 from .quarters import ReleaseKind
 from .tails import f_sf
@@ -308,7 +308,7 @@ def test_battery_individual(
     spf: SpfNowcasts,
     ar_forecasts: Mapping[ReleaseKind, QuarterSeries],
     participation: Mapping[ReleaseKind, np.ndarray],
-    thresholds: Sequence[float] = (0.10, 0.25, 0.50),
+    thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
     alpha: float = 0.05,
 ) -> IndividualBattery:
     """Per-forecaster unbiasedness/efficiency tests and not-rejected shares.

@@ -136,14 +136,15 @@ def cell_medians(key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.nda
     return keys, np.where(count % 2 == 1, low, (low + high) / 2)
 
 
-def block_sums(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """``np.add.reduce`` over each block ``values[starts[i]:ends[i]]``.
+def block_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``np.add.reduce`` over each block ``values[bounds[i]:bounds[i + 1]]``.
 
     That is the sum ``np.mean`` takes, so a block sum over its size has the
     bits of the block's ``np.mean``; ``np.add.reduceat`` sums in another
     order.
     """
-    return np.array([np.add.reduce(values[lo:hi]) for lo, hi in zip(starts.tolist(), ends.tolist())], dtype=float)
+    edges = bounds.tolist()
+    return np.array([np.add.reduce(values[lo:hi]) for lo, hi in zip(edges, edges[1:])], dtype=float)
 
 
 def economist_runs(economist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

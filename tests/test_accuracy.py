@@ -1,30 +1,37 @@
 import math
 
+import numpy as np
 import pytest
 import scipy.stats
 
-from judgebench.accuracy import _comparison, accuracy_table, beat_baseline_share, dm_test, hln_correction
+from judgebench.accuracy import accuracy_table, beat_baseline_share, dm_test, hln_correction
 from judgebench.errors import EstimationError
 from judgebench.judgment import BaselineSeries
 from judgebench.panel import ForecastPanel, participation_share
 from judgebench.quarters import ReleaseKind
 
-from conftest import aligned, q, rec, series_from
+from conftest import q, rec, series_from
 
 R1 = ReleaseKind.FIRST
 
 
-def paired_rmse(forecast, baseline, actual):
-    """The RMSEs of forecaster and baseline over their common quarters, and the count of them."""
-    comparison = _comparison("E1", R1, forecast, baseline, actual)
-    return comparison.rmse_self, comparison.rmse_baseline, comparison.n_common
+def paired_rmse(forecaster, base, actuals):
+    """The RMSEs of forecaster and baseline over their common quarters, and the count of them.
+
+    Taken by ``accuracy_table`` on a one-economist panel; None when the
+    forecaster shares no quarter with the baseline and the actuals, so the
+    table leaves it out.
+    """
+    panel = ForecastPanel.from_rows(rec("E1", quarter, value) for quarter, value in forecaster.items())
+    table = accuracy_table(panel, series_from(base, BaselineSeries, release=R1), actuals)
+    return (table[0].rmse_self, table[0].rmse_baseline, table[0].n_common) if table else None
 
 
 class TestPairedRmse:
     def test_identical_series(self):
         quarters = {q(2000, 1): 1.0, q(2000, 2): 2.0}
         actuals = series_from({q(2000, 1): 1.5, q(2000, 2): 1.5})
-        self_rmse, base_rmse, n = paired_rmse(*aligned(quarters, dict(quarters), actuals))
+        self_rmse, base_rmse, n = paired_rmse(quarters, dict(quarters), actuals)
         assert self_rmse == base_rmse
         assert n == 2
 
@@ -32,26 +39,25 @@ class TestPairedRmse:
         actuals = series_from({q(2000, 1): 0.0, q(2000, 2): 0.0})
         forecaster = {q(2000, 1): 1.0, q(2000, 2): -1.0}
         base = {q(2000, 1): 0.0, q(2000, 2): 0.0}
-        assert paired_rmse(*aligned(forecaster, base, actuals)) == (1.0, 0.0, 2)
+        assert paired_rmse(forecaster, base, actuals) == (1.0, 0.0, 2)
 
     def test_extra_baseline_quarters_ignored(self):
         actuals = series_from({q(2000, 1): 0.0, q(2000, 2): 0.0, q(2000, 3): 0.0})
         forecaster = {q(2000, 1): 1.0}
         base = {q(2000, 1): 0.5, q(2000, 2): 9.0, q(2000, 3): 9.0}
-        self_rmse, base_rmse, n = paired_rmse(*aligned(forecaster, base, actuals))
+        self_rmse, base_rmse, n = paired_rmse(forecaster, base, actuals)
         assert (self_rmse, base_rmse, n) == (1.0, 0.5, 1)
 
     def test_empty_intersection_rejected(self):
         actuals = series_from({q(2000, 1): 0.0})
-        with pytest.raises(EstimationError):
-            paired_rmse(*aligned({q(2000, 1): 1.0}, {q(2005, 1): 1.0}, actuals))
+        assert paired_rmse({q(2000, 1): 1.0}, {q(2005, 1): 1.0}, actuals) is None
 
     def test_quarter_order_irrelevant(self):
         actuals = series_from({q(2000, 1): 0.0, q(2000, 2): 1.0, q(2000, 3): 2.0})
         f = {q(2000, 1): 0.5, q(2000, 2): 1.5, q(2000, 3): 1.0}
         b = {q(2000, 3): 2.0, q(2000, 1): 0.0, q(2000, 2): 1.0}
-        a1 = paired_rmse(*aligned(f, b, actuals))
-        a2 = paired_rmse(*aligned(dict(reversed(list(f.items()))), b, actuals))
+        a1 = paired_rmse(f, b, actuals)
+        a2 = paired_rmse(dict(reversed(list(f.items()))), b, actuals)
         assert a1 == a2
 
 
@@ -74,6 +80,33 @@ class TestDmTest:
     def test_single_differential_rejected(self):
         with pytest.raises(EstimationError, match="at least 2"):
             dm_test([1.0])
+
+
+# Blocks of 2 to 30 differentials, one constant (zero variance), one with a large mean and a tiny spread.
+RNG = np.random.default_rng(2024)
+BLOCKS = [RNG.normal(size=k) * RNG.uniform(0.1, 5.0) for k in (2, 3, 5, 9, 4, 7, 2, 6)]
+BLOCKS += [np.full(4, 0.75), 1e6 + 1e-3 * RNG.normal(size=8), RNG.normal(size=30)]
+
+
+def stacked(blocks):
+    """The blocks one after another, and their bounds."""
+    return np.concatenate(blocks), np.cumsum([0, *(len(b) for b in blocks)])
+
+
+class TestBlockedDm:
+    def test_each_block_has_the_bits_of_its_own_series(self):
+        tested = [b for b in BLOCKS if np.ptp(b) > 0]
+        statistics = dm_test(*stacked(tested))
+        assert [x.hex() for x in statistics.tolist()] == [dm_test(b).hex() for b in tested]
+
+    def test_one_element_and_zero_variance_blocks_are_nan(self):
+        blocks = [BLOCKS[0], np.array([1.5]), np.full(4, 0.75), BLOCKS[1], np.array([-2.0])]
+        statistics = dm_test(*stacked(blocks))
+        assert np.isnan(statistics).tolist() == [False, True, True, False, True]
+        assert [statistics[0].hex(), statistics[3].hex()] == [dm_test(BLOCKS[0]).hex(), dm_test(BLOCKS[1]).hex()]
+
+    def test_no_blocks(self):
+        assert dm_test(np.array([]), np.array([0])).size == 0
 
 
 class TestHlnCorrection:

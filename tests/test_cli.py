@@ -167,6 +167,51 @@ class TestReport:
                 assert a[name] == b[name], name
 
 
+    def test_reused_out_keeps_no_stale_outputs(self, world_dir, tmp_path):
+        # The gaps report writes diagnostics.csv; the world's report has none to write.
+        gaps = GOLDEN_INPUTS.parent / "inputs_gaps"
+        out = tmp_path / "report"
+        assert main(["report", *[f for name in ("actuals", "forecasts", "spf")
+                                 for f in (f"--{name}", str(gaps / f"{name}.csv"))], "--out", str(out)]) == 0
+        assert (out / "diagnostics.csv").exists()
+        (out / "notes.txt").write_text("not a report output\n")
+        assert main(["report", *world_flags(world_dir), "--out", str(out)]) == 0
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert "diagnostics.csv" not in listed
+        assert {p.name for p in out.iterdir()} == {*listed, "manifest.json", "notes.txt"}
+        assert main(["report", *world_flags(world_dir), "--baseline", "mean", "--out", str(out)]) == 0
+        names = {p.name for p in out.iterdir()}
+        assert "baseline_mean.csv" in names and "baseline_median.csv" not in names
+
+    def test_reused_out_deletes_only_plain_names_inside_it(self, world_dir, tmp_path):
+        out, outside = tmp_path / "report", tmp_path / "outside.csv"
+        (out / "sub").mkdir(parents=True)
+        for path in (outside, out / "sub" / "kept.csv", out / "listed.csv"):
+            path.write_text("x\n")
+        (out / "manifest.json").write_text(json.dumps(
+            {"outputs": ["../outside.csv", str(outside), "sub/kept.csv", "sub", ".", "..", "", 7, "listed.csv"]}))
+        assert main(["report", *world_flags(world_dir), "--out", str(out)]) == 0
+        assert outside.exists() and (out / "sub" / "kept.csv").exists()
+        assert not (out / "listed.csv").exists()
+
+    @pytest.mark.parametrize("manifest", ["{not json", "[1, 2]", '{"outputs": "listed.csv"}', "\xff"])
+    def test_unreadable_manifest_deletes_nothing(self, world_dir, tmp_path, manifest):
+        out = tmp_path / "report"
+        out.mkdir()
+        (out / "manifest.json").write_bytes(manifest.encode("latin-1"))
+        (out / "listed.csv").write_text("x\n")
+        assert main(["report", *world_flags(world_dir), "--out", str(out)]) == 0
+        assert (out / "listed.csv").exists()
+
+    def test_input_error_leaves_an_earlier_report_as_it_was(self, world_dir, tmp_path):
+        out = tmp_path / "report"
+        assert main(["report", *world_flags(world_dir), "--out", str(out)]) == 0
+        before = read_bytes(out)
+        flags = world_flags(world_dir)
+        flags[flags.index("--spf") + 1] = str(world_dir / "truth.csv")  # not an SPF file
+        assert main(["report", *flags, "--out", str(out)]) == 1
+        assert read_bytes(out) == before
+
     def test_bad_forecasts_file_exits_1_with_one_error_line(self, world_dir, tmp_path, capsys):
         bad = tmp_path / "forecasts.csv"
         lines = (world_dir / "forecasts.csv").read_text().splitlines()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from judgebench.descriptive import armse, quarter_stats
+from judgebench.descriptive import armse, quarter_stats, rmse
 from judgebench.quarters import ReleaseKind
 
 from conftest import panel_from_values, q, series_from
@@ -107,3 +107,11 @@ class TestArmse:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             armse([])
+
+
+def test_blocked_rmse_has_the_bits_of_one_call_per_block():
+    rng = np.random.default_rng(7)
+    blocks = [rng.normal(size=k) * rng.uniform(0.1, 5.0) for k in (1, 2, 3, 9, 30)]
+    blocks += [np.full(4, -0.75), np.array([0.0]), 1e6 + 1e-3 * rng.normal(size=8)]
+    errors, bounds = np.concatenate(blocks), np.cumsum([0, *(b.size for b in blocks)])
+    assert [x.hex() for x in rmse(errors, bounds).tolist()] == [rmse(b).hex() for b in blocks]
