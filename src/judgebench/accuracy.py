@@ -8,7 +8,6 @@ SE 1 and T - 1 degrees of freedom, all forecasters' in one ``hln_correction``.
 """
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,7 +37,8 @@ def dm_test(d: Sequence[float], bounds: np.ndarray | None = None):
 
     Block i is ``d[bounds[i]:bounds[i + 1]]``, not empty.  The long-run variance is the population (1/T)
     lag-0 autocovariance, and a block's mean and variance are ``block_sums`` over its size.  Fewer than
-    2 differentials or zero variance raise EstimationError for a single series and give NaN for a block.
+    2 differentials or zero variance raise EstimationError for a single series.  Blocks give the
+    statistics and the mask of the tested ones; an untested block's statistic is NaN.
     """
     d = np.asarray(d, dtype=float)
     if bounds is None and d.size < 2:
@@ -52,7 +52,7 @@ def dm_test(d: Sequence[float], bounds: np.ndarray | None = None):
         raise EstimationError("degenerate comparison: loss differential has zero variance")
     statistic = np.full(n.size, np.nan)
     statistic[tested] = mean[tested] / np.sqrt(variance[tested] / n[tested])
-    return statistic if bounds is not None else float(statistic[0])
+    return (statistic, tested) if bounds is not None else float(statistic[0])
 
 
 def hln_correction(dm, nobs):
@@ -82,15 +82,15 @@ def accuracy_table(panel: ForecastPanel, base: BaselineSeries, actuals: QuarterS
     codes, bounds = codes[overlap], np.append(kept[:-1][overlap], kept[-1])
     e_self, e_base = (forecast - actual)[common], (baseline_values - actual)[common]
     n = np.diff(bounds)
-    dm = dm_test(e_self**2 - e_base**2, bounds)
+    dm, tested = dm_test(e_self**2 - e_base**2, bounds)
     hln, p_value = hln_correction(dm, n)  # NaN where dm is
     out = []
-    for code, size, rmse_self, rmse_base, statistic, corrected, p in zip(
+    for code, size, rmse_self, rmse_base, statistic, corrected, p, ok in zip(
         codes.tolist(), n.tolist(), rmse(e_self, bounds).tolist(), rmse(e_base, bounds).tolist(),
-        dm.tolist(), hln.tolist(), p_value.tolist(),
+        dm.tolist(), hln.tolist(), p_value.tolist(), tested.tolist(),
     ):
         note = ""
-        if math.isnan(statistic):  # fewer than 2 differentials, or zero variance
+        if not ok:  # fewer than 2 differentials, or zero variance
             statistic = corrected = p = None
             note = (f"need at least 2 loss differentials, got {size}" if size < 2
                     else "degenerate comparison: loss differential has zero variance")
@@ -114,7 +114,10 @@ def beat_baseline_share(
     share = dict(zip(panel.economist_ids, participation.tolist()))
     out: dict[float, float | None] = {}
     for threshold in thresholds:
-        qualifying = (c for c in comparisons if passes_threshold(share[c.economist_id], threshold))
-        beats = [c.rmse_self < c.rmse_baseline for c in qualifying]
-        out[threshold] = sum(beats) / len(beats) if beats else None
+        qualifying = [c for c in comparisons if passes_threshold(share[c.economist_id], threshold)]
+        if not qualifying:
+            out[threshold] = None
+            continue
+        beating = sum(1 for c in qualifying if c.rmse_self < c.rmse_baseline)
+        out[threshold] = beating / len(qualifying)
     return out

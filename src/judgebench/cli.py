@@ -526,23 +526,17 @@ def cmd_simulate(study: Study, out: Path) -> list[Path]:
             _quarter_labels(spf), world.spf.median.at(spf), world.spf.mean.at(spf),
         ]),
     ]
-    # truth.csv: the baselines release by release, then each economist's rho_own row and
-    # its judgments quarter by quarter.  Code 0 of a coded column is the empty cell.
+    truth = [[], [], [], [], []]
     t = world.truth
-    n, span = len(t.economists), t.quarters.size
-    base_release, base_quarter = np.indices((3, span)).reshape(2, -1) + 1
-    quarter, release = np.indices((span, 3)).reshape(2, -1) + 1
-
-    def codes(baseline_rows, rho_row, judgment_rows) -> np.ndarray:
-        return np.append(baseline_rows, np.tile(np.append(rho_row, judgment_rows), n))
-
-    truth = [
-        CodedColumn(["baseline", "rho_own", "judgment"], codes(np.zeros(3 * span, int), 1, np.full(3 * span, 2))),
-        CodedColumn(["", *t.economists], np.repeat(np.arange(n + 1), [3 * span] + [1 + 3 * span] * n)),
-        CodedColumn(["", *map(quarter_label, t.quarters.tolist())], codes(base_quarter, 0, quarter)),
-        CodedColumn(["", 1, 2, 3], codes(base_release, 0, release)),
-        np.append(t.baselines, np.column_stack([t.rho_i, t.judgments.reshape(n, -1)])),
-    ]
+    labels = [quarter_label(q) for q in t.quarters.tolist()]
+    for k in range(3):
+        for i_q, q in enumerate(labels):
+            _add_row(truth, "baseline", "", q, k + 1, t.baselines[k, i_q])
+    for i, econ in enumerate(t.economists):
+        _add_row(truth, "rho_own", econ, "", "", t.rho_i[i])
+        for i_q, q in enumerate(labels):
+            for k in range(3):
+                _add_row(truth, "judgment", econ, q, k + 1, t.judgments[i, i_q, k])
     files.append(write_csv(out / "truth.csv", ["kind", "economist_id", "quarter", "release", "value"], truth))
     return files
 

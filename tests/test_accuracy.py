@@ -48,7 +48,7 @@ class TestPairedRmse:
         self_rmse, base_rmse, n = paired_rmse(forecaster, base, actuals)
         assert (self_rmse, base_rmse, n) == (1.0, 0.5, 1)
 
-    def test_empty_intersection_rejected(self):
+    def test_empty_intersection_left_out(self):
         actuals = series_from({q(2000, 1): 0.0})
         assert paired_rmse({q(2000, 1): 1.0}, {q(2005, 1): 1.0}, actuals) is None
 
@@ -96,17 +96,31 @@ def stacked(blocks):
 class TestBlockedDm:
     def test_each_block_has_the_bits_of_its_own_series(self):
         tested = [b for b in BLOCKS if np.ptp(b) > 0]
-        statistics = dm_test(*stacked(tested))
+        statistics, tested_mask = dm_test(*stacked(tested))
         assert [x.hex() for x in statistics.tolist()] == [dm_test(b).hex() for b in tested]
+        assert tested_mask.all()
 
     def test_one_element_and_zero_variance_blocks_are_nan(self):
         blocks = [BLOCKS[0], np.array([1.5]), np.full(4, 0.75), BLOCKS[1], np.array([-2.0])]
-        statistics = dm_test(*stacked(blocks))
+        statistics, tested = dm_test(*stacked(blocks))
         assert np.isnan(statistics).tolist() == [False, True, True, False, True]
+        assert tested.tolist() == [True, False, False, True, False]
         assert [statistics[0].hex(), statistics[3].hex()] == [dm_test(BLOCKS[0]).hex(), dm_test(BLOCKS[1]).hex()]
 
     def test_no_blocks(self):
-        assert dm_test(np.array([]), np.array([0])).size == 0
+        statistics, tested = dm_test(np.array([]), np.array([0]))
+        assert statistics.size == tested.size == 0
+
+
+def test_overflowed_squared_error_keeps_nan_statistics_without_a_note():
+    # A forecast of 1e200 squares to inf; the comparison is reported with NaN statistics, not as degenerate.
+    panel = ForecastPanel.from_rows(rec("E1", q(2000, 1) + i, v) for i, v in enumerate((1e200, 1.0, 2.0)))
+    base = series_from({q(2000, 1): 0.0, q(2000, 2): 0.5, q(2000, 3): 0.0}, BaselineSeries, release=R1)
+    actuals = series_from({q(2000, 1) + i: 0.0 for i in range(3)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        (row,) = accuracy_table(panel, base, actuals)
+    assert (row.n_common, row.rmse_self, row.note) == (3, math.inf, "")
+    assert all(math.isnan(x) for x in (row.dm_statistic, row.hln_statistic, row.p_value_hln))
 
 
 class TestHlnCorrection:
