@@ -19,7 +19,7 @@ from .panel import (
     load_spf,
     participation_share,
 )
-from .descriptive import QuarterStats, armse, quarter_stats
+from .descriptive import armse, quarter_stats
 from .judgment import (
     BaselineSeries,
     JudgmentPanel,
@@ -41,7 +41,6 @@ from .linreg import (
     wald_joint_test,
 )
 from .accuracy import (
-    AccuracyComparison,
     accuracy_table,
     beat_baseline_share,
     dm_test,

@@ -8,7 +8,8 @@ SE 1 and T - 1 degrees of freedom, all forecasters' in one ``hln_correction``.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
@@ -16,20 +17,7 @@ from .descriptive import rmse
 from .errors import EstimationError
 from .judgment import DEFAULT_THRESHOLDS, BaselineSeries, passes_threshold
 from .panel import ForecastPanel, QuarterSeries, block_sums, economist_runs
-from .quarters import ReleaseKind
 from .tails import t_test_p_value
-
-
-class AccuracyComparison(NamedTuple):
-    economist_id: str
-    release: ReleaseKind
-    n_common: int
-    rmse_self: float
-    rmse_baseline: float
-    dm_statistic: float | None
-    hln_statistic: float | None
-    p_value_hln: float | None
-    note: str = ""
 
 
 def dm_test(d: Sequence[float], bounds: np.ndarray | None = None):
@@ -65,13 +53,17 @@ def hln_correction(dm, nobs):
     return statistic, t_test_p_value(statistic, 0.0, 1.0, nobs - 1)
 
 
-def accuracy_table(panel: ForecastPanel, base: BaselineSeries, actuals: QuarterSeries) -> list[AccuracyComparison]:
-    """Per-economist accuracy comparisons over common quarters, in economist-id order.
+def accuracy_table(panel: ForecastPanel, base: BaselineSeries, actuals: QuarterSeries) -> SimpleNamespace:
+    """Per-economist accuracy comparisons over common quarters, as aligned columns in economist-id order.
 
     The panel must be clean: one row per (economist, quarter, release).  A
     forecaster with no quarter in common with the baseline and the actuals is
     left out.  Each statistic is taken once over the release's common rows,
     economist by economist as blocks, and the p-values in one tail call.
+    The columns are ``economist`` (codes into ``panel.economist_ids``),
+    ``n_common``, ``rmse_self``, ``rmse_baseline``, ``dm_statistic``,
+    ``hln_statistic`` and ``p_value_hln``, NaN where untested, and ``note``,
+    a list of str naming why a forecaster is untested ("" where it is tested).
     """
     rows = panel.for_release(base.release)
     codes, bounds = economist_runs(rows.economist)
@@ -82,42 +74,31 @@ def accuracy_table(panel: ForecastPanel, base: BaselineSeries, actuals: QuarterS
     codes, bounds = codes[overlap], np.append(kept[:-1][overlap], kept[-1])
     e_self, e_base = (forecast - actual)[common], (baseline_values - actual)[common]
     n = np.diff(bounds)
-    dm, tested = dm_test(e_self**2 - e_base**2, bounds)
+    dm, tested = dm_test(e_self**2 - e_base**2, bounds)  # untested: fewer than 2 differentials, or zero variance
     hln, p_value = hln_correction(dm, n)  # NaN where dm is
-    out = []
-    for code, size, rmse_self, rmse_base, statistic, corrected, p, ok in zip(
-        codes.tolist(), n.tolist(), rmse(e_self, bounds).tolist(), rmse(e_base, bounds).tolist(),
-        dm.tolist(), hln.tolist(), p_value.tolist(), tested.tolist(),
-    ):
-        note = ""
-        if not ok:  # fewer than 2 differentials, or zero variance
-            statistic = corrected = p = None
-            note = (f"need at least 2 loss differentials, got {size}" if size < 2
-                    else "degenerate comparison: loss differential has zero variance")
-        out.append(AccuracyComparison(panel.economist_ids[code], base.release, size, rmse_self, rmse_base,
-                                      statistic, corrected, p, note))
-    return out
+    note = ["" if ok else f"need at least 2 loss differentials, got {size}" if size < 2
+            else "degenerate comparison: loss differential has zero variance"
+            for ok, size in zip(tested.tolist(), n.tolist())]
+    return SimpleNamespace(economist=codes, n_common=n, rmse_self=rmse(e_self, bounds),
+                           rmse_baseline=rmse(e_base, bounds), dm_statistic=dm, hln_statistic=hln,
+                           p_value_hln=p_value, note=note)
 
 
 def beat_baseline_share(
-    comparisons: Sequence[AccuracyComparison],
-    panel: ForecastPanel,
+    table: SimpleNamespace,
     participation: np.ndarray,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
-) -> dict[float, float | None]:
-    """Share of qualifying forecasters with strictly lower RMSE than the baseline.
+) -> np.ndarray:
+    """Share of qualifying forecasters with strictly lower RMSE than the baseline, one per threshold.
 
-    ``comparisons`` is one release's ``accuracy_table`` and ``participation``
-    that release's ``participation_share``, indexed by the economist codes of
-    ``panel``.  Ties count as not beating.  None when no forecaster qualifies.
+    ``table`` is one release's ``accuracy_table`` and ``participation`` that
+    release's ``participation_share``, indexed by the panel's economist codes.
+    Ties count as not beating.  NaN where no forecaster qualifies.
     """
-    share = dict(zip(panel.economist_ids, participation.tolist()))
-    out: dict[float, float | None] = {}
-    for threshold in thresholds:
-        qualifying = [c for c in comparisons if passes_threshold(share[c.economist_id], threshold)]
-        if not qualifying:
-            out[threshold] = None
-            continue
-        beating = sum(1 for c in qualifying if c.rmse_self < c.rmse_baseline)
-        out[threshold] = beating / len(qualifying)
+    share, beating = participation[table.economist], table.rmse_self < table.rmse_baseline
+    out = np.full(len(thresholds), np.nan)
+    for i, threshold in enumerate(thresholds):
+        qualifying = passes_threshold(share, threshold)
+        if qualifying.any():
+            out[i] = np.count_nonzero(beating & qualifying) / np.count_nonzero(qualifying)
     return out

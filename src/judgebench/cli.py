@@ -16,12 +16,13 @@ import sys
 import warnings
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
-from .accuracy import AccuracyComparison, accuracy_table, beat_baseline_share
+from .accuracy import accuracy_table, beat_baseline_share
 from .armodel import DEFAULT_MAX_LAG, ARForecasts, fill_missing, recursive_ar_forecast
 from .descriptive import armse, quarter_stats
 from .errors import JudgebenchError
@@ -188,9 +189,11 @@ def _add_row(columns: list[list], *cells) -> None:
         column.append(cell)
 
 
-def _record_columns(records: list, names: tuple[str, ...]) -> list[list]:
-    """One column per attribute name over the records."""
-    return [[getattr(record, name) for record in records] for name in names]
+def _stacked(tables: list[SimpleNamespace], *names: str) -> list:
+    """Each named column of the tables, one table after another; a list column (notes) stays a list."""
+    columns = [[getattr(table, name) for table in tables] for name in names]
+    return [[x for part in parts for x in part] if isinstance(parts[0], list) else np.concatenate(parts)
+            for parts in columns]
 
 
 def _quarter_labels(indexes: np.ndarray) -> CodedColumn:
@@ -210,9 +213,9 @@ def _stack_series(series: list[QuarterSeries], *arrays: str) -> tuple:
             *(np.concatenate([getattr(s, name)[q - s.start] for s, q in zip(series, present)]) for name in arrays))
 
 
-def _release_labels(sizes: list[int]) -> CodedColumn:
-    """``sizes[i]`` rows labelled with release ``RELEASES[i]``."""
-    return CodedColumn([RELEASE_LABEL[rel] for rel in RELEASES], np.repeat(np.arange(len(RELEASES)), sizes))
+def _release_labels(release: np.ndarray) -> CodedColumn:
+    """The label of each row's release number."""
+    return CodedColumn([RELEASE_LABEL[rel] for rel in RELEASES], np.searchsorted(RELEASES, release))
 
 
 def _require_input(path: str | None, what: str) -> Path:
@@ -313,7 +316,7 @@ class Study:
         return {rel: recursive_ar_forecast(fill_missing(series), lag=lag) for rel, series in self.actuals.items()}
 
     @cached_property
-    def comparisons(self) -> dict[ReleaseKind, list[AccuracyComparison]]:
+    def comparisons(self) -> dict[ReleaseKind, SimpleNamespace]:
         """Each release's per-forecaster accuracy against the run's baseline."""
         return {rel: accuracy_table(self.panel, self.baseline(rel), self.actuals[rel]) for rel in RELEASES}
 
@@ -325,33 +328,32 @@ class Study:
 
 
 def cmd_describe(study: Study, out: Path) -> list[Path]:
-    stats = {rel: quarter_stats(study.panel, study.actuals[rel], rel) for rel in RELEASES}
-    described = [rel for rel in RELEASES if stats[rel]]
+    stats = [quarter_stats(study.panel, study.actuals[rel], rel) for rel in RELEASES]
+    described = [(rel, s) for rel, s in zip(RELEASES, stats) if s.quarter.size]
 
     def spread(name: str) -> tuple[list, list, list]:
-        """Average, min and max of one statistic over each described release's quarters; None if absent."""
+        """Average, min and max of one statistic's present values over each described release's quarters."""
         columns = ([], [], [])
-        for rel in described:
-            xs = [x for x in (getattr(s, name) for s in stats[rel]) if x is not None]
+        for _, s in described:
+            xs = [x for x in getattr(s, name).tolist() if not math.isnan(x)]
             for column, value in zip(columns, (sum(xs) / len(xs), min(xs), max(xs)) if xs else (None,) * 3):
                 column.append(value)
         return columns
 
     _, min_rmse, max_rmse = spread("rmse")
-    per_quarter = [s for rel in RELEASES for s in stats[rel]]
+    names = ("quarter", "n", "rmse", "std_dev", "skewness", "excess_kurtosis")
+    quarter, *columns = _stacked(stats, *names)
     return [
-        write_csv(out / "quarter_stats.csv",
-                  ["release", "quarter", "n", "rmse", "std_dev", "skewness", "excess_kurtosis"],
-                  [_release_labels([len(stats[rel]) for rel in RELEASES]),
-                   _quarter_labels(np.array([s.quarter for s in per_quarter], dtype=np.int64)),
-                   *_record_columns(per_quarter, ("n", "rmse", "std_dev", "skewness", "excess_kurtosis"))],
+        write_csv(out / "quarter_stats.csv", ["release", *names],
+                  [_release_labels(np.repeat(RELEASES, [s.quarter.size for s in stats])),
+                   _quarter_labels(quarter), *columns],
                   comment="per-quarter cross-sectional statistics (kurtosis is excess: normal = 0)"),
         write_csv(out / "table1_descriptive.csv",
                   ["release", "avg_n", "min_n", "max_n", "armse", "min_rmse", "max_rmse",
                    "avg_std", "min_std", "max_std", "avg_skew", "min_skew", "max_skew",
                    "avg_excess_kurt", "min_excess_kurt", "max_excess_kurt"],
-                  [[RELEASE_LABEL[rel] for rel in described], *spread("n"),
-                   [armse(stats[rel]) for rel in described], min_rmse, max_rmse,
+                  [[RELEASE_LABEL[rel] for rel, _ in described], *spread("n"),
+                   [armse(s.rmse) for _, s in described], min_rmse, max_rmse,
                    *spread("std_dev"), *spread("skewness"), *spread("excess_kurtosis")],
                   comment="table 1: descriptive statistics by release (averages with min/max across quarters)"),
     ]
@@ -367,7 +369,7 @@ def cmd_table2(study: Study, out: Path) -> list[Path]:
         _add_row(columns, "n_economists", RELEASE_LABEL[rel], int(np.count_nonzero(present)))
         for thr in thresholds:
             count = int(np.count_nonzero(present & passes_threshold(share, thr)))
-            _add_row(columns, f"n_economists_ge_{int(round(thr * 100))}pct", RELEASE_LABEL[rel], count)
+            _add_row(columns, f"n_economists_ge_{_fmt(thr * 100)}pct", RELEASE_LABEL[rel], count)
     cov = joint_coverage(panel)
     for releases, count in zip(("1_2", "1_3", "2_3", "1_2_3"), cov):
         _add_row(columns, f"joint_cells_releases_{releases}", "", count)
@@ -399,11 +401,11 @@ def cmd_judgment(study: Study, out: Path) -> list[Path]:
     base_quarters, base_sizes, base_values = _stack_series(bases, "values")
     return [
         write_csv(out / f"baseline_{cfg.baseline_method}.csv", ["release", "quarter", "value"],
-                  [_release_labels(base_sizes), base_quarters, base_values]),
+                  [_release_labels(np.repeat(RELEASES, base_sizes)), base_quarters, base_values]),
         write_csv(out / "judgments.csv", ["economist_id", "quarter", "release", "judgment", "neutral"],
                   # The panel is the three release slices in sequence, as the judgments are.
                   [CodedColumn(panel.economist_ids, panel.economist), _quarter_labels(panel.quarter),
-                   _release_labels([len(jp) for jp in judgments]),
+                   _release_labels(panel.release),
                    np.concatenate([jp.value for jp in judgments]), np.concatenate([jp.neutral for jp in judgments])]),
         write_csv(out / "table3_sign_shares.csv",
                   ["release", "threshold", "n_economists", "mean_negative", "sd_negative",
@@ -419,55 +421,48 @@ def cmd_judgment(study: Study, out: Path) -> list[Path]:
 def cmd_efficiency(study: Study, out: Path) -> list[Path]:
     cfg = study.cfg
     hac_lag = None if cfg.hac_lag == "auto" else int(cfg.hac_lag)
-    baselines = {(rel, method): study.baseline(rel, method) for rel in RELEASES for method in BASELINE_METHODS}
-    report = test_battery_aggregate(baselines, study.actuals, study.spf, study.ar_forecasts, hac_lag=hac_lag)
-    cells = [cell for _, cell in sorted(report.items())]
-    battery = test_battery_individual(
+    keys = sorted((rel, method) for rel in RELEASES for method in BASELINE_METHODS)  # "mean" before "median"
+    cells = test_battery_aggregate({key: study.baseline(*key) for key in keys}, study.actuals, study.spf,
+                                   study.ar_forecasts, hac_lag=hac_lag)
+    details, shares = test_battery_individual(
         study.panel, study.actuals, study.spf, study.ar_forecasts, study.participation,
         thresholds=cfg.thresholds, alpha=cfg.alpha,
     )
+    share_names = ("threshold", "n_qualifying", "share_unbiased", "share_efficient", "n_tested_unbiased",
+                   "n_tested_efficient", "n_excluded_unbiased", "n_excluded_efficient")
     return [
         write_csv(out / "table4_aggregate_tests.csv",
                   ["release", "method", "unbiasedness_p", "efficiency_p", "rmse", "errors"],
-                  [[RELEASE_LABEL[cell.release] for cell in cells],
-                   *_record_columns(cells, ("method", "unbiasedness_p", "efficiency_p", "rmse")),
-                   ["; ".join(cell.errors) for cell in cells]],
+                  [[RELEASE_LABEL[rel] for rel, _ in keys], [method for _, method in keys],
+                   cells.unbiasedness_p, cells.efficiency_p, cells.rmse, cells.errors],
                   comment="table 4: baseline unbiasedness/efficiency p-values (HAC) and RMSE"),
-        write_csv(out / "table5_individual_tests.csv",
-                  ["release", "threshold", "n_qualifying", "share_unbiased", "share_efficient",
-                   "n_tested_unbiased", "n_tested_efficient",
-                   "n_excluded_unbiased", "n_excluded_efficient"],
-                  [[RELEASE_LABEL[row.release] for row in battery.shares],
-                   *_record_columns(battery.shares, (
-                       "threshold", "n_qualifying", "share_unbiased", "share_efficient", "n_tested_unbiased",
-                       "n_tested_efficient", "n_excluded_unbiased", "n_excluded_efficient"))],
+        write_csv(out / "table5_individual_tests.csv", ["release", *share_names],
+                  [_release_labels(shares.release), *(getattr(shares, name) for name in share_names)],
                   comment=f"table 5: share of forecasters not rejected at the {cfg.alpha:g} level"),
         write_csv(out / "individual_detail.csv",
                   ["economist_id", "release", "n_obs", "alpha_hat", "beta_hat",
                    "p_unbiased", "p_efficient", "note"],
-                  [[d.economist_id for d in battery.details], [RELEASE_LABEL[d.release] for d in battery.details],
-                   *_record_columns(battery.details,
-                                    ("nobs", "alpha_hat", "beta_hat", "p_unbiased", "p_efficient", "note"))]),
+                  [CodedColumn(study.panel.economist_ids, details.economist), _release_labels(details.release),
+                   details.nobs, details.alpha_hat, details.beta_hat, details.p_unbiased, details.p_efficient,
+                   details.note]),
     ]
 
 
 def cmd_accuracy(study: Study, out: Path) -> list[Path]:
     thresholds = study.cfg.thresholds
-    comparisons = [c for rel in RELEASES for c in study.comparisons[rel]]
-    beat = [[], [], []]
-    for rel in RELEASES:
-        shares = beat_baseline_share(study.comparisons[rel], study.panel, study.participation[rel], thresholds)
-        for thr in thresholds:
-            _add_row(beat, RELEASE_LABEL[rel], thr, shares[thr])
+    tables = [study.comparisons[rel] for rel in RELEASES]
+    names = ("economist", "n_common", "rmse_self", "rmse_baseline", "dm_statistic", "hln_statistic",
+             "p_value_hln", "note")
+    economist, *columns = _stacked(tables, *names)
+    beat = [beat_baseline_share(table, study.participation[rel], thresholds) for rel, table in zip(RELEASES, tables)]
     return [
-        write_csv(out / "accuracy_comparisons.csv",
-                  ["economist_id", "release", "n_common", "rmse_self", "rmse_baseline",
-                   "dm_statistic", "hln_statistic", "p_value_hln", "note"],
-                  [[c.economist_id for c in comparisons], [RELEASE_LABEL[c.release] for c in comparisons],
-                   *_record_columns(comparisons, ("n_common", "rmse_self", "rmse_baseline", "dm_statistic",
-                                                  "hln_statistic", "p_value_hln", "note"))],
+        write_csv(out / "accuracy_comparisons.csv", ["economist_id", "release", *names[1:]],
+                  [CodedColumn(study.panel.economist_ids, economist),
+                   _release_labels(np.repeat(RELEASES, [t.economist.size for t in tables])), *columns],
                   comment="per-forecaster accuracy vs baseline over common quarters"),
-        write_csv(out / "beat_shares.csv", ["release", "threshold", "share_beating_baseline"], beat),
+        write_csv(out / "beat_shares.csv", ["release", "threshold", "share_beating_baseline"],
+                  [_release_labels(np.repeat(RELEASES, len(thresholds))), np.tile(thresholds, len(RELEASES)),
+                   np.concatenate(beat)]),
     ]
 
 
@@ -504,7 +499,7 @@ def cmd_persistence(study: Study, out: Path) -> list[Path]:
 def cmd_ar_forecast(study: Study, out: Path) -> list[Path]:
     quarters, sizes, values, p_used = _stack_series([study.ar_forecasts[rel] for rel in RELEASES], "values", "p_used")
     return [write_csv(out / "ar_forecasts.csv", ["quarter", "release", "forecast", "p_used"],
-                      [quarters, _release_labels(sizes), values, p_used])]
+                      [quarters, _release_labels(np.repeat(RELEASES, sizes)), values, p_used])]
 
 
 def cmd_simulate(study: Study, out: Path) -> list[Path]:

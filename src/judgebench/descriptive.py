@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
@@ -16,53 +17,38 @@ from .panel import ForecastPanel, QuarterSeries, block_sums, group_cells
 from .quarters import ReleaseKind, quarter_label
 
 
-class QuarterStats(NamedTuple):
-    quarter: int  # the quarter index
-    n: int
-    rmse: float
-    std_dev: float
-    skewness: float | None   # absent for n < 3 or degenerate cross-sections
-    excess_kurtosis: float | None  # absent for n < 4 or degenerate cross-sections
+def quarter_stats(panel: ForecastPanel, actuals: QuarterSeries, release: ReleaseKind) -> SimpleNamespace:
+    """Per-quarter cross-sectional RMSE and moments for one release, as aligned columns in quarter order.
 
-
-def _block_moments(values: np.ndarray, bounds: np.ndarray) -> list[tuple[float, float | None, float | None]]:
-    """Population std dev, skewness (m3/m2^1.5) and excess kurtosis (m4/m2^2 - 3) of each block.
-
-    Block i is ``values[bounds[i]:bounds[i + 1]]``.  The deviations and their powers are taken over
-    the whole array at once, and each block's moments are their ``block_sums`` over its size.
-    """
-    n = np.diff(bounds)
-    deviation = values - np.repeat(block_sums(values, bounds) / n, n)
-    moments = [(block_sums(deviation**k, bounds) / n).tolist() for k in (2, 3, 4)]
-    out = []
-    for size, m2, m3, m4 in zip(n.tolist(), *moments):
-        spread = m2**2 > 0.0  # not degenerate: m2 > 0 and its powers do not underflow to 0
-        skew = m3 / m2**1.5 if spread and size >= 3 else None
-        kurt = m4 / m2**2 - 3.0 if spread and size >= 4 else None
-        out.append((math.sqrt(m2), skew, kurt))
-    return out
-
-
-def quarter_stats(
-    panel: ForecastPanel, actuals: QuarterSeries, release: ReleaseKind
-) -> list[QuarterStats]:
-    """Per-quarter cross-sectional RMSE and moments for one release.
-
-    Quarters with forecasts but no published actual are excluded with a warning.
+    The columns are ``quarter`` (the quarter index), ``n``, ``rmse``,
+    ``std_dev`` (population), ``skewness`` (m3/m2^1.5; NaN for n < 3 or a
+    degenerate cross-section) and ``excess_kurtosis`` (m4/m2^2 - 3; NaN for
+    n < 4 or a degenerate cross-section).  A cross-section is degenerate when
+    m2^2 is 0: m2 is 0 or its powers underflow.  The deviations and their
+    powers are taken over the whole release at once, and each quarter's
+    moments are their ``block_sums`` over its size.  Quarters with forecasts
+    but no published actual are excluded with a warning.
     """
     rows = panel.for_release(release)
     quarters, values, bounds = group_cells(rows.quarter, rows.value)
-    sizes, actual = np.diff(bounds), actuals.at(quarters)
-    rmses = rmse(values - np.repeat(actual, sizes), bounds)
-    out: list[QuarterStats] = []
-    for index, n, error, missing, moments in zip(
-        quarters.tolist(), sizes.tolist(), rmses.tolist(), np.isnan(actual).tolist(), _block_moments(values, bounds)
-    ):
-        if missing:
-            warnings.warn(f"no actual for {quarter_label(index)} (release {release.value}); quarter excluded")
-            continue
-        out.append(QuarterStats(index, n, error, *moments))
-    return out
+    n, actual = np.diff(bounds), actuals.at(quarters)
+    rmses = rmse(values - np.repeat(actual, n), bounds)
+    deviation = values - np.repeat(block_sums(values, bounds) / n, n)
+    m2, m3, m4 = (block_sums(deviation**k, bounds) / n for k in (2, 3, 4))
+    # Python's float power, as one quarter at a time takes it: numpy's SIMD power may round otherwise.
+    m2_squared, m2_three_halves = (np.array([m**p for m in m2.tolist()], dtype=float) for p in (2, 1.5))
+    skewness, kurtosis = np.full((2, n.size), np.nan)
+    shaped = (m2_squared > 0.0) & (n >= 3)
+    with np.errstate(invalid="ignore"):  # inf / inf where a cross-section overflows: NaN, as in Python
+        skewness[shaped] = m3[shaped] / m2_three_halves[shaped]
+        shaped &= n >= 4
+        kurtosis[shaped] = m4[shaped] / m2_squared[shaped] - 3.0
+    published = ~np.isnan(actual)
+    for index in quarters[~published].tolist():
+        warnings.warn(f"no actual for {quarter_label(index)} (release {release.value}); quarter excluded")
+    return SimpleNamespace(quarter=quarters[published], n=n[published], rmse=rmses[published],
+                           std_dev=np.sqrt(m2[published]), skewness=skewness[published],
+                           excess_kurtosis=kurtosis[published])
 
 
 def rmse(errors: np.ndarray, bounds: np.ndarray | None = None):
@@ -75,8 +61,8 @@ def rmse(errors: np.ndarray, bounds: np.ndarray | None = None):
     return np.sqrt(block_sums(errors**2, bounds) / np.diff(bounds))
 
 
-def armse(stats: Sequence[QuarterStats]) -> float:
-    """Unweighted mean of per-quarter RMSE values."""
-    if not stats:
+def armse(rmses: Sequence[float]) -> float:
+    """Unweighted mean of per-quarter RMSE values (``quarter_stats(...).rmse``)."""
+    if not len(rmses):
         raise ValueError("armse requires at least one quarter")
-    return float(np.mean([s.rmse for s in stats]))
+    return float(np.mean(rmses))

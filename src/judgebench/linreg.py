@@ -10,7 +10,8 @@ stack per test.
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -185,42 +186,25 @@ def efficiency_regression(
     return EfficiencyRegression(ols(X, actual - pred, mask), X)
 
 
-class AggregateCell(NamedTuple):
-    release: ReleaseKind
-    method: str
-    unbiasedness_p: float | None
-    efficiency_p: float | None
-    rmse: float | None
-    errors: tuple[str, ...] = ()
-
-
-def prediction_rmse(prediction: np.ndarray, actual: np.ndarray) -> float:
-    """RMSE over the quarters where both aligned arrays are present."""
-    both = ~np.isnan(prediction) & ~np.isnan(actual)
-    if not both.any():
-        raise EstimationError("prediction and actuals share no quarters")
-    return rmse(actual[both] - prediction[both])
-
-
 def test_battery_aggregate(
     baselines: Mapping[tuple[ReleaseKind, str], BaselineSeries],
     actuals: Mapping[ReleaseKind, QuarterSeries],
     spf: SpfNowcasts,
     ar_forecasts: Mapping[ReleaseKind, QuarterSeries],
     hac_lag: int | None = None,
-) -> dict[tuple[ReleaseKind, str], AggregateCell]:
-    """Unbiasedness/efficiency p-values and RMSE per (release, baseline method).
+) -> SimpleNamespace:
+    """Unbiasedness/efficiency p-values and RMSE per (release, baseline method), as aligned columns.
 
-    One cell per entry of ``baselines``, each a row of one grid over the
-    baselines' quarters, and one stacked fit per test as in the individual
-    battery.  HAC covariances throughout, with each row's lag taken from its
-    own sample unless ``hac_lag`` fixes it; the information set pairs the
-    method-matched SPF nowcast with the recursive AR forecast.  Failures are
-    recorded per cell and leave the other cells intact.
+    Row i of each column is the i-th entry of ``baselines``, a row of one
+    grid over the baselines' quarters, and one stacked fit per test as in the
+    individual battery.  HAC covariances throughout, with each row's lag taken
+    from its own sample unless ``hac_lag`` fixes it; the information set pairs
+    the method-matched SPF nowcast with the recursive AR forecast.  The
+    columns are ``unbiasedness_p``, ``efficiency_p`` and ``rmse``, NaN where
+    absent, and ``errors``, a list of str: each row's failures joined by
+    "; ".  A failure leaves the other rows intact.
     """
-    if not baselines:
-        return {}
-    quarters = distinct(np.concatenate([base.quarter_index() for base in baselines.values()]))
+    quarters = distinct(np.concatenate([np.empty(0, np.int64), *(b.quarter_index() for b in baselines.values())]))
     actual, prediction, spf_matched, ar = grid = np.full((4, len(baselines), quarters.size), np.nan)
     for row, ((release, method), base) in enumerate(baselines.items()):
         grid[:, row] = (actuals[release].at(quarters), base.at(quarters),
@@ -231,50 +215,17 @@ def test_battery_aggregate(
 
     sample = ~np.isnan(actual) & ~np.isnan(prediction)
     common = np.count_nonzero(sample, axis=1)
+    rmses = np.full(common.size, np.nan)
+    rmses[common > 0] = rmse((actual - prediction)[sample], np.append(0, np.cumsum(common[common > 0])))
     _, p_unb, unb_notes = _stacked_zero_tests(
         "unbiasedness", common >= MIN_OBS_UNBIASEDNESS, lags(common), actual, prediction)
     sample &= ~np.isnan(spf_matched) & ~np.isnan(ar)
     nobs = np.count_nonzero(sample, axis=1)
     _, p_eff, eff_notes = _stacked_zero_tests(
         "efficiency", nobs >= MIN_OBS_EFFICIENCY, lags(nobs), actual, prediction, spf_matched, ar)
-    report: dict[tuple[ReleaseKind, str], AggregateCell] = {}
-    for row, ((release, method), n, *p, unb_note, eff_note) in enumerate(
-            zip(baselines, common.tolist(), p_unb.tolist(), p_eff.tolist(), unb_notes, eff_notes)):
-        rmse_note = "" if n else "rmse: prediction and actuals share no quarters"
-        report[(release, method)] = AggregateCell(
-            release, method, *(None if math.isnan(v) else v for v in p),
-            prediction_rmse(prediction[row], actual[row]) if n else None,
-            tuple(filter(None, (rmse_note, unb_note, eff_note))))
-    return report
-
-
-class ForecasterTestDetail(NamedTuple):
-    economist_id: str
-    release: ReleaseKind
-    nobs: int
-    alpha_hat: float | None
-    beta_hat: float | None
-    p_unbiased: float | None
-    p_efficient: float | None
-    note: str = ""
-
-
-class IndividualShareRow(NamedTuple):
-    release: ReleaseKind
-    threshold: float
-    n_qualifying: int
-    n_tested_unbiased: int
-    share_unbiased: float | None
-    n_tested_efficient: int
-    share_efficient: float | None
-    n_excluded_unbiased: int
-    n_excluded_efficient: int
-
-
-class IndividualBattery:
-    def __init__(self):
-        self.shares: list[IndividualShareRow] = []
-        self.details: list[ForecasterTestDetail] = []
+    errors = ["; ".join(filter(None, ("" if n else "rmse: prediction and actuals share no quarters", *notes)))
+              for n, *notes in zip(common.tolist(), unb_notes, eff_notes)]
+    return SimpleNamespace(unbiasedness_p=p_unb, efficiency_p=p_eff, rmse=rmses, errors=errors)
 
 
 def _stacked_zero_tests(name: str, eligible: np.ndarray, lag: int | Sequence[int], actual: np.ndarray,
@@ -302,6 +253,16 @@ def _stacked_zero_tests(name: str, eligible: np.ndarray, lag: int | Sequence[int
     return coefficients, p_value, notes
 
 
+DETAIL_COLUMNS = ("release", "economist", "nobs", "alpha_hat", "beta_hat", "p_unbiased", "p_efficient")
+SHARE_COLUMNS = ("release", "threshold", "n_qualifying", "n_tested_unbiased", "share_unbiased", "n_excluded_unbiased",
+                 "n_tested_efficient", "share_efficient", "n_excluded_efficient")
+
+
+def _joined(parts: list[tuple], names: tuple[str, ...], **more) -> SimpleNamespace:
+    """The named columns of the parts, each joined part after part, plus the columns ``more``."""
+    return SimpleNamespace(**{name: np.concatenate(column) for name, column in zip(names, zip(*parts))}, **more)
+
+
 def test_battery_individual(
     panel: ForecastPanel,
     actuals: Mapping[ReleaseKind, QuarterSeries],
@@ -310,8 +271,8 @@ def test_battery_individual(
     participation: Mapping[ReleaseKind, np.ndarray],
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
     alpha: float = 0.05,
-) -> IndividualBattery:
-    """Per-forecaster unbiasedness/efficiency tests and not-rejected shares.
+) -> tuple[SimpleNamespace, SimpleNamespace]:
+    """Per-forecaster unbiasedness/efficiency tests and not-rejected shares, as two tables of aligned columns.
 
     Shares count forecasters whose test does not reject at level ``alpha``
     among those with enough observations; the rest are reported as excluded.
@@ -319,8 +280,16 @@ def test_battery_individual(
     SPF nowcast and the release's AR forecast.  ``participation`` holds each
     release's ``participation_share``, indexed by the economist codes of
     ``panel``, which must be clean: one row per (economist, quarter, release).
+    The details have one row per forecaster of each release with forecasts,
+    in (release, economist code) order, and the ``DETAIL_COLUMNS`` (NaN
+    where a test is absent) plus ``note``, a list of str.  The shares have one
+    row per (release, threshold) and the ``SHARE_COLUMNS`` (a share is NaN
+    where no forecaster is tested).
     """
-    battery = IndividualBattery()
+    # A first part of no rows gives each column its type, also where no release has forecasts.
+    ints, floats = np.empty(0, np.int64), np.empty(0)
+    details, notes = [(ints,) * 3 + (floats,) * 4], []
+    shares = [(ints, floats, ints) + (ints, floats, ints) * 2]
     for release in sorted(actuals):
         rows = panel.for_release(release)
         codes, bounds = economist_runs(rows.economist)
@@ -334,7 +303,6 @@ def test_battery_individual(
         grid[:, block, np.arange(len(rows)) - bounds[block]] = (
             actuals[release].at(quarter), rows.value, spf.median.at(quarter), ar_forecasts[release].at(quarter))
         has_actual = ~np.isnan(actual)
-        nobs = np.count_nonzero(has_actual, axis=1)
         # Eligibility counts each regression's own sample, so no member of a stack is short of it.
         sample = has_actual & ~np.isnan(prediction)
         unb_coef, p_unb, unb_notes = _stacked_zero_tests(
@@ -342,19 +310,17 @@ def test_battery_individual(
         sample &= ~np.isnan(spf_median) & ~np.isnan(ar)
         _, p_eff, eff_notes = _stacked_zero_tests(
             "efficiency", np.count_nonzero(sample, axis=1) >= MIN_OBS_EFFICIENCY, 0, actual, prediction, spf_median, ar)
-        values = np.column_stack([unb_coef, p_unb, p_eff]).tolist()  # alpha, beta, both p-values
-        for code, n, row, *notes in zip(codes.tolist(), nobs.tolist(), values, unb_notes, eff_notes):
-            battery.details.append(ForecasterTestDetail(
-                panel.economist_ids[code], release, n, *(None if math.isnan(v) else v for v in row),
-                "; ".join(filter(None, notes))))
-        shares = participation[release][codes]
-        for threshold in thresholds:
-            qualifying = passes_threshold(shares, threshold)
-            n_qualifying = np.count_nonzero(qualifying)
-            (n_unb, share_unb), (n_eff, share_eff) = (
-                (p.size, np.count_nonzero(p >= alpha) / p.size if p.size else None)
-                for p in (p_unb[qualifying & ~np.isnan(p_unb)], p_eff[qualifying & ~np.isnan(p_eff)]))
-            battery.shares.append(IndividualShareRow(
-                release, threshold, n_qualifying, n_unb, share_unb, n_eff, share_eff,
-                n_qualifying - n_unb, n_qualifying - n_eff))
-    return battery
+        details.append((np.full(codes.size, release), codes, np.count_nonzero(has_actual, axis=1), *unb_coef.T,
+                        p_unb, p_eff))
+        notes += ["; ".join(filter(None, pair)) for pair in zip(unb_notes, eff_notes)]
+        share = participation[release][codes]
+        qualifying = np.array([passes_threshold(share, t) for t in thresholds], dtype=bool).reshape(-1, codes.size)
+        n_qualifying = np.count_nonzero(qualifying, axis=1)
+        columns = [np.full(n_qualifying.size, release), np.asarray(thresholds, dtype=float), n_qualifying]
+        for p in (p_unb, p_eff):
+            tested = qualifying & ~np.isnan(p)
+            n_tested, n_passed = np.count_nonzero(tested, axis=1), np.count_nonzero(tested & (p >= alpha), axis=1)
+            columns += [n_tested, np.divide(n_passed, n_tested, out=np.full(n_tested.size, np.nan), where=n_tested > 0),
+                        n_qualifying - n_tested]
+        shares.append(columns)
+    return _joined(details, DETAIL_COLUMNS, note=notes), _joined(shares, SHARE_COLUMNS)

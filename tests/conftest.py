@@ -1,6 +1,7 @@
 """Shared helpers for building small panels and series in tests."""
 from __future__ import annotations
 
+import math
 import sys
 from datetime import date
 from typing import Iterator, NamedTuple
@@ -21,6 +22,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance verdicts")
         for line in verdicts:
             terminalreporter.write_line(line)
+
+
+def as_records(record_type, *columns) -> list:
+    """The rows of aligned result columns as ``record_type`` tuples, each NaN read as None.
+
+    That is the form the reference loops build, so a battery's columns compare with ``==`` to a loop's records.
+    """
+    lists = [column.tolist() if isinstance(column, np.ndarray) else list(column) for column in columns]
+    return [record_type(*(None if isinstance(x, float) and math.isnan(x) else x for x in row))
+            for row in zip(*lists, strict=True)]
 
 
 def tail_bound(df: float) -> float:

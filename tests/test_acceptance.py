@@ -7,6 +7,7 @@ import gc
 import math
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -250,7 +251,8 @@ def test_descriptive_moments_match_brute_force():
         panel = ForecastPanel.from_rows(
             [(f"E{i}", quarter, R1, float(v), None) for i, v in enumerate(values)]
         )
-        stats = quarter_stats(panel, series_from({quarter: actual}), R1)[0]
+        columns = quarter_stats(panel, series_from({quarter: actual}), R1)
+        stats = SimpleNamespace(**{name: column.item() for name, column in vars(columns).items()})
         errors = values - actual
         rmse = math.sqrt(float(np.mean(errors**2)))
         centered = values - values.mean()
@@ -271,7 +273,7 @@ def test_descriptive_moments_match_brute_force():
         + [(f"E{i}", quarters[1], R1, v, None) for i, v in enumerate((3.0, -3.0))]
     )
     stats = quarter_stats(panel, series_from({q: 0.0 for q in quarters}), R1)
-    agg = armse(stats)
+    agg = armse(stats.rmse)
     ok = worst < 1e-12 and agg == 2.0
     verdict(7, "cross-section moments match brute force", ok,
             f"max diff {worst:.2e}, armse {agg}")

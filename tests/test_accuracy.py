@@ -24,7 +24,7 @@ def paired_rmse(forecaster, base, actuals):
     """
     panel = ForecastPanel.from_rows(rec("E1", quarter, value) for quarter, value in forecaster.items())
     table = accuracy_table(panel, series_from(base, BaselineSeries, release=R1), actuals)
-    return (table[0].rmse_self, table[0].rmse_baseline, table[0].n_common) if table else None
+    return (table.rmse_self[0], table.rmse_baseline[0], table.n_common[0]) if table.economist.size else None
 
 
 class TestPairedRmse:
@@ -118,9 +118,9 @@ def test_overflowed_squared_error_keeps_nan_statistics_without_a_note():
     base = series_from({q(2000, 1): 0.0, q(2000, 2): 0.5, q(2000, 3): 0.0}, BaselineSeries, release=R1)
     actuals = series_from({q(2000, 1) + i: 0.0 for i in range(3)})
     with np.errstate(over="ignore", invalid="ignore"):
-        (row,) = accuracy_table(panel, base, actuals)
-    assert (row.n_common, row.rmse_self, row.note) == (3, math.inf, "")
-    assert all(math.isnan(x) for x in (row.dm_statistic, row.hln_statistic, row.p_value_hln))
+        table = accuracy_table(panel, base, actuals)
+    assert (table.n_common.tolist(), table.rmse_self.tolist(), table.note) == ([3], [math.inf], [""])
+    assert all(math.isnan(x) for x in (*table.dm_statistic, *table.hln_statistic, *table.p_value_hln))
 
 
 class TestHlnCorrection:
@@ -167,13 +167,20 @@ class TestBeatBaselineShare:
     def test_everyone_matches_baseline_counts_as_not_beating(self):
         panel, base, actuals = self._setup({"E1": 0.5, "E2": 0.5})
         shares = beat_baseline_share(
-            accuracy_table(panel, base, actuals), panel, participation_share(panel, R1), thresholds=(0.5,)
+            accuracy_table(panel, base, actuals), participation_share(panel, R1), thresholds=(0.5,)
         )
-        assert shares[0.5] == 0.0
+        assert shares.tolist() == [0.0]
 
     def test_one_of_four_strictly_better(self):
         panel, base, actuals = self._setup({"E1": 0.2, "E2": 0.5, "E3": 0.9, "E4": 0.5})
         shares = beat_baseline_share(
-            accuracy_table(panel, base, actuals), panel, participation_share(panel, R1), thresholds=(0.5,)
+            accuracy_table(panel, base, actuals), participation_share(panel, R1), thresholds=(0.5,)
         )
-        assert shares[0.5] == 0.25
+        assert shares.tolist() == [0.25]
+
+    def test_one_share_per_threshold_and_nan_where_none_qualifies(self):
+        panel, base, actuals = self._setup({"E1": 0.2, "E2": 0.5, "E3": 0.9, "E4": 0.5})
+        shares = beat_baseline_share(
+            accuracy_table(panel, base, actuals), participation_share(panel, R1), thresholds=(0.5, 1.5, 0.1)
+        )
+        assert shares[[0, 2]].tolist() == [0.25, 0.25] and math.isnan(shares[1])

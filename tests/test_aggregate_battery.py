@@ -7,6 +7,7 @@ in its own ``try`` block.  It serves as the brute-force reference.
 """
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -14,24 +15,42 @@ from hypothesis import strategies as st
 
 import judgebench.linreg
 from judgebench.errors import EstimationError
+from judgebench.descriptive import rmse as series_rmse
 from judgebench.judgment import BaselineSeries
 from judgebench.linreg import (
-    AggregateCell,
     efficiency_regression,
     hac_covariance,
     newey_west_auto_lag,
-    prediction_rmse,
     test_battery_aggregate as battery_aggregate,
     wald_joint_test,
 )
 from judgebench.panel import QuarterSeries, SpfNowcasts
 from judgebench.quarters import ReleaseKind
 
-from conftest import q
+from conftest import as_records, q
 
 START = q(2000, 1)
 KEYS = [(release, method) for release in ReleaseKind for method in ("median", "mean")]
 KINDS = ("random", "constant", "disjoint", "exact")
+
+
+class AggregateCell(NamedTuple):
+    """One (release, method) cell of table 4, None where a value is absent."""
+
+    release: ReleaseKind
+    method: str
+    unbiasedness_p: float | None
+    efficiency_p: float | None
+    rmse: float | None
+    errors: tuple[str, ...] = ()
+
+
+def stacked_cells(baselines, columns) -> dict:
+    """The battery's columns as one ``AggregateCell`` per key of ``baselines``."""
+    errors = [tuple(filter(None, e.split("; "))) for e in columns.errors]
+    cells = as_records(AggregateCell, *zip(*baselines), columns.unbiasedness_p, columns.efficiency_p, columns.rmse,
+                       errors)
+    return dict(zip(baselines, cells))
 
 
 def loop_aggregate(baselines, actuals, spf, ar_forecasts, hac_lag=None):
@@ -41,10 +60,11 @@ def loop_aggregate(baselines, actuals, spf, ar_forecasts, hac_lag=None):
         actual = actuals[release].at(quarters)
         errors = []
         unb_p = eff_p = rmse = None
-        try:
-            rmse = prediction_rmse(base.values, actual)
-        except EstimationError as exc:
-            errors.append(f"rmse: {exc}")
+        both = ~np.isnan(base.values) & ~np.isnan(actual)
+        if both.any():
+            rmse = series_rmse(actual[both] - base.values[both])
+        else:
+            errors.append("rmse: prediction and actuals share no quarters")
         try:
             reg = efficiency_regression(actual, base.values)
             lag = newey_west_auto_lag(reg.fit.nobs) if hac_lag is None else hac_lag
@@ -116,7 +136,8 @@ def close(a, b) -> bool:
 @given(worlds())
 def test_stacked_aggregate_matches_per_cell_loop(world):
     *inputs, hac_lag, exact_key = world
-    stacked, loop = battery_aggregate(*inputs, hac_lag=hac_lag), loop_aggregate(*inputs, hac_lag=hac_lag)
+    stacked = stacked_cells(inputs[0], battery_aggregate(*inputs, hac_lag=hac_lag))
+    loop = loop_aggregate(*inputs, hac_lag=hac_lag)
     assert list(stacked) == list(loop) == list(inputs[0])
     for key, want in loop.items():
         got = stacked[key]
@@ -144,14 +165,14 @@ def _fixed_world():
 
 
 def test_fixed_world_cells():
-    cells = battery_aggregate(*_fixed_world())
+    cells = stacked_cells(_fixed_world()[0], battery_aggregate(*_fixed_world()))
     assert (cells[KEYS[0]].unbiasedness_p, cells[KEYS[0]].efficiency_p) == (1.0, 1.0)
     assert cells[KEYS[1]].errors == (
         "unbiasedness: design column 1 is linearly dependent on earlier columns",
         "efficiency: design column 1 is linearly dependent on earlier columns")
     assert all(cells[key].errors == () and 0.0 <= cells[key].efficiency_p <= 1.0 for key in KEYS[2:])
     # A fixed lag of 30 is not below any cell's 30 quarters; the rank note still comes first.
-    cells = battery_aggregate(*_fixed_world(), hac_lag=30)
+    cells = stacked_cells(_fixed_world()[0], battery_aggregate(*_fixed_world(), hac_lag=30))
     assert cells[KEYS[1]].errors[0] == "unbiasedness: design column 1 is linearly dependent on earlier columns"
     assert cells[KEYS[2]].errors == (
         "unbiasedness: lag 30 must be smaller than the sample size 30",

@@ -16,6 +16,8 @@ from judgebench.armodel import DEFAULT_MAX_LAG
 from judgebench.cli import RunConfig, build_parser, config_from_args, main
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+GOLDEN_FLAGS = [flag for kind in ("actuals", "forecasts", "spf")
+                for flag in (f"--{kind}", str(GOLDEN_INPUTS / f"{kind}.csv"))]
 
 
 def read_bytes(directory: Path) -> dict[str, bytes]:
@@ -602,3 +604,85 @@ class TestSubcommands:
         lines = (out / "baseline_median.csv").read_text().splitlines()
         quarters = {line.split(",")[1] for line in lines[1:]}
         assert all(q.startswith(("2001", "2002")) for q in quarters)
+
+    # The ``report`` golden runs on the golden inputs with no other flag.
+    STAGE_FILES = {
+        "describe": ["quarter_stats.csv", "table1_descriptive.csv"],
+        "judgment": ["baseline_median.csv", "judgments.csv", "table3_sign_shares.csv", "fig3_negative_histogram.csv",
+                     "baseline_hits.csv"],
+        "efficiency": ["table4_aggregate_tests.csv", "table5_individual_tests.csv", "individual_detail.csv"],
+        "accuracy": ["accuracy_comparisons.csv", "beat_shares.csv"],
+        "persistence": ["table6_persistence_first.csv", "table7_persistence_second.csv",
+                        "table8_persistence_third.csv", "persistence_diagnostics.csv"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(STAGE_FILES))
+    def test_stage_writes_the_report_golden_files_byte_for_byte(self, command, tmp_path):
+        out = tmp_path / command
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the judgment stage's threshold warnings
+            assert main([command, *GOLDEN_FLAGS, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(self.STAGE_FILES[command])
+        for name in self.STAGE_FILES[command]:
+            assert (out / name).read_bytes() == (GOLDEN_INPUTS.parent / "report" / name).read_bytes(), name
+
+
+class TestTable2:
+    def test_each_threshold_is_labelled_by_its_percent(self, tmp_path):
+        cfg = RunConfig(forecasts=str(GOLDEN_INPUTS / "forecasts.csv"), thresholds=(0.1, 0.104, 0.125))
+        (path,) = cli.cmd_table2(cli.Study(cfg), tmp_path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        for release in ("first", "second", "third"):
+            assert [metric for metric, rel, _ in rows if rel == release and metric.startswith("n_economists_ge_")] == [
+                "n_economists_ge_10pct", "n_economists_ge_10.4pct", "n_economists_ge_12.5pct"]
+
+
+def test_report_on_an_empty_sample_writes_headers_only(tmp_path):
+    # Every forecast of the golden inputs is before 2030, so each per-forecaster and per-quarter table is empty.
+    done = subprocess.run([sys.executable, "-m", "judgebench.cli", "report", *GOLDEN_FLAGS, "--from", "2030Q1",
+                           "--out", str(tmp_path)], env=src_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    headers = {
+        "accuracy_comparisons.csv": "economist_id,release,n_common,rmse_self,rmse_baseline,dm_statistic,"
+                                    "hln_statistic,p_value_hln,note",
+        "individual_detail.csv": "economist_id,release,n_obs,alpha_hat,beta_hat,p_unbiased,p_efficient,note",
+        "table5_individual_tests.csv": "release,threshold,n_qualifying,share_unbiased,share_efficient,"
+                                       "n_tested_unbiased,n_tested_efficient,n_excluded_unbiased,n_excluded_efficient",
+        "quarter_stats.csv": "release,quarter,n,rmse,std_dev,skewness,excess_kurtosis",
+        "table1_descriptive.csv": "release,avg_n,min_n,max_n,armse,min_rmse,max_rmse,avg_std,min_std,max_std,"
+                                  "avg_skew,min_skew,max_skew,avg_excess_kurt,min_excess_kurt,max_excess_kurt",
+    }
+    for name, header in headers.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert [line for line in lines if not line.startswith("#")] == [header], name
+    assert (tmp_path / "diagnostics.csv").read_text().splitlines() == ["stage,error"] + [
+        f"judgment,no economist passes threshold {thr} for release {k}" for k in (1, 2, 3) for thr in (0.1, 0.25, 0.5)]
+
+
+def test_table1_averages_the_present_values_of_each_statistic(tmp_path):
+    # A forecast of 1e160 overflows its quarter's variance: that quarter's skewness and kurtosis are absent
+    # (NaN), and table 1 takes the average, minimum and maximum over the other quarters.
+    lines = (GOLDEN_INPUTS / "forecasts.csv").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("2005Q2,1,"))
+    fields = lines[at].split(",")
+    fields[4] = "1e160"
+    lines[at] = ",".join(fields)
+    (tmp_path / "forecasts.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the overflow and the excluded quarter
+        assert main(["describe", "--actuals", str(GOLDEN_INPUTS / "actuals.csv"),
+                     "--forecasts", str(tmp_path / "forecasts.csv"), "--out", str(out)]) == 0
+
+    def rows(name):
+        with open(out / name, newline="") as fh:
+            return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+    first = [row for row in rows("quarter_stats.csv") if row["release"] == "first"]
+    assert [row["skewness"] for row in first if row["quarter"] == "2005Q2"] == [""]
+    for stat, column in (("skew", "skewness"), ("excess_kurt", "excess_kurtosis")):
+        present = [float(row[column]) for row in first if row[column]]
+        table1 = rows("table1_descriptive.csv")[0]
+        assert float(table1[f"avg_{stat}"]) == pytest.approx(sum(present) / len(present), rel=1e-10)
+        assert (float(table1[f"min_{stat}"]), float(table1[f"max_{stat}"])) == (min(present), max(present))

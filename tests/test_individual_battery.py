@@ -5,19 +5,20 @@ were fitted as one stack: one ``efficiency_regression``, HC1 sandwich and
 Wald test per forecaster and test.  It serves as the brute-force reference.
 """
 import math
+from typing import NamedTuple
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from judgebench.errors import EstimationError
 from judgebench.judgment import passes_threshold
 from judgebench.linreg import (
+    DETAIL_COLUMNS,
     MIN_OBS_EFFICIENCY,
     MIN_OBS_UNBIASEDNESS,
-    ForecasterTestDetail,
-    IndividualBattery,
-    IndividualShareRow,
+    SHARE_COLUMNS,
     efficiency_regression,
     hac_covariance,
     test_battery_individual as battery_individual,
@@ -26,12 +27,52 @@ from judgebench.linreg import (
 from judgebench.panel import ForecastPanel, SpfNowcasts, participation_share
 from judgebench.quarters import ReleaseKind
 
-from conftest import q, rec, series_from
+from conftest import as_records, q, rec, series_from
 
 START = q(2000, 1)
 BLOCK = 32  # quarters after the random span, where the hand-made forecasters report
 MAX_SPAN = 30  # random forecasters report within this many quarters, so none is wider than BLOCK
 R1 = ReleaseKind.FIRST
+
+
+class ForecasterTestDetail(NamedTuple):
+    """One forecaster's tests, None where a value is absent."""
+
+    economist_id: str
+    release: ReleaseKind
+    nobs: int
+    alpha_hat: float | None
+    beta_hat: float | None
+    p_unbiased: float | None
+    p_efficient: float | None
+    note: str = ""
+
+
+class IndividualShareRow(NamedTuple):
+    release: ReleaseKind
+    threshold: float
+    n_qualifying: int
+    n_tested_unbiased: int
+    share_unbiased: float | None
+    n_tested_efficient: int
+    share_efficient: float | None
+    n_excluded_unbiased: int
+    n_excluded_efficient: int
+
+
+class IndividualBattery:
+    def __init__(self, details=None, shares=None):
+        self.details: list[ForecasterTestDetail] = details or []
+        self.shares: list[IndividualShareRow] = shares or []
+
+
+def battery_records(panel, *args, **kwargs) -> IndividualBattery:
+    """The stacked battery's two tables as the loop's records, economist codes read as ids."""
+    details, shares = battery_individual(panel, *args, **kwargs)
+    ids = [panel.economist_ids[code] for code in details.economist.tolist()]
+    return IndividualBattery(
+        as_records(ForecasterTestDetail, ids, *(getattr(details, f) for f in ForecasterTestDetail._fields[1:])),
+        as_records(IndividualShareRow, *(getattr(shares, name) for name in IndividualShareRow._fields)))
 
 
 def loop_forecaster_tests(economist_id, release, actual, prediction, *extra):
@@ -173,7 +214,7 @@ def close(a, b) -> bool:
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(worlds())
 def test_stacked_battery_matches_per_forecaster_loop(world):
-    stacked, loop = battery_individual(*world), loop_battery(*world)
+    stacked, loop = battery_records(*world), loop_battery(*world)
     assert stacked.shares == loop.shares
     assert len(stacked.details) == len(loop.details)
     for got, want in zip(stacked.details, loop.details):
@@ -207,9 +248,24 @@ def test_missing_predictions_count_against_the_sample_not_the_stack():
     values = {"full": actual + rng.normal(0.0, 0.5, 16), "gappy": np.where(np.arange(16) % 2, np.nan, actual)}
     panel = ForecastPanel.from_rows(rec(name, q, float(v), R1) for name, vs in values.items() for q, v in zip(quarters, vs))
     spf, ar = (series_from(dict(zip(quarters, rng.normal(1.0, 1.0, 16)))) for _ in range(2))
-    battery = battery_individual(panel, {R1: series_from(dict(zip(quarters, actual)))}, SpfNowcasts(spf, spf),
-                                 {R1: ar}, {R1: participation_share(panel, R1)})
+    battery = battery_records(panel, {R1: series_from(dict(zip(quarters, actual)))}, SpfNowcasts(spf, spf),
+                              {R1: ar}, {R1: participation_share(panel, R1)})
     detail = {d.economist_id: d for d in battery.details}
     assert detail["gappy"].nobs == 16
     assert detail["gappy"].note == "unbiasedness: too few observations; efficiency: too few observations"
     assert detail["full"].note == "" and detail["full"].p_efficient is not None
+
+
+@pytest.mark.parametrize("releases", [[], [R1]], ids=["no-release", "release-without-forecasts"])
+def test_no_forecaster_gives_typed_empty_columns(releases):
+    # Empty columns keep their types, so the economist codes can still index an id table.
+    panel = ForecastPanel.from_rows([])
+    series = series_from({START: 1.0})
+    by_release = {r: series for r in releases}
+    details, shares = battery_individual(panel, by_release, SpfNowcasts(series, series), by_release,
+                                         {r: participation_share(panel, r) for r in releases})
+    assert details.note == []
+    assert [(getattr(details, name).size, getattr(details, name).dtype.kind) for name in DETAIL_COLUMNS] == [
+        (0, kind) for kind in "iiiffff"]
+    assert [(getattr(shares, name).size, getattr(shares, name).dtype.kind) for name in SHARE_COLUMNS] == [
+        (0, kind) for kind in "ifiifiifi"]

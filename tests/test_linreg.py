@@ -9,7 +9,7 @@ import scipy.stats
 
 from judgebench.accuracy import hln_correction
 from judgebench.errors import EstimationError, RankDeficiencyError
-from judgebench.judgment import baseline
+from judgebench.judgment import BaselineSeries, baseline
 import judgebench.linreg
 from judgebench.linreg import (
     RegressionFit,
@@ -17,7 +17,6 @@ from judgebench.linreg import (
     hac_covariance,
     newey_west_auto_lag,
     ols,
-    prediction_rmse,
     test_battery_aggregate as battery_aggregate,
     test_battery_individual as battery_individual,
     wald_joint_test,
@@ -398,18 +397,19 @@ class TestBatteries:
         panel, actuals, spf, ar = self._world()
         baselines = {(rel, m): baseline(panel, rel, m) for rel in actuals for m in ("median", "mean")}
         cells = battery_aggregate(baselines, actuals, spf, ar)
-        cell = cells[(R1, "median")]
-        assert cell.rmse == pytest.approx(0.0, abs=1e-12)
-        assert cell.unbiasedness_p == pytest.approx(1.0, abs=1e-9)
+        row = list(baselines).index((R1, "median"))
+        assert cells.rmse[row] == pytest.approx(0.0, abs=1e-12)
+        assert cells.unbiasedness_p[row] == pytest.approx(1.0, abs=1e-9)
 
     def test_individual_all_forecasters_match_actual(self):
         panel, actuals, spf, ar = self._world()
-        battery = battery_individual(panel, actuals, spf, ar, _participation(panel), thresholds=(0.5,))
-        for row in battery.shares:
-            if row.n_tested_unbiased:
-                assert row.share_unbiased == 1.0
-            if row.n_tested_efficient:
-                assert row.share_efficient == 1.0
+        _, shares = battery_individual(panel, actuals, spf, ar, _participation(panel), thresholds=(0.5,))
+        for n_unb, share_unb, n_eff, share_eff in zip(shares.n_tested_unbiased, shares.share_unbiased,
+                                                      shares.n_tested_efficient, shares.share_efficient):
+            if n_unb:
+                assert share_unb == 1.0
+            if n_eff:
+                assert share_eff == 1.0
 
     def test_individual_biased_forecaster_rejected(self):
         panel, actuals, spf, ar = self._world()
@@ -421,13 +421,20 @@ class TestBatteries:
             for quarter, value in present(actuals[R1]).items()
         ]
         panel2 = ForecastPanel.from_rows([*rows_of(panel), *biased])
-        battery = battery_individual(panel2, actuals, spf, ar, _participation(panel2), thresholds=(0.5,))
-        detail = {d.economist_id: d for d in battery.details if d.release == R1}
-        assert detail["EB"].p_unbiased is not None and detail["EB"].p_unbiased < 0.05
-        assert detail["EB"].alpha_hat == pytest.approx(-1.0, abs=1e-8)
+        details, _ = battery_individual(panel2, actuals, spf, ar, _participation(panel2), thresholds=(0.5,))
+        (row,) = np.flatnonzero((details.release == R1) & (details.economist == panel2.economist_ids.index("EB")))
+        assert not math.isnan(details.p_unbiased[row]) and details.p_unbiased[row] < 0.05
+        assert details.alpha_hat[row] == pytest.approx(-1.0, abs=1e-8)
 
-    def test_prediction_rmse(self):
-        actuals = _series([1.0, 2.0])
-        pred = {q(2000, 1): 2.0, q(2000, 2): 2.0}
-        assert prediction_rmse(*aligned(pred, actuals)) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+    def test_table4_rmse_and_its_note(self):
+        # The RMSE over the quarters where baseline and actual are both present; none gives NaN and a note.
+        actuals = {R1: _series([1.0, 2.0, np.nan, 4.0])}
+        baselines = {(R1, "median"): BaselineSeries(q(2000, 1), np.array([2.0, 2.0, 3.0]), R1),
+                     (R1, "mean"): BaselineSeries(q(2001, 1), np.array([1.0]), R1)}
+        nowcasts = _series([1.0] * 4)
+        cells = battery_aggregate(baselines, actuals, SpfNowcasts(nowcasts, nowcasts), {R1: nowcasts})
+        assert cells.rmse[0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert math.isnan(cells.rmse[1])
+        assert cells.errors[1].split("; ")[0] == "rmse: prediction and actuals share no quarters"
+        assert "rmse" not in cells.errors[0]
 

@@ -8,6 +8,7 @@ import tempfile
 import warnings
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -16,10 +17,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from judgebench import panel as panel_module
-from judgebench.accuracy import AccuracyComparison, accuracy_table
+from judgebench.accuracy import accuracy_table
 from judgebench.armodel import DEFAULT_MAX_GAP, fill_missing
 from judgebench.cli import CodedColumn, _fmt, main, write_csv
-from judgebench.descriptive import QuarterStats, quarter_stats
+from judgebench.descriptive import quarter_stats
 from judgebench.errors import EstimationError, IngestionError
 from judgebench.judgment import BaselineSeries, baseline, baseline_hit_stats, extract_judgments
 from judgebench.panel import ForecastPanel, clean_panel, load_forecasts
@@ -28,7 +29,7 @@ from judgebench.quarters import ReleaseKind, quarter_label
 from judgebench.tails import t_sf
 
 import reference_reader as reference
-from conftest import Obs, dataset, present, q, rec, rows_of, series_from
+from conftest import Obs, as_records, dataset, present, q, rec, rows_of, series_from
 from reference_reader import outcome
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -491,6 +492,17 @@ def test_malformed_line_after_the_first_chunk_names_its_line(kind, what, after):
         assert f"line {last.get(kind, at + 2)}:" in got[1]
 
 
+class QuarterStats(NamedTuple):
+    """One quarter's statistics, None where a moment is absent."""
+
+    quarter: int
+    n: int
+    rmse: float
+    std_dev: float
+    skewness: float | None
+    excess_kurtosis: float | None
+
+
 def quarter_stats_by_loop(panel: ForecastPanel, actuals, release: ReleaseKind) -> list[QuarterStats]:
     """Per-quarter statistics one quarter at a time, with np.mean on each cell (the reference)."""
     out = []
@@ -527,8 +539,23 @@ def test_quarter_stats_equal_the_quarter_loop(cells, actual):
     actuals = series_from({START + t: v for t, v in actual.items()} or {START + 9: 0.0})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert quarter_stats(panel, actuals, ReleaseKind.FIRST) == quarter_stats_by_loop(
-            panel, actuals, ReleaseKind.FIRST)
+        stats = quarter_stats(panel, actuals, ReleaseKind.FIRST)
+        assert as_records(QuarterStats, *(getattr(stats, name) for name in QuarterStats._fields)) == (
+            quarter_stats_by_loop(panel, actuals, ReleaseKind.FIRST))
+
+
+class AccuracyComparison(NamedTuple):
+    """One forecaster's accuracy comparison, None where a statistic is absent."""
+
+    economist_id: str
+    release: ReleaseKind
+    n_common: int
+    rmse_self: float
+    rmse_baseline: float
+    dm_statistic: float | None
+    hln_statistic: float | None
+    p_value_hln: float | None
+    note: str = ""
 
 
 def accuracy_by_loop(panel: ForecastPanel, base: BaselineSeries, actuals) -> list[AccuracyComparison]:
@@ -580,7 +607,11 @@ def test_accuracy_table_equals_the_forecaster_loop(cells, base, actual):
     panel = ForecastPanel.from_rows(rec(f"E{e}", START + t, v) for (e, t), v in cells.items())
     series = series_from({START + t: v for t, v in base.items()}, BaselineSeries, release=ReleaseKind.FIRST)
     actuals = series_from({START + t: v for t, v in actual.items()})
-    assert accuracy_table(panel, series, actuals) == accuracy_by_loop(panel, series, actuals)
+    table = accuracy_table(panel, series, actuals)
+    ids = [panel.economist_ids[code] for code in table.economist.tolist()]
+    assert as_records(AccuracyComparison, ids, [series.release] * len(ids),
+                      *(getattr(table, name) for name in AccuracyComparison._fields[2:])) == (
+        accuracy_by_loop(panel, series, actuals))
 
 
 def cell_medians_by_lexsort(key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
