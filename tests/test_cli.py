@@ -570,6 +570,75 @@ class TestSubcommands:
         for name in ("table6_persistence_first.csv", "persistence_diagnostics.csv"):
             assert (out / name).exists()
 
+    def test_persistence_writes_singleton_and_error_rows(self, tmp_path):
+        # Economist E5 has two consecutive first-release quarters, a singleton
+        # under FE once its own lag is taken.  The third release has one
+        # quarter, so its own-lag cells have no data and each prior-release
+        # regression has one observation per economist, which FE cannot fit.
+        rows = ["quarter,release,economist_id,firm_id,value,report_date"]
+        for i in range(1, 6):
+            for t in range(6):
+                for k in (1, 2, 3):
+                    if (k == 3 and t != 2) or (i == 5 and k != 2 and not (k == 1 and t in (1, 2))):
+                        continue
+                    value = ((i * 7 + (t + 1) * 3 + k * 5) % 11) * 0.3 - 1.5
+                    rows.append(f"{2000 + t // 4}Q{t % 4 + 1},{k},E{i},F{i},{value:.1f},")
+        (tmp_path / "forecasts.csv").write_text("\n".join(rows) + "\n")
+        out = tmp_path / "p"
+        assert main(["persistence", "--forecasts", str(tmp_path / "forecasts.csv"), "--out", str(out)]) == 0
+        header = ("column,regressor,spec,beta,se_clustered,stars,p_value,n_obs,n_forecasters,r_squared_within,"
+                  "r_squared_overall,error")
+        comment = "release (clustered on forecasters; stars at 10/5/1%)"
+        no_pairs = "no economist has 2 or more observations"
+        assert read_bytes(out) == {name: "".join(line + "\n" for line in lines).encode() for name, lines in {
+            "persistence_diagnostics.csv": [
+                "release,regressor,spec,metric,value",
+                "first,own_lag,fe,singletons_dropped,1",
+                "first,own_lag,fe_te,singletons_dropped,1",
+                "first,own_lag,,broken_lag_chains,5",
+                "first,prior_release,,broken_lag_chains,22",
+                "second,own_lag,,broken_lag_chains,5",
+                "second,prior_release,,broken_lag_chains,4",
+                "third,own_lag,,broken_lag_chains,4",
+                "third,prior_release,,broken_lag_chains,0",
+            ],
+            "table6_persistence_first.csv": [
+                f"# table 6: judgment persistence, first {comment}", header,
+                "1,own_lag,pooled,-0.174683892248,0.125246605806,,0.235566552065,21,5,0.0303393313812,"
+                "0.0303393313812,",
+                "2,own_lag,fe,-0.299852289513,0.126121111733,*,0.0978389195733,20,4,0.0743223623578,0.0471267720452,",
+                "3,own_lag,fe_te,-0.318181818182,0.099311199245,**,0.0491854339533,20,4,0.121947496947,"
+                "0.0471267720452,",
+                "4,prior_release,pooled,-0.561290322581,0.391859817376,,0.247458296737,4,4,0.315046826223,"
+                "0.315046826223,",
+                f"5,prior_release,fe,,,,,,,,,{no_pairs}",
+                f"6,prior_release,fe_te,,,,,,,,,{no_pairs}",
+            ],
+            "table7_persistence_second.csv": [
+                f"# table 7: judgment persistence, second {comment}", header,
+                "1,own_lag,pooled,-0.240784578965,0.0947629323554,*,0.0639187428475,25,5,0.0558978220486,"
+                "0.0558978220486,",
+                "2,own_lag,fe,-0.249559082892,0.0949409478728,*,0.058273335831,25,5,0.0622797358541,0.0558978220486,",
+                "3,own_lag,fe_te,-0.239130434783,0.0598381542206,**,0.0161799983186,25,5,0.0744766505636,"
+                "0.0558978220486,",
+                "4,prior_release,pooled,-0.493055555556,0.0664506308899,***,0.00176085247045,26,5,0.203619811086,"
+                "0.203619811086,",
+                "5,prior_release,fe,-0.455595026643,0.0715390997837,***,0.00311739994229,26,5,0.179370873882,"
+                "0.203619811086,",
+                "6,prior_release,fe_te,-0.488764044944,0.039335770958,***,0.000241201990386,26,5,0.254881776712,"
+                "0.203619811086,",
+            ],
+            "table8_persistence_third.csv": [
+                f"# table 8: judgment persistence, third {comment}", header,
+                "1,own_lag,pooled,,,,,,,,,empty persistence dataset",
+                "2,own_lag,fe,,,,,,,,,empty persistence dataset",
+                "3,own_lag,fe_te,,,,,,,,,empty persistence dataset",
+                "4,prior_release,pooled,-0.54,0.779036122397,,0.538050187448,4,4,0.188129032258,0.188129032258,",
+                f"5,prior_release,fe,,,,,,,,,{no_pairs}",
+                f"6,prior_release,fe_te,,,,,,,,,{no_pairs}",
+            ],
+        }.items()}
+
     def test_ar_forecast(self, world_dir, tmp_path):
         out = tmp_path / "ar"
         assert main(["ar-forecast", *world_flags(world_dir), "--out", str(out)]) == 0

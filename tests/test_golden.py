@@ -8,7 +8,8 @@ sample with ``--from/--to``, uses the mean baseline and thresholds that only
 some economists pass.  The third drops actuals and SPF rows, so some series
 have interior gaps and start or end early.  The pins hold the simulated
 world's truth and the AR forecasts of both actuals files, which no report
-writes.
+writes.  ``bench_worlds.sha256`` holds the digests of the benchmark worlds'
+reports, from ``tests/golden/make_bench_worlds.py``.
 """
 import csv
 import hashlib
@@ -27,6 +28,7 @@ from test_cli import src_env
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 
+import make_bench_worlds  # noqa: E402
 import make_golden  # noqa: E402
 
 
@@ -107,3 +109,12 @@ def test_pinned_output_matches_golden_byte_for_byte(name, tmp_path, monkeypatch)
     args, kept = make_golden.PINS[name]
     assert main([*args, "--out", str(tmp_path)]) == 0
     assert (tmp_path / kept).read_bytes() == (GOLDEN / name / kept).read_bytes()
+
+
+@pytest.mark.parametrize("workload", make_bench_worlds.WORKLOADS)
+def test_benchmark_world_reports_keep_their_digests(workload, tmp_path):
+    # World 0 of each workload here; the CI runtime job checks every world.
+    prefix = f"{workload}/world0/"
+    pinned = [line for line in make_bench_worlds.DIGESTS.read_text().splitlines(keepends=True)
+              if line.split("  ", 1)[1].startswith(prefix)]
+    assert make_bench_worlds.world_digests(workload, 0, tmp_path) == pinned
