@@ -47,7 +47,6 @@ from .accuracy import (
     hln_correction,
 )
 from .panelreg import (
-    PanelFitResult,
     PersistenceData,
     build_persistence_dataset,
     clustered_covariance,

@@ -467,33 +467,29 @@ def cmd_accuracy(study: Study, out: Path) -> list[Path]:
 
 
 def cmd_persistence(study: Study, out: Path) -> list[Path]:
-    report = persistence_battery(study.judgments)
-    files = []
-    diagnostics = [[], [], [], [], []]
-    for rel in RELEASES:
-        table = [[] for _ in range(12)]
-        for i, cell in enumerate(report.for_release(rel), start=1):  # regressor by spec, as the tables list them
-            kind, spec = cell.regressor_kind, cell.spec
-            if cell.result is None:
-                _add_row(table, i, kind, spec, None, None, "", None, None, None, None, None, cell.error)
-            else:
-                r = cell.result
-                _add_row(table, i, kind, spec, r.beta, r.se_clustered, cell.stars, cell.p_value,
-                         r.n_obs, r.n_forecasters, r.r_squared, r.r_squared_overall, "")
-            if cell.result is not None and cell.result.singletons_dropped:
-                _add_row(diagnostics, RELEASE_LABEL[rel], kind, spec, "singletons_dropped",
-                         cell.result.singletons_dropped)
-        for kind in REGRESSOR_KINDS:
-            _add_row(diagnostics, RELEASE_LABEL[rel], kind, "", "broken_lag_chains",
-                     report.broken_chains[(rel, kind)])
-        files.append(write_csv(
-            out / f"table{5 + rel.value}_persistence_{RELEASE_LABEL[rel]}.csv",
-            ["column", "regressor", "spec", "beta", "se_clustered", "stars", "p_value",
-             "n_obs", "n_forecasters", "r_squared_within", "r_squared_overall", "error"], table,
-            comment=f"table {5 + rel.value}: judgment persistence, {RELEASE_LABEL[rel]} release "
-                    "(clustered on forecasters; stars at 10/5/1%)"))
-    return [*files, write_csv(out / "persistence_diagnostics.csv",
-                              ["release", "regressor", "spec", "metric", "value"], diagnostics)]
+    cells, broken = persistence_battery(study.judgments)
+    failed = np.array([bool(error) for error in cells.error])
+    names = ("regressor", "spec", "beta", "se_clustered", "stars", "p_value", "n_obs", "n_forecasters", "r_squared",
+             "r_squared_overall", "error")
+    columns = [np.where(failed, None, getattr(cells, name)) if name in ("n_obs", "n_forecasters")
+               else getattr(cells, name) for name in names]
+    size = failed.size // len(RELEASES)  # each release's cells, regressor by spec, as the tables list them
+    files = [write_csv(
+        out / f"table{5 + rel.value}_persistence_{RELEASE_LABEL[rel]}.csv",
+        ["column", "regressor", "spec", "beta", "se_clustered", "stars", "p_value", "n_obs", "n_forecasters",
+         "r_squared_within", "r_squared_overall", "error"],
+        [np.arange(1, size + 1), *(column[k * size:(k + 1) * size] for column in columns)],
+        comment=f"table {5 + rel.value}: judgment persistence, {RELEASE_LABEL[rel]} release "
+                "(clustered on forecasters; stars at 10/5/1%)") for k, rel in enumerate(RELEASES)]
+    singles = np.flatnonzero(cells.singletons_dropped)
+    release = np.concatenate([cells.release[singles], np.repeat(RELEASES, len(REGRESSOR_KINDS))])
+    order = np.argsort(release, kind="stable")  # each release's singleton rows, then its broken chains
+    diagnostics = [np.concatenate([cells.regressor[singles], np.tile(REGRESSOR_KINDS, len(RELEASES))]),
+                   np.concatenate([cells.spec[singles], [""] * broken.size]),
+                   np.repeat(["singletons_dropped", "broken_lag_chains"], [singles.size, broken.size]),
+                   np.concatenate([cells.singletons_dropped[singles], broken])]
+    return [*files, write_csv(out / "persistence_diagnostics.csv", ["release", "regressor", "spec", "metric", "value"],
+                              [_release_labels(release[order]), *(column[order] for column in diagnostics)])]
 
 
 def cmd_ar_forecast(study: Study, out: Path) -> list[Path]:

@@ -10,7 +10,8 @@ Lovell), which is exact for unbalanced panels and forms no dummy matrix.
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple
+from types import SimpleNamespace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .panel import cell_key, economist_runs
 from .quarters import ReleaseKind
 from .tails import t_test_p_value
 
+RELEASES = (ReleaseKind.FIRST, ReleaseKind.SECOND, ReleaseKind.THIRD)
 SPECS = ("pooled", "fe", "fe_te")
 REGRESSOR_KINDS = ("own_lag", "prior_release")
 STAR_LEVELS = (0.10, 0.05, 0.01)
@@ -77,17 +79,6 @@ def build_persistence_dataset(
         keep = keep[s_key[at[keep]] == key[keep]]
         regressor = s_value[at[keep]]
     return PersistenceData(econ[keep], quarter[keep], response[keep], regressor)
-
-
-class PanelFitResult(NamedTuple):
-    spec: str
-    beta: float
-    se_clustered: float
-    n_obs: int
-    n_forecasters: int
-    r_squared: float          # within-R^2 for FE specs, ordinary R^2 for pooled
-    r_squared_overall: float  # squared correlation of raw response and beta*x
-    singletons_dropped: int = 0
 
 
 def clustered_covariance(
@@ -149,18 +140,41 @@ def _partial_quarter_effects(within: np.ndarray, econ: np.ndarray, quarter: np.n
     return within - gamma[quarter] + (shares @ gamma)[econ]
 
 
-def fe_estimate(data: PersistenceData, spec: str) -> PanelFitResult:
-    """Estimate the single-regressor persistence equation under one specification.
+def fe_estimate(datasets: Sequence[PersistenceData], spec: str) -> SimpleNamespace:
+    """Estimate the single-regressor persistence equation under one specification on each dataset.
 
     pooled: OLS with intercept.  fe: within transformation by economist
     (singleton economists dropped).  fe_te: fe with the T quarter effects
     partialled out (``_partial_quarter_effects``); its clustered SE still
     counts K = 1 + (T-1).  Standard errors are clustered on economists, each
     a run of rows, since the rows are grouped by economist; an exact fit has
-    SE 0.
+    SE 0.  Each dataset is fitted on its own.
+
+    Returns aligned columns, entry i for ``datasets[i]``: ``beta``,
+    ``se_clustered``, ``n_obs``, ``n_forecasters``, ``r_squared`` (within for
+    the FE specs, ordinary for pooled), ``r_squared_overall`` (the squared
+    correlation of the raw response and beta * x), ``singletons_dropped`` and
+    ``error``, a list of str: "" where the fit succeeded, else why it failed,
+    with NaN statistics and zero counts.
     """
     if spec not in SPECS:
         raise ValueError(f"unknown spec {spec!r}")
+    values = np.full((4, len(datasets)), np.nan)  # beta, se_clustered, r_squared, r_squared_overall
+    counts = np.zeros((3, len(datasets)), dtype=np.int64)  # n_obs, n_forecasters, singletons_dropped
+    error = [""] * len(datasets)
+    for i, data in enumerate(datasets):
+        try:
+            values[:, i], counts[:, i] = _fit(data, spec)
+        except EstimationError as exc:
+            error[i] = str(exc)
+    beta, se, r_squared, r_squared_overall = values
+    n_obs, n_forecasters, singletons_dropped = counts
+    return SimpleNamespace(beta=beta, se_clustered=se, n_obs=n_obs, n_forecasters=n_forecasters, r_squared=r_squared,
+                           r_squared_overall=r_squared_overall, singletons_dropped=singletons_dropped, error=error)
+
+
+def _fit(data: PersistenceData, spec: str) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """One dataset's (beta, SE, R^2, overall R^2) and (n_obs, n_forecasters, singletons_dropped)."""
     if not len(data):
         raise EstimationError("empty persistence dataset")
     y, x, quarters = data.response, data.regressor, data.quarter
@@ -228,69 +242,43 @@ def fe_estimate(data: PersistenceData, spec: str) -> PanelFitResult:
     sd_o, sd_raw = np.std(overall_fit), np.std(y)
     r2_overall = float(np.corrcoef(overall_fit, y)[0, 1] ** 2) if sd_o > 0 and sd_raw > 0 else math.nan
 
-    return PanelFitResult(
-        spec=spec,
-        beta=beta,
-        se_clustered=se,
-        n_obs=int(nobs),
-        n_forecasters=int(n_clusters),
-        r_squared=r_squared,
-        r_squared_overall=r2_overall,
-        singletons_dropped=singletons_dropped,
-    )
+    return (beta, se, r_squared, r2_overall), (nobs, n_clusters, singletons_dropped)
 
 
 def significance_stars(p_value: float) -> str:
     return "*" * sum(p_value < level for level in STAR_LEVELS)
 
 
-class PersistenceCell(NamedTuple):
-    release: ReleaseKind
-    regressor_kind: str
-    spec: str
-    result: PanelFitResult | None
-    p_value: float | None
-    stars: str
-    error: str | None = None
-
-
-class PersistenceReport:
-    def __init__(self):
-        self.cells: list[PersistenceCell] = []
-        self.broken_chains: dict[tuple[ReleaseKind, str], int] = {}
-
-    def for_release(self, release: ReleaseKind) -> list[PersistenceCell]:
-        return [c for c in self.cells if c.release == release]
-
-
-def persistence_battery(judgments: Mapping[ReleaseKind, JudgmentPanel]) -> PersistenceReport:
+def persistence_battery(judgments: Mapping[ReleaseKind, JudgmentPanel]) -> tuple[SimpleNamespace, np.ndarray]:
     """Six estimation cells per release: {own-lag, cross-release} x {pooled, FE, FE+TE}.
 
     ``judgments`` holds each release's judgments, extracted from one panel.
-    Per-cell failures are reported inline; the battery always completes.
-    Significance is the two-sided ``t_test_p_value`` of beta = 0 with G-1
-    degrees of freedom, G the number of forecasters; a zero SE gets no stars.
+    Returns the cells and the broken-chain counts.  The cells are aligned
+    columns in table order (release, then regressor, then spec): ``release``
+    (its number), ``regressor``, ``spec``, the columns of ``fe_estimate``,
+    ``p_value`` (NaN where the fit failed) and ``stars``, a list of str.  A
+    cell that cannot be fitted carries its error; the battery always
+    completes.  Significance is the two-sided ``t_test_p_value`` of beta = 0
+    with G-1 degrees of freedom, G the number of forecasters; a zero SE gets
+    no stars.  The broken-chain counts, one per (release, regressor) in the
+    same order, are the release's judgments that its regression leaves out.
     """
-    report = PersistenceReport()
-    fits: list[tuple[ReleaseKind, str, str, PanelFitResult | str]] = []
-    for release in (ReleaseKind.FIRST, ReleaseKind.SECOND, ReleaseKind.THIRD):
-        n_responses = len(judgments[release]) if release in judgments else 0
-        for kind in REGRESSOR_KINDS:
-            data = build_persistence_dataset(judgments, release, kind)
-            report.broken_chains[(release, kind)] = n_responses - len(data)
-            for spec in SPECS:
-                try:
-                    fits.append((release, kind, spec, fe_estimate(data, spec)))
-                except EstimationError as exc:
-                    fits.append((release, kind, spec, str(exc)))
-    fitted = [fit for *_, fit in fits if not isinstance(fit, str)]
-    p_values = iter(t_test_p_value([fit.beta for fit in fitted], 0.0, [fit.se_clustered for fit in fitted],
-                                   [fit.n_forecasters - 1 for fit in fitted]).tolist())
-    for release, kind, spec, fit in fits:
-        if isinstance(fit, str):
-            report.cells.append(PersistenceCell(release, kind, spec, None, None, "", fit))
-        else:
-            p = next(p_values)
-            stars = significance_stars(p) if fit.se_clustered > 0 else ""
-            report.cells.append(PersistenceCell(release, kind, spec, fit, p, stars))
-    return report
+    keys = [(release, kind) for release in RELEASES for kind in REGRESSOR_KINDS]
+    datasets = [build_persistence_dataset(judgments, release, kind) for release, kind in keys]
+    broken = np.array([(len(judgments[release]) if release in judgments else 0) - len(data)
+                       for (release, _), data in zip(keys, datasets)])
+    fits = [fe_estimate(datasets, spec) for spec in SPECS]
+    # Cell len(SPECS) * d + s is entry d of spec s's fits.
+    cells = SimpleNamespace(**{name: np.column_stack([getattr(fit, name) for fit in fits]).ravel()
+                               for name in vars(fits[0]) if name != "error"})
+    cells.error = [error for row in zip(*(fit.error for fit in fits)) for error in row]
+    cells.release = np.repeat([release.value for release, _ in keys], len(SPECS))
+    cells.regressor = np.repeat([kind for _, kind in keys], len(SPECS))
+    cells.spec = np.tile(SPECS, len(keys))
+    fitted = np.array([not error for error in cells.error])
+    cells.p_value = np.full(fitted.size, np.nan)
+    cells.p_value[fitted] = t_test_p_value(cells.beta[fitted], 0.0, cells.se_clustered[fitted],
+                                           cells.n_forecasters[fitted] - 1)
+    cells.stars = [significance_stars(p) if se > 0 else "" for p, se in
+                   zip(cells.p_value.tolist(), cells.se_clustered.tolist())]
+    return cells, broken

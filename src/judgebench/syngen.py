@@ -15,7 +15,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EstimationError
 from .judgment import DEFAULT_GRID, baseline, extract_judgments, grid_round
 from .panel import ForecastPanel, QuarterSeries, SpfNowcasts, factorize
 from .panelreg import build_persistence_dataset, fe_estimate
@@ -226,7 +225,8 @@ def recovery_experiment(config: SynthConfig, replications: int) -> RecoverySumma
     that is whether the two-sided t test of beta = rho_own has p >= 0.05.
     Replications use seeds config.seed + index, so results are deterministic.
     They are simulated in blocks of at most ``BLOCK_CELLS`` cells, first
-    release only, with the bits of one world at a time.
+    release only, with the bits of one world at a time, and each block's
+    datasets are fitted in one ``fe_estimate`` call.
     """
     summary = RecoverySummary(config=config, replications=replications)
     ses: list[float] = []
@@ -236,20 +236,19 @@ def recovery_experiment(config: SynthConfig, replications: int) -> RecoverySumma
     for first in range(0, replications, size):
         reps = range(first, min(first + size, replications))
         block = _simulate_block(config, [config.seed + rep for rep in reps], releases=1)
-        for s, rep in enumerate(reps):
+        datasets = []
+        for s in range(len(reps)):
             panel = _panel(config, block, s, ids)
-            try:
-                judgments = {ReleaseKind.FIRST: extract_judgments(panel, baseline(panel, ReleaseKind.FIRST),
-                                                                  grid=config.grid)}
-                result = fe_estimate(build_persistence_dataset(judgments, ReleaseKind.FIRST, "own_lag"), "fe")
-            except EstimationError as exc:
-                summary.n_failed += 1
-                summary.failures.append(f"replication {rep}: {exc}")
-                continue
-            summary.betas.append(result.beta)
-            ses.append(result.se_clustered)
-            dfs.append(result.n_forecasters - 1)
-    summary.n_completed = len(summary.betas)
+            judgments = {ReleaseKind.FIRST: extract_judgments(panel, baseline(panel, ReleaseKind.FIRST),
+                                                              grid=config.grid)}
+            datasets.append(build_persistence_dataset(judgments, ReleaseKind.FIRST, "own_lag"))
+        fits = fe_estimate(datasets, "fe")
+        fitted = np.array([not error for error in fits.error], dtype=bool)
+        summary.failures += [f"replication {rep}: {error}" for rep, error in zip(reps, fits.error) if error]
+        summary.betas += fits.beta[fitted].tolist()
+        ses += fits.se_clustered[fitted].tolist()
+        dfs += (fits.n_forecasters[fitted] - 1).tolist()
+    summary.n_completed, summary.n_failed = len(summary.betas), len(summary.failures)
     if summary.n_completed:
         betas = np.asarray(summary.betas)
         covered = t_test_p_value(betas, config.rho_own, ses, dfs) >= 0.05  # inside the 95% interval

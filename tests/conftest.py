@@ -3,14 +3,17 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from datetime import date
+from types import SimpleNamespace
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from judgebench.errors import EstimationError
 from judgebench.judgment import JudgmentPanel
 from judgebench.panel import ForecastPanel, QuarterSeries, factorize
-from judgebench.panelreg import PersistenceData
+from judgebench.panelreg import PersistenceData, fe_estimate
 from judgebench.quarters import ReleaseKind
 
 
@@ -133,6 +136,21 @@ def dataset(observations: list[Obs]) -> PersistenceData:
         np.array([o.response for o in observations], dtype=float),
         np.array([o.regressor for o in observations], dtype=float),
     )
+
+
+def entries(result: SimpleNamespace) -> list[tuple]:
+    """Each entry of a result's aligned columns, in order, as a named tuple of Python values."""
+    record = namedtuple("Entry", vars(result))
+    columns = [column.tolist() if isinstance(column, np.ndarray) else column for column in vars(result).values()]
+    return [record(*row) for row in zip(*columns, strict=True)]
+
+
+def fe_fit(data: PersistenceData, spec: str) -> tuple:
+    """The one entry of ``fe_estimate([data], spec)``; a fit that failed raises its error as EstimationError."""
+    (fit,) = entries(fe_estimate([data], spec))
+    if fit.error:
+        raise EstimationError(fit.error)
+    return fit
 
 
 def series_from(values: dict[int, float], cls: type = QuarterSeries, **fields) -> QuarterSeries:

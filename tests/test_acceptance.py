@@ -27,11 +27,10 @@ from judgebench.linreg import (
     wald_joint_test,
 )
 from judgebench.panel import ForecastPanel
-from judgebench.panelreg import fe_estimate
 from judgebench.quarters import ReleaseKind
 from judgebench.syngen import SynthConfig, recovery_experiment, simulate_world
 
-from conftest import Obs, aligned, dataset, present, q, rows_of, series_from
+from conftest import Obs, aligned, dataset, fe_fit, present, q, rows_of, series_from
 
 R1 = ReleaseKind.FIRST
 
@@ -62,7 +61,7 @@ def test_fixed_effects_matches_dummy_variable_ols():
                 x = float(rng.normal())
                 y = 0.4 * x + effect + float(rng.normal(0, 0.5))
                 data.append(Obs(f"E{i}", q(2000, 1) + t, y, x))
-        fe = fe_estimate(dataset(data), "fe")
+        fe = fe_fit(dataset(data), "fe")
         econs = sorted({o.economist_id for o in data})
         X = np.zeros((len(data), 1 + len(econs)))
         y_vec = np.empty(len(data))

@@ -10,14 +10,13 @@ from judgebench.panelreg import (
     SPECS,
     build_persistence_dataset,
     clustered_covariance,
-    fe_estimate,
     persistence_battery,
     significance_stars,
 )
 from judgebench.quarters import ReleaseKind
 from judgebench.tails import t_sf, t_test_p_value
 
-from conftest import Obs, dataset, q, rec
+from conftest import Obs, dataset, entries, fe_fit, q, rec
 
 R1, R2, R3 = ReleaseKind.FIRST, ReleaseKind.SECOND, ReleaseKind.THIRD
 
@@ -76,7 +75,7 @@ class TestFeEstimate:
         for i, effect in enumerate((1.0, -2.0)):
             for t, x in enumerate((1.0, 3.0)):
                 data.append(obs(f"E{i}", q(2000, 1) + t, 0.5 * x + effect, x))
-        result = fe_estimate(dataset(data), "fe")
+        result = fe_fit(dataset(data), "fe")
         assert result.beta == pytest.approx(0.5, abs=1e-10)
 
     def test_fe_equals_entity_dummy_ols(self):
@@ -88,7 +87,7 @@ class TestFeEstimate:
                 x = rng.normal()
                 y = 0.3 * x + effect + rng.normal(0, 0.5)
                 data.append(obs(f"E{i}", q(2000, 1) + t, y, x))
-        fe = fe_estimate(dataset(data), "fe")
+        fe = fe_fit(dataset(data), "fe")
         econs = sorted({o.economist_id for o in data})
         X = np.zeros((len(data), 1 + len(econs)))
         y_vec = np.empty(len(data))
@@ -102,7 +101,7 @@ class TestFeEstimate:
     def test_pooled_includes_intercept(self):
         data = [obs("E1", q(2000, 1) + t, 2.0 + 0.5 * t, float(t)) for t in range(6)]
         data += [obs("E2", q(2000, 1) + t, 2.0 + 0.5 * t, float(t)) for t in range(6)]
-        result = fe_estimate(dataset(data), "pooled")
+        result = fe_fit(dataset(data), "pooled")
         assert result.beta == pytest.approx(0.5, abs=1e-10)
 
     def test_singletons_dropped_under_fe(self):
@@ -113,14 +112,14 @@ class TestFeEstimate:
             obs("E3", q(2000, 1), 0.4, 0.2),
             obs("E3", q(2000, 2), 0.5, 0.1),
         ]
-        result = fe_estimate(dataset(data), "fe")
+        result = fe_fit(dataset(data), "fe")
         assert result.singletons_dropped == 1
         assert result.n_forecasters == 2
 
     def test_all_singletons_rejected(self):
         data = [obs("E1", q(2000, 1), 1.0, 0.5), obs("E2", q(2000, 1), 2.0, 0.7)]
         with pytest.raises(EstimationError):
-            fe_estimate(dataset(data), "fe")
+            fe_fit(dataset(data), "fe")
 
     def test_within_ignores_entity_constant_shifts(self):
         rng = np.random.default_rng(21)
@@ -128,12 +127,12 @@ class TestFeEstimate:
         for i in range(4):
             for t in range(5):
                 data.append(obs(f"E{i}", q(2000, 1) + t, rng.normal(), rng.normal()))
-        base = fe_estimate(dataset(data), "fe")
+        base = fe_fit(dataset(data), "fe")
         shifted = [
             obs(o.economist_id, o.quarter, o.response, o.regressor + 10.0 * int(o.economist_id[1]))
             for o in data
         ]
-        assert fe_estimate(dataset(shifted), "fe").beta == pytest.approx(base.beta, abs=1e-8)
+        assert fe_fit(dataset(shifted), "fe").beta == pytest.approx(base.beta, abs=1e-8)
 
     def test_fe_te_ignores_quarter_constant_shifts(self):
         rng = np.random.default_rng(22)
@@ -141,12 +140,12 @@ class TestFeEstimate:
         for i in range(4):
             for t in range(6):
                 data.append(obs(f"E{i}", q(2000, 1) + t, rng.normal(), rng.normal()))
-        base = fe_estimate(dataset(data), "fe_te")
+        base = fe_fit(dataset(data), "fe_te")
         shifted = [
             obs(o.economist_id, o.quarter, o.response + 3.0 * o.quarter, o.regressor)
             for o in data
         ]
-        assert fe_estimate(dataset(shifted), "fe_te").beta == pytest.approx(base.beta, abs=1e-8)
+        assert fe_fit(dataset(shifted), "fe_te").beta == pytest.approx(base.beta, abs=1e-8)
 
     def test_pooled_null_slope_within_three_se(self):
         rng = np.random.default_rng(23)
@@ -157,7 +156,7 @@ class TestFeEstimate:
             for i in range(10):
                 for t in range(8):
                     data.append(obs(f"E{i}", q(2000, 1) + t, r.normal(), r.normal()))
-            result = fe_estimate(dataset(data), "pooled")
+            result = fe_fit(dataset(data), "pooled")
             if abs(result.beta) < 3 * result.se_clustered:
                 hits += 1
         assert hits >= 95
@@ -177,29 +176,29 @@ def same_quarters_panel(seed: int = 0) -> list[Obs]:
 
 class TestZeroClusteredSe:
     def test_cancelling_cluster_scores_give_zero_se(self):
-        result = fe_estimate(dataset(same_quarters_panel()), "fe_te")
+        result = fe_fit(dataset(same_quarters_panel()), "fe_te")
         assert result.beta == pytest.approx(3.5097335142626, abs=1e-9)
         assert result.se_clustered == 0.0
 
     def test_exact_fit_gives_zero_se(self):
         data = [o._replace(response=3.2 * o.regressor + 1.0) for o in same_quarters_panel()]
         for spec in SPECS:
-            result = fe_estimate(dataset(data), spec)
+            result = fe_fit(dataset(data), spec)
             assert (result.beta, result.se_clustered) == (pytest.approx(3.2, abs=1e-12), 0.0)
 
     def test_zero_se_cell_has_p_zero_and_no_stars(self):
-        entries = {(o.economist_id, o.quarter, release): o.response
-                   for o in same_quarters_panel() for release in (R1, R2, R3)}
-        report = persistence_battery(jp_from(entries))
-        cells = [c for c in report.cells if c.regressor_kind == "own_lag" and c.spec == "fe_te"]
+        judged = {(o.economist_id, o.quarter, release): o.response
+                  for o in same_quarters_panel() for release in (R1, R2, R3)}
+        cells, _ = persistence_battery(jp_from(judged))
+        cells = [c for c in entries(cells) if c.regressor == "own_lag" and c.spec == "fe_te"]
         assert len(cells) == 3
         for cell in cells:
-            assert (cell.result.se_clustered, cell.p_value, cell.stars) == (0.0, 0.0, "")
+            assert (cell.se_clustered, cell.p_value, cell.stars) == (0.0, 0.0, "")
 
     def test_unsorted_rows_rejected(self):
         data = same_quarters_panel()
         with pytest.raises(ValueError, match="grouped by economist"):
-            fe_estimate(dataset(data[::2] + data[1::2]), "fe")
+            fe_fit(dataset(data[::2] + data[1::2]), "fe")
 
 
 def _clustered(X, u, codes):
@@ -253,37 +252,37 @@ class TestClusteredSe:
 class TestPersistenceBattery:
     def _jp(self, rho=0.5, n_econ=8, n_quarters=12, seed=0):
         rng = np.random.default_rng(seed)
-        entries = {}
+        judged = {}
         for i in range(n_econ):
             for release in (R1, R2, R3):
                 j = 0.0
                 for t in range(n_quarters):
                     j = rho * j + rng.normal(0, 0.2)
-                    entries[(f"E{i}", q(2000, 1) + t, release)] = j
-        return jp_from(entries)
+                    judged[(f"E{i}", q(2000, 1) + t, release)] = j
+        return jp_from(judged)
 
     def test_full_grid_of_cells(self):
-        report = persistence_battery(self._jp())
-        keys = {(c.release, c.regressor_kind, c.spec) for c in report.cells}
+        cells, _ = persistence_battery(self._jp())
+        keys = {(c.release, c.regressor, c.spec) for c in entries(cells)}
         assert len(keys) == 18  # 3 releases x 2 regressors x 3 specs
 
     def test_degenerate_judgments_error_per_cell_but_report_emitted(self):
-        entries = {
+        judged = {
             (f"E{i}", q(2000, 1) + t, release): 0.0
             for i in range(4)
             for t in range(6)
             for release in (R1, R2, R3)
         }
-        report = persistence_battery(jp_from(entries))
-        assert len(report.cells) == 18
-        assert all(cell.error is not None for cell in report.cells)
+        cells, _ = persistence_battery(jp_from(judged))
+        assert len(entries(cells)) == 18
+        assert all(cell.error for cell in entries(cells))
 
     def test_recovers_positive_persistence_sign(self):
-        report = persistence_battery(self._jp(rho=0.6, n_econ=20, n_quarters=30))
+        cells, _ = persistence_battery(self._jp(rho=0.6, n_econ=20, n_quarters=30))
         own_pooled = [
-            c for c in report.cells if c.regressor_kind == "own_lag" and c.spec == "pooled"
+            c for c in entries(cells) if c.regressor == "own_lag" and c.spec == "pooled"
         ]
-        assert all(c.error is None and c.result.beta > 0.3 for c in own_pooled)
+        assert all(not c.error and c.beta > 0.3 for c in own_pooled)
 
 
 class TestSignificanceStars:

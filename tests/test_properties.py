@@ -24,12 +24,11 @@ from judgebench.descriptive import quarter_stats
 from judgebench.errors import EstimationError, IngestionError
 from judgebench.judgment import BaselineSeries, baseline, baseline_hit_stats, extract_judgments
 from judgebench.panel import ForecastPanel, clean_panel, load_forecasts
-from judgebench.panelreg import fe_estimate
 from judgebench.quarters import ReleaseKind, quarter_label
 from judgebench.tails import t_sf
 
 import reference_reader as reference
-from conftest import Obs, as_records, dataset, present, q, rec, rows_of, series_from
+from conftest import Obs, as_records, dataset, fe_fit, present, q, rec, rows_of, series_from
 from reference_reader import outcome
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -76,12 +75,12 @@ def test_fe_beta_invariant_to_relabelling_economists(drawn):
     renamed = [o._replace(economist_id=f"R{relabel[int(o.economist_id[1:])]}") for o in data]
     for spec in ("fe", "fe_te"):
         try:
-            result = fe_estimate(dataset(data), spec)
+            result = fe_fit(dataset(data), spec)
         except EstimationError:
             with pytest.raises(EstimationError):
-                fe_estimate(dataset(renamed), spec)
+                fe_fit(dataset(renamed), spec)
             continue
-        assert fe_estimate(dataset(renamed), spec).beta == pytest.approx(result.beta, abs=1e-10)
+        assert fe_fit(dataset(renamed), spec).beta == pytest.approx(result.beta, abs=1e-10)
 
 
 @SETTINGS
@@ -375,9 +374,9 @@ def test_fe_te_equals_two_way_dummy_ols(drawn):
         expected = two_way_dummy_ols(dataset(data))
     except EstimationError:
         with pytest.raises(EstimationError):
-            fe_estimate(dataset(data), "fe_te")
+            fe_fit(dataset(data), "fe_te")
         return
-    result = fe_estimate(dataset(data), "fe_te")
+    result = fe_fit(dataset(data), "fe_te")
     beta, se, se_unclustered, r2, n_obs, n_forecasters, singletons = expected
     assert result.beta == pytest.approx(beta, rel=1e-9, abs=1e-12)
     # Compared as variances.  Where the cluster scores cancel exactly (two

@@ -2,9 +2,9 @@
 
 The values were captured from the code before the per-replication work was
 trimmed (one sort per cell median, one QR per FE fit), and any change to the
-recovery path must keep them.  Each fit is pinned as ``float.hex`` of its
-beta, clustered SE, within R^2 and overall R^2; a fit that raises is pinned
-by its message.  The benchmark only checks recovery to within 1e-9.
+recovery path must keep them.  Each dataset's fit is pinned as ``float.hex``
+of its beta, clustered SE, within R^2 and overall R^2; a fit that fails is
+pinned by its error message.  The benchmark only checks recovery to within 1e-9.
 """
 from unittest import mock
 
@@ -12,8 +12,9 @@ import pytest
 
 import judgebench.syngen as syngen
 from judgebench.cli import main
-from judgebench.errors import EstimationError
 from judgebench.syngen import SynthConfig, recovery_experiment
+
+from conftest import entries
 
 # name: (config, replications)
 CONFIGS = {
@@ -66,18 +67,16 @@ SUMMARY_CSV = (
 
 
 def fit_bits(config: SynthConfig, replications: int) -> list:
-    """Each ``fe_estimate`` call of the experiment, in call order, as hex strings or its error message."""
+    """Each dataset's fit in the experiment, in call order, as hex strings or its error message."""
     calls = []
     estimate = syngen.fe_estimate
 
-    def recorded(data, spec):
-        try:
-            fit = estimate(data, spec)
-        except EstimationError as exc:
-            calls.append(str(exc))
-            raise
-        calls.append(tuple(float(v).hex() for v in (fit.beta, fit.se_clustered, fit.r_squared, fit.r_squared_overall)))
-        return fit
+    def recorded(datasets, spec):
+        result = estimate(datasets, spec)
+        calls.extend(fit.error or tuple(float(v).hex() for v in (fit.beta, fit.se_clustered, fit.r_squared,
+                                                                   fit.r_squared_overall))
+                     for fit in entries(result))
+        return result
 
     with mock.patch.object(syngen, "fe_estimate", recorded):
         recovery_experiment(config, replications)

@@ -24,7 +24,7 @@ from judgebench.panelreg import build_persistence_dataset, fe_estimate
 from judgebench.quarters import ReleaseKind
 from judgebench.syngen import SynthConfig, recovery_experiment, simulate_world
 
-from conftest import rows_of
+from conftest import entries, fe_fit, rows_of
 
 R1 = ReleaseKind.FIRST
 
@@ -138,8 +138,8 @@ class TestJudgmentExtraction:
         )
         world = simulate_world(config)
         jp = {release: world_judgments(world, release) for release in (R1, ReleaseKind.SECOND)}
-        own = fe_estimate(build_persistence_dataset(jp, ReleaseKind.SECOND, "own_lag"), "fe")
-        cross = fe_estimate(
+        own = fe_fit(build_persistence_dataset(jp, ReleaseKind.SECOND, "own_lag"), "fe")
+        cross = fe_fit(
             build_persistence_dataset(jp, ReleaseKind.SECOND, "prior_release"), "fe"
         )
         assert abs(own.beta) < 0.1
@@ -175,7 +175,7 @@ def loop_recovery(config: SynthConfig, replications: int):
         try:
             world = simulate_world(reseeded(config, config.seed + rep))
             judgments = {R1: world_judgments(world, R1)}
-            fits.append(fe_estimate(build_persistence_dataset(judgments, R1, "own_lag"), "fe"))
+            fits.append(fe_fit(build_persistence_dataset(judgments, R1, "own_lag"), "fe"))
         except EstimationError as exc:
             failures.append(f"replication {rep}: {exc}")
     betas = [fit.beta for fit in fits]
@@ -251,9 +251,10 @@ class TestBlockPass:
         cells = n * t * 3
         fits = []
 
-        def recording(data, spec):
-            fits.append(fe_estimate(data, spec))
-            return fits[-1]
+        def recording(datasets, spec):
+            result = fe_estimate(datasets, spec)
+            fits.extend(fit for fit in entries(result) if not fit.error)
+            return result
 
         with mock.patch.object(syngen, "BLOCK_CELLS", block * cells + int(spare * cells)), \
                 mock.patch.object(syngen, "fe_estimate", recording):
