@@ -37,6 +37,9 @@ ACTUALS_HEADER = ["quarter", "release", "value"]
 FORECASTS_HEADER = ["quarter", "release", "economist_id", "firm_id", "value", "report_date"]
 SPF_HEADER = ["quarter", "median", "mean"]
 CHUNK_LINES = 2048  # lines the CSV reader decodes, and rows it codes, at a time
+# The largest magnitude an input value may have.  Fourth powers of deviations, summed over any release, stay
+# far below the float maximum (about 1.8e308), so no statistic overflows.
+MAX_MAGNITUDE = 1e50
 _ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
@@ -378,6 +381,8 @@ def _parse_value(token: str) -> float:
         raise ValueError(f"non-numeric value {token!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {token!r}")
+    if abs(value) > MAX_MAGNITUDE:
+        raise ValueError(f"value {token!r} exceeds the magnitude limit {MAX_MAGNITUDE:g}")
     return value
 
 

@@ -730,17 +730,17 @@ def test_report_on_an_empty_sample_writes_headers_only(tmp_path):
 
 
 def test_table1_averages_the_present_values_of_each_statistic(tmp_path):
-    # A forecast of 1e160 overflows its quarter's variance: that quarter's skewness and kurtosis are absent
-    # (NaN), and table 1 takes the average, minimum and maximum over the other quarters.
+    # Equal release-1 forecasts in 2005Q2 leave that quarter without spread: its skewness and kurtosis are
+    # absent (NaN), and table 1 takes the average, minimum and maximum over the other quarters.
     lines = (GOLDEN_INPUTS / "forecasts.csv").read_text().splitlines()
-    at = next(i for i, line in enumerate(lines) if line.startswith("2005Q2,1,"))
-    fields = lines[at].split(",")
-    fields[4] = "1e160"
-    lines[at] = ",".join(fields)
+    for at in [i for i, line in enumerate(lines) if line.startswith("2005Q2,1,")]:
+        fields = lines[at].split(",")
+        fields[4] = "2.5"
+        lines[at] = ",".join(fields)
     (tmp_path / "forecasts.csv").write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the overflow and the excluded quarter
+        warnings.simplefilter("ignore")  # the excluded quarter
         assert main(["describe", "--actuals", str(GOLDEN_INPUTS / "actuals.csv"),
                      "--forecasts", str(tmp_path / "forecasts.csv"), "--out", str(out)]) == 0
 

@@ -124,6 +124,49 @@ def test_a_report_date_not_in_yyyy_mm_dd_form_names_its_line(token, tmp_path):
 TOKENS = [b",", b"\n", b"\r\n", b"\r", b'"', b"nan", b"1e400", b"2001Q5", b"\xff", b"\x00", b"", b"-", b"2020-13-45"]
 
 
+# Where each input's 2005Q2 value is: the release-1 forecast, the release-1 actual and the SPF median.
+EXTREME_FIELD = {"forecasts": ("2005Q2,1,", 4), "actuals": ("2005Q2,1,", 2), "spf": ("2005Q2,", 1)}
+
+
+def set_field(path: Path, start: str, field: int, token: str) -> int:
+    """Set one field of the first line that starts with ``start``, and return that line's number."""
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(start))
+    fields = lines[at].split(",")
+    fields[field] = token
+    lines[at] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    return at + 1
+
+
+@pytest.mark.parametrize("what", sorted(LOADERS))
+def test_an_extreme_value_is_rejected_or_overflows_nothing(what, tmp_path, capsys):
+    for exponent in range(10, 301, 10):
+        paths = copy_inputs(tmp_path)
+        line = set_field(paths[what], *EXTREME_FIELD[what], f"1e{exponent}")
+        out = tmp_path / f"out{exponent}"
+        code = report(paths, out)
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "", exponent
+            diagnostics = (out / "diagnostics.csv").read_text() if (out / "diagnostics.csv").exists() else ""
+            assert "overflow" not in diagnostics, exponent
+        else:
+            assert (code, err) == (1, f"error: ingestionerror detail={paths[what]} line {line}: value "
+                                      f"'1e{exponent}' exceeds the magnitude limit 1e+50\n"), exponent
+
+
+def test_a_forecast_of_1e100_is_one_error_line_in_a_fresh_interpreter(tmp_path):
+    # Python's float power overflowed on this forecast's cross-section variance, a traceback with exit 1.
+    paths = copy_inputs(tmp_path)
+    line = set_field(paths["forecasts"], *EXTREME_FIELD["forecasts"], "1e100")
+    done = subprocess.run([sys.executable, "-m", "judgebench.cli", "report", *(
+        flag for what, path in paths.items() for flag in (f"--{what}", str(path))), "--out", str(tmp_path / "out")],
+        env=src_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (1, f"error: ingestionerror detail={paths['forecasts']} line {line}: "
+                                                 "value '1e100' exceeds the magnitude limit 1e+50\n")
+
+
 def mutate(data: bytes, rng: random.Random) -> bytes:
     """One to three edits: replace or insert a token, or delete or duplicate a line."""
     for _ in range(rng.randint(1, 3)):
