@@ -22,7 +22,6 @@ from .panel import cell_key, economist_runs
 from .quarters import ReleaseKind
 from .tails import t_test_p_value
 
-RELEASES = (ReleaseKind.FIRST, ReleaseKind.SECOND, ReleaseKind.THIRD)
 SPECS = ("pooled", "fe", "fe_te")
 REGRESSOR_KINDS = ("own_lag", "prior_release")
 STAR_LEVELS = (0.10, 0.05, 0.01)
@@ -263,7 +262,7 @@ def persistence_battery(judgments: Mapping[ReleaseKind, JudgmentPanel]) -> tuple
     no stars.  The broken-chain counts, one per (release, regressor) in the
     same order, are the release's judgments that its regression leaves out.
     """
-    keys = [(release, kind) for release in RELEASES for kind in REGRESSOR_KINDS]
+    keys = [(release, kind) for release in ReleaseKind for kind in REGRESSOR_KINDS]
     datasets = [build_persistence_dataset(judgments, release, kind) for release, kind in keys]
     broken = np.array([(len(judgments[release]) if release in judgments else 0) - len(data)
                        for (release, _), data in zip(keys, datasets)])
