@@ -30,7 +30,6 @@ from .judgment import (
     sign_shares,
 )
 from .linreg import (
-    JointTestResult,
     RegressionFit,
     efficiency_regression,
     hac_covariance,

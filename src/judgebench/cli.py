@@ -28,6 +28,8 @@ from .descriptive import armse, quarter_stats
 from .errors import JudgebenchError
 from .judgment import (
     DEFAULT_THRESHOLDS,
+    HISTOGRAM_BINS,
+    SIGN_SHARE_COLUMNS,
     BaselineSeries,
     JudgmentPanel,
     baseline,
@@ -361,43 +363,30 @@ def cmd_describe(study: Study, out: Path) -> list[Path]:
 
 def cmd_table2(study: Study, out: Path) -> list[Path]:
     panel, thresholds = study.panel, study.cfg.thresholds
-    columns = [[], [], []]
+    metrics = ["total_predictions", "n_economists", *(f"n_economists_ge_{_fmt(thr * 100)}pct" for thr in thresholds)]
+    counts = []
     for rel in RELEASES:
         share = study.participation[rel]
         present = share > 0  # a share's denominator, the release's span, is at least 1
-        _add_row(columns, "total_predictions", RELEASE_LABEL[rel], int(np.count_nonzero(panel.release == rel)))
-        _add_row(columns, "n_economists", RELEASE_LABEL[rel], int(np.count_nonzero(present)))
-        for thr in thresholds:
-            count = int(np.count_nonzero(present & passes_threshold(share, thr)))
-            _add_row(columns, f"n_economists_ge_{_fmt(thr * 100)}pct", RELEASE_LABEL[rel], count)
-    cov = joint_coverage(panel)
-    for releases, count in zip(("1_2", "1_3", "2_3", "1_2_3"), cov):
-        _add_row(columns, f"joint_cells_releases_{releases}", "", count)
-    return [write_csv(out / "table2_participation.csv", ["metric", "release", "value"], columns,
+        counts += [np.count_nonzero(panel.release == rel), np.count_nonzero(present),
+                   *(np.count_nonzero(present & passes_threshold(share, thr)) for thr in thresholds)]
+    joint = [f"joint_cells_releases_{releases}" for releases in ("1_2", "1_3", "2_3", "1_2_3")]
+    return [write_csv(out / "table2_participation.csv", ["metric", "release", "value"],
+                      [metrics * len(RELEASES) + joint,
+                       [RELEASE_LABEL[rel] for rel in RELEASES for _ in metrics] + [""] * len(joint),
+                       counts + list(joint_coverage(panel))],
                       comment="table 2: participation and joint-coverage counts "
                               "(joint counts are economist-quarter cells)")]
 
 
 def cmd_judgment(study: Study, out: Path) -> list[Path]:
-    cfg, panel = study.cfg, study.panel
+    cfg, panel, thresholds = study.cfg, study.panel, study.cfg.thresholds
     bases = [study.baseline(rel) for rel in RELEASES]
     judgments = [study.judgments[rel] for rel in RELEASES]
-    table3, hist, hits = [[] for _ in range(9)], [[], [], [], []], [[], [], [], []]
-    for rel, base, jp in zip(RELEASES, bases, judgments):
-        participation = study.participation[rel]
-        shares = sign_shares(jp, participation, cfg.thresholds)
-        for thr in cfg.thresholds:
-            s = shares[thr]
-            _add_row(table3, RELEASE_LABEL[rel], thr, s.n_economists, s.mean_negative, s.sd_negative,
-                     s.mean_positive, s.sd_positive, s.mean_neutral, s.sd_neutral)
-            for label, count in negative_share_histogram(jp, participation, thr).items():
-                _add_row(hist, RELEASE_LABEL[rel], thr, label, count)
-        try:
-            hit = baseline_hit_stats(base, study.actuals[rel], grid=cfg.grid)
-            _add_row(hits, RELEASE_LABEL[rel], hit.correct, hit.overprediction, hit.underprediction)
-        except ValueError:
-            _add_row(hits, RELEASE_LABEL[rel], None, None, None)
-
+    shares = [sign_shares(jp, study.participation[rel], thresholds) for rel, jp in zip(RELEASES, judgments)]
+    hist = np.concatenate([negative_share_histogram(jp, study.participation[rel], thresholds)
+                           for rel, jp in zip(RELEASES, judgments)])  # one row per (release, threshold)
+    hits = [baseline_hit_stats(base, study.actuals[rel], grid=cfg.grid) for rel, base in zip(RELEASES, bases)]
     base_quarters, base_sizes, base_values = _stack_series(bases, "values")
     return [
         write_csv(out / f"baseline_{cfg.baseline_method}.csv", ["release", "quarter", "value"],
@@ -407,14 +396,18 @@ def cmd_judgment(study: Study, out: Path) -> list[Path]:
                   [CodedColumn(panel.economist_ids, panel.economist), _quarter_labels(panel.quarter),
                    _release_labels(panel.release),
                    np.concatenate([jp.value for jp in judgments]), np.concatenate([jp.neutral for jp in judgments])]),
-        write_csv(out / "table3_sign_shares.csv",
-                  ["release", "threshold", "n_economists", "mean_negative", "sd_negative",
-                   "mean_positive", "sd_positive", "mean_neutral", "sd_neutral"], table3,
+        write_csv(out / "table3_sign_shares.csv", ["release", "threshold", "n_economists", *SIGN_SHARE_COLUMNS],
+                  [_release_labels(np.repeat(RELEASES, len(thresholds))), np.tile(thresholds, len(RELEASES)),
+                   *_stacked(shares, "n_economists", *SIGN_SHARE_COLUMNS)],
                   comment="table 3: cross-economist sign shares of judgments by participation threshold"),
-        write_csv(out / "fig3_negative_histogram.csv", ["release", "threshold", "bin", "count"], hist,
+        write_csv(out / "fig3_negative_histogram.csv", ["release", "threshold", "bin", "count"],
+                  [_release_labels(np.repeat(RELEASES, len(thresholds) * len(HISTOGRAM_BINS))),
+                   np.repeat(np.tile(thresholds, len(RELEASES)), len(HISTOGRAM_BINS)),
+                   list(HISTOGRAM_BINS) * len(hist), hist.ravel()],
                   comment="negative-judgment share histogram (non-neutral judgments only)"),
         write_csv(out / "baseline_hits.csv", ["release", "correct", "overprediction", "underprediction"],
-                  hits, comment="baseline vs actual on the reporting grid"),
+                  [[RELEASE_LABEL[rel] for rel in RELEASES], *zip(*hits)],
+                  comment="baseline vs actual on the reporting grid"),
     ]
 
 
@@ -628,9 +621,9 @@ def _checked(name: str, value):
             text = str(value)
             if text == "auto" or (text.isascii() and text.isdigit() and int(text) <= LAG_LIMITS[name]):
                 return text if text == "auto" else str(int(text))
-        elif name == "thresholds":  # the flag's text, or a config-file list of numbers
+        elif name == "thresholds":  # the flag's text, or a config-file list of at least one number
             items = value.split(",") if isinstance(value, str) else value
-            if isinstance(value, str) or all(type(t) in TAKES[float] for t in items):
+            if isinstance(value, str) or items and all(type(t) in TAKES[float] for t in items):
                 return tuple(_real(name, t) for t in items)
         elif type(value) in TAKES[type(default)] and value in CHOICES.get(name, (value,)):
             if name in ("sample_from", "sample_to") and value is not None:

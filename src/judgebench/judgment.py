@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -103,55 +104,53 @@ def _sign_counts(jp: JudgmentPanel) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     )
 
 
-class SignShareStats(NamedTuple):
-    threshold: float
-    n_economists: int
-    mean_negative: float
-    sd_negative: float
-    mean_positive: float
-    sd_positive: float
-    mean_neutral: float
-    sd_neutral: float
+SIGN_SHARE_COLUMNS = ("mean_negative", "sd_negative", "mean_positive", "sd_positive", "mean_neutral", "sd_neutral")
 
 
 def sign_shares(
     jp: JudgmentPanel,
     participation: np.ndarray,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
-) -> dict[float, SignShareStats]:
-    """Cross-economist mean and population sd of sign shares per threshold.
+) -> SimpleNamespace:
+    """Cross-economist mean and population sd of sign shares, one entry per threshold, as aligned columns.
 
     ``participation`` is the release's ``participation_share``, indexed by
-    the economist codes of ``jp.panel``.
+    the economist codes of ``jp.panel``.  The columns are ``n_economists``
+    and the ``SIGN_SHARE_COLUMNS``, NaN where no economist qualifies.
     """
     n, neutral, negative = _sign_counts(jp)
-    out: dict[float, SignShareStats] = {}
-    for threshold in thresholds:
+    n_economists = np.zeros(len(thresholds), dtype=np.int64)
+    stats = np.full((len(SIGN_SHARE_COLUMNS), len(thresholds)), np.nan)
+    for i, threshold in enumerate(thresholds):
         chosen = (n > 0) & passes_threshold(participation, threshold)
         if not chosen.any():
             warnings.warn(f"no economist passes threshold {threshold} for release {jp.release.value}")
-            out[threshold] = SignShareStats(threshold, 0, *(math.nan,) * 6)
             continue
         k, neu, neg = n[chosen], neutral[chosen], negative[chosen]
         arr = np.column_stack([neg / k, (k - neu - neg) / k, neu / k])  # one row per economist
-        means = arr.mean(axis=0)
-        sds = arr.std(axis=0)  # population sd across economists
-        out[threshold] = SignShareStats(
-            threshold, int(k.size), means[0], sds[0], means[1], sds[1], means[2], sds[2]
-        )
-    return out
+        n_economists[i] = k.size
+        stats[0::2, i], stats[1::2, i] = arr.mean(axis=0), arr.std(axis=0)  # population sd across economists
+    return SimpleNamespace(n_economists=n_economists, **dict(zip(SIGN_SHARE_COLUMNS, stats)))
 
 
-def negative_share_histogram(jp: JudgmentPanel, participation: np.ndarray, threshold: float) -> dict[str, int]:
-    """Bin qualifying economists by the negative share of their non-neutral judgments.
+def negative_share_histogram(
+    jp: JudgmentPanel,
+    participation: np.ndarray,
+    thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
+) -> np.ndarray:
+    """Qualifying economists binned by the negative share of their non-neutral judgments.
 
-    Economists with only neutral judgments are excluded from every bin.
+    One row of ``HISTOGRAM_BINS`` counts per threshold.  Economists with only
+    neutral judgments are excluded from every bin.
     """
     n, neutral, negative = _sign_counts(jp)
     non_neutral = n - neutral
-    chosen = (non_neutral > 0) & passes_threshold(participation, threshold)
-    bins = np.searchsorted(HISTOGRAM_EDGES, negative[chosen] / non_neutral[chosen], side="left")
-    return dict(zip(HISTOGRAM_BINS, np.bincount(bins, minlength=len(HISTOGRAM_BINS)).tolist()))
+    binned = non_neutral > 0
+    bins = np.searchsorted(HISTOGRAM_EDGES, negative[binned] / non_neutral[binned], side="left")
+    counts = np.zeros((len(thresholds), len(HISTOGRAM_BINS)), dtype=np.int64)
+    for row, threshold in zip(counts, thresholds):
+        row += np.bincount(bins[passes_threshold(participation[binned], threshold)], minlength=len(HISTOGRAM_BINS))
+    return counts
 
 
 class BaselineHitStats(NamedTuple):
@@ -165,16 +164,15 @@ def baseline_hit_stats(
 ) -> BaselineHitStats:
     """Shares of overlapping quarters where the baseline equals / exceeds / trails the actual.
 
-    Equality is judged on the reporting grid.
+    Equality is judged on the reporting grid.  The shares are NaN where the
+    baseline and the actuals share no quarter.
     """
     actual = actuals.at(base.quarter_index())
     both = ~np.isnan(base.values) & ~np.isnan(actual)
     n = int(np.count_nonzero(both))
-    if not n:
-        raise ValueError("baseline and actuals share no quarters")
     b, y = grid_round(base.values[both], grid), grid_round(actual[both], grid)
     # math.isclose with its default relative tolerance, elementwise
     correct = np.abs(b - y) <= np.maximum(1e-9 * np.maximum(np.abs(b), np.abs(y)), (grid or 1e-12) / 4)
     over = b > y
     counts = [int(np.count_nonzero(m)) for m in (correct, ~correct & over, ~correct & ~over)]
-    return BaselineHitStats(*(count / n for count in counts))
+    return BaselineHitStats(*(count / n if n else math.nan for count in counts))

@@ -38,13 +38,6 @@ class RegressionFit:
         self.rss, self.r_squared, self.r = rss, r_squared, r
 
 
-class JointTestResult:
-    """A Wald test in F form: the Wald statistic divided by the restriction count ``df_num``; arrays over a stack."""
-
-    def __init__(self, statistic: float, df_num: int, df_den: int, p_value: float):
-        self.statistic, self.df_num, self.df_den, self.p_value = statistic, df_num, df_den, p_value
-
-
 def newey_west_auto_lag(nobs: int) -> int:
     """Standard plug-in truncation lag floor(4*(T/100)^(2/9))."""
     return int(math.floor(4.0 * (nobs / 100.0) ** (2.0 / 9.0)))
@@ -129,9 +122,10 @@ def hac_covariance(fit: RegressionFit, X: np.ndarray, lag: int | Sequence[int]) 
     return factor * bread @ meat @ bread
 
 
-def wald_joint_test(fit: RegressionFit, cov: np.ndarray) -> JointTestResult:
-    """F-form robust Wald test that all K coefficients are zero, against F(K, T-K).
+def wald_joint_test(fit: RegressionFit, cov: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """F-form robust Wald test that all K coefficients are zero, against F(K, T-K): ``(statistic, p_value)``.
 
+    The statistic is the Wald statistic divided by K = ``fit.nparams``.
     Coefficients within 1e-10 max(max|b|, 1) of zero (say, a perfect fit with
     a degenerate covariance) give F = 0 and p = 1.  Over a stack of fits the
     results are arrays, and a singular V gives a NaN statistic and p-value
@@ -149,22 +143,15 @@ def wald_joint_test(fit: RegressionFit, cov: np.ndarray) -> JointTestResult:
     wald = np.where(singular, math.nan, np.vecdot(coef, solved))
     statistic = np.where(satisfied, 0.0, np.maximum(wald, 0.0) / q)[()]  # [()]: a 0-d result as a scalar
     p_value = np.where(satisfied, 1.0, f_sf(statistic, q, df_den))[()]
-    return JointTestResult(statistic, q, df_den, p_value)
-
-
-class EfficiencyRegression:
-    """A fitted prediction-error regression plus its design matrix."""
-
-    def __init__(self, fit: RegressionFit, design: np.ndarray):
-        self.fit, self.design = fit, design
+    return statistic, p_value
 
 
 def efficiency_regression(
     actual: np.ndarray,
     prediction: np.ndarray,
     extra_regressors: Sequence[np.ndarray] = (),
-) -> EfficiencyRegression:
-    """Regress (actual - prediction) on intercept, prediction, and extra columns.
+) -> tuple[RegressionFit, np.ndarray]:
+    """Regress (actual - prediction) on intercept, prediction, and extra columns: ``(fit, design)``.
 
     The inputs are aligned on one run of quarters in ascending order, NaN
     where a quarter is absent; 2-D inputs fit a stack, one run per row.  The
@@ -183,7 +170,7 @@ def efficiency_regression(
     mask = np.take_along_axis(sample, order, axis=-1)
     actual, pred, *extra = (np.where(mask, np.take_along_axis(c, order, axis=-1), 0.0) for c in columns)
     X = np.stack([mask.astype(float), pred, *extra], axis=-1)
-    return EfficiencyRegression(ols(X, actual - pred, mask), X)
+    return ols(X, actual - pred, mask), X
 
 
 def test_battery_aggregate(
@@ -239,12 +226,11 @@ def _stacked_zero_tests(name: str, eligible: np.ndarray, lag: int | Sequence[int
     p_value = np.full(eligible.size, np.nan)
     notes = [f"{name}: too few observations"] * eligible.size
     if eligible.any():
-        reg = efficiency_regression(actual[eligible], prediction[eligible], [x[eligible] for x in extra])
-        fit = reg.fit
+        fit, design = efficiency_regression(actual[eligible], prediction[eligible], [x[eligible] for x in extra])
         lag = np.broadcast_to(lag, eligible.shape)[eligible]
         coefficients[eligible] = fit.coefficients
-        tested = wald_joint_test(fit, hac_covariance(fit, reg.design, lag))
-        p_value[eligible] = np.where(lag < fit.nobs, tested.p_value, np.nan)
+        _, tested = wald_joint_test(fit, hac_covariance(fit, design, lag))
+        p_value[eligible] = np.where(lag < fit.nobs, tested, np.nan)
         for row, column, l, n, p in zip(np.flatnonzero(eligible).tolist(), _dependent_column(fit.r, fit.nobs).tolist(),
                                         lag.tolist(), fit.nobs.tolist(), p_value[eligible].tolist()):
             notes[row] = (f"{name}: {RankDeficiencyError(column)}" if column >= 0

@@ -153,9 +153,9 @@ def _rational_world_p_value(seed: int) -> float:
     spf = {t: float(v + rng.normal(0, 1.0)) for t, v in zip(targets, lag_mean)}
     ar = recursive_ar_forecast(series, lag=1)
     actual, pred, spf_column, ar_column = aligned(series, prediction, spf, ar)
-    reg = efficiency_regression(actual, pred, [spf_column, ar_column])
-    lag = newey_west_auto_lag(reg.fit.nobs)
-    return wald_joint_test(reg.fit, hac_covariance(reg.fit, reg.design, lag)).p_value
+    fit, design = efficiency_regression(actual, pred, [spf_column, ar_column])
+    lag = newey_west_auto_lag(fit.nobs)
+    return wald_joint_test(fit, hac_covariance(fit, design, lag))[1]
 
 
 def test_efficiency_test_size_on_rational_worlds():

@@ -66,16 +66,16 @@ def loop_aggregate(baselines, actuals, spf, ar_forecasts, hac_lag=None):
         else:
             errors.append("rmse: prediction and actuals share no quarters")
         try:
-            reg = efficiency_regression(actual, base.values)
-            lag = newey_west_auto_lag(reg.fit.nobs) if hac_lag is None else hac_lag
-            unb_p = wald_joint_test(reg.fit, hac_covariance(reg.fit, reg.design, lag)).p_value
+            fit, design = efficiency_regression(actual, base.values)
+            lag = newey_west_auto_lag(fit.nobs) if hac_lag is None else hac_lag
+            _, unb_p = wald_joint_test(fit, hac_covariance(fit, design, lag))
         except EstimationError as exc:
             errors.append(f"unbiasedness: {exc}")
         try:
             extra = [spf.for_method(method).at(quarters), ar_forecasts[release].at(quarters)]
-            reg = efficiency_regression(actual, base.values, extra)
-            lag = newey_west_auto_lag(reg.fit.nobs) if hac_lag is None else hac_lag
-            eff_p = wald_joint_test(reg.fit, hac_covariance(reg.fit, reg.design, lag)).p_value
+            fit, design = efficiency_regression(actual, base.values, extra)
+            lag = newey_west_auto_lag(fit.nobs) if hac_lag is None else hac_lag
+            _, eff_p = wald_joint_test(fit, hac_covariance(fit, design, lag))
         except EstimationError as exc:
             errors.append(f"efficiency: {exc}")
         report[(release, method)] = AggregateCell(release, method, unb_p, eff_p, rmse, tuple(errors))

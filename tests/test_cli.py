@@ -103,6 +103,12 @@ class TestWarnings:
         assert done.returncode == 0
         assert done.stderr.splitlines() == [f"warning: no economist passes threshold 1.0 for release {k}"
                                             for k in (1, 2, 3)]
+        # Each release keeps its table 3 row, with no statistics, and its five histogram bins, all empty.
+        table3 = (tmp_path / "o" / "table3_sign_shares.csv").read_text().splitlines()
+        assert table3[2:] == [f"{release},1,0,,,,,," for release in ("first", "second", "third")]
+        histogram = (tmp_path / "o" / "fig3_negative_histogram.csv").read_text().splitlines()
+        assert histogram[2:] == [f"{release},1,{label},0" for release in ("first", "second", "third")
+                                 for label in ("<=20%", "20-40%", "40-60%", "60-80%", ">80%")]
 
     def test_describe_shows_each_quarter_it_excludes(self, tmp_path):
         # The gaps inputs lack these actuals, and 2012Q1 has forecasts but no actual at all.
@@ -277,6 +283,26 @@ class TestReport:
         histogram = (out / "fig3_negative_histogram.csv").read_text().splitlines()
         third = [line.rsplit(",", 1)[1] for line in histogram if line.startswith("third,")]
         assert third == ["0"] * 15
+        # The third release shares no quarter with its actuals, and no economist takes part in it.
+        assert (out / "baseline_hits.csv").read_text() == (
+            "# baseline vs actual on the reporting grid\n"
+            "release,correct,overprediction,underprediction\n"
+            "first,0.354166666667,0.270833333333,0.375\n"
+            "second,0.3125,0.3125,0.375\n"
+            "third,,,\n"
+        )
+        assert (out / "table2_participation.csv").read_text() == "".join(f"{line}\n" for line in [
+            "# table 2: participation and joint-coverage counts (joint counts are economist-quarter cells)",
+            "metric,release,value",
+            *(f"{metric},{release},{count}" for release, total, n in (("first", 513, 12), ("second", 513, 12),
+                                                                       ("third", 0, 0))
+              for metric, count in (("total_predictions", total), ("n_economists", n),
+                                    *((f"n_economists_ge_{pct}pct", n) for pct in (10, 25, 50)))),
+            "joint_cells_releases_1_2,,513",
+            "joint_cells_releases_1_3,,0",
+            "joint_cells_releases_2_3,,0",
+            "joint_cells_releases_1_2_3,,0",
+        ])
 
 
 def test_report_loads_no_numpy_ma_module(tmp_path):
@@ -490,6 +516,8 @@ class TestConfigFile:
         ("judgment", [], json.dumps({"thresholds": [True, 0.5]})),
         ("judgment", [], json.dumps({"thresholds": ["0.5"]})),
         ("judgment", [], json.dumps({"thresholds": 0.5})),
+        # At least one threshold, as the flag, which cannot be empty, always gives.
+        ("report", [], json.dumps({"thresholds": []})),
     ])
     def test_bad_value_exits_2_with_one_line(self, world_dir, tmp_path, capsys, command, flags, config):
         set_by_file = ()

@@ -83,10 +83,10 @@ def loop_forecaster_tests(economist_id, release, actual, prediction, *extra):
     notes = []
     if nobs >= MIN_OBS_UNBIASEDNESS:
         try:
-            reg = efficiency_regression(actual, prediction)
-            alpha_hat = float(reg.fit.coefficients[0])
-            beta_hat = float(reg.fit.coefficients[1])
-            p_unb = wald_joint_test(reg.fit, hac_covariance(reg.fit, reg.design, 0)).p_value
+            fit, design = efficiency_regression(actual, prediction)
+            alpha_hat = float(fit.coefficients[0])
+            beta_hat = float(fit.coefficients[1])
+            _, p_unb = wald_joint_test(fit, hac_covariance(fit, design, 0))
         except EstimationError as exc:
             notes.append(f"unbiasedness: {exc}")
     else:
@@ -94,8 +94,8 @@ def loop_forecaster_tests(economist_id, release, actual, prediction, *extra):
     eff_nobs = np.count_nonzero(np.logical_and.reduce([has_actual, *(~np.isnan(x) for x in extra)]))
     if eff_nobs >= MIN_OBS_EFFICIENCY:
         try:
-            reg = efficiency_regression(actual, prediction, extra)
-            p_eff = wald_joint_test(reg.fit, hac_covariance(reg.fit, reg.design, 0)).p_value
+            fit, design = efficiency_regression(actual, prediction, extra)
+            _, p_eff = wald_joint_test(fit, hac_covariance(fit, design, 0))
         except EstimationError as exc:
             notes.append(f"efficiency: {exc}")
     else:

@@ -99,20 +99,19 @@ class TestSignShares:
             records += [rec("A1", quarter, 3.0), rec("A2", quarter, 3.0)]
         panel = ForecastPanel.from_rows(records)
         jp = extract_judgments(panel, baseline(panel, R1))
-        shares = sign_shares(jp, participation_share(panel, R1), thresholds=(0.5,))
-        stats = shares[0.5]
+        stats = sign_shares(jp, participation_share(panel, R1), thresholds=(0.5,))
         # E1 and the two always-neutral anchors all qualify at the 50% threshold.
-        assert stats.n_economists == 3
+        assert stats.n_economists.tolist() == [3]
         e1 = (1 / 3, 1 / 3, 1 / 3)
-        assert stats.mean_negative == pytest.approx((e1[0] + 0 + 0) / 3)
-        assert stats.mean_positive == pytest.approx((e1[1] + 0 + 0) / 3)
-        assert stats.mean_neutral == pytest.approx((e1[2] + 1 + 1) / 3)
+        assert stats.mean_negative == pytest.approx([(e1[0] + 0 + 0) / 3])
+        assert stats.mean_positive == pytest.approx([(e1[1] + 0 + 0) / 3])
+        assert stats.mean_neutral == pytest.approx([(e1[2] + 1 + 1) / 3])
 
     def test_all_neutral(self):
         panel = panel_from_values({q(2000, 1): [3.0, 3.0]})
         jp = extract_judgments(panel, baseline(panel, R1))
-        stats = sign_shares(jp, participation_share(panel, R1), thresholds=(0.5,))[0.5]
-        assert (stats.mean_negative, stats.mean_positive, stats.mean_neutral) == (0.0, 0.0, 1.0)
+        stats = sign_shares(jp, participation_share(panel, R1), thresholds=(0.5,))
+        assert (stats.mean_negative[0], stats.mean_positive[0], stats.mean_neutral[0]) == (0.0, 0.0, 1.0)
 
     def test_cross_economist_dispersion(self):
         quarter = q(2000, 1)
@@ -120,11 +119,11 @@ class TestSignShares:
             [rec("E1", quarter, 2.0), rec("E2", quarter, 4.0), rec("A", quarter, 3.0)]
         )
         jp = extract_judgments(panel, baseline(panel, R1))
-        stats = sign_shares(jp, participation_share(panel, R1), thresholds=(0.5,))[0.5]
+        stats = sign_shares(jp, participation_share(panel, R1), thresholds=(0.5,))
         # Shares across the three economists: negative {1,0,0}, positive {0,1,0}.
-        assert stats.mean_negative == pytest.approx(1 / 3)
-        assert stats.mean_positive == pytest.approx(1 / 3)
-        assert stats.sd_negative == pytest.approx((2 / 9) ** 0.5)
+        assert stats.mean_negative == pytest.approx([1 / 3])
+        assert stats.mean_positive == pytest.approx([1 / 3])
+        assert stats.sd_negative == pytest.approx([(2 / 9) ** 0.5])
 
     def test_threshold_rules(self):
         assert not passes_threshold(0.10, 0.10)  # strictly more than 10%
@@ -145,19 +144,19 @@ class TestNegativeShareHistogram:
 
     def test_half_negative_bins_to_middle(self):
         jp, panel = self._jp_panel([2.5, 2.6, 3.4, 3.5])
-        hist = negative_share_histogram(jp, participation_share(panel, R1), threshold=0.5)
-        assert hist["40-60%"] == 1
+        hist = negative_share_histogram(jp, participation_share(panel, R1), thresholds=(0.5,))
+        assert hist.tolist() == [[0, 0, 1, 0, 0]]  # 40-60%
 
     def test_all_negative_bins_to_top(self):
         jp, panel = self._jp_panel([2.5, 2.6, 2.7, 2.8])
-        hist = negative_share_histogram(jp, participation_share(panel, R1), threshold=0.5)
-        assert hist[">80%"] == 1
+        hist = negative_share_histogram(jp, participation_share(panel, R1), thresholds=(0.5,))
+        assert hist.tolist() == [[0, 0, 0, 0, 1]]  # >80%
 
     def test_neutral_only_economist_excluded(self):
         jp, panel = self._jp_panel([3.0, 3.0, 3.0, 3.0])
-        hist = negative_share_histogram(jp, participation_share(panel, R1), threshold=0.5)
+        hist = negative_share_histogram(jp, participation_share(panel, R1), thresholds=(0.5,))
         # E1 and both anchors are neutral-only: nothing is binned.
-        assert sum(hist.values()) == 0
+        assert hist.tolist() == [[0] * 5]
 
 
 class TestBaselineHitStats:
@@ -182,11 +181,10 @@ class TestBaselineHitStats:
         actuals = series_from({q(2000, 1): 2.0, q(2000, 2): 3.0})
         assert baseline_hit_stats(base, actuals).overprediction == 1.0
 
-    def test_no_overlap_rejected(self):
+    def test_no_overlap_gives_nan_shares(self):
         base = self._base({q(2000, 1): 2.0})
         actuals = series_from({q(2005, 1): 2.0})
-        with pytest.raises(ValueError):
-            baseline_hit_stats(base, actuals)
+        assert all(np.isnan(baseline_hit_stats(base, actuals)))
 
     def test_shares_sum_to_one(self):
         base = self._base({q(2000, 1): 2.0, q(2000, 2): 3.3, q(2000, 3): 1.1})

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import shutil
+import statistics
 import tempfile
 import warnings
 from datetime import date
@@ -22,7 +23,17 @@ from judgebench.armodel import DEFAULT_MAX_GAP, fill_missing
 from judgebench.cli import CodedColumn, _fmt, main, write_csv
 from judgebench.descriptive import quarter_stats
 from judgebench.errors import EstimationError, IngestionError
-from judgebench.judgment import BaselineSeries, baseline, baseline_hit_stats, extract_judgments
+from judgebench.judgment import (
+    HISTOGRAM_BINS,
+    BaselineSeries,
+    JudgmentPanel,
+    baseline,
+    baseline_hit_stats,
+    extract_judgments,
+    negative_share_histogram,
+    passes_threshold,
+    sign_shares,
+)
 from judgebench.panel import ForecastPanel, clean_panel, load_forecasts
 from judgebench.quarters import ReleaseKind, quarter_label
 from judgebench.tails import t_sf
@@ -182,8 +193,7 @@ def test_baseline_hit_stats_equal_the_isclose_loop(base, actual, grid):
     series = series_from({START + t: v for t, v in base.items()}, BaselineSeries, release=ReleaseKind.FIRST)
     actuals = series_from({START + t: v for t, v in actual.items()})
     if not common:
-        with pytest.raises(ValueError):
-            baseline_hit_stats(series, actuals, grid)
+        assert all(math.isnan(share) for share in baseline_hit_stats(series, actuals, grid))
         return
     counts = [0, 0, 0]
     for t in common:
@@ -192,6 +202,85 @@ def test_baseline_hit_stats_equal_the_isclose_loop(base, actual, grid):
         counts[0 if math.isclose(b, y, abs_tol=(grid or 1e-12) / 4) else 1 if b > y else 2] += 1
     hits = baseline_hit_stats(series, actuals, grid)
     assert (hits.correct, hits.overprediction, hits.underprediction) == tuple(c / len(common) for c in counts)
+
+
+ECONOMISTS = ("E0", "E1", "E2", "E3", "E4", "E5")
+
+
+def sign_panel(cells: dict, neutral_only: set, participation: list, thresholds: list) -> tuple:
+    """The first release's judgments of ``cells``, with the economists' participation shares and the thresholds.
+
+    ``cells`` maps (economist, quarter offset, release) to (value, neutral);
+    an economist of ``neutral_only`` has only neutral judgments.  The
+    forecasts stand in for the judgments: only their signs matter here.
+    """
+    panel = ForecastPanel.from_rows(rec(econ, START + t, value, release)
+                                    for (econ, t, release), (value, _) in cells.items())
+    rows = panel.for_release(ReleaseKind.FIRST)
+    ids = [rows.economist_ids[code] for code in rows.economist.tolist()]
+    neutral = [cells[econ, quarter - START, ReleaseKind.FIRST][1] or econ in neutral_only
+               for econ, quarter in zip(ids, rows.quarter.tolist())]
+    jp = JudgmentPanel(ReleaseKind.FIRST, rows, rows.value, np.array(neutral, dtype=bool))
+    return jp, np.array(participation[:len(panel.economist_ids)]), thresholds
+
+
+@st.composite
+def sign_panels(draw):
+    """Some economists have only neutral judgments, and some have rows of the other release only.
+
+    No share is above 0.9, so the cuts 0.95 and 1.0 find no economist.
+    """
+    cells = draw(st.dictionaries(st.tuples(st.sampled_from(ECONOMISTS), st.integers(0, 7),
+                                           st.sampled_from([ReleaseKind.FIRST, ReleaseKind.SECOND])),
+                                 st.tuples(values, st.booleans()), min_size=1, max_size=40))
+    share = st.sampled_from([0.0, 0.1, 0.100001, 0.25, 0.3, 0.5, 0.75, 0.9])
+    return sign_panel(cells, draw(st.sets(st.sampled_from(ECONOMISTS))),
+                      draw(st.lists(share, min_size=len(ECONOMISTS), max_size=len(ECONOMISTS))),
+                      draw(st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.95, 1.0]), min_size=1, max_size=4)))
+
+
+# Economist Ek has k negative judgments of five: negative shares on each inner bin edge.
+EDGE_CELLS = {(f"E{k}", t, ReleaseKind.FIRST): (-1.0 if t < k else 1.0, False) for k in range(1, 5) for t in range(5)}
+
+
+def histogram_label(share: float) -> str:
+    return ("<=20%" if share <= 0.2 else "20-40%" if share <= 0.4 else "40-60%" if share <= 0.6
+            else "60-80%" if share <= 0.8 else ">80%")
+
+
+@SETTINGS
+@given(sign_panels())
+@example(sign_panel(EDGE_CELLS, set(), [0.9] * 4, [0.5, 1.0]))
+def test_sign_shares_and_histogram_equal_the_economist_loop(drawn):
+    jp, participation, thresholds = drawn
+    signs: dict[int, list[str]] = {}
+    for code, value, neutral in zip(jp.panel.economist.tolist(), jp.value.tolist(), jp.neutral.tolist()):
+        signs.setdefault(code, []).append("neutral" if neutral else "negative" if value < 0 else "positive")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        shares = sign_shares(jp, participation, thresholds)
+    hist = negative_share_histogram(jp, participation, thresholds)
+    assert hist.shape == (len(thresholds), len(HISTOGRAM_BINS))
+    unmatched = 0
+    for i, threshold in enumerate(thresholds):
+        chosen = [s for code, s in sorted(signs.items()) if passes_threshold(float(participation[code]), threshold)]
+        assert shares.n_economists[i] == len(chosen)
+        unmatched += not chosen
+        for kind in ("negative", "positive", "neutral"):
+            mean, sd = getattr(shares, f"mean_{kind}")[i], getattr(shares, f"sd_{kind}")[i]
+            if not chosen:
+                assert math.isnan(mean) and math.isnan(sd)
+                continue
+            per_economist = [s.count(kind) / len(s) for s in chosen]
+            assert abs(mean - statistics.fmean(per_economist)) <= 1e-12
+            assert abs(sd - statistics.pstdev(per_economist)) <= 1e-12
+        counts = dict.fromkeys(HISTOGRAM_BINS, 0)
+        for s in chosen:
+            non_neutral = [x for x in s if x != "neutral"]
+            if non_neutral:  # an economist with only neutral judgments is in no bin
+                counts[histogram_label(non_neutral.count("negative") / len(non_neutral))] += 1
+        assert hist[i].tolist() == [counts[label] for label in HISTOGRAM_BINS]
+    assert len(caught) == unmatched
 
 
 value_tokens = st.one_of(st.floats(-1e6, 1e6, allow_nan=False).map(repr),
