@@ -54,19 +54,20 @@ from .panel import (
 )
 from .panelreg import REGRESSOR_KINDS, persistence_battery
 from .quarters import ReleaseKind, parse_quarter, quarter_label
-from .syngen import RecoverySummary, SynthConfig, _ids, recovery_experiment, simulate_world
+from .syngen import SynthConfig, _ids, recovery_experiment, simulate_world
 
 RELEASES = (ReleaseKind.FIRST, ReleaseKind.SECOND, ReleaseKind.THIRD)
 RELEASE_LABEL = {ReleaseKind.FIRST: "first", ReleaseKind.SECOND: "second", ReleaseKind.THIRD: "third"}
 BASELINE_METHODS = ("median", "mean")
 
 
-class RunConfig:
+class RunConfig(SynthConfig):
     """Effective run configuration; flags override config-file values.
 
-    Each annotated attribute declares one setting: its config key, its flag
-    and its default, whose type is the setting's type.  Each keyword argument
-    replaces the default of the attribute it names.
+    Each annotated attribute here or in ``SynthConfig`` declares one setting:
+    its config key, its flag and its default, whose type is the setting's
+    type.  Each keyword argument replaces the default of the attribute it
+    names, and the simulator's settings pass ``SynthConfig``'s checks.
     """
 
     actuals: str | None = None
@@ -75,43 +76,29 @@ class RunConfig:
     sample_from: str | None = None
     sample_to: str | None = None
     baseline_method: str = "median"
-    grid: float = SynthConfig.grid
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     alpha: float = 0.05
     hac_lag: str = "auto"  # "auto" or an integer literal
     ar_lag: str = "1"      # "auto" or an integer literal
     out: str = "out"
-    seed: int = SynthConfig.seed
     replications: int = 100
-    # Synthetic-world knobs (simulate / recovery).
-    n_forecasters: int = SynthConfig.n_forecasters
-    n_quarters: int = SynthConfig.n_quarters
-    rho_own: float = SynthConfig.rho_own
-    rho_own_sd: float = SynthConfig.rho_own_sd
-    kappa: float = SynthConfig.kappa
-    judgment_sd: float = SynthConfig.judgment_sd
-    p_neutral: float = SynthConfig.p_neutral
-    participation_low: float = SynthConfig.participation_low
-    participation_high: float = SynthConfig.participation_high
 
     def __init__(self, **settings):
-        if unknown := settings.keys() - RunConfig.__annotations__.keys():
-            raise TypeError(f"unknown settings: {', '.join(sorted(unknown))}")
-        vars(self).update(settings)
+        super().__init__(**settings)
+        if self.replications < 1:
+            raise ValueError("need at least one replication")
 
     def semantic_dict(self) -> dict:
         """Fields that affect results (output location excluded)."""
-        return {name: getattr(self, name) for name in RunConfig.__annotations__ if name != "out"}
+        return {name: getattr(self, name) for name in SETTINGS if name != "out"}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.semantic_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(**{name: getattr(self, name) for name in SynthConfig.__annotations__})
 
-
-FLAGS = {name: "--" + name.replace("_", "-") for name in RunConfig.__annotations__} | {
+SETTINGS = RunConfig.settings()  # every setting's name and default, the simulator's first
+FLAGS = {name: "--" + name.replace("_", "-") for name in SETTINGS} | {
     "sample_from": "--from", "sample_to": "--to", "baseline_method": "--baseline"}
 CHOICES = {"baseline_method": BASELINE_METHODS}
 LAG_LIMITS = {"hac_lag": math.inf, "ar_lag": DEFAULT_MAX_LAG}  # "auto" or an integer in 0..limit, stored as digits
@@ -493,7 +480,7 @@ def cmd_ar_forecast(study: Study, out: Path) -> list[Path]:
 
 def cmd_simulate(study: Study, out: Path) -> list[Path]:
     cfg = study.cfg
-    world = simulate_world(cfg.synth_config())
+    world = simulate_world(cfg)
     ids = _ids(world.config.n_forecasters)
     quarters, sizes, values = _stack_series([world.actuals[rel] for rel in RELEASES], "values")
     # forecasts.csv lists the rows by (economist, quarter, release), as it always has.
@@ -527,12 +514,16 @@ def cmd_simulate(study: Study, out: Path) -> list[Path]:
 
 def cmd_recovery(study: Study, out: Path) -> list[Path]:
     cfg = study.cfg
-    summary = recovery_experiment(cfg.synth_config(), cfg.replications)
-    row = (cfg.replications, summary.n_completed, summary.n_failed,
-           summary.mean_beta, summary.sd_beta, summary.ci_coverage, cfg.rho_own)
+    fits = recovery_experiment(cfg, cfg.replications)
+    for rep, error in enumerate(fits.error):
+        if error:
+            warnings.warn(f"replication {rep}: {error}")
+    betas = fits.beta[[not error for error in fits.error]]
+    n = betas.size
+    stats = (betas.mean(), betas.std(ddof=1) if n > 1 else 0.0, fits.covered.sum() / n) if n else (None,) * 3
     return [write_csv(out / "recovery_summary.csv", ["replications", "n_completed", "n_failed", "mean_beta",
                                                      "sd_beta", "ci_coverage_95", "rho_own_true"],
-                      [[cell] for cell in row])]
+                      [[cell] for cell in (cfg.replications, n, cfg.replications - n, *stats, cfg.rho_own)])]
 
 
 def cmd_report(study: Study, out: Path) -> list[Path]:
@@ -599,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="judgebench", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    for name in RunConfig.__annotations__:
-        kind = type(getattr(RunConfig, name))
+    for name, default in SETTINGS.items():
+        kind = type(default)
         parser.add_argument(FLAGS[name], dest=name, type=kind if kind in (int, float) else None,
                             choices=CHOICES.get(name))
     return parser
@@ -615,7 +606,7 @@ def _real(name: str, value) -> float:
 
 def _checked(name: str, value):
     """A setting's value, from a flag or the config file, in the one form it is stored and hashed in."""
-    default = getattr(RunConfig, name)
+    default = SETTINGS[name]
     try:
         if name in LAG_LIMITS:
             text = str(value)
@@ -624,7 +615,10 @@ def _checked(name: str, value):
         elif name == "thresholds":  # the flag's text, or a config-file list of at least one number
             items = value.split(",") if isinstance(value, str) else value
             if isinstance(value, str) or items and all(type(t) in TAKES[float] for t in items):
-                return tuple(_real(name, t) for t in items)
+                thresholds = tuple(_real(name, t) for t in items)
+                # Each threshold labels its rows by _fmt of itself and of its percent, so both must differ.
+                if len({_fmt(t) for t in thresholds}) == len({_fmt(100 * t) for t in thresholds}) == len(items):
+                    return thresholds
         elif type(value) in TAKES[type(default)] and value in CHOICES.get(name, (value,)):
             if name in ("sample_from", "sample_to") and value is not None:
                 parse_quarter(value)
@@ -647,15 +641,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise CliError(f"error: missing-input path={args.config}") from None
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8 JSON, or not an object
             raise CliError(f"error: invalid-config path={args.config} detail={exc}") from None
-        if unknown := values.keys() - RunConfig.__annotations__.keys():
+        if unknown := values.keys() - SETTINGS.keys():
             raise CliError(f"error: unknown-config-keys keys={','.join(sorted(unknown))}")
-    values.update((k, v) for k, v in vars(args).items() if k in RunConfig.__annotations__ and v is not None)
-    cfg = RunConfig(**{name: _checked(name, value) for name, value in values.items()})
-    try:  # the simulator's own checks of its settings and of the replication count
-        RecoverySummary(cfg.synth_config(), cfg.replications)
+    values.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
+    checked = {name: _checked(name, value) for name, value in values.items()}
+    try:  # the simulator's own checks of its settings, and the replication count's
+        return RunConfig(**checked)
     except ValueError as exc:
         raise CliError(f"error: invalid-value detail={exc}") from None
-    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:

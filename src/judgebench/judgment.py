@@ -116,15 +116,19 @@ def sign_shares(
 
     ``participation`` is the release's ``participation_share``, indexed by
     the economist codes of ``jp.panel``.  The columns are ``n_economists``
-    and the ``SIGN_SHARE_COLUMNS``, NaN where no economist qualifies.
+    and the ``SIGN_SHARE_COLUMNS``, NaN where no economist qualifies.  A
+    release without forecasts warns once, not once per threshold.
     """
     n, neutral, negative = _sign_counts(jp)
     n_economists = np.zeros(len(thresholds), dtype=np.int64)
     stats = np.full((len(SIGN_SHARE_COLUMNS), len(thresholds)), np.nan)
+    if not len(jp):
+        warnings.warn(f"release {jp.release.value} has no forecasts")
     for i, threshold in enumerate(thresholds):
         chosen = (n > 0) & passes_threshold(participation, threshold)
         if not chosen.any():
-            warnings.warn(f"no economist passes threshold {threshold} for release {jp.release.value}")
+            if len(jp):
+                warnings.warn(f"no economist passes threshold {threshold} for release {jp.release.value}")
             continue
         k, neu, neg = n[chosen], neutral[chosen], negative[chosen]
         arr = np.column_stack([neg / k, (k - neu - neg) / k, neu / k])  # one row per economist

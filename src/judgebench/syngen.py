@@ -10,7 +10,7 @@ blocks and reads only their first release.
 """
 from __future__ import annotations
 
-import math
+from types import SimpleNamespace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -28,7 +28,10 @@ ACTUAL_INTERCEPT, ACTUAL_AR, ACTUAL_SD, REVISION_SD, BASELINE_NOISE_SD = 0.5, 0.
 
 
 class SynthConfig:
-    """The simulator's settings: each keyword argument replaces the default of the attribute it names."""
+    """The simulator's settings: each keyword argument replaces the default of the attribute it names.
+
+    Each annotated attribute declares one setting; a subclass declares only its own settings.
+    """
 
     n_forecasters: int = 50
     n_quarters: int = 92
@@ -43,8 +46,13 @@ class SynthConfig:
     participation_high: float = 1.0
     grid: float = DEFAULT_GRID
 
+    @classmethod
+    def settings(cls) -> dict:
+        """Each setting's name and default, the base class's settings first."""
+        return {name: getattr(cls, name) for c in reversed(cls.__mro__) for name in vars(c).get("__annotations__", ())}
+
     def __init__(self, **settings):
-        if unknown := settings.keys() - SynthConfig.__annotations__.keys():
+        if unknown := settings.keys() - self.settings().keys():
             raise TypeError(f"unknown settings: {', '.join(sorted(unknown))}")
         vars(self).update(settings)
         for name, least in (("n_forecasters", 1), ("n_quarters", 1), ("seed", 0)):
@@ -204,35 +212,26 @@ def simulate_world(config: SynthConfig) -> SynthWorld:
     return SynthWorld(config, actual_series, _panel(config, block, 0, ids), spf, truth)
 
 
-class RecoverySummary:
-    """The recovery experiment's counts and estimates, filled in as its replications run."""
-
-    def __init__(self, config: SynthConfig, replications: int):
-        if replications < 1:
-            raise ValueError("need at least one replication")
-        self.config, self.replications, self.n_completed, self.n_failed = config, replications, 0, 0
-        self.mean_beta = self.sd_beta = self.ci_coverage = math.nan
-        self.betas: list[float] = []
-        self.failures: list[str] = []
-
-
-def recovery_experiment(config: SynthConfig, replications: int) -> RecoverySummary:
+def recovery_experiment(config: SynthConfig, replications: int) -> SimpleNamespace:
     """Monte-Carlo check of the fixed-effects persistence estimator.
 
     Each replication simulates a world, extracts judgments against the
-    empirical median baseline, estimates the own-lag FE specification for the
-    first release, and checks whether the 95% clustered CI covers rho_own,
-    that is whether the two-sided t test of beta = rho_own has p >= 0.05.
-    Replications use seeds config.seed + index, so results are deterministic.
-    They are simulated in blocks of at most ``BLOCK_CELLS`` cells, first
-    release only, with the bits of one world at a time, and each block's
-    datasets are fitted in one ``fe_estimate`` call.
+    empirical median baseline and estimates the own-lag FE specification for
+    the first release.  Replications use seeds config.seed + index, so
+    results are deterministic.  They are simulated in blocks of at most
+    ``BLOCK_CELLS`` cells, first release only, with the bits of one world at
+    a time, and each block's datasets are fitted in one ``fe_estimate`` call.
+
+    Returns ``fe_estimate``'s aligned columns, entry r for replication r,
+    plus ``covered``: whether the 95% clustered CI covers rho_own, that is
+    whether the two-sided t test of beta = rho_own has p >= 0.05 (False
+    where the fit failed).
     """
-    summary = RecoverySummary(config=config, replications=replications)
-    ses: list[float] = []
-    dfs: list[int] = []
+    if replications < 1:
+        raise ValueError("need at least one replication")
     ids = _ids(config.n_forecasters)
     size = max(1, BLOCK_CELLS // (config.n_forecasters * config.n_quarters * 3))
+    blocks = []
     for first in range(0, replications, size):
         reps = range(first, min(first + size, replications))
         block = _simulate_block(config, [config.seed + rep for rep in reps], releases=1)
@@ -242,17 +241,12 @@ def recovery_experiment(config: SynthConfig, replications: int) -> RecoverySumma
             judgments = {ReleaseKind.FIRST: extract_judgments(panel, baseline(panel, ReleaseKind.FIRST),
                                                               grid=config.grid)}
             datasets.append(build_persistence_dataset(judgments, ReleaseKind.FIRST, "own_lag"))
-        fits = fe_estimate(datasets, "fe")
-        fitted = np.array([not error for error in fits.error], dtype=bool)
-        summary.failures += [f"replication {rep}: {error}" for rep, error in zip(reps, fits.error) if error]
-        summary.betas += fits.beta[fitted].tolist()
-        ses += fits.se_clustered[fitted].tolist()
-        dfs += (fits.n_forecasters[fitted] - 1).tolist()
-    summary.n_completed, summary.n_failed = len(summary.betas), len(summary.failures)
-    if summary.n_completed:
-        betas = np.asarray(summary.betas)
-        covered = t_test_p_value(betas, config.rho_own, ses, dfs) >= 0.05  # inside the 95% interval
-        summary.mean_beta = float(betas.mean())
-        summary.sd_beta = float(betas.std(ddof=1)) if betas.size > 1 else 0.0
-        summary.ci_coverage = int(covered.sum()) / summary.n_completed
-    return summary
+        blocks.append(fe_estimate(datasets, "fe"))
+    fits = SimpleNamespace(**{name: np.concatenate([getattr(fit, name) for fit in blocks])
+                              for name in vars(blocks[0]) if name != "error"})
+    fits.error = [error for fit in blocks for error in fit.error]
+    fitted = np.array([not error for error in fits.error], dtype=bool)
+    fits.covered = np.zeros(replications, dtype=bool)
+    fits.covered[fitted] = t_test_p_value(fits.beta[fitted], config.rho_own, fits.se_clustered[fitted],
+                                          fits.n_forecasters[fitted] - 1) >= 0.05  # inside the 95% interval
+    return fits

@@ -14,6 +14,7 @@ import judgebench
 from judgebench import cli
 from judgebench.armodel import DEFAULT_MAX_LAG
 from judgebench.cli import RunConfig, build_parser, config_from_args, main
+from judgebench.syngen import SynthConfig
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 GOLDEN_FLAGS = [flag for kind in ("actuals", "forecasts", "spf")
@@ -270,9 +271,9 @@ class TestReport:
         done = subprocess.run([sys.executable, "-m", "judgebench.cli", "report", *flags, "--out", str(out)],
                               env=src_env(), capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (0, "")
-        assert (out / "diagnostics.csv").read_text().splitlines() == ["stage,error"] + [
-            f"judgment,no economist passes threshold {thr} for release 3" for thr in ("0.1", "0.25", "0.5")
-        ]
+        # One warning for the release, not one per threshold.
+        assert (out / "diagnostics.csv").read_text().splitlines() == ["stage,error",
+                                                                      "judgment,release 3 has no forecasts"]
         names = {p.name for p in out.iterdir()}
         assert {"judgments.csv", "baseline_median.csv", "table3_sign_shares.csv",
                 "fig3_negative_histogram.csv", "baseline_hits.csv"} <= names
@@ -518,6 +519,11 @@ class TestConfigFile:
         ("judgment", [], json.dumps({"thresholds": 0.5})),
         # At least one threshold, as the flag, which cannot be empty, always gives.
         ("report", [], json.dumps({"thresholds": []})),
+        # Thresholds that print alike, as themselves or as percents, would label two rows alike.
+        ("report", ["--thresholds", "0.5,0.5"], None),
+        ("report", ["--thresholds", "0.1,0.1000000000001"], None),
+        ("report", [], json.dumps({"thresholds": [0.5, 0.5]})),
+        ("report", [], json.dumps({"thresholds": [0.1, 0.1000000000001]})),
     ])
     def test_bad_value_exits_2_with_one_line(self, world_dir, tmp_path, capsys, command, flags, config):
         set_by_file = ()
@@ -552,12 +558,14 @@ class TestConfigFile:
 
 
 class TestDeclaration:
-    """Each ``RunConfig`` attribute is the one declaration of a setting, its flag and its flag's type."""
+    """Each annotated attribute of ``SynthConfig`` and ``RunConfig`` declares one setting, its flag and its type."""
 
     def test_one_flag_per_setting_typed_by_its_default(self):
         parser = build_parser()
         settings = [action for action in parser._actions if action.dest not in ("help", "command", "config")]
-        assert [action.dest for action in settings] == list(RunConfig.__annotations__)
+        assert [action.dest for action in settings] == list(SynthConfig.__annotations__) + list(
+            RunConfig.__annotations__)
+        assert len(settings) == 23 and not SynthConfig.__annotations__.keys() & RunConfig.__annotations__.keys()
         for action in settings:
             default = getattr(RunConfig, action.dest)
             if type(default) in (int, float):
@@ -754,7 +762,7 @@ def test_report_on_an_empty_sample_writes_headers_only(tmp_path):
         lines = (tmp_path / name).read_text().splitlines()
         assert [line for line in lines if not line.startswith("#")] == [header], name
     assert (tmp_path / "diagnostics.csv").read_text().splitlines() == ["stage,error"] + [
-        f"judgment,no economist passes threshold {thr} for release {k}" for k in (1, 2, 3) for thr in (0.1, 0.25, 0.5)]
+        f"judgment,release {k} has no forecasts" for k in (1, 2, 3)]
 
 
 def test_table1_averages_the_present_values_of_each_statistic(tmp_path):

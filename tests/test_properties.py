@@ -251,6 +251,7 @@ def histogram_label(share: float) -> str:
 @SETTINGS
 @given(sign_panels())
 @example(sign_panel(EDGE_CELLS, set(), [0.9] * 4, [0.5, 1.0]))
+@example(sign_panel({("E0", 0, ReleaseKind.SECOND): (1.0, False)}, set(), [0.0], [0.1, 0.1]))  # no first release
 def test_sign_shares_and_histogram_equal_the_economist_loop(drawn):
     jp, participation, thresholds = drawn
     signs: dict[int, list[str]] = {}
@@ -261,11 +262,9 @@ def test_sign_shares_and_histogram_equal_the_economist_loop(drawn):
         shares = sign_shares(jp, participation, thresholds)
     hist = negative_share_histogram(jp, participation, thresholds)
     assert hist.shape == (len(thresholds), len(HISTOGRAM_BINS))
-    unmatched = 0
     for i, threshold in enumerate(thresholds):
         chosen = [s for code, s in sorted(signs.items()) if passes_threshold(float(participation[code]), threshold)]
         assert shares.n_economists[i] == len(chosen)
-        unmatched += not chosen
         for kind in ("negative", "positive", "neutral"):
             mean, sd = getattr(shares, f"mean_{kind}")[i], getattr(shares, f"sd_{kind}")[i]
             if not chosen:
@@ -280,7 +279,10 @@ def test_sign_shares_and_histogram_equal_the_economist_loop(drawn):
             if non_neutral:  # an economist with only neutral judgments is in no bin
                 counts[histogram_label(non_neutral.count("negative") / len(non_neutral))] += 1
         assert hist[i].tolist() == [counts[label] for label in HISTOGRAM_BINS]
-    assert len(caught) == unmatched
+    # A release without forecasts warns once that it has none, not once per threshold.
+    assert [str(w.message) for w in caught] == (
+        [f"no economist passes threshold {thr} for release 1" for i, thr in enumerate(thresholds)
+         if not shares.n_economists[i]] if len(jp) else ["release 1 has no forecasts"])
 
 
 value_tokens = st.one_of(st.floats(-1e6, 1e6, allow_nan=False).map(repr),

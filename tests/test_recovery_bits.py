@@ -6,11 +6,8 @@ recovery path must keep them.  Each dataset's fit is pinned as ``float.hex``
 of its beta, clustered SE, within R^2 and overall R^2; a fit that fails is
 pinned by its error message.  The benchmark only checks recovery to within 1e-9.
 """
-from unittest import mock
-
 import pytest
 
-import judgebench.syngen as syngen
 from judgebench.cli import main
 from judgebench.syngen import SynthConfig, recovery_experiment
 
@@ -60,6 +57,10 @@ PINNED = {
     ],
 }
 
+FAILING_SUMMARY_CSV = (
+    b"replications,n_completed,n_failed,mean_beta,sd_beta,ci_coverage_95,rho_own_true\n"
+    b"4,2,2,-0.190399354578,0.57504125489,0.5,0.1\n"
+)
 SUMMARY_CSV = (
     b"replications,n_completed,n_failed,mean_beta,sd_beta,ci_coverage_95,rho_own_true\n"
     b"4,4,0,0.036214598006,0.0410426081761,1,0.1\n"
@@ -67,20 +68,10 @@ SUMMARY_CSV = (
 
 
 def fit_bits(config: SynthConfig, replications: int) -> list:
-    """Each dataset's fit in the experiment, in call order, as hex strings or its error message."""
-    calls = []
-    estimate = syngen.fe_estimate
-
-    def recorded(datasets, spec):
-        result = estimate(datasets, spec)
-        calls.extend(fit.error or tuple(float(v).hex() for v in (fit.beta, fit.se_clustered, fit.r_squared,
-                                                                   fit.r_squared_overall))
-                     for fit in entries(result))
-        return result
-
-    with mock.patch.object(syngen, "fe_estimate", recorded):
-        recovery_experiment(config, replications)
-    return calls
+    """Each replication's fit, in replication order, as hex strings or its error message."""
+    return [fit.error or tuple(float(v).hex() for v in (fit.beta, fit.se_clustered, fit.r_squared,
+                                                        fit.r_squared_overall))
+            for fit in entries(recovery_experiment(config, replications))]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -93,3 +84,12 @@ def test_cli_recovery_summary_keeps_its_bytes(tmp_path):
                  "--p-neutral", "0.2", "--participation-low", "0.7", "--seed", "5", "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "recovery_summary.csv").read_bytes() == SUMMARY_CSV
+
+
+def test_cli_recovery_warns_once_per_failed_replication(tmp_path, capsys):
+    code = main(["recovery", "--n-forecasters", "4", "--n-quarters", "8", "--participation-low", "0.3",
+                 "--participation-high", "0.6", "--seed", "300", "--replications", "4", "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: replication {rep}: {fit}" for rep, fit in enumerate(PINNED["failing"]) if isinstance(fit, str)]
+    assert (tmp_path / "recovery_summary.csv").read_bytes() == FAILING_SUMMARY_CSV

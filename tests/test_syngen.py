@@ -20,7 +20,7 @@ from judgebench.cli import RunConfig
 from judgebench.errors import EstimationError
 from judgebench.judgment import baseline, extract_judgments
 from judgebench.panel import _COLUMNS
-from judgebench.panelreg import build_persistence_dataset, fe_estimate
+from judgebench.panelreg import build_persistence_dataset
 from judgebench.quarters import ReleaseKind
 from judgebench.syngen import SynthConfig, recovery_experiment, simulate_world
 
@@ -99,7 +99,8 @@ class TestSimulateWorld:
     def test_every_setting_is_a_run_setting(self):
         # A setting no flag or config key reaches would be one only tests can set.
         assert len(SynthConfig.__annotations__) == 11
-        assert SynthConfig.__annotations__.keys() <= RunConfig.__annotations__.keys()
+        assert issubclass(RunConfig, SynthConfig)
+        assert list(RunConfig.settings())[:11] == list(SynthConfig.__annotations__)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -152,16 +153,16 @@ class TestRecoveryExperiment:
         config = SynthConfig(n_forecasters=20, n_quarters=30, rho_own=0.2, judgment_sd=0.2, seed=500)
         first = recovery_experiment(config, replications=4)
         second = recovery_experiment(config, replications=4)
-        assert first.n_completed == 4
-        assert first.betas == second.betas
-        assert first.ci_coverage == second.ci_coverage
+        assert first.error == [""] * 4
+        assert bits(first.beta) == bits(second.beta)
+        assert first.covered.tolist() == second.covered.tolist()
 
     def test_replications_run_from_the_config_seed(self):
         config = SynthConfig(n_forecasters=20, n_quarters=30, rho_own=0.2, judgment_sd=0.2, seed=500)
         whole = recovery_experiment(config, replications=3)
         tail = recovery_experiment(reseeded(config, config.seed + 1), replications=2)
-        assert whole.n_completed == 3
-        assert whole.betas[1:] == tail.betas
+        assert whole.error == [""] * 3
+        assert bits(whole.beta[1:]) == bits(tail.beta)
 
     def test_requires_replications(self):
         with pytest.raises(ValueError):
@@ -169,7 +170,7 @@ class TestRecoveryExperiment:
 
 
 def loop_recovery(config: SynthConfig, replications: int):
-    """(betas, fits, failures, coverage), one simulate_world per replication."""
+    """(fits, failures, covered), one simulate_world per replication; covered holds one bool per fit."""
     fits, failures = [], []
     for rep in range(replications):
         try:
@@ -178,14 +179,11 @@ def loop_recovery(config: SynthConfig, replications: int):
             fits.append(fe_fit(build_persistence_dataset(judgments, R1, "own_lag"), "fe"))
         except EstimationError as exc:
             failures.append(f"replication {rep}: {exc}")
-    betas = [fit.beta for fit in fits]
-    coverage = None
-    if fits:
-        half = scipy.stats.t.ppf(0.975, [fit.n_forecasters - 1 for fit in fits]) * np.array(
-            [fit.se_clustered for fit in fits])
-        covered = (np.array(betas) - half <= config.rho_own) & (config.rho_own <= np.array(betas) + half)
-        coverage = int(covered.sum()) / len(fits)
-    return betas, fits, failures, coverage
+    betas = np.array([fit.beta for fit in fits])
+    half = scipy.stats.t.ppf(0.975, [fit.n_forecasters - 1 for fit in fits]) * np.array(
+        [fit.se_clustered for fit in fits])
+    covered = (betas - half <= config.rho_own) & (config.rho_own <= betas + half)
+    return fits, failures, covered.tolist()
 
 
 def bits(values) -> list[str]:
@@ -249,22 +247,12 @@ class TestBlockPass:
                              p_neutral=p_neutral, participation_low=participation[0],
                              participation_high=participation[1], grid=grid, seed=seed)
         cells = n * t * 3
-        fits = []
-
-        def recording(datasets, spec):
-            result = fe_estimate(datasets, spec)
-            fits.extend(fit for fit in entries(result) if not fit.error)
-            return result
-
-        with mock.patch.object(syngen, "BLOCK_CELLS", block * cells + int(spare * cells)), \
-                mock.patch.object(syngen, "fe_estimate", recording):
-            summary = recovery_experiment(config, replications)
-        betas, loop_fits, failures, coverage = loop_recovery(config, replications)
-        assert bits(summary.betas) == bits(betas)
-        assert [repr(tuple(fit)) for fit in fits] == [repr(tuple(fit)) for fit in loop_fits]  # every field
-        assert summary.failures == failures
-        assert (summary.n_completed, summary.n_failed) == (len(betas), len(failures))
-        if coverage is None:
-            assert summary.n_completed == 0
-        else:
-            assert summary.ci_coverage == coverage
+        with mock.patch.object(syngen, "BLOCK_CELLS", block * cells + int(spare * cells)):
+            result = recovery_experiment(config, replications)
+        loop_fits, failures, covered = loop_recovery(config, replications)
+        fits = [fit for fit in entries(result) if not fit.error]
+        # Every field of fe_estimate's fit, then the CI check.
+        assert [repr(fit[:-1]) for fit in fits] == [repr(tuple(fit)) for fit in loop_fits]
+        assert [f"replication {rep}: {error}" for rep, error in enumerate(result.error) if error] == failures
+        assert [fit.covered for fit in fits] == covered
+        assert not any(fit.covered for fit in entries(result) if fit.error)
