@@ -24,13 +24,13 @@ MIN_PRESAMPLE = 10  # observations beyond the lag order required before a target
 def fill_missing(series: QuarterSeries) -> QuarterSeries:
     """Fill the gaps inside the series' span by linear interpolation.
 
-    The result covers the first through the last quarter the series has.  A
-    run of more than ``DEFAULT_MAX_GAP`` consecutive missing quarters is an
-    error.
+    The result covers the first through the last quarter the series has, so
+    a series with no value gives an empty one.  A run of more than
+    ``DEFAULT_MAX_GAP`` consecutive missing quarters is an error.
     """
     present_at = series.quarters()
     if not present_at.size:
-        raise IngestionError("cannot fill an empty series")
+        return QuarterSeries(start=series.start, values=np.empty(0))
     lo = int(present_at[0])
     values = series.at(np.arange(lo, int(present_at[-1]) + 1))
     missing = np.isnan(values)

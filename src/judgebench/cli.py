@@ -645,6 +645,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise CliError(f"error: unknown-config-keys keys={','.join(sorted(unknown))}")
     values.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
     checked = {name: _checked(name, value) for name, value in values.items()}
+    first, last = checked.get("sample_from"), checked.get("sample_to")
+    if first and last and parse_quarter(first) > parse_quarter(last):
+        raise CliError(f"error: invalid-value name={FLAGS['sample_to']} value={last}")
     try:  # the simulator's own checks of its settings, and the replication count's
         return RunConfig(**checked)
     except ValueError as exc:

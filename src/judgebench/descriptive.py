@@ -27,7 +27,8 @@ def quarter_stats(panel: ForecastPanel, actuals: QuarterSeries, release: Release
     m2^2 is 0: m2 is 0 or its powers underflow.  The deviations and their
     powers are taken over the whole release at once, and each quarter's
     moments are their ``block_sums`` over its size.  Quarters with forecasts
-    but no published actual are excluded with a warning.
+    but no published actual are excluded with a warning each, or with one
+    warning for the release where it has no actual at all.
     """
     rows = panel.for_release(release)
     quarters, values, bounds = group_cells(rows.quarter, rows.value)
@@ -44,8 +45,11 @@ def quarter_stats(panel: ForecastPanel, actuals: QuarterSeries, release: Release
         shaped &= n >= 4
         kurtosis[shaped] = m4[shaped] / m2_squared[shaped] - 3.0
     published = ~np.isnan(actual)
-    for index in quarters[~published].tolist():
-        warnings.warn(f"no actual for {quarter_label(index)} (release {release.value}); quarter excluded")
+    if quarters.size and not actuals.quarters().size:
+        warnings.warn(f"release {release.value} has no actuals")
+    else:
+        for index in quarters[~published].tolist():
+            warnings.warn(f"no actual for {quarter_label(index)} (release {release.value}); quarter excluded")
     return SimpleNamespace(quarter=quarters[published], n=n[published], rmse=rmses[published],
                            std_dev=np.sqrt(m2[published]), skewness=skewness[published],
                            excess_kurtosis=kurtosis[published])

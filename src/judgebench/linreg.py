@@ -22,8 +22,7 @@ from .panel import ForecastPanel, QuarterSeries, SpfNowcasts, distinct, economis
 from .quarters import ReleaseKind
 from .tails import f_sf
 
-MIN_OBS_UNBIASEDNESS = 10
-MIN_OBS_EFFICIENCY = 12
+MIN_EXTRA_OBS = 8  # a test's sample needs K + MIN_EXTRA_OBS quarters for K coefficients
 
 
 class RegressionFit:
@@ -156,14 +155,14 @@ def efficiency_regression(
     The inputs are aligned on one run of quarters in ascending order, NaN
     where a quarter is absent; 2-D inputs fit a stack, one run per row.  The
     sample is the quarters where every input is present, moved to the front
-    of its row of the design (zero after it), and must contain at least K+8
-    quarters, where K counts the regression parameters.
+    of its row of the design (zero after it), and must contain at least
+    K + ``MIN_EXTRA_OBS`` quarters, where K counts the regression parameters.
     """
     nparams = 2 + len(extra_regressors)
     columns = (actual, prediction, *extra_regressors)
     sample = np.logical_and.reduce([~np.isnan(c) for c in columns])
     nobs = np.count_nonzero(sample, axis=-1)
-    required = nparams + 8
+    required = nparams + MIN_EXTRA_OBS
     if np.min(nobs) < required:
         raise EstimationError(f"insufficient overlap: need {required} quarters, have {np.min(nobs)}")
     order = np.argsort(~sample, axis=-1, kind="stable")[..., :np.max(nobs)]
@@ -197,37 +196,37 @@ def test_battery_aggregate(
         grid[:, row] = (actuals[release].at(quarters), base.at(quarters),
                         spf.for_method(method).at(quarters), ar_forecasts[release].at(quarters))
 
-    def lags(nobs: np.ndarray) -> list[int]:
-        return [newey_west_auto_lag(n) if hac_lag is None else hac_lag for n in nobs.tolist()]
-
     sample = ~np.isnan(actual) & ~np.isnan(prediction)
     common = np.count_nonzero(sample, axis=1)
     rmses = np.full(common.size, np.nan)
     rmses[common > 0] = rmse((actual - prediction)[sample], np.append(0, np.cumsum(common[common > 0])))
-    _, p_unb, unb_notes = _stacked_zero_tests(
-        "unbiasedness", common >= MIN_OBS_UNBIASEDNESS, lags(common), actual, prediction)
-    sample &= ~np.isnan(spf_matched) & ~np.isnan(ar)
-    nobs = np.count_nonzero(sample, axis=1)
-    _, p_eff, eff_notes = _stacked_zero_tests(
-        "efficiency", nobs >= MIN_OBS_EFFICIENCY, lags(nobs), actual, prediction, spf_matched, ar)
+    _, p_unb, unb_notes = _stacked_zero_tests("unbiasedness", hac_lag, actual, prediction)
+    _, p_eff, eff_notes = _stacked_zero_tests("efficiency", hac_lag, actual, prediction, spf_matched, ar)
     errors = ["; ".join(filter(None, ("" if n else "rmse: prediction and actuals share no quarters", *notes)))
               for n, *notes in zip(common.tolist(), unb_notes, eff_notes)]
     return SimpleNamespace(unbiasedness_p=p_unb, efficiency_p=p_eff, rmse=rmses, errors=errors)
 
 
-def _stacked_zero_tests(name: str, eligible: np.ndarray, lag: int | Sequence[int], actual: np.ndarray,
-                        prediction: np.ndarray, *extra: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Newey-West tests that every coefficient is zero, fitting the eligible rows as one stack.
+def _stacked_zero_tests(name: str, hac_lag: int | None, actual: np.ndarray, prediction: np.ndarray,
+                        *extra: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Newey-West tests that every coefficient is zero, one test per row of the inputs.
 
-    ``lag`` is one lag or one per row; lag 0 is HC1.  Returns each row's
-    coefficients and p-value (NaN where there is none) and note.
+    A row's sample is the quarters where every input is present, and a row
+    with at least K + ``MIN_EXTRA_OBS`` of them for K coefficients is
+    eligible; the eligible rows are fitted as one stack.  Each row's lag is
+    ``hac_lag``, or where that is None the ``newey_west_auto_lag`` of its
+    sample size; lag 0 is HC1.  Returns each row's coefficients and p-value
+    (NaN where there is none) and note.
     """
-    coefficients = np.full((eligible.size, 2 + len(extra)), np.nan)
-    p_value = np.full(eligible.size, np.nan)
-    notes = [f"{name}: too few observations"] * eligible.size
+    columns = (actual, prediction, *extra)
+    nobs = np.count_nonzero(np.logical_and.reduce([~np.isnan(c) for c in columns]), axis=1)
+    eligible = nobs >= len(columns) + MIN_EXTRA_OBS
+    coefficients = np.full((nobs.size, len(columns)), np.nan)
+    p_value = np.full(nobs.size, np.nan)
+    notes = [f"{name}: too few observations"] * nobs.size
     if eligible.any():
         fit, design = efficiency_regression(actual[eligible], prediction[eligible], [x[eligible] for x in extra])
-        lag = np.broadcast_to(lag, eligible.shape)[eligible]
+        lag = np.array([newey_west_auto_lag(n) if hac_lag is None else hac_lag for n in fit.nobs.tolist()])
         coefficients[eligible] = fit.coefficients
         _, tested = wald_joint_test(fit, hac_covariance(fit, design, lag))
         p_value[eligible] = np.where(lag < fit.nobs, tested, np.nan)
@@ -288,15 +287,9 @@ def test_battery_individual(
         actual, prediction, spf_median, ar = grid = np.full((4, codes.size, sizes.max()), np.nan)
         grid[:, block, np.arange(len(rows)) - bounds[block]] = (
             actuals[release].at(quarter), rows.value, spf.median.at(quarter), ar_forecasts[release].at(quarter))
-        has_actual = ~np.isnan(actual)
-        # Eligibility counts each regression's own sample, so no member of a stack is short of it.
-        sample = has_actual & ~np.isnan(prediction)
-        unb_coef, p_unb, unb_notes = _stacked_zero_tests(
-            "unbiasedness", np.count_nonzero(sample, axis=1) >= MIN_OBS_UNBIASEDNESS, 0, actual, prediction)
-        sample &= ~np.isnan(spf_median) & ~np.isnan(ar)
-        _, p_eff, eff_notes = _stacked_zero_tests(
-            "efficiency", np.count_nonzero(sample, axis=1) >= MIN_OBS_EFFICIENCY, 0, actual, prediction, spf_median, ar)
-        details.append((np.full(codes.size, release), codes, np.count_nonzero(has_actual, axis=1), *unb_coef.T,
+        unb_coef, p_unb, unb_notes = _stacked_zero_tests("unbiasedness", 0, actual, prediction)
+        _, p_eff, eff_notes = _stacked_zero_tests("efficiency", 0, actual, prediction, spf_median, ar)
+        details.append((np.full(codes.size, release), codes, np.count_nonzero(~np.isnan(actual), axis=1), *unb_coef.T,
                         p_unb, p_eff))
         notes += ["; ".join(filter(None, pair)) for pair in zip(unb_notes, eff_notes)]
         share = participation[release][codes]

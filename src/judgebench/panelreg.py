@@ -231,17 +231,14 @@ def _fit(data: PersistenceData, spec: str) -> tuple[tuple[float, ...], tuple[int
         se = math.sqrt(max(cov[-1, -1], 0.0)) * math.sqrt((nobs - X.shape[1]) / (nobs - nparams))
 
     # R^2 convention: ordinary for pooled, within for FE specs.
-    if spec == "pooled":
-        r_squared = fit.r_squared
-    else:
-        sd_f, sd_y = np.std(fitted), np.std(y_reg)
-        r_squared = float(np.corrcoef(fitted, y_reg)[0, 1] ** 2) if sd_f > 0 and sd_y > 0 else math.nan
+    r_squared = fit.r_squared if spec == "pooled" else _squared_correlation(fitted, y_reg)
+    return (beta, se, r_squared, _squared_correlation(beta * x, y)), (nobs, n_clusters, singletons_dropped)
 
-    overall_fit = beta * x
-    sd_o, sd_raw = np.std(overall_fit), np.std(y)
-    r2_overall = float(np.corrcoef(overall_fit, y)[0, 1] ** 2) if sd_o > 0 and sd_raw > 0 else math.nan
 
-    return (beta, se, r_squared, r2_overall), (nobs, n_clusters, singletons_dropped)
+def _squared_correlation(a: np.ndarray, b: np.ndarray) -> float:
+    """The squared correlation of ``a`` and ``b``: NaN where either is constant, as ``np.corrcoef`` gives it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.corrcoef(a, b)[0, 1] ** 2)
 
 
 def significance_stars(p_value: float) -> str:

@@ -33,9 +33,12 @@ class TestFillMissing:
         s = series_from({q(2000, 2): 1.0, q(2000, 4): 3.0, q(2001, 1): 4.0})
         assert list(present(fill_missing(s))) == [q(2000, 2), q(2000, 3), q(2000, 4), q(2001, 1)]
 
-    def test_empty_series_rejected(self):
-        with pytest.raises(IngestionError, match="empty"):
-            fill_missing(series_from({}))
+    def test_series_without_values_fills_to_an_empty_one(self):
+        # A release without actuals: its AR forecasts are empty too, and no error stops the other releases.
+        for s in (series_from({}), QuarterSeries(start=q(2000, 1), values=np.full(3, np.nan))):
+            filled = fill_missing(s)
+            assert filled.values.size == 0
+            assert recursive_ar_forecast(filled).values.size == 0
 
     def test_long_interior_gap_rejected(self):
         s = series_from({q(2000, 1): 1.0, q(2001, 2): 3.0})  # 4 missing quarters

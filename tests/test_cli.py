@@ -306,6 +306,37 @@ class TestReport:
         ])
 
 
+def test_release_without_actuals_leaves_the_other_releases_tested(tmp_path):
+    # The golden actuals cut to release 1: releases 2 and 3 keep their rows of tables 4 and 5, untested.
+    lines = (GOLDEN_INPUTS / "actuals.csv").read_text().splitlines()
+    actuals, report = tmp_path / "actuals.csv", tmp_path / "report"
+    actuals.write_text("".join(f"{line}\n" for line in lines if line.split(",")[1] in ("release", "1")))
+    flags = [*GOLDEN_FLAGS[2:], "--actuals", str(actuals)]
+    done = subprocess.run([sys.executable, "-m", "judgebench.cli", "report", *flags, "--out", str(report)],
+                          env=src_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (report / "diagnostics.csv").read_text().splitlines() == [
+        "stage,error", "describe,no actual for 2012Q1 (release 1); quarter excluded",
+        "describe,release 2 has no actuals", "describe,release 3 has no actuals"]
+
+    def rows(path):
+        with open(path, newline="") as fh:
+            return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+    golden = (GOLDEN_INPUTS.parent / "report" / "table4_aggregate_tests.csv").read_text().splitlines()
+    assert (report / "table4_aggregate_tests.csv").read_text().splitlines()[:4] == golden[:4]
+    untested = ("rmse: prediction and actuals share no quarters; unbiasedness: too few observations; "
+                "efficiency: too few observations")
+    assert [(row["release"], row["errors"]) for row in rows(report / "table4_aggregate_tests.csv")[2:]] == [
+        (release, untested) for release in ("second", "second", "third", "third")]
+    assert [(row["release"], row["n_tested_unbiased"], row["n_tested_efficient"])
+            for row in rows(report / "table5_individual_tests.csv")] == [
+        (release, n, n) for release, n in (("first", "12"), ("second", "0"), ("third", "0")) for _ in range(3)]
+    assert {row["release"] for row in rows(report / "individual_detail.csv")} == {"first", "second", "third"}
+    assert main(["ar-forecast", "--actuals", str(actuals), "--out", str(tmp_path / "ar")]) == 0
+    assert {row["release"] for row in rows(tmp_path / "ar" / "ar_forecasts.csv")} == {"first"}
+
+
 def test_report_loads_no_numpy_ma_module(tmp_path):
     # In numpy 2.4 np.unique without flags, and np.isin, import numpy.ma (about 15 ms).
     golden = Path(__file__).parent / "golden" / "inputs"
@@ -524,6 +555,9 @@ class TestConfigFile:
         ("report", ["--thresholds", "0.1,0.1000000000001"], None),
         ("report", [], json.dumps({"thresholds": [0.5, 0.5]})),
         ("report", [], json.dumps({"thresholds": [0.1, 0.1000000000001]})),
+        # A sample that ends before it starts.
+        ("report", ["--from", "2005Q1", "--to", "2004Q4"], None),
+        ("report", [], json.dumps({"sample_from": "2005Q1", "sample_to": "2004Q4"})),
     ])
     def test_bad_value_exits_2_with_one_line(self, world_dir, tmp_path, capsys, command, flags, config):
         set_by_file = ()

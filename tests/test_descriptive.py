@@ -68,6 +68,14 @@ class TestQuarterStats:
             result = quarter_stats(panel, actuals, ReleaseKind.FIRST)
         assert result.quarter.tolist() == [q(2000, 1)]
 
+    def test_release_without_actuals_warns_once(self):
+        panel = panel_from_values({q(2000, 1): [1.0], q(2000, 2): [2.0]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = quarter_stats(panel, series_from({}), ReleaseKind.FIRST)
+        assert [str(w.message) for w in caught] == ["release 1 has no actuals"]
+        assert result.quarter.size == 0
+
     def test_shift_invariance(self):
         base = stats_for([0.0, 1.0, 3.0, 7.0], 2.0)
         shifted = stats_for([10.0, 11.0, 13.0, 17.0], 12.0)

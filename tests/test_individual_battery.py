@@ -16,8 +16,6 @@ from judgebench.errors import EstimationError
 from judgebench.judgment import passes_threshold
 from judgebench.linreg import (
     DETAIL_COLUMNS,
-    MIN_OBS_EFFICIENCY,
-    MIN_OBS_UNBIASEDNESS,
     SHARE_COLUMNS,
     efficiency_regression,
     hac_covariance,
@@ -33,6 +31,8 @@ START = q(2000, 1)
 BLOCK = 32  # quarters after the random span, where the hand-made forecasters report
 MAX_SPAN = 30  # random forecasters report within this many quarters, so none is wider than BLOCK
 R1 = ReleaseKind.FIRST
+MIN_OBS_UNBIASEDNESS = 10  # K + 8 sample quarters for the K = 2 unbiasedness coefficients
+MIN_OBS_EFFICIENCY = 12  # and for the K = 4 efficiency ones
 
 
 class ForecasterTestDetail(NamedTuple):

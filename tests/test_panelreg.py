@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,15 @@ class TestFeEstimate:
             y_vec[row] = o.response
         lsdv = np.linalg.lstsq(X, y_vec, rcond=None)[0][0]
         assert abs(fe.beta - lsdv) < 1e-8
+
+    def test_constant_response_gives_nan_r_squared_without_a_warning(self):
+        data = [obs(f"E{i}", q(2000, 1) + t, 1.0, float(t * (i + 1))) for i in range(3) for t in range(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in SPECS:
+                result = fe_fit(dataset(data), spec)
+                assert result.beta == pytest.approx(0.0, abs=1e-12), spec
+                assert np.isnan(result.r_squared) and np.isnan(result.r_squared_overall), spec
 
     def test_pooled_includes_intercept(self):
         data = [obs("E1", q(2000, 1) + t, 2.0 + 0.5 * t, float(t)) for t in range(6)]
