@@ -11,7 +11,6 @@ from .panel import (
     CleaningLog,
     ForecastPanel,
     QuarterSeries,
-    SpfNowcasts,
     clean_panel,
     joint_coverage,
     load_actuals,
@@ -21,7 +20,6 @@ from .panel import (
 )
 from .descriptive import armse, quarter_stats
 from .judgment import (
-    BaselineSeries,
     JudgmentPanel,
     baseline,
     baseline_hit_stats,

@@ -15,8 +15,9 @@ import numpy as np
 
 from .descriptive import rmse
 from .errors import EstimationError
-from .judgment import DEFAULT_THRESHOLDS, BaselineSeries, passes_threshold
+from .judgment import DEFAULT_THRESHOLDS, passes_threshold
 from .panel import ForecastPanel, QuarterSeries, block_sums, economist_runs
+from .quarters import ReleaseKind
 from .tails import t_test_p_value
 
 
@@ -53,10 +54,12 @@ def hln_correction(dm, nobs):
     return statistic, t_test_p_value(statistic, 0.0, 1.0, nobs - 1)
 
 
-def accuracy_table(panel: ForecastPanel, base: BaselineSeries, actuals: QuarterSeries) -> SimpleNamespace:
+def accuracy_table(panel: ForecastPanel, release: ReleaseKind, base: QuarterSeries,
+                   actuals: QuarterSeries) -> SimpleNamespace:
     """Per-economist accuracy comparisons over common quarters, as aligned columns in economist-id order.
 
-    The panel must be clean: one row per (economist, quarter, release).  A
+    ``base`` and ``actuals`` are the release's baseline and actuals.  The
+    panel must be clean: one row per (economist, quarter, release).  A
     forecaster with no quarter in common with the baseline and the actuals is
     left out.  Each statistic is taken once over the release's common rows,
     economist by economist as blocks, and the p-values in one tail call.
@@ -65,7 +68,7 @@ def accuracy_table(panel: ForecastPanel, base: BaselineSeries, actuals: QuarterS
     ``hln_statistic`` and ``p_value_hln``, NaN where untested, and ``note``,
     a list of str naming why a forecaster is untested ("" where it is tested).
     """
-    rows = panel.for_release(base.release)
+    rows = panel.for_release(release)
     codes, bounds = economist_runs(rows.economist)
     forecast, baseline_values, actual = rows.value, base.at(rows.quarter), actuals.at(rows.quarter)
     common = ~np.isnan(forecast) & ~np.isnan(baseline_values) & ~np.isnan(actual)

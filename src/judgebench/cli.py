@@ -1,8 +1,9 @@
 """Command-line entry point wiring ingestion, analyses and report emission.
 
 Every command is deterministic given its inputs and seed; ``report`` runs the
-full pipeline and writes the eight table-shaped CSVs plus a manifest with the
-effective configuration and its hash.
+full pipeline and writes its 17 CSVs, plus ``diagnostics.csv`` when a stage
+noted an error or warning, and a manifest with the effective configuration and
+its hash.
 """
 from __future__ import annotations
 
@@ -25,12 +26,11 @@ from . import __version__
 from .accuracy import accuracy_table, beat_baseline_share
 from .armodel import DEFAULT_MAX_LAG, ARForecasts, fill_missing, recursive_ar_forecast
 from .descriptive import armse, quarter_stats
-from .errors import JudgebenchError
+from .errors import IngestionError, JudgebenchError
 from .judgment import (
     DEFAULT_THRESHOLDS,
     HISTOGRAM_BINS,
     SIGN_SHARE_COLUMNS,
-    BaselineSeries,
     JudgmentPanel,
     baseline,
     baseline_hit_stats,
@@ -44,7 +44,6 @@ from .panel import (
     FORECASTS_HEADER,
     ForecastPanel,
     QuarterSeries,
-    SpfNowcasts,
     clean_panel,
     joint_coverage,
     load_actuals,
@@ -247,7 +246,7 @@ class Study:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self._baselines: dict[tuple[ReleaseKind, str], BaselineSeries] = {}
+        self._baselines: dict[tuple[ReleaseKind, str], QuarterSeries] = {}
         self.digests: dict[str, str] = {}
 
     def _load(self, what: str, loader):
@@ -278,10 +277,10 @@ class Study:
         return self._load("actuals", load_actuals)
 
     @cached_property
-    def spf(self) -> SpfNowcasts:
+    def spf(self) -> dict[str, QuarterSeries]:
         return self._load("spf", load_spf)
 
-    def baseline(self, rel: ReleaseKind, method: str | None = None) -> BaselineSeries:
+    def baseline(self, rel: ReleaseKind, method: str | None = None) -> QuarterSeries:
         """One release's baseline; the method defaults to the run's."""
         key = (rel, method or self.cfg.baseline_method)
         if key not in self._baselines:
@@ -291,7 +290,7 @@ class Study:
     @cached_property
     def judgments(self) -> dict[ReleaseKind, JudgmentPanel]:
         """Each release's judgments against the run's baseline."""
-        return {rel: extract_judgments(self.panel, self.baseline(rel), grid=self.cfg.grid) for rel in RELEASES}
+        return {rel: extract_judgments(self.panel, rel, self.baseline(rel), grid=self.cfg.grid) for rel in RELEASES}
 
     @cached_property
     def participation(self) -> dict[ReleaseKind, np.ndarray]:
@@ -300,14 +299,25 @@ class Study:
 
     @cached_property
     def ar_forecasts(self) -> dict[ReleaseKind, ARForecasts]:
-        """Recursive AR forecasts of each release for every quarter with enough presample."""
+        """Recursive AR forecasts of each release for every quarter with enough presample.
+
+        A release whose actuals have a gap too long to fill gets none, and one warning.
+        """
         lag = None if self.cfg.ar_lag == "auto" else int(self.cfg.ar_lag)
-        return {rel: recursive_ar_forecast(fill_missing(series), lag=lag) for rel, series in self.actuals.items()}
+        forecasts = {}
+        for rel, series in self.actuals.items():
+            try:
+                series = fill_missing(series)
+            except IngestionError as exc:
+                warnings.warn(f"{self.cfg.actuals}: no AR forecasts for release {rel.value}: {exc}")
+                series = QuarterSeries(0, np.empty(0))
+            forecasts[rel] = recursive_ar_forecast(series, lag=lag)
+        return forecasts
 
     @cached_property
     def comparisons(self) -> dict[ReleaseKind, SimpleNamespace]:
         """Each release's per-forecaster accuracy against the run's baseline."""
-        return {rel: accuracy_table(self.panel, self.baseline(rel), self.actuals[rel]) for rel in RELEASES}
+        return {rel: accuracy_table(self.panel, rel, self.baseline(rel), self.actuals[rel]) for rel in RELEASES}
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +495,7 @@ def cmd_simulate(study: Study, out: Path) -> list[Path]:
     quarters, sizes, values = _stack_series([world.actuals[rel] for rel in RELEASES], "values")
     # forecasts.csv lists the rows by (economist, quarter, release), as it always has.
     panel = world.panel.take(np.lexsort((world.panel.release, world.panel.quarter, world.panel.economist)))
-    spf = world.spf.median.quarters()
+    spf = world.spf["median"].quarters()
     files = [
         write_csv(out / "actuals.csv", ["quarter", "release", "value"],
                   [quarters, np.repeat([rel.value for rel in RELEASES], sizes), values]),
@@ -494,7 +504,7 @@ def cmd_simulate(study: Study, out: Path) -> list[Path]:
             CodedColumn(ids.firm_ids, ids.firm[ids.by_code][panel.economist]), panel.value, [""] * len(panel),
         ]),
         write_csv(out / "spf.csv", ["quarter", "median", "mean"], [
-            _quarter_labels(spf), world.spf.median.at(spf), world.spf.mean.at(spf),
+            _quarter_labels(spf), world.spf["median"].at(spf), world.spf["mean"].at(spf),
         ]),
     ]
     truth = [[], [], [], [], []]

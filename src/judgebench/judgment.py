@@ -40,12 +40,6 @@ def passes_threshold(share, threshold: float):
     return share >= threshold - 1e-12
 
 
-class BaselineSeries(QuarterSeries):
-    def __init__(self, start: int, values: np.ndarray, release: ReleaseKind):
-        super().__init__(start, values)
-        self.release = release
-
-
 class JudgmentPanel:
     """One release's judgments, aligned with the rows of that release's forecasts.
 
@@ -60,7 +54,7 @@ class JudgmentPanel:
         return self.value.size
 
 
-def baseline(panel: ForecastPanel, release: ReleaseKind, method: str = "median") -> BaselineSeries:
+def baseline(panel: ForecastPanel, release: ReleaseKind, method: str = "median") -> QuarterSeries:
     """Per-quarter median or mean of all forecasts (the forecaster's own included).
 
     The mean is exactly rounded (``math.fsum``), so it does not depend on row order.
@@ -73,20 +67,20 @@ def baseline(panel: ForecastPanel, release: ReleaseKind, method: str = "median")
     else:
         quarters, cells, bounds = group_cells(rows.quarter, rows.value)
         values = [math.fsum(cells[lo:hi]) / (hi - lo) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-    return BaselineSeries.from_points(quarters, values, release=release)
+    return QuarterSeries.from_points(quarters, values)
 
 
 def extract_judgments(
-    panel: ForecastPanel, base: BaselineSeries, grid: float = DEFAULT_GRID
+    panel: ForecastPanel, release: ReleaseKind, base: QuarterSeries, grid: float = DEFAULT_GRID
 ) -> JudgmentPanel:
-    """Judgment = forecast - baseline for every row of the baseline's release."""
-    rows = panel.for_release(base.release)
+    """Judgment = forecast - baseline for every row of the release, ``base`` being that release's baseline."""
+    rows = panel.for_release(release)
     levels = base.at(rows.quarter)
     missing = np.isnan(levels)
     if missing.any():
         raise ValueError(f"baseline does not cover {quarter_label(int(rows.quarter[missing][0]))}")
     return JudgmentPanel(
-        release=base.release,
+        release=release,
         panel=rows,
         value=rows.value - levels,
         neutral=grid_round(rows.value, grid) == grid_round(levels, grid),
@@ -164,7 +158,7 @@ class BaselineHitStats(NamedTuple):
 
 
 def baseline_hit_stats(
-    base: BaselineSeries, actuals: QuarterSeries, grid: float = DEFAULT_GRID
+    base: QuarterSeries, actuals: QuarterSeries, grid: float = DEFAULT_GRID
 ) -> BaselineHitStats:
     """Shares of overlapping quarters where the baseline equals / exceeds / trails the actual.
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .descriptive import rmse
 from .errors import EstimationError, RankDeficiencyError
-from .judgment import DEFAULT_THRESHOLDS, BaselineSeries, passes_threshold
-from .panel import ForecastPanel, QuarterSeries, SpfNowcasts, distinct, economist_runs
+from .judgment import DEFAULT_THRESHOLDS, passes_threshold
+from .panel import ForecastPanel, QuarterSeries, distinct, economist_runs
 from .quarters import ReleaseKind
 from .tails import f_sf
 
@@ -173,9 +173,9 @@ def efficiency_regression(
 
 
 def test_battery_aggregate(
-    baselines: Mapping[tuple[ReleaseKind, str], BaselineSeries],
+    baselines: Mapping[tuple[ReleaseKind, str], QuarterSeries],
     actuals: Mapping[ReleaseKind, QuarterSeries],
-    spf: SpfNowcasts,
+    spf: Mapping[str, QuarterSeries],
     ar_forecasts: Mapping[ReleaseKind, QuarterSeries],
     hac_lag: int | None = None,
 ) -> SimpleNamespace:
@@ -185,16 +185,16 @@ def test_battery_aggregate(
     grid over the baselines' quarters, and one stacked fit per test as in the
     individual battery.  HAC covariances throughout, with each row's lag taken
     from its own sample unless ``hac_lag`` fixes it; the information set pairs
-    the method-matched SPF nowcast with the recursive AR forecast.  The
-    columns are ``unbiasedness_p``, ``efficiency_p`` and ``rmse``, NaN where
-    absent, and ``errors``, a list of str: each row's failures joined by
-    "; ".  A failure leaves the other rows intact.
+    the method-matched SPF nowcast ``spf[method]`` with the recursive AR
+    forecast.  The columns are ``unbiasedness_p``, ``efficiency_p`` and
+    ``rmse``, NaN where absent, and ``errors``, a list of str: each row's
+    failures joined by "; ".  A failure leaves the other rows intact.
     """
     quarters = distinct(np.concatenate([np.empty(0, np.int64), *(b.quarter_index() for b in baselines.values())]))
     actual, prediction, spf_matched, ar = grid = np.full((4, len(baselines), quarters.size), np.nan)
     for row, ((release, method), base) in enumerate(baselines.items()):
         grid[:, row] = (actuals[release].at(quarters), base.at(quarters),
-                        spf.for_method(method).at(quarters), ar_forecasts[release].at(quarters))
+                        spf[method].at(quarters), ar_forecasts[release].at(quarters))
 
     sample = ~np.isnan(actual) & ~np.isnan(prediction)
     common = np.count_nonzero(sample, axis=1)
@@ -251,7 +251,7 @@ def _joined(parts: list[tuple], names: tuple[str, ...], **more) -> SimpleNamespa
 def test_battery_individual(
     panel: ForecastPanel,
     actuals: Mapping[ReleaseKind, QuarterSeries],
-    spf: SpfNowcasts,
+    spf: Mapping[str, QuarterSeries],
     ar_forecasts: Mapping[ReleaseKind, QuarterSeries],
     participation: Mapping[ReleaseKind, np.ndarray],
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
@@ -262,9 +262,10 @@ def test_battery_individual(
     Shares count forecasters whose test does not reject at level ``alpha``
     among those with enough observations; the rest are reported as excluded.
     HC1 covariance throughout; the efficiency information set is the median
-    SPF nowcast and the release's AR forecast.  ``participation`` holds each
-    release's ``participation_share``, indexed by the economist codes of
-    ``panel``, which must be clean: one row per (economist, quarter, release).
+    SPF nowcast ``spf["median"]`` and the release's AR forecast.
+    ``participation`` holds each release's ``participation_share``, indexed
+    by the economist codes of ``panel``, which must be clean: one row per
+    (economist, quarter, release).
     The details have one row per forecaster of each release with forecasts,
     in (release, economist code) order, and the ``DETAIL_COLUMNS`` (NaN
     where a test is absent) plus ``note``, a list of str.  The shares have one
@@ -286,7 +287,7 @@ def test_battery_individual(
         quarter = rows.quarter
         actual, prediction, spf_median, ar = grid = np.full((4, codes.size, sizes.max()), np.nan)
         grid[:, block, np.arange(len(rows)) - bounds[block]] = (
-            actuals[release].at(quarter), rows.value, spf.median.at(quarter), ar_forecasts[release].at(quarter))
+            actuals[release].at(quarter), rows.value, spf["median"].at(quarter), ar_forecasts[release].at(quarter))
         unb_coef, p_unb, unb_notes = _stacked_zero_tests("unbiasedness", 0, actual, prediction)
         _, p_eff, eff_notes = _stacked_zero_tests("efficiency", 0, actual, prediction, spf_median, ar)
         details.append((np.full(codes.size, release), codes, np.count_nonzero(~np.isnan(actual), axis=1), *unb_coef.T,

@@ -13,7 +13,8 @@ The three input files go through one CSV reader, ``_read_csv``: the csv
 module's dialect (quotes, CRLF; blank lines skipped), a chunk of rows at a
 time, each distinct token parsed once.  The first bad row in file order is
 named by its line, but a byte that is not UTF-8 is reported before any other
-fault.  A source is read once, so a stream need not be seekable.
+fault.  A file is read once, front to back, so a pipe such as ``/dev/stdin``
+is a path like any other.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ import math
 import re
 from datetime import date
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -53,13 +53,13 @@ class QuarterSeries:
         self.start, self.values = start, values
 
     @classmethod
-    def from_points(cls, quarters: Sequence[int], values: Sequence[float], **fields):
+    def from_points(cls, quarters: Sequence[int], values: Sequence[float]) -> QuarterSeries:
         """The series with ``values[i]`` at quarter index ``quarters[i]`` and no other quarter."""
         quarters = np.asarray(quarters, dtype=np.int64)
         start = int(quarters.min()) if quarters.size else 0
         data = np.full(int(quarters.max()) + 1 - start if quarters.size else 0, np.nan)
         data[quarters - start] = values
-        return cls(start=start, values=data, **fields)
+        return cls(start=start, values=data)
 
     def at(self, quarters: np.ndarray) -> np.ndarray:
         """The values at these quarter indexes, NaN where absent."""
@@ -269,21 +269,13 @@ def _line_ends(text: str) -> int:
     return text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
-def _blocks(source, name: str, digest=None) -> Iterator[Iterable[str]]:
-    """The lines of a CSV source, a block at a time, split at CR LF, CR and LF as ``newline=""`` splits them.
+def _blocks(path, digest=None) -> Iterator[Iterable[str]]:
+    """The lines of a CSV file, a block at a time, split at CR LF, CR and LF as ``newline=""`` splits them.
 
-    A path is read as bytes, ``CHUNK_LINES`` LF-ended lines at a time, each block added to ``digest`` (a hashlib
-    object) if given, and a byte that is not UTF-8 raises IngestionError naming its line.  A text stream gives its
-    own lines; there a decode error has no line, and there are no bytes to digest.
+    The file is read as bytes, ``CHUNK_LINES`` LF-ended lines at a time, each block added to ``digest`` (a
+    hashlib object) if given, and a byte that is not UTF-8 raises IngestionError naming its line.
     """
-    if not isinstance(source, (str, Path)):
-        try:
-            while lines := list(itertools.islice(source, CHUNK_LINES)):
-                yield lines
-        except UnicodeDecodeError as exc:
-            raise IngestionError(f"{name}: not UTF-8: {exc.reason}") from None
-        return
-    with open(source, "rb") as fh:
+    with open(path, "rb") as fh:
         done = 0  # line ends before this block
         while data := b"".join(itertools.islice(fh, CHUNK_LINES)):  # a block ends at LF, so between characters
             if digest is not None:
@@ -292,18 +284,18 @@ def _blocks(source, name: str, digest=None) -> Iterator[Iterable[str]]:
                 text = data.decode("utf-8")
             except UnicodeDecodeError as bad:
                 line = done + _line_ends(data[:bad.start].decode("utf-8")) + 1
-                raise IngestionError(f"{name} line {line}: not UTF-8: {bad.reason} 0x{data[bad.start]:02x}") from None
+                raise IngestionError(f"{path} line {line}: not UTF-8: {bad.reason} 0x{data[bad.start]:02x}") from None
             done += _line_ends(text)
             yield io.StringIO(text, newline="")
 
 
-def _take(reader, n: int, name: str) -> tuple[list[list[str]], str | None]:
+def _take(reader, n: int, path) -> tuple[list[list[str]], str | None]:
     """Up to n more rows, and the error naming the line the csv module could not read, if it met one."""
     rows = []
     try:
         rows.extend(itertools.islice(reader, n))  # the rows before a bad line stay
     except csv.Error as exc:  # the reader's line count includes the failed line
-        return rows, f"{name} line {reader.line_num}: {exc}"
+        return rows, f"{path} line {reader.line_num}: {exc}"
     return rows, None
 
 
@@ -331,26 +323,25 @@ def _row_codes(rows: list[list[str]], columns: list[_Column], seen: set, unique:
     return np.array(kept, dtype=np.int64).reshape(-1, len(columns)).T, None
 
 
-def _read_csv(source, what: str, header: Sequence[str], parsers: Sequence[Callable[[str], object]],
+def _read_csv(path, header: Sequence[str], parsers: Sequence[Callable[[str], object]],
               unique: int = 0, duplicate: Callable[..., str] | None = None, digest=None) -> list[_Column]:
-    """Read a CSV source with this header into one ``_Column`` per field, ``parsers[k]`` parsing field k.
+    """Read a CSV file with this header into one ``_Column`` per field, ``parsers[k]`` parsing field k.
 
     Rows are read with the csv module, ``CHUNK_LINES`` at a time.  No two rows may share the parsed values of the
     first ``unique`` fields; ``duplicate(*values)`` words that error.  The first bad row in file order (see
     ``_row_codes``) raises IngestionError naming the file and line; so do a wrong header and a line the csv module
-    cannot read, such as one with a field over its size limit.  A byte that is not UTF-8 anywhere in the source is
-    reported before any other fault.  A path source is read to its end once, and its bytes go to ``digest``.
+    cannot read, such as one with a field over its size limit.  A byte that is not UTF-8 anywhere in the file is
+    reported before any other fault.  The file is read to its end once, and its bytes go to ``digest``.
     """
-    name = str(source) if isinstance(source, (str, Path)) else getattr(source, "name", what)
     columns, seen = [_Column(parse) for parse in parsers], set()
-    blocks = _blocks(source, name, digest)
+    blocks = _blocks(path, digest)
     reader = csv.reader(itertools.chain.from_iterable(blocks))
-    rows, fault = _take(reader, 1, name)
+    rows, fault = _take(reader, 1, path)
     if fault is None and rows != [list(header)]:
-        fault = f"{name}: expected header {','.join(header)}, got {rows[0] if rows else None}"
+        fault = f"{path}: expected header {','.join(header)}, got {rows[0] if rows else None}"
     while fault is None:
         lines = reader.line_num
-        rows, fault = _take(reader, CHUNK_LINES, name)  # a csv error comes after these rows
+        rows, fault = _take(reader, CHUNK_LINES, path)  # a csv error comes after these rows
         if not rows:
             break
         chunk = None
@@ -363,12 +354,12 @@ def _read_csv(source, what: str, header: Sequence[str], parsers: Sequence[Callab
                 at, message = bad
                 # A row takes a line, and one more for each line end in a quoted field, unless the file ends there.
                 line = lines + at + 1 + sum(map(_line_ends, itertools.chain.from_iterable(rows[:at + 1])))
-                fault = f"{name} line {min(line, reader.line_num)}: {message}"
+                fault = f"{path} line {min(line, reader.line_num)}: {message}"
                 break
         for column, codes in zip(columns, chunk):
             column.chunks.append(codes)
     if fault is not None:
-        for _ in blocks:  # a byte that is not UTF-8 anywhere in the source is reported first
+        for _ in blocks:  # a byte that is not UTF-8 anywhere in the file is reported first
             pass
         raise IngestionError(fault)
     return columns
@@ -401,25 +392,25 @@ def _release_number(token: str) -> int:
     return ReleaseKind.from_token(token).value
 
 
-def load_actuals(source, digest=None) -> dict[ReleaseKind, QuarterSeries]:
+def load_actuals(path, digest=None) -> dict[ReleaseKind, QuarterSeries]:
     """Read the actuals CSV (header quarter,release,value) into one series per release.
 
-    A duplicate (quarter, release) row is an error.  Each loader adds the bytes of a path to ``digest`` as it reads.
+    A duplicate (quarter, release) row is an error.  Each loader adds the file's bytes to ``digest`` as it reads.
     """
     quarter, release, value = _read_csv(
-        source, "actuals", ACTUALS_HEADER, (parse_quarter, _release_number, _parse_value), unique=2,
+        path, ACTUALS_HEADER, (parse_quarter, _release_number, _parse_value), unique=2,
         duplicate=lambda q, r: f"duplicate actuals row for {quarter_label(q)} release {r}", digest=digest)
     quarter, release, value = quarter.gather(np.int64), release.gather(np.int64), value.gather(float)
     return {kind: QuarterSeries.from_points(quarter[release == kind], value[release == kind]) for kind in ReleaseKind}
 
 
-def load_forecasts(source, digest=None) -> ForecastPanel:
+def load_forecasts(path, digest=None) -> ForecastPanel:
     """Read the forecasts CSV into a raw (uncleaned) panel, rows in file order, ids stripped of blanks.
 
     Each row must have its ``firm_id`` field, but no analysis reads it, so the panel keeps no firm column.
     """
     quarter, release, economist, _, value, dated = _read_csv(
-        source, "forecasts", FORECASTS_HEADER,
+        path, FORECASTS_HEADER,
         (parse_quarter, _release_number, str.strip, str.strip, _parse_value,
          lambda token: -1 if (day := _parse_date(token)) is None else day.toordinal()), digest=digest)
     economist_ids, economist_code = factorize(economist.values)
@@ -427,28 +418,17 @@ def load_forecasts(source, digest=None) -> ForecastPanel:
                          release.gather(np.int64), value.gather(float), dated.gather(np.int64))
 
 
-class SpfNowcasts:
-    """Median and mean SPF nowcast per target quarter."""
+def load_spf(path, digest=None) -> dict[str, QuarterSeries]:
+    """Read the SPF CSV (header quarter,median,mean) into its nowcast series, keyed "median" and "mean".
 
-    def __init__(self, median: QuarterSeries, mean: QuarterSeries):
-        self.median, self.mean = median, mean
-
-    def for_method(self, method: str) -> QuarterSeries:
-        if method == "median":
-            return self.median
-        if method == "mean":
-            return self.mean
-        raise ValueError(f"unknown baseline method {method!r}")
-
-
-def load_spf(source, digest=None) -> SpfNowcasts:
-    """Read the SPF CSV (header quarter,median,mean).  A duplicate quarter is an error."""
+    The keys are the baseline methods, so a method's SPF nowcast is ``spf[method]``.  A duplicate quarter is an error.
+    """
     quarter, median, mean = _read_csv(
-        source, "spf", SPF_HEADER, (parse_quarter, _parse_value, _parse_value), unique=1,
+        path, SPF_HEADER, (parse_quarter, _parse_value, _parse_value), unique=1,
         duplicate=lambda q: f"duplicate spf row for {quarter_label(q)}", digest=digest)
     quarter = quarter.gather(np.int64)
-    return SpfNowcasts(QuarterSeries.from_points(quarter, median.gather(float)),
-                       QuarterSeries.from_points(quarter, mean.gather(float)))
+    return {"median": QuarterSeries.from_points(quarter, median.gather(float)),
+            "mean": QuarterSeries.from_points(quarter, mean.gather(float))}
 
 
 def clean_panel(raw: ForecastPanel) -> tuple[ForecastPanel, CleaningLog]:

@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .judgment import DEFAULT_GRID, baseline, extract_judgments, grid_round
-from .panel import ForecastPanel, QuarterSeries, SpfNowcasts, factorize
+from .panel import ForecastPanel, QuarterSeries, factorize
 from .panelreg import build_persistence_dataset, fe_estimate
 from .quarters import ReleaseKind, parse_quarter
 from .tails import t_test_p_value
@@ -82,7 +82,7 @@ class SynthWorld(NamedTuple):
     config: SynthConfig
     actuals: Mapping[ReleaseKind, QuarterSeries]
     panel: ForecastPanel
-    spf: SpfNowcasts
+    spf: Mapping[str, QuarterSeries]  # keyed "median" and "mean", as load_spf keys them
     truth: SynthTruth
 
 
@@ -205,7 +205,7 @@ def simulate_world(config: SynthConfig) -> SynthWorld:
     rng_spf = _rng(config.seed, 6)
     spf_median = actuals[0] + rng_spf.normal(0.0, 0.5, size=t)
     spf_mean = spf_median + rng_spf.normal(0.0, 0.1, size=t)
-    spf = SpfNowcasts(QuarterSeries(START, spf_median), QuarterSeries(START, spf_mean))
+    spf = {"median": QuarterSeries(START, spf_median), "mean": QuarterSeries(START, spf_mean)}
     actual_series = {ReleaseKind(k + 1): QuarterSeries(START, actuals[k]) for k in range(3)}
     judgments = np.ascontiguousarray(block.judgments[:, :, 0].transpose(2, 1, 0))  # (N, T, 3)
     truth = SynthTruth(START + np.arange(t), ids.economists, actuals, block.baselines[0], judgments, block.rho_i[0])
@@ -238,8 +238,8 @@ def recovery_experiment(config: SynthConfig, replications: int) -> SimpleNamespa
         datasets = []
         for s in range(len(reps)):
             panel = _panel(config, block, s, ids)
-            judgments = {ReleaseKind.FIRST: extract_judgments(panel, baseline(panel, ReleaseKind.FIRST),
-                                                              grid=config.grid)}
+            base = baseline(panel, ReleaseKind.FIRST)
+            judgments = {ReleaseKind.FIRST: extract_judgments(panel, ReleaseKind.FIRST, base, grid=config.grid)}
             datasets.append(build_persistence_dataset(judgments, ReleaseKind.FIRST, "own_lag"))
         blocks.append(fe_estimate(datasets, "fe"))
     fits = SimpleNamespace(**{name: np.concatenate([getattr(fit, name) for fit in blocks])

@@ -153,9 +153,9 @@ def fe_fit(data: PersistenceData, spec: str) -> tuple:
     return fit
 
 
-def series_from(values: dict[int, float], cls: type = QuarterSeries, **fields) -> QuarterSeries:
-    """A ``cls`` series holding these quarters' values; ``fields`` are the subclass's own."""
-    return cls.from_points(list(values), list(values.values()), **fields)
+def series_from(values: dict[int, float]) -> QuarterSeries:
+    """The series holding these quarters' values."""
+    return QuarterSeries.from_points(list(values), list(values.values()))
 
 
 def present(series: QuarterSeries) -> dict[int, float]:

@@ -19,7 +19,6 @@ from judgebench.panel import (
     SPF_HEADER,
     ForecastPanel,
     QuarterSeries,
-    SpfNowcasts,
     _parse_date,
     _parse_value,
     factorize,
@@ -86,7 +85,7 @@ def load_forecasts(source) -> ForecastPanel:
     )
 
 
-def load_spf(source) -> SpfNowcasts:
+def load_spf(source) -> dict[str, QuarterSeries]:
     def parse_row(row):
         return parse_quarter(row["quarter"]), _parse_value(row["median"]), _parse_value(row["mean"])
 
@@ -96,7 +95,7 @@ def load_spf(source) -> SpfNowcasts:
             raise IngestionError(f"{where}: duplicate spf row for {quarter_label(quarter)}")
         points[quarter] = med, avg
     quarters, (median, mean) = list(points), zip(*points.values()) if points else ((), ())
-    return SpfNowcasts(QuarterSeries.from_points(quarters, median), QuarterSeries.from_points(quarters, mean))
+    return {"median": QuarterSeries.from_points(quarters, median), "mean": QuarterSeries.from_points(quarters, mean)}
 
 
 LOADERS = {"actuals": load_actuals, "forecasts": load_forecasts, "spf": load_spf}
@@ -109,8 +108,6 @@ def _bits(value) -> tuple:
         return value.economist_ids, *((c.dtype.str, c.tobytes()) for c in columns)
     if isinstance(value, QuarterSeries):
         return value.start, value.values.dtype.str, value.values.tobytes()
-    if isinstance(value, SpfNowcasts):
-        return _bits(value.median), _bits(value.mean)
     return tuple((key, _bits(item)) for key, item in value.items())
 
 

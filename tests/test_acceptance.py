@@ -218,7 +218,7 @@ def test_judgment_error_identity_and_median_balance():
         world = simulate_world(config)
         for release in ReleaseKind:
             base = baseline(world.panel, release, "median")
-            jp = extract_judgments(world.panel, base, grid=config.grid)
+            jp = extract_judgments(world.panel, release, base, grid=config.grid)
             actual, medians = present(world.actuals[release]), present(base)  # a KeyError where one is absent
             # j - e = actual - baseline: identical for every economist in (t,k).
             per_quarter: dict = {}

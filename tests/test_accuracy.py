@@ -6,7 +6,6 @@ import scipy.stats
 
 from judgebench.accuracy import accuracy_table, beat_baseline_share, dm_test, hln_correction
 from judgebench.errors import EstimationError
-from judgebench.judgment import BaselineSeries
 from judgebench.panel import ForecastPanel, participation_share
 from judgebench.quarters import ReleaseKind
 
@@ -23,7 +22,7 @@ def paired_rmse(forecaster, base, actuals):
     table leaves it out.
     """
     panel = ForecastPanel.from_rows(rec("E1", quarter, value) for quarter, value in forecaster.items())
-    table = accuracy_table(panel, series_from(base, BaselineSeries, release=R1), actuals)
+    table = accuracy_table(panel, R1, series_from(base), actuals)
     return (table.rmse_self[0], table.rmse_baseline[0], table.n_common[0]) if table.economist.size else None
 
 
@@ -115,10 +114,10 @@ class TestBlockedDm:
 def test_overflowed_squared_error_keeps_nan_statistics_without_a_note():
     # A forecast of 1e200 squares to inf; the comparison is reported with NaN statistics, not as degenerate.
     panel = ForecastPanel.from_rows(rec("E1", q(2000, 1) + i, v) for i, v in enumerate((1e200, 1.0, 2.0)))
-    base = series_from({q(2000, 1): 0.0, q(2000, 2): 0.5, q(2000, 3): 0.0}, BaselineSeries, release=R1)
+    base = series_from({q(2000, 1): 0.0, q(2000, 2): 0.5, q(2000, 3): 0.0})
     actuals = series_from({q(2000, 1) + i: 0.0 for i in range(3)})
     with np.errstate(over="ignore", invalid="ignore"):
-        table = accuracy_table(panel, base, actuals)
+        table = accuracy_table(panel, R1, base, actuals)
     assert (table.n_common.tolist(), table.rmse_self.tolist(), table.note) == ([3], [math.inf], [""])
     assert all(math.isnan(x) for x in (*table.dm_statistic, *table.hln_statistic, *table.p_value_hln))
 
@@ -161,26 +160,26 @@ class TestBeatBaselineShare:
             for quarter in quarters:
                 records.append(rec(name, quarter, actual[quarter] + offset))
         panel = ForecastPanel.from_rows(records)
-        base = series_from(base_values, BaselineSeries, release=R1)
+        base = series_from(base_values)
         return panel, base, series_from(actual)
 
     def test_everyone_matches_baseline_counts_as_not_beating(self):
         panel, base, actuals = self._setup({"E1": 0.5, "E2": 0.5})
         shares = beat_baseline_share(
-            accuracy_table(panel, base, actuals), participation_share(panel, R1), thresholds=(0.5,)
+            accuracy_table(panel, R1, base, actuals), participation_share(panel, R1), thresholds=(0.5,)
         )
         assert shares.tolist() == [0.0]
 
     def test_one_of_four_strictly_better(self):
         panel, base, actuals = self._setup({"E1": 0.2, "E2": 0.5, "E3": 0.9, "E4": 0.5})
         shares = beat_baseline_share(
-            accuracy_table(panel, base, actuals), participation_share(panel, R1), thresholds=(0.5,)
+            accuracy_table(panel, R1, base, actuals), participation_share(panel, R1), thresholds=(0.5,)
         )
         assert shares.tolist() == [0.25]
 
     def test_one_share_per_threshold_and_nan_where_none_qualifies(self):
         panel, base, actuals = self._setup({"E1": 0.2, "E2": 0.5, "E3": 0.9, "E4": 0.5})
         shares = beat_baseline_share(
-            accuracy_table(panel, base, actuals), participation_share(panel, R1), thresholds=(0.5, 1.5, 0.1)
+            accuracy_table(panel, R1, base, actuals), participation_share(panel, R1), thresholds=(0.5, 1.5, 0.1)
         )
         assert shares[[0, 2]].tolist() == [0.25, 0.25] and math.isnan(shares[1])

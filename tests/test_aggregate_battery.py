@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import judgebench.linreg
 from judgebench.errors import EstimationError
 from judgebench.descriptive import rmse as series_rmse
-from judgebench.judgment import BaselineSeries
 from judgebench.linreg import (
     efficiency_regression,
     hac_covariance,
@@ -24,7 +23,7 @@ from judgebench.linreg import (
     test_battery_aggregate as battery_aggregate,
     wald_joint_test,
 )
-from judgebench.panel import QuarterSeries, SpfNowcasts
+from judgebench.panel import QuarterSeries
 from judgebench.quarters import ReleaseKind
 
 from conftest import as_records, q
@@ -72,7 +71,7 @@ def loop_aggregate(baselines, actuals, spf, ar_forecasts, hac_lag=None):
         except EstimationError as exc:
             errors.append(f"unbiasedness: {exc}")
         try:
-            extra = [spf.for_method(method).at(quarters), ar_forecasts[release].at(quarters)]
+            extra = [spf[method].at(quarters), ar_forecasts[release].at(quarters)]
             fit, design = efficiency_regression(actual, base.values, extra)
             lag = newey_west_auto_lag(fit.nobs) if hac_lag is None else hac_lag
             _, eff_p = wald_joint_test(fit, hac_covariance(fit, design, lag))
@@ -109,7 +108,7 @@ def worlds(draw):
 
     actual_values = {release: with_gaps(rng.normal(1.0, 1.0, span)) for release in ReleaseKind}
     actuals = {release: QuarterSeries(START, values) for release, values in actual_values.items()}
-    spf = SpfNowcasts(*(QuarterSeries(START, with_gaps(rng.normal(1.0, 1.0, span))) for _ in range(2)))
+    spf = dict(zip(("median", "mean"), (QuarterSeries(START, with_gaps(rng.normal(1.0, 1.0, span))) for _ in range(2))))
     ar = {release: QuarterSeries(START, with_gaps(rng.normal(1.0, 1.0, span))) for release in ReleaseKind}
 
     baselines = {}
@@ -124,7 +123,7 @@ def worlds(draw):
             "exact": actual_values[release],
         }[kind]
         start = {"disjoint": START + span + 1, "exact": START}.get(kind, START + lo)
-        baselines[(release, method)] = BaselineSeries(start, values, release)
+        baselines[(release, method)] = QuarterSeries(start, values)
     return baselines, actuals, spf, ar, hac_lag, keys[0]
 
 
@@ -155,12 +154,12 @@ def _fixed_world():
     rng = np.random.default_rng(19)
     actual = {release: rng.normal(1.0, 1.0, 30) for release in ReleaseKind}
     actuals = {release: QuarterSeries(START, values) for release, values in actual.items()}
-    spf = SpfNowcasts(*(QuarterSeries(START, rng.normal(1.0, 1.0, 30)) for _ in range(2)))
+    spf = dict(zip(("median", "mean"), (QuarterSeries(START, rng.normal(1.0, 1.0, 30)) for _ in range(2))))
     ar = {release: QuarterSeries(START, rng.normal(1.0, 1.0, 30)) for release in ReleaseKind}
     values = {key: actual[key[0]] + rng.normal(0.2, 0.5, 30) for key in KEYS}
     values[KEYS[0]] = actual[KEYS[0][0]]
     values[KEYS[1]] = np.full(30, 0.7)
-    baselines = {key: BaselineSeries(START, v, key[0]) for key, v in values.items()}
+    baselines = {key: QuarterSeries(START, v) for key, v in values.items()}
     return baselines, actuals, spf, ar
 
 

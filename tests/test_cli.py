@@ -337,6 +337,46 @@ def test_release_without_actuals_leaves_the_other_releases_tested(tmp_path):
     assert {row["release"] for row in rows(tmp_path / "ar" / "ar_forecasts.csv")} == {"first"}
 
 
+def long_gap_actuals(tmp_path: Path) -> tuple[Path, str]:
+    """The golden actuals without release 2's 2005Q1-2006Q1, a gap too long to fill, and the warning it gives."""
+    lines = (GOLDEN_INPUTS / "actuals.csv").read_text().splitlines()
+    path = tmp_path / "actuals.csv"
+    path.write_text("".join(f"{line}\n" for line in lines
+                            if not (line.split(",")[1] == "2" and "2005Q1" <= line.split(",")[0] <= "2006Q1")))
+    return path, f"{path}: no AR forecasts for release 2: interior gap of 5 quarters at 2005Q1 exceeds the limit of 3"
+
+
+def test_a_long_actuals_gap_in_one_release_leaves_the_others_tested(tmp_path):
+    # Releases 1 and 3 keep their golden rows of tables 4 and 5; release 2 is tested for bias only.
+    actuals, warning = long_gap_actuals(tmp_path)
+    report, golden = tmp_path / "report", GOLDEN_INPUTS.parent / "report"
+    assert main(["report", *GOLDEN_FLAGS[2:], "--actuals", str(actuals), "--out", str(report)]) == 0
+    assert [line for line in (report / "diagnostics.csv").read_text().splitlines()
+            if line.startswith("efficiency,")] == [f"efficiency,{warning}"]
+    for name, second in (("table4_aggregate_tests.csv", slice(4, 6)), ("table5_individual_tests.csv", slice(5, 8))):
+        got, want = (d.joinpath(name).read_text().splitlines() for d in (report, golden))
+        del got[second], want[second]  # the second release's rows
+        assert got == want, name
+    table4 = list(csv.DictReader((report / "table4_aggregate_tests.csv").read_text().splitlines()[1:]))
+    assert [(row["release"], row["efficiency_p"], row["errors"]) for row in table4[2:4]] == [
+        ("second", "", "efficiency: too few observations")] * 2
+    assert all(row["unbiasedness_p"] for row in table4)
+    table5 = list(csv.DictReader((report / "table5_individual_tests.csv").read_text().splitlines()[1:]))
+    assert [(row["release"], row["n_tested_efficient"]) for row in table5[3:6]] == [("second", "0")] * 3
+    assert (report / "individual_detail.csv").exists()
+
+
+@pytest.mark.parametrize("ar_lag", ["1", "auto"])
+def test_a_long_actuals_gap_in_one_release_leaves_the_others_forecast(tmp_path, capsys, ar_lag):
+    actuals, warning = long_gap_actuals(tmp_path)
+    for source, out in ((actuals, "ar"), (GOLDEN_INPUTS / "actuals.csv", "full")):
+        assert main(["ar-forecast", "--actuals", str(source), "--ar-lag", ar_lag, "--out", str(tmp_path / out)]) == 0
+    assert capsys.readouterr().err == f"warning: {warning}\n"
+    full = (tmp_path / "full" / "ar_forecasts.csv").read_text().splitlines()
+    assert (tmp_path / "ar" / "ar_forecasts.csv").read_text().splitlines() == [
+        line for line in full if ",second," not in line]
+
+
 def test_report_loads_no_numpy_ma_module(tmp_path):
     # In numpy 2.4 np.unique without flags, and np.isin, import numpy.ma (about 15 ms).
     golden = Path(__file__).parent / "golden" / "inputs"

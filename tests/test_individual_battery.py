@@ -22,7 +22,7 @@ from judgebench.linreg import (
     test_battery_individual as battery_individual,
     wald_joint_test,
 )
-from judgebench.panel import ForecastPanel, SpfNowcasts, participation_share
+from judgebench.panel import ForecastPanel, participation_share
 from judgebench.quarters import ReleaseKind
 
 from conftest import as_records, q, rec, series_from
@@ -116,7 +116,7 @@ def loop_battery(panel, actuals, spf, ar_forecasts, participation, thresholds=(0
         bounds = np.append(start, order.size)
         quarter = panel.quarter[order]
         columns = (actuals[release].at(quarter), panel.value[order],
-                   spf.median.at(quarter), ar_forecasts[release].at(quarter))
+                   spf["median"].at(quarter), ar_forecasts[release].at(quarter))
         details = [
             loop_forecaster_tests(panel.economist_ids[code], release, *(c[lo:hi] for c in columns))
             for code, lo, hi in zip(codes.tolist(), bounds.tolist(), bounds[1:].tolist())
@@ -178,7 +178,7 @@ def worlds(draw):
         for release, values in actual_values.items()
     }
     spf_median = {**with_gaps(rng.normal(1.0, 1.0, span)), **dict(zip(block, rng.normal(1.0, 1.0, BLOCK)))}
-    spf = SpfNowcasts(median=series_from(spf_median), mean=series_from(spf_median))
+    spf = {"median": series_from(spf_median), "mean": series_from(spf_median)}
     ar = {
         release: series_from({**with_gaps(rng.normal(1.0, 1.0, span)), **dict(zip(block, rng.normal(1.0, 1.0, BLOCK)))})
         for release in ReleaseKind
@@ -248,8 +248,8 @@ def test_missing_predictions_count_against_the_sample_not_the_stack():
     values = {"full": actual + rng.normal(0.0, 0.5, 16), "gappy": np.where(np.arange(16) % 2, np.nan, actual)}
     panel = ForecastPanel.from_rows(rec(name, q, float(v), R1) for name, vs in values.items() for q, v in zip(quarters, vs))
     spf, ar = (series_from(dict(zip(quarters, rng.normal(1.0, 1.0, 16)))) for _ in range(2))
-    battery = battery_records(panel, {R1: series_from(dict(zip(quarters, actual)))}, SpfNowcasts(spf, spf),
-                              {R1: ar}, {R1: participation_share(panel, R1)})
+    battery = battery_records(panel, {R1: series_from(dict(zip(quarters, actual)))},
+                              {"median": spf, "mean": spf}, {R1: ar}, {R1: participation_share(panel, R1)})
     detail = {d.economist_id: d for d in battery.details}
     assert detail["gappy"].nobs == 16
     assert detail["gappy"].note == "unbiasedness: too few observations; efficiency: too few observations"
@@ -262,7 +262,7 @@ def test_no_forecaster_gives_typed_empty_columns(releases):
     panel = ForecastPanel.from_rows([])
     series = series_from({START: 1.0})
     by_release = {r: series for r in releases}
-    details, shares = battery_individual(panel, by_release, SpfNowcasts(series, series), by_release,
+    details, shares = battery_individual(panel, by_release, {"median": series, "mean": series}, by_release,
                                          {r: participation_share(panel, r) for r in releases})
     assert details.note == []
     assert [(getattr(details, name).size, getattr(details, name).dtype.kind) for name in DETAIL_COLUMNS] == [

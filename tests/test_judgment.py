@@ -47,14 +47,14 @@ class TestBaseline:
 class TestExtractJudgments:
     def test_positive_judgment(self):
         panel = panel_from_values({q(2000, 1): [3.2, 3.0, 2.8]})
-        jp = extract_judgments(panel, baseline(panel, R1))
+        jp = extract_judgments(panel, R1, baseline(panel, R1))
         entry = judgment(jp, "E0", q(2000, 1))
         assert entry.value == pytest.approx(0.2)
         assert not entry.neutral
 
     def test_equal_to_baseline_is_neutral(self):
         panel = panel_from_values({q(2000, 1): [3.0, 3.0, 3.0]})
-        jp = extract_judgments(panel, baseline(panel, R1))
+        jp = extract_judgments(panel, R1, baseline(panel, R1))
         entry = judgment(jp, "E0", q(2000, 1))
         assert entry.value == 0.0
         assert entry.neutral
@@ -64,7 +64,7 @@ class TestExtractJudgments:
         panel = ForecastPanel.from_rows(
             [rec("E0", q(2000, 1), 3.04), rec("E1", q(2000, 1), 3.01), rec("E2", q(2000, 1), 2.98)]
         )
-        jp = extract_judgments(panel, baseline(panel, R1))
+        jp = extract_judgments(panel, R1, baseline(panel, R1))
         entry = judgment(jp, "E0", q(2000, 1))
         assert entry.value == pytest.approx(0.03)
         assert entry.neutral
@@ -73,14 +73,14 @@ class TestExtractJudgments:
         panel = panel_from_values({q(2000, 1): [1.0], q(2000, 2): [2.0]})
         partial = baseline(panel_from_values({q(2000, 1): [1.0]}), R1)
         with pytest.raises(ValueError):
-            extract_judgments(panel, partial)
+            extract_judgments(panel, R1, partial)
 
     def test_quarter_shift_leaves_judgments_unchanged(self):
         values = [1.0, 2.5, 4.0]
         base_panel = panel_from_values({q(2000, 1): values})
         shifted_panel = panel_from_values({q(2000, 1): [v + 5.0 for v in values]})
-        jp1 = extract_judgments(base_panel, baseline(base_panel, R1))
-        jp2 = extract_judgments(shifted_panel, baseline(shifted_panel, R1))
+        jp1 = extract_judgments(base_panel, R1, baseline(base_panel, R1))
+        jp2 = extract_judgments(shifted_panel, R1, baseline(shifted_panel, R1))
         for econ in ("E0", "E1", "E2"):
             entry = judgment(jp1, econ, q(2000, 1))
             assert judgment(jp2, econ, q(2000, 1)).value == pytest.approx(entry.value, abs=1e-12)
@@ -98,7 +98,7 @@ class TestSignShares:
         for quarter in quarters:
             records += [rec("A1", quarter, 3.0), rec("A2", quarter, 3.0)]
         panel = ForecastPanel.from_rows(records)
-        jp = extract_judgments(panel, baseline(panel, R1))
+        jp = extract_judgments(panel, R1, baseline(panel, R1))
         stats = sign_shares(jp, participation_share(panel, R1), thresholds=(0.5,))
         # E1 and the two always-neutral anchors all qualify at the 50% threshold.
         assert stats.n_economists.tolist() == [3]
@@ -109,7 +109,7 @@ class TestSignShares:
 
     def test_all_neutral(self):
         panel = panel_from_values({q(2000, 1): [3.0, 3.0]})
-        jp = extract_judgments(panel, baseline(panel, R1))
+        jp = extract_judgments(panel, R1, baseline(panel, R1))
         stats = sign_shares(jp, participation_share(panel, R1), thresholds=(0.5,))
         assert (stats.mean_negative[0], stats.mean_positive[0], stats.mean_neutral[0]) == (0.0, 0.0, 1.0)
 
@@ -118,7 +118,7 @@ class TestSignShares:
         panel = ForecastPanel.from_rows(
             [rec("E1", quarter, 2.0), rec("E2", quarter, 4.0), rec("A", quarter, 3.0)]
         )
-        jp = extract_judgments(panel, baseline(panel, R1))
+        jp = extract_judgments(panel, R1, baseline(panel, R1))
         stats = sign_shares(jp, participation_share(panel, R1), thresholds=(0.5,))
         # Shares across the three economists: negative {1,0,0}, positive {0,1,0}.
         assert stats.mean_negative == pytest.approx([1 / 3])
@@ -140,7 +140,7 @@ class TestNegativeShareHistogram:
         for quarter in quarters:
             records += [rec("A1", quarter, 3.0), rec("A2", quarter, 3.0)]
         panel = ForecastPanel.from_rows(records)
-        return extract_judgments(panel, baseline(panel, R1)), panel
+        return extract_judgments(panel, R1, baseline(panel, R1)), panel
 
     def test_half_negative_bins_to_middle(self):
         jp, panel = self._jp_panel([2.5, 2.6, 3.4, 3.5])
@@ -160,34 +160,29 @@ class TestNegativeShareHistogram:
 
 
 class TestBaselineHitStats:
-    def _base(self, values):
-        from judgebench.judgment import BaselineSeries
-
-        return series_from(values, BaselineSeries, release=R1)
-
     def test_half_correct_half_over(self):
-        base = self._base({q(2000, 1): 2.0, q(2000, 2): 3.0})
+        base = series_from({q(2000, 1): 2.0, q(2000, 2): 3.0})
         actuals = series_from({q(2000, 1): 2.0, q(2000, 2): 2.5})
         stats = baseline_hit_stats(base, actuals)
         assert (stats.correct, stats.overprediction, stats.underprediction) == (0.5, 0.5, 0.0)
 
     def test_identical_series(self):
-        base = self._base({q(2000, 1): 2.0, q(2000, 2): 3.0})
+        base = series_from({q(2000, 1): 2.0, q(2000, 2): 3.0})
         actuals = series_from({q(2000, 1): 2.0, q(2000, 2): 3.0})
         assert baseline_hit_stats(base, actuals).correct == 1.0
 
     def test_uniform_overprediction(self):
-        base = self._base({q(2000, 1): 2.2, q(2000, 2): 3.2})
+        base = series_from({q(2000, 1): 2.2, q(2000, 2): 3.2})
         actuals = series_from({q(2000, 1): 2.0, q(2000, 2): 3.0})
         assert baseline_hit_stats(base, actuals).overprediction == 1.0
 
     def test_no_overlap_gives_nan_shares(self):
-        base = self._base({q(2000, 1): 2.0})
+        base = series_from({q(2000, 1): 2.0})
         actuals = series_from({q(2005, 1): 2.0})
         assert all(np.isnan(baseline_hit_stats(base, actuals)))
 
     def test_shares_sum_to_one(self):
-        base = self._base({q(2000, 1): 2.0, q(2000, 2): 3.3, q(2000, 3): 1.1})
+        base = series_from({q(2000, 1): 2.0, q(2000, 2): 3.3, q(2000, 3): 1.1})
         actuals = series_from({q(2000, 1): 2.0, q(2000, 2): 3.0, q(2000, 3): 1.5})
         stats = baseline_hit_stats(base, actuals)
         assert stats.correct + stats.overprediction + stats.underprediction == pytest.approx(1.0)
@@ -214,5 +209,5 @@ class TestGridRound:
     def test_half_grid_median_is_neutral_with_the_forecast_it_rounds_to(self):
         # The median of 0.2 and 0.3 is 0.25, which rounds to 0.2.
         panel = panel_from_values({q(2000, 1): [0.2, 0.3]})
-        jp = extract_judgments(panel, baseline(panel, R1))
+        jp = extract_judgments(panel, R1, baseline(panel, R1))
         assert [judgment(jp, econ, q(2000, 1)).neutral for econ in ("E0", "E1")] == [True, False]

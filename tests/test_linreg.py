@@ -9,7 +9,7 @@ import scipy.stats
 
 from judgebench.accuracy import hln_correction
 from judgebench.errors import EstimationError, RankDeficiencyError
-from judgebench.judgment import BaselineSeries, baseline
+from judgebench.judgment import baseline
 import judgebench.linreg
 from judgebench.linreg import (
     RegressionFit,
@@ -21,7 +21,7 @@ from judgebench.linreg import (
     test_battery_individual as battery_individual,
     wald_joint_test,
 )
-from judgebench.panel import SpfNowcasts, participation_share
+from judgebench.panel import QuarterSeries, participation_share
 from judgebench.quarters import ReleaseKind
 from judgebench.tails import t_test_p_value
 
@@ -382,10 +382,10 @@ class TestBatteries:
         from judgebench.panel import ForecastPanel
 
         panel = ForecastPanel.from_rows(panel_records)
-        spf = SpfNowcasts(
-            median=series_from({quarter: v + float(rng.normal(0, 0.5)) for quarter, v in zip(quarters, y)}),
-            mean=series_from({quarter: v + float(rng.normal(0, 0.5)) for quarter, v in zip(quarters, y)}),
-        )
+        spf = {
+            "median": series_from({quarter: v + float(rng.normal(0, 0.5)) for quarter, v in zip(quarters, y)}),
+            "mean": series_from({quarter: v + float(rng.normal(0, 0.5)) for quarter, v in zip(quarters, y)}),
+        }
         ar = {
             k: series_from({quarter: v + float(rng.normal(0, 0.5)) for quarter, v in zip(quarters, y)})
             for k in ReleaseKind
@@ -428,10 +428,10 @@ class TestBatteries:
     def test_table4_rmse_and_its_note(self):
         # The RMSE over the quarters where baseline and actual are both present; none gives NaN and a note.
         actuals = {R1: _series([1.0, 2.0, np.nan, 4.0])}
-        baselines = {(R1, "median"): BaselineSeries(q(2000, 1), np.array([2.0, 2.0, 3.0]), R1),
-                     (R1, "mean"): BaselineSeries(q(2001, 1), np.array([1.0]), R1)}
+        baselines = {(R1, "median"): QuarterSeries(q(2000, 1), np.array([2.0, 2.0, 3.0])),
+                     (R1, "mean"): QuarterSeries(q(2001, 1), np.array([1.0]))}
         nowcasts = _series([1.0] * 4)
-        cells = battery_aggregate(baselines, actuals, SpfNowcasts(nowcasts, nowcasts), {R1: nowcasts})
+        cells = battery_aggregate(baselines, actuals, {"median": nowcasts, "mean": nowcasts}, {R1: nowcasts})
         assert cells.rmse[0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
         assert math.isnan(cells.rmse[1])
         assert cells.errors[1].split("; ")[0] == "rmse: prediction and actuals share no quarters"

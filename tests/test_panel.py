@@ -1,4 +1,3 @@
-import io
 from datetime import date
 from pathlib import Path
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 
 from judgebench.accuracy import accuracy_table
+from judgebench.cli import BASELINE_METHODS
 from judgebench.descriptive import quarter_stats
 from judgebench.errors import IngestionError
 from judgebench.judgment import JudgmentPanel, baseline, extract_judgments
@@ -28,56 +28,66 @@ GOLDEN_FORECASTS = Path(__file__).resolve().parent / "golden" / "inputs" / "fore
 COLUMNS = ("economist", "quarter", "release", "value", "report_date")
 
 
+@pytest.fixture
+def csv_file(tmp_path):
+    """A function that writes CSV text to a new file under ``tmp_path`` and returns the file's path."""
+    def write(text: str) -> Path:
+        path = tmp_path / f"input{len(list(tmp_path.iterdir()))}.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        return path
+    return write
+
+
 class TestLoadActuals:
-    def test_two_rows(self):
+    def test_two_rows(self, csv_file):
         csv = "quarter,release,value\n2000Q1,1,1.0\n2000Q2,1,2.0\n"
-        series = load_actuals(io.StringIO(csv))[ReleaseKind.FIRST]
+        series = load_actuals(csv_file(csv))[ReleaseKind.FIRST]
         assert len(series.quarters()) == 2
         assert series.at(q(2000, 1)) == 1.0
 
-    def test_other_releases_filtered(self):
+    def test_other_releases_filtered(self, csv_file):
         csv = "quarter,release,value\n2000Q1,1,1.0\n2000Q1,2,1.1\n"
-        series = load_actuals(io.StringIO(csv))[ReleaseKind.FIRST]
+        series = load_actuals(csv_file(csv))[ReleaseKind.FIRST]
         assert len(series.quarters()) == 1
 
-    def test_duplicate_key_rejected(self):
+    def test_duplicate_key_rejected(self, csv_file):
         csv = "quarter,release,value\n2000Q1,1,1.0\n2000Q1,1,2.0\n"
         with pytest.raises(IngestionError, match="duplicate"):
-            load_actuals(io.StringIO(csv))[ReleaseKind.FIRST]
+            load_actuals(csv_file(csv))[ReleaseKind.FIRST]
 
-    def test_duplicate_in_filtered_release_still_rejected(self):
+    def test_duplicate_in_filtered_release_still_rejected(self, csv_file):
         csv = "quarter,release,value\n2000Q1,2,1.0\n2000Q1,2,2.0\n"
         with pytest.raises(IngestionError):
-            load_actuals(io.StringIO(csv))[ReleaseKind.FIRST]
+            load_actuals(csv_file(csv))[ReleaseKind.FIRST]
 
-    def test_non_numeric_value_rejected(self):
+    def test_non_numeric_value_rejected(self, csv_file):
         csv = "quarter,release,value\n2000Q1,1,abc\n"
         with pytest.raises(IngestionError, match="non-numeric"):
-            load_actuals(io.StringIO(csv))[ReleaseKind.FIRST]
+            load_actuals(csv_file(csv))[ReleaseKind.FIRST]
 
-    def test_bad_header_rejected(self):
+    def test_bad_header_rejected(self, csv_file):
         with pytest.raises(IngestionError, match="header"):
-            load_actuals(io.StringIO("a,b,c\n"))
+            load_actuals(csv_file("a,b,c\n"))
 
 
 class TestLoadForecasts:
-    def test_basic_rows(self):
+    def test_basic_rows(self, csv_file):
         csv = (
             "quarter,release,economist_id,firm_id,value,report_date\n"
             "2000Q1,1,E1,F1,1.5,2000-04-10\n"
             "2000Q1,2,E1,F1,1.6,\n"
         )
-        panel = load_forecasts(io.StringIO(csv))
+        panel = load_forecasts(csv_file(csv))
         assert len(panel) == 2
         first = record(panel, "E1", q(2000, 1), ReleaseKind.FIRST)
         assert first.value == 1.5
         assert first.report_date == date(2000, 4, 10)
         assert record(panel, "E1", q(2000, 1), ReleaseKind.SECOND).report_date is None
 
-    def test_non_finite_value_rejected(self):
+    def test_non_finite_value_rejected(self, csv_file):
         csv = "quarter,release,economist_id,firm_id,value,report_date\n2000Q1,1,E1,F1,inf,\n"
         with pytest.raises(IngestionError):
-            load_forecasts(io.StringIO(csv))
+            load_forecasts(csv_file(csv))
 
     HEADER = "quarter,release,economist_id,firm_id,value,report_date\n"
 
@@ -96,22 +106,23 @@ class TestLoadForecasts:
             load_forecasts(path)
         assert f"{path} line 3" in str(info.value)
 
-    def test_bad_quarter_names_line(self):
+    def test_bad_quarter_names_line(self, csv_file):
         with pytest.raises(IngestionError, match="line 2"):
-            load_forecasts(io.StringIO(self.HEADER + "2000Q5,1,E1,F1,1.5,\n"))
+            load_forecasts(csv_file(self.HEADER + "2000Q5,1,E1,F1,1.5,\n"))
 
 
 class TestLoadSpf:
-    def test_basic(self):
+    def test_basic(self, csv_file):
         csv = "quarter,median,mean\n2000Q1,1.0,1.1\n"
-        spf = load_spf(io.StringIO(csv))
-        assert spf.median.at(q(2000, 1)) == 1.0
-        assert spf.for_method("mean").at(q(2000, 1)) == 1.1
+        spf = load_spf(csv_file(csv))
+        assert spf["median"].at(q(2000, 1)) == 1.0
+        assert spf["mean"].at(q(2000, 1)) == 1.1
+        assert sorted(spf) == sorted(BASELINE_METHODS)  # the efficiency battery reads spf[method]
 
-    def test_duplicate_quarter_rejected(self):
+    def test_duplicate_quarter_rejected(self, csv_file):
         csv = "quarter,median,mean\n2000Q1,1.0,1.1\n2000Q1,2.0,2.1\n"
         with pytest.raises(IngestionError):
-            load_spf(io.StringIO(csv))
+            load_spf(csv_file(csv))
 
 
 class TestCleanPanel:
@@ -176,14 +187,14 @@ class TestCleanPanel:
 class TestCanonicalOrder:
     """Panels are in (release, economist, quarter) order, and analyses reject any other."""
 
-    def test_clean_panel_of_shuffled_lines_is_the_same_canonical_panel(self):
+    def test_clean_panel_of_shuffled_lines_is_the_same_canonical_panel(self, csv_file):
         header, *rows = GOLDEN_FORECASTS.read_text(encoding="utf-8").splitlines(keepends=True)
         first_day = date(2020, 1, 1).toordinal()
         dated = [f"{row[: row.rindex(',')]},{date.fromordinal(first_day + i)}\n" for i, row in enumerate(rows)]
         shuffled = [dated[i] for i in np.random.default_rng(3).permutation(len(dated))]
         cleaned = []
         for lines in (dated, shuffled):
-            raw = load_forecasts(io.StringIO("".join([header, *lines])))
+            raw = load_forecasts(csv_file("".join([header, *lines])))
             panel, log = clean_panel(raw)
             # Each log entry names a raw row (file order) that carries the key it dropped.
             kept = dict(zip(zip(panel.economist.tolist(), panel.quarter.tolist(), panel.release.tolist()),
@@ -204,13 +215,13 @@ class TestCanonicalOrder:
             assert np.array_equal(getattr(got, column), getattr(expected, column)), column
         assert np.array_equal(np.lexsort((got.quarter, got.economist, got.release)), np.arange(len(got)))
 
-    def test_from_rows_sorts_stably_and_load_forecasts_keeps_file_order(self):
+    def test_from_rows_sorts_stably_and_load_forecasts_keeps_file_order(self, csv_file):
         rows = [rec("E2", q(2000, 1), 1.0, ReleaseKind.SECOND), rec("E1", q(2000, 2), 2.0),
                 rec("E1", q(2000, 1), 3.0), rec("E1", q(2000, 1), 4.0), rec("E2", q(2000, 1), 5.0)]
         assert [r.value for r in rows_of(ForecastPanel.from_rows(rows))] == [3.0, 4.0, 2.0, 5.0, 1.0]
         csv = "quarter,release,economist_id,firm_id,value,report_date\n" + "".join(
             f"{quarter_label(r.quarter)},{r.release.value},{r.economist_id},F1,{r.value},\n" for r in rows)
-        assert [r.value for r in rows_of(load_forecasts(io.StringIO(csv)))] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert [r.value for r in rows_of(load_forecasts(csv_file(csv)))] == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_for_release_returns_views(self):
         panel = ForecastPanel.from_rows(rec(f"E{e}", q(2000, t), e + t / 10, ReleaseKind(k))
@@ -230,9 +241,9 @@ class TestCanonicalOrder:
         actuals = series_from({q(2000, 1): 1.0, q(2000, 2): 2.0})
         run = {
             "baseline": lambda panel: baseline(panel, ReleaseKind.FIRST),
-            "extract_judgments": lambda panel: extract_judgments(panel, base),
+            "extract_judgments": lambda panel: extract_judgments(panel, ReleaseKind.FIRST, base),
             "quarter_stats": lambda panel: quarter_stats(panel, actuals, ReleaseKind.FIRST),
-            "accuracy_table": lambda panel: accuracy_table(panel, base, actuals),
+            "accuracy_table": lambda panel: accuracy_table(panel, ReleaseKind.FIRST, base, actuals),
             "build_persistence_dataset": lambda panel: build_persistence_dataset(
                 {ReleaseKind.FIRST: JudgmentPanel(ReleaseKind.FIRST, panel, panel.value, panel.value == 0.0)},
                 ReleaseKind.FIRST, "own_lag"),

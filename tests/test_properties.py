@@ -1,6 +1,5 @@
 """Invariants of the panel core, checked on generated panels (hypothesis)."""
 import csv
-import io
 import json
 import math
 import shutil
@@ -25,7 +24,6 @@ from judgebench.descriptive import quarter_stats
 from judgebench.errors import EstimationError, IngestionError
 from judgebench.judgment import (
     HISTOGRAM_BINS,
-    BaselineSeries,
     JudgmentPanel,
     baseline,
     baseline_hit_stats,
@@ -58,8 +56,8 @@ def test_judgments_invariant_to_a_common_shift(cells, shift):
     moved = ForecastPanel.from_rows(row._replace(value=row.value + shift) for row in rows)
     for release in {release for _, _, release in cells}:
         for method in ("median", "mean"):
-            jp = extract_judgments(panel, baseline(panel, release, method), grid=0.0)
-            jp_moved = extract_judgments(moved, baseline(moved, release, method), grid=0.0)
+            jp = extract_judgments(panel, release, baseline(panel, release, method), grid=0.0)
+            jp_moved = extract_judgments(moved, release, baseline(moved, release, method), grid=0.0)
             assert np.abs(jp_moved.value - jp.value).max() <= 1e-12
 
 
@@ -190,7 +188,7 @@ grid_values = st.integers(-30, 30).map(lambda k: k / 20)  # on and between 0.1 g
        grid=st.sampled_from([0.0, 0.1, 0.25]))
 def test_baseline_hit_stats_equal_the_isclose_loop(base, actual, grid):
     common = sorted(set(base) & set(actual))
-    series = series_from({START + t: v for t, v in base.items()}, BaselineSeries, release=ReleaseKind.FIRST)
+    series = series_from({START + t: v for t, v in base.items()})
     actuals = series_from({START + t: v for t, v in actual.items()})
     if not common:
         assert all(math.isnan(share) for share in baseline_hit_stats(series, actuals, grid))
@@ -318,16 +316,19 @@ def _csv_file(what: str, lines: list[str], header: str | None = None, crlf_from:
     return (header or HEADERS[what]) + "\n" + "".join(line + end for line, end in zip(lines, ends))
 
 
+def _written(text: str, tmp: str, name: str = "forecasts.csv") -> Path:
+    """The text written as UTF-8 to the file ``name`` in the directory ``tmp``."""
+    path = Path(tmp) / name
+    path.write_bytes(text.encode())
+    return path
+
+
 def _outcomes(what: str, text: str, chunk: int | None = None) -> tuple[tuple, tuple]:
-    """The reader's and the row parser's outcome on this text as a file; as a stream, they must agree."""
+    """The reader's and the row parser's outcome on this text as a file."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(panel_module, "CHUNK_LINES",
                                                                  chunk or panel_module.CHUNK_LINES):
-        path = Path(tmp) / f"{what}.csv"
-        path.write_bytes(text.encode())
-        got = outcome(LOADERS[what], path)
-        assert outcome(LOADERS[what], io.StringIO(text, newline="")) == outcome(reference.LOADERS[what], io.StringIO(
-            text, newline=""))
-        return got, outcome(reference.LOADERS[what], path)
+        path = _written(text, tmp, f"{what}.csv")
+        return outcome(LOADERS[what], path), outcome(reference.LOADERS[what], path)
 
 
 @SETTINGS
@@ -556,13 +557,15 @@ def test_columnar_ingest_equals_row_parser_across_chunks(lines, extra):
 def test_padded_ids_strip_to_one_id_across_chunks():
     lines = [f"2000Q{1 + i % 4},1,{pad}E1{pad},{pad}F1,{i % 7}," for i, pad in enumerate(["", " ", "  "] * 1400)]
     text = _csv_file("forecasts", lines)
-    panel = load_forecasts(io.StringIO(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        panel = load_forecasts(_written(text, tmp))
     assert panel.economist_ids == ("E1",)
     assert _outcomes("forecasts", text)[0] == _outcomes("forecasts", text)[1]
 
 
 def test_an_id_keeps_its_trailing_nul():
-    panel = load_forecasts(io.StringIO(_csv_file("forecasts", ["2000Q1,1,E1\0,F1,1.5,", "2000Q1,1,E1,F1,2.5,"])))
+    with tempfile.TemporaryDirectory() as tmp:
+        panel = load_forecasts(_written(_csv_file("forecasts", ["2000Q1,1,E1\0,F1,1.5,", "2000Q1,1,E1,F1,2.5,"]), tmp))
     assert panel.economist_ids == ("E1", "E1\0")
     assert ForecastPanel.from_rows([("E1\0", START, 1, 1.5, None)]).economist_ids == ("E1\0",)
 
@@ -648,9 +651,9 @@ class AccuracyComparison(NamedTuple):
     note: str = ""
 
 
-def accuracy_by_loop(panel: ForecastPanel, base: BaselineSeries, actuals) -> list[AccuracyComparison]:
+def accuracy_by_loop(panel: ForecastPanel, release: ReleaseKind, base, actuals) -> list[AccuracyComparison]:
     """Each forecaster's accuracy comparison on its own slice, with np.mean (the reference)."""
-    rows = panel.release == base.release
+    rows = panel.release == release
     order = np.flatnonzero(rows)[np.lexsort((panel.quarter[rows], panel.economist[rows]))]
     codes, start = np.unique(panel.economist[order], return_index=True)
     bounds = np.append(start, order.size)
@@ -677,7 +680,7 @@ def accuracy_by_loop(panel: ForecastPanel, base: BaselineSeries, actuals) -> lis
                 hln = dm * math.sqrt((n - 1) / n)
                 p = 2.0 * float(t_sf(abs(hln), n - 1))  # one tail call per forecaster
         out.append(AccuracyComparison(
-            panel.economist_ids[code], base.release, n, math.sqrt(float(np.mean(e_self**2))),
+            panel.economist_ids[code], release, n, math.sqrt(float(np.mean(e_self**2))),
             math.sqrt(float(np.mean(e_base**2))), dm, hln, p, note))
     return out
 
@@ -695,13 +698,13 @@ def test_accuracy_table_equals_the_forecaster_loop(cells, base, actual):
     # accuracy_table takes the release's p-values in one tail call and the loop one per
     # forecaster, so == also checks that batching changes no bit.
     panel = ForecastPanel.from_rows(rec(f"E{e}", START + t, v) for (e, t), v in cells.items())
-    series = series_from({START + t: v for t, v in base.items()}, BaselineSeries, release=ReleaseKind.FIRST)
+    series = series_from({START + t: v for t, v in base.items()})
     actuals = series_from({START + t: v for t, v in actual.items()})
-    table = accuracy_table(panel, series, actuals)
+    table = accuracy_table(panel, ReleaseKind.FIRST, series, actuals)
     ids = [panel.economist_ids[code] for code in table.economist.tolist()]
-    assert as_records(AccuracyComparison, ids, [series.release] * len(ids),
+    assert as_records(AccuracyComparison, ids, [ReleaseKind.FIRST] * len(ids),
                       *(getattr(table, name) for name in AccuracyComparison._fields[2:])) == (
-        accuracy_by_loop(panel, series, actuals))
+        accuracy_by_loop(panel, ReleaseKind.FIRST, series, actuals))
 
 
 def cell_medians_by_lexsort(key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

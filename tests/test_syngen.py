@@ -31,7 +31,7 @@ R1 = ReleaseKind.FIRST
 
 def world_judgments(world, release):
     """The world's judgments for one release against its median baseline."""
-    return extract_judgments(world.panel, baseline(world.panel, release), grid=world.config.grid)
+    return extract_judgments(world.panel, release, baseline(world.panel, release), grid=world.config.grid)
 
 
 def reseeded(config: SynthConfig, seed: int) -> SynthConfig:
