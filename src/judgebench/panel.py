@@ -299,28 +299,33 @@ def _take(reader, n: int, path) -> tuple[list[list[str]], str | None]:
     return rows, None
 
 
-def _row_codes(rows: list[list[str]], columns: list[_Column], seen: set, unique: int,
-               duplicate: Callable[..., str] | None) -> tuple[np.ndarray, tuple[int, str] | None]:
-    """Each field's codes over the rows, one array per column, or the first bad row and its error.
+def _code_chunk(rows: list[list[str]], columns: list[_Column], seen: set, unique: int,
+                duplicate: Callable[..., str] | None) -> tuple[list[np.ndarray], int | None, str | None]:
+    """The rows' codes, one array per column, and the position in ``rows`` and error of the first bad row, or Nones.
 
-    Blank rows are skipped.  A row is checked for its field count, then its fields in column order, then its key
-    (its first ``unique`` values), which then joins ``seen``.
+    The non-blank rows before the first with a wrong field count are coded a column at a time.  A row is checked for
+    its field count, then its fields in column order, then its key (its first ``unique`` values), which joins ``seen``.
     """
-    kept = []
-    for i, row in enumerate(rows):
-        if not row:
-            continue
-        if len(row) != len(columns):
-            return kept, (i, f"expected {len(columns)} fields")
-        codes = [column[token] for column, token in zip(columns, row)]
-        if error := next((column.errors[code] for column, code in zip(columns, codes) if code in column.errors), None):
-            return kept, (i, error)
-        key = tuple(column.values[code] for column, code in zip(columns[:unique], codes))
-        if unique and key in seen:
-            return kept, (i, duplicate(*key))
+    width, fault, at = len(columns), (None, None), range(len(rows))  # at: each coded row's position in rows
+    if set(map(len, rows)) != {width}:
+        stop = next((i for i, row in enumerate(rows) if len(row) not in (0, width)), len(rows))
+        fault = (stop, f"expected {width} fields") if stop < len(rows) else fault
+        at = [i for i in range(stop) if rows[i]]
+        rows = [rows[i] for i in at]
+    chunk = [np.fromiter(map(column.__getitem__, tokens), np.int64, len(rows))
+             for column, tokens in zip(columns, zip(*rows))]
+    # Codes follow first appearance, and an error ends the read: a column's first error row has its lowest error code.
+    first = [int(np.argmax(codes == min(column.errors))) if column.errors else len(rows)
+             for column, codes in zip(columns, chunk)]
+    bad = min(first, default=len(rows))  # first.index(bad) is the first column in column order with an error there
+    for i, key in enumerate(zip(*(map(column.values.__getitem__, codes[:bad].tolist())
+                                  for column, codes in zip(columns[:unique], chunk)))):
+        if key in seen:
+            return chunk, at[i], duplicate(*key)
         seen.add(key)
-        kept.append(codes)
-    return np.array(kept, dtype=np.int64).reshape(-1, len(columns)).T, None
+    if bad < len(rows):
+        return chunk, at[bad], columns[k := first.index(bad)].errors[int(chunk[k][bad])]
+    return chunk, *fault
 
 
 def _read_csv(path, header: Sequence[str], parsers: Sequence[Callable[[str], object]],
@@ -329,7 +334,7 @@ def _read_csv(path, header: Sequence[str], parsers: Sequence[Callable[[str], obj
 
     Rows are read with the csv module, ``CHUNK_LINES`` at a time.  No two rows may share the parsed values of the
     first ``unique`` fields; ``duplicate(*values)`` words that error.  The first bad row in file order (see
-    ``_row_codes``) raises IngestionError naming the file and line; so do a wrong header and a line the csv module
+    ``_code_chunk``) raises IngestionError naming the file and line; so do a wrong header and a line the csv module
     cannot read, such as one with a field over its size limit.  A byte that is not UTF-8 anywhere in the file is
     reported before any other fault.  The file is read to its end once, and its bytes go to ``digest``.
     """
@@ -344,18 +349,12 @@ def _read_csv(path, header: Sequence[str], parsers: Sequence[Callable[[str], obj
         rows, fault = _take(reader, CHUNK_LINES, path)  # a csv error comes after these rows
         if not rows:
             break
-        chunk = None
-        if not unique and set(map(len, rows)) == {len(columns)}:  # code each field at C speed
-            chunk = [np.fromiter(map(column.__getitem__, tokens), np.int64, len(rows))
-                     for column, tokens in zip(columns, zip(*rows))]
-        if chunk is None or any(column.errors for column in columns):  # every error is from this chunk
-            chunk, bad = _row_codes(rows, columns, seen, unique, duplicate)
-            if bad:
-                at, message = bad
-                # A row takes a line, and one more for each line end in a quoted field, unless the file ends there.
-                line = lines + at + 1 + sum(map(_line_ends, itertools.chain.from_iterable(rows[:at + 1])))
-                fault = f"{path} line {min(line, reader.line_num)}: {message}"
-                break
+        chunk, at, message = _code_chunk(rows, columns, seen, unique, duplicate)
+        if message:
+            # A row takes a line, and one more for each line end in a quoted field, unless the file ends there.
+            line = lines + at + 1 + sum(map(_line_ends, itertools.chain.from_iterable(rows[:at + 1])))
+            fault = f"{path} line {min(line, reader.line_num)}: {message}"
+            break
         for column, codes in zip(columns, chunk):
             column.chunks.append(codes)
     if fault is not None:
@@ -455,7 +454,7 @@ def clean_panel(raw: ForecastPanel) -> tuple[ForecastPanel, CleaningLog]:
     cells, medians = cell_medians(cell, value)
     deviation = np.abs(value - medians[np.searchsorted(cells, cell)])
 
-    order = np.lexsort((pos, deviation, -raw.report_date[pos], quarter, econ, release))
+    order = np.lexsort((deviation, -raw.report_date[pos], quarter, econ, release))  # stable: ties keep input order
     rows, econ, quarter, release = pos[order], econ[order], quarter[order], release[order]
     best = np.ones(rows.size, dtype=bool)
     best[1:] = (econ[1:] != econ[:-1]) | (quarter[1:] != quarter[:-1]) | (release[1:] != release[:-1])

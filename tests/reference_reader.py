@@ -8,7 +8,6 @@ input; ``outcome`` puts either in a form that compares bit for bit.
 """
 import csv
 import functools
-from pathlib import Path
 
 import numpy as np
 
@@ -26,38 +25,33 @@ from judgebench.panel import (
 from judgebench.quarters import ReleaseKind, parse_quarter, quarter_label
 
 
-def parse_rows(source, header, what, parse_row):
-    """Yield ``(where, parse_row(row))`` for each data row of a CSV source; ``where`` names the file and line."""
-    is_path = isinstance(source, (str, Path))
-    name = str(source) if is_path else getattr(source, "name", what)
-    fh = open(source, "r", encoding="utf-8", newline="") if is_path else source
-    reader = csv.DictReader(fh)
-    try:
-        got = reader.fieldnames
-        if got is None or list(got) != list(header):
-            raise IngestionError(f"{name}: expected header {','.join(header)}, got {got}")
-        for row in reader:
-            where = f"{name} line {reader.line_num}"
-            try:
-                if None in row or None in row.values():
-                    raise ValueError(f"expected {len(header)} fields")
-                parsed = parse_row(row)
-            except ValueError as exc:
-                raise IngestionError(f"{where}: {exc}") from exc
-            yield where, parsed
-    except csv.Error as exc:  # the underlying reader's line count includes the failed line
-        raise IngestionError(f"{name} line {reader.reader.line_num}: {exc}") from exc
-    finally:
-        if is_path:
-            fh.close()
+def parse_rows(path, header, parse_row):
+    """Yield ``(where, parse_row(row))`` for each data row of a CSV file; ``where`` names the file and line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            got = reader.fieldnames
+            if got is None or list(got) != list(header):
+                raise IngestionError(f"{path}: expected header {','.join(header)}, got {got}")
+            for row in reader:
+                where = f"{path} line {reader.line_num}"
+                try:
+                    if None in row or None in row.values():
+                        raise ValueError(f"expected {len(header)} fields")
+                    parsed = parse_row(row)
+                except ValueError as exc:
+                    raise IngestionError(f"{where}: {exc}") from exc
+                yield where, parsed
+        except csv.Error as exc:  # the underlying reader's line count includes the failed line
+            raise IngestionError(f"{path} line {reader.reader.line_num}: {exc}") from exc
 
 
-def load_actuals(source) -> dict[ReleaseKind, QuarterSeries]:
+def load_actuals(path) -> dict[ReleaseKind, QuarterSeries]:
     def parse_row(row):
         return parse_quarter(row["quarter"]), ReleaseKind.from_token(row["release"]), _parse_value(row["value"])
 
     points = {release: {} for release in ReleaseKind}
-    for where, (quarter, release, value) in parse_rows(source, ACTUALS_HEADER, "actuals", parse_row):
+    for where, (quarter, release, value) in parse_rows(path, ACTUALS_HEADER, parse_row):
         if quarter in points[release]:
             raise IngestionError(f"{where}: duplicate actuals row for {quarter_label(quarter)} release {release.value}")
         points[release][quarter] = value
@@ -65,7 +59,7 @@ def load_actuals(source) -> dict[ReleaseKind, QuarterSeries]:
             for release, series in points.items()}
 
 
-def load_forecasts(source) -> ForecastPanel:
+def load_forecasts(path) -> ForecastPanel:
     """The raw panel, rows in file order."""
     quarter_of = functools.cache(parse_quarter)
 
@@ -73,7 +67,7 @@ def load_forecasts(source) -> ForecastPanel:
         return (row["economist_id"].strip(), quarter_of(row["quarter"]),
                 ReleaseKind.from_token(row["release"]), _parse_value(row["value"]), _parse_date(row["report_date"]))
 
-    rows = [row for _, row in parse_rows(source, FORECASTS_HEADER, "forecasts", parse_row)]
+    rows = [row for _, row in parse_rows(path, FORECASTS_HEADER, parse_row)]
     econ, quarter, release, value, dated = zip(*rows) if rows else ((),) * 5
     economist_ids, economist = factorize(econ)
     return ForecastPanel(
@@ -85,12 +79,12 @@ def load_forecasts(source) -> ForecastPanel:
     )
 
 
-def load_spf(source) -> dict[str, QuarterSeries]:
+def load_spf(path) -> dict[str, QuarterSeries]:
     def parse_row(row):
         return parse_quarter(row["quarter"]), _parse_value(row["median"]), _parse_value(row["mean"])
 
     points = {}
-    for where, (quarter, med, avg) in parse_rows(source, SPF_HEADER, "spf", parse_row):
+    for where, (quarter, med, avg) in parse_rows(path, SPF_HEADER, parse_row):
         if quarter in points:
             raise IngestionError(f"{where}: duplicate spf row for {quarter_label(quarter)}")
         points[quarter] = med, avg

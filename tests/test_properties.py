@@ -354,6 +354,13 @@ def _edit(k: int | str, token: str):
     return _insert(line)
 
 
+def _with_bad_value(line: str, what: str) -> str:
+    """The line with its value field (spf's median) replaced by a non-numeric token."""
+    fields = line.split(",")
+    fields[VALUE_AT[what]] = "abc"
+    return ",".join(fields)
+
+
 OVERLONG = "9" * (csv.field_size_limit() + 1)  # "field larger than field limit (131072)"
 
 # Files with one irregularity before line ``at``: errors of every kind, and valid files only the csv module reads.
@@ -378,6 +385,15 @@ IRREGULAR_FILES = {
     "bad token before a csv error": lambda what, lines, at: _csv_file(
         what, [*lines[:at], GOOD_ROWS[what].replace("1.5", "abc", 1), *lines[at:], OVERLONG]),
     "overlong field": _edit("value", OVERLONG),
+    # Two faults in one chunk: the first in file order is the one named.
+    "duplicate key before a non-numeric value": lambda what, lines, at: _csv_file(
+        what, [*lines[:at], lines[max(at - 1, 0)], _with_bad_value(GOOD_ROWS[what], what), *lines[at:]]),
+    "non-numeric value before a duplicate key": lambda what, lines, at: _csv_file(
+        what, [*lines[:at], _with_bad_value(GOOD_ROWS[what], what), lines[max(at - 1, 0)], *lines[at:]]),
+    "non-numeric value on a duplicated row": lambda what, lines, at: _csv_file(
+        what, [*lines[:at], _with_bad_value(lines[max(at - 1, 0)], what), *lines[at:]]),
+    "short row after a non-numeric value": lambda what, lines, at: _csv_file(
+        what, [*lines[:at], _with_bad_value(GOOD_ROWS[what], what), GOOD_ROWS[what].rsplit(",", 1)[0], *lines[at:]]),
 }
 
 
@@ -581,7 +597,8 @@ def test_malformed_line_after_the_first_chunk_names_its_line(kind, what, after):
     got, expected = _outcomes(what, IRREGULAR_FILES[kind](what, lines, at))
     assert got == expected
     if got[0] == "error":  # a row is named by its last line: the header's and the ``at`` lines before it, plus one
-        last = {"quoted line end": at + 3, "unclosed quote": len(lines) + 2}
+        last = {"quoted line end": at + 3, "unclosed quote": len(lines) + 2,
+                "duplicate key before a non-numeric value": at + 2 + (what == "forecasts")}  # forecasts have no key
         assert f"line {last.get(kind, at + 2)}:" in got[1]
 
 
